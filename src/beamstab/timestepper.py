@@ -3,9 +3,15 @@
 The step unknowns are the midpoint velocities (w_u, w_v) on the free dofs;
 positions and end velocities are affine in them, so the conservative core
 is the classical midpoint rule and the monotone boundary terms enter
-through the velocity traces only.  For linear laws and constant mu the
-Jacobian is step-independent and its factorization is reused across the
-whole run.
+through the velocity traces only.
+
+One solver path serves every law.  The Jacobian with each law's slope
+frozen at p'(0) is factored once per (dt, mu): once per run for constant
+mu.  The true Jacobian differs from it only by a boundary term on the
+Gamma1 trace, so wherever the trace slopes differ from p'(0), GMRES on the
+LU-preconditioned operator turns the LU solve into the exact Newton
+direction.  For linear laws the slopes never differ and each Newton
+iteration is one back-substitution.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .discretization import SimState
 from .errors import InvalidArgumentError, StepFailureError
@@ -25,6 +31,11 @@ from .errors import InvalidArgumentError, StepFailureError
 log = logging.getLogger(__name__)
 
 CHECKPOINT_HEADER = "# beamstab checkpoint v1"
+
+# GMRES for the Newton direction: basis size, restart cycles, relative tolerance
+GMRES_RESTART = 30
+GMRES_CYCLES = 4
+GMRES_RTOL = 1e-12
 
 
 @dataclass
@@ -44,7 +55,7 @@ class StepControl:
 
 
 class _MidpointSolver:
-    """Per-run workspace: restricted operators and a cached Jacobian LU."""
+    """Per-run workspace: restricted operators and the reference Jacobian LU."""
 
     def __init__(self, system):
         self.system = system
@@ -55,25 +66,32 @@ class _MidpointSolver:
         self.C = system.coupling[ix].tocsr()
         self.Sg = system.sigma_op[ix].tocsr()
         self.T = system.trace[:, f].tocsr()
+        self.Tt = self.T.T
         self.wmn = system.trace_weights * system.trace_m_dot_nu
-        self._lu = None
-        self._lu_key = None
+        self._ref_key = None
+        self._ref = None
 
-    def _jacobian_lu(self, dt, mu_mid, slopes1, slopes2):
-        key = (dt, mu_mid, slopes1.tobytes(), slopes2.tobytes())
-        if self._lu_key == key:
-            return self._lu
-        a1, a2 = self.system.alpha1, self.system.alpha2
-        B1 = (self.T.T @ sp.diags(self.wmn * slopes1) @ self.T).tocsr()
-        B2 = (self.T.T @ sp.diags(self.wmn * slopes2) @ self.T).tocsr()
+    def _reference(self, dt, mu_mid):
+        """(LU, slopes1, slopes2): the Jacobian with each law's slope frozen
+        at 0 and those slopes, cached per (dt, mu_mid)."""
+        key = (dt, mu_mid)
+        if self._ref_key == key:
+            return self._ref
+        sys_ = self.system
+        a1, a2 = sys_.alpha1, sys_.alpha2
+        zero = np.zeros(self.T.shape[0])
+        slopes1 = np.asarray(sys_.law1.slope(zero), dtype=float)
+        slopes2 = np.asarray(sys_.law2.slope(zero), dtype=float)
+        B1 = (self.Tt @ sp.diags(self.wmn * slopes1) @ self.T).tocsr()
+        B2 = (self.Tt @ sp.diags(self.wmn * slopes2) @ self.T).tocsr()
         Juu = (2.0 / dt) * self.M + (dt / 2.0) * mu_mid * self.K + mu_mid * B1
         Juv = (dt / 2.0) * a1 * self.C
         Jvu = (dt / 2.0) * (self.Sg - a2 * self.C)
         Jvv = (2.0 / dt) * self.M + (dt / 2.0) * self.K + B2
         J = sp.bmat([[Juu, Juv], [Jvu, Jvv]], format="csc")
-        self._lu = splu(J)
-        self._lu_key = key
-        return self._lu
+        self._ref = (splu(J), slopes1, slopes2)
+        self._ref_key = key
+        return self._ref
 
     def residual(self, dt, mu_mid, state, wu, wv):
         """Midpoint residual on the free dofs, stacked (u block, v block)."""
@@ -86,11 +104,42 @@ class _MidpointSolver:
         sv = self.T @ wv
         ru = ((2.0 / dt) * (self.M @ (wu - state.du[f]))
               + mu_mid * (self.K @ u_mid) + a1 * (self.C @ v_mid)
-              + mu_mid * (self.T.T @ (self.wmn * np.asarray(sys_.law1(su)))))
+              + mu_mid * (self.Tt @ (self.wmn * np.asarray(sys_.law1(su)))))
         rv = ((2.0 / dt) * (self.M @ (wv - state.dv[f]))
               + self.K @ v_mid - a2 * (self.C @ u_mid) + self.Sg @ u_mid
-              + self.T.T @ (self.wmn * np.asarray(sys_.law2(sv))))
+              + self.Tt @ (self.wmn * np.asarray(sys_.law2(sv))))
         return np.concatenate([ru, rv])
+
+    def _newton_direction(self, dt, mu_mid, wu, wv, r):
+        """Solve J(w) delta = r; returns (delta, GMRES iterations).
+
+        J(w) = J0 + blockdiag(Tt diag(d1) T, Tt diag(d2) T), with d the
+        trace weights times the slope change from the reference slopes.
+        Where d vanishes the reference-LU solve is exact; elsewhere GMRES on
+        I + J0^-1 [boundary term] starts from that solve."""
+        lu, ref1, ref2 = self._reference(dt, mu_mid)
+        sys_ = self.system
+        d1 = mu_mid * self.wmn * (np.asarray(sys_.law1.slope(self.T @ wu), dtype=float) - ref1)
+        d2 = self.wmn * (np.asarray(sys_.law2.slope(self.T @ wv), dtype=float) - ref2)
+        delta = lu.solve(r)
+        if not (d1.any() or d2.any()):
+            return delta, 0
+        nf = len(wu)
+
+        def matvec(x):
+            bu = self.Tt @ (d1 * (self.T @ x[:nf]))
+            bv = self.Tt @ (d2 * (self.T @ x[nf:]))
+            return x + lu.solve(np.concatenate([bu, bv]))
+
+        residuals = []  # one entry per GMRES iteration
+        op = LinearOperator((2 * nf, 2 * nf), matvec=matvec, dtype=float)
+        delta, info = gmres(op, delta, x0=delta, rtol=GMRES_RTOL, restart=GMRES_RESTART,
+                            maxiter=GMRES_CYCLES, callback=residuals.append,
+                            callback_type="pr_norm")
+        if info != 0:
+            log.warning("GMRES stopped short of rtol %g after %d iterations (info %d)",
+                        GMRES_RTOL, len(residuals), info)
+        return delta, len(residuals)
 
     def solve(self, state, control):
         sys_ = self.system
@@ -101,6 +150,7 @@ class _MidpointSolver:
         nf = len(f)
         wu = state.du[f].copy()
         wv = state.dv[f].copy()
+        newton = krylov = halvings = 0
 
         r = self.residual(dt, mu_mid, state, wu, wv)
         scale = max(1.0, float(np.max(np.abs(r))))
@@ -108,11 +158,10 @@ class _MidpointSolver:
         rnorm = float(np.max(np.abs(r)))
         for _ in range(control.newton_max):
             if rnorm <= tol:
-                return wu, wv
-            slopes1 = np.asarray(sys_.law1.slope(self.T @ wu), dtype=float)
-            slopes2 = np.asarray(sys_.law2.slope(self.T @ wv), dtype=float)
-            lu = self._jacobian_lu(dt, mu_mid, slopes1, slopes2)
-            delta = lu.solve(r)
+                break
+            newton += 1
+            delta, its = self._newton_direction(dt, mu_mid, wu, wv, r)
+            krylov += its
             lam = 1.0
             for _ in range(30):
                 cu = wu - lam * delta[:nf]
@@ -123,8 +172,11 @@ class _MidpointSolver:
                     wu, wv, r, rnorm = cu, cv, rc, cnorm
                     break
                 lam *= 0.5
+                halvings += 1
             else:
                 break  # no damping factor reduced the residual
+        log.debug("step t=%.6g: newton %d, gmres %d, halvings %d, residual %.3e",
+                  state.t, newton, krylov, halvings, rnorm)
         if rnorm <= tol:
             return wu, wv
 
@@ -135,11 +187,10 @@ class _MidpointSolver:
         raise StepFailureError(state.t, rnorm)
 
     def _fixed_point(self, dt, mu_mid, state, wu, wv, tol):
-        """Lagged-boundary iteration: linear solve with p frozen at the
-        previous iterate.  Contraction is governed by dt times the laws'
-        Lipschitz constants, so it only rescues modest time steps."""
-        zero1 = np.zeros(self.T.shape[0])
-        lu = self._jacobian_lu(dt, mu_mid, zero1, zero1)
+        """Chord iteration on the reference LU: boundary slopes frozen at 0.
+        Contraction is governed by dt times the spread of the laws' slopes,
+        so it only rescues modest time steps."""
+        lu = self._reference(dt, mu_mid)[0]
         nf = len(self.system.free)
         for _ in range(200):
             r = self.residual(dt, mu_mid, state, wu, wv)

@@ -1,13 +1,20 @@
+import logging
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
-from beamstab import timestepper
+from beamstab import geometry, timestepper
+from beamstab.admissibility import constant_schedule, decaying_schedule
 from beamstab.diagnostics import TraceRecorder, energy
 from beamstab.discretization import SimState, interpolate
 from beamstab.errors import InvalidArgumentError, StepFailureError
 from beamstab.fields import sine_field
-from beamstab.feedback import saturating_law
-from beamstab.timestepper import (StepControl, integrate, load_checkpoint,
+from beamstab.feedback import hardening_law, saturating_law, strauss_approximate
+from beamstab.timestepper import (StepControl, _MidpointSolver, integrate, load_checkpoint,
                                   save_checkpoint, step)
 
 from conftest import make_conservative_system, make_system
@@ -71,6 +78,156 @@ class TestStep:
             step(system, state, control)
         assert err.value.t == 0.0
         assert err.value.residual > 0
+
+
+def _damped_newton(solver, state, control, direction):
+    """The solver's damped Newton loop (same tolerance scale and line search)
+    with the direction supplied by direction(dt, mu_mid, wu, wv, r).
+    Returns (wu, wv, converged)."""
+    sys_ = solver.system
+    dt = control.dt
+    mu_mid = float(sys_.schedule.mu(state.t + dt / 2.0))
+    f = sys_.free
+    nf = len(f)
+    wu, wv = state.du[f].copy(), state.dv[f].copy()
+    r = solver.residual(dt, mu_mid, state, wu, wv)
+    rnorm = float(np.max(np.abs(r)))
+    tol = control.newton_tol * max(1.0, rnorm)
+    for _ in range(control.newton_max):
+        if rnorm <= tol:
+            break
+        delta = direction(dt, mu_mid, wu, wv, r)
+        lam = 1.0
+        for _ in range(30):
+            cu, cv = wu - lam * delta[:nf], wv - lam * delta[nf:]
+            rc = solver.residual(dt, mu_mid, state, cu, cv)
+            cnorm = float(np.max(np.abs(rc)))
+            if cnorm < rnorm or cnorm <= tol:
+                wu, wv, r, rnorm = cu, cv, rc, cnorm
+                break
+            lam *= 0.5
+        else:
+            break
+    return wu, wv, rnorm <= tol
+
+
+def _full_jacobian_direction(solver):
+    """Oracle direction: assemble the Jacobian with the actual trace slopes
+    and factor it."""
+    sys_ = solver.system
+    T, wmn, a1, a2 = solver.T, solver.wmn, sys_.alpha1, sys_.alpha2
+
+    def direction(dt, mu_mid, wu, wv, r):
+        B1 = T.T @ sp.diags(wmn * sys_.law1.slope(T @ wu)) @ T
+        B2 = T.T @ sp.diags(wmn * sys_.law2.slope(T @ wv)) @ T
+        J = sp.bmat([[(2.0 / dt) * solver.M + (dt / 2.0) * mu_mid * solver.K + mu_mid * B1,
+                      (dt / 2.0) * a1 * solver.C],
+                     [(dt / 2.0) * (solver.Sg - a2 * solver.C),
+                      (2.0 / dt) * solver.M + (dt / 2.0) * solver.K + B2]], format="csc")
+        return splu(J).solve(r)
+
+    return direction
+
+
+def _full_jacobian_newton(solver, state, control):
+    """Oracle step: Newton that factors the actual Jacobian every iteration."""
+    return _damped_newton(solver, state, control, _full_jacobian_direction(solver))
+
+
+def _chord_newton(solver, state, control):
+    """The damped loop with the reference-LU direction alone (no correction)."""
+    return _damped_newton(solver, state, control,
+                          lambda dt, mu_mid, wu, wv, r: solver._reference(dt, mu_mid)[0].solve(r))
+
+
+_LAWS = {
+    "saturating": lambda: (saturating_law(1.0, 2.0), saturating_law(0.5, 4.0)),
+    "hardening": lambda: (hardening_law(1.0, 3.0, knee=0.5), hardening_law(0.5, 2.0, knee=0.3)),
+    "lipschitz": lambda: (strauss_approximate(saturating_law(1.0, 3.0), 3),
+                          strauss_approximate(hardening_law(1.0, 2.0, knee=0.4), 4)),
+}
+
+
+def _rect6(**kwargs):
+    """6x6 unit square, multiplier origin outside: Gamma1 has trace points."""
+    return make_system(mesh=geometry.build_rect_mesh(1.0, 1.0, 6, 6),
+                       x0=np.array([-0.1, -0.1]), **kwargs)
+
+
+def _random_state(system, seed, amplitude):
+    rng = np.random.default_rng(seed)
+    t = float(rng.uniform(0.0, 1.0))
+    return SimState(t, *(amplitude * rng.standard_normal(system.n_nodes) for _ in range(4)))
+
+
+class TestNewtonDirection:
+    @given(mesh=st.sampled_from(["interval", "rect"]), laws=st.sampled_from(sorted(_LAWS)),
+           decaying=st.booleans(), dt=st.sampled_from([0.01, 0.05, 0.2]),
+           amplitude=st.floats(min_value=0.1, max_value=5.0),
+           seed=st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_jacobian_newton(self, mesh, laws, decaying, dt, amplitude, seed):
+        law1, law2 = _LAWS[laws]()
+        schedule = decaying_schedule(1.0, 0.8, 1.0) if decaying else constant_schedule(1.0)
+        build = (lambda **kw: make_system(nodes=9, **kw)) if mesh == "interval" else _rect6
+        system = build(law1=law1, law2=law2, schedule=schedule)
+        state = _random_state(system, seed, amplitude)
+        control = StepControl(dt=dt, fallback=False)
+        solver = _MidpointSolver(system)
+        wu, wv = solver.solve(state, control)
+        ou, ov, converged = _full_jacobian_newton(_MidpointSolver(system), state, control)
+        assert converged
+        got, want = np.concatenate([wu, wv]), np.concatenate([ou, ov])
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+        # the first direction itself is the Newton direction, not a chord
+        f = system.free
+        mu_mid = float(system.schedule.mu(state.t + dt / 2.0))
+        args = (dt, mu_mid, state.du[f], state.dv[f],
+                solver.residual(dt, mu_mid, state, state.du[f], state.dv[f]))
+        got, _ = solver._newton_direction(*args)
+        want = _full_jacobian_direction(solver)(*args)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_steep_law_large_step_converges_where_chord_fails(self):
+        # the saturating slope falls from 50 at 0 to 1 at large traces: the
+        # reference LU (slope 50) alone stalls, the corrected direction converges
+        law = saturating_law(1.0, 50.0)
+        system = _rect6(law1=law, law2=law)
+        state = _sine_state(system, velocity=100.0)
+        control = StepControl(dt=0.5, fallback=False)
+        wu, wv = _MidpointSolver(system).solve(state, control)
+        ou, ov, converged = _full_jacobian_newton(_MidpointSolver(system), state, control)
+        assert converged
+        assert np.max(np.abs(np.concatenate([wu - ou, wv - ov]))) <= 1e-11 * np.max(
+            np.abs(np.concatenate([ou, ov])))
+        *_, chord_converged = _chord_newton(_MidpointSolver(system), state, control)
+        assert not chord_converged
+
+    def test_short_gmres_warns_and_still_converges(self, monkeypatch, caplog):
+        law = saturating_law(1.0, 4.0)
+        system = make_system(nodes=9, law1=law, law2=law)
+        state = _random_state(system, 7, 2.0)
+        control = StepControl(dt=0.2, fallback=False)
+        want = np.concatenate(_MidpointSolver(system).solve(state, control))
+        # one GMRES iteration per direction: every solve stops short of rtol
+        monkeypatch.setattr(timestepper, "GMRES_RESTART", 1)
+        monkeypatch.setattr(timestepper, "GMRES_CYCLES", 1)
+        with caplog.at_level(logging.WARNING, logger="beamstab.timestepper"):
+            got = np.concatenate(_MidpointSolver(system).solve(state, control))
+        assert any(rec.levelno == logging.WARNING and "GMRES" in rec.getMessage()
+                   for rec in caplog.records)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_debug_line_per_step(self, caplog):
+        system = make_system(nodes=9, law1=saturating_law(1.0, 2.0),
+                             law2=saturating_law(1.0, 2.0))
+        with caplog.at_level(logging.DEBUG, logger="beamstab.timestepper"):
+            integrate(system, _sine_state(system, velocity=1.0), 0.05, StepControl(dt=0.01))
+        lines = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.DEBUG]
+        assert len(lines) == 5
+        assert all("newton" in line and "gmres" in line and "halvings" in line
+                   and "residual" in line for line in lines)
 
 
 class TestIntegrate:
