@@ -14,27 +14,27 @@ import numpy as np
 
 from . import _fem
 from .admissibility import decay_envelope
-from .discretization import rhs
+from .discretization import StateBlock, column_dot, rhs
 from .errors import FitUndefinedError, InvalidArgumentError
 
 
 def energy(system, state, t=None):
     """E = 1/2 [ |u'|^2 + (a1/a2)|v'|^2 + mu ||u||^2 + (a1/a2)||v||^2 ]."""
     t = state.t if t is None else t
-    mu = float(system.schedule.mu(t))
+    mu = system.schedule.mu(t)
     ratio = system.alpha_ratio
     Mm, K = system.mass, system.stiffness
     return 0.5 * (
-        state.du @ (Mm @ state.du)
-        + ratio * (state.dv @ (Mm @ state.dv))
-        + mu * (state.u @ (K @ state.u))
-        + ratio * (state.v @ (K @ state.v))
+        column_dot(state.du, state.product(Mm, "du"))
+        + ratio * column_dot(state.dv, state.product(Mm, "dv"))
+        + mu * column_dot(state.u, state.product(K, "u"))
+        + ratio * column_dot(state.v, state.product(K, "v"))
     )
 
 
 def functional_F(system, state):
     """F = alpha1 (sum_i dv/dx_i, u)."""
-    return system.alpha1 * float(state.u @ (system.coupling @ state.v))
+    return system.alpha1 * column_dot(state.u, state.product(system.coupling, "v"))
 
 
 def functional_G(system, state, x0=None):
@@ -45,9 +45,12 @@ def functional_G(system, state, x0=None):
         X = _fem.domain_matrices(system.mesh, x0=np.asarray(x0, dtype=float))["multiplier"]
     n = system.mesh.dimension
     Mm = system.mass
-    first = (n - 1) * (state.du @ (Mm @ state.u) + state.dv @ (Mm @ state.v))
-    second = 2.0 * (state.du @ (X @ state.u) + state.dv @ (X @ state.v))
-    return float(first + second)
+    # (u', u) = (u, M u') by the symmetry of M: shares M u' with the energy
+    first = (n - 1) * (column_dot(state.u, state.product(Mm, "du"))
+                       + column_dot(state.v, state.product(Mm, "dv")))
+    second = 2.0 * (column_dot(state.du, state.product(X, "u"))
+                    + column_dot(state.dv, state.product(X, "v")))
+    return first + second
 
 
 def lyapunov(system, state, eps):
@@ -59,37 +62,28 @@ def f_bound_coefficient(alpha1, alpha2, n, M, mu0):
     return 2.0 * math.sqrt(alpha1 * alpha2 * n / mu0) * M
 
 
-def sandwich_check(E, F, G, eps1, A, alpha1, alpha2, n, M, mu0):
-    """Slacks of the energy-equivalence and functional bounds (all >= 0 ok)."""
-    L = E + F + eps1 * G
-    return {
-        "slack_sandwich_lo": L - 0.5 * E,
-        "slack_sandwich_hi": 1.5 * E - L,
-        "slack_F": f_bound_coefficient(alpha1, alpha2, n, M, mu0) * E - abs(F),
-        "slack_G": A * E - abs(G),
-    }
-
-
 def boundary_dissipation(system, state, t=None):
     """D_u = mu int_G1 (m.nu) p1(u')u', D_v = (a1/a2) int_G1 (m.nu) p2(v')v'."""
     t = state.t if t is None else t
-    mu = float(system.schedule.mu(t))
-    ratio = system.alpha_ratio
+    mu = system.schedule.mu(t)
+    su = state.product(system.trace, "du")
+    sv = state.product(system.trace, "dv")
     return {
-        "D_u": mu * system.boundary_dissipation_raw(system.law1, state.du),
-        "D_v": ratio * system.boundary_dissipation_raw(system.law2, state.dv),
+        "D_u": mu * system.boundary_integral(np.asarray(system.law1(su)) * su),
+        "D_v": system.alpha_ratio * system.boundary_integral(np.asarray(system.law2(sv)) * sv),
     }
 
 
 def higher_energy(system, state, t=None):
     """E* = 1/2|u''|^2 + 1/2|v''|^2 + (mu/2)||u'||^2 + 1/2||v'||^2."""
     t = state.t if t is None else t
-    mu = float(system.schedule.mu(t))
+    mu = system.schedule.mu(t)
     d2u, d2v = rhs(system, state, t)
     Mm, K = system.mass, system.stiffness
     return 0.5 * (
-        d2u @ (Mm @ d2u) + d2v @ (Mm @ d2v)
-        + mu * (state.du @ (K @ state.du)) + state.dv @ (K @ state.dv)
+        column_dot(d2u, Mm @ d2u) + column_dot(d2v, Mm @ d2v)
+        + mu * column_dot(state.du, state.product(K, "du"))
+        + column_dot(state.dv, state.product(K, "dv"))
     )
 
 
@@ -272,12 +266,28 @@ class EnergyTrace:
             fh.write("\n".join(parts) + "\n")
 
 
+# cap on the bytes of buffered states (4 float64 fields per node per sample)
+CHUNK_BYTES = 256 * 1024
+
+_FIELDS = ("u", "v", "du", "dv")
+
+
 class TraceRecorder:
-    """Observer evaluating every diagnostic at each accepted step."""
+    """Observer recording every diagnostic at each accepted step.
+
+    A call only copies the state into a chunk buffer; the diagnostics are
+    evaluated on a whole chunk of columns at once, when it fills and in
+    trace().
+    """
 
     def __init__(self, system, certificate=None, metadata=None):
         self.system = system
-        self._rows = []
+        n = system.n_nodes
+        self.chunk = max(1, CHUNK_BYTES // (8 * len(_FIELDS) * n))
+        self._times = np.empty(self.chunk)
+        self._states = np.empty((len(_FIELDS), n, self.chunk))
+        self._fill = 0
+        self._done = []             # (12, chunk) arrays of evaluated chunks
         md = dict(metadata or {})
         if certificate is not None:
             md.setdefault("eta", certificate.eta)
@@ -292,28 +302,52 @@ class TraceRecorder:
         self.metadata = md
 
     def __call__(self, system, state):
-        t = state.t
-        E = energy(system, state)
-        F = functional_F(system, state)
-        G = functional_G(system, state)
+        j = self._fill
+        self._times[j] = state.t
+        for k, name in enumerate(_FIELDS):
+            self._states[k, :, j] = getattr(state, name)
+        self._fill += 1
+        if self._fill == self.chunk:
+            self._done.append(self._evaluate(self.chunk))
+            self._fill = 0
+
+    def _evaluate(self, count):
+        """The 12 trace columns of the first `count` buffered samples, (12, count)."""
+        system = self.system
+        t = self._times[:count]
+        block = StateBlock(t, *(np.ascontiguousarray(f[:, :count]) for f in self._states))
+        E = energy(system, block)
+        F = functional_F(system, block)
+        G = functional_G(system, block)
         eps1 = self.metadata.get("eps1")
-        lyap = E + F + eps1 * G if eps1 is not None else np.nan
-        diss = boundary_dissipation(system, state)
-        stiff_u = float(state.u @ (system.stiffness @ state.u))
-        mupr = float(system.schedule.mu_prime(t)) / 2.0 * stiff_u
-        self._rows.append((
-            t, E, F, G, lyap, diss["D_u"], diss["D_v"],
-            higher_energy(system, state), stiff_u, mupr,
-            system.boundary_quadratic(state.du), system.boundary_quadratic(state.dv),
-        ))
+        lyap = E + F + eps1 * G if eps1 is not None else np.full(count, np.nan)
+        diss = boundary_dissipation(system, block)
+        stiff_u = column_dot(block.u, block.product(system.stiffness, "u"))
+        mupr = system.schedule.mu_prime(t) / 2.0 * stiff_u
+        return np.vstack([
+            t, E, F, G, lyap, diss["D_u"], diss["D_v"], higher_energy(system, block),
+            stiff_u, mupr,
+            system.boundary_quadratic(block.du), system.boundary_quadratic(block.dv),
+        ])
 
     def trace(self):
-        arr = np.asarray(self._rows, dtype=float).reshape(len(self._rows), 12)
-        return EnergyTrace(*(arr[:, i] for i in range(12)), metadata=dict(self.metadata))
+        """Every sample so far, in order; the recorder keeps recording."""
+        chunks = self._done + ([self._evaluate(self._fill)] if self._fill else [])
+        arr = np.concatenate(chunks, axis=1) if chunks else np.empty((12, 0))
+        return EnergyTrace(*arr, metadata=dict(self.metadata))
 
 
 # ---------------------------------------------------------------------------
 # trace post-processing
+
+def _require_columns(trace, *names):
+    """Refuse a trace whose columns hold no data (NaN, as read back from CSV)."""
+    for name in names:
+        col = getattr(trace, name)
+        if len(col) and np.all(np.isnan(col)):
+            raise InvalidArgumentError(
+                f"trace has no '{name}' column (the trace CSV does not store it)")
+
 
 def energy_balance_residuals(trace):
     """Per-interval defect of d(E+F)/dt = mu'/2||u||^2 - D_u - D_v.
@@ -321,6 +355,7 @@ def energy_balance_residuals(trace):
     The right side is averaged between the two endpoint samples, so for the
     midpoint integrator the defect shrinks at first order or better.
     """
+    _require_columns(trace, "mu_prime_term")
     if len(trace) < 2:
         return np.array([])
     dt = np.diff(trace.t)
@@ -345,6 +380,7 @@ def lyapunov_decay_defects(trace, eps2):
 
 def g_slope_defects(trace, S1, S2):
     """Finite-difference dG/dt against -E + S1 int(m.nu)(u')^2 + S2 int(m.nu)(v')^2."""
+    _require_columns(trace, "bdry_u_sq", "bdry_v_sq")
     dt = np.diff(trace.t)
     lhs = np.diff(trace.G) / dt
     bound = -trace.E + S1 * trace.bdry_u_sq + S2 * trace.bdry_v_sq

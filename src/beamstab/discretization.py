@@ -56,9 +56,13 @@ class SemiDiscreteSystem:
     law2: object
     free: np.ndarray             # unconstrained node indices
     fixed: np.ndarray
+    trace_t: sp.csc_matrix = field(init=False, repr=False)   # trace.T, built once
+    trace_wmn: np.ndarray = field(init=False, repr=False)    # w_q (m.nu)_q
 
     def __post_init__(self):
         self._mass_ff_lu = splu(self.mass[np.ix_(self.free, self.free)].tocsc())
+        self.trace_t = self.trace.T
+        self.trace_wmn = self.trace_weights * self.trace_m_dot_nu
 
     @property
     def n_nodes(self):
@@ -70,30 +74,41 @@ class SemiDiscreteSystem:
         return self.alpha1 / self.alpha2 if self.alpha2 != 0.0 else 0.0
 
     def solve_mass(self, load_full):
-        """Solve mass * a = load on the free dofs, scatter to a full vector."""
-        a = np.zeros(self.n_nodes)
-        a[self.free] = self._mass_ff_lu.solve(load_full[self.free])
+        """Solve mass * a = load on the free dofs, scatter to full length.
+
+        A 2-D load is solved one column at a time: on the 64x64 rect mass
+        matrix SuperLU's multi-column solve is several times slower per column.
+        """
+        a = np.zeros(load_full.shape)
+        load = load_full[self.free]
+        if load.ndim == 1:
+            a[self.free] = self._mass_ff_lu.solve(load)
+        else:
+            for j in range(load.shape[1]):
+                a[self.free, j] = self._mass_ff_lu.solve(load[:, j])
         return a
 
-    def boundary_load(self, law, velocity_full, extra_weight=1.0):
-        """trace' * diag(w * m.nu) p(trace velocity); a full load vector."""
-        s = self.trace @ velocity_full
-        return extra_weight * (self.trace.T @ (self.trace_weights * self.trace_m_dot_nu * law(s)))
+    def boundary_load(self, law, s):
+        """trace' * diag(w * m.nu) p(s) for Gamma1 trace values s; a full load."""
+        return self.trace_t @ (self.trace_wmn * np.asarray(law(s)).T).T
+
+    def boundary_integral(self, values):
+        """sum_q w_q (m.nu)_q values_q over the Gamma1 quadrature points."""
+        return values.T @ self.trace_wmn
 
     def boundary_quadratic(self, velocity_full):
-        """sum_q w_q (m.nu)_q s_q^2 over the Gamma1 quadrature points."""
+        """sum_q w_q (m.nu)_q s_q^2 with s the Gamma1 trace of the velocity."""
         s = self.trace @ velocity_full
-        return float(np.sum(self.trace_weights * self.trace_m_dot_nu * s * s))
-
-    def boundary_dissipation_raw(self, law, velocity_full):
-        """sum_q w_q (m.nu)_q p(s_q) s_q (no mu or alpha weights)."""
-        s = self.trace @ velocity_full
-        return float(np.sum(self.trace_weights * self.trace_m_dot_nu * np.asarray(law(s)) * s))
+        return self.boundary_integral(s * s)
 
 
 @dataclass
 class SimState:
-    """Nodal state (full-length vectors; Gamma0 entries are pinned to 0)."""
+    """Nodal state (full-length vectors; Gamma0 entries are pinned to 0).
+
+    rhs and the diagnostics functionals also take a StateBlock and then
+    return one value per column.
+    """
 
     t: float
     u: np.ndarray
@@ -103,6 +118,33 @@ class SimState:
 
     def copy(self):
         return SimState(self.t, self.u.copy(), self.v.copy(), self.du.copy(), self.dv.copy())
+
+    def product(self, A, name):
+        """A @ getattr(self, name); a StateBlock computes each one once."""
+        return A @ getattr(self, name)
+
+
+class StateBlock(SimState):
+    """B states stacked as (n, B) field columns with (B,) times.
+
+    Treat as immutable: each operator product with a field is computed once
+    and shared by every function evaluated on the block.
+    """
+
+    def __init__(self, t, u, v, du, dv):
+        super().__init__(t, u, v, du, dv)
+        self._products = {}
+
+    def product(self, A, name):
+        key = (id(A), name)
+        if key not in self._products:
+            self._products[key] = (A, A @ getattr(self, name))  # A kept alive: ids stay unique
+        return self._products[key][1]
+
+
+def column_dot(a, b):
+    """(a, b) of two vectors, or of each column pair of two (n, B) blocks."""
+    return np.einsum("i...,i...->...", a, b)
 
 
 def assemble(mesh, partition, alpha1, alpha2, schedule, law1, law2, sigma=None):
@@ -204,15 +246,16 @@ def project_initial_data(system, u0, v0, u1, v1):
 def rhs(system, state, t=None):
     """Accelerations (d2u, d2v) of the semi-discrete system at the given state."""
     t = state.t if t is None else t
-    mu = float(system.schedule.mu(t))
+    mu = system.schedule.mu(t)
     a1, a2 = system.alpha1, system.alpha2
-    load_u = -(mu * (system.stiffness @ state.u)
-               + a1 * (system.coupling @ state.v)
-               + mu * system.boundary_load(system.law1, state.du))
-    load_v = -((system.stiffness @ state.v)
-               - a2 * (system.coupling @ state.u)
-               + system.boundary_load(system.law2, state.dv)
-               + system.sigma_op @ state.u)
+    K, C, T = system.stiffness, system.coupling, system.trace
+    load_u = -(mu * state.product(K, "u")
+               + a1 * state.product(C, "v")
+               + mu * system.boundary_load(system.law1, state.product(T, "du")))
+    load_v = -(state.product(K, "v")
+               - a2 * state.product(C, "u")
+               + system.boundary_load(system.law2, state.product(T, "dv"))
+               + state.product(system.sigma_op, "u"))
     return system.solve_mass(load_u), system.solve_mass(load_v)
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import diagnostics, feedback, geometry, timestepper
 from .admissibility import (build_report, constant_schedule, decaying_schedule)
@@ -339,20 +340,23 @@ VERIFY_SUITES = ("assembly", "rellich", "strauss", "convergence")
 
 
 def _verify_assembly(cfg, corrupt):
-    from .fields import quadratic_field
     mesh, partition, system = build_problem(cfg)
-    K = system.stiffness.toarray()
+    K, M = system.stiffness, system.mass
     if corrupt == "stiffness":
-        K[0, -1] += 1e-3
+        n = K.shape[0]
+        K = K + sp.csr_matrix(([1e-3], ([0], [n - 1])), shape=K.shape)
+
+    def max_abs(A):
+        return float(abs(A).max())
+
     checks = []
-    checks.append(("stiffness-symmetry", float(np.max(np.abs(K - K.T))), 1e-12))
-    M = system.mass.toarray()
-    checks.append(("mass-symmetry", float(np.max(np.abs(M - M.T))), 1e-12))
+    checks.append(("stiffness-symmetry", max_abs(K - K.T), 1e-12))
+    checks.append(("mass-symmetry", max_abs(M - M.T), 1e-12))
     volume = float(np.prod(mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)))
     checks.append(("mass-total", abs(float(M.sum()) - volume), 1e-12 * max(1.0, volume)))
-    checks.append(("stiffness-nullspace", float(np.max(np.abs(K.sum(axis=1)))), 1e-10))
+    checks.append(("stiffness-nullspace", max_abs(K.sum(axis=1)), 1e-10))
     gauss = system.coupling + system.coupling.T - system.boundary_sum_nu
-    checks.append(("coupling-gauss-identity", float(np.max(np.abs(gauss.toarray()))), 1e-12))
+    checks.append(("coupling-gauss-identity", max_abs(gauss), 1e-12))
     return [(f"assembly/{name}", err <= tol, f"defect {err:.3e} (tol {tol:.1e})")
             for name, err, tol in checks]
 
@@ -484,7 +488,11 @@ def run_fit(trace_path, window=None, stream=None):
 
 
 def read_trace_csv(path):
-    """Rebuild an EnergyTrace from a trace CSV (post-processing columns only)."""
+    """Rebuild an EnergyTrace from a trace CSV.
+
+    The CSV does not store stiff_u, mu_prime_term or bdry_{u,v}_sq; they are
+    loaded as NaN, and the post-processing that needs them refuses the trace.
+    """
     try:
         with open(path) as fh:
             lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
@@ -493,11 +501,11 @@ def read_trace_csv(path):
     if not lines or lines[0].split(",")[:8] != list(diagnostics.TRACE_COLUMNS[:8]):
         raise ConfigError(f"not a trace CSV: {path}")
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    zeros = np.zeros(len(data))
+    missing = np.full(len(data), np.nan)
     return diagnostics.EnergyTrace(
         t=data[:, 0], E=data[:, 1], F=data[:, 2], G=data[:, 3],
         lyapunov=data[:, 4], D_u=data[:, 5], D_v=data[:, 6], E_star=data[:, 7],
-        stiff_u=zeros, mu_prime_term=zeros, bdry_u_sq=zeros, bdry_v_sq=zeros)
+        stiff_u=missing, mu_prime_term=missing, bdry_u_sq=missing, bdry_v_sq=missing)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from beamstab import diagnostics as diag
 from beamstab import geometry
+from beamstab.admissibility import constant_schedule, decaying_schedule
 from beamstab.discretization import SimState, interpolate
 from beamstab.errors import FitUndefinedError, InvalidArgumentError
+from beamstab.feedback import saturating_law
 from beamstab.fields import (bump_field, linear_field, quadratic_field,
                              sine_field, zero_field)
 from beamstab.timestepper import StepControl, integrate
@@ -92,9 +94,18 @@ class TestFunctionalG:
         assert diag.functional_G(system, state, x0=[-1.0]) == pytest.approx(3.0, rel=1e-13)
 
 
+def _one_sample_slacks(E, F, G, **metadata):
+    """EnergyTrace.slacks of a single sample with the given E, F, G."""
+    z = np.zeros(1)
+    trace = diag.EnergyTrace(z, np.array([E]), np.array([F]), np.array([G]), *[z] * 8,
+                             metadata=metadata)
+    return {k: float(v[0]) for k, v in trace.slacks().items()}
+
+
 class TestSandwich:
     def test_zero_state_slacks_vanish(self):
-        out = diag.sandwich_check(0.0, 0.0, 0.0, 0.1, 8.0, 0.1, 0.1, 1, 0.64, 1.0)
+        out = _one_sample_slacks(0.0, 0.0, 0.0, eps1=0.1, A=8.0, alpha1=0.1, alpha2=0.1,
+                                 n=1, M=0.64, mu0=1.0)
         assert all(v == 0.0 for v in out.values())
 
     def test_eps_zero_reduces_to_F_bound(self):
@@ -107,8 +118,8 @@ class TestSandwich:
         assert diag.lyapunov(system, state, 0.0) == pytest.approx(E + F, rel=1e-14)
 
     def test_slack_signs_on_admissible_sample(self):
-        out = diag.sandwich_check(E=1.0, F=0.05, G=2.0, eps1=1 / 32, A=8.0,
-                                  alpha1=0.1, alpha2=0.1, n=1, M=0.6366, mu0=1.0)
+        out = _one_sample_slacks(E=1.0, F=0.05, G=2.0, eps1=1 / 32, A=8.0,
+                                 alpha1=0.1, alpha2=0.1, n=1, M=0.6366, mu0=1.0)
         assert all(v >= -1e-12 for v in out.values())
 
 
@@ -165,6 +176,21 @@ class TestEnergyBalance:
             integrate(system, state, 0.5, StepControl(dt=dt), observers=(rec,))
             maxima.append(np.max(np.abs(diag.energy_balance_residuals(rec.trace()))))
         assert maxima[1] < maxima[0] / 2 ** 0.9  # at least first order
+
+
+    def test_recorded_trace_matches_its_columns(self):
+        system = make_system(nodes=11)
+        u = interpolate(system, sine_field(system.mesh))
+        rec = diag.TraceRecorder(system)
+        integrate(system, SimState(0.0, u, 0.5 * u, 0 * u, 0 * u), 0.2,
+                  StepControl(dt=0.01), observers=(rec,))
+        tr = rec.trace()
+        source = tr.mu_prime_term - tr.D_u - tr.D_v
+        want = np.diff(tr.E + tr.F) / np.diff(tr.t) - 0.5 * (source[1:] + source[:-1])
+        assert np.array_equal(diag.energy_balance_residuals(tr), want)
+        bound = -tr.E + 2.0 * tr.bdry_u_sq + 3.0 * tr.bdry_v_sq
+        want = np.diff(tr.G) / np.diff(tr.t) - 0.5 * (bound[1:] + bound[:-1])
+        assert np.array_equal(diag.g_slope_defects(tr, 2.0, 3.0), want)
 
 
 class TestHigherEnergy:
@@ -270,6 +296,140 @@ class TestTraceValidation:
         z = np.zeros(2)
         with pytest.raises(InvalidArgumentError):
             diag.EnergyTrace(t, z - 1.0, z, z, z, z, z, z, z, z, z, z)
+
+
+TRACE_FIELDS = ("t", "E", "F", "G", "lyapunov", "D_u", "D_v", "E_star",
+                "stiff_u", "mu_prime_term", "bdry_u_sq", "bdry_v_sq")
+
+
+def _oracle_columns(system, states, eps1=None):
+    """The 12 trace columns, one state at a time, from the operators directly."""
+    M, K, C, X, T = (system.mass, system.stiffness, system.coupling, system.multiplier,
+                     system.trace)
+    wmn = system.trace_weights * system.trace_m_dot_nu
+    a1, a2, ratio = system.alpha1, system.alpha2, system.alpha_ratio
+    n = system.mesh.dimension
+    f = system.free
+    Mff = M[f][:, f].toarray()
+
+    def accel(load):
+        a = np.zeros(system.n_nodes)
+        a[f] = np.linalg.solve(Mff, load[f])
+        return a
+
+    rows = []
+    for st_ in states:
+        u, v, du, dv = st_.u, st_.v, st_.du, st_.dv
+        mu = float(system.schedule.mu(st_.t))
+        E = 0.5 * (du @ M @ du + ratio * dv @ M @ dv + mu * u @ K @ u + ratio * v @ K @ v)
+        F = a1 * u @ C @ v
+        G = (n - 1) * (du @ M @ u + dv @ M @ v) + 2.0 * (du @ X @ u + dv @ X @ v)
+        su, sv = T @ du, T @ dv
+        pu, pv = system.law1(su), system.law2(sv)
+        d2u = accel(-(mu * K @ u + a1 * C @ v + mu * T.T @ (wmn * pu)))
+        d2v = accel(-(K @ v - a2 * C @ u + T.T @ (wmn * pv) + system.sigma_op @ u))
+        stiff_u = u @ K @ u
+        rows.append((
+            st_.t, E, F, G, E + F + eps1 * G if eps1 is not None else np.nan,
+            mu * np.sum(wmn * pu * su), ratio * np.sum(wmn * pv * sv),
+            0.5 * (d2u @ M @ d2u + d2v @ M @ d2v + mu * du @ K @ du + dv @ K @ dv),
+            stiff_u, float(system.schedule.mu_prime(st_.t)) / 2.0 * stiff_u,
+            np.sum(wmn * su * su), np.sum(wmn * sv * sv)))
+    return np.array(rows).T
+
+
+def _assert_trace_matches(trace, want, rtol=1e-13):
+    for name, w in zip(TRACE_FIELDS, want):
+        got = getattr(trace, name)
+        assert got.shape == w.shape, name
+        if np.all(np.isnan(w)):
+            assert np.all(np.isnan(got)), name
+            continue
+        scale = float(np.max(np.abs(w)))
+        assert np.max(np.abs(got - w)) <= rtol * scale, name
+
+
+def _random_states(system, count, seed, amplitude=1.0):
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.01, 0.1, count))
+    return [SimState(float(t), *(amplitude * rng.standard_normal(system.n_nodes)
+                                 for _ in range(4))) for t in times]
+
+
+def _recorded(system, states, **kwargs):
+    rec = diag.TraceRecorder(system, **kwargs)
+    for st_ in states:
+        rec(system, st_)
+    return rec
+
+
+class TestChunkedRecorder:
+    @given(mesh=st.sampled_from(["interval", "rect"]), decaying=st.booleans(),
+           saturating=st.booleans(), eps1=st.sampled_from([None, 0.03]),
+           count=st.integers(min_value=1, max_value=200),
+           amplitude=st.floats(min_value=0.1, max_value=5.0),
+           seed=st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_one_state_at_a_time(self, mesh, decaying, saturating, eps1, count,
+                                         amplitude, seed):
+        laws = {}
+        if saturating:
+            laws = {"law1": saturating_law(1.0, 2.0), "law2": saturating_law(0.5, 4.0)}
+        schedule = decaying_schedule(1.0, 0.8, 10.0) if decaying else constant_schedule(1.0)
+        if mesh == "interval":
+            system = make_system(nodes=9, schedule=schedule, **laws)
+        else:  # 6x6 rect: one chunk holds 167 states, so larger counts cross a boundary
+            system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.0, 6, 6),
+                                 x0=np.array([-0.1, -0.1]), schedule=schedule, **laws)
+        states = _random_states(system, count, seed, amplitude)
+        metadata = {} if eps1 is None else {"eps1": eps1}
+        trace = _recorded(system, states, metadata=metadata).trace()
+        _assert_trace_matches(trace, _oracle_columns(system, states, eps1))
+
+    @pytest.mark.parametrize("count", [1, 39, 40, 41, 127])
+    def test_chunk_boundaries(self, count):
+        system = make_system(nodes=201)
+        assert diag.TraceRecorder(system).chunk == 40  # 256 KiB of states, 201 nodes
+        states = _random_states(system, count, seed=count)
+        _assert_trace_matches(_recorded(system, states).trace(),
+                              _oracle_columns(system, states))
+
+    def test_state_copied_at_call(self):
+        system = make_system(nodes=11)
+        states = _random_states(system, 2, seed=5)
+        rec = diag.TraceRecorder(system)
+        state = states[0].copy()
+        rec(system, state)
+        state.t = 99.0
+        for name in ("u", "v", "du", "dv"):
+            getattr(state, name)[:] = 7.0
+        rec(system, states[1])
+        _assert_trace_matches(rec.trace(), _oracle_columns(system, states))
+
+    def test_repeated_trace_calls(self):
+        system = make_system(nodes=201)
+        states = _random_states(system, 95, seed=3)
+        rec = diag.TraceRecorder(system)
+        first = _recorded(system, states[:45]).trace()
+        for st_ in states[:45]:
+            rec(system, st_)
+        mid = rec.trace()
+        for st_ in states[45:]:
+            rec(system, st_)
+        again = rec.trace()
+        _assert_trace_matches(mid, _oracle_columns(system, states[:45]))
+        _assert_trace_matches(again, _oracle_columns(system, states))
+        # a trace() mid-run does not change what the recorder evaluates later
+        assert np.array_equal(mid.E, first.E)
+        assert np.array_equal(again.E, _recorded(system, states).trace().E)
+
+    def test_buffer_within_budget(self):
+        for mesh in (geometry.build_interval_mesh(1.0, 201),
+                     geometry.build_rect_mesh(1.0, 1.0, 64, 64)):
+            system = make_system(mesh=mesh, x0=np.full(mesh.dimension, -0.1))
+            rec = diag.TraceRecorder(system)
+            assert rec._states.nbytes <= diag.CHUNK_BYTES
+        assert rec.chunk == 1  # 4 225 nodes: one state per chunk
 
 
 class TestTraceOutput:

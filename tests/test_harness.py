@@ -1,10 +1,16 @@
 import io
+import runpy
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from beamstab import harness
-from beamstab.errors import ConfigError, StepFailureError
+from beamstab import diagnostics, harness
+from beamstab.errors import ConfigError, InvalidArgumentError, StepFailureError
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 SMALL_CONFIG = """\
 [mesh]
@@ -167,6 +173,24 @@ class TestRunVerify:
         assert code == 1
         assert "FAIL assembly/stiffness-symmetry" in stream.getvalue()
 
+    def test_assembly_suite_stays_sparse(self, small_cfg):
+        # 96x96 rect, 9 409 nodes: one dense copy of K alone would be 708 MB
+        small_cfg.mesh_kind, small_cfg.nx, small_cfg.ny = "rect", 96, 96
+        small_cfg.x0 = np.array([-0.1, -0.1])
+        stream = io.StringIO()
+        tracemalloc.start()
+        try:
+            code = harness.run_verify(small_cfg, suites=("assembly",), stream=stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == harness.EXIT_OK, stream.getvalue()
+        assert peak < 50e6
+        stream = io.StringIO()
+        assert harness.run_verify(small_cfg, suites=("assembly",), corrupt="stiffness",
+                                  stream=stream) == 1
+        assert "FAIL assembly/stiffness-symmetry" in stream.getvalue()
+
     def test_empty_suite_selection(self, small_cfg):
         with pytest.raises(ConfigError):
             harness.run_verify(small_cfg, suites=())
@@ -174,6 +198,27 @@ class TestRunVerify:
     def test_unknown_suite(self, small_cfg):
         with pytest.raises(ConfigError):
             harness.run_verify(small_cfg, suites=("nonsense",))
+
+
+class TestReadTrace:
+    def test_unstored_columns_are_refused(self, small_cfg):
+        harness.run_simulate(small_cfg, stream=io.StringIO())
+        trace = harness.read_trace_csv(f"{small_cfg.out_dir}/small_trace.csv")
+        for name in ("stiff_u", "mu_prime_term", "bdry_u_sq", "bdry_v_sq"):
+            assert np.all(np.isnan(getattr(trace, name)))
+        with pytest.raises(InvalidArgumentError, match="mu_prime_term"):
+            diagnostics.energy_balance_residuals(trace)
+        with pytest.raises(InvalidArgumentError, match="bdry_u_sq"):
+            diagnostics.g_slope_defects(trace, 1.0, 1.0)
+        assert diagnostics.fit_decay_rate(trace).rate > 0
+
+    def test_reproduce_decay_script(self, tmp_path, monkeypatch, capsys):
+        script = SCRIPTS / "reproduce_decay.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--T", "1", "--out", str(tmp_path)])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_path(str(script), run_name="__main__")
+        assert exit_info.value.code == 0
+        assert "fitted rate" in capsys.readouterr().out
 
 
 class TestRunSweep:
