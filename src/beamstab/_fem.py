@@ -158,15 +158,14 @@ def boundary_mass(mesh, faces, density=None):
 def trace_structure(mesh, faces):
     """Trace map onto the quadrature points of the given faces.
 
-    Returns (T, weights, points, face_index) where T is csr of shape
-    (Q, n_nodes) with T[q, j] = phi_j(x_q), weights carry the surface
-    measure, and face_index maps each quadrature point to its face.
+    Returns (T, weights, points) where T is csr of shape (Q, n_nodes) with
+    T[q, j] = phi_j(x_q) and the weights carry the surface measure.
     """
     n = len(mesh.nodes)
     rows, cols, vals = [], [], []
-    weights, points, face_index = [], [], []
+    weights, points = [], []
     q = 0
-    for k, face in enumerate(faces):
+    for face in faces:
         ids = np.asarray(face.nodes)
         for p, wq in zip(face.quad_points, face.quad_weights):
             if mesh.dimension == 1:
@@ -181,7 +180,6 @@ def trace_structure(mesh, faces):
                 vals.extend([1.0 - s, s])
             weights.append(wq)
             points.append(p)
-            face_index.append(k)
             q += 1
     T = sp.csr_matrix((vals, (rows, cols)), shape=(q, n))
-    return T, np.asarray(weights), np.asarray(points), np.asarray(face_index, dtype=int)
+    return T, np.asarray(weights), np.asarray(points)

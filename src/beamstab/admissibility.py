@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .geometry import GAMMA1
 
 
 @dataclass(frozen=True)
@@ -121,26 +120,6 @@ def decay_envelope(E0, eta, t):
     return out if out.ndim else float(out)
 
 
-def sigma_from_mesh(partition, alpha2):
-    """Boundary weight sigma = alpha2 * (sum of normal components) on Gamma1.
-
-    Returns per-quad-point values concatenated over Gamma1 faces, its sup
-    norm, and a positivity flag; configurations with sigma <= 0 somewhere
-    are flagged rather than rejected.
-    """
-    vals = []
-    for f, tag in zip(partition.mesh.faces, partition.tags):
-        if tag != GAMMA1:
-            continue
-        vals.append(np.full(len(f.quad_weights), alpha2 * float(f.normal.sum())))
-    values = np.concatenate(vals)
-    return {
-        "values": values,
-        "sup": float(np.max(np.abs(values))),
-        "positive": bool(np.all(values > 0)),
-    }
-
-
 @dataclass(frozen=True)
 class HypothesisReport:
     """Everything the decay certificate depends on, plus the verdict."""
@@ -213,10 +192,11 @@ def build_report(n, M, N, R, tau0, schedule, law1, law2, alpha1, alpha2, partiti
     if law1.b <= 0 or law2.b <= 0:
         raise InvalidArgumentError(
             "decay certification needs strongly monotone laws (b > 0)")
-    sigma = sigma_from_mesh(partition, alpha2)
+    sigma = partition.sigma(alpha2)
+    sum_nu_bound = partition.sum_nu_bound()
     A = compute_A(n, M, R, schedule.mu0, alpha1 / alpha2)
     P1 = compute_P1(n, M, R, schedule.mu0)
-    P2 = compute_P2(n, N, tau0, schedule.mu0, R, partition.sum_nu_bound())
+    P2 = compute_P2(n, N, tau0, schedule.mu0, R, sum_nu_bound)
     S = compute_S(n, R, N, law1.L, law2.L, schedule.mu_at_0)
     adm = check_admissibility(alpha1, alpha2, n, M, P1, P2, schedule.mu0)
     extra = {}
@@ -227,8 +207,8 @@ def build_report(n, M, N, R, tau0, schedule, law1, law2, alpha1, alpha2, partiti
         n=n, M=M, N=N, R=R, tau0=tau0, mu0=schedule.mu0, mu_at_0=schedule.mu_at_0,
         b1=law1.b, b2=law2.b, L1=law1.L, L2=law2.L,
         alpha1=alpha1, alpha2=alpha2,
-        sum_nu_bound=partition.sum_nu_bound(),
-        sigma_sup=sigma["sup"], sigma_positive=sigma["positive"],
+        sum_nu_bound=sum_nu_bound,
+        sigma_sup=float(np.max(np.abs(sigma))), sigma_positive=bool(np.all(sigma > 0)),
         A=A, P1=P1, P2=P2, S1=S["S1"], S2=S["S2"],
         product_slack=adm["product_slack"], quadratic_slack=adm["quadratic_slack"],
         admissible=adm["admissible"], **extra,

@@ -23,7 +23,6 @@ from scipy.sparse.linalg import splu
 
 from . import _fem
 from .errors import InvalidArgumentError
-from .geometry import GAMMA1
 
 log = logging.getLogger(__name__)
 
@@ -31,6 +30,12 @@ log = logging.getLogger(__name__)
 @dataclass
 class SemiDiscreteSystem:
     """Assembled operators over all nodes plus the free-dof bookkeeping.
+
+    It also owns the Gamma1 boundary operator: the quadrature-point trace T
+    over all nodes and restricted to the free dofs, both transposes, the
+    weights w (m.nu), the laws' slopes at 0, and the forcing load, the
+    weighted form T' diag(d) T and the boundary integral built on them.
+    The geometric Gamma1 data (m.nu, sum nu, normals) live on the partition.
 
     Treat as immutable after assembly; all fields are plain data safe to
     share between runs.
@@ -45,10 +50,8 @@ class SemiDiscreteSystem:
     boundary_sum_nu: sp.csr_matrix  # int_Gamma (sum_i nu_i) phi_j phi_k
     trace: sp.csr_matrix         # Gamma1 quadrature-point traces
     trace_weights: np.ndarray
-    trace_m_dot_nu: np.ndarray
     trace_points: np.ndarray
     sigma_values: np.ndarray     # per Gamma1 quadrature point
-    sigma_op: sp.csr_matrix
     alpha1: float
     alpha2: float
     schedule: object
@@ -56,13 +59,23 @@ class SemiDiscreteSystem:
     law2: object
     free: np.ndarray             # unconstrained node indices
     fixed: np.ndarray
-    trace_t: sp.csc_matrix = field(init=False, repr=False)   # trace.T, built once
-    trace_wmn: np.ndarray = field(init=False, repr=False)    # w_q (m.nu)_q
+    trace_t: sp.csc_matrix = field(init=False, repr=False)       # trace.T
+    trace_free: sp.csr_matrix = field(init=False, repr=False)    # trace[:, free]
+    trace_free_t: sp.csc_matrix = field(init=False, repr=False)  # trace_free.T
+    trace_wmn: np.ndarray = field(init=False, repr=False)        # w_q (m.nu)_q
+    slopes0: tuple = field(init=False, repr=False)   # (p1'(0), p2'(0)) per point
+    sigma_op: sp.csr_matrix = field(init=False, repr=False)      # T' diag(w sigma) T
 
     def __post_init__(self):
         self._mass_ff_lu = splu(self.mass[np.ix_(self.free, self.free)].tocsc())
         self.trace_t = self.trace.T
-        self.trace_wmn = self.trace_weights * self.trace_m_dot_nu
+        self.trace_free = self.trace[:, self.free].tocsr()
+        self.trace_free_t = self.trace_free.T
+        self.trace_wmn = self.trace_weights * self.partition.gamma1_m_dot_nu
+        zero = np.zeros(len(self.trace_weights))
+        self.slopes0 = tuple(np.asarray(law.slope(zero), dtype=float)
+                             for law in (self.law1, self.law2))
+        self.sigma_op = self.boundary_form(self.trace_weights * self.sigma_values)
 
     @property
     def n_nodes(self):
@@ -88,9 +101,17 @@ class SemiDiscreteSystem:
                 a[self.free, j] = self._mass_ff_lu.solve(load[:, j])
         return a
 
-    def boundary_load(self, law, s):
-        """trace' * diag(w * m.nu) p(s) for Gamma1 trace values s; a full load."""
-        return self.trace_t @ (self.trace_wmn * np.asarray(law(s)).T).T
+    def boundary_load(self, law, s, free=False):
+        """T' diag(w m.nu) p(s) for Gamma1 trace values s: a load over all
+        nodes, or over the free dofs if free."""
+        Tt = self.trace_free_t if free else self.trace_t
+        return Tt @ (self.trace_wmn * np.asarray(law(s)).T).T
+
+    def boundary_form(self, d, free=False):
+        """T' diag(d) T for per-point weights d (quadrature weights included):
+        csr over all nodes, or over the free dofs if free."""
+        T, Tt = (self.trace_free, self.trace_free_t) if free else (self.trace, self.trace_t)
+        return (Tt @ sp.diags(d) @ T).tocsr()
 
     def boundary_integral(self, values):
         """sum_q w_q (m.nu)_q values_q over the Gamma1 quadrature points."""
@@ -157,20 +178,12 @@ def assemble(mesh, partition, alpha1, alpha2, schedule, law1, law2, sigma=None):
     g1 = partition.gamma1_faces
     if not g1:
         raise InvalidArgumentError("partition has no feedback boundary")
-    T, w, pts, face_index = _fem.trace_structure(mesh, g1)
-
-    mn = []
-    for f, tag, vals in zip(mesh.faces, partition.tags, partition.m_dot_nu):
-        if tag == GAMMA1:
-            mn.append(vals)
-    mn = np.concatenate(mn)
+    T, w, pts = _fem.trace_structure(mesh, g1)
 
     if sigma is None:
-        sigma_vals = np.concatenate(
-            [np.full(len(f.quad_weights), alpha2 * float(f.normal.sum())) for f in g1])
+        sigma_vals = partition.sigma(alpha2)
     else:
         sigma_vals = np.broadcast_to(np.asarray(sigma, dtype=float), (len(w),)).copy()
-    sigma_op = (T.T @ sp.diags(w * sigma_vals) @ T).tocsr()
 
     sum_nu = np.array([float(f.normal.sum()) for f in mesh.faces])
     bsn = _fem.boundary_mass(mesh, mesh.faces, density=sum_nu)
@@ -182,8 +195,7 @@ def assemble(mesh, partition, alpha1, alpha2, schedule, law1, law2, sigma=None):
         mesh=mesh, partition=partition,
         mass=mats["mass"], stiffness=mats["stiffness"], coupling=mats["coupling"],
         multiplier=mats["multiplier"], boundary_sum_nu=bsn,
-        trace=T, trace_weights=w, trace_m_dot_nu=mn, trace_points=pts,
-        sigma_values=sigma_vals, sigma_op=sigma_op,
+        trace=T, trace_weights=w, trace_points=pts, sigma_values=sigma_vals,
         alpha1=float(alpha1), alpha2=float(alpha2),
         schedule=schedule, law1=law1, law2=law2,
         free=free, fixed=fixed,
@@ -205,11 +217,8 @@ def compatibility_residuals(system, u0, v0, u1, v1):
     evaluated at every Gamma1 quadrature point from the analytic fields.
     """
     pts = system.trace_points
-    normals = []
-    for f in system.partition.gamma1_faces:
-        normals.append(np.repeat(f.normal[None, :], len(f.quad_weights), axis=0))
-    normals = np.concatenate(normals, axis=0)
-    mn = system.trace_m_dot_nu
+    normals = system.partition.gamma1_normals
+    mn = system.partition.gamma1_m_dot_nu
 
     def normal_derivative(fld):
         if fld.grad is None:

@@ -16,8 +16,9 @@ class NumericalFailureError(RuntimeError):
 class StepFailureError(RuntimeError):
     """A time step could not be completed.
 
-    Carries the simulation time and the last nonlinear residual norm so the
-    caller can decide whether to halve dt and retry.
+    Carries the simulation time and the last nonlinear residual norm.
+    Nothing retries the step; a caller that wants to go on reruns with a
+    smaller dt.
     """
 
     def __init__(self, t, residual, message=None):

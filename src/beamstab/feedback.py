@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .geometry import GAMMA1
 
 
 @dataclass(frozen=True)
@@ -128,13 +127,6 @@ CATALOG = {
     "hardening": hardening_law,
     "zero": zero_law,
 }
-
-
-def evaluate_h(law, face_m_dot_nu, s, tag=GAMMA1):
-    """h(x, s) = (m.nu at the face point) * p(s); feedback acts on Gamma1 only."""
-    if tag != GAMMA1:
-        raise InvalidArgumentError("feedback is only defined on Gamma1 faces")
-    return face_m_dot_nu * law(s)
 
 
 def strauss_approximate(law, level):

@@ -444,6 +444,10 @@ def run_sweep(cfg, stream=None):
     stream = sys.stdout if stream is None else stream
     if not cfg.sweep_alphas or not cfg.sweep_laws:
         raise ConfigError("sweep requires [sweep] alpha and laws lists")
+    given = [key for key in ("law1_params", "law2_params") if getattr(cfg, key)]
+    if given:
+        raise ConfigError(f"sweep sets every law from [sweep] laws with default "
+                          f"parameters; remove {', '.join(given)} from [feedback]")
     rows = []
     for alpha in cfg.sweep_alphas:
         for law_name in cfg.sweep_laws:
@@ -451,7 +455,6 @@ def run_sweep(cfg, stream=None):
             point = replace(cfg)
             point.alpha1 = point.alpha2 = alpha
             point.law1_name = point.law2_name = law_name
-            point.law1_params = point.law2_params = {}
             mesh, partition, system = build_problem(point)
             cert = build_certificate(point, mesh, partition, system)
             eta = f"{cert.eta:.17g}" if cert.admissible else ""

@@ -43,7 +43,6 @@ class StepControl:
     dt: float
     newton_tol: float = 1e-12
     newton_max: int = 50
-    fallback: bool = True
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -55,7 +54,11 @@ class StepControl:
 
 
 class _MidpointSolver:
-    """Per-run workspace: restricted operators and the reference Jacobian LU."""
+    """Per-run workspace: restricted operators and the reference Jacobian LU.
+
+    Every Gamma1 term comes from the system's boundary operator on the free
+    dofs; B1 and B2 are its forms with each law's slope at 0.
+    """
 
     def __init__(self, system):
         self.system = system
@@ -65,33 +68,24 @@ class _MidpointSolver:
         self.K = system.stiffness[ix].tocsr()
         self.C = system.coupling[ix].tocsr()
         self.Sg = system.sigma_op[ix].tocsr()
-        self.T = system.trace[:, f].tocsr()
-        self.Tt = self.T.T
-        self.wmn = system.trace_weights * system.trace_m_dot_nu
+        self.B1, self.B2 = (system.boundary_form(system.trace_wmn * slopes, free=True)
+                            for slopes in system.slopes0)
         self._ref_key = None
-        self._ref = None
+        self._ref_lu = None
 
     def _reference(self, dt, mu_mid):
-        """(LU, slopes1, slopes2): the Jacobian with each law's slope frozen
-        at 0 and those slopes, cached per (dt, mu_mid)."""
+        """LU of the Jacobian with each law's slope frozen at 0, cached per
+        (dt, mu_mid)."""
         key = (dt, mu_mid)
-        if self._ref_key == key:
-            return self._ref
-        sys_ = self.system
-        a1, a2 = sys_.alpha1, sys_.alpha2
-        zero = np.zeros(self.T.shape[0])
-        slopes1 = np.asarray(sys_.law1.slope(zero), dtype=float)
-        slopes2 = np.asarray(sys_.law2.slope(zero), dtype=float)
-        B1 = (self.Tt @ sp.diags(self.wmn * slopes1) @ self.T).tocsr()
-        B2 = (self.Tt @ sp.diags(self.wmn * slopes2) @ self.T).tocsr()
-        Juu = (2.0 / dt) * self.M + (dt / 2.0) * mu_mid * self.K + mu_mid * B1
-        Juv = (dt / 2.0) * a1 * self.C
-        Jvu = (dt / 2.0) * (self.Sg - a2 * self.C)
-        Jvv = (2.0 / dt) * self.M + (dt / 2.0) * self.K + B2
-        J = sp.bmat([[Juu, Juv], [Jvu, Jvv]], format="csc")
-        self._ref = (splu(J), slopes1, slopes2)
-        self._ref_key = key
-        return self._ref
+        if self._ref_key != key:
+            a1, a2 = self.system.alpha1, self.system.alpha2
+            Juu = (2.0 / dt) * self.M + (dt / 2.0) * mu_mid * self.K + mu_mid * self.B1
+            Juv = (dt / 2.0) * a1 * self.C
+            Jvu = (dt / 2.0) * (self.Sg - a2 * self.C)
+            Jvv = (2.0 / dt) * self.M + (dt / 2.0) * self.K + self.B2
+            self._ref_lu = splu(sp.bmat([[Juu, Juv], [Jvu, Jvv]], format="csc"))
+            self._ref_key = key
+        return self._ref_lu
 
     def residual(self, dt, mu_mid, state, wu, wv):
         """Midpoint residual on the free dofs, stacked (u block, v block)."""
@@ -100,36 +94,36 @@ class _MidpointSolver:
         f = sys_.free
         u_mid = state.u[f] + (dt / 2.0) * wu
         v_mid = state.v[f] + (dt / 2.0) * wv
-        su = self.T @ wu
-        sv = self.T @ wv
+        su = sys_.trace_free @ wu
+        sv = sys_.trace_free @ wv
         ru = ((2.0 / dt) * (self.M @ (wu - state.du[f]))
               + mu_mid * (self.K @ u_mid) + a1 * (self.C @ v_mid)
-              + mu_mid * (self.Tt @ (self.wmn * np.asarray(sys_.law1(su)))))
+              + mu_mid * sys_.boundary_load(sys_.law1, su, free=True))
         rv = ((2.0 / dt) * (self.M @ (wv - state.dv[f]))
               + self.K @ v_mid - a2 * (self.C @ u_mid) + self.Sg @ u_mid
-              + self.Tt @ (self.wmn * np.asarray(sys_.law2(sv))))
+              + sys_.boundary_load(sys_.law2, sv, free=True))
         return np.concatenate([ru, rv])
 
     def _newton_direction(self, dt, mu_mid, wu, wv, r):
         """Solve J(w) delta = r; returns (delta, GMRES iterations).
 
-        J(w) = J0 + blockdiag(Tt diag(d1) T, Tt diag(d2) T), with d the
-        trace weights times the slope change from the reference slopes.
+        J(w) = J0 + blockdiag(T' diag(d1) T, T' diag(d2) T), with d the
+        trace weights times the slope change from the slopes at 0.
         Where d vanishes the reference-LU solve is exact; elsewhere GMRES on
         I + J0^-1 [boundary term] starts from that solve."""
-        lu, ref1, ref2 = self._reference(dt, mu_mid)
+        lu = self._reference(dt, mu_mid)
         sys_ = self.system
-        d1 = mu_mid * self.wmn * (np.asarray(sys_.law1.slope(self.T @ wu), dtype=float) - ref1)
-        d2 = self.wmn * (np.asarray(sys_.law2.slope(self.T @ wv), dtype=float) - ref2)
+        T, (ref1, ref2) = sys_.trace_free, sys_.slopes0
+        d1 = mu_mid * sys_.trace_wmn * (np.asarray(sys_.law1.slope(T @ wu), dtype=float) - ref1)
+        d2 = sys_.trace_wmn * (np.asarray(sys_.law2.slope(T @ wv), dtype=float) - ref2)
         delta = lu.solve(r)
         if not (d1.any() or d2.any()):
             return delta, 0
         nf = len(wu)
+        D1, D2 = sys_.boundary_form(d1, free=True), sys_.boundary_form(d2, free=True)
 
         def matvec(x):
-            bu = self.Tt @ (d1 * (self.T @ x[:nf]))
-            bv = self.Tt @ (d2 * (self.T @ x[nf:]))
-            return x + lu.solve(np.concatenate([bu, bv]))
+            return x + lu.solve(np.concatenate([D1 @ x[:nf], D2 @ x[nf:]]))
 
         residuals = []  # one entry per GMRES iteration
         op = LinearOperator((2 * nf, 2 * nf), matvec=matvec, dtype=float)
@@ -177,32 +171,9 @@ class _MidpointSolver:
                 break  # no damping factor reduced the residual
         log.debug("step t=%.6g: newton %d, gmres %d, halvings %d, residual %.3e",
                   state.t, newton, krylov, halvings, rnorm)
-        if rnorm <= tol:
-            return wu, wv
-
-        if control.fallback:
-            result = self._fixed_point(dt, mu_mid, state, wu, wv, tol)
-            if result is not None:
-                return result
-        raise StepFailureError(state.t, rnorm)
-
-    def _fixed_point(self, dt, mu_mid, state, wu, wv, tol):
-        """Chord iteration on the reference LU: boundary slopes frozen at 0.
-        Contraction is governed by dt times the spread of the laws' slopes,
-        so it only rescues modest time steps."""
-        lu = self._reference(dt, mu_mid)[0]
-        nf = len(self.system.free)
-        for _ in range(200):
-            r = self.residual(dt, mu_mid, state, wu, wv)
-            if float(np.max(np.abs(r))) <= tol:
-                return wu, wv
-            delta = lu.solve(r)
-            wu = wu - delta[:nf]
-            wv = wv - delta[nf:]
-        r = self.residual(dt, mu_mid, state, wu, wv)
-        if float(np.max(np.abs(r))) <= tol:
-            return wu, wv
-        return None
+        if rnorm > tol:
+            raise StepFailureError(state.t, rnorm)
+        return wu, wv
 
 
 def _advance(system, solver, state, control):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from beamstab import admissibility as adm
 from beamstab import geometry
+from beamstab.discretization import assemble
 from beamstab.errors import InvalidArgumentError
 from beamstab.feedback import identity_law, zero_law
 
@@ -156,17 +157,32 @@ class TestDecayEnvelope:
 
 
 class TestSigmaFromMesh:
-    def test_interval(self, interval3, interval3_partition):
-        out = adm.sigma_from_mesh(interval3_partition, 2.0)
-        assert np.allclose(out["values"], [2.0])
-        assert out["sup"] == 2.0 and out["positive"]
+    """sigma = alpha2 * (sum of normal components) on Gamma1, as assembled
+    into the system and summarized in the certificate report."""
+
+    def _system_and_report(self, mesh, x0, alpha2):
+        part = geometry.classify_boundary(mesh, np.asarray(x0, dtype=float))
+        system = assemble(mesh, part, 0.01, alpha2, adm.constant_schedule(1.0),
+                          identity_law(), identity_law())
+        gc = geometry.geometric_constants(mesh, part)
+        emb = geometry.embedding_constants(mesh, part)
+        report = adm.build_report(mesh.dimension, emb["M"], emb["N"], gc["R"], gc["tau0"],
+                                  adm.constant_schedule(1.0), identity_law(), identity_law(),
+                                  0.01, alpha2, part)
+        assert report.sigma_sup == np.max(np.abs(system.sigma_values))
+        return system, report
+
+    def test_interval(self, interval3):
+        system, report = self._system_and_report(interval3, [0.0], 2.0)
+        assert np.allclose(system.sigma_values, [2.0])
+        assert report.sigma_sup == 2.0 and report.sigma_positive
 
     def test_rect_edges(self):
         mesh = geometry.build_rect_mesh(1.0, 1.0, 2, 2)
-        part = geometry.classify_boundary(mesh, np.array([-0.1, -0.1]))
-        out = adm.sigma_from_mesh(part, 3.0)
-        assert np.allclose(out["values"], 3.0)  # right and top edges, sum nu = 1
-        assert out["positive"]
+        system, report = self._system_and_report(mesh, [-0.1, -0.1], 3.0)
+        assert np.allclose(system.sigma_values, 3.0)  # right and top edges, sum nu = 1
+        assert report.sigma_sup == 3.0 and report.sigma_positive
+        assert report.sum_nu_bound == 1.0
 
 
 class TestReport:

@@ -306,7 +306,7 @@ def _oracle_columns(system, states, eps1=None):
     """The 12 trace columns, one state at a time, from the operators directly."""
     M, K, C, X, T = (system.mass, system.stiffness, system.coupling, system.multiplier,
                      system.trace)
-    wmn = system.trace_weights * system.trace_m_dot_nu
+    wmn = system.trace_weights * system.partition.gamma1_m_dot_nu
     a1, a2, ratio = system.alpha1, system.alpha2, system.alpha_ratio
     n = system.mesh.dimension
     f = system.free

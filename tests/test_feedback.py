@@ -5,29 +5,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamstab import feedback
+from beamstab import feedback, geometry
 from beamstab.errors import InvalidArgumentError
-from beamstab.feedback import (FeedbackLaw, evaluate_h, hardening_law, identity_law,
-                               law_from_spec, saturating_law, strauss_approximate,
-                               verify_law, zero_law)
-from beamstab.geometry import GAMMA0
+from beamstab.feedback import (FeedbackLaw, hardening_law, identity_law, law_from_spec,
+                               saturating_law, strauss_approximate, verify_law, zero_law)
+
+from conftest import make_system
+
+
+def _interval_system(mn, law):
+    """Interval [0, mn] with x0 = 0: one Gamma1 point, at x = mn, where
+    m.nu = mn and the quadrature weight is 1."""
+    return make_system(mesh=geometry.build_interval_mesh(mn, 3), law1=law)
 
 
 class TestEvaluateH:
+    """h(x, s) = (m.nu) p(s) as the system's Gamma1 forcing load."""
+
     def test_identity(self):
-        assert evaluate_h(identity_law(), 1.0, 2.0) == pytest.approx(2.0)
+        system = _interval_system(1.0, identity_law())
+        load = system.boundary_load(system.law1, np.array([2.0]))
+        assert np.array_equal(load, [0.0, 0.0, 2.0])
 
     def test_vanishes_at_origin(self):
         for law in (identity_law(), saturating_law(), hardening_law()):
-            assert evaluate_h(law, 1.7, 0.0) == 0.0
+            system = _interval_system(1.7, law)
+            assert np.all(system.boundary_load(law, np.zeros(1)) == 0.0)
 
     def test_saturating_value(self):
         law = saturating_law(b=1.0, L=2.0)
-        assert evaluate_h(law, 1.5, 1.0) == pytest.approx(1.5 * (1.0 + math.tanh(1.0)))
+        load = _interval_system(1.5, law).boundary_load(law, np.array([1.0]))
+        assert load[-1] == pytest.approx(1.5 * (1.0 + math.tanh(1.0)))
 
-    def test_rejects_clamped_boundary(self):
-        with pytest.raises(InvalidArgumentError):
-            evaluate_h(identity_law(), 0.0, 1.0, tag=GAMMA0)
+    def test_no_forcing_off_gamma1(self):
+        # left and bottom edges are Gamma0: only nodes of right/top edges are loaded
+        mesh = geometry.build_rect_mesh(1.0, 1.0, 3, 3)
+        system = make_system(mesh=mesh, x0=np.array([-0.1, -0.1]))
+        load = system.boundary_load(identity_law(), np.ones(len(system.trace_weights)))
+        gamma1_nodes = {i for f in system.partition.gamma1_faces for i in f.nodes}
+        loaded = set(np.flatnonzero(load).tolist())
+        assert loaded == gamma1_nodes
+        assert np.all(load[list(gamma1_nodes)] > 0)
 
 
 class TestLawCatalog:
@@ -146,9 +164,13 @@ class TestVerifyLaw:
        s=st.floats(min_value=-50.0, max_value=50.0))
 @settings(max_examples=100, deadline=None)
 def test_dissipation_sign_structure(mn, s):
-    # h(x, s) * s >= (m.nu) * b * s^2 on the feedback boundary
+    # int_G1 h(x, s) s >= int_G1 (m.nu) b s^2 through the system's boundary integral
     for law in (identity_law(0.7), saturating_law(1.0, 2.0), hardening_law(0.5, 2.0)):
-        assert evaluate_h(law, mn, s) * s >= mn * law.b * s * s - 1e-9 * max(1.0, s * s)
+        system = _interval_system(mn, law)
+        trace = np.array([s])
+        dissipation = system.boundary_integral(np.asarray(law(trace)) * trace)
+        assert dissipation == pytest.approx(mn * float(law(s)) * s, rel=1e-14)
+        assert dissipation >= mn * law.b * s * s - 1e-9 * max(1.0, s * s)
 
 
 def test_zero_law_is_inert():

@@ -108,6 +108,13 @@ class TestGeometricConstants:
         gc = geometry.geometric_constants(mesh, part)
         assert gc["R"] == pytest.approx(1.1 * math.sqrt(2))
 
+    def test_tau0_is_smallest_gamma1_value(self):
+        # Gamma1: the right edge (m.nu = 1.3) and the bottom edge (m.nu = 2.5)
+        mesh = geometry.build_rect_mesh(1.0, 2.0, 3, 5)
+        part = geometry.classify_boundary(mesh, np.array([-0.3, 2.5]))
+        assert np.allclose(np.unique(part.gamma1_m_dot_nu), [1.3, 2.5])
+        assert geometry.geometric_constants(mesh, part)["tau0"] == pytest.approx(1.3)
+
 
 def _dense_embedding_oracle(mesh, partition):
     """Independent dense generalized eigensolves for M and N."""
@@ -130,11 +137,16 @@ class TestEmbeddingConstants:
         assert emb["M"] == pytest.approx(2.0 / math.pi, abs=1e-3)
         assert emb["N"] == pytest.approx(1.0, abs=1e-3)
 
-    def test_two_element_mesh_matches_dense_solve(self, interval3, interval3_partition):
-        emb = geometry.embedding_constants(interval3, interval3_partition)
-        oracle = _dense_embedding_oracle(interval3, interval3_partition)
-        assert emb["M"] == pytest.approx(oracle["M"], rel=1e-10)
-        assert emb["N"] == pytest.approx(oracle["N"], rel=1e-10)
+    def test_small_meshes_match_dense_solve(self, interval3, interval3_partition):
+        rect = geometry.build_rect_mesh(1.0, 2.0, 3, 5)
+        rect_partition = geometry.classify_boundary(rect, np.array([-0.3, 2.5]))
+        # asymmetric Gamma1: the right edge (length 2) and the bottom edge (length 1)
+        assert {tuple(f.normal) for f in rect_partition.gamma1_faces} == {(1.0, 0.0), (0.0, -1.0)}
+        for mesh, part in ((interval3, interval3_partition), (rect, rect_partition)):
+            emb = geometry.embedding_constants(mesh, part)
+            oracle = _dense_embedding_oracle(mesh, part)
+            assert emb["M"] == pytest.approx(oracle["M"], rel=1e-10)
+            assert emb["N"] == pytest.approx(oracle["N"], rel=1e-10)
 
     def test_refinement_monotone(self):
         prev_M, prev_N = 0.0, 0.0

@@ -246,6 +246,32 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             harness.run_sweep(small_cfg)
 
+    def test_refuses_law_params(self, tmp_path):
+        text = SMALL_CONFIG.replace(
+            "law2 = identity\n", "law2 = identity\nlaw1_params = k=2\nlaw2_params = k=3\n")
+        cfg = harness.parse_config(text=text + "\n[sweep]\nalpha = 0.05\nlaws = identity\n")
+        cfg.out_dir = str(tmp_path)
+        assert cfg.law1_params == {"k": 2.0} and cfg.law2_params == {"k": 3.0}
+        with pytest.raises(ConfigError, match="law1_params, law2_params"):
+            harness.run_sweep(cfg, stream=io.StringIO())
+        assert not (tmp_path / "small_sweep.csv").exists()
+
+    def test_coupling_sweep_script(self, tmp_path, monkeypatch, capsys):
+        script = SCRIPTS / "coupling_sweep.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--T", "0.2", "--alphas", "0.05",
+                                          "--laws", "identity", "saturating",
+                                          "--out", str(tmp_path)])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_path(str(script), run_name="__main__")
+        assert exit_info.value.code == 0
+        lines = (tmp_path / "reference_sweep.csv").read_text().splitlines()
+        assert lines[0] == "alpha1,alpha2,law1,law2,admissible,eta,fitted_rate"
+        assert [ln.split(",")[2] for ln in lines[1:]] == ["identity", "saturating"]
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert fields[4] == "true" and float(fields[5]) > 0 and float(fields[6]) > 0
+        assert capsys.readouterr().out.splitlines() == lines
+
 
 class TestCli:
     def test_check_exit_codes(self, tmp_path, capsys):

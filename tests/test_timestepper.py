@@ -73,7 +73,7 @@ class TestStep:
         system = make_system(nodes=7, law1=saturating_law(1.0, 2.0),
                              law2=saturating_law(1.0, 2.0))
         state = _sine_state(system, velocity=1.0)
-        control = StepControl(dt=50.0, newton_max=1, fallback=False)
+        control = StepControl(dt=50.0, newton_max=1)
         with pytest.raises(StepFailureError) as err:
             step(system, state, control)
         assert err.value.t == 0.0
@@ -115,7 +115,9 @@ def _full_jacobian_direction(solver):
     """Oracle direction: assemble the Jacobian with the actual trace slopes
     and factor it."""
     sys_ = solver.system
-    T, wmn, a1, a2 = solver.T, solver.wmn, sys_.alpha1, sys_.alpha2
+    T = sys_.trace[:, sys_.free]
+    wmn = sys_.trace_weights * sys_.partition.gamma1_m_dot_nu
+    a1, a2 = sys_.alpha1, sys_.alpha2
 
     def direction(dt, mu_mid, wu, wv, r):
         B1 = T.T @ sp.diags(wmn * sys_.law1.slope(T @ wu)) @ T
@@ -137,7 +139,7 @@ def _full_jacobian_newton(solver, state, control):
 def _chord_newton(solver, state, control):
     """The damped loop with the reference-LU direction alone (no correction)."""
     return _damped_newton(solver, state, control,
-                          lambda dt, mu_mid, wu, wv, r: solver._reference(dt, mu_mid)[0].solve(r))
+                          lambda dt, mu_mid, wu, wv, r: solver._reference(dt, mu_mid).solve(r))
 
 
 _LAWS = {
@@ -172,7 +174,7 @@ class TestNewtonDirection:
         build = (lambda **kw: make_system(nodes=9, **kw)) if mesh == "interval" else _rect6
         system = build(law1=law1, law2=law2, schedule=schedule)
         state = _random_state(system, seed, amplitude)
-        control = StepControl(dt=dt, fallback=False)
+        control = StepControl(dt=dt)
         solver = _MidpointSolver(system)
         wu, wv = solver.solve(state, control)
         ou, ov, converged = _full_jacobian_newton(_MidpointSolver(system), state, control)
@@ -195,7 +197,7 @@ class TestNewtonDirection:
         law = saturating_law(1.0, 50.0)
         system = _rect6(law1=law, law2=law)
         state = _sine_state(system, velocity=100.0)
-        control = StepControl(dt=0.5, fallback=False)
+        control = StepControl(dt=0.5)
         wu, wv = _MidpointSolver(system).solve(state, control)
         ou, ov, converged = _full_jacobian_newton(_MidpointSolver(system), state, control)
         assert converged
@@ -208,7 +210,7 @@ class TestNewtonDirection:
         law = saturating_law(1.0, 4.0)
         system = make_system(nodes=9, law1=law, law2=law)
         state = _random_state(system, 7, 2.0)
-        control = StepControl(dt=0.2, fallback=False)
+        control = StepControl(dt=0.2)
         want = np.concatenate(_MidpointSolver(system).solve(state, control))
         # one GMRES iteration per direction: every solve stops short of rtol
         monkeypatch.setattr(timestepper, "GMRES_RESTART", 1)
