@@ -12,9 +12,7 @@ from .feedback import (CATALOG, FeedbackLaw, LipschitzLaw, hardening_law,
                        verify_law, zero_law)
 from .geometry import (GAMMA0, GAMMA1, BoundaryPartition, Mesh,
                        build_interval_mesh, build_rect_mesh, classify_boundary,
-                       embedding_constants, geometric_constants, load_mesh,
-                       save_mesh)
-from .timestepper import (StepControl, integrate, load_checkpoint,
-                          save_checkpoint, step)
+                       embedding_constants, geometric_constants)
+from .timestepper import StepControl, integrate, load_checkpoint, save_checkpoint
 
 __version__ = "0.1.0"

@@ -87,34 +87,6 @@ def higher_energy(system, state, t=None):
     )
 
 
-def _quadrature_norms(mesh, fld):
-    """(L2 norm of laplacian, L2 norm of gradient) of an analytic field."""
-    pts, w, _, _ = _fem.element_quadrature(mesh, npts=4)
-    flat = pts.reshape(-1, mesh.dimension)
-    lap = np.asarray(fld.laplacian(flat), dtype=float).reshape(w.shape)
-    grd = np.asarray(fld.grad(flat), dtype=float).reshape(w.shape + (mesh.dimension,))
-    lap_norm = math.sqrt(float(np.sum(w * lap ** 2)))
-    grad_norm = math.sqrt(float(np.sum(w[..., None] * grd ** 2)))
-    return lap_norm, grad_norm
-
-
-def higher_energy_initial_bound(system, u0, v0, u1, v1):
-    """Closed-form cap on the initial second-order energy from the data norms."""
-    mesh = system.mesh
-    n = mesh.dimension
-    mu0v = system.schedule.mu_at_0
-    lap_u0, _ = _quadrature_norms(mesh, u0)
-    lap_v0, _ = _quadrature_norms(mesh, v0)
-    _, grad_v0 = _quadrature_norms(mesh, v0)
-    _, grad_u0 = _quadrature_norms(mesh, u0)
-    _, grad_u1 = _quadrature_norms(mesh, u1)
-    _, grad_v1 = _quadrature_norms(mesh, v1)
-    a1 = mu0v * lap_u0 + abs(system.alpha1) * math.sqrt(n) * grad_v0
-    a2 = mu0v * lap_v0 + abs(system.alpha2) * math.sqrt(n) * grad_u0
-    a3 = 0.5 * a1 ** 2 + 0.5 * a2 ** 2 + 0.5 * mu0v * grad_u1 ** 2 + 0.5 * grad_v1 ** 2 + 1.0
-    return {"a1": a1, "a2": a2, "bound": a3}
-
-
 def rellich_check(mesh, fld, x0):
     """Multiplier identity on a manufactured field.
 
@@ -177,10 +149,7 @@ class EnergyTrace:
     D_u: np.ndarray
     D_v: np.ndarray
     E_star: np.ndarray
-    stiff_u: np.ndarray         # <u, K u> per sample
     mu_prime_term: np.ndarray   # mu'(t)/2 <u, K u>
-    bdry_u_sq: np.ndarray       # int_G1 (m.nu)(u')^2
-    bdry_v_sq: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -287,7 +256,7 @@ class TraceRecorder:
         self._times = np.empty(self.chunk)
         self._states = np.empty((len(_FIELDS), n, self.chunk))
         self._fill = 0
-        self._done = []             # (12, chunk) arrays of evaluated chunks
+        self._done = []             # (9, chunk) arrays of evaluated chunks
         md = dict(metadata or {})
         if certificate is not None:
             md.setdefault("eta", certificate.eta)
@@ -312,7 +281,7 @@ class TraceRecorder:
             self._fill = 0
 
     def _evaluate(self, count):
-        """The 12 trace columns of the first `count` buffered samples, (12, count)."""
+        """The 9 trace columns of the first `count` buffered samples, (9, count)."""
         system = self.system
         t = self._times[:count]
         block = StateBlock(t, *(np.ascontiguousarray(f[:, :count]) for f in self._states))
@@ -325,15 +294,13 @@ class TraceRecorder:
         stiff_u = column_dot(block.u, block.product(system.stiffness, "u"))
         mupr = system.schedule.mu_prime(t) / 2.0 * stiff_u
         return np.vstack([
-            t, E, F, G, lyap, diss["D_u"], diss["D_v"], higher_energy(system, block),
-            stiff_u, mupr,
-            system.boundary_quadratic(block.du), system.boundary_quadratic(block.dv),
+            t, E, F, G, lyap, diss["D_u"], diss["D_v"], higher_energy(system, block), mupr,
         ])
 
     def trace(self):
         """Every sample so far, in order; the recorder keeps recording."""
         chunks = self._done + ([self._evaluate(self._fill)] if self._fill else [])
-        arr = np.concatenate(chunks, axis=1) if chunks else np.empty((12, 0))
+        arr = np.concatenate(chunks, axis=1) if chunks else np.empty((9, 0))
         return EnergyTrace(*arr, metadata=dict(self.metadata))
 
 
@@ -376,16 +343,6 @@ def lyapunov_decay_defects(trace, eps2):
     L = trace.E + trace.F + eps2 * trace.G
     dt = np.diff(trace.t)
     return np.diff(L) / dt + eps2 * trace.E[:-1]
-
-
-def g_slope_defects(trace, S1, S2):
-    """Finite-difference dG/dt against -E + S1 int(m.nu)(u')^2 + S2 int(m.nu)(v')^2."""
-    _require_columns(trace, "bdry_u_sq", "bdry_v_sq")
-    dt = np.diff(trace.t)
-    lhs = np.diff(trace.G) / dt
-    bound = -trace.E + S1 * trace.bdry_u_sq + S2 * trace.bdry_v_sq
-    bound_mid = 0.5 * (bound[1:] + bound[:-1])
-    return lhs - bound_mid
 
 
 @dataclass(frozen=True)

@@ -117,11 +117,6 @@ class SemiDiscreteSystem:
         """sum_q w_q (m.nu)_q values_q over the Gamma1 quadrature points."""
         return values.T @ self.trace_wmn
 
-    def boundary_quadratic(self, velocity_full):
-        """sum_q w_q (m.nu)_q s_q^2 with s the Gamma1 trace of the velocity."""
-        s = self.trace @ velocity_full
-        return self.boundary_integral(s * s)
-
 
 @dataclass
 class SimState:
@@ -266,13 +261,3 @@ def rhs(system, state, t=None):
                + system.boundary_load(system.law2, state.product(T, "dv"))
                + state.product(system.sigma_op, "u"))
     return system.solve_mass(load_u), system.solve_mass(load_v)
-
-
-def export_operator(matrix, path):
-    """Coordinate-format text dump (row, col, value), row-major order."""
-    coo = matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        fh.write(f"# coo {matrix.shape[0]} {matrix.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r} {c} {v:.17g}\n")

@@ -8,6 +8,7 @@ h(x, s) = [m(x).nu(x)] p(s).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -183,16 +184,14 @@ def verify_law(law, half_range, samples):
                      mono_margin >= -1e-12, growth_margin >= -1e-12)
 
 
-def export_law_csv(law, path):
-    """LipschitzLaw table as (breakpoint, value) CSV."""
-    with open(path, "w") as fh:
-        fh.write("breakpoint,value\n")
-        for x, y in zip(law.breakpoints, law.values):
-            fh.write(f"{x:.17g},{y:.17g}\n")
-
-
 def law_from_spec(name, params):
     """Build a catalog law from a config name + parameter dict."""
     if name not in CATALOG:
         raise InvalidArgumentError(f"unknown feedback law '{name}'")
+    accepted = inspect.signature(CATALOG[name]).parameters
+    for key in params:
+        if key not in accepted:
+            raise InvalidArgumentError(
+                f"feedback law '{name}' takes no parameter '{key}' "
+                f"(it takes: {', '.join(accepted) or 'none'})")
     return CATALOG[name](**params)

@@ -1,8 +1,7 @@
 """Analytic initial-data fields and named presets.
 
 Fields carry their gradient (needed for compatibility residuals) and, when
-available, their Laplacian (needed for the higher-order initial energy
-bound).  All callables take points of shape (N, dim).
+available, their Laplacian (needed for the Rellich multiplier check).  All callables take points of shape (N, dim).
 """
 
 from __future__ import annotations

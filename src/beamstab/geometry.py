@@ -62,10 +62,6 @@ class Mesh:
         if len(keys) != len(self.faces):
             raise InvalidArgumentError("boundary faces do not tile the boundary exactly once")
 
-    @property
-    def boundary_measure(self):
-        return sum(f.measure for f in self.faces)
-
 
 @dataclass(frozen=True)
 class BoundaryPartition:
@@ -198,19 +194,6 @@ def build_rect_mesh(lx, ly, nx, ny):
     return Mesh(2, nodes, elems, tuple(faces))
 
 
-def translate(mesh, shift):
-    """Shift the whole mesh by a constant vector."""
-    shift = np.asarray(shift, dtype=float)
-    faces = tuple(
-        BoundaryFace(
-            f.face_id, f.nodes, f.normal, f.centroid + shift, f.measure,
-            f.quad_points + shift[None, :], f.quad_weights,
-        )
-        for f in mesh.faces
-    )
-    return Mesh(mesh.dimension, mesh.nodes + shift[None, :], mesh.elements, faces)
-
-
 def classify_boundary(mesh, x0):
     """Tag every face Gamma0/Gamma1 by the sign of m.nu at its centroid.
 
@@ -269,69 +252,3 @@ def embedding_constants(mesh, partition):
         raise NumericalFailureError(f"eigen-solve did not converge: {exc}") from exc
     return {"M": 1.0 / math.sqrt(lam), "N": math.sqrt(mu)}
 
-
-# ---------------------------------------------------------------------------
-# plain-text mesh exchange and partition report
-
-MESH_FORMAT_HEADER = "# beamstab mesh v1"
-
-
-def save_mesh(mesh, path):
-    """Plain-text listing: header, dim, nodes, elements, faces+normals."""
-    with open(path, "w") as fh:
-        fh.write(MESH_FORMAT_HEADER + "\n")
-        fh.write(f"dim {mesh.dimension}\n")
-        fh.write(f"nodes {len(mesh.nodes)}\n")
-        for p in mesh.nodes:
-            fh.write(" ".join(f"{c:.17g}" for c in p) + "\n")
-        fh.write(f"elements {len(mesh.elements)} {mesh.elements.shape[1]}\n")
-        for e in mesh.elements:
-            fh.write(" ".join(str(i) for i in e) + "\n")
-        fh.write(f"faces {len(mesh.faces)}\n")
-        for f in mesh.faces:
-            ids = " ".join(str(i) for i in f.nodes)
-            nrm = " ".join(f"{c:.17g}" for c in f.normal)
-            fh.write(f"{ids} | {nrm}\n")
-
-
-def load_mesh(path):
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != MESH_FORMAT_HEADER:
-        raise InvalidArgumentError(f"{path}: not a beamstab mesh file")
-    k = 1
-    dim = int(lines[k].split()[1]); k += 1
-    nn = int(lines[k].split()[1]); k += 1
-    nodes = np.array([[float(c) for c in lines[k + i].split()] for i in range(nn)])
-    k += nn
-    ne, nloc = (int(v) for v in lines[k].split()[1:]); k += 1
-    elems = np.array([[int(c) for c in lines[k + i].split()] for i in range(ne)], dtype=int)
-    k += ne
-    nf = int(lines[k].split()[1]); k += 1
-    g, gw = _fem.gauss_rule(2)
-    faces = []
-    for fid in range(nf):
-        ids_part, nrm_part = lines[k + fid].split("|")
-        ids = tuple(int(c) for c in ids_part.split())
-        normal = np.array([float(c) for c in nrm_part.split()])
-        if dim == 1:
-            p = nodes[ids[0]]
-            faces.append(BoundaryFace(fid, ids, normal, p.copy(), 1.0,
-                                      p[None, :].copy(), np.array([1.0])))
-        else:
-            pa, pb = nodes[ids[0]], nodes[ids[1]]
-            h = float(np.linalg.norm(pb - pa))
-            qp = pa[None, :] + g[:, None] * (pb - pa)[None, :]
-            faces.append(BoundaryFace(fid, ids, normal, 0.5 * (pa + pb), h, qp, gw * h))
-    return Mesh(dim, nodes, elems, tuple(faces))
-
-
-def partition_report_csv(partition, path):
-    """CSV report: face id, centroid, m.nu at centroid, tag."""
-    dim = partition.mesh.dimension
-    cols = ["face_id"] + [f"centroid_{c}" for c in "xy"[:dim]] + ["m_dot_nu", "tag"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for f, tag, mn in zip(partition.mesh.faces, partition.tags, partition.m_dot_nu_centroid):
-            cen = ",".join(f"{c:.17g}" for c in f.centroid)
-            fh.write(f"{f.face_id},{cen},{mn:.17g},{tag}\n")

@@ -1,8 +1,9 @@
 """Configuration parsing, run orchestration and the command-line front-end.
 
-Config files are INI-style with a strict schema: unknown sections or keys
-are rejected so that typos cannot silently change a run.  All run products
-(trace CSV, checkpoint, reports) carry the config hash.
+Config files are INI-style with a strict schema, defined once by the field
+table of RunConfig: unknown sections or keys are rejected so that typos
+cannot silently change a run.  All run products (trace CSV, checkpoint,
+reports) carry the config hash.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,71 +35,123 @@ EXIT_INADMISSIBLE = 2
 EXIT_STEP_FAILURE = 3
 EXIT_USAGE = 64
 
-_SCHEMA = {
-    "mesh": {"kind", "length", "nodes", "lx", "ly", "nx", "ny", "x0"},
-    "problem": {"alpha1", "alpha2", "mu", "mu_c", "mu_c0", "mu_lambda"},
-    "feedback": {"law1", "law1_params", "law2", "law2_params"},
-    "initial": {"u0", "u0_amplitude", "v0", "v0_amplitude",
-                "u1", "u1_amplitude", "v1", "v1_amplitude"},
-    "time": {"dt", "T"},
-    "output": {"dir", "prefix", "plot"},
-    "sweep": {"alpha", "laws"},
-}
+
+def _floats(text):
+    return tuple(float(v) for v in text.split())
 
 
-@dataclass
-class RunConfig:
-    mesh_kind: str = "interval"
-    length: float = 1.0
-    nodes: int = 201
-    lx: float = 1.0
-    ly: float = 1.0
-    nx: int = 16
-    ny: int = 16
-    x0: np.ndarray = field(default_factory=lambda: np.zeros(1))
-    alpha1: float = 0.1
-    alpha2: float = 0.1
-    mu_kind: str = "constant"
-    mu_c: float = 1.0
-    mu_c0: float = 1.0
-    mu_lambda: float = 0.0
-    law1_name: str = "identity"
-    law1_params: dict = field(default_factory=dict)
-    law2_name: str = "identity"
-    law2_params: dict = field(default_factory=dict)
-    u0: str = "sine"
-    u0_amplitude: float = 1.0
-    v0: str = "zero"
-    v0_amplitude: float = 0.0
-    u1: str = "zero"
-    u1_amplitude: float = 0.0
-    v1: str = "zero"
-    v1_amplitude: float = 0.0
-    dt: float = 1e-3
-    T: float = 1.0
-    out_dir: str = "out"
-    prefix: str = "run"
-    plot: bool = False
-    sweep_alphas: tuple = ()
-    sweep_laws: tuple = ()
-    raw_text: str = ""
-    hash: str = ""
-
-
-def _parse_law_params(text):
+def _law_params(text):
     params = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         if "=" not in chunk:
-            raise ConfigError(f"law parameter '{chunk}' is not key=value")
+            raise ValueError(f"law parameter '{chunk}' is not key=value")
         k, _, v = chunk.partition("=")
-        try:
-            params[k.strip()] = float(v)
-        except ValueError as exc:
-            raise ConfigError(f"law parameter '{chunk}' is not numeric") from exc
+        value = float(v)
+        if not math.isfinite(value):
+            raise ValueError(f"law parameter '{chunk}' is not finite")
+        params[k.strip()] = value
     return params
+
+
+def _boolean(text):
+    """configparser's boolean words (1/yes/true/on, 0/no/false/off)."""
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"{text!r} is not one of {', '.join(states)}")
+    return states[text.lower()]
+
+
+def _one_of(*choices):
+    return (lambda value: value in choices), f"must be one of {', '.join(choices)}"
+
+
+_FINITE = (math.isfinite, "must be finite")
+_POSITIVE = (lambda x: math.isfinite(x) and x > 0, "must be finite and positive")
+_NONNEGATIVE = (lambda x: math.isfinite(x) and x >= 0,
+                "must be finite and >= 0 (nonincreasing coefficient)")
+
+
+def _entry(section, key, parse=str, rule=None, **default):
+    """A RunConfig field read from `key` in `[section]`.
+
+    parse casts the text; rule, a (predicate, description) pair, is the
+    condition the value must meet; default is the dataclass default or
+    default_factory.
+    """
+    return field(**default, metadata={"section": section, "key": key,
+                                      "parse": parse, "rule": rule})
+
+
+@dataclass
+class RunConfig:
+    """The settings of one run.
+
+    Each config key is one field entry below: section, key, parser, default
+    and value rule.  parse_config derives the accepted keys, the casts, the
+    defaults and the per-value checks from these entries, and
+    apply_overrides checks --dt and --T by the same rules.
+    """
+
+    mesh_kind: str = _entry("mesh", "kind", rule=_one_of("interval", "rect"),
+                            default="interval")
+    length: float = _entry("mesh", "length", float, _FINITE, default=1.0)
+    nodes: int = _entry("mesh", "nodes", int, default=201)
+    lx: float = _entry("mesh", "lx", float, _FINITE, default=1.0)
+    ly: float = _entry("mesh", "ly", float, _FINITE, default=1.0)
+    nx: int = _entry("mesh", "nx", int, default=16)
+    ny: int = _entry("mesh", "ny", int, default=16)
+    # parse_config defaults x0 to the origin of the mesh's dimension
+    x0: np.ndarray = _entry("mesh", "x0", lambda text: np.array(_floats(text)),
+                            default_factory=lambda: np.zeros(1))
+    alpha1: float = _entry("problem", "alpha1", float, _POSITIVE, default=0.1)
+    alpha2: float = _entry("problem", "alpha2", float, _POSITIVE, default=0.1)
+    mu_kind: str = _entry("problem", "mu", rule=_one_of("constant", "decaying"),
+                          default="constant")
+    mu_c: float = _entry("problem", "mu_c", float, _FINITE, default=1.0)
+    mu_c0: float = _entry("problem", "mu_c0", float, _FINITE, default=1.0)
+    mu_lambda: float = _entry("problem", "mu_lambda", float, _NONNEGATIVE, default=0.0)
+    law1_name: str = _entry("feedback", "law1", default="identity")
+    law1_params: dict = _entry("feedback", "law1_params", _law_params, default_factory=dict)
+    law2_name: str = _entry("feedback", "law2", default="identity")
+    law2_params: dict = _entry("feedback", "law2_params", _law_params, default_factory=dict)
+    u0: str = _entry("initial", "u0", default="sine")
+    u0_amplitude: float = _entry("initial", "u0_amplitude", float, _FINITE, default=1.0)
+    v0: str = _entry("initial", "v0", default="zero")
+    v0_amplitude: float = _entry("initial", "v0_amplitude", float, _FINITE, default=0.0)
+    u1: str = _entry("initial", "u1", default="zero")
+    u1_amplitude: float = _entry("initial", "u1_amplitude", float, _FINITE, default=0.0)
+    v1: str = _entry("initial", "v1", default="zero")
+    v1_amplitude: float = _entry("initial", "v1_amplitude", float, _FINITE, default=0.0)
+    dt: float = _entry("time", "dt", float, _POSITIVE, default=1e-3)
+    T: float = _entry("time", "T", float, _POSITIVE, default=1.0)
+    out_dir: str = _entry("output", "dir", default="out")
+    prefix: str = _entry("output", "prefix", default="run")
+    plot: bool = _entry("output", "plot", _boolean, default=False)
+    sweep_alphas: tuple = _entry("sweep", "alpha", _floats, default=())
+    sweep_laws: tuple = _entry("sweep", "laws", lambda text: tuple(text.split()), default=())
+    raw_text: str = ""
+    hash: str = ""
+
+
+_ENTRIES = {f.name: f for f in fields(RunConfig) if f.metadata}
+# configparser lower-cases the keys it reads, so the lookup is lower-cased too
+_CONFIG_KEYS = {(f.metadata["section"], f.metadata["key"].lower()): f
+                for f in _ENTRIES.values()}
+_SECTIONS = {section for section, _ in _CONFIG_KEYS}
+
+
+def _assign(cfg, name, value):
+    """Set a table field of cfg after checking the value against its rule."""
+    meta = _ENTRIES[name].metadata
+    if meta["rule"] is not None:
+        holds, description = meta["rule"]
+        if not holds(value):
+            raise ConfigError(f"{meta['section']}.{meta['key']} {description}, "
+                              f"got {value!r}")
+    setattr(cfg, name, value)
 
 
 def parse_config(path=None, text=None):
@@ -116,94 +169,35 @@ def parse_config(path=None, text=None):
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
+    cfg = RunConfig(raw_text=text, hash=timestepper.config_hash(text))
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser[section]:
-            if key not in {k.lower() for k in _SCHEMA[section]}:
+            entry = _CONFIG_KEYS.get((section, key))
+            if entry is None:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-
-    cfg = RunConfig(raw_text=text, hash=timestepper.config_hash(text))
-
-    def get(section, key, cast, default):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
             try:
-                return cast(raw)
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-        return default
+                value = entry.metadata["parse"](parser.get(section, key))
+            except (ValueError, configparser.Error) as exc:
+                raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
+            _assign(cfg, entry.name, value)
 
-    cfg.mesh_kind = get("mesh", "kind", str, cfg.mesh_kind)
-    if cfg.mesh_kind not in ("interval", "rect"):
-        raise ConfigError(f"unknown mesh kind '{cfg.mesh_kind}'")
-    cfg.length = get("mesh", "length", float, cfg.length)
-    cfg.nodes = get("mesh", "nodes", int, cfg.nodes)
-    cfg.lx = get("mesh", "lx", float, cfg.lx)
-    cfg.ly = get("mesh", "ly", float, cfg.ly)
-    cfg.nx = get("mesh", "nx", int, cfg.nx)
-    cfg.ny = get("mesh", "ny", int, cfg.ny)
     dim = 1 if cfg.mesh_kind == "interval" else 2
-    x0_raw = get("mesh", "x0", str, " ".join("0" for _ in range(dim)))
-    try:
-        cfg.x0 = np.array([float(v) for v in x0_raw.split()], dtype=float)
-    except ValueError as exc:
-        raise ConfigError(f"bad x0: {x0_raw!r}") from exc
+    if not parser.has_option("mesh", "x0"):
+        cfg.x0 = np.zeros(dim)
     if len(cfg.x0) != dim:
         raise ConfigError(f"x0 needs {dim} component(s), got {len(cfg.x0)}")
-
-    cfg.alpha1 = get("problem", "alpha1", float, cfg.alpha1)
-    cfg.alpha2 = get("problem", "alpha2", float, cfg.alpha2)
-    if cfg.alpha1 <= 0 or cfg.alpha2 <= 0:
-        raise ConfigError("alpha1 and alpha2 must be positive")
-    cfg.mu_kind = get("problem", "mu", str, cfg.mu_kind)
-    if cfg.mu_kind not in ("constant", "decaying"):
-        raise ConfigError(f"unknown coefficient schedule '{cfg.mu_kind}'")
-    cfg.mu_c = get("problem", "mu_c", float, cfg.mu_c)
-    cfg.mu_c0 = get("problem", "mu_c0", float, cfg.mu_c0)
-    cfg.mu_lambda = get("problem", "mu_lambda", float, cfg.mu_lambda)
-    if cfg.mu_lambda < 0:
-        raise ConfigError("mu_lambda must be >= 0 (nonincreasing coefficient)")
-
-    cfg.law1_name = get("feedback", "law1", str, cfg.law1_name)
-    cfg.law2_name = get("feedback", "law2", str, cfg.law2_name)
-    cfg.law1_params = _parse_law_params(get("feedback", "law1_params", str, ""))
-    cfg.law2_params = _parse_law_params(get("feedback", "law2_params", str, ""))
-
-    for name in ("u0", "v0", "u1", "v1"):
-        setattr(cfg, name, get("initial", name, str, getattr(cfg, name)))
-        amp = get("initial", f"{name}_amplitude", float, getattr(cfg, f"{name}_amplitude"))
-        setattr(cfg, f"{name}_amplitude", amp)
-
-    cfg.dt = get("time", "dt", float, cfg.dt)
-    cfg.T = get("time", "t", float, cfg.T)
-    if cfg.dt <= 0 or cfg.T <= 0:
-        raise ConfigError("dt and T must be positive")
-
-    cfg.out_dir = get("output", "dir", str, cfg.out_dir)
-    cfg.prefix = get("output", "prefix", str, cfg.prefix)
-    cfg.plot = get("output", "plot", lambda s: s.lower() in ("1", "true", "yes"), cfg.plot)
-
-    if parser.has_section("sweep"):
-        alphas = get("sweep", "alpha", str, "")
-        laws = get("sweep", "laws", str, "")
-        try:
-            cfg.sweep_alphas = tuple(float(v) for v in alphas.split())
-        except ValueError as exc:
-            raise ConfigError(f"bad sweep alphas: {alphas!r}") from exc
-        cfg.sweep_laws = tuple(laws.split())
     return cfg
 
 
 def apply_overrides(cfg, dt=None, T=None, refine=0, out=None, plot=None):
     if dt is not None:
-        if dt <= 0:
-            raise ConfigError("dt must be positive")
-        cfg.dt = dt
+        _assign(cfg, "dt", dt)
     if T is not None:
-        if T <= 0:
-            raise ConfigError("T must be positive")
-        cfg.T = T
+        _assign(cfg, "T", T)
+    if refine < 0:
+        raise ConfigError(f"refine must be >= 0, got {refine}")
     for _ in range(refine):
         cfg.nodes = 2 * (cfg.nodes - 1) + 1
         cfg.nx *= 2
@@ -493,8 +487,8 @@ def run_fit(trace_path, window=None, stream=None):
 def read_trace_csv(path):
     """Rebuild an EnergyTrace from a trace CSV.
 
-    The CSV does not store stiff_u, mu_prime_term or bdry_{u,v}_sq; they are
-    loaded as NaN, and the post-processing that needs them refuses the trace.
+    The CSV does not store mu_prime_term; it is loaded as NaN, and the
+    post-processing that needs it refuses the trace.
     """
     try:
         with open(path) as fh:
@@ -504,11 +498,10 @@ def read_trace_csv(path):
     if not lines or lines[0].split(",")[:8] != list(diagnostics.TRACE_COLUMNS[:8]):
         raise ConfigError(f"not a trace CSV: {path}")
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    missing = np.full(len(data), np.nan)
     return diagnostics.EnergyTrace(
         t=data[:, 0], E=data[:, 1], F=data[:, 2], G=data[:, 3],
         lyapunov=data[:, 4], D_u=data[:, 5], D_v=data[:, 6], E_star=data[:, 7],
-        stiff_u=missing, mu_prime_term=missing, bdry_u_sq=missing, bdry_v_sq=missing)
+        mu_prime_term=np.full(len(data), np.nan))
 
 
 # ---------------------------------------------------------------------------

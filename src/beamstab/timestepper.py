@@ -189,11 +189,6 @@ def _advance(system, solver, state, control):
     return new
 
 
-def step(system, state, control):
-    """Single implicit-midpoint step; returns the state at t + dt."""
-    return _advance(system, _MidpointSolver(system), state, control)
-
-
 def integrate(system, state0, T, control, observers=()):
     """March from state0.t to T in uniform steps, notifying observers.
 

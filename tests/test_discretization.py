@@ -7,8 +7,7 @@ from hypothesis.extra.numpy import arrays
 from beamstab import geometry
 from beamstab.admissibility import constant_schedule
 from beamstab.discretization import (SimState, assemble, compatibility_residuals,
-                                     export_operator, interpolate,
-                                     project_initial_data, rhs)
+                                     interpolate, project_initial_data, rhs)
 from beamstab.errors import InvalidArgumentError
 from beamstab.fields import Field, linear_field, make_field, sine_field
 from beamstab.feedback import identity_law
@@ -142,16 +141,3 @@ class TestInitialData:
         vals = interpolate(system, Field("shift", lambda x: np.sum(x, axis=1) + 1.0))
         assert np.all(vals[system.fixed] == 0.0)
         assert vals[system.free[-1]] == pytest.approx(2.0)
-
-
-def test_export_operator_roundtrip(tmp_path):
-    system = make_system(nodes=5)
-    path = tmp_path / "stiffness.txt"
-    export_operator(system.stiffness, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# coo 5 5 ")
-    assert int(lines[0].split()[-1]) == len(lines) - 1
-    data = np.array([[float(v) for v in ln.split()] for ln in lines[1:]])
-    dense = np.zeros((5, 5))
-    dense[data[:, 0].astype(int), data[:, 1].astype(int)] = data[:, 2]
-    assert np.allclose(dense, system.stiffness.toarray(), atol=0.0)

@@ -177,16 +177,3 @@ def test_zero_law_is_inert():
     law = zero_law()
     assert law.b == 0.0 and law.L == 0.0
     assert np.all(law(np.linspace(-3, 3, 7)) == 0.0)
-
-
-def test_export_csv_roundtrip(tmp_path):
-    approx = strauss_approximate(saturating_law(1.0, 2.0), 3)
-    path = tmp_path / "law.csv"
-    feedback.export_law_csv(approx, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "breakpoint,value"
-    assert len(lines) == 1 + len(approx.breakpoints)
-    x, y = (np.array(col) for col in
-            zip(*((float(a), float(b)) for a, b in (ln.split(",") for ln in lines[1:]))))
-    assert np.array_equal(x, approx.breakpoints)
-    assert np.array_equal(y, approx.values)

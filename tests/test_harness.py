@@ -1,3 +1,5 @@
+import configparser
+import dataclasses
 import io
 import runpy
 import sys
@@ -10,7 +12,8 @@ import pytest
 from beamstab import diagnostics, harness
 from beamstab.errors import ConfigError, InvalidArgumentError, StepFailureError
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 SMALL_CONFIG = """\
 [mesh]
@@ -40,6 +43,75 @@ T = 0.5
 [output]
 prefix = small
 """
+
+
+# every config key, each set to a value other than its default
+ALL_KEYS_CONFIG = """\
+[mesh]
+kind = rect
+length = 2.5
+nodes = 33
+lx = 1.5
+ly = 0.75
+nx = 12
+ny = 6
+x0 = -0.1 -0.2
+
+[problem]
+alpha1 = 0.02
+alpha2 = 0.03
+mu = decaying
+mu_c = 1.5
+mu_c0 = 2.0
+mu_lambda = 0.25
+
+[feedback]
+law1 = saturating
+law1_params = b=0.5, L=3
+law2 = hardening
+law2_params = b=1, L=2, knee=0.5
+
+[initial]
+u0 = bump
+u0_amplitude = 16
+v0 = quadratic
+v0_amplitude = -0.5
+u1 = linear
+u1_amplitude = 0.25
+v1 = sine
+v1_amplitude = 2
+
+[time]
+dt = 0.002
+T = 0.5
+
+[output]
+dir = results
+prefix = full
+plot = on
+
+[sweep]
+alpha = 0.01 0.02
+laws = identity saturating
+"""
+
+# the accepted keys before they were derived from the RunConfig field table
+KEYS_BEFORE_TABLE = {
+    "mesh": {"kind", "length", "nodes", "lx", "ly", "nx", "ny", "x0"},
+    "problem": {"alpha1", "alpha2", "mu", "mu_c", "mu_c0", "mu_lambda"},
+    "feedback": {"law1", "law1_params", "law2", "law2_params"},
+    "initial": {"u0", "u0_amplitude", "v0", "v0_amplitude",
+                "u1", "u1_amplitude", "v1", "v1_amplitude"},
+    "time": {"dt", "T"},
+    "output": {"dir", "prefix", "plot"},
+    "sweep": {"alpha", "laws"},
+}
+
+
+def _all_fields(cfg):
+    out = dataclasses.asdict(cfg)
+    out["x0"] = out["x0"].tolist()
+    return out
 
 
 @pytest.fixture
@@ -87,6 +159,64 @@ class TestParseConfig:
         cfg = harness.parse_config(
             text="[feedback]\nlaw1 = saturating\nlaw1_params = b=1.0, L=2.0\n")
         assert cfg.law1_params == {"b": 1.0, "L": 2.0}
+
+    def test_reference_config_fields(self):
+        path = ROOT / "configs" / "reference_1d.ini"
+        assert _all_fields(harness.parse_config(path)) == {
+            "mesh_kind": "interval", "length": 1.0, "nodes": 201, "lx": 1.0, "ly": 1.0,
+            "nx": 16, "ny": 16, "x0": [0.0],
+            "alpha1": 0.1, "alpha2": 0.1, "mu_kind": "constant", "mu_c": 1.0,
+            "mu_c0": 1.0, "mu_lambda": 0.0,
+            "law1_name": "identity", "law1_params": {},
+            "law2_name": "identity", "law2_params": {},
+            "u0": "sine", "u0_amplitude": 1.0, "v0": "sine", "v0_amplitude": 0.5,
+            "u1": "zero", "u1_amplitude": 0.0, "v1": "zero", "v1_amplitude": 0.0,
+            "dt": 1e-3, "T": 60.0, "out_dir": "out", "prefix": "reference", "plot": False,
+            "sweep_alphas": (), "sweep_laws": (),
+            "raw_text": path.read_text(), "hash": "0cc7bf81fb9e9605"}
+
+    def test_all_keys_config_fields(self):
+        parser = configparser.ConfigParser()
+        parser.read_string(ALL_KEYS_CONFIG)
+        assert {(s, k) for s in parser.sections() for k in parser[s]} == set(
+            harness._CONFIG_KEYS)
+        assert _all_fields(harness.parse_config(text=ALL_KEYS_CONFIG)) == {
+            "mesh_kind": "rect", "length": 2.5, "nodes": 33, "lx": 1.5, "ly": 0.75,
+            "nx": 12, "ny": 6, "x0": [-0.1, -0.2],
+            "alpha1": 0.02, "alpha2": 0.03, "mu_kind": "decaying", "mu_c": 1.5,
+            "mu_c0": 2.0, "mu_lambda": 0.25,
+            "law1_name": "saturating", "law1_params": {"b": 0.5, "L": 3.0},
+            "law2_name": "hardening", "law2_params": {"b": 1.0, "L": 2.0, "knee": 0.5},
+            "u0": "bump", "u0_amplitude": 16.0, "v0": "quadratic", "v0_amplitude": -0.5,
+            "u1": "linear", "u1_amplitude": 0.25, "v1": "sine", "v1_amplitude": 2.0,
+            "dt": 0.002, "T": 0.5, "out_dir": "results", "prefix": "full", "plot": True,
+            "sweep_alphas": (0.01, 0.02), "sweep_laws": ("identity", "saturating"),
+            "raw_text": ALL_KEYS_CONFIG, "hash": "2ae6e1e6e40785e7"}
+
+    def test_defaults(self):
+        assert _all_fields(harness.parse_config(text="")) == {
+            "mesh_kind": "interval", "length": 1.0, "nodes": 201, "lx": 1.0, "ly": 1.0,
+            "nx": 16, "ny": 16, "x0": [0.0],
+            "alpha1": 0.1, "alpha2": 0.1, "mu_kind": "constant", "mu_c": 1.0,
+            "mu_c0": 1.0, "mu_lambda": 0.0,
+            "law1_name": "identity", "law1_params": {},
+            "law2_name": "identity", "law2_params": {},
+            "u0": "sine", "u0_amplitude": 1.0, "v0": "zero", "v0_amplitude": 0.0,
+            "u1": "zero", "u1_amplitude": 0.0, "v1": "zero", "v1_amplitude": 0.0,
+            "dt": 1e-3, "T": 1.0, "out_dir": "out", "prefix": "run", "plot": False,
+            "sweep_alphas": (), "sweep_laws": (),
+            "raw_text": "", "hash": "e3b0c44298fc1c14"}
+
+    def test_x0_follows_mesh_dimension(self):
+        assert harness.parse_config(text="[mesh]\nkind = rect\n").x0.tolist() == [0.0, 0.0]
+        with pytest.raises(ConfigError, match="x0 needs 2 component"):
+            harness.parse_config(text="[mesh]\nkind = rect\nx0 = 0.5\n")
+
+    def test_key_set_unchanged(self):
+        want = {(section, key.lower())
+                for section, keys in KEYS_BEFORE_TABLE.items() for key in keys}
+        assert len(want) == 33
+        assert set(harness._CONFIG_KEYS) == want
 
     def test_refine_override(self):
         cfg = harness.parse_config(text=SMALL_CONFIG)
@@ -204,12 +334,9 @@ class TestReadTrace:
     def test_unstored_columns_are_refused(self, small_cfg):
         harness.run_simulate(small_cfg, stream=io.StringIO())
         trace = harness.read_trace_csv(f"{small_cfg.out_dir}/small_trace.csv")
-        for name in ("stiff_u", "mu_prime_term", "bdry_u_sq", "bdry_v_sq"):
-            assert np.all(np.isnan(getattr(trace, name)))
+        assert np.all(np.isnan(trace.mu_prime_term))
         with pytest.raises(InvalidArgumentError, match="mu_prime_term"):
             diagnostics.energy_balance_residuals(trace)
-        with pytest.raises(InvalidArgumentError, match="bdry_u_sq"):
-            diagnostics.g_slope_defects(trace, 1.0, 1.0)
         assert diagnostics.fit_decay_rate(trace).rate > 0
 
     def test_reproduce_decay_script(self, tmp_path, monkeypatch, capsys):
@@ -285,6 +412,37 @@ class TestCli:
         path.write_text("[mesh]\nwat = 1\n")
         assert harness.main(["check", "--config", str(path)]) == harness.EXIT_USAGE
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, flags", [
+        pytest.param(("dt = 0.01", "dt = nan"), [], id="dt-nan"),
+        pytest.param(("T = 0.5", "T = inf"), [], id="T-inf"),
+        pytest.param(("length = 1.0", "length = nan"), [], id="length-nan"),
+        pytest.param(("prefix = small", "prefix = small\nplot = maybe"), [], id="plot-maybe"),
+        pytest.param(("law2 = identity", "law2 = identity\nlaw2_params = k=nan"), [],
+                     id="law-parameter-nan"),
+        pytest.param(None, ["--dt", "nan"], id="flag-dt-nan"),
+        pytest.param(None, ["--T", "inf"], id="flag-T-inf"),
+        pytest.param(None, ["--refine", "-1"], id="flag-refine-negative"),
+    ])
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, edit, flags):
+        text = SMALL_CONFIG if edit is None else SMALL_CONFIG.replace(*edit)
+        assert text != SMALL_CONFIG or flags
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        assert harness.main(["check", "--config", str(path), *flags]) == harness.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("law, params", [("identity", "b=1"), ("saturating", "foo=1"),
+                                             ("zero", "k=2")])
+    def test_law_parameter_the_law_does_not_take(self, tmp_path, capsys, law, params):
+        path = tmp_path / "run.ini"
+        path.write_text(SMALL_CONFIG.replace(
+            "law1 = identity\n", f"law1 = {law}\nlaw1_params = {params}\n"))
+        assert harness.main(["check", "--config", str(path)]) == harness.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert f"law '{law}' takes no parameter '{params.split('=')[0]}'" in err
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert harness.main([]) == harness.EXIT_USAGE
