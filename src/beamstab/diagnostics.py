@@ -133,6 +133,9 @@ def rellich_check(mesh, fld, x0):
 # ---------------------------------------------------------------------------
 # trace recording
 
+# rounding allowance below 0 of a recorded energy, relative to E0
+ENERGY_RTOL = 1e-14
+
 TRACE_COLUMNS = (
     "t", "E", "F", "G", "lyapunov", "D_u", "D_v", "E_star", "envelope",
     "slack_sandwich_lo", "slack_sandwich_hi", "slack_G", "slack_F",
@@ -155,7 +158,7 @@ class EnergyTrace:
     def __post_init__(self):
         if len(self.t) and np.any(np.diff(self.t) <= 0):
             raise InvalidArgumentError("trace times must be strictly increasing")
-        if np.any(self.E < -1e-14):
+        if len(self.E) and np.any(self.E < -ENERGY_RTOL * abs(self.E[0])):
             raise InvalidArgumentError("trace contains negative energy")
 
     def __len__(self):

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from . import _fem
 from .errors import InvalidArgumentError
@@ -65,9 +64,12 @@ class SemiDiscreteSystem:
     trace_wmn: np.ndarray = field(init=False, repr=False)        # w_q (m.nu)_q
     slopes0: tuple = field(init=False, repr=False)   # (p1'(0), p2'(0)) per point
     sigma_op: sp.csr_matrix = field(init=False, repr=False)      # T' diag(w sigma) T
+    mass_chols: tuple = field(init=False, repr=False)  # free 1D mass factors, banded Cholesky
 
     def __post_init__(self):
-        self._mass_ff_lu = splu(self.mass[np.ix_(self.free, self.free)].tocsc())
+        slices = _fem.free_slices(self.mesh.axes, self.fixed)
+        factors = _fem.free_factors(self.mesh.axes, slices)
+        self.mass_chols = tuple(_fem.banded_cholesky(f["mass"]) for f in factors)
         self.trace_t = self.trace.T
         self.trace_free = self.trace[:, self.free].tocsr()
         self.trace_free_t = self.trace_free.T
@@ -89,16 +91,12 @@ class SemiDiscreteSystem:
     def solve_mass(self, load_full):
         """Solve mass * a = load on the free dofs, scatter to full length.
 
-        A 2-D load is solved one column at a time: on the 64x64 rect mass
-        matrix SuperLU's multi-column solve is several times slower per column.
+        The free mass matrix is the Kronecker product of the free 1D mass
+        factors, so a load of shape (n,) or (n, B) takes one banded
+        Cholesky solve per axis.
         """
         a = np.zeros(load_full.shape)
-        load = load_full[self.free]
-        if load.ndim == 1:
-            a[self.free] = self._mass_ff_lu.solve(load)
-        else:
-            for j in range(load.shape[1]):
-                a[self.free, j] = self._mass_ff_lu.solve(load[:, j])
+        a[self.free] = _fem.kron_solve(self.mass_chols, load_full[self.free])
         return a
 
     def boundary_load(self, law, s, free=False):

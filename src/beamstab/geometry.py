@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import _fem
 from .errors import InadmissiblePartitionError, InvalidArgumentError, NumericalFailureError
@@ -20,9 +21,9 @@ from .errors import InadmissiblePartitionError, InvalidArgumentError, NumericalF
 GAMMA0 = "Gamma0"
 GAMMA1 = "Gamma1"
 
-# Lanczos basis size of the eigen-solves.  M and N are extreme, well-separated
-# eigenvalues, and a small basis needs fewer LU solves than ARPACK's default
-# of 20 (201-node interval: 15 against 42).
+# Lanczos basis size of the eigen-solve for N.  N is an extreme,
+# well-separated eigenvalue, and a small basis needs fewer stiffness solves
+# than ARPACK's default of 20.
 EIGEN_NCV = 5
 
 
@@ -43,21 +44,23 @@ class Mesh:
 
     1D: elements are index pairs; boundary faces are the two endpoints.
     2D: axis-aligned bilinear rectangles; boundary faces are edges.
+    Either way the mesh is a uniform tensor grid (see _fem.grid_axes);
+    axes holds its per-axis node coordinates.
     """
 
     dimension: int
     nodes: np.ndarray     # (N, dim)
     elements: np.ndarray  # (E, 2) or (E, 4)
     faces: tuple
+    axes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for f in self.faces:
             if abs(np.linalg.norm(f.normal) - 1.0) > 1e-12:
                 raise InvalidArgumentError(f"face {f.face_id} normal is not unit")
-        corners = self.nodes[self.elements]
-        vol = np.prod(corners.max(axis=1) - corners.min(axis=1), axis=1)
-        if np.any(vol <= 0):
-            raise InvalidArgumentError("mesh has non-positive element volumes")
+        object.__setattr__(self, "axes", _fem.grid_axes(self.nodes, self.elements))
+        if len(self.axes) != self.dimension:
+            raise InvalidArgumentError("mesh nodes do not match its dimension")
         keys = {tuple(sorted(f.nodes)) for f in self.faces}
         if len(keys) != len(self.faces):
             raise InvalidArgumentError("boundary faces do not tile the boundary exactly once")
@@ -76,7 +79,6 @@ class BoundaryPartition:
     x0: np.ndarray
     tags: tuple                 # per face, GAMMA0 or GAMMA1
     m_dot_nu: tuple             # per face, array over its quadrature points
-    m_dot_nu_centroid: np.ndarray
     gamma1_m_dot_nu: np.ndarray = field(init=False, repr=False)  # (Q,)
     gamma1_normals: np.ndarray = field(init=False, repr=False)   # (Q, dim)
     gamma1_sum_nu: np.ndarray = field(init=False, repr=False)    # (Q,) sum_i nu_i
@@ -123,7 +125,7 @@ def build_interval_mesh(length, node_count):
     if node_count < 3:
         raise InvalidArgumentError("node_count must be at least 3")
     xs = np.linspace(0.0, float(length), node_count)[:, None]
-    elems = np.stack([np.arange(node_count - 1), np.arange(1, node_count)], axis=1)
+    elems = _fem.grid_elements((node_count,))
     faces = []
     for fid, (node, nrm) in enumerate(((0, -1.0), (node_count - 1, 1.0))):
         p = xs[node]
@@ -155,11 +157,7 @@ def build_rect_mesh(lx, ly, nx, ny):
     def nid(i, j):
         return i * (ny + 1) + j
 
-    elems = []
-    for i in range(nx):
-        for j in range(ny):
-            elems.append([nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)])
-    elems = np.asarray(elems, dtype=int)
+    elems = _fem.grid_elements((nx + 1, ny + 1))
 
     g, gw = _fem.gauss_rule(2)
     faces = []
@@ -204,19 +202,17 @@ def classify_boundary(mesh, x0):
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (mesh.dimension,) or not np.all(np.isfinite(x0)):
         raise InvalidArgumentError("x0 must be a finite point of the ambient space")
-    tags, per_face, centroid_vals = [], [], []
+    tags, per_face = [], []
     for f in mesh.faces:
-        c = float(np.dot(f.centroid - x0, f.normal))
-        tags.append(GAMMA1 if c > 0 else GAMMA0)
+        tags.append(GAMMA1 if np.dot(f.centroid - x0, f.normal) > 0 else GAMMA0)
         per_face.append((f.quad_points - x0[None, :]) @ f.normal)
-        centroid_vals.append(c)
     tags = tuple(tags)
     if GAMMA0 not in tags or GAMMA1 not in tags:
         raise InadmissiblePartitionError(
             "boundary partition needs both a clamped and a feedback part; "
             f"got only {tags[0]} for x0={x0.tolist()}"
         )
-    return BoundaryPartition(mesh, x0, tags, tuple(per_face), np.asarray(centroid_vals))
+    return BoundaryPartition(mesh, x0, tags, tuple(per_face))
 
 
 def geometric_constants(mesh, partition):
@@ -232,23 +228,34 @@ def embedding_constants(mesh, partition):
     M = 1/sqrt(lambda_min) of the stiffness form against the domain mass
     form on the subspace vanishing on Gamma0; N = sqrt(mu_max) of the
     Gamma1 boundary mass form against the stiffness form.  Both come from
-    ARPACK with one LU of the stiffness form: shift-invert at 0 for
-    lambda_min, the generalized mode with that LU as the inverse for
-    mu_max.  The fixed start vector keeps M and N identical from run to run.
+    the closed-form eigenpairs (lam_d, V_d) of the free 1D factor pairs
+    (_fem.axis_eigenpairs).  lambda_min is the sum over the axes of the
+    smallest lam_d, 0 on an unclamped axis.  mu_max comes from ARPACK in
+    generalized mode with the stiffness inverse applied as
+    (V_1 x V_2) diag(1/(lam_1i + lam_2j)) (V_1 x V_2)'.  The fixed start
+    vector keeps N identical from run to run.
     """
-    mats = _fem.domain_matrices(mesh)
     fixed = partition.gamma0_nodes()
     free = np.setdiff1d(np.arange(len(mesh.nodes)), fixed)
-    K = mats["stiffness"][np.ix_(free, free)].tocsc()
-    Mm = mats["mass"][np.ix_(free, free)].tocsr()
+    slices = _fem.free_slices(mesh.axes, fixed)
+    factors = _fem.free_factors(mesh.axes, slices)
+    pairs = [_fem.axis_eigenpairs(x, sl, f["mass"])
+             for x, sl, f in zip(mesh.axes, slices, factors)]
+    lams = [lam for lam, _ in pairs]
+    lam_min = sum(float(lam[0]) for lam in lams)  # lam[0] = 0 on a free-free axis
+    counts = tuple(len(lam) for lam in lams)
+    inv_lam = 1.0 / reduce(np.add.outer, lams).ravel()
+
+    def k_inverse(b):
+        coef = _fem.along_axes(b.ravel(), counts, [lambda z, V=V: V.T @ z for _, V in pairs])
+        return _fem.along_axes(inv_lam * coef, counts, [lambda z, V=V: V @ z for _, V in pairs])
+
+    K = _fem.kron_sum(factors, "stiffness")
     B = _fem.boundary_mass(mesh, partition.gamma1_faces)[np.ix_(free, free)].tocsr()
-    Kinv = LinearOperator(K.shape, matvec=splu(K).solve, dtype=float)
-    opts = {"k": 1, "v0": np.ones(len(free)), "ncv": min(len(free), EIGEN_NCV),
-            "return_eigenvectors": False}
+    Kinv = LinearOperator(K.shape, matvec=k_inverse, dtype=float)
     try:
-        lam = eigsh(K, M=Mm, sigma=0.0, OPinv=Kinv, **opts)[0]
-        mu = eigsh(B, M=K, Minv=Kinv, which="LA", **opts)[0]
+        mu = eigsh(B, M=K, Minv=Kinv, which="LA", k=1, v0=np.ones(len(free)),
+                   ncv=min(len(free), EIGEN_NCV), return_eigenvectors=False)[0]
     except ArpackNoConvergence as exc:
         raise NumericalFailureError(f"eigen-solve did not converge: {exc}") from exc
-    return {"M": 1.0 / math.sqrt(lam), "N": math.sqrt(mu)}
-
+    return {"M": 1.0 / math.sqrt(lam_min), "N": math.sqrt(mu)}

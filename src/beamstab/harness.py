@@ -72,6 +72,8 @@ _FINITE = (math.isfinite, "must be finite")
 _POSITIVE = (lambda x: math.isfinite(x) and x > 0, "must be finite and positive")
 _NONNEGATIVE = (lambda x: math.isfinite(x) and x >= 0,
                 "must be finite and >= 0 (nonincreasing coefficient)")
+_ALL_POSITIVE = (lambda xs: all(_POSITIVE[0](x) for x in xs),
+                 "must list finite and positive values")
 
 
 def _entry(section, key, parse=str, rule=None, **default):
@@ -130,7 +132,7 @@ class RunConfig:
     out_dir: str = _entry("output", "dir", default="out")
     prefix: str = _entry("output", "prefix", default="run")
     plot: bool = _entry("output", "plot", _boolean, default=False)
-    sweep_alphas: tuple = _entry("sweep", "alpha", _floats, default=())
+    sweep_alphas: tuple = _entry("sweep", "alpha", _floats, _ALL_POSITIVE, default=())
     sweep_laws: tuple = _entry("sweep", "laws", lambda text: tuple(text.split()), default=())
     raw_text: str = ""
     hash: str = ""

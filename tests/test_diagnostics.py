@@ -283,6 +283,17 @@ class TestTraceValidation:
         with pytest.raises(InvalidArgumentError):
             diag.EnergyTrace(t, z - 1.0, z, z, z, z, z, z, z)
 
+    def test_negative_energy_tolerance_is_relative_to_E0(self):
+        t = np.array([0.0, 1.0, 2.0])
+        z = np.zeros(3)
+        # rounding-sized dips pass at any scale of E0
+        for E0 in (1e-20, 1.0, 1e8):
+            diag.EnergyTrace(t, np.array([E0, 0.5 * E0, -1e-16 * E0]), z, z, z, z, z, z, z)
+        # a clearly negative energy is refused also where it is tiny in absolute terms
+        for E0 in (1e-20, 1.0):
+            with pytest.raises(InvalidArgumentError, match="negative energy"):
+                diag.EnergyTrace(t, np.array([E0, 0.5 * E0, -1e-6 * E0]), z, z, z, z, z, z, z)
+
 
 TRACE_FIELDS = ("t", "E", "F", "G", "lyapunov", "D_u", "D_v", "E_star", "mu_prime_term")
 

@@ -59,10 +59,29 @@ class TestAssembly:
     def test_requires_feedback_boundary(self, interval3):
         part = geometry.classify_boundary(interval3, np.array([0.0]))
         broken = type(part)(part.mesh, part.x0, ("Gamma0", "Gamma0"),
-                            part.m_dot_nu, part.m_dot_nu_centroid)
+                            part.m_dot_nu)
         with pytest.raises(InvalidArgumentError):
             assemble(interval3, broken, 0.1, 0.1, constant_schedule(1.0),
                      identity_law(), identity_law())
+
+
+class TestMassSolve:
+    @pytest.mark.parametrize("mesh, x0", [
+        (None, 0.0),
+        (geometry.build_rect_mesh(1.3, 0.7, 5, 3), np.array([-0.2, 0.31])),
+        (geometry.build_rect_mesh(1.0, 2.0, 3, 5), np.array([1.4, 0.5])),
+    ])
+    def test_block_equals_columns_and_dense_solve(self, mesh, x0):
+        system = make_system(mesh=mesh, x0=x0)
+        rng = np.random.default_rng(3)
+        load = rng.standard_normal((system.n_nodes, 4))
+        block = system.solve_mass(load)
+        for j in range(load.shape[1]):
+            assert np.allclose(block[:, j], system.solve_mass(load[:, j]), rtol=1e-14, atol=0)
+        f = system.free
+        dense = np.linalg.solve(system.mass.toarray()[np.ix_(f, f)], load[f])
+        assert np.allclose(block[f], dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
+        assert np.all(block[system.fixed] == 0.0)
 
 
 class TestRhs:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -63,13 +64,13 @@ class TestClassifyBoundary:
     def test_unit_interval_origin(self, interval3):
         part = geometry.classify_boundary(interval3, np.array([0.0]))
         assert part.tags == (GAMMA0, GAMMA1)
-        assert part.m_dot_nu_centroid[1] == pytest.approx(1.0)
+        assert part.m_dot_nu[1] == pytest.approx([1.0])
 
     def test_x0_left_of_domain(self, interval3):
         part = geometry.classify_boundary(interval3, np.array([-0.5]))
         assert part.tags == (GAMMA0, GAMMA1)
-        assert part.m_dot_nu_centroid[0] == pytest.approx(-0.5)
-        assert part.m_dot_nu_centroid[1] == pytest.approx(1.5)
+        assert part.m_dot_nu[0] == pytest.approx([-0.5])
+        assert part.m_dot_nu[1] == pytest.approx([1.5])
 
     def test_rect_partition(self):
         mesh = geometry.build_rect_mesh(1.0, 1.0, 2, 2)
@@ -126,17 +127,98 @@ class TestGeometricConstants:
         assert geometry.geometric_constants(mesh, part)["tau0"] == pytest.approx(1.3)
 
 
+def _element_loop_forms(mesh, x0):
+    """Independent reference for _fem.domain_matrices: dense forms by a loop
+    over the cells with a 3-point tensor Gauss rule and the products of 1D
+    hat functions as the basis."""
+    dim, n = mesh.dimension, len(mesh.nodes)
+    g, gw = np.polynomial.legendre.leggauss(3)
+    g, gw = 0.5 * (g + 1.0), 0.5 * gw
+    out = {name: np.zeros((n, n)) for name in ("mass", "stiffness", "coupling", "multiplier")}
+    for cell in mesh.elements:
+        corners = mesh.nodes[cell]
+        lo = corners.min(axis=0)
+        size = corners.max(axis=0) - lo
+        upper = (corners - lo) / size == 1.0  # (nloc, dim): corner at the upper end
+        ix = np.ix_(cell, cell)
+        for q in itertools.product(range(3), repeat=dim):
+            ref = g[list(q)]
+            w = np.prod(gw[list(q)]) * np.prod(size)
+            hat = np.where(upper, ref, 1.0 - ref)
+            dhat = np.where(upper, 1.0, -1.0) / size
+            phi = np.prod(hat, axis=1)
+            grad = np.stack([dhat[:, d] * np.prod(np.delete(hat, d, axis=1), axis=1)
+                             for d in range(dim)], axis=1)  # (nloc, dim)
+            m = lo + ref * size - x0
+            out["mass"][ix] += w * np.outer(phi, phi)
+            out["stiffness"][ix] += w * grad @ grad.T
+            # rows: test function phi_k; columns: trial function phi_j
+            out["coupling"][ix] += w * np.outer(phi, grad.sum(axis=1))
+            out["multiplier"][ix] += w * np.outer(phi, grad @ m)
+    return out
+
+
 def _dense_embedding_oracle(mesh, partition):
     """Independent dense generalized eigensolves for M and N."""
-    mats = _fem.domain_matrices(mesh)
+    mats = _element_loop_forms(mesh, partition.x0)
     fixed = partition.gamma0_nodes()
     free = np.setdiff1d(np.arange(len(mesh.nodes)), fixed)
-    K = mats["stiffness"][np.ix_(free, free)].toarray()
-    Mm = mats["mass"][np.ix_(free, free)].toarray()
+    K = mats["stiffness"][np.ix_(free, free)]
+    Mm = mats["mass"][np.ix_(free, free)]
     B = _fem.boundary_mass(mesh, partition.gamma1_faces)[np.ix_(free, free)].toarray()
     lam = scipy.linalg.eigh(K, Mm, eigvals_only=True)
     mu = scipy.linalg.eigh(B, K, eigvals_only=True)
     return {"M": 1.0 / math.sqrt(lam[0]), "N": math.sqrt(mu[-1])}
+
+
+class TestDomainForms:
+    @pytest.mark.parametrize("mesh, x0", [
+        (geometry.build_rect_mesh(1.3, 0.7, 5, 3), np.array([-0.2, 0.31])),
+        (geometry.build_rect_mesh(0.6, 1.7, 2, 4), np.array([0.9, -0.45])),
+        (geometry.build_interval_mesh(1.7, 6), np.array([-0.35])),
+    ])
+    def test_match_element_loop(self, mesh, x0):
+        mats = _fem.domain_matrices(mesh, x0=x0)
+        oracle = _element_loop_forms(mesh, x0)
+        for name, ref in oracle.items():
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(mats[name].toarray() - ref)) <= 1e-14 * scale, name
+
+
+def _rect_parts():
+    mesh = geometry.build_rect_mesh(1.0, 1.0, 2, 2)
+    return mesh.nodes.copy(), mesh.elements.copy(), mesh.faces
+
+
+class TestTensorGrid:
+    def test_axes(self):
+        mesh = geometry.build_rect_mesh(1.3, 0.7, 5, 3)
+        assert np.allclose(mesh.axes[0], np.linspace(0.0, 1.3, 6))
+        assert np.allclose(mesh.axes[1], np.linspace(0.0, 0.7, 4))
+        assert np.allclose(geometry.build_interval_mesh(2.0, 5).axes[0], [0, 0.5, 1, 1.5, 2])
+
+    def test_moved_node_is_refused(self):
+        nodes, elems, faces = _rect_parts()
+        nodes[4] += [0.01, 0.0]
+        with pytest.raises(InvalidArgumentError, match="tensor grid"):
+            geometry.Mesh(2, nodes, elems, faces)
+
+    def test_other_numbering_is_refused(self):
+        nodes, elems, faces = _rect_parts()
+        order = np.arange(9).reshape(3, 3).T.ravel()  # j*(nx+1)+i numbering
+        with pytest.raises(InvalidArgumentError, match="tensor grid"):
+            geometry.Mesh(2, nodes[order], elems, faces)
+
+    def test_nonuniform_spacing_is_refused(self):
+        nodes = np.array([[0.0], [0.4], [1.0]])
+        mesh = geometry.build_interval_mesh(1.0, 3)
+        with pytest.raises(InvalidArgumentError, match="uniformly spaced"):
+            geometry.Mesh(1, nodes, mesh.elements, mesh.faces)
+
+    def test_foreign_elements_are_refused(self):
+        nodes, elems, faces = _rect_parts()
+        with pytest.raises(InvalidArgumentError, match="elements"):
+            geometry.Mesh(2, nodes, elems[::-1], faces)
 
 
 class TestEmbeddingConstants:
@@ -147,16 +229,27 @@ class TestEmbeddingConstants:
         assert emb["M"] == pytest.approx(2.0 / math.pi, abs=1e-3)
         assert emb["N"] == pytest.approx(1.0, abs=1e-3)
 
-    def test_small_meshes_match_dense_solve(self, interval3, interval3_partition):
-        rect = geometry.build_rect_mesh(1.0, 2.0, 3, 5)
-        rect_partition = geometry.classify_boundary(rect, np.array([-0.3, 2.5]))
-        # asymmetric Gamma1: the right edge (length 2) and the bottom edge (length 1)
-        assert {tuple(f.normal) for f in rect_partition.gamma1_faces} == {(1.0, 0.0), (0.0, -1.0)}
-        for mesh, part in ((interval3, interval3_partition), (rect, rect_partition)):
+    def test_small_meshes_match_dense_solve(self):
+        cases = [  # mesh shape, x0, outward normals of the Gamma0 faces
+            ((1.0, 3), (0.0,), {(-1.0,)}),
+            ((1.0, 3), (1.0,), {(1.0,)}),  # Gamma0 at the far end, x0 = L
+            ((2.0, 7), (2.5,), {(1.0,)}),  # Gamma0 at the far end, x0 > L
+            # asymmetric Gamma1: the right edge (length 2) and the bottom edge (length 1)
+            ((1.0, 2.0, 3, 5), (-0.3, 2.5), {(-1.0, 0.0), (0.0, 1.0)}),
+            ((1.0, 2.0, 3, 5), (-0.1, 0.5), {(-1.0, 0.0)}),  # one clamped edge
+            ((1.0, 2.0, 3, 5), (1.4, 0.5), {(1.0, 0.0)}),  # one edge, the far one
+            ((1.0, 2.0, 4, 3), (0.3, 2.2), {(0.0, 1.0)}),  # one edge across y
+            ((1.0, 2.0, 3, 5), (1.4, 2.3), {(1.0, 0.0), (0.0, 1.0)}),  # far corner
+        ]
+        for shape, x0, gamma0 in cases:
+            mesh = (geometry.build_interval_mesh(*shape) if len(shape) == 2
+                    else geometry.build_rect_mesh(*shape))
+            part = geometry.classify_boundary(mesh, np.array(x0))
+            assert {tuple(f.normal) for f in part.gamma0_faces} == gamma0
             emb = geometry.embedding_constants(mesh, part)
             oracle = _dense_embedding_oracle(mesh, part)
-            assert emb["M"] == pytest.approx(oracle["M"], rel=1e-10)
-            assert emb["N"] == pytest.approx(oracle["N"], rel=1e-10)
+            assert emb["M"] == pytest.approx(oracle["M"], rel=1e-10), (shape, x0)
+            assert emb["N"] == pytest.approx(oracle["N"], rel=1e-10), (shape, x0)
 
     def test_refinement_monotone(self):
         prev_M, prev_N = 0.0, 0.0

@@ -373,6 +373,11 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             harness.run_sweep(small_cfg)
 
+    @pytest.mark.parametrize("alphas", ["0.1 nan", "inf", "0.05 0", "-0.1"])
+    def test_alpha_rule_names_the_key(self, alphas):
+        with pytest.raises(ConfigError, match=r"sweep\.alpha must list finite and positive"):
+            harness.parse_config(text=SMALL_CONFIG + f"\n[sweep]\nalpha = {alphas}\n")
+
     def test_refuses_law_params(self, tmp_path):
         text = SMALL_CONFIG.replace(
             "law2 = identity\n", "law2 = identity\nlaw1_params = k=2\nlaw2_params = k=3\n")
@@ -420,6 +425,8 @@ class TestCli:
         pytest.param(("prefix = small", "prefix = small\nplot = maybe"), [], id="plot-maybe"),
         pytest.param(("law2 = identity", "law2 = identity\nlaw2_params = k=nan"), [],
                      id="law-parameter-nan"),
+        pytest.param(("prefix = small", "prefix = small\n[sweep]\nalpha = 0.1 nan"), [],
+                     id="sweep-alpha-nan"),
         pytest.param(None, ["--dt", "nan"], id="flag-dt-nan"),
         pytest.param(None, ["--T", "inf"], id="flag-T-inf"),
         pytest.param(None, ["--refine", "-1"], id="flag-refine-negative"),
