@@ -305,27 +305,22 @@ def trace_structure(mesh, faces):
     """Trace map onto the quadrature points of the given faces.
 
     Returns (T, weights, points) where T is csr of shape (Q, n_nodes) with
-    T[q, j] = phi_j(x_q) and the weights carry the surface measure.
+    T[q, j] = phi_j(x_q) and the weights carry the surface measure.  On an
+    edge (a, b) the point x_q has the hat values 1 - s and s at a and b,
+    s = |x_q - a| / |b - a|.
     """
     n = len(mesh.nodes)
-    rows, cols, vals = [], [], []
-    weights, points = [], []
-    q = 0
-    for face in faces:
-        ids = np.asarray(face.nodes)
-        for p, wq in zip(face.quad_points, face.quad_weights):
-            if mesh.dimension == 1:
-                rows.append(q)
-                cols.append(ids[0])
-                vals.append(1.0)
-            else:
-                a, b = mesh.nodes[ids[0]], mesh.nodes[ids[1]]
-                s = np.linalg.norm(p - a) / np.linalg.norm(b - a)
-                rows.extend([q, q])
-                cols.extend([ids[0], ids[1]])
-                vals.extend([1.0 - s, s])
-            weights.append(wq)
-            points.append(p)
-            q += 1
-    T = sp.csr_matrix((vals, (rows, cols)), shape=(q, n))
-    return T, np.asarray(weights), np.asarray(points)
+    points = np.concatenate([f.quad_points for f in faces])
+    weights = np.concatenate([f.quad_weights for f in faces])
+    ids = np.array([f.nodes for f in faces])[
+        np.repeat(np.arange(len(faces)), [len(f.quad_weights) for f in faces])]  # (Q, nloc)
+    q = np.arange(len(weights))
+    if mesh.dimension == 1:
+        vals = np.ones((len(q), 1))
+    else:
+        a, b = mesh.nodes[ids[:, 0]], mesh.nodes[ids[:, 1]]
+        s = np.linalg.norm(points - a, axis=1) / np.linalg.norm(b - a, axis=1)
+        vals = np.stack([1.0 - s, s], axis=1)
+    rows = np.repeat(q, ids.shape[1])
+    T = sp.csr_matrix((vals.ravel(), (rows, ids.ravel())), shape=(len(q), n))
+    return T, weights, points

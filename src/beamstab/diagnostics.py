@@ -136,6 +136,9 @@ def rellich_check(mesh, fld, x0):
 # rounding allowance below 0 of a recorded energy, relative to E0
 ENERGY_RTOL = 1e-14
 
+# trace rows converted to Python floats at a time by write_csv
+CSV_BLOCK_ROWS = 256
+
 TRACE_COLUMNS = (
     "t", "E", "F", "G", "lyapunov", "D_u", "D_v", "E_star", "envelope",
     "slack_sandwich_lo", "slack_sandwich_hi", "slack_G", "slack_F",
@@ -201,8 +204,10 @@ class EnergyTrace:
             if h:
                 fh.write(f"# config {h}\n")
             fh.write(",".join(TRACE_COLUMNS) + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            row_format = ",".join(["%.17g"] * len(cols)) + "\n"
+            for i in range(0, len(self.t), CSV_BLOCK_ROWS):
+                for row in zip(*(c[i:i + CSV_BLOCK_ROWS].tolist() for c in cols)):
+                    fh.write(row_format % row)
 
     def write_svg(self, path):
         """Line plot of log10 E and log10 envelope against t."""

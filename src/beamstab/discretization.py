@@ -31,9 +31,10 @@ class SemiDiscreteSystem:
     """Assembled operators over all nodes plus the free-dof bookkeeping.
 
     It also owns the Gamma1 boundary operator: the quadrature-point trace T
-    over all nodes and restricted to the free dofs, both transposes, the
+    over all nodes and restricted to the free dofs, the transpose, the
     weights w (m.nu), the laws' slopes at 0, and the forcing load, the
     weighted form T' diag(d) T and the boundary integral built on them.
+    The time stepper stacks the free-dof trace into its own residual.
     The geometric Gamma1 data (m.nu, sum nu, normals) live on the partition.
 
     Treat as immutable after assembly; all fields are plain data safe to
@@ -60,7 +61,6 @@ class SemiDiscreteSystem:
     fixed: np.ndarray
     trace_t: sp.csc_matrix = field(init=False, repr=False)       # trace.T
     trace_free: sp.csr_matrix = field(init=False, repr=False)    # trace[:, free]
-    trace_free_t: sp.csc_matrix = field(init=False, repr=False)  # trace_free.T
     trace_wmn: np.ndarray = field(init=False, repr=False)        # w_q (m.nu)_q
     slopes0: tuple = field(init=False, repr=False)   # (p1'(0), p2'(0)) per point
     sigma_op: sp.csr_matrix = field(init=False, repr=False)      # T' diag(w sigma) T
@@ -72,7 +72,6 @@ class SemiDiscreteSystem:
         self.mass_chols = tuple(_fem.banded_cholesky(f["mass"]) for f in factors)
         self.trace_t = self.trace.T
         self.trace_free = self.trace[:, self.free].tocsr()
-        self.trace_free_t = self.trace_free.T
         self.trace_wmn = self.trace_weights * self.partition.gamma1_m_dot_nu
         zero = np.zeros(len(self.trace_weights))
         self.slopes0 = tuple(np.asarray(law.slope(zero), dtype=float)
@@ -99,17 +98,14 @@ class SemiDiscreteSystem:
         a[self.free] = _fem.kron_solve(self.mass_chols, load_full[self.free])
         return a
 
-    def boundary_load(self, law, s, free=False):
-        """T' diag(w m.nu) p(s) for Gamma1 trace values s: a load over all
-        nodes, or over the free dofs if free."""
-        Tt = self.trace_free_t if free else self.trace_t
-        return Tt @ (self.trace_wmn * np.asarray(law(s)).T).T
+    def boundary_load(self, law, s):
+        """T' diag(w m.nu) p(s): a load over all nodes for Gamma1 trace values s."""
+        return self.trace_t @ (self.trace_wmn * np.asarray(law(s)).T).T
 
-    def boundary_form(self, d, free=False):
-        """T' diag(d) T for per-point weights d (quadrature weights included):
-        csr over all nodes, or over the free dofs if free."""
-        T, Tt = (self.trace_free, self.trace_free_t) if free else (self.trace, self.trace_t)
-        return (Tt @ sp.diags(d) @ T).tocsr()
+    def boundary_form(self, d):
+        """T' diag(d) T for per-point weights d (quadrature weights included),
+        csr over all nodes."""
+        return (self.trace_t @ sp.diags(d) @ self.trace).tocsr()
 
     def boundary_integral(self, values):
         """sum_q w_q (m.nu)_q values_q over the Gamma1 quadrature points."""

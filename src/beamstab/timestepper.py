@@ -1,17 +1,30 @@
 """Implicit midpoint time integration with a damped Newton corrector.
 
-The step unknowns are the midpoint velocities (w_u, w_v) on the free dofs;
-positions and end velocities are affine in them, so the conservative core
-is the classical midpoint rule and the monotone boundary terms enter
+The step unknowns are the midpoint velocities w = (w_u, w_v) on the free
+dofs; positions and end velocities are affine in them, so the conservative
+core is the classical midpoint rule and the monotone boundary terms enter
 through the velocity traces only.
 
-One solver path serves every law.  The Jacobian with each law's slope
-frozen at p'(0) is factored once per (dt, mu): once per run for constant
-mu.  The true Jacobian differs from it only by a boundary term on the
-Gamma1 trace, so wherever the trace slopes differ from p'(0), GMRES on the
-LU-preconditioned operator turns the LU solve into the exact Newton
-direction.  For linear laws the slopes never differ and each Newton
-iteration is one back-substitution.
+One solver path serves every law.  Apart from the laws the residual is
+affine in w, so one cache per (dt, mu) holds everything else: the free-dof
+state operator S = [[mu K, a1 C], [Sg - a2 C, K]], the Jacobian without
+the Gamma1 term J_lin = (2/dt) blockdiag(M, M) + (dt/2) S, the weights
+W = (mu w m.nu, w m.nu) of the stacked Gamma1 trace T2 = blockdiag(T, T),
+and the LU of the reference Jacobian J_lin + T2' diag(W p'(0)) T2,
+factored with a minimum-degree ordering on A' + A (the FE stencil is
+structurally symmetric).  For constant mu that is once per run.  Each step
+computes c = S (x + (dt/2) w0) once, with x the start positions and
+w0 = (u', v') the first iterate, and each residual is then three sparse
+products:
+
+  r(w) = J_lin (w - w0) + c + T2' (W p(T2 w)).
+
+Taking J_lin on the increment w - w0 keeps the large (2/dt) M terms from
+cancelling in floating point.  The true Jacobian differs from the
+reference only by a boundary term on the Gamma1 trace, so wherever the
+trace slopes differ from p'(0), GMRES on the LU-preconditioned operator
+turns the LU solve into the exact Newton direction.  For linear laws the
+slopes never differ and each Newton iteration is one back-substitution.
 """
 
 from __future__ import annotations
@@ -20,6 +33,7 @@ import hashlib
 import logging
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,11 +67,26 @@ class StepControl:
             raise InvalidArgumentError("newton_max must be >= 1")
 
 
-class _MidpointSolver:
-    """Per-run workspace: restricted operators and the reference Jacobian LU.
+class _StepOperators(NamedTuple):
+    """Everything of a step that depends on (dt, mu_mid) only."""
 
-    Every Gamma1 term comes from the system's boundary operator on the free
-    dofs; B1 and B2 are its forms with each law's slope at 0.
+    dt: float
+    mu: float
+    lu: object               # splu of the reference Jacobian
+    J_lin: sp.csr_matrix     # Jacobian without the Gamma1 term
+    S: sp.csr_matrix         # [[mu K, a1 C], [Sg - a2 C, K]] on the free dofs
+    W: np.ndarray            # (mu w m.nu, w m.nu) per stacked Gamma1 point
+
+
+class _MidpointSolver:
+    """Per-run workspace: restricted operators, the per-(dt, mu) cache and
+    the solver counters.
+
+    The stacked trace T2 and its weights come from the system's boundary
+    operator on the free dofs.  The counters add up over every solve:
+    LU factorizations and solves, residual evaluations, Newton and GMRES
+    iterations, line-search halvings, and the largest final residual of a
+    step.
     """
 
     def __init__(self, system):
@@ -68,65 +97,72 @@ class _MidpointSolver:
         self.K = system.stiffness[ix].tocsr()
         self.C = system.coupling[ix].tocsr()
         self.Sg = system.sigma_op[ix].tocsr()
-        self.B1, self.B2 = (system.boundary_form(system.trace_wmn * slopes, free=True)
-                            for slopes in system.slopes0)
-        self._ref_key = None
-        self._ref_lu = None
+        T = system.trace_free
+        self.T2 = sp.block_diag((T, T), format="csr")
+        self.T2t = self.T2.T
+        self.q = T.shape[0]  # Gamma1 points per field
+        self.slopes0 = np.concatenate(system.slopes0)
+        self._ops = None
+        self.factorizations = self.lu_solves = self.residuals = 0
+        self.newton = self.gmres = self.halvings = 0
+        self.worst_residual = 0.0
 
-    def _reference(self, dt, mu_mid):
-        """LU of the Jacobian with each law's slope frozen at 0, cached per
-        (dt, mu_mid)."""
-        key = (dt, mu_mid)
-        if self._ref_key != key:
-            a1, a2 = self.system.alpha1, self.system.alpha2
-            Juu = (2.0 / dt) * self.M + (dt / 2.0) * mu_mid * self.K + mu_mid * self.B1
-            Juv = (dt / 2.0) * a1 * self.C
-            Jvu = (dt / 2.0) * (self.Sg - a2 * self.C)
-            Jvv = (2.0 / dt) * self.M + (dt / 2.0) * self.K + self.B2
-            self._ref_lu = splu(sp.bmat([[Juu, Juv], [Jvu, Jvv]], format="csc"))
-            self._ref_key = key
-        return self._ref_lu
+    def stacked_form(self, d):
+        """T2' diag(d) T2 for per-point weights d on the stacked Gamma1 points."""
+        return (self.T2t @ sp.diags(d) @ self.T2).tocsr()
 
-    def residual(self, dt, mu_mid, state, wu, wv):
-        """Midpoint residual on the free dofs, stacked (u block, v block)."""
-        sys_ = self.system
-        a1, a2 = sys_.alpha1, sys_.alpha2
-        f = sys_.free
-        u_mid = state.u[f] + (dt / 2.0) * wu
-        v_mid = state.v[f] + (dt / 2.0) * wv
-        su = sys_.trace_free @ wu
-        sv = sys_.trace_free @ wv
-        ru = ((2.0 / dt) * (self.M @ (wu - state.du[f]))
-              + mu_mid * (self.K @ u_mid) + a1 * (self.C @ v_mid)
-              + mu_mid * sys_.boundary_load(sys_.law1, su, free=True))
-        rv = ((2.0 / dt) * (self.M @ (wv - state.dv[f]))
-              + self.K @ v_mid - a2 * (self.C @ u_mid) + self.Sg @ u_mid
-              + sys_.boundary_load(sys_.law2, sv, free=True))
-        return np.concatenate([ru, rv])
+    def operators(self, dt, mu_mid):
+        """The _StepOperators of (dt, mu_mid), cached for the last key."""
+        if self._ops is None or (self._ops.dt, self._ops.mu) != (dt, mu_mid):
+            sys_ = self.system
+            a1, a2 = sys_.alpha1, sys_.alpha2
+            S = sp.bmat([[mu_mid * self.K, a1 * self.C],
+                         [self.Sg - a2 * self.C, self.K]], format="csr")
+            m = (2.0 / dt) * self.M
+            J_lin = (sp.block_diag((m, m)) + (dt / 2.0) * S).tocsr()
+            W = np.concatenate([mu_mid * sys_.trace_wmn, sys_.trace_wmn])
+            J_ref = (J_lin + self.stacked_form(W * self.slopes0)).tocsc()
+            self._ops = None  # release the old LU before factoring the new one
+            lu = splu(J_ref, permc_spec="MMD_AT_PLUS_A")
+            self.factorizations += 1
+            self._ops = _StepOperators(dt, mu_mid, lu, J_lin, S, W)
+        return self._ops
 
-    def _newton_direction(self, dt, mu_mid, wu, wv, r):
-        """Solve J(w) delta = r; returns (delta, GMRES iterations).
+    def _lu_solve(self, ops, b):
+        self.lu_solves += 1
+        return ops.lu.solve(b)
 
-        J(w) = J0 + blockdiag(T' diag(d1) T, T' diag(d2) T), with d the
-        trace weights times the slope change from the slopes at 0.
+    def residual(self, ops, c, w0, w):
+        """Midpoint residual at the stacked iterate w, stacked (u block,
+        v block), and the Gamma1 trace values T2 w it used; (c, w0) come
+        from start()."""
+        self.residuals += 1
+        sys_, q = self.system, self.q
+        s = self.T2 @ w
+        p = np.concatenate([sys_.law1(s[:q]), sys_.law2(s[q:])])
+        return ops.J_lin @ (w - w0) + c + self.T2t @ (ops.W * p), s
+
+    def _newton_direction(self, ops, s, r):
+        """Solve J(w) delta = r at the iterate with Gamma1 traces s; returns
+        (delta, GMRES iterations).
+
+        J(w) = J_ref + T2' diag(d) T2, with d = W (p'(s) - p'(0)).
         Where d vanishes the reference-LU solve is exact; elsewhere GMRES on
-        I + J0^-1 [boundary term] starts from that solve."""
-        lu = self._reference(dt, mu_mid)
-        sys_ = self.system
-        T, (ref1, ref2) = sys_.trace_free, sys_.slopes0
-        d1 = mu_mid * sys_.trace_wmn * (np.asarray(sys_.law1.slope(T @ wu), dtype=float) - ref1)
-        d2 = sys_.trace_wmn * (np.asarray(sys_.law2.slope(T @ wv), dtype=float) - ref2)
-        delta = lu.solve(r)
-        if not (d1.any() or d2.any()):
+        I + J_ref^-1 [boundary term] starts from that solve."""
+        sys_, q = self.system, self.q
+        slopes = np.concatenate([np.asarray(sys_.law1.slope(s[:q]), dtype=float),
+                                 np.asarray(sys_.law2.slope(s[q:]), dtype=float)])
+        d = ops.W * (slopes - self.slopes0)
+        delta = self._lu_solve(ops, r)
+        if not d.any():
             return delta, 0
-        nf = len(wu)
-        D1, D2 = sys_.boundary_form(d1, free=True), sys_.boundary_form(d2, free=True)
+        D = self.stacked_form(d)
 
         def matvec(x):
-            return x + lu.solve(np.concatenate([D1 @ x[:nf], D2 @ x[nf:]]))
+            return x + self._lu_solve(ops, D @ x)
 
         residuals = []  # one entry per GMRES iteration
-        op = LinearOperator((2 * nf, 2 * nf), matvec=matvec, dtype=float)
+        op = LinearOperator((len(r), len(r)), matvec=matvec, dtype=float)
         delta, info = gmres(op, delta, x0=delta, rtol=GMRES_RTOL, restart=GMRES_RESTART,
                             maxiter=GMRES_CYCLES, callback=residuals.append,
                             callback_type="pr_norm")
@@ -135,35 +171,38 @@ class _MidpointSolver:
                         GMRES_RTOL, len(residuals), info)
         return delta, len(residuals)
 
-    def solve(self, state, control):
+    def start(self, state, dt):
+        """(ops, c, w0) of the step from state: the cached operators, the
+        residual's constant part c = S (x + (dt/2) w0) and the first
+        iterate w0 = (u', v')."""
         sys_ = self.system
-        dt = control.dt
-        t_mid = state.t + dt / 2.0
-        mu_mid = float(sys_.schedule.mu(t_mid))
+        ops = self.operators(dt, float(sys_.schedule.mu(state.t + dt / 2.0)))
         f = sys_.free
-        nf = len(f)
-        wu = state.du[f].copy()
-        wv = state.dv[f].copy()
+        w0 = np.concatenate([state.du[f], state.dv[f]])
+        x = np.concatenate([state.u[f], state.v[f]])
+        return ops, ops.S @ (x + (dt / 2.0) * w0), w0
+
+    def solve(self, state, control):
+        ops, c, w0 = self.start(state, control.dt)
+        w = w0
         newton = krylov = halvings = 0
 
-        r = self.residual(dt, mu_mid, state, wu, wv)
-        scale = max(1.0, float(np.max(np.abs(r))))
-        tol = control.newton_tol * scale
+        r, s = self.residual(ops, c, w0, w)
         rnorm = float(np.max(np.abs(r)))
+        tol = control.newton_tol * max(1.0, rnorm)
         for _ in range(control.newton_max):
             if rnorm <= tol:
                 break
             newton += 1
-            delta, its = self._newton_direction(dt, mu_mid, wu, wv, r)
+            delta, its = self._newton_direction(ops, s, r)
             krylov += its
             lam = 1.0
             for _ in range(30):
-                cu = wu - lam * delta[:nf]
-                cv = wv - lam * delta[nf:]
-                rc = self.residual(dt, mu_mid, state, cu, cv)
+                cw = w - lam * delta
+                rc, sc = self.residual(ops, c, w0, cw)
                 cnorm = float(np.max(np.abs(rc)))
                 if cnorm < rnorm or cnorm <= tol:
-                    wu, wv, r, rnorm = cu, cv, rc, cnorm
+                    w, r, s, rnorm = cw, rc, sc, cnorm
                     break
                 lam *= 0.5
                 halvings += 1
@@ -171,9 +210,14 @@ class _MidpointSolver:
                 break  # no damping factor reduced the residual
         log.debug("step t=%.6g: newton %d, gmres %d, halvings %d, residual %.3e",
                   state.t, newton, krylov, halvings, rnorm)
+        self.newton += newton
+        self.gmres += krylov
+        self.halvings += halvings
+        self.worst_residual = max(self.worst_residual, rnorm)
         if rnorm > tol:
             raise StepFailureError(state.t, rnorm)
-        return wu, wv
+        nf = len(w) // 2
+        return w[:nf], w[nf:]
 
 
 def _advance(system, solver, state, control):
@@ -211,6 +255,10 @@ def integrate(system, state0, T, control, observers=()):
         state = _advance(system, solver, state, control)
         for obs in observers:
             obs(system, state)
+    log.info("integrate: %d steps, %d LU factorizations, %d LU solves, %d residuals, "
+             "newton %d, gmres %d, halvings %d, worst residual %.3e",
+             n_steps, solver.factorizations, solver.lu_solves, solver.residuals,
+             solver.newton, solver.gmres, solver.halvings, solver.worst_residual)
     return state
 
 

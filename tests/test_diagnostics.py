@@ -447,6 +447,25 @@ class TestTraceOutput:
         assert float(first["t"]) == 0.0
         assert float(first["E"]) == trace.E[0]  # 17 significant digits round-trip
 
+    def test_csv_rows_match_per_value_formatting(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(diag, "CSV_BLOCK_ROWS", 3)  # rows span several blocks
+        specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -2.5e17, 1.0 / 3.0])
+        t = np.arange(len(specials), dtype=float)
+        E = np.abs(np.where(np.isfinite(specials), specials, 1.0)) + 1.0
+        trace = diag.EnergyTrace(t, E, specials, specials[::-1], -specials, specials,
+                                 specials[::-1], E / 7.0, specials)
+        path = tmp_path / "trace.csv"
+        trace.write_csv(path)
+        sl = trace.slacks()
+        cols = [trace.t, trace.E, trace.F, trace.G, trace.lyapunov, trace.D_u, trace.D_v,
+                trace.E_star, trace.envelope(), sl["slack_sandwich_lo"],
+                sl["slack_sandwich_hi"], sl["slack_G"], sl["slack_F"]]
+        want = ",".join(diag.TRACE_COLUMNS) + "\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*cols))
+        got = path.read_bytes()
+        assert got == want.encode()
+        assert b"nan" in got and b"inf" in got and b"-0," in got
+
     def test_envelope_column(self):
         trace = self._run_trace()
         env = trace.envelope()

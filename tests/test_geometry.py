@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -183,6 +184,47 @@ class TestDomainForms:
         for name, ref in oracle.items():
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(mats[name].toarray() - ref)) <= 1e-14 * scale, name
+
+
+def _trace_loop_oracle(mesh, faces):
+    """trace_structure as a loop over faces and quadrature points."""
+    rows, cols, vals, weights, points = [], [], [], [], []
+    for face in faces:
+        ids = np.asarray(face.nodes)
+        for p, wq in zip(face.quad_points, face.quad_weights):
+            q = len(weights)
+            if mesh.dimension == 1:
+                rows.append(q)
+                cols.append(ids[0])
+                vals.append(1.0)
+            else:
+                a, b = mesh.nodes[ids[0]], mesh.nodes[ids[1]]
+                s = np.linalg.norm(p - a) / np.linalg.norm(b - a)
+                rows.extend([q, q])
+                cols.extend([ids[0], ids[1]])
+                vals.extend([1.0 - s, s])
+            weights.append(wq)
+            points.append(p)
+    T = sp.csr_matrix((vals, (rows, cols)), shape=(len(weights), len(mesh.nodes)))
+    return T, np.asarray(weights), np.asarray(points)
+
+
+class TestTraceStructure:
+    @pytest.mark.parametrize("mesh, x0", [
+        (geometry.build_interval_mesh(1.0, 9), np.array([0.0])),
+        (geometry.build_rect_mesh(1.0, 1.0, 6, 6), np.array([-0.1, -0.1])),
+        (geometry.build_rect_mesh(1.3, 0.7, 6, 6), np.array([1.6, -0.3])),
+    ])
+    def test_equals_loop_form(self, mesh, x0):
+        part = geometry.classify_boundary(mesh, x0)
+        for faces in (mesh.faces, part.gamma1_faces):
+            T, w, pts = _fem.trace_structure(mesh, list(faces))
+            T0, w0, pts0 = _trace_loop_oracle(mesh, faces)
+            assert T.shape == T0.shape and T.nnz == T0.nnz
+            assert np.array_equal(T.indptr, T0.indptr)
+            assert np.array_equal(T.indices, T0.indices)
+            assert np.array_equal(T.data, T0.data)
+            assert np.array_equal(w, w0) and np.array_equal(pts, pts0)
 
 
 def _rect_parts():

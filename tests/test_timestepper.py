@@ -13,7 +13,8 @@ from beamstab.diagnostics import TraceRecorder, energy
 from beamstab.discretization import SimState, interpolate
 from beamstab.errors import InvalidArgumentError, StepFailureError
 from beamstab.fields import sine_field
-from beamstab.feedback import hardening_law, saturating_law, strauss_approximate
+from beamstab.feedback import (hardening_law, identity_law, saturating_law,
+                               strauss_approximate)
 from beamstab.timestepper import (StepControl, _MidpointSolver, integrate, load_checkpoint,
                                   save_checkpoint)
 
@@ -87,44 +88,43 @@ class TestStep:
 
 def _damped_newton(solver, state, control, direction):
     """The solver's damped Newton loop (same tolerance scale and line search)
-    with the direction supplied by direction(dt, mu_mid, wu, wv, r).
+    with the direction supplied by direction(ops, w, s, r).
     Returns (wu, wv, converged)."""
-    sys_ = solver.system
-    dt = control.dt
-    mu_mid = float(sys_.schedule.mu(state.t + dt / 2.0))
-    f = sys_.free
-    nf = len(f)
-    wu, wv = state.du[f].copy(), state.dv[f].copy()
-    r = solver.residual(dt, mu_mid, state, wu, wv)
+    ops, c, w0 = solver.start(state, control.dt)
+    w = w0
+    r, s = solver.residual(ops, c, w0, w)
     rnorm = float(np.max(np.abs(r)))
     tol = control.newton_tol * max(1.0, rnorm)
     for _ in range(control.newton_max):
         if rnorm <= tol:
             break
-        delta = direction(dt, mu_mid, wu, wv, r)
+        delta = direction(ops, w, s, r)
         lam = 1.0
         for _ in range(30):
-            cu, cv = wu - lam * delta[:nf], wv - lam * delta[nf:]
-            rc = solver.residual(dt, mu_mid, state, cu, cv)
+            cw = w - lam * delta
+            rc, sc = solver.residual(ops, c, w0, cw)
             cnorm = float(np.max(np.abs(rc)))
             if cnorm < rnorm or cnorm <= tol:
-                wu, wv, r, rnorm = cu, cv, rc, cnorm
+                w, r, s, rnorm = cw, rc, sc, cnorm
                 break
             lam *= 0.5
         else:
             break
-    return wu, wv, rnorm <= tol
+    nf = len(w) // 2
+    return w[:nf], w[nf:], rnorm <= tol
 
 
 def _full_jacobian_direction(solver):
     """Oracle direction: assemble the Jacobian with the actual trace slopes
-    and factor it."""
+    of the iterate w and factor it."""
     sys_ = solver.system
     T = sys_.trace[:, sys_.free]
     wmn = sys_.trace_weights * sys_.partition.gamma1_m_dot_nu
     a1, a2 = sys_.alpha1, sys_.alpha2
 
-    def direction(dt, mu_mid, wu, wv, r):
+    def direction(ops, w, s, r):
+        dt, mu_mid = ops.dt, ops.mu
+        wu, wv = w[:len(w) // 2], w[len(w) // 2:]
         B1 = T.T @ sp.diags(wmn * sys_.law1.slope(T @ wu)) @ T
         B2 = T.T @ sp.diags(wmn * sys_.law2.slope(T @ wv)) @ T
         J = sp.bmat([[(2.0 / dt) * solver.M + (dt / 2.0) * mu_mid * solver.K + mu_mid * B1,
@@ -143,8 +143,26 @@ def _full_jacobian_newton(solver, state, control):
 
 def _chord_newton(solver, state, control):
     """The damped loop with the reference-LU direction alone (no correction)."""
-    return _damped_newton(solver, state, control,
-                          lambda dt, mu_mid, wu, wv, r: solver._reference(dt, mu_mid).solve(r))
+    return _damped_newton(solver, state, control, lambda ops, w, s, r: ops.lu.solve(r))
+
+
+def _termwise_residual(solver, dt, mu_mid, state, wu, wv):
+    """Oracle residual: the midpoint residual on the free dofs term by term,
+    stacked (u block, v block)."""
+    sys_ = solver.system
+    a1, a2 = sys_.alpha1, sys_.alpha2
+    f = sys_.free
+    T = sys_.trace[:, f]
+    wmn = sys_.trace_weights * sys_.partition.gamma1_m_dot_nu
+    u_mid = state.u[f] + (dt / 2.0) * wu
+    v_mid = state.v[f] + (dt / 2.0) * wv
+    ru = ((2.0 / dt) * (solver.M @ (wu - state.du[f]))
+          + mu_mid * (solver.K @ u_mid) + a1 * (solver.C @ v_mid)
+          + mu_mid * (T.T @ (wmn * sys_.law1(T @ wu))))
+    rv = ((2.0 / dt) * (solver.M @ (wv - state.dv[f]))
+          + solver.K @ v_mid - a2 * (solver.C @ u_mid) + solver.Sg @ u_mid
+          + T.T @ (wmn * sys_.law2(T @ wv)))
+    return np.concatenate([ru, rv])
 
 
 _LAWS = {
@@ -188,12 +206,10 @@ class TestNewtonDirection:
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
         # the first direction itself is the Newton direction, not a chord
-        f = system.free
-        mu_mid = float(system.schedule.mu(state.t + dt / 2.0))
-        args = (dt, mu_mid, state.du[f], state.dv[f],
-                solver.residual(dt, mu_mid, state, state.du[f], state.dv[f]))
-        got, _ = solver._newton_direction(*args)
-        want = _full_jacobian_direction(solver)(*args)
+        ops, c, w0 = solver.start(state, dt)
+        r, s = solver.residual(ops, c, w0, w0)
+        got, _ = solver._newton_direction(ops, s, r)
+        want = _full_jacobian_direction(solver)(ops, w0, s, r)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_steep_law_large_step_converges_where_chord_fails(self):
@@ -235,6 +251,84 @@ class TestNewtonDirection:
         assert len(lines) == 5
         assert all("newton" in line and "gmres" in line and "halvings" in line
                    and "residual" in line for line in lines)
+
+
+class TestStackedResidual:
+    @pytest.mark.parametrize("decaying", [False, True])
+    @pytest.mark.parametrize("laws", sorted(_LAWS) + ["identity"])
+    @pytest.mark.parametrize("mesh", ["interval", "rect"])
+    def test_matches_termwise_residual(self, mesh, laws, decaying):
+        law1, law2 = _LAWS[laws]() if laws in _LAWS else (identity_law(), identity_law())
+        schedule = decaying_schedule(1.0, 0.8, 1.0) if decaying else constant_schedule(1.0)
+        build = (lambda **kw: make_system(nodes=9, **kw)) if mesh == "interval" else _rect6
+        system = build(law1=law1, law2=law2, schedule=schedule)
+        solver = _MidpointSolver(system)
+        f = system.free
+        T = system.trace[:, f]
+        rng = np.random.default_rng(11)
+        for seed, dt in ((0, 0.01), (1, 0.05), (2, 0.2)):
+            state = _random_state(system, seed, 2.0)
+            mu_mid = float(system.schedule.mu(state.t + dt / 2.0))
+            ops, c, w0 = solver.start(state, dt)
+            assert (ops.dt, ops.mu) == (dt, mu_mid)
+            for w in (w0, w0 + rng.standard_normal(len(w0))):
+                got, s = solver.residual(ops, c, w0, w)
+                wu, wv = w[:len(f)], w[len(f):]
+                want = _termwise_residual(solver, dt, mu_mid, state, wu, wv)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+                assert np.array_equal(s, np.concatenate([T @ wu, T @ wv]))
+
+
+class TestSolverCounters:
+    def _run(self, system, steps, dt):
+        solver = _MidpointSolver(system)
+        state = _sine_state(system, velocity=1.0)
+        control = StepControl(dt=dt)
+        for _ in range(steps):
+            state = timestepper._advance(system, solver, state, control)
+        return solver
+
+    def test_constant_mu_identity_factors_once(self):
+        steps = 20
+        solver = self._run(make_system(nodes=21), steps, 0.01)
+        assert solver.factorizations == 1
+        assert solver.residuals == 2 * steps
+        assert solver.lu_solves == steps
+        assert solver.newton == steps
+        assert solver.gmres == 0 and solver.halvings == 0
+        assert 0.0 <= solver.worst_residual <= 1e-12
+
+    def test_decaying_mu_factors_every_step(self):
+        steps = 6
+        law = saturating_law(1.0, 2.0)
+        system = make_system(nodes=21, law1=law, law2=law,
+                             schedule=decaying_schedule(1.0, 0.8, 1.0))
+        solver = self._run(system, steps, 0.01)
+        assert solver.factorizations == steps
+        assert solver.newton >= steps and solver.gmres > 0
+        # one LU solve per direction and at least one per GMRES iteration
+        assert solver.lu_solves >= solver.newton + solver.gmres
+        assert solver.residuals >= steps + solver.newton
+
+
+    def test_run_logs_counters_once(self, caplog):
+        system = make_system(nodes=9)
+        with caplog.at_level(logging.INFO, logger="beamstab.timestepper"):
+            integrate(system, _sine_state(system, velocity=1.0), 0.05, StepControl(dt=0.01))
+        lines = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.INFO]
+        assert len(lines) == 1
+        assert "5 steps, 1 LU factorizations, 5 LU solves, 10 residuals" in lines[0]
+
+
+class TestReferenceOrdering:
+    def test_fill_below_default_ordering(self):
+        system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.0, 32, 32),
+                             x0=np.array([-0.1, -0.1]))
+        solver = _MidpointSolver(system)
+        ops = solver.operators(1e-3, 1.0)
+        J = (ops.J_lin + solver.stacked_form(ops.W * solver.slopes0)).tocsc()
+        default = splu(J)
+        assert ops.lu.L.nnz + ops.lu.U.nnz < default.L.nnz + default.U.nnz
 
 
 class TestIntegrate:
