@@ -55,8 +55,9 @@ class Mesh:
     axes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for f in self.faces:
-            if abs(np.linalg.norm(f.normal) - 1.0) > 1e-12:
+        lengths = np.linalg.norm([f.normal for f in self.faces], axis=1)
+        for f, length in zip(self.faces, lengths):
+            if abs(length - 1.0) > 1e-12:
                 raise InvalidArgumentError(f"face {f.face_id} normal is not unit")
         object.__setattr__(self, "axes", _fem.grid_axes(self.nodes, self.elements))
         if len(self.axes) != self.dimension:
@@ -154,42 +155,27 @@ def build_rect_mesh(lx, ly, nx, ny):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
 
-    def nid(i, j):
-        return i * (ny + 1) + j
-
     elems = _fem.grid_elements((nx + 1, ny + 1))
 
+    # edges (a, b) in face order: bottom, right, top, left; node id i (ny + 1) + j
+    i, j = np.arange(nx), np.arange(ny)
+    a = np.concatenate([i * (ny + 1), nx * (ny + 1) + j, i * (ny + 1) + ny, j])
+    b = a + np.concatenate([np.full(nx, ny + 1), np.ones(ny, int),
+                            np.full(nx, ny + 1), np.ones(ny, int)])
+    normals = np.repeat([(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)],
+                        (nx, ny, nx, ny), axis=0)
+    pa, pb = nodes[a], nodes[b]
+    d = pb - pa
+    h = np.hypot(d[:, 0], d[:, 1])  # exact: every edge is axis-aligned
     g, gw = _fem.gauss_rule(2)
-    faces = []
-    fid = 0
-
-    def add_edge(a, b, normal):
-        nonlocal fid
-        pa, pb = nodes[a], nodes[b]
-        h = float(np.linalg.norm(pb - pa))
-        qp = pa[None, :] + g[:, None] * (pb - pa)[None, :]
-        faces.append(
-            BoundaryFace(
-                face_id=fid,
-                nodes=(a, b),
-                normal=np.asarray(normal, dtype=float),
-                centroid=0.5 * (pa + pb),
-                measure=h,
-                quad_points=qp,
-                quad_weights=gw * h,
-            )
-        )
-        fid += 1
-
-    for i in range(nx):  # bottom, top
-        add_edge(nid(i, 0), nid(i + 1, 0), (0.0, -1.0))
-    for j in range(ny):  # right
-        add_edge(nid(nx, j), nid(nx, j + 1), (1.0, 0.0))
-    for i in range(nx):  # top
-        add_edge(nid(i, ny), nid(i + 1, ny), (0.0, 1.0))
-    for j in range(ny):  # left
-        add_edge(nid(0, j), nid(0, j + 1), (-1.0, 0.0))
-    return Mesh(2, nodes, elems, tuple(faces))
+    qp = pa[:, None, :] + g[None, :, None] * d[:, None, :]
+    centroids, qw = 0.5 * (pa + pb), gw[None, :] * h[:, None]
+    faces = tuple(
+        BoundaryFace(face_id=fid, nodes=(ai, bi), normal=normals[fid],
+                     centroid=centroids[fid], measure=hi,
+                     quad_points=qp[fid], quad_weights=qw[fid])
+        for fid, (ai, bi, hi) in enumerate(zip(a.tolist(), b.tolist(), h.tolist())))
+    return Mesh(2, nodes, elems, faces)
 
 
 def classify_boundary(mesh, x0):

@@ -60,6 +60,51 @@ class TestRectMesh:
         with pytest.raises(InvalidArgumentError):
             geometry.build_rect_mesh(1.0, 1.0, 1, 4)
 
+    @pytest.mark.parametrize("lx, ly, nx, ny", [(1.0, 1.0, 6, 6), (1.3, 0.7, 5, 3),
+                                                (0.6, 1.7, 2, 9)])
+    def test_faces_equal_edge_loop(self, lx, ly, nx, ny):
+        mesh = geometry.build_rect_mesh(lx, ly, nx, ny)
+        loop = _rect_faces_loop(mesh.nodes, nx, ny)
+        assert len(mesh.faces) == len(loop) == 2 * (nx + ny)
+        for f, f0 in zip(mesh.faces, loop):
+            assert isinstance(f, geometry.BoundaryFace)
+            assert f.face_id == f0.face_id and f.nodes == f0.nodes
+            assert f.measure == f0.measure and type(f.measure) is float
+            for name in ("normal", "centroid", "quad_points", "quad_weights"):
+                assert np.array_equal(getattr(f, name), getattr(f0, name)), name
+        T, w, pts = _fem.trace_structure(mesh, list(mesh.faces))
+        T0, w0, pts0 = _fem.trace_structure(mesh, loop)
+        assert (T != T0).nnz == 0 and np.array_equal(T.data, T0.data)
+        assert np.array_equal(w, w0) and np.array_equal(pts, pts0)
+
+
+def _rect_faces_loop(nodes, nx, ny):
+    """Oracle: the rect boundary faces built one edge at a time."""
+    g, gw = _fem.gauss_rule(2)
+    faces = []
+
+    def add_edge(a, b, normal):
+        pa, pb = nodes[a], nodes[b]
+        h = float(np.linalg.norm(pb - pa))
+        faces.append(geometry.BoundaryFace(
+            face_id=len(faces), nodes=(a, b), normal=np.asarray(normal, dtype=float),
+            centroid=0.5 * (pa + pb), measure=h,
+            quad_points=pa[None, :] + g[:, None] * (pb - pa)[None, :],
+            quad_weights=gw * h))
+
+    def nid(i, j):
+        return i * (ny + 1) + j
+
+    for i in range(nx):
+        add_edge(nid(i, 0), nid(i + 1, 0), (0.0, -1.0))
+    for j in range(ny):
+        add_edge(nid(nx, j), nid(nx, j + 1), (1.0, 0.0))
+    for i in range(nx):
+        add_edge(nid(i, ny), nid(i + 1, ny), (0.0, 1.0))
+    for j in range(ny):
+        add_edge(nid(0, j), nid(0, j + 1), (-1.0, 0.0))
+    return faces
+
 
 class TestClassifyBoundary:
     def test_unit_interval_origin(self, interval3):

@@ -1,4 +1,8 @@
+import importlib
 import logging
+import re
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from beamstab import geometry, timestepper
+from beamstab import geometry, harness, timestepper
 from beamstab.admissibility import constant_schedule, decaying_schedule
 from beamstab.diagnostics import TraceRecorder, energy
-from beamstab.discretization import SimState, interpolate
+from beamstab.discretization import SimState, interpolate, project_initial_data
 from beamstab.errors import InvalidArgumentError, StepFailureError
 from beamstab.fields import sine_field
 from beamstab.feedback import (hardening_law, identity_law, saturating_law,
@@ -242,6 +246,24 @@ class TestNewtonDirection:
                    for rec in caplog.records)
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
+    def test_restarted_gmres_reaches_the_newton_direction(self, monkeypatch, caplog):
+        law = saturating_law(1.0, 2.0)
+        system = _rect6(law1=law, law2=law, schedule=decaying_schedule(1.0, 0.8, 1.0))
+        solver = _MidpointSolver(system)
+        solver.start(_random_state(system, 1, 1.0), 0.2)  # the LU is stale below
+        ops, c, w0 = solver.start(_random_state(system, 3, 1.0), 0.2)
+        assert ops.shift != 0.0
+        r, s = solver.residual(ops, c, w0, w0 + 1.0)
+        # two iterations per cycle: the direction needs several restarts
+        monkeypatch.setattr(timestepper, "GMRES_RESTART", 2)
+        monkeypatch.setattr(timestepper, "GMRES_CYCLES", 40)
+        with caplog.at_level(logging.WARNING, logger="beamstab.timestepper"):
+            got, its = solver._newton_direction(ops, s, r)
+        assert its > 3 * 2
+        assert not caplog.records
+        want = _full_jacobian_direction(solver)(ops, w0 + 1.0, s, r)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
     def test_debug_line_per_step(self, caplog):
         system = make_system(nodes=9, law1=saturating_law(1.0, 2.0),
                              law2=saturating_law(1.0, 2.0))
@@ -298,17 +320,55 @@ class TestSolverCounters:
         assert solver.gmres == 0 and solver.halvings == 0
         assert 0.0 <= solver.worst_residual <= 1e-12
 
-    def test_decaying_mu_factors_every_step(self):
+    def test_decaying_mu_reuses_the_lagged_lu(self):
         steps = 6
         law = saturating_law(1.0, 2.0)
         system = make_system(nodes=21, law1=law, law2=law,
                              schedule=decaying_schedule(1.0, 0.8, 1.0))
         solver = self._run(system, steps, 0.01)
-        assert solver.factorizations == steps
+        # every step is a new mu_mid; the steps that factor none reuse a stale LU
+        assert 1 <= solver.factorizations < steps
+        assert solver.lagged == steps - solver.factorizations
         assert solver.newton >= steps and solver.gmres > 0
-        # one LU solve per direction and at least one per GMRES iteration
-        assert solver.lu_solves >= solver.newton + solver.gmres
+        # one LU solve per direction and one per GMRES iteration
+        assert solver.lu_solves == solver.newton + solver.gmres
         assert solver.residuals >= steps + solver.newton
+
+    @pytest.mark.parametrize("decaying", [False, True])
+    def test_direction_costs_one_solve_more_than_its_iterations(self, decaying):
+        schedule = decaying_schedule(1.0, 0.8, 1.0) if decaying else constant_schedule(1.0)
+        system = _rect6(law1=saturating_law(1.0, 2.0), law2=saturating_law(0.5, 4.0),
+                        schedule=schedule)
+        solver = _MidpointSolver(system)
+        for seed in range(4):
+            state = _random_state(system, seed, 2.0)
+            ops, c, w0 = solver.start(state, 0.05)
+            r, s = solver.residual(ops, c, w0, w0)
+            before = solver.lu_solves
+            got, its = solver._newton_direction(ops, s, r)
+            assert its > 0
+            assert solver.lu_solves - before == its + 1
+            # on a stale LU too, the direction is the Newton direction
+            want = _full_jacobian_direction(solver)(ops, w0, s, r)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        assert solver.lagged == (3 if decaying else 0)
+
+    def test_rect64_saturating_workload_solve_count(self, monkeypatch, caplog):
+        # the seed-0 benchmark config: 10 steps of the 64x64 saturating rect
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        workloads = importlib.import_module("perfbench.workloads")
+        text = workloads.config_text(workloads.WORKLOADS["rect64_saturating"], 0)
+        cfg = harness.parse_config(text=text)
+        mesh, _, system = harness.build_problem(cfg)
+        state0, _ = project_initial_data(system, *harness._initial_fields(cfg, mesh))
+        with caplog.at_level(logging.INFO, logger="beamstab.timestepper"):
+            integrate(system, state0, cfg.T, StepControl(dt=cfg.dt))
+        line, = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.INFO]
+        counts = re.match(r"integrate: (\d+) steps, (\d+) LU factorizations, (\d+) LU solves",
+                          line)
+        steps, factorizations, solves = map(int, counts.groups())
+        assert steps == 10 and factorizations == 1
+        assert solves <= 58
 
 
     def test_run_logs_counters_once(self, caplog):
@@ -318,6 +378,44 @@ class TestSolverCounters:
         lines = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.INFO]
         assert len(lines) == 1
         assert "5 steps, 1 LU factorizations, 5 LU solves, 10 residuals" in lines[0]
+        assert lines[0].endswith(", 0 lagged keys")
+
+    @pytest.mark.parametrize("refactor_gmres", [None, 0])
+    @pytest.mark.parametrize("laws", ["identity", "saturating"])
+    def test_lagged_lu_steps_match_full_jacobian_newton(self, monkeypatch, laws,
+                                                        refactor_gmres):
+        if refactor_gmres is not None:  # 0: every stale direction refactors
+            monkeypatch.setattr(timestepper, "REFACTOR_GMRES", refactor_gmres)
+        law1, law2 = _LAWS[laws]() if laws in _LAWS else (identity_law(), identity_law())
+        system = _rect6(law1=law1, law2=law2, schedule=decaying_schedule(1.0, 0.8, 1.0))
+        control = StepControl(dt=0.05)
+        solver = _MidpointSolver(system)
+        stale_over = []  # per step: a direction on a stale LU went past REFACTOR_GMRES
+        direction = solver._newton_direction
+
+        def spy(ops, s, r):
+            delta, its = direction(ops, s, r)
+            stale_over[-1] |= bool(ops.shift) and its > timestepper.REFACTOR_GMRES
+            return delta, its
+
+        monkeypatch.setattr(solver, "_newton_direction", spy)
+        steps = 8
+        state = _sine_state(system, velocity=1.0)
+        for _ in range(steps):
+            ou, ov, converged = _full_jacobian_newton(_MidpointSolver(system), state, control)
+            assert converged
+            stale_over.append(False)
+            wu, wv = solver.solve(state, control)
+            got, want = np.concatenate([wu, wv]), np.concatenate([ou, ov])
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+            state = timestepper._advance(system, SimpleNamespace(solve=lambda *_: (wu, wv)),
+                                         state, control)
+        # refactored at the first step and after each step that asked for it
+        assert solver.factorizations == 1 + sum(stale_over[:-1])
+        assert solver.factorizations < steps
+        assert solver.lagged == steps - solver.factorizations
+        if refactor_gmres == 0:
+            assert solver.factorizations > 1
 
 
 class TestReferenceOrdering:
