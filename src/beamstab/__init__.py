@@ -10,7 +10,7 @@ from .errors import (ConfigError, FitUndefinedError, InadmissiblePartitionError,
 from .feedback import (CATALOG, FeedbackLaw, LipschitzLaw, hardening_law,
                        identity_law, saturating_law, strauss_approximate,
                        verify_law, zero_law)
-from .geometry import (GAMMA0, GAMMA1, BoundaryPartition, Mesh,
+from .geometry import (BoundaryPartition, Mesh,
                        build_interval_mesh, build_rect_mesh, classify_boundary,
                        embedding_constants, geometric_constants)
 from .timestepper import StepControl, integrate, load_checkpoint, save_checkpoint

@@ -280,21 +280,17 @@ def kron_solve(chols, b):
 
 
 def boundary_mass(mesh, faces, density=None):
-    """Boundary mass matrix over the given faces.
+    """Boundary mass matrix over the given faces (a geometry.Faces).
 
     density: optional per-face constant multiplying the integrand (one
     value per face).
     """
     n = len(mesh.nodes)
-    if not faces:
-        return sp.csr_matrix((n, n))
-    ids = np.array([f.nodes for f in faces])  # (F, nloc)
-    scale = np.ones(len(faces)) if density is None else np.asarray(density, dtype=float)
-    if mesh.dimension == 1:
-        local = scale[:, None, None] * np.ones((1, 1, 1))
-    else:
-        h = np.array([f.measure for f in faces])
-        local = (scale * h / 6.0)[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
+    ids = faces.nodes  # (F, nloc)
+    scale = np.ones(len(ids)) if density is None else np.asarray(density, dtype=float)
+    # P1 mass of a unit face: a point in 1D, a segment in 2D
+    ref, den = ([[1.0]], 1.0) if mesh.dimension == 1 else ([[2.0, 1.0], [1.0, 2.0]], 6.0)
+    local = (scale * faces.quad_weights.sum(axis=1) / den)[:, None, None] * np.array(ref)
     nloc = ids.shape[1]
     rows = np.repeat(ids, nloc, axis=1)
     cols = np.tile(ids, (1, nloc))
@@ -305,15 +301,14 @@ def trace_structure(mesh, faces):
     """Trace map onto the quadrature points of the given faces.
 
     Returns (T, weights, points) where T is csr of shape (Q, n_nodes) with
-    T[q, j] = phi_j(x_q) and the weights carry the surface measure.  On an
-    edge (a, b) the point x_q has the hat values 1 - s and s at a and b,
-    s = |x_q - a| / |b - a|.
+    T[q, j] = phi_j(x_q), the points in face order, and the weights carry
+    the surface measure.  On an edge (a, b) the point x_q has the hat
+    values 1 - s and s at a and b, s = |x_q - a| / |b - a|.
     """
     n = len(mesh.nodes)
-    points = np.concatenate([f.quad_points for f in faces])
-    weights = np.concatenate([f.quad_weights for f in faces])
-    ids = np.array([f.nodes for f in faces])[
-        np.repeat(np.arange(len(faces)), [len(f.quad_weights) for f in faces])]  # (Q, nloc)
+    points = faces.quad_points.reshape(-1, mesh.dimension)
+    weights = faces.quad_weights.ravel()
+    ids = np.repeat(faces.nodes, faces.quad_weights.shape[1], axis=0)  # (Q, nloc)
     q = np.arange(len(weights))
     if mesh.dimension == 1:
         vals = np.ones((len(q), 1))

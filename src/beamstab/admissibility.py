@@ -9,7 +9,7 @@ exponential rate eta and the energy envelope 3 E(0) exp(-(2/3) eta t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -152,39 +152,27 @@ class HypothesisReport:
     eps2_max: float = float("nan")
     eta: float = float("nan")
 
-    _FIELDS = (
-        "n", "M", "N", "R", "tau0", "mu0", "mu_at_0", "b1", "b2", "L1", "L2",
-        "alpha1", "alpha2", "sum_nu_bound", "sigma_sup", "sigma_positive",
-        "A", "P1", "P2", "S1", "S2", "product_slack", "quadratic_slack",
-        "admissible", "eps1_max", "eps2_max", "eta",
-    )
+    def _items(self):
+        """(name, formatted value) of every field, in declaration order."""
+        return [(f.name, _format(getattr(self, f.name))) for f in fields(self)]
 
     def as_text(self):
-        width = max(len(f) for f in self._FIELDS)
-        lines = []
-        for f in self._FIELDS:
-            v = getattr(self, f)
-            if isinstance(v, bool):
-                s = str(v).lower()
-            elif isinstance(v, float):
-                s = f"{v:.17g}"
-            else:
-                s = str(v)
-            lines.append(f"{f.ljust(width)}  {s}")
-        return "\n".join(lines)
+        items = self._items()
+        width = max(len(name) for name, _ in items)
+        return "\n".join(f"{name.ljust(width)}  {text}" for name, text in items)
 
     def as_csv(self):
-        header = ",".join(self._FIELDS)
-        vals = []
-        for f in self._FIELDS:
-            v = getattr(self, f)
-            if isinstance(v, bool):
-                vals.append(str(v).lower())
-            elif isinstance(v, float):
-                vals.append(f"{v:.17g}")
-            else:
-                vals.append(str(v))
-        return header + "\n" + ",".join(vals) + "\n"
+        names, texts = zip(*self._items())
+        return ",".join(names) + "\n" + ",".join(texts) + "\n"
+
+
+def _format(value):
+    """Report value as text: lower-case booleans, round-trip floats."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
 
 
 def build_report(n, M, N, R, tau0, schedule, law1, law2, alpha1, alpha2, partition):

@@ -157,25 +157,18 @@ def column_dot(a, b):
     return np.einsum("i...,i...->...", a, b)
 
 
-def assemble(mesh, partition, alpha1, alpha2, schedule, law1, law2, sigma=None):
+def assemble(mesh, partition, alpha1, alpha2, schedule, law1, law2):
     """Build every operator of the semi-discrete system.
 
-    sigma: per-Gamma1-quadrature-point values; None selects the canonical
-    alpha2 * (sum of normal components).
+    sigma is the canonical alpha2 * (sum of normal components) at every
+    Gamma1 quadrature point.
     """
     mats = _fem.domain_matrices(mesh, x0=partition.x0)
     g1 = partition.gamma1_faces
     if not g1:
         raise InvalidArgumentError("partition has no feedback boundary")
     T, w, pts = _fem.trace_structure(mesh, g1)
-
-    if sigma is None:
-        sigma_vals = partition.sigma(alpha2)
-    else:
-        sigma_vals = np.broadcast_to(np.asarray(sigma, dtype=float), (len(w),)).copy()
-
-    sum_nu = np.array([float(f.normal.sum()) for f in mesh.faces])
-    bsn = _fem.boundary_mass(mesh, mesh.faces, density=sum_nu)
+    bsn = _fem.boundary_mass(mesh, mesh.faces, density=mesh.faces.normal.sum(axis=1))
 
     fixed = partition.gamma0_nodes()
     free = np.setdiff1d(np.arange(len(mesh.nodes)), fixed)
@@ -184,7 +177,7 @@ def assemble(mesh, partition, alpha1, alpha2, schedule, law1, law2, sigma=None):
         mesh=mesh, partition=partition,
         mass=mats["mass"], stiffness=mats["stiffness"], coupling=mats["coupling"],
         multiplier=mats["multiplier"], boundary_sum_nu=bsn,
-        trace=T, trace_weights=w, trace_points=pts, sigma_values=sigma_vals,
+        trace=T, trace_weights=w, trace_points=pts, sigma_values=partition.sigma(alpha2),
         alpha1=float(alpha1), alpha2=float(alpha2),
         schedule=schedule, law1=law1, law2=law2,
         free=free, fixed=fixed,

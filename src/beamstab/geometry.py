@@ -18,9 +18,6 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from . import _fem
 from .errors import InadmissiblePartitionError, InvalidArgumentError, NumericalFailureError
 
-GAMMA0 = "Gamma0"
-GAMMA1 = "Gamma1"
-
 # Lanczos basis size of the eigen-solve for N.  N is an extreme,
 # well-separated eigenvalue, and a small basis needs fewer stiffness solves
 # than ARPACK's default of 20.
@@ -28,14 +25,52 @@ EIGEN_NCV = 5
 
 
 @dataclass(frozen=True)
-class BoundaryFace:
-    face_id: int
-    nodes: tuple
+class Faces:
+    """Boundary faces as arrays, one row per face.
+
+    nodes (F, k), normal (F, dim), quad_points (F, q, dim) and
+    quad_weights (F, q); the weights carry the face measure, so a face's
+    measure is quad_weights.sum(1).
+    """
+
+    nodes: np.ndarray
     normal: np.ndarray
-    centroid: np.ndarray
-    measure: float
-    quad_points: np.ndarray   # (q, dim)
-    quad_weights: np.ndarray  # (q,)
+    quad_points: np.ndarray
+    quad_weights: np.ndarray
+
+    def __len__(self):
+        return len(self.nodes)
+
+    def select(self, mask):
+        """The faces where the bool mask is true, in face order."""
+        return Faces(self.nodes[mask], self.normal[mask],
+                     self.quad_points[mask], self.quad_weights[mask])
+
+
+def _grid_faces(nodes, counts):
+    """Boundary faces of the tensor grid with counts[d] nodes on axis d.
+
+    Interval: the two end points, left then right.  Rectangle: the edges
+    (a, b) from lower to upper node, bottom, right, top, left, each with
+    the 2-point Gauss rule.
+    """
+    if len(counts) == 1:
+        ids = np.array([[0], [counts[0] - 1]])
+        return Faces(ids, np.array([[-1.0], [1.0]]), nodes[ids], np.ones((2, 1)))
+    nx, ny = counts[0] - 1, counts[1] - 1
+    # node id i (ny + 1) + j
+    i, j = np.arange(nx), np.arange(ny)
+    a = np.concatenate([i * (ny + 1), nx * (ny + 1) + j, i * (ny + 1) + ny, j])
+    b = a + np.concatenate([np.full(nx, ny + 1), np.ones(ny, int),
+                            np.full(nx, ny + 1), np.ones(ny, int)])
+    normals = np.repeat([(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)],
+                        (nx, ny, nx, ny), axis=0)
+    pa = nodes[a]
+    d = nodes[b] - pa
+    h = np.hypot(d[:, 0], d[:, 1])  # exact: every edge is axis-aligned
+    g, gw = _fem.gauss_rule(2)
+    return Faces(np.stack([a, b], axis=1), normals,
+                 pa[:, None, :] + g[None, :, None] * d[:, None, :], gw[None, :] * h[:, None])
 
 
 @dataclass(frozen=True)
@@ -45,70 +80,58 @@ class Mesh:
     1D: elements are index pairs; boundary faces are the two endpoints.
     2D: axis-aligned bilinear rectangles; boundary faces are edges.
     Either way the mesh is a uniform tensor grid (see _fem.grid_axes);
-    axes holds its per-axis node coordinates.
+    axes holds its per-axis node coordinates and faces its boundary.
     """
 
     dimension: int
     nodes: np.ndarray     # (N, dim)
     elements: np.ndarray  # (E, 2) or (E, 4)
-    faces: tuple
     axes: tuple = field(init=False, repr=False, compare=False)
+    faces: Faces = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lengths = np.linalg.norm([f.normal for f in self.faces], axis=1)
-        for f, length in zip(self.faces, lengths):
-            if abs(length - 1.0) > 1e-12:
-                raise InvalidArgumentError(f"face {f.face_id} normal is not unit")
         object.__setattr__(self, "axes", _fem.grid_axes(self.nodes, self.elements))
         if len(self.axes) != self.dimension:
             raise InvalidArgumentError("mesh nodes do not match its dimension")
-        keys = {tuple(sorted(f.nodes)) for f in self.faces}
-        if len(keys) != len(self.faces):
-            raise InvalidArgumentError("boundary faces do not tile the boundary exactly once")
+        object.__setattr__(self, "faces", _grid_faces(
+            np.asarray(self.nodes, dtype=float), tuple(len(x) for x in self.axes)))
 
 
 @dataclass(frozen=True)
 class BoundaryPartition:
-    """Per-face Gamma0/Gamma1 tags and m.nu, and the Gamma1 data per point.
+    """Gamma1 mask and m.nu per face, and the Gamma1 data per point.
 
-    The gamma1_* arrays hold one entry (row) per Gamma1 quadrature point,
-    concatenated over the Gamma1 faces in face order; they are built once,
-    with the partition, and every Gamma1 term reads them.
+    gamma1 (F,) marks the feedback faces, m_dot_nu (F, q) holds m.nu at
+    every face quadrature point.  The gamma1_* arrays hold one entry (row)
+    per Gamma1 quadrature point, in face order; they are built once, with
+    the partition, and every Gamma1 term reads them.
     """
 
     mesh: Mesh
     x0: np.ndarray
-    tags: tuple                 # per face, GAMMA0 or GAMMA1
-    m_dot_nu: tuple             # per face, array over its quadrature points
+    gamma1: np.ndarray          # (F,) bool
+    m_dot_nu: np.ndarray        # (F, q)
     gamma1_m_dot_nu: np.ndarray = field(init=False, repr=False)  # (Q,)
     gamma1_normals: np.ndarray = field(init=False, repr=False)   # (Q, dim)
     gamma1_sum_nu: np.ndarray = field(init=False, repr=False)    # (Q,) sum_i nu_i
 
     def __post_init__(self):
-        g1 = [(f, mn) for f, t, mn in zip(self.mesh.faces, self.tags, self.m_dot_nu)
-              if t == GAMMA1]
-        normals = [np.repeat(f.normal[None, :], len(f.quad_weights), axis=0) for f, _ in g1]
-        # the empty leading blocks keep a partition without Gamma1 constructible
-        normals = np.concatenate([np.empty((0, self.mesh.dimension))] + normals)
-        object.__setattr__(self, "gamma1_m_dot_nu",
-                           np.concatenate([np.empty(0)] + [mn for _, mn in g1]))
+        mn = self.m_dot_nu[self.gamma1]
+        normals = np.repeat(self.mesh.faces.normal[self.gamma1], mn.shape[1], axis=0)
+        object.__setattr__(self, "gamma1_m_dot_nu", mn.ravel())
         object.__setattr__(self, "gamma1_normals", normals)
         object.__setattr__(self, "gamma1_sum_nu", normals.sum(axis=1))
 
-    def faces_with_tag(self, tag):
-        return [f for f, t in zip(self.mesh.faces, self.tags) if t == tag]
-
     @property
     def gamma0_faces(self):
-        return self.faces_with_tag(GAMMA0)
+        return self.mesh.faces.select(~self.gamma1)
 
     @property
     def gamma1_faces(self):
-        return self.faces_with_tag(GAMMA1)
+        return self.mesh.faces.select(self.gamma1)
 
     def gamma0_nodes(self):
-        ids = sorted({i for f in self.gamma0_faces for i in f.nodes})
-        return np.asarray(ids, dtype=int)
+        return np.unique(self.gamma0_faces.nodes)
 
     def sum_nu_bound(self):
         """max over Gamma1 quadrature points of |sum_i nu_i|."""
@@ -126,22 +149,7 @@ def build_interval_mesh(length, node_count):
     if node_count < 3:
         raise InvalidArgumentError("node_count must be at least 3")
     xs = np.linspace(0.0, float(length), node_count)[:, None]
-    elems = _fem.grid_elements((node_count,))
-    faces = []
-    for fid, (node, nrm) in enumerate(((0, -1.0), (node_count - 1, 1.0))):
-        p = xs[node]
-        faces.append(
-            BoundaryFace(
-                face_id=fid,
-                nodes=(node,),
-                normal=np.array([nrm]),
-                centroid=p.copy(),
-                measure=1.0,
-                quad_points=p[None, :].copy(),
-                quad_weights=np.array([1.0]),
-            )
-        )
-    return Mesh(1, xs, elems, tuple(faces))
+    return Mesh(1, xs, _fem.grid_elements((node_count,)))
 
 
 def build_rect_mesh(lx, ly, nx, ny):
@@ -154,51 +162,29 @@ def build_rect_mesh(lx, ly, nx, ny):
     ys = np.linspace(0.0, float(ly), ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
-
-    elems = _fem.grid_elements((nx + 1, ny + 1))
-
-    # edges (a, b) in face order: bottom, right, top, left; node id i (ny + 1) + j
-    i, j = np.arange(nx), np.arange(ny)
-    a = np.concatenate([i * (ny + 1), nx * (ny + 1) + j, i * (ny + 1) + ny, j])
-    b = a + np.concatenate([np.full(nx, ny + 1), np.ones(ny, int),
-                            np.full(nx, ny + 1), np.ones(ny, int)])
-    normals = np.repeat([(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)],
-                        (nx, ny, nx, ny), axis=0)
-    pa, pb = nodes[a], nodes[b]
-    d = pb - pa
-    h = np.hypot(d[:, 0], d[:, 1])  # exact: every edge is axis-aligned
-    g, gw = _fem.gauss_rule(2)
-    qp = pa[:, None, :] + g[None, :, None] * d[:, None, :]
-    centroids, qw = 0.5 * (pa + pb), gw[None, :] * h[:, None]
-    faces = tuple(
-        BoundaryFace(face_id=fid, nodes=(ai, bi), normal=normals[fid],
-                     centroid=centroids[fid], measure=hi,
-                     quad_points=qp[fid], quad_weights=qw[fid])
-        for fid, (ai, bi, hi) in enumerate(zip(a.tolist(), b.tolist(), h.tolist())))
-    return Mesh(2, nodes, elems, faces)
+    return Mesh(2, nodes, _fem.grid_elements((nx + 1, ny + 1)))
 
 
 def classify_boundary(mesh, x0):
-    """Tag every face Gamma0/Gamma1 by the sign of m.nu at its centroid.
+    """Split the faces into Gamma0/Gamma1 by the sign of m.nu at their centroid.
 
-    m.nu <= 0 goes to Gamma0.  Faces of the meshes built here carry a
-    constant m.nu (axis-aligned geometry), so no face straddles the sign
-    change.  Raises if either part ends up empty.
+    m.nu <= 0 goes to Gamma0.  Every face of a tensor grid is axis-aligned
+    and carries a constant m.nu, so no face straddles the sign change and
+    the mean over its (symmetric) quadrature points is the centroid value.
+    Raises if either part ends up empty.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (mesh.dimension,) or not np.all(np.isfinite(x0)):
         raise InvalidArgumentError("x0 must be a finite point of the ambient space")
-    tags, per_face = [], []
-    for f in mesh.faces:
-        tags.append(GAMMA1 if np.dot(f.centroid - x0, f.normal) > 0 else GAMMA0)
-        per_face.append((f.quad_points - x0[None, :]) @ f.normal)
-    tags = tuple(tags)
-    if GAMMA0 not in tags or GAMMA1 not in tags:
+    faces = mesh.faces
+    m_dot_nu = np.einsum("fqd,fd->fq", faces.quad_points - x0, faces.normal)
+    gamma1 = m_dot_nu.mean(axis=1) > 0
+    if gamma1.all() or not gamma1.any():
         raise InadmissiblePartitionError(
             "boundary partition needs both a clamped and a feedback part; "
-            f"got only {tags[0]} for x0={x0.tolist()}"
+            f"got only {'Gamma1' if gamma1[0] else 'Gamma0'} for x0={x0.tolist()}"
         )
-    return BoundaryPartition(mesh, x0, tags, tuple(per_face))
+    return BoundaryPartition(mesh, x0, gamma1, m_dot_nu)
 
 
 def geometric_constants(mesh, partition):

@@ -494,12 +494,26 @@ def read_trace_csv(path):
     """
     try:
         with open(path) as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
-    except OSError as exc:
+            lines = [(k, ln) for k, ln in enumerate(fh.read().splitlines(), 1)
+                     if ln and not ln.startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read trace: {exc}") from exc
-    if not lines or lines[0].split(",")[:8] != list(diagnostics.TRACE_COLUMNS[:8]):
+    header = lines[0][1].split(",") if lines else []
+    if header[:8] != list(diagnostics.TRACE_COLUMNS[:8]):
         raise ConfigError(f"not a trace CSV: {path}")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    rows = []
+    for k, ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ConfigError(f"bad trace row in {path}, line {k}: "
+                              f"{len(cells)} cells where the header has {len(header)}")
+        try:
+            rows.append([float(v) for v in cells])
+        except ValueError as exc:
+            raise ConfigError(f"bad trace row in {path}, line {k}: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"trace has no samples: {path}")
+    data = np.array(rows)
     return diagnostics.EnergyTrace(
         t=data[:, 0], E=data[:, 1], F=data[:, 2], G=data[:, 3],
         lyapunov=data[:, 4], D_u=data[:, 5], D_v=data[:, 6], E_star=data[:, 7],

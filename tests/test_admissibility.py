@@ -215,8 +215,15 @@ class TestReport:
         text = report.as_text()
         assert "admissible" in text and "true" in text
         header, row = report.as_csv().strip().split("\n")
-        assert header.split(",") == list(report._FIELDS)
-        assert len(row.split(",")) == len(report._FIELDS)
+        names = [
+            "n", "M", "N", "R", "tau0", "mu0", "mu_at_0", "b1", "b2", "L1", "L2",
+            "alpha1", "alpha2", "sum_nu_bound", "sigma_sup", "sigma_positive",
+            "A", "P1", "P2", "S1", "S2", "product_slack", "quadratic_slack",
+            "admissible", "eps1_max", "eps2_max", "eta",
+        ]
+        assert header.split(",") == names
+        assert len(row.split(",")) == len(names)
+        assert [ln.split()[0] for ln in text.splitlines()] == names
 
     def test_refuses_undamped_law(self, interval3, interval3_partition):
         with pytest.raises(InvalidArgumentError):

@@ -87,11 +87,11 @@ class TestFunctionalG:
 
     def test_alternate_reference_point(self):
         # same field, x0 = -1: m = x + 1, G = 2 int (x+1) dx = 3
-        system = make_system(nodes=17)
+        system = make_system(nodes=17, x0=-1.0)
         state = _zero_state(system)
         state.u = system.mesh.nodes[:, 0].copy()
         state.du = np.ones(system.n_nodes)
-        assert diag.functional_G(system, state, x0=[-1.0]) == pytest.approx(3.0, rel=1e-13)
+        assert diag.functional_G(system, state) == pytest.approx(3.0, rel=1e-13)
 
 
 def _one_sample_slacks(E, F, G, **metadata):
@@ -208,7 +208,34 @@ class TestHigherEnergy:
         assert np.max(np.abs(np.diff(values))) <= 1e-10 * values[0]
 
 
+def _rellich_boundary_loop(mesh, fld, x0):
+    """Oracle: the boundary side of rellich_check, -int (m.nu)|grad u|^2 +
+    2 int (du/dnu)(m.grad u), one face and quadrature point at a time; and
+    the sum of the absolute terms, for the rounding allowance."""
+    total, scale = 0.0, 0.0
+    faces = mesh.faces
+    for nu, points, weights in zip(faces.normal, faces.quad_points, faces.quad_weights):
+        for p, wq in zip(points, weights):
+            g = np.asarray(fld.grad(p[None, :]), dtype=float)[0]
+            m = p - x0
+            terms = (-wq * np.dot(m, nu) * np.dot(g, g), 2.0 * wq * np.dot(g, nu) * np.dot(m, g))
+            total += sum(terms)
+            scale += sum(abs(t) for t in terms)
+    return total, scale
+
+
 class TestRellich:
+    @pytest.mark.parametrize("mesh, x0", [
+        (geometry.build_rect_mesh(1.3, 0.7, 5, 3), np.array([-0.2, 0.31])),
+        (geometry.build_rect_mesh(0.6, 1.7, 4, 6), np.array([0.9, -0.45])),
+    ])
+    def test_boundary_terms_equal_face_loop(self, mesh, x0):
+        # n = 2: the interior term (n - 2) |grad u|^2 drops out of rhs
+        for fld in (sine_field(mesh), bump_field(mesh)):
+            want, scale = _rellich_boundary_loop(mesh, fld, x0)
+            got = diag.rellich_check(mesh, fld, x0)["rhs"]
+            assert abs(got - want) <= 1e-14 * scale
+
     def test_linear_field_exact(self):
         mesh = geometry.build_interval_mesh(1.0, 11)
         out = diag.rellich_check(mesh, linear_field(mesh), [0.0])

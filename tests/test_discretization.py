@@ -58,8 +58,7 @@ class TestAssembly:
 
     def test_requires_feedback_boundary(self, interval3):
         part = geometry.classify_boundary(interval3, np.array([0.0]))
-        broken = type(part)(part.mesh, part.x0, ("Gamma0", "Gamma0"),
-                            part.m_dot_nu)
+        broken = type(part)(part.mesh, part.x0, np.zeros(2, dtype=bool), part.m_dot_nu)
         with pytest.raises(InvalidArgumentError):
             assemble(interval3, broken, 0.1, 0.1, constant_schedule(1.0),
                      identity_law(), identity_law())

@@ -42,7 +42,7 @@ class TestEvaluateH:
         mesh = geometry.build_rect_mesh(1.0, 1.0, 3, 3)
         system = make_system(mesh=mesh, x0=np.array([-0.1, -0.1]))
         load = system.boundary_load(identity_law(), np.ones(len(system.trace_weights)))
-        gamma1_nodes = {i for f in system.partition.gamma1_faces for i in f.nodes}
+        gamma1_nodes = set(system.partition.gamma1_faces.nodes.ravel().tolist())
         loaded = set(np.flatnonzero(load).tolist())
         assert loaded == gamma1_nodes
         assert np.all(load[list(gamma1_nodes)] > 0)

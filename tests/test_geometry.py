@@ -10,16 +10,11 @@ from hypothesis import strategies as st
 
 from beamstab import _fem, geometry
 from beamstab.errors import InadmissiblePartitionError, InvalidArgumentError
-from beamstab.geometry import GAMMA0, GAMMA1
 
 
 def _shifted(mesh, shift):
     """The mesh moved by a constant vector."""
-    faces = tuple(
-        geometry.BoundaryFace(f.face_id, f.nodes, f.normal, f.centroid + shift, f.measure,
-                              f.quad_points + shift[None, :], f.quad_weights)
-        for f in mesh.faces)
-    return geometry.Mesh(mesh.dimension, mesh.nodes + shift[None, :], mesh.elements, faces)
+    return geometry.Mesh(mesh.dimension, mesh.nodes + shift[None, :], mesh.elements)
 
 
 class TestIntervalMesh:
@@ -31,8 +26,9 @@ class TestIntervalMesh:
     def test_spacing_and_left_normal(self):
         mesh = geometry.build_interval_mesh(2.0, 5)
         assert np.allclose(np.diff(mesh.nodes[:, 0]), 0.5)
-        assert mesh.faces[0].normal[0] == -1.0
-        assert mesh.faces[1].normal[0] == 1.0
+        assert mesh.faces.normal.tolist() == [[-1.0], [1.0]]
+        assert mesh.faces.nodes.tolist() == [[0], [4]]
+        assert mesh.faces.quad_points[:, :, 0].tolist() == [[0.0], [2.0]]
 
     def test_too_few_nodes(self):
         with pytest.raises(InvalidArgumentError):
@@ -48,13 +44,13 @@ class TestRectMesh:
         mesh = geometry.build_rect_mesh(1.0, 1.0, 2, 2)
         assert len(mesh.elements) == 4
         assert len(mesh.faces) == 8
-        normals = {tuple(f.normal) for f in mesh.faces}
+        normals = {tuple(nu) for nu in mesh.faces.normal.tolist()}
         assert normals == {(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)}
 
     def test_perimeter(self):
         for (lx, ly, nx, ny), perimeter in (((1, 1, 2, 2), 4.0), ((1, 2, 2, 4), 6.0)):
             faces = geometry.build_rect_mesh(lx, ly, nx, ny).faces
-            assert sum(f.measure for f in faces) == pytest.approx(perimeter)
+            assert faces.quad_weights.sum() == pytest.approx(perimeter)
 
     def test_bad_cell_count(self):
         with pytest.raises(InvalidArgumentError):
@@ -64,33 +60,30 @@ class TestRectMesh:
                                                 (0.6, 1.7, 2, 9)])
     def test_faces_equal_edge_loop(self, lx, ly, nx, ny):
         mesh = geometry.build_rect_mesh(lx, ly, nx, ny)
-        loop = _rect_faces_loop(mesh.nodes, nx, ny)
+        loop, measures = _rect_faces_loop(mesh.nodes, nx, ny)
         assert len(mesh.faces) == len(loop) == 2 * (nx + ny)
-        for f, f0 in zip(mesh.faces, loop):
-            assert isinstance(f, geometry.BoundaryFace)
-            assert f.face_id == f0.face_id and f.nodes == f0.nodes
-            assert f.measure == f0.measure and type(f.measure) is float
-            for name in ("normal", "centroid", "quad_points", "quad_weights"):
-                assert np.array_equal(getattr(f, name), getattr(f0, name)), name
-        T, w, pts = _fem.trace_structure(mesh, list(mesh.faces))
+        for name in ("nodes", "normal", "quad_points", "quad_weights"):
+            got, want = getattr(mesh.faces, name), getattr(loop, name)
+            assert got.shape == want.shape and np.array_equal(got, want), name
+        # the weights carry the measure exactly
+        assert np.array_equal(mesh.faces.quad_weights.sum(axis=1), measures)
+        T, w, pts = _fem.trace_structure(mesh, mesh.faces)
         T0, w0, pts0 = _fem.trace_structure(mesh, loop)
         assert (T != T0).nnz == 0 and np.array_equal(T.data, T0.data)
         assert np.array_equal(w, w0) and np.array_equal(pts, pts0)
 
 
 def _rect_faces_loop(nodes, nx, ny):
-    """Oracle: the rect boundary faces built one edge at a time."""
+    """Oracle: the rect boundary faces built one edge at a time, and the
+    edge lengths."""
     g, gw = _fem.gauss_rule(2)
     faces = []
 
     def add_edge(a, b, normal):
         pa, pb = nodes[a], nodes[b]
         h = float(np.linalg.norm(pb - pa))
-        faces.append(geometry.BoundaryFace(
-            face_id=len(faces), nodes=(a, b), normal=np.asarray(normal, dtype=float),
-            centroid=0.5 * (pa + pb), measure=h,
-            quad_points=pa[None, :] + g[:, None] * (pb - pa)[None, :],
-            quad_weights=gw * h))
+        faces.append(((a, b), normal, pa[None, :] + g[:, None] * (pb - pa)[None, :],
+                      gw * h, h))
 
     def nid(i, j):
         return i * (ny + 1) + j
@@ -103,29 +96,29 @@ def _rect_faces_loop(nodes, nx, ny):
         add_edge(nid(i, ny), nid(i + 1, ny), (0.0, 1.0))
     for j in range(ny):
         add_edge(nid(0, j), nid(0, j + 1), (-1.0, 0.0))
-    return faces
+    ids, normals, points, weights, measures = zip(*faces)
+    return (geometry.Faces(np.array(ids), np.array(normals), np.array(points),
+                           np.array(weights)), np.array(measures))
 
 
 class TestClassifyBoundary:
     def test_unit_interval_origin(self, interval3):
         part = geometry.classify_boundary(interval3, np.array([0.0]))
-        assert part.tags == (GAMMA0, GAMMA1)
+        assert part.gamma1.tolist() == [False, True]
         assert part.m_dot_nu[1] == pytest.approx([1.0])
 
     def test_x0_left_of_domain(self, interval3):
         part = geometry.classify_boundary(interval3, np.array([-0.5]))
-        assert part.tags == (GAMMA0, GAMMA1)
+        assert part.gamma1.tolist() == [False, True]
         assert part.m_dot_nu[0] == pytest.approx([-0.5])
         assert part.m_dot_nu[1] == pytest.approx([1.5])
 
     def test_rect_partition(self):
         mesh = geometry.build_rect_mesh(1.0, 1.0, 2, 2)
         part = geometry.classify_boundary(mesh, np.array([-0.1, -0.1]))
-        for f, tag in zip(mesh.faces, part.tags):
-            if f.normal[0] < 0 or f.normal[1] < 0:  # left / bottom
-                assert tag == GAMMA0
-            else:
-                assert tag == GAMMA1
+        for nu, gamma1 in zip(mesh.faces.normal, part.gamma1):
+            # left / bottom faces are Gamma0
+            assert gamma1 == (nu[0] >= 0 and nu[1] >= 0)
 
     def test_interior_x0_has_no_clamped_part(self, interval3):
         with pytest.raises(InadmissiblePartitionError):
@@ -135,16 +128,29 @@ class TestClassifyBoundary:
         with pytest.raises(InvalidArgumentError):
             geometry.classify_boundary(interval3, np.array([0.0, 0.0]))
 
-    @given(x0=st.floats(min_value=-5.0, max_value=0.0))
+    @given(x0=st.floats(min_value=-5.0, max_value=0.0),
+           xy=st.tuples(st.floats(min_value=-2.0, max_value=3.0),
+                        st.floats(min_value=-2.0, max_value=3.0)))
     @settings(max_examples=30, deadline=None)
-    def test_partition_exactness(self, x0):
-        mesh = geometry.build_interval_mesh(1.0, 5)
-        part = geometry.classify_boundary(mesh, np.array([x0]))
-        for tag, mn in zip(part.tags, part.m_dot_nu):
-            if tag == GAMMA1:
-                assert np.all(mn > 0)
-            else:
-                assert np.all(mn <= 0)
+    def test_partition_exactness(self, x0, xy):
+        lx, ly = 1.3, 0.7
+        cases = ((geometry.build_interval_mesh(1.0, 5), np.array([x0])),
+                 (geometry.build_rect_mesh(lx, ly, 5, 3), np.array(xy)))
+        for mesh, point in cases:
+            if mesh.dimension == 2 and 0 < xy[0] < lx and 0 < xy[1] < ly:
+                # an interior reference point sees every face with m.nu > 0
+                with pytest.raises(InadmissiblePartitionError):
+                    geometry.classify_boundary(mesh, point)
+                continue
+            part = geometry.classify_boundary(mesh, point)
+            mn = part.m_dot_nu
+            assert mn.shape == mesh.faces.quad_weights.shape
+            for ids, nu, m in zip(mesh.faces.nodes, mesh.faces.normal, mn):
+                # m.nu is constant on each face and equals its value at a node
+                assert np.all(m == np.dot(mesh.nodes[ids[0]] - point, nu))
+            assert np.array_equal(part.gamma1, mn[:, 0] > 0)
+            assert np.all(part.gamma1_m_dot_nu > 0)
+            assert np.all(mn[~part.gamma1] <= 0)
 
 
 class TestGeometricConstants:
@@ -234,9 +240,9 @@ class TestDomainForms:
 def _trace_loop_oracle(mesh, faces):
     """trace_structure as a loop over faces and quadrature points."""
     rows, cols, vals, weights, points = [], [], [], [], []
-    for face in faces:
-        ids = np.asarray(face.nodes)
-        for p, wq in zip(face.quad_points, face.quad_weights):
+    for ids, face_points, face_weights in zip(faces.nodes, faces.quad_points,
+                                              faces.quad_weights):
+        for p, wq in zip(face_points, face_weights):
             q = len(weights)
             if mesh.dimension == 1:
                 rows.append(q)
@@ -263,7 +269,7 @@ class TestTraceStructure:
     def test_equals_loop_form(self, mesh, x0):
         part = geometry.classify_boundary(mesh, x0)
         for faces in (mesh.faces, part.gamma1_faces):
-            T, w, pts = _fem.trace_structure(mesh, list(faces))
+            T, w, pts = _fem.trace_structure(mesh, faces)
             T0, w0, pts0 = _trace_loop_oracle(mesh, faces)
             assert T.shape == T0.shape and T.nnz == T0.nnz
             assert np.array_equal(T.indptr, T0.indptr)
@@ -274,7 +280,7 @@ class TestTraceStructure:
 
 def _rect_parts():
     mesh = geometry.build_rect_mesh(1.0, 1.0, 2, 2)
-    return mesh.nodes.copy(), mesh.elements.copy(), mesh.faces
+    return mesh.nodes.copy(), mesh.elements.copy()
 
 
 class TestTensorGrid:
@@ -285,27 +291,27 @@ class TestTensorGrid:
         assert np.allclose(geometry.build_interval_mesh(2.0, 5).axes[0], [0, 0.5, 1, 1.5, 2])
 
     def test_moved_node_is_refused(self):
-        nodes, elems, faces = _rect_parts()
+        nodes, elems = _rect_parts()
         nodes[4] += [0.01, 0.0]
         with pytest.raises(InvalidArgumentError, match="tensor grid"):
-            geometry.Mesh(2, nodes, elems, faces)
+            geometry.Mesh(2, nodes, elems)
 
     def test_other_numbering_is_refused(self):
-        nodes, elems, faces = _rect_parts()
+        nodes, elems = _rect_parts()
         order = np.arange(9).reshape(3, 3).T.ravel()  # j*(nx+1)+i numbering
         with pytest.raises(InvalidArgumentError, match="tensor grid"):
-            geometry.Mesh(2, nodes[order], elems, faces)
+            geometry.Mesh(2, nodes[order], elems)
 
     def test_nonuniform_spacing_is_refused(self):
         nodes = np.array([[0.0], [0.4], [1.0]])
         mesh = geometry.build_interval_mesh(1.0, 3)
         with pytest.raises(InvalidArgumentError, match="uniformly spaced"):
-            geometry.Mesh(1, nodes, mesh.elements, mesh.faces)
+            geometry.Mesh(1, nodes, mesh.elements)
 
     def test_foreign_elements_are_refused(self):
-        nodes, elems, faces = _rect_parts()
+        nodes, elems = _rect_parts()
         with pytest.raises(InvalidArgumentError, match="elements"):
-            geometry.Mesh(2, nodes, elems[::-1], faces)
+            geometry.Mesh(2, nodes, elems[::-1])
 
 
 class TestEmbeddingConstants:
@@ -332,7 +338,7 @@ class TestEmbeddingConstants:
             mesh = (geometry.build_interval_mesh(*shape) if len(shape) == 2
                     else geometry.build_rect_mesh(*shape))
             part = geometry.classify_boundary(mesh, np.array(x0))
-            assert {tuple(f.normal) for f in part.gamma0_faces} == gamma0
+            assert {tuple(nu) for nu in part.gamma0_faces.normal.tolist()} == gamma0
             emb = geometry.embedding_constants(mesh, part)
             oracle = _dense_embedding_oracle(mesh, part)
             assert emb["M"] == pytest.approx(oracle["M"], rel=1e-10), (shape, x0)
@@ -368,7 +374,7 @@ class TestEmbeddingConstants:
         part = geometry.classify_boundary(mesh, np.array([-0.25]))
         moved = _shifted(mesh, np.array([shift]))
         part2 = geometry.classify_boundary(moved, np.array([-0.25 + shift]))
-        assert part.tags == part2.tags
+        assert np.array_equal(part.gamma1, part2.gamma1)
         gc1 = geometry.geometric_constants(mesh, part)
         gc2 = geometry.geometric_constants(moved, part2)
         assert gc1["R"] == pytest.approx(gc2["R"], abs=1e-12)

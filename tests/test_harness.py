@@ -339,6 +339,30 @@ class TestReadTrace:
             diagnostics.energy_balance_residuals(trace)
         assert diagnostics.fit_decay_rate(trace).rate > 0
 
+    def test_damaged_trace_is_usage_error(self, small_cfg, tmp_path, capsys):
+        harness.run_simulate(small_cfg, stream=io.StringIO())
+        text = Path(f"{small_cfg.out_dir}/small_trace.csv").read_bytes()
+        cut = tmp_path / "cut.csv"
+        cut.write_bytes(text[:2000])
+        assert not text[:2000].endswith(b"\n")  # the cut ends inside a row
+        last = len(text[:2000].splitlines())
+        with pytest.raises(ConfigError, match=rf"cut\.csv, line {last}: "):
+            harness.read_trace_csv(cut)
+        assert harness.main(["fit", str(cut)]) == harness.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"line {last}" in err[0]
+
+        header_end = text.index(b"\n", text.index(b"t,E,")) + 1
+        cut.write_bytes(text[:header_end])  # cut right after the header
+        with pytest.raises(ConfigError, match="no samples"):
+            harness.read_trace_csv(cut)
+
+        lines = text.decode().splitlines()
+        lines[4] = "x" + lines[4]
+        cut.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="cut\\.csv, line 5: could not convert"):
+            harness.read_trace_csv(cut)
+
     def test_reproduce_decay_script(self, tmp_path, monkeypatch, capsys):
         script = SCRIPTS / "reproduce_decay.py"
         monkeypatch.setattr(sys, "argv", [str(script), "--T", "1", "--out", str(tmp_path)])
