@@ -14,7 +14,8 @@ from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import InvalidArgumentError
 
@@ -264,19 +265,20 @@ def along_axes(x, counts, ops):
     return y.reshape(x.shape)
 
 
-def banded_cholesky(m):
-    """Upper banded Cholesky factor of a symmetric tridiagonal csr matrix."""
-    ab = np.zeros((2, m.shape[0]))
-    ab[0, 1:] = m.diagonal(1)
-    ab[1] = m.diagonal()
-    return cholesky_banded(ab)
+def tridiagonal_ldl(m):
+    """L D L' factors (d, e) of a symmetric positive definite tridiagonal
+    csr matrix, by LAPACK's dpttrf."""
+    d, e, info = dpttrf(m.diagonal(), m.diagonal(1))
+    if info != 0:
+        raise LinAlgError(f"tridiagonal matrix is not positive definite (dpttrf info {info})")
+    return d, e
 
 
-def kron_solve(chols, b):
-    """Solve (A_1 x ... x A_d) a = b from the banded Cholesky factors of the
-    A_d: one banded solve per axis for all columns of b at once."""
-    return along_axes(b, [c.shape[1] for c in chols], [
-        lambda z, c=c: cho_solve_banded((c, False), z, check_finite=False) for c in chols])
+def kron_solve(ldls, b):
+    """Solve (A_1 x ... x A_d) a = b from the tridiagonal_ldl factors of the
+    A_d: one dpttrs solve per axis for all columns of b at once."""
+    return along_axes(b, [len(d) for d, _ in ldls], [
+        lambda z, f=f: dpttrs(*f, z)[0] for f in ldls])
 
 
 def boundary_mass(mesh, faces, density=None):

@@ -64,12 +64,12 @@ class SemiDiscreteSystem:
     trace_wmn: np.ndarray = field(init=False, repr=False)        # w_q (m.nu)_q
     slopes0: tuple = field(init=False, repr=False)   # (p1'(0), p2'(0)) per point
     sigma_op: sp.csr_matrix = field(init=False, repr=False)      # T' diag(w sigma) T
-    mass_chols: tuple = field(init=False, repr=False)  # free 1D mass factors, banded Cholesky
+    mass_ldl: tuple = field(init=False, repr=False)  # free 1D mass factors, tridiagonal L D L'
 
     def __post_init__(self):
         slices = _fem.free_slices(self.mesh.axes, self.fixed)
         factors = _fem.free_factors(self.mesh.axes, slices)
-        self.mass_chols = tuple(_fem.banded_cholesky(f["mass"]) for f in factors)
+        self.mass_ldl = tuple(_fem.tridiagonal_ldl(f["mass"]) for f in factors)
         self.trace_t = self.trace.T
         self.trace_free = self.trace[:, self.free].tocsr()
         self.trace_wmn = self.trace_weights * self.partition.gamma1_m_dot_nu
@@ -91,11 +91,11 @@ class SemiDiscreteSystem:
         """Solve mass * a = load on the free dofs, scatter to full length.
 
         The free mass matrix is the Kronecker product of the free 1D mass
-        factors, so a load of shape (n,) or (n, B) takes one banded
-        Cholesky solve per axis.
+        factors, so a load of shape (n,) or (n, B) takes one tridiagonal
+        L D L' solve per axis.
         """
         a = np.zeros(load_full.shape)
-        a[self.free] = _fem.kron_solve(self.mass_chols, load_full[self.free])
+        a[self.free] = _fem.kron_solve(self.mass_ldl, load_full[self.free])
         return a
 
     def boundary_load(self, law, s):

@@ -19,8 +19,8 @@ from . import _fem
 from .errors import InadmissiblePartitionError, InvalidArgumentError, NumericalFailureError
 
 # Lanczos basis size of the eigen-solve for N.  N is an extreme,
-# well-separated eigenvalue, and a small basis needs fewer stiffness solves
-# than ARPACK's default of 20.
+# well-separated eigenvalue, and a small basis needs fewer operator
+# applications than ARPACK's default of 20.
 EIGEN_NCV = 5
 
 
@@ -197,15 +197,17 @@ def geometric_constants(mesh, partition):
 def embedding_constants(mesh, partition):
     """Discrete Poincare constant M and Gamma1 trace constant N.
 
-    M = 1/sqrt(lambda_min) of the stiffness form against the domain mass
+    M = 1/sqrt(lambda_min) of the stiffness form K against the domain mass
     form on the subspace vanishing on Gamma0; N = sqrt(mu_max) of the
-    Gamma1 boundary mass form against the stiffness form.  Both come from
-    the closed-form eigenpairs (lam_d, V_d) of the free 1D factor pairs
-    (_fem.axis_eigenpairs).  lambda_min is the sum over the axes of the
-    smallest lam_d, 0 on an unclamped axis.  mu_max comes from ARPACK in
-    generalized mode with the stiffness inverse applied as
-    (V_1 x V_2) diag(1/(lam_1i + lam_2j)) (V_1 x V_2)'.  The fixed start
-    vector keeps N identical from run to run.
+    Gamma1 boundary mass form B against K.  Both come from the closed-form
+    eigenpairs (lam_d, V_d) of the free 1D factor pairs
+    (_fem.axis_eigenpairs), which diagonalize K: with
+    L = (V_1 x V_2) diag(lam^-1/2), lam_ij = lam_1i + lam_2j, L' K L = I.
+    lambda_min is the sum over the axes of the smallest lam_d, 0 on an
+    unclamped axis.  mu_max is the largest eigenvalue of L' B L, the same
+    pencil in standard form, from ARPACK with L applied axis by axis, so
+    no 2D stiffness matrix is built.  The fixed start vector keeps N
+    identical from run to run.
     """
     fixed = partition.gamma0_nodes()
     free = np.setdiff1d(np.arange(len(mesh.nodes)), fixed)
@@ -216,17 +218,16 @@ def embedding_constants(mesh, partition):
     lams = [lam for lam, _ in pairs]
     lam_min = sum(float(lam[0]) for lam in lams)  # lam[0] = 0 on a free-free axis
     counts = tuple(len(lam) for lam in lams)
-    inv_lam = 1.0 / reduce(np.add.outer, lams).ravel()
-
-    def k_inverse(b):
-        coef = _fem.along_axes(b.ravel(), counts, [lambda z, V=V: V.T @ z for _, V in pairs])
-        return _fem.along_axes(inv_lam * coef, counts, [lambda z, V=V: V @ z for _, V in pairs])
-
-    K = _fem.kron_sum(factors, "stiffness")
+    scale = 1.0 / np.sqrt(reduce(np.add.outer, lams).ravel())
     B = _fem.boundary_mass(mesh, partition.gamma1_faces)[np.ix_(free, free)].tocsr()
-    Kinv = LinearOperator(K.shape, matvec=k_inverse, dtype=float)
+
+    def pencil(y):  # L' B L y
+        x = _fem.along_axes(scale * y.ravel(), counts, [lambda z, V=V: V @ z for _, V in pairs])
+        return scale * _fem.along_axes(B @ x, counts, [lambda z, V=V: V.T @ z for _, V in pairs])
+
+    op = LinearOperator((len(free), len(free)), matvec=pencil, dtype=float)
     try:
-        mu = eigsh(B, M=K, Minv=Kinv, which="LA", k=1, v0=np.ones(len(free)),
+        mu = eigsh(op, which="LA", k=1, v0=np.ones(len(free)),
                    ncv=min(len(free), EIGEN_NCV), return_eigenvectors=False)[0]
     except ArpackNoConvergence as exc:
         raise NumericalFailureError(f"eigen-solve did not converge: {exc}") from exc

@@ -232,22 +232,37 @@ def build_laws(cfg):
             feedback.law_from_spec(cfg.law2_name, cfg.law2_params))
 
 
-def build_problem(cfg):
-    """Mesh, partition, semi-discrete system and laws for a config."""
+def build_domain(cfg):
+    """Mesh and boundary partition for a config."""
     mesh = build_mesh(cfg)
-    partition = geometry.classify_boundary(mesh, cfg.x0)
+    return mesh, geometry.classify_boundary(mesh, cfg.x0)
+
+
+def build_system(cfg, mesh, partition):
+    """The semi-discrete system of a config on its mesh and partition."""
+    return assemble(mesh, partition, cfg.alpha1, cfg.alpha2, build_schedule(cfg),
+                    *build_laws(cfg))
+
+
+def build_problem(cfg):
+    """Mesh, partition and semi-discrete system for a config."""
+    mesh, partition = build_domain(cfg)
+    return mesh, partition, build_system(cfg, mesh, partition)
+
+
+def build_certificate(cfg, mesh, partition, system=None):
+    """The decay-rate certificate of a config on its mesh and partition.
+
+    It reads the constants of mesh and partition and the couplings,
+    schedule and laws of cfg, so it needs no assembled system; `system`
+    is accepted for callers that hold one and is not read.
+    """
     schedule = build_schedule(cfg)
     law1, law2 = build_laws(cfg)
-    system = assemble(mesh, partition, cfg.alpha1, cfg.alpha2, schedule, law1, law2)
-    return mesh, partition, system
-
-
-def build_certificate(cfg, mesh, partition, system):
     gc = geometry.geometric_constants(mesh, partition)
     emb = geometry.embedding_constants(mesh, partition)
     return build_report(mesh.dimension, emb["M"], emb["N"], gc["R"], gc["tau0"],
-                        system.schedule, system.law1, system.law2,
-                        cfg.alpha1, cfg.alpha2, partition)
+                        schedule, law1, law2, cfg.alpha1, cfg.alpha2, partition)
 
 
 def _initial_fields(cfg, mesh):
@@ -262,8 +277,7 @@ def _initial_fields(cfg, mesh):
 
 def run_check(cfg, out=None, stream=None):
     stream = sys.stdout if stream is None else stream
-    mesh, partition, system = build_problem(cfg)
-    report = build_certificate(cfg, mesh, partition, system)
+    report = build_certificate(cfg, *build_domain(cfg))
     stream.write(report.as_text() + "\n")
     if out is not None:
         outdir = Path(out)
@@ -277,7 +291,7 @@ def run_simulate(cfg, stream=None):
     mesh, partition, system = build_problem(cfg)
     certificate = None
     if system.law1.b > 0 and system.law2.b > 0:
-        certificate = build_certificate(cfg, mesh, partition, system)
+        certificate = build_certificate(cfg, mesh, partition)
         if not certificate.admissible:
             log.warning("coupling parameters fail the smallness conditions; "
                         "the run proceeds without a certified envelope")
@@ -444,6 +458,8 @@ def run_sweep(cfg, stream=None):
     if given:
         raise ConfigError(f"sweep sets every law from [sweep] laws with default "
                           f"parameters; remove {', '.join(given)} from [feedback]")
+    # the points differ in their couplings and laws only
+    mesh, partition = build_domain(cfg)
     rows = []
     for alpha in cfg.sweep_alphas:
         for law_name in cfg.sweep_laws:
@@ -451,11 +467,11 @@ def run_sweep(cfg, stream=None):
             point = replace(cfg)
             point.alpha1 = point.alpha2 = alpha
             point.law1_name = point.law2_name = law_name
-            mesh, partition, system = build_problem(point)
-            cert = build_certificate(point, mesh, partition, system)
-            eta = f"{cert.eta:.17g}" if cert.admissible else ""
-            rate = ""
+            cert = build_certificate(point, mesh, partition)
+            eta = rate = ""
             if cert.admissible:
+                eta = f"{cert.eta:.17g}"
+                system = build_system(point, mesh, partition)
                 state0, _ = project_initial_data(system, *_initial_fields(point, mesh))
                 recorder = diagnostics.TraceRecorder(system, certificate=cert)
                 integrate(system, state0, point.T, StepControl(dt=point.dt),
@@ -463,7 +479,7 @@ def run_sweep(cfg, stream=None):
                 try:
                     rate = f"{diagnostics.fit_decay_rate(recorder.trace()).rate:.17g}"
                 except FitUndefinedError:
-                    rate = ""
+                    pass
             rows.append((f"{alpha:.17g}", f"{alpha:.17g}", law_name, law_name,
                          str(cert.admissible).lower(), eta, rate))
     rows.sort()
@@ -579,7 +595,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvalidArgumentError, InadmissiblePartitionError) as exc:
+    except (InvalidArgumentError, InadmissiblePartitionError, FitUndefinedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StepFailureError as exc:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -223,6 +224,19 @@ def _dense_embedding_oracle(mesh, partition):
     return {"M": 1.0 / math.sqrt(lam[0]), "N": math.sqrt(mu[-1])}
 
 
+def _generalized_mode_N(mesh, partition):
+    """N from ARPACK on the pencil (B, K) itself: the assembled free-dof
+    stiffness K, its inverse by a sparse LU, and the Gamma1 boundary mass B."""
+    fixed = partition.gamma0_nodes()
+    free = np.setdiff1d(np.arange(len(mesh.nodes)), fixed)
+    K = _fem.domain_matrices(mesh)["stiffness"][np.ix_(free, free)].tocsc()
+    B = _fem.boundary_mass(mesh, partition.gamma1_faces)[np.ix_(free, free)].tocsr()
+    Kinv = spla.LinearOperator(K.shape, matvec=spla.splu(K).solve, dtype=float)
+    mu = spla.eigsh(B, M=K, Minv=Kinv, which="LA", k=1, v0=np.ones(len(free)),
+                    return_eigenvectors=False)[0]
+    return math.sqrt(mu)
+
+
 class TestDomainForms:
     @pytest.mark.parametrize("mesh, x0", [
         (geometry.build_rect_mesh(1.3, 0.7, 5, 3), np.array([-0.2, 0.31])),
@@ -343,6 +357,14 @@ class TestEmbeddingConstants:
             oracle = _dense_embedding_oracle(mesh, part)
             assert emb["M"] == pytest.approx(oracle["M"], rel=1e-10), (shape, x0)
             assert emb["N"] == pytest.approx(oracle["N"], rel=1e-10), (shape, x0)
+
+    @pytest.mark.parametrize("x0", [(-0.1, -0.1), (-0.1, 0.5), (1.4, 0.5)],
+                             ids=["corner", "one-edge", "far-edge"])
+    def test_standard_mode_matches_generalized_mode(self, x0):
+        mesh = geometry.build_rect_mesh(1.0, 1.0, 32, 32)
+        part = geometry.classify_boundary(mesh, np.array(x0))
+        N = geometry.embedding_constants(mesh, part)["N"]
+        assert N == pytest.approx(_generalized_mode_N(mesh, part), rel=1e-12)
 
     def test_refinement_monotone(self):
         prev_M, prev_N = 0.0, 0.0

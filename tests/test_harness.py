@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamstab import diagnostics, harness
+from beamstab import _fem, diagnostics, discretization, geometry, harness
+from beamstab.admissibility import build_report
 from beamstab.errors import ConfigError, InvalidArgumentError, StepFailureError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -112,6 +113,10 @@ def _all_fields(cfg):
     out = dataclasses.asdict(cfg)
     out["x0"] = out["x0"].tolist()
     return out
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a domain operator was built")
 
 
 @pytest.fixture
@@ -241,6 +246,32 @@ class TestRunCheck:
         harness.run_check(small_cfg, out=str(tmp_path), stream=io.StringIO())
         body = (tmp_path / "small_check.csv").read_text()
         assert body.splitlines()[0].startswith("n,M,N,R,")
+
+    @pytest.mark.parametrize("text", [
+        pytest.param((ROOT / "configs" / "reference_1d.ini").read_text(), id="reference"),
+        pytest.param(SMALL_CONFIG.replace("kind = interval", "kind = rect\nnx = 24\nny = 16")
+                     .replace("x0 = 0.0", "x0 = -0.1 -0.2")
+                     .replace("alpha1 = 0.1\nalpha2 = 0.1", "alpha1 = 0.03\nalpha2 = 0.03"),
+                     id="rect"),
+    ])
+    def test_builds_no_domain_operator(self, text, tmp_path, monkeypatch):
+        cfg = harness.parse_config(text=text)
+        mesh, partition, system = harness.build_problem(cfg)
+        gc = geometry.geometric_constants(mesh, partition)
+        emb = geometry.embedding_constants(mesh, partition)
+        assembled = build_report(mesh.dimension, emb["M"], emb["N"], gc["R"], gc["tau0"],
+                                 system.schedule, system.law1, system.law2,
+                                 cfg.alpha1, cfg.alpha2, partition)
+        for module, name in ((_fem, "domain_matrices"), (_fem, "kron_sum"),
+                             (discretization, "assemble"), (harness, "assemble")):
+            monkeypatch.setattr(module, name, _refuse)
+        code = harness.run_check(cfg, out=str(tmp_path), stream=io.StringIO())
+        header, row = (tmp_path / f"{cfg.prefix}_check.csv").read_text().splitlines()
+        got = dict(zip(header.split(","), row.split(",")))
+        want = dict(zip(header.split(","), assembled.as_csv().splitlines()[1].split(",")))
+        assert got["admissible"] == want["admissible"] == "true"
+        assert code == harness.EXIT_OK
+        assert {k: got[k] for k in ("M", "eta")} == {k: want[k] for k in ("M", "eta")}
 
 
 class TestRunSimulate:
@@ -383,10 +414,11 @@ class TestRunSweep:
         assert lines[0] == "alpha1,alpha2,law1,law2,admissible,eta,fitted_rate"
         assert len(lines) == 5
 
-    def test_inadmissible_point_not_simulated(self, tmp_path):
+    def test_inadmissible_point_not_simulated(self, tmp_path, monkeypatch):
         text = SMALL_CONFIG + "\n[sweep]\nalpha = 1.0\nlaws = identity\n"
         cfg = harness.parse_config(text=text)
         cfg.out_dir = str(tmp_path)
+        monkeypatch.setattr(harness, "assemble", _refuse)  # an inadmissible point builds no system
         harness.run_sweep(cfg, stream=io.StringIO())
         row = (tmp_path / "small_sweep.csv").read_text().splitlines()[1]
         fields = row.split(",")
@@ -499,6 +531,22 @@ class TestCli:
         assert harness.main(["fit", f"{out}/small_trace.csv",
                              "--window", "0.1", "0.5"]) == 0
         capsys.readouterr()
+
+    def test_fit_undefined_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(SMALL_CONFIG)
+        out = tmp_path / "out"
+        harness.main(["simulate", "--config", str(path), "--out", str(out)])
+        capsys.readouterr()
+        trace = out / "small_trace.csv"
+        lines = trace.read_text().splitlines()
+        first = next(k for k, ln in enumerate(lines) if ln.startswith("t,E,")) + 2
+        one = tmp_path / "one.csv"
+        one.write_text("\n".join(lines[:first]) + "\n")  # the header and one sample
+        for argv in (["fit", str(trace), "--window", "100", "200"], ["fit", str(one)]):
+            assert harness.main(argv) == harness.EXIT_USAGE
+            err = capsys.readouterr().err.splitlines()
+            assert err == ["error: window contains fewer than two samples"], argv
 
     def test_fit_rejects_foreign_csv(self, tmp_path, capsys):
         junk = tmp_path / "junk.csv"
