@@ -41,7 +41,8 @@ def main():
 
     trace = harness.read_trace_csv(Path(args.out) / f"{cfg.prefix}_trace.csv")
     fit = fit_decay_rate(trace)
-    cert = harness.build_certificate(cfg, *harness.build_domain(cfg))
+    mesh, partition = harness.build_domain(cfg)
+    cert = harness.build_certificate(cfg, partition, harness.build_constants(mesh, partition))
     certified = 2.0 / 3.0 * cert.eta
     print("\n== decay rate ==")
     print(f"fitted rate     {fit.rate:.6f}  (r^2 = {fit.r_squared:.6f})")

@@ -8,8 +8,7 @@ from .discretization import (SemiDiscreteSystem, SimState, assemble,
 from .errors import (ConfigError, FitUndefinedError, InadmissiblePartitionError,
                      InvalidArgumentError, NumericalFailureError, StepFailureError)
 from .feedback import (CATALOG, FeedbackLaw, LipschitzLaw, hardening_law,
-                       identity_law, saturating_law, strauss_approximate,
-                       verify_law, zero_law)
+                       identity_law, saturating_law, strauss_approximate, zero_law)
 from .geometry import (BoundaryPartition, Mesh,
                        build_interval_mesh, build_rect_mesh, classify_boundary,
                        embedding_constants, geometric_constants)

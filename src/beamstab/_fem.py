@@ -1,11 +1,13 @@
 """Low-level finite element operators shared by geometry and discretization.
 
-Every mesh is a uniform tensor grid: an interval, or a rectangle whose
-nodes are numbered i*(ny+1)+j.  The basis is continuous piecewise-linear
-(P1) on each axis and its tensor product (bilinear) on the rectangle, so
-each domain form is a Kronecker sum of 1D P1 factors with the x factor
-first: the fast-diagonalization setting of Lynch, Rice & Thomas, Numer.
-Math. 6 (1964).  The interval is the one-factor case of the same code.
+Every mesh is a uniform tensor grid built from its axes (geometry.Mesh):
+an interval, or a rectangle whose nodes are numbered i*(ny+1)+j.  The
+basis is continuous piecewise-linear (P1) on each axis and its tensor
+product (bilinear) on the rectangle, so each domain form is a Kronecker
+sum of 1D P1 factors with the x factor first: the fast-diagonalization
+setting of Lynch, Rice & Thomas, Numer. Math. 6 (1964).  The interval is
+the one-factor case of the same code.  Every boundary form is
+T' diag(d) T for the trace map T of trace_structure (trace_form).
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import InvalidArgumentError
 
-# relative spread of the cell widths below which an axis counts as uniform
-UNIFORM_RTOL = 1e-12
-
 
 def gauss_rule(npts):
     """Gauss-Legendre points/weights mapped to [0, 1]."""
@@ -29,107 +28,8 @@ def gauss_rule(npts):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def reference_basis(dim, pts):
-    """Basis values and reference gradients at reference points.
-
-    pts: (q, dim) in the unit interval/square.  Returns (phi, dphi) with
-    phi (q, nloc) and dphi (q, nloc, dim).
-    """
-    if dim == 1:
-        xi = pts[:, 0]
-        phi = np.stack([1.0 - xi, xi], axis=1)
-        dphi = np.tile(np.array([[-1.0], [1.0]]), (len(xi), 1, 1))
-        return phi, dphi
-    xi, et = pts[:, 0], pts[:, 1]
-    # corner order: (0,0), (1,0), (1,1), (0,1)
-    phi = np.stack([(1 - xi) * (1 - et), xi * (1 - et), xi * et, (1 - xi) * et], axis=1)
-    dphi = np.empty((len(xi), 4, 2))
-    dphi[:, 0, 0] = -(1 - et)
-    dphi[:, 0, 1] = -(1 - xi)
-    dphi[:, 1, 0] = 1 - et
-    dphi[:, 1, 1] = -xi
-    dphi[:, 2, 0] = et
-    dphi[:, 2, 1] = xi
-    dphi[:, 3, 0] = -et
-    dphi[:, 3, 1] = 1 - xi
-    return phi, dphi
-
-
-def element_quadrature(mesh, npts=2):
-    """Tensor Gauss rule on every element.
-
-    Returns (points, weights, phi, grad) with points (E, q, dim),
-    weights (E, q), phi (q, nloc), grad (E, q, nloc, dim).  Elements are
-    axis-aligned, so the map to the reference cell is affine.
-    """
-    g, gw = gauss_rule(npts)
-    dim = mesh.dimension
-    corners = mesh.nodes[mesh.elements]
-    lo = corners.min(axis=1)
-    size = corners.max(axis=1) - lo  # (E, dim)
-    if dim == 1:
-        ref = g[:, None]
-        wref = gw
-    else:
-        xi, et = np.meshgrid(g, g, indexing="ij")
-        ref = np.stack([xi.ravel(), et.ravel()], axis=1)
-        wref = np.outer(gw, gw).ravel()
-    phi, dphi = reference_basis(dim, ref)
-    pts = lo[:, None, :] + ref[None, :, :] * size[:, None, :]
-    jac = np.prod(size, axis=1)  # (E,)
-    weights = jac[:, None] * wref[None, :]
-    grad = dphi[None, :, :, :] / size[:, None, None, :]
-    return pts, weights, phi, grad
-
-
 # ---------------------------------------------------------------------------
 # tensor grids and their 1D factors
-
-def grid_elements(counts):
-    """Cells of the tensor grid with counts[d] nodes on axis d.
-
-    Interval: node pairs (i, i+1).  Rectangle: corners (i,j), (i+1,j),
-    (i+1,j+1), (i,j+1) of node ids i*(ny+1)+j, cells ordered by i, then j.
-    """
-    if len(counts) == 1:
-        e = np.arange(counts[0] - 1)
-        return np.stack([e, e + 1], axis=1)
-    ny1 = counts[1]
-    i, j = np.meshgrid(np.arange(counts[0] - 1), np.arange(ny1 - 1), indexing="ij")
-    base = (i * ny1 + j).ravel()
-    return np.stack([base, base + ny1, base + ny1 + 1, base + 1], axis=1)
-
-
-def grid_axes(nodes, elements):
-    """Per-axis node coordinates of a uniform tensor-grid mesh.
-
-    The nodes must be the grid in i*(ny+1)+j numbering and the elements
-    its grid_elements; raises InvalidArgumentError for any other mesh.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim != 2 or nodes.shape[1] not in (1, 2):
-        raise InvalidArgumentError("mesh nodes must be an (N, 1) or (N, 2) array")
-    if nodes.shape[1] == 1:
-        axes = (nodes[:, 0].copy(),)
-    else:
-        moved = np.flatnonzero(nodes[:, 0] != nodes[0, 0])
-        inner = moved[0] if len(moved) else len(nodes)
-        axes = (nodes[::inner, 0].copy(), nodes[:inner, 1].copy())
-    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    if grid.shape != nodes.shape or not np.array_equal(grid, nodes):
-        raise InvalidArgumentError("mesh nodes are not a tensor grid numbered i*(ny+1)+j")
-    for x in axes:
-        h = np.diff(x)
-        if len(h) < 1 or np.any(h <= 0) or np.ptp(h) > UNIFORM_RTOL * h.mean():
-            raise InvalidArgumentError("mesh nodes are not uniformly spaced, "
-                                       "increasing coordinates on every axis")
-    counts = tuple(len(x) for x in axes)
-    elements = np.asarray(elements)
-    expected = grid_elements(counts)
-    if elements.shape != expected.shape or not np.array_equal(elements, expected):
-        raise InvalidArgumentError("mesh elements are not the cells of its node grid")
-    return axes
-
 
 def _tridiagonal(local):
     """Assemble per-cell 2x2 matrices (E, 2, 2) of a 1D chain into csr."""
@@ -281,24 +181,6 @@ def kron_solve(ldls, b):
         lambda z, f=f: dpttrs(*f, z)[0] for f in ldls])
 
 
-def boundary_mass(mesh, faces, density=None):
-    """Boundary mass matrix over the given faces (a geometry.Faces).
-
-    density: optional per-face constant multiplying the integrand (one
-    value per face).
-    """
-    n = len(mesh.nodes)
-    ids = faces.nodes  # (F, nloc)
-    scale = np.ones(len(ids)) if density is None else np.asarray(density, dtype=float)
-    # P1 mass of a unit face: a point in 1D, a segment in 2D
-    ref, den = ([[1.0]], 1.0) if mesh.dimension == 1 else ([[2.0, 1.0], [1.0, 2.0]], 6.0)
-    local = (scale * faces.quad_weights.sum(axis=1) / den)[:, None, None] * np.array(ref)
-    nloc = ids.shape[1]
-    rows = np.repeat(ids, nloc, axis=1)
-    cols = np.tile(ids, (1, nloc))
-    return sp.csr_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
-
-
 def trace_structure(mesh, faces):
     """Trace map onto the quadrature points of the given faces.
 
@@ -321,3 +203,10 @@ def trace_structure(mesh, faces):
     rows = np.repeat(q, ids.shape[1])
     T = sp.csr_matrix((vals.ravel(), (rows, ids.ravel())), shape=(len(q), n))
     return T, weights, points
+
+
+def trace_form(T, d):
+    """T' diag(d) T, csr, for a trace T from trace_structure (or its
+    restriction to some columns) and per-point weights d that include the
+    quadrature weights."""
+    return (T.T @ sp.diags(d) @ T).tocsr()

@@ -87,24 +87,22 @@ def higher_energy(system, state, t=None):
 def rellich_check(mesh, fld, x0):
     """Multiplier identity on a manufactured field.
 
-    The interior pairings use the mesh interpolant's gradient (exact
-    elementwise quadrature); the boundary traces use the analytic gradient.
-    Reports both the printed single-pairing form and the standard form with
-    the factor 2, plus their defects; the defects vanish at second order
-    under refinement when the identity holds.
+    The interior terms come from the assembled domain forms
+    (_fem.domain_matrices) on the nodal values u of the field and lap of
+    its Laplacian: the pairing (lap_h, m . grad u_h) = lap' X u and
+    |grad u_h|^2 = u' K u, both exact for the interpolants; the boundary
+    traces use the analytic gradient.  Reports both the printed
+    single-pairing form and the standard form with the factor 2, plus their
+    defects; the defects vanish at second order under refinement when the
+    identity holds.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = mesh.dimension
-    nodal = np.asarray(fld.value(mesh.nodes), dtype=float)
-
-    pts, w, _, grad = _fem.element_quadrature(mesh, npts=4)
-    conn = mesh.elements
-    uh_grad = np.einsum("eqjd,ej->eqd", grad, nodal[conn])  # (E, q, dim)
-    m = pts - x0[None, None, :]
-    flat = pts.reshape(-1, n)
-    lap = np.asarray(fld.laplacian(flat), dtype=float).reshape(w.shape)
-    pair = float(np.sum(w * lap * np.einsum("eqd,eqd->eq", m, uh_grad)))
-    grad_sq = float(np.sum(w * np.einsum("eqd,eqd->eq", uh_grad, uh_grad)))
+    u = np.asarray(fld.value(mesh.nodes), dtype=float)
+    lap = np.asarray(fld.laplacian(mesh.nodes), dtype=float)
+    mats = _fem.domain_matrices(mesh, x0)
+    pair = float(lap @ (mats["multiplier"] @ u))
+    grad_sq = float(u @ (mats["stiffness"] @ u))
 
     faces = mesh.faces
     g = np.asarray(fld.grad(faces.quad_points.reshape(-1, n)), dtype=float).reshape(

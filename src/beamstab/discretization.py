@@ -33,7 +33,8 @@ class SemiDiscreteSystem:
     It also owns the Gamma1 boundary operator: the quadrature-point trace T
     over all nodes and restricted to the free dofs, the transpose, the
     weights w (m.nu), the laws' slopes at 0, and the forcing load, the
-    weighted form T' diag(d) T and the boundary integral built on them.
+    sigma form T' diag(w sigma) T (_fem.trace_form) and the boundary
+    integral built on them.
     The time stepper stacks the free-dof trace into its own residual.
     The geometric Gamma1 data (m.nu, sum nu, normals) live on the partition.
 
@@ -47,7 +48,6 @@ class SemiDiscreteSystem:
     stiffness: sp.csr_matrix
     coupling: sp.csr_matrix      # C[k, j] = (sum_i d phi_j / dx_i, phi_k)
     multiplier: sp.csr_matrix    # X[k, j] = (phi_k, m . grad phi_j)
-    boundary_sum_nu: sp.csr_matrix  # int_Gamma (sum_i nu_i) phi_j phi_k
     trace: sp.csr_matrix         # Gamma1 quadrature-point traces
     trace_weights: np.ndarray
     trace_points: np.ndarray
@@ -76,7 +76,7 @@ class SemiDiscreteSystem:
         zero = np.zeros(len(self.trace_weights))
         self.slopes0 = tuple(np.asarray(law.slope(zero), dtype=float)
                              for law in (self.law1, self.law2))
-        self.sigma_op = self.boundary_form(self.trace_weights * self.sigma_values)
+        self.sigma_op = _fem.trace_form(self.trace, self.trace_weights * self.sigma_values)
 
     @property
     def n_nodes(self):
@@ -101,11 +101,6 @@ class SemiDiscreteSystem:
     def boundary_load(self, law, s):
         """T' diag(w m.nu) p(s): a load over all nodes for Gamma1 trace values s."""
         return self.trace_t @ (self.trace_wmn * np.asarray(law(s)).T).T
-
-    def boundary_form(self, d):
-        """T' diag(d) T for per-point weights d (quadrature weights included),
-        csr over all nodes."""
-        return (self.trace_t @ sp.diags(d) @ self.trace).tocsr()
 
     def boundary_integral(self, values):
         """sum_q w_q (m.nu)_q values_q over the Gamma1 quadrature points."""
@@ -168,7 +163,6 @@ def assemble(mesh, partition, alpha1, alpha2, schedule, law1, law2):
     if not g1:
         raise InvalidArgumentError("partition has no feedback boundary")
     T, w, pts = _fem.trace_structure(mesh, g1)
-    bsn = _fem.boundary_mass(mesh, mesh.faces, density=mesh.faces.normal.sum(axis=1))
 
     fixed = partition.gamma0_nodes()
     free = np.setdiff1d(np.arange(len(mesh.nodes)), fixed)
@@ -176,7 +170,7 @@ def assemble(mesh, partition, alpha1, alpha2, schedule, law1, law2):
     return SemiDiscreteSystem(
         mesh=mesh, partition=partition,
         mass=mats["mass"], stiffness=mats["stiffness"], coupling=mats["coupling"],
-        multiplier=mats["multiplier"], boundary_sum_nu=bsn,
+        multiplier=mats["multiplier"],
         trace=T, trace_weights=w, trace_points=pts, sigma_values=partition.sigma(alpha2),
         alpha1=float(alpha1), alpha2=float(alpha2),
         schedule=schedule, law1=law1, law2=law2,

@@ -147,43 +147,6 @@ def strauss_approximate(law, level):
     return LipschitzLaw(f"{law.label}|l={level}", x, y, level, law.b)
 
 
-@dataclass(frozen=True)
-class LawReport:
-    label: str
-    claimed_b: float
-    claimed_L: float
-    monotonicity_margin: float  # min over pairs of quotient - b
-    growth_margin: float        # min over samples of L|s| - |p(s)|
-    monotone_ok: bool
-    growth_ok: bool
-
-    @property
-    def passed(self):
-        return self.monotone_ok and self.growth_ok
-
-
-def verify_law(law, half_range, samples):
-    """Scan sample pairs for strong monotonicity and points for linear growth.
-
-    Violations are reported through the margins, never raised.
-    """
-    if half_range <= 0:
-        raise InvalidArgumentError("range bound must be positive")
-    if samples < 2:
-        raise InvalidArgumentError("need at least two samples")
-    s = np.linspace(-half_range, half_range, samples)
-    p = np.asarray(law(s), dtype=float)
-    ds = s[:, None] - s[None, :]
-    dp = p[:, None] - p[None, :]
-    mask = np.abs(ds) > 0
-    quotients = np.where(mask, dp * ds, np.inf) / np.where(mask, ds * ds, 1.0)
-    mono_margin = float(np.min(quotients[mask]) - law.b)
-    nz = np.abs(s) > 0
-    growth_margin = float(np.min(law.L * np.abs(s[nz]) - np.abs(p[nz])))
-    return LawReport(law.label, law.b, law.L, mono_margin, growth_margin,
-                     mono_margin >= -1e-12, growth_margin >= -1e-12)
-
-
 def law_from_spec(name, params):
     """Build a catalog law from a config name + parameter dict."""
     if name not in CATALOG:

@@ -18,6 +18,9 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from . import _fem
 from .errors import InadmissiblePartitionError, InvalidArgumentError, NumericalFailureError
 
+# relative spread of the cell widths below which an axis counts as uniform
+UNIFORM_RTOL = 1e-12
+
 # Lanczos basis size of the eigen-solve for N.  N is an extreme,
 # well-separated eigenvalue, and a small basis needs fewer operator
 # applications than ARPACK's default of 20.
@@ -75,26 +78,37 @@ def _grid_faces(nodes, counts):
 
 @dataclass(frozen=True)
 class Mesh:
-    """Discretized domain: nodes, elements and boundary faces.
+    """Discretized domain: a uniform tensor grid built from its axes.
 
-    1D: elements are index pairs; boundary faces are the two endpoints.
-    2D: axis-aligned bilinear rectangles; boundary faces are edges.
-    Either way the mesh is a uniform tensor grid (see _fem.grid_axes);
-    axes holds its per-axis node coordinates and faces its boundary.
+    axes holds the node coordinates of each axis, increasing and uniformly
+    spaced: one axis for an interval, two for a rectangle of bilinear
+    cells.  nodes (N, dim) derives from them, numbered i*(ny+1)+j on the
+    rectangle, and so do dimension and the boundary faces: the two end
+    points of the interval, or the edges of the rectangle.
     """
 
-    dimension: int
-    nodes: np.ndarray     # (N, dim)
-    elements: np.ndarray  # (E, 2) or (E, 4)
-    axes: tuple = field(init=False, repr=False, compare=False)
+    axes: tuple
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)  # (N, dim)
     faces: Faces = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "axes", _fem.grid_axes(self.nodes, self.elements))
-        if len(self.axes) != self.dimension:
-            raise InvalidArgumentError("mesh nodes do not match its dimension")
-        object.__setattr__(self, "faces", _grid_faces(
-            np.asarray(self.nodes, dtype=float), tuple(len(x) for x in self.axes)))
+        axes = tuple(np.asarray(x, dtype=float) for x in self.axes)
+        if len(axes) not in (1, 2):
+            raise InvalidArgumentError("a mesh has one or two axes")
+        for x in axes:
+            h = np.diff(x)
+            if (x.ndim != 1 or len(h) < 1 or np.any(h <= 0)
+                    or np.ptp(h) > UNIFORM_RTOL * h.mean()):
+                raise InvalidArgumentError("mesh nodes are not uniformly spaced, "
+                                           "increasing coordinates on every axis")
+        nodes = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "faces", _grid_faces(nodes, tuple(len(x) for x in axes)))
+
+    @property
+    def dimension(self):
+        return len(self.axes)
 
 
 @dataclass(frozen=True)
@@ -148,8 +162,7 @@ def build_interval_mesh(length, node_count):
         raise InvalidArgumentError("length must be positive")
     if node_count < 3:
         raise InvalidArgumentError("node_count must be at least 3")
-    xs = np.linspace(0.0, float(length), node_count)[:, None]
-    return Mesh(1, xs, _fem.grid_elements((node_count,)))
+    return Mesh((np.linspace(0.0, float(length), node_count),))
 
 
 def build_rect_mesh(lx, ly, nx, ny):
@@ -158,11 +171,7 @@ def build_rect_mesh(lx, ly, nx, ny):
         raise InvalidArgumentError("side lengths must be positive")
     if nx < 2 or ny < 2:
         raise InvalidArgumentError("cell counts must be at least 2")
-    xs = np.linspace(0.0, float(lx), nx + 1)
-    ys = np.linspace(0.0, float(ly), ny + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
-    return Mesh(2, nodes, _fem.grid_elements((nx + 1, ny + 1)))
+    return Mesh((np.linspace(0.0, float(lx), nx + 1), np.linspace(0.0, float(ly), ny + 1)))
 
 
 def classify_boundary(mesh, x0):
@@ -199,9 +208,9 @@ def embedding_constants(mesh, partition):
 
     M = 1/sqrt(lambda_min) of the stiffness form K against the domain mass
     form on the subspace vanishing on Gamma0; N = sqrt(mu_max) of the
-    Gamma1 boundary mass form B against K.  Both come from the closed-form
-    eigenpairs (lam_d, V_d) of the free 1D factor pairs
-    (_fem.axis_eigenpairs), which diagonalize K: with
+    Gamma1 boundary mass form B = T' diag(w) T (_fem.trace_form) against
+    K.  Both come from the closed-form eigenpairs (lam_d, V_d) of the free
+    1D factor pairs (_fem.axis_eigenpairs), which diagonalize K: with
     L = (V_1 x V_2) diag(lam^-1/2), lam_ij = lam_1i + lam_2j, L' K L = I.
     lambda_min is the sum over the axes of the smallest lam_d, 0 on an
     unclamped axis.  mu_max is the largest eigenvalue of L' B L, the same
@@ -219,7 +228,8 @@ def embedding_constants(mesh, partition):
     lam_min = sum(float(lam[0]) for lam in lams)  # lam[0] = 0 on a free-free axis
     counts = tuple(len(lam) for lam in lams)
     scale = 1.0 / np.sqrt(reduce(np.add.outer, lams).ravel())
-    B = _fem.boundary_mass(mesh, partition.gamma1_faces)[np.ix_(free, free)].tocsr()
+    T, w, _ = _fem.trace_structure(mesh, partition.gamma1_faces)
+    B = _fem.trace_form(T[:, free], w)
 
     def pencil(y):  # L' B L y
         x = _fem.along_axes(scale * y.ravel(), counts, [lambda z, V=V: V @ z for _, V in pairs])

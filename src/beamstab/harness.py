@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from . import diagnostics, feedback, geometry, timestepper
+from . import _fem, diagnostics, feedback, geometry, timestepper
 from .admissibility import (build_report, constant_schedule, decaying_schedule)
 from .discretization import assemble, project_initial_data
 from .errors import (ConfigError, FitUndefinedError, InadmissiblePartitionError,
@@ -250,19 +250,19 @@ def build_problem(cfg):
     return mesh, partition, build_system(cfg, mesh, partition)
 
 
-def build_certificate(cfg, mesh, partition, system=None):
-    """The decay-rate certificate of a config on its mesh and partition.
+def build_constants(mesh, partition):
+    """M, N, R and tau0: what the certificate reads of mesh and partition."""
+    return {**geometry.geometric_constants(mesh, partition),
+            **geometry.embedding_constants(mesh, partition)}
 
-    It reads the constants of mesh and partition and the couplings,
-    schedule and laws of cfg, so it needs no assembled system; `system`
-    is accepted for callers that hold one and is not read.
-    """
-    schedule = build_schedule(cfg)
-    law1, law2 = build_laws(cfg)
-    gc = geometry.geometric_constants(mesh, partition)
-    emb = geometry.embedding_constants(mesh, partition)
-    return build_report(mesh.dimension, emb["M"], emb["N"], gc["R"], gc["tau0"],
-                        schedule, law1, law2, cfg.alpha1, cfg.alpha2, partition)
+
+def build_certificate(cfg, partition, constants):
+    """The decay-rate certificate of a config on its partition, from the
+    build_constants of its mesh and the couplings, schedule and laws of
+    cfg; it needs no assembled system."""
+    return build_report(partition.mesh.dimension, constants["M"], constants["N"],
+                        constants["R"], constants["tau0"], build_schedule(cfg),
+                        *build_laws(cfg), cfg.alpha1, cfg.alpha2, partition)
 
 
 def _initial_fields(cfg, mesh):
@@ -277,7 +277,8 @@ def _initial_fields(cfg, mesh):
 
 def run_check(cfg, out=None, stream=None):
     stream = sys.stdout if stream is None else stream
-    report = build_certificate(cfg, *build_domain(cfg))
+    mesh, partition = build_domain(cfg)
+    report = build_certificate(cfg, partition, build_constants(mesh, partition))
     stream.write(report.as_text() + "\n")
     if out is not None:
         outdir = Path(out)
@@ -291,7 +292,7 @@ def run_simulate(cfg, stream=None):
     mesh, partition, system = build_problem(cfg)
     certificate = None
     if system.law1.b > 0 and system.law2.b > 0:
-        certificate = build_certificate(cfg, mesh, partition)
+        certificate = build_certificate(cfg, partition, build_constants(mesh, partition))
         if not certificate.admissible:
             log.warning("coupling parameters fail the smallness conditions; "
                         "the run proceeds without a certified envelope")
@@ -365,7 +366,10 @@ def _verify_assembly(cfg, corrupt):
     volume = float(np.prod(mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)))
     checks.append(("mass-total", abs(float(M.sum()) - volume), 1e-12 * max(1.0, volume)))
     checks.append(("stiffness-nullspace", max_abs(K.sum(axis=1)), 1e-10))
-    gauss = system.coupling + system.coupling.T - system.boundary_sum_nu
+    # int_Gamma (sum_i nu_i) phi_j phi_k over every face
+    T, w, _ = _fem.trace_structure(mesh, mesh.faces)
+    sum_nu = np.repeat(mesh.faces.normal.sum(axis=1), mesh.faces.quad_weights.shape[1])
+    gauss = system.coupling + system.coupling.T - _fem.trace_form(T, w * sum_nu)
     checks.append(("coupling-gauss-identity", max_abs(gauss), 1e-12))
     return [(f"assembly/{name}", err <= tol, f"defect {err:.3e} (tol {tol:.1e})")
             for name, err, tol in checks]
@@ -460,6 +464,7 @@ def run_sweep(cfg, stream=None):
                           f"parameters; remove {', '.join(given)} from [feedback]")
     # the points differ in their couplings and laws only
     mesh, partition = build_domain(cfg)
+    constants = build_constants(mesh, partition)
     rows = []
     for alpha in cfg.sweep_alphas:
         for law_name in cfg.sweep_laws:
@@ -467,7 +472,7 @@ def run_sweep(cfg, stream=None):
             point = replace(cfg)
             point.alpha1 = point.alpha2 = alpha
             point.law1_name = point.law2_name = law_name
-            cert = build_certificate(point, mesh, partition)
+            cert = build_certificate(point, partition, constants)
             eta = rate = ""
             if cert.admissible:
                 eta = f"{cert.eta:.17g}"

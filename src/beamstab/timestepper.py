@@ -52,6 +52,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from . import _fem
 from .discretization import SimState
 from .errors import InvalidArgumentError, StepFailureError
 
@@ -131,10 +132,6 @@ class _MidpointSolver:
         self.newton = self.gmres = self.halvings = 0
         self.worst_residual = 0.0
 
-    def stacked_form(self, d):
-        """T2' diag(d) T2 for per-point weights d on the stacked Gamma1 points."""
-        return (self.T2t @ sp.diags(d) @ self.T2).tocsr()
-
     def _weights(self, mu):
         return np.concatenate([mu * self.system.trace_wmn, self.system.trace_wmn])
 
@@ -148,7 +145,7 @@ class _MidpointSolver:
         J_lin = (sp.block_diag((m, m)) + (dt / 2.0) * S).tocsr()
         W = self._weights(mu)
         d_ref = W * self.slopes0
-        J_ref = (J_lin + self.stacked_form(d_ref)).tocsc()
+        J_ref = (J_lin + _fem.trace_form(self.T2, d_ref)).tocsc()
         self._ref = self._ops = None  # release the old LU before factoring the new one
         lu = splu(J_ref, permc_spec="MMD_AT_PLUS_A")
         self.factorizations += 1

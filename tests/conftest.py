@@ -28,6 +28,20 @@ def make_system(mesh=None, nodes=11, alpha1=0.1, alpha2=0.1, law1=None, law2=Non
                     law1 or identity_law(), law2 or identity_law())
 
 
+def grid_cells(mesh):
+    """Node ids of the cells of a tensor-grid mesh, for the element-loop
+    oracles. Interval: node pairs (i, i+1).  Rectangle: corners (i,j),
+    (i+1,j), (i+1,j+1), (i,j+1) of node ids i*(ny+1)+j, ordered by i, then j."""
+    counts = [len(x) for x in mesh.axes]
+    if len(counts) == 1:
+        e = np.arange(counts[0] - 1)
+        return np.stack([e, e + 1], axis=1)
+    ny1 = counts[1]
+    i, j = np.meshgrid(np.arange(counts[0] - 1), np.arange(ny1 - 1), indexing="ij")
+    base = (i * ny1 + j).ravel()
+    return np.stack([base, base + ny1, base + ny1 + 1, base + 1], axis=1)
+
+
 def make_conservative_system(nodes=11):
     """Decoupled undamped configuration: zero laws, no coupling, sigma = 0
     (sigma = alpha2 * sum_i nu_i vanishes with alpha2)."""

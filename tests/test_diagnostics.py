@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from beamstab.fields import (bump_field, linear_field, quadratic_field,
                              sine_field, zero_field)
 from beamstab.timestepper import StepControl, integrate
 
-from conftest import make_conservative_system, make_system
+from conftest import grid_cells, make_conservative_system, make_system
 
 
 def _zero_state(system, t=0.0):
@@ -224,6 +225,35 @@ def _rellich_boundary_loop(mesh, fld, x0):
     return total, scale
 
 
+def _rellich_interior_quadrature(mesh, fld, x0):
+    """Oracle: the interior side of rellich_check by a 4-point tensor Gauss
+    rule on every cell, with the analytic Laplacian at the points and the
+    interpolant's gradient; returns (int lap m.grad u_h, int |grad u_h|^2)."""
+    g, gw = np.polynomial.legendre.leggauss(4)
+    g, gw = 0.5 * (g + 1.0), 0.5 * gw
+    dim = mesh.dimension
+    u = np.asarray(fld.value(mesh.nodes), dtype=float)
+    pair = grad_sq = 0.0
+    for cell in grid_cells(mesh):
+        corners = mesh.nodes[cell]
+        lo = corners.min(axis=0)
+        size = corners.max(axis=0) - lo
+        upper = (corners - lo) / size == 1.0  # (nloc, dim): corner at the upper end
+        for q in itertools.product(range(4), repeat=dim):
+            ref = g[list(q)]
+            w = np.prod(gw[list(q)]) * np.prod(size)
+            hat = np.where(upper, ref, 1.0 - ref)
+            dhat = np.where(upper, 1.0, -1.0) / size
+            grad = np.stack([dhat[:, d] * np.prod(np.delete(hat, d, axis=1), axis=1)
+                             for d in range(dim)], axis=1)  # (nloc, dim)
+            x = lo + ref * size
+            uh_grad = grad.T @ u[cell]
+            lap = float(np.asarray(fld.laplacian(x[None, :]), dtype=float)[0])
+            pair += w * lap * np.dot(x - x0, uh_grad)
+            grad_sq += w * np.dot(uh_grad, uh_grad)
+    return pair, grad_sq
+
+
 class TestRellich:
     @pytest.mark.parametrize("mesh, x0", [
         (geometry.build_rect_mesh(1.3, 0.7, 5, 3), np.array([-0.2, 0.31])),
@@ -254,6 +284,32 @@ class TestRellich:
             h = 1.0 / (nodes - 1)
             out = diag.rellich_check(mesh, quadratic_field(mesh), [0.0])
             assert out["mismatch_standard"] == pytest.approx(-h * h, rel=1e-10)
+
+    @pytest.mark.parametrize("mesh, x0", [
+        (geometry.build_interval_mesh(1.0, 11), np.array([0.0])),
+        (geometry.build_interval_mesh(1.7, 8), np.array([-0.35])),
+        (geometry.build_rect_mesh(1.3, 0.7, 5, 3), np.array([-0.2, 0.31])),
+        (geometry.build_rect_mesh(1.0, 1.0, 8, 8), np.array([0.0, 0.0])),
+    ])
+    def test_interior_terms_equal_element_quadrature(self, mesh, x0):
+        # the Laplacian of these fields is constant, so its interpolant is exact
+        n = mesh.dimension
+        for fld in (quadratic_field(mesh), linear_field(mesh), zero_field(mesh)):
+            pair, grad_sq = _rellich_interior_quadrature(mesh, fld, x0)
+            boundary, _ = _rellich_boundary_loop(mesh, fld, x0)
+            out = diag.rellich_check(mesh, fld, x0)
+            assert abs(out["lhs_printed"] - pair) <= 1e-13
+            assert abs(out["rhs"] - ((n - 2) * grad_sq + boundary)) <= 1e-13
+
+    def test_2d_sine_second_order(self):
+        # x0 off the corner: at x0 = (0, 0) this mismatch measured order 4
+        mismatches = []
+        for n in (8, 16, 32):
+            mesh = geometry.build_rect_mesh(1.0, 1.0, n, n)
+            out = diag.rellich_check(mesh, sine_field(mesh), [-0.1, -0.1])
+            mismatches.append(abs(out["mismatch_standard"]))
+        orders = diag.observed_orders(mismatches)
+        assert np.all(np.abs(orders - 2.0) <= 0.3)
 
     def test_2d_second_order(self):
         mismatches = []

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from beamstab import _fem, geometry
 from beamstab.errors import InadmissiblePartitionError, InvalidArgumentError
 
+from conftest import grid_cells
+
 
 def _shifted(mesh, shift):
     """The mesh moved by a constant vector."""
-    return geometry.Mesh(mesh.dimension, mesh.nodes + shift[None, :], mesh.elements)
+    return geometry.Mesh(tuple(x + s for x, s in zip(mesh.axes, shift)))
 
 
 class TestIntervalMesh:
@@ -43,7 +45,7 @@ class TestIntervalMesh:
 class TestRectMesh:
     def test_small_grid(self):
         mesh = geometry.build_rect_mesh(1.0, 1.0, 2, 2)
-        assert len(mesh.elements) == 4
+        assert mesh.dimension == 2 and len(mesh.nodes) == 9
         assert len(mesh.faces) == 8
         normals = {tuple(nu) for nu in mesh.faces.normal.tolist()}
         assert normals == {(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)}
@@ -188,7 +190,7 @@ def _element_loop_forms(mesh, x0):
     g, gw = np.polynomial.legendre.leggauss(3)
     g, gw = 0.5 * (g + 1.0), 0.5 * gw
     out = {name: np.zeros((n, n)) for name in ("mass", "stiffness", "coupling", "multiplier")}
-    for cell in mesh.elements:
+    for cell in grid_cells(mesh):
         corners = mesh.nodes[cell]
         lo = corners.min(axis=0)
         size = corners.max(axis=0) - lo
@@ -211,6 +213,21 @@ def _element_loop_forms(mesh, x0):
     return out
 
 
+def _face_mass_oracle(mesh, faces, density=None):
+    """Boundary mass over faces from the closed-form P1 mass of each face,
+    |face| / 6 [[2, 1], [1, 2]] on an edge and 1 at a point, times the
+    per-face density."""
+    n = len(mesh.nodes)
+    ids = faces.nodes  # (F, nloc)
+    scale = np.ones(len(ids)) if density is None else np.asarray(density, dtype=float)
+    ref, den = ([[1.0]], 1.0) if mesh.dimension == 1 else ([[2.0, 1.0], [1.0, 2.0]], 6.0)
+    local = (scale * faces.quad_weights.sum(axis=1) / den)[:, None, None] * np.array(ref)
+    nloc = ids.shape[1]
+    rows = np.repeat(ids, nloc, axis=1)
+    cols = np.tile(ids, (1, nloc))
+    return sp.csr_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
+
+
 def _dense_embedding_oracle(mesh, partition):
     """Independent dense generalized eigensolves for M and N."""
     mats = _element_loop_forms(mesh, partition.x0)
@@ -218,7 +235,7 @@ def _dense_embedding_oracle(mesh, partition):
     free = np.setdiff1d(np.arange(len(mesh.nodes)), fixed)
     K = mats["stiffness"][np.ix_(free, free)]
     Mm = mats["mass"][np.ix_(free, free)]
-    B = _fem.boundary_mass(mesh, partition.gamma1_faces)[np.ix_(free, free)].toarray()
+    B = _face_mass_oracle(mesh, partition.gamma1_faces)[np.ix_(free, free)].toarray()
     lam = scipy.linalg.eigh(K, Mm, eigvals_only=True)
     mu = scipy.linalg.eigh(B, K, eigvals_only=True)
     return {"M": 1.0 / math.sqrt(lam[0]), "N": math.sqrt(mu[-1])}
@@ -230,7 +247,7 @@ def _generalized_mode_N(mesh, partition):
     fixed = partition.gamma0_nodes()
     free = np.setdiff1d(np.arange(len(mesh.nodes)), fixed)
     K = _fem.domain_matrices(mesh)["stiffness"][np.ix_(free, free)].tocsc()
-    B = _fem.boundary_mass(mesh, partition.gamma1_faces)[np.ix_(free, free)].tocsr()
+    B = _face_mass_oracle(mesh, partition.gamma1_faces)[np.ix_(free, free)].tocsr()
     Kinv = spla.LinearOperator(K.shape, matvec=spla.splu(K).solve, dtype=float)
     mu = spla.eigsh(B, M=K, Minv=Kinv, which="LA", k=1, v0=np.ones(len(free)),
                     return_eigenvectors=False)[0]
@@ -292,9 +309,25 @@ class TestTraceStructure:
             assert np.array_equal(w, w0) and np.array_equal(pts, pts0)
 
 
-def _rect_parts():
-    mesh = geometry.build_rect_mesh(1.0, 1.0, 2, 2)
-    return mesh.nodes.copy(), mesh.elements.copy()
+class TestTraceForm:
+    @pytest.mark.parametrize("mesh, x0", [
+        (geometry.build_interval_mesh(1.7, 6), np.array([-0.35])),
+        (geometry.build_rect_mesh(1.3, 0.7, 5, 3), np.array([-0.2, 0.31])),
+        (geometry.build_rect_mesh(0.6, 1.7, 2, 4), np.array([0.9, -0.45])),
+    ])
+    def test_equals_face_mass_formula(self, mesh, x0):
+        part = geometry.classify_boundary(mesh, x0)
+        faces = mesh.faces
+        q = faces.quad_weights.shape[1]
+        sum_nu = faces.normal.sum(axis=1)
+        # the Gamma1 boundary mass, and the sum-nu form over every face
+        for sub, density, point_weight in (
+                (part.gamma1_faces, None, 1.0),
+                (faces, sum_nu, np.repeat(sum_nu, q))):
+            T, w, _ = _fem.trace_structure(mesh, sub)
+            got = _fem.trace_form(T, w * point_weight).toarray()
+            want = _face_mass_oracle(mesh, sub, density).toarray()
+            assert np.max(np.abs(got - want)) <= 1e-15
 
 
 class TestTensorGrid:
@@ -304,28 +337,15 @@ class TestTensorGrid:
         assert np.allclose(mesh.axes[1], np.linspace(0.0, 0.7, 4))
         assert np.allclose(geometry.build_interval_mesh(2.0, 5).axes[0], [0, 0.5, 1, 1.5, 2])
 
-    def test_moved_node_is_refused(self):
-        nodes, elems = _rect_parts()
-        nodes[4] += [0.01, 0.0]
-        with pytest.raises(InvalidArgumentError, match="tensor grid"):
-            geometry.Mesh(2, nodes, elems)
-
-    def test_other_numbering_is_refused(self):
-        nodes, elems = _rect_parts()
-        order = np.arange(9).reshape(3, 3).T.ravel()  # j*(nx+1)+i numbering
-        with pytest.raises(InvalidArgumentError, match="tensor grid"):
-            geometry.Mesh(2, nodes[order], elems)
+    def test_nodes_from_axes(self):
+        mesh = geometry.build_rect_mesh(1.3, 0.7, 5, 3)
+        i, j = 4, 2  # node i*(ny+1)+j sits at (x_i, y_j)
+        assert mesh.nodes.shape == (24, 2)
+        assert mesh.nodes[i * 4 + j].tolist() == [mesh.axes[0][i], mesh.axes[1][j]]
 
     def test_nonuniform_spacing_is_refused(self):
-        nodes = np.array([[0.0], [0.4], [1.0]])
-        mesh = geometry.build_interval_mesh(1.0, 3)
         with pytest.raises(InvalidArgumentError, match="uniformly spaced"):
-            geometry.Mesh(1, nodes, mesh.elements)
-
-    def test_foreign_elements_are_refused(self):
-        nodes, elems = _rect_parts()
-        with pytest.raises(InvalidArgumentError, match="elements"):
-            geometry.Mesh(2, nodes, elems[::-1])
+            geometry.Mesh((np.array([0.0, 0.4, 1.0]),))
 
 
 class TestEmbeddingConstants:

@@ -404,15 +404,20 @@ class TestReadTrace:
 
 
 class TestRunSweep:
-    def test_grid_rows(self, tmp_path):
+    def test_grid_rows(self, tmp_path, monkeypatch):
         text = SMALL_CONFIG + "\n[sweep]\nalpha = 0.05 0.1\nlaws = identity saturating\n"
         cfg = harness.parse_config(text=text)
         cfg.out_dir = str(tmp_path)
         cfg.T = 0.2
+        calls = []
+        embedding_constants = geometry.embedding_constants
+        monkeypatch.setattr(geometry, "embedding_constants",
+                            lambda *args: calls.append(args) or embedding_constants(*args))
         assert harness.run_sweep(cfg, stream=io.StringIO()) == harness.EXIT_OK
         lines = (tmp_path / "small_sweep.csv").read_text().splitlines()
         assert lines[0] == "alpha1,alpha2,law1,law2,admissible,eta,fitted_rate"
         assert len(lines) == 5
+        assert len(calls) == 1  # M and N depend on the mesh and the partition only
 
     def test_inadmissible_point_not_simulated(self, tmp_path, monkeypatch):
         text = SMALL_CONFIG + "\n[sweep]\nalpha = 1.0\nlaws = identity\n"

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from beamstab import geometry, harness, timestepper
+from beamstab import _fem, geometry, harness, timestepper
 from beamstab.admissibility import constant_schedule, decaying_schedule
 from beamstab.diagnostics import TraceRecorder, energy
 from beamstab.discretization import SimState, interpolate, project_initial_data
@@ -424,7 +424,7 @@ class TestReferenceOrdering:
                              x0=np.array([-0.1, -0.1]))
         solver = _MidpointSolver(system)
         ops = solver.operators(1e-3, 1.0)
-        J = (ops.J_lin + solver.stacked_form(ops.W * solver.slopes0)).tocsc()
+        J = (ops.J_lin + _fem.trace_form(solver.T2, ops.W * solver.slopes0)).tocsc()
         default = splu(J)
         assert ops.lu.L.nnz + ops.lu.U.nnz < default.L.nnz + default.U.nnz
 
