@@ -8,6 +8,8 @@ sum of 1D P1 factors with the x factor first: the fast-diagonalization
 setting of Lynch, Rice & Thomas, Numer. Math. 6 (1964).  The interval is
 the one-factor case of the same code.  Every boundary form is
 T' diag(d) T for the trace map T of trace_structure (trace_form).
+Small systems that are not Kronecker sums are solved in LAPACK band
+storage (band_storage, band_lu, band_solve).
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg import LinAlgError, eigh
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
 
 from .errors import InvalidArgumentError
 
@@ -151,6 +153,12 @@ def axis_eigenpairs(x, sl, mass):
     return lam, V
 
 
+def pencil_eigenpairs(a, mass):
+    """Eigenpairs (lam, V) of the symmetric 1D pair (a, mass), mass positive
+    definite: a V = mass V diag(lam) and V' mass V = I, by a dense eigh."""
+    return eigh(a.toarray(), mass.toarray())
+
+
 def along_axes(x, counts, ops):
     """(op_1 x ... x op_d) x for x of shape (prod(counts),) or (prod(counts), B).
 
@@ -159,9 +167,9 @@ def along_axes(x, counts, ops):
     """
     y = x.reshape(*counts, -1)
     for d, op in enumerate(ops):
-        y = np.moveaxis(y, d, 0)
+        y = y.swapaxes(0, d)
         shape = y.shape
-        y = np.moveaxis(op(y.reshape(shape[0], -1)).reshape(shape), 0, d)
+        y = op(y.reshape(shape[0], -1)).reshape(shape).swapaxes(0, d)
     return y.reshape(x.shape)
 
 
@@ -179,6 +187,34 @@ def kron_solve(ldls, b):
     A_d: one dpttrs solve per axis for all columns of b at once."""
     return along_axes(b, [len(d) for d, _ in ldls], [
         lambda z, f=f: dpttrs(*f, z)[0] for f in ldls])
+
+
+def band_storage(a, kl, ku):
+    """The sparse square matrix a in LAPACK's band storage for dgbtrf: an
+    (2 kl + ku + 1, n) array with a[i, j] in row kl + ku + i - j and kl
+    rows of room above for the fill of the row pivoting.  Raises
+    InvalidArgumentError for an entry outside the band."""
+    a = a.tocoo()
+    offset = a.row - a.col
+    if np.any(offset > kl) or np.any(-offset > ku):
+        raise InvalidArgumentError(f"matrix has entries outside the band ({kl}, {ku})")
+    ab = np.zeros((2 * kl + ku + 1, a.shape[1]))
+    np.add.at(ab, (kl + ku + offset, a.col), a.data)
+    return ab
+
+
+def band_lu(ab, kl, ku):
+    """LU factors (lu, piv) of a band_storage array, by LAPACK's dgbtrf."""
+    lu, piv, info = dgbtrf(ab, kl, ku)
+    if info != 0:
+        raise LinAlgError(f"band matrix is singular (dgbtrf info {info})")
+    return lu, piv
+
+
+def band_solve(factors, kl, ku, b):
+    """Solve with the band_lu factors for b of shape (n,), by dgbtrs."""
+    lu, piv = factors
+    return dgbtrs(lu, kl, ku, b, piv)[0]
 
 
 def trace_structure(mesh, faces):

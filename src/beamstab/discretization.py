@@ -38,6 +38,13 @@ class SemiDiscreteSystem:
     The time stepper stacks the free-dof trace into its own residual.
     The geometric Gamma1 data (m.nu, sum nu, normals) live on the partition.
 
+    The free 1D factors of each axis and the axis Gamma1 weights g_d (m.nu
+    at each Gamma1 end of the free axis, 0 elsewhere) give every free-dof
+    form as a Kronecker sum: each side of a tensor grid is one face of
+    constant m.nu, wholly in Gamma0 or in Gamma1, and the 2-point rule is
+    exact on P1 x P1, so T' diag(w m.nu c) T = sum_d M_1 x .. x c diag(g_d)
+    x .. x M_n for a constant c.
+
     Treat as immutable after assembly; all fields are plain data safe to
     share between runs.
     """
@@ -62,20 +69,21 @@ class SemiDiscreteSystem:
     trace_t: sp.csc_matrix = field(init=False, repr=False)       # trace.T
     trace_free: sp.csr_matrix = field(init=False, repr=False)    # trace[:, free]
     trace_wmn: np.ndarray = field(init=False, repr=False)        # w_q (m.nu)_q
-    slopes0: tuple = field(init=False, repr=False)   # (p1'(0), p2'(0)) per point
+    slopes0: tuple = field(init=False, repr=False)   # (p1'(0), p2'(0))
     sigma_op: sp.csr_matrix = field(init=False, repr=False)      # T' diag(w sigma) T
+    factors: tuple = field(init=False, repr=False)   # free 1D factors per axis
+    axis_gamma1: tuple = field(init=False, repr=False)  # g_d per axis
     mass_ldl: tuple = field(init=False, repr=False)  # free 1D mass factors, tridiagonal L D L'
 
     def __post_init__(self):
         slices = _fem.free_slices(self.mesh.axes, self.fixed)
-        factors = _fem.free_factors(self.mesh.axes, slices)
-        self.mass_ldl = tuple(_fem.tridiagonal_ldl(f["mass"]) for f in factors)
+        self.factors = tuple(_fem.free_factors(self.mesh.axes, slices))
+        self.axis_gamma1 = _axis_gamma1(self.partition, slices)
+        self.mass_ldl = tuple(_fem.tridiagonal_ldl(f["mass"]) for f in self.factors)
         self.trace_t = self.trace.T
         self.trace_free = self.trace[:, self.free].tocsr()
         self.trace_wmn = self.trace_weights * self.partition.gamma1_m_dot_nu
-        zero = np.zeros(len(self.trace_weights))
-        self.slopes0 = tuple(np.asarray(law.slope(zero), dtype=float)
-                             for law in (self.law1, self.law2))
+        self.slopes0 = tuple(float(law.slope(0.0)) for law in (self.law1, self.law2))
         self.sigma_op = _fem.trace_form(self.trace, self.trace_weights * self.sigma_values)
 
     @property
@@ -105,6 +113,22 @@ class SemiDiscreteSystem:
     def boundary_integral(self, values):
         """sum_q w_q (m.nu)_q values_q over the Gamma1 quadrature points."""
         return values.T @ self.trace_wmn
+
+
+def _axis_gamma1(partition, slices):
+    """Per axis d, m.nu at each Gamma1 end of the free slice and 0 elsewhere:
+    the faces with outer normal -e_d lie at the first node, those with +e_d
+    at the last."""
+    faces = partition.mesh.faces
+    out = []
+    for d, (x, sl) in enumerate(zip(partition.mesh.axes, slices)):
+        g = np.zeros(len(x))
+        for end, sign in ((0, -1.0), (len(x) - 1, 1.0)):
+            side = partition.gamma1 & (faces.normal[:, d] == sign)
+            if side.any():
+                g[end] = partition.m_dot_nu[side].flat[0]
+        out.append(g[sl])
+    return tuple(out)
 
 
 @dataclass

@@ -27,9 +27,9 @@ UNIFORM_RTOL = 1e-12
 EIGEN_NCV = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Faces:
-    """Boundary faces as arrays, one row per face.
+    """Boundary faces as arrays, one row per face; equality is identity.
 
     nodes (F, k), normal (F, dim), quad_points (F, q, dim) and
     quad_weights (F, q); the weights carry the face measure, so a face's
@@ -76,7 +76,7 @@ def _grid_faces(nodes, counts):
                  pa[:, None, :] + g[None, :, None] * d[:, None, :], gw[None, :] * h[:, None])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Discretized domain: a uniform tensor grid built from its axes.
 
@@ -84,12 +84,13 @@ class Mesh:
     spaced: one axis for an interval, two for a rectangle of bilinear
     cells.  nodes (N, dim) derives from them, numbered i*(ny+1)+j on the
     rectangle, and so do dimension and the boundary faces: the two end
-    points of the interval, or the edges of the rectangle.
+    points of the interval, or the edges of the rectangle.  Equality is
+    identity, as for every record of arrays here.
     """
 
     axes: tuple
-    nodes: np.ndarray = field(init=False, repr=False, compare=False)  # (N, dim)
-    faces: Faces = field(init=False, repr=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False)  # (N, dim)
+    faces: Faces = field(init=False, repr=False)
 
     def __post_init__(self):
         axes = tuple(np.asarray(x, dtype=float) for x in self.axes)
@@ -111,7 +112,7 @@ class Mesh:
         return len(self.axes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryPartition:
     """Gamma1 mask and m.nu per face, and the Gamma1 data per point.
 

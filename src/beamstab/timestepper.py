@@ -5,39 +5,43 @@ dofs; positions and end velocities are affine in them, so the conservative
 core is the classical midpoint rule and the monotone boundary terms enter
 through the velocity traces only.
 
-One solver path serves every law.  Apart from the laws the residual is
-affine in w.  The solver keeps the operators of the last factored key
-(dt, mu_ref): the free-dof state operator S = [[mu_ref K, a1 C],
-[Sg - a2 C, K]], the Jacobian without the Gamma1 term
-J_lin = (2/dt) blockdiag(M, M) + (dt/2) S, and the LU of the reference
-Jacobian J_ref = J_lin + T2' diag(W_ref p'(0)) T2, where
-W = (mu w m.nu, w m.nu) weighs the stacked Gamma1 trace T2 = blockdiag(T, T).
-The LU is factored with a minimum-degree ordering on A' + A (the FE
-stencil is structurally symmetric).  A step's mu_mid enters as the scalar
-shift = mu_mid - mu_ref on the u block and through its own W, so a new mu
-rebuilds no matrix.  Each step computes c = S(mu_mid) (x + (dt/2) w0) once,
-with x the start positions and w0 = (u', v') the first iterate, and each
+One solver path serves every law and every mu schedule.  Apart from the
+laws the residual is affine in w.  For a step (dt, mu_mid) the solver
+holds the free-dof state operator S = [[mu_mid K, a1 C], [Sg - a2 C, K]]
+and the Jacobian without the Gamma1 term
+J_lin = (2/dt) blockdiag(M, M) + (dt/2) S, each a part fixed for dt plus
+mu_mid times a fixed matrix on one sparsity pattern, so a new mu_mid costs
+one update of each data vector.  W = (mu_mid w m.nu, w m.nu) weighs the
+stacked Gamma1 trace
+T2 = blockdiag(T, T).  Each step computes c = S (x + (dt/2) w0) once, with
+x the start positions and w0 = (u', v') the first iterate, and each
 residual is
 
-  r(w) = J_lin (w - w0) + shift (dt/2) K (w_u - w0_u) + c + T2' (W p(T2 w)).
+  r(w) = J_lin (w - w0) + c + T2' (W p(T2 w)).
 
 Taking J_lin on the increment w - w0 keeps the large (2/dt) M terms from
 cancelling in floating point.
 
-The true Jacobian differs from J_ref by
+The Newton direction solves J(w) delta = r by restarted GMRES (Saad &
+Schultz 1986), right-preconditioned by a structured solve P of the
+reference Jacobian J_ref = J_lin + T2' diag(W p'(0)) T2.  GMRES applies
+J - P as sparse products, starts from delta0 = P^-1 r (so its start
+residual is -(J - P) delta0) and keeps the preconditioned basis
+Z = P^-1 V, so the direction delta0 + Z y needs no final solve: a
+direction with k iterations costs k + 1 solves.
 
-  J(w) - J_ref = shift (dt/2) blockdiag(K, 0) + T2' diag(W p'(T2 w) - W_ref p'(0)) T2,
-
-which no matrix holds: restarted GMRES (Saad & Schultz 1986), right-
-preconditioned by the LU, applies it as sparse products.  GMRES starts
-from delta0 = J_ref^-1 r, so its start residual is -(J - J_ref) delta0,
-and it keeps the preconditioned basis Z = J_ref^-1 V, so the direction
-delta0 + Z y needs no final solve: a direction with k iterations costs
-k + 1 LU solves.  For linear laws at constant mu the difference vanishes
-and each Newton iteration is one back-substitution.  The LU is a lagged
-preconditioner (Knoll & Keyes 2004): it is refactored at the next step's
-key only when a direction on a stale LU (shift != 0) needs more than
-REFACTOR_GMRES iterations, or when dt changes.
+- Rectangle: each field's diagonal block of J_ref is the Kronecker sum
+  A_1 x M_2 + M_1 x A_2 with A_d = (1/dt) M_d + mu B_d,
+  B_d = (dt/2) K_d + p'(0) diag(g_d) (the axis Gamma1 weights of the
+  system) and mu = 1 on the v block.  P is that block diagonal, inverted
+  by fast diagonalization (Lynch, Rice & Thomas 1964) from the dense 1D
+  eigenpairs of (B_d, M_d): mu_mid only changes the divisor
+  2/dt + mu (lam_1i + lam_2j).  J - P is the u-v coupling, the sigma
+  term and the Gamma1 slope differences T2' diag(W p'(T2 w) - W p'(0)) T2.
+- Interval: P = J_ref, a banded LU (LAPACK dgbtrf) of the unknowns
+  interleaved as (u_i, v_i), bandwidth 3, refactored for each mu_mid as
+  ab_0 + mu_mid ab_1.  For linear laws J = P and each Newton iteration is
+  one solve.
 """
 
 from __future__ import annotations
@@ -46,11 +50,11 @@ import hashlib
 import logging
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from . import _fem
 from .discretization import SimState
@@ -64,9 +68,9 @@ CHECKPOINT_HEADER = "# beamstab checkpoint v1"
 GMRES_RESTART = 30
 GMRES_CYCLES = 4
 GMRES_RTOL = 1e-12
-# a direction on a stale LU that needs more GMRES iterations than this
-# refactors the LU at the next step's (dt, mu_mid)
-REFACTOR_GMRES = 3
+
+# lower and upper bandwidth of the interleaved (u_i, v_i) interval Jacobian
+BANDS = 3
 
 
 @dataclass
@@ -84,32 +88,106 @@ class StepControl:
             raise InvalidArgumentError("newton_max must be >= 1")
 
 
-class _StepOperators(NamedTuple):
-    """The operators of a step (dt, mu_mid).
+class _FastDiagonalization:
+    """P^-1 on the rectangle: the fields' diagonal blocks of J_ref, each the
+    Kronecker sum A_1 x M_2 + M_1 x A_2 with A_d = (1/dt) M_d + mu B_d.
 
-    lu, J_lin, S and d_ref belong to the last factored key (dt, mu_ref);
-    the step's mu_mid enters through shift and W only.
+    B[f][d] is B_d of field f (u, v); V[f][d] its eigenvectors against M_d
+    and lam[f] the sums lam_1i + lam_2j, raveled like the free dofs.
     """
+
+    def __init__(self, system, dt):
+        self.dt = dt
+        self.counts = tuple(f["mass"].shape[0] for f in system.factors)
+        self.B, self.V, self.lam = [], [], []
+        for p0 in system.slopes0:
+            B = [(dt / 2.0) * f["stiffness"] + p0 * sp.diags(g)
+                 for f, g in zip(system.factors, system.axis_gamma1)]
+            pairs = [_fem.pencil_eigenpairs(b, f["mass"]) for b, f in zip(B, system.factors)]
+            self.B.append(B)
+            self.V.append([V for _, V in pairs])
+            self.lam.append(reduce(np.add.outer, [lam for lam, _ in pairs]).ravel())
+
+    def at(self, mu):
+        """The solve b -> P^-1 b for mu on the u block."""
+        divisors = [2.0 / self.dt + m * lam for m, lam in zip((mu, 1.0), self.lam)]
+        counts = self.counts
+
+        def solve(b):
+            out = np.empty_like(b)
+            for f, (V, div) in enumerate(zip(self.V, divisors)):
+                part = slice(f * len(div), (f + 1) * len(div))
+                y = _fem.along_axes(b[part], counts, [lambda z, v=v: v.T @ z for v in V])
+                out[part] = _fem.along_axes(y / div, counts, [lambda z, v=v: v @ z for v in V])
+            return out
+
+        return solve
+
+
+class _BandedLU:
+    """P^-1 = J_ref^-1 on the interval: J_ref(mu) = J_0 + mu J_1 with the
+    unknowns interleaved as (u_i, v_i), in band storage ab_0 and ab_1."""
+
+    def __init__(self, J0, J1):
+        n = J0.shape[0] // 2
+        perm = np.arange(2 * n).reshape(2, n).T.ravel()  # (u_0, v_0, u_1, v_1, ...)
+        self.ab = [_fem.band_storage(J[perm][:, perm], BANDS, BANDS) for J in (J0, J1)]
+
+    def at(self, mu):
+        """The solve b -> J_ref(mu)^-1 b."""
+        factors = _fem.band_lu(self.ab[0] + mu * self.ab[1], BANDS, BANDS)
+
+        def solve(b):
+            x = _fem.band_solve(factors, BANDS, BANDS, b.reshape(2, -1).T.ravel())
+            return x.reshape(-1, 2).T.ravel()
+
+        return solve
+
+
+def _affine(base, part):
+    """mu -> base + mu part, csr, for sparse matrices base and part of one
+    shape.  Both are stored on the union of their patterns, built from the
+    same coordinates (explicit zeros kept), so each mu costs one axpy on
+    the data."""
+    a, b = base.tocoo(), part.tocoo()
+    ij = (np.concatenate([a.row, b.row]), np.concatenate([a.col, b.col]))
+    A = sp.csr_matrix((np.concatenate([a.data, np.zeros(b.nnz)]), ij), shape=base.shape)
+    B = sp.csr_matrix((np.concatenate([np.zeros(a.nnz), b.data]), ij), shape=base.shape)
+    return lambda mu: sp.csr_matrix((A.data + mu * B.data, A.indices, A.indptr),
+                                    shape=base.shape)
+
+
+class _DtOperators(NamedTuple):
+    """The operators of a time step dt, as functions of mu_mid."""
+
+    dt: float
+    J_lin: object            # mu -> J_lin
+    rest: object             # J_ref - P, mu-free: the rect's off-diagonal blocks, or None
+    precond: object          # _FastDiagonalization or _BandedLU
+
+
+class _StepOperators(NamedTuple):
+    """The operators of a step (dt, mu_mid)."""
 
     dt: float
     mu: float                # mu_mid of the step
-    shift: float             # mu_mid - mu_ref
-    lu: object               # splu of the reference Jacobian
-    J_lin: sp.csr_matrix     # Jacobian without the Gamma1 term, at mu_ref
-    S: sp.csr_matrix         # [[mu_ref K, a1 C], [Sg - a2 C, K]] on the free dofs
+    J_lin: sp.csr_matrix     # Jacobian without the Gamma1 term
+    S: sp.csr_matrix         # [[mu_mid K, a1 C], [Sg - a2 C, K]] on the free dofs
     W: np.ndarray            # (mu_mid w m.nu, w m.nu) per stacked Gamma1 point
-    d_ref: np.ndarray        # W_ref p'(0): the Gamma1 weights inside the LU
+    d_ref: np.ndarray        # W p'(0): the Gamma1 weights of J_ref
+    rest: object             # J_ref - P as a sparse matrix, or None where P = J_ref
+    solve: object            # b -> P^-1 b
 
 
 class _MidpointSolver:
-    """Per-run workspace: restricted operators, the lagged LU and the solver
-    counters.
+    """Per-run workspace: restricted operators, the preconditioner and the
+    solver counters.
 
     The stacked trace T2 and its weights come from the system's boundary
     operator on the free dofs.  The counters add up over every solve:
-    LU factorizations and solves, step keys served by a stale LU (lagged),
-    residual evaluations, Newton and GMRES iterations, line-search
-    halvings, and the largest final residual of a step.
+    preconditioner builds (one per dt) and solves, residual evaluations,
+    Newton and GMRES iterations, line-search halvings, and the largest
+    final residual of a step.
     """
 
     def __init__(self, system):
@@ -125,53 +203,53 @@ class _MidpointSolver:
         self.T2t = self.T2.T
         self.q = T.shape[0]  # Gamma1 points per field
         self.nf = len(f)
-        self.slopes0 = np.concatenate(system.slopes0)
-        self._ref = self._ops = None
-        self._refactor = False
-        self.factorizations = self.lu_solves = self.residuals = self.lagged = 0
+        zero = sp.csr_matrix(self.K.shape)
+        a1, a2 = system.alpha1, system.alpha2
+        self.S_off = sp.bmat([[zero, a1 * self.C], [self.Sg - a2 * self.C, zero]],
+                             format="csr")
+        self.S_base = (self.S_off + sp.block_diag((zero, self.K))).tocsr()
+        self.S_mu = sp.block_diag((self.K, zero), format="csr")
+        self.S = _affine(self.S_base, self.S_mu)
+        self.p0 = np.repeat(system.slopes0, self.q)
+        self._base = self._ops = None
+        self.builds = self.solves = self.residuals = 0
         self.newton = self.gmres = self.halvings = 0
         self.worst_residual = 0.0
 
     def _weights(self, mu):
         return np.concatenate([mu * self.system.trace_wmn, self.system.trace_wmn])
 
-    def _factor(self, dt, mu):
-        """The _StepOperators of (dt, mu) with a fresh LU."""
-        sys_ = self.system
-        a1, a2 = sys_.alpha1, sys_.alpha2
-        S = sp.bmat([[mu * self.K, a1 * self.C],
-                     [self.Sg - a2 * self.C, self.K]], format="csr")
+    def _build(self, dt):
+        """The _DtOperators of dt."""
         m = (2.0 / dt) * self.M
-        J_lin = (sp.block_diag((m, m)) + (dt / 2.0) * S).tocsr()
-        W = self._weights(mu)
-        d_ref = W * self.slopes0
-        J_ref = (J_lin + _fem.trace_form(self.T2, d_ref)).tocsc()
-        self._ref = self._ops = None  # release the old LU before factoring the new one
-        lu = splu(J_ref, permc_spec="MMD_AT_PLUS_A")
-        self.factorizations += 1
-        self._refactor = False
-        return _StepOperators(dt, mu, 0.0, lu, J_lin, S, W, d_ref)
+        J_base = (sp.block_diag((m, m)) + (dt / 2.0) * self.S_base).tocsr()
+        J_mu = (dt / 2.0) * self.S_mu
+        if self.system.mesh.dimension == 1:
+            rest = None
+            W0 = self._weights(0.0)
+            W_mu = self._weights(1.0) - W0
+            precond = _BandedLU(J_base + _fem.trace_form(self.T2, W0 * self.p0),
+                                J_mu + _fem.trace_form(self.T2, W_mu * self.p0))
+        else:
+            rest = (dt / 2.0) * self.S_off
+            precond = _FastDiagonalization(self.system, dt)
+        self.builds += 1
+        return _DtOperators(dt, _affine(J_base, J_mu), rest, precond)
 
     def operators(self, dt, mu_mid):
-        """The _StepOperators of (dt, mu_mid), cached for the last key.
-
-        The LU is refactored when dt changes or a direction asked for it;
-        otherwise mu_mid reuses the last LU as a lagged preconditioner."""
-        if self._ref is None or self._ref.dt != dt or self._refactor:
-            self._ref = self._ops = self._factor(dt, mu_mid)
-        elif self._ops.mu != mu_mid:
-            ref = self._ref
-            if ref.mu == mu_mid:
-                self._ops = ref
-            else:
-                self._ops = ref._replace(mu=mu_mid, shift=mu_mid - ref.mu,
-                                         W=self._weights(mu_mid))
-                self.lagged += 1
+        """The _StepOperators of (dt, mu_mid), cached for the last key."""
+        if self._base is None or self._base.dt != dt:
+            self._base, self._ops = self._build(dt), None
+        if self._ops is None or self._ops.mu != mu_mid:
+            base = self._base
+            W = self._weights(mu_mid)
+            self._ops = _StepOperators(dt, mu_mid, base.J_lin(mu_mid), self.S(mu_mid), W,
+                                       W * self.p0, base.rest, base.precond.at(mu_mid))
         return self._ops
 
-    def _lu_solve(self, ops, b):
-        self.lu_solves += 1
-        return ops.lu.solve(b)
+    def _solve(self, ops, b):
+        self.solves += 1
+        return ops.solve(b)
 
     def residual(self, ops, c, w0, w):
         """Midpoint residual at the stacked iterate w, stacked (u block,
@@ -181,36 +259,32 @@ class _MidpointSolver:
         sys_, q = self.system, self.q
         s = self.T2 @ w
         p = np.concatenate([sys_.law1(s[:q]), sys_.law2(s[q:])])
-        z = w - w0
-        r = ops.J_lin @ z + c + self.T2t @ (ops.W * p)
-        if ops.shift:
-            r[:self.nf] += (ops.shift * ops.dt / 2.0) * (self.K @ z[:self.nf])
-        return r, s
+        return ops.J_lin @ (w - w0) + c + self.T2t @ (ops.W * p), s
 
     def _newton_direction(self, ops, s, r):
         """Solve J(w) delta = r at the iterate with Gamma1 traces s; returns
         (delta, GMRES iterations).
 
-        J(w) = J_ref + D with D = shift (dt/2) blockdiag(K, 0) + T2' diag(d) T2
-        and d = W p'(s) - W_ref p'(0).  Where D vanishes the LU solve is
-        exact; elsewhere restarted GMRES, right-preconditioned by the LU,
-        corrects it until ||r - J delta|| <= GMRES_RTOL ||r||."""
-        sys_, q, nf = self.system, self.q, self.nf
+        J(w) = P + D with D = rest + T2' diag(d) T2 and
+        d = W p'(s) - W p'(0).  Where D vanishes the solve is exact;
+        elsewhere restarted GMRES, right-preconditioned by P, corrects it
+        until ||r - J delta|| <= GMRES_RTOL ||r||."""
+        sys_, q = self.system, self.q
         slopes = np.concatenate([np.asarray(sys_.law1.slope(s[:q]), dtype=float),
                                  np.asarray(sys_.law2.slope(s[q:]), dtype=float)])
         d = ops.W * slopes - ops.d_ref
-        delta = self._lu_solve(ops, r)
-        if not (ops.shift or d.any()):
+        delta = self._solve(ops, r)
+        boundary = d.any()
+        if ops.rest is None and not boundary:
             return delta, 0
-        kshift = ops.shift * ops.dt / 2.0
 
-        def apply_d(x):  # (J - J_ref) x
-            y = self.T2t @ (d * (self.T2 @ x))
-            if kshift:
-                y[:nf] += kshift * (self.K @ x[:nf])
+        def apply_d(x):  # (J - P) x
+            y = ops.rest @ x if ops.rest is not None else np.zeros_like(x)
+            if boundary:
+                y += self.T2t @ (d * (self.T2 @ x))
             return y
 
-        res = -apply_d(delta)  # r - J delta, as J_ref delta = r
+        res = -apply_d(delta)  # r - J delta, as P delta = r
         beta, target = np.linalg.norm(res), GMRES_RTOL * np.linalg.norm(r)
         its = 0
         for _ in range(GMRES_CYCLES):
@@ -222,7 +296,7 @@ class _MidpointSolver:
             g[0] = beta
             for j in range(GMRES_RESTART):
                 its += 1
-                Z.append(self._lu_solve(ops, V[j]))
+                Z.append(self._solve(ops, V[j]))
                 v = V[j] + apply_d(Z[j])  # J Z[j]
                 for i in range(j + 1):  # modified Gram-Schmidt
                     H[i, j] = V[i] @ v
@@ -245,17 +319,14 @@ class _MidpointSolver:
 
     def start(self, state, dt):
         """(ops, c, w0) of the step from state: the operators, the
-        residual's constant part c = S(mu_mid) (x + (dt/2) w0) and the first
+        residual's constant part c = S (x + (dt/2) w0) and the first
         iterate w0 = (u', v')."""
         sys_ = self.system
         ops = self.operators(dt, float(sys_.schedule.mu(state.t + dt / 2.0)))
         f = sys_.free
         w0 = np.concatenate([state.du[f], state.dv[f]])
         y = np.concatenate([state.u[f], state.v[f]]) + (dt / 2.0) * w0
-        c = ops.S @ y
-        if ops.shift:
-            c[:self.nf] += ops.shift * (self.K @ y[:self.nf])
-        return ops, c, w0
+        return ops, ops.S @ y, w0
 
     def solve(self, state, control):
         ops, c, w0 = self.start(state, control.dt)
@@ -271,8 +342,6 @@ class _MidpointSolver:
             newton += 1
             delta, its = self._newton_direction(ops, s, r)
             krylov += its
-            if ops.shift and its > REFACTOR_GMRES:
-                self._refactor = True
             lam = 1.0
             for _ in range(30):
                 cw = w - lam * delta
@@ -332,11 +401,10 @@ def integrate(system, state0, T, control, observers=()):
         state = _advance(system, solver, state, control)
         for obs in observers:
             obs(system, state)
-    log.info("integrate: %d steps, %d LU factorizations, %d LU solves, %d residuals, "
-             "newton %d, gmres %d, halvings %d, worst residual %.3e, %d lagged keys",
-             n_steps, solver.factorizations, solver.lu_solves, solver.residuals,
-             solver.newton, solver.gmres, solver.halvings, solver.worst_residual,
-             solver.lagged)
+    log.info("integrate: %d steps, %d preconditioner builds, %d solves, %d residuals, "
+             "newton %d, gmres %d, halvings %d, worst residual %.3e",
+             n_steps, solver.builds, solver.solves, solver.residuals,
+             solver.newton, solver.gmres, solver.halvings, solver.worst_residual)
     return state
 
 

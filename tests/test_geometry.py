@@ -330,6 +330,28 @@ class TestTraceForm:
             assert np.max(np.abs(got - want)) <= 1e-15
 
 
+class TestBandStorage:
+    def test_band_lu_solves_like_a_dense_solve(self):
+        rng = np.random.default_rng(2)
+        n, kl, ku = 11, 3, 2
+        offsets = range(-kl, ku + 1)
+        a = sp.diags([rng.standard_normal(n - abs(k)) for k in offsets], offsets) + 4 * sp.eye(n)
+        b = rng.standard_normal(n)
+        got = _fem.band_solve(_fem.band_lu(_fem.band_storage(a, kl, ku), kl, ku), kl, ku, b)
+        want = np.linalg.solve(a.toarray(), b)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_entry_outside_the_band_is_refused(self):
+        a = sp.eye(5, format="lil")
+        a[4, 0] = 1.0
+        with pytest.raises(InvalidArgumentError, match="outside the band"):
+            _fem.band_storage(a, 3, 3)
+
+    def test_singular_matrix_raises(self):
+        with pytest.raises(scipy.linalg.LinAlgError):
+            _fem.band_lu(_fem.band_storage(sp.diags([1.0, 0.0, 1.0]), 1, 1), 1, 1)
+
+
 class TestTensorGrid:
     def test_axes(self):
         mesh = geometry.build_rect_mesh(1.3, 0.7, 5, 3)
@@ -342,6 +364,15 @@ class TestTensorGrid:
         i, j = 4, 2  # node i*(ny+1)+j sits at (x_i, y_j)
         assert mesh.nodes.shape == (24, 2)
         assert mesh.nodes[i * 4 + j].tolist() == [mesh.axes[0][i], mesh.axes[1][j]]
+
+    def test_equality_is_identity(self):
+        # records of arrays compare by identity: == never reaches an array
+        a, b = (geometry.build_rect_mesh(1.0, 1.0, 2, 2) for _ in range(2))
+        pa, pb = (geometry.classify_boundary(m, np.array([-0.1, -0.1])) for m in (a, b))
+        assert a == a and a != b
+        assert a.faces == a.faces and a.faces != b.faces
+        assert pa == pa and pa != pb
+        assert len({a, b, pa, pb, a.faces}) == 5
 
     def test_nonuniform_spacing_is_refused(self):
         with pytest.raises(InvalidArgumentError, match="uniformly spaced"):

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from beamstab import _fem, geometry, harness, timestepper
+from beamstab import geometry, harness, timestepper
 from beamstab.admissibility import constant_schedule, decaying_schedule
-from beamstab.diagnostics import TraceRecorder, energy
+from beamstab.diagnostics import TraceRecorder, energy, functional_F
 from beamstab.discretization import SimState, interpolate, project_initial_data
 from beamstab.errors import InvalidArgumentError, StepFailureError
 from beamstab.fields import sine_field
@@ -145,9 +145,28 @@ def _full_jacobian_newton(solver, state, control):
     return _damped_newton(solver, state, control, _full_jacobian_direction(solver))
 
 
+def _reference_jacobian(solver, ops):
+    """Oracle J_ref: the assembled Jacobian of (ops.dt, ops.mu) with the
+    laws' slopes at 0, csr."""
+    sys_ = solver.system
+    T = sys_.trace[:, sys_.free]
+    wmn = sys_.trace_weights * sys_.partition.gamma1_m_dot_nu
+    dt, mu = ops.dt, ops.mu
+    p1, p2 = (float(law.slope(0.0)) for law in (sys_.law1, sys_.law2))
+    B = T.T @ sp.diags(wmn) @ T
+    return sp.bmat([[(2.0 / dt) * solver.M + (dt / 2.0) * mu * solver.K + mu * p1 * B,
+                     (dt / 2.0) * sys_.alpha1 * solver.C],
+                    [(dt / 2.0) * (solver.Sg - sys_.alpha2 * solver.C),
+                     (2.0 / dt) * solver.M + (dt / 2.0) * solver.K + p2 * B]], format="csr")
+
+
 def _chord_newton(solver, state, control):
-    """The damped loop with the reference-LU direction alone (no correction)."""
-    return _damped_newton(solver, state, control, lambda ops, w, s, r: ops.lu.solve(r))
+    """The damped loop with the reference-Jacobian direction alone (no
+    correction)."""
+    def direction(ops, w, s, r):
+        return splu(_reference_jacobian(solver, ops).tocsc()).solve(r)
+
+    return _damped_newton(solver, state, control, direction)
 
 
 def _termwise_residual(solver, dt, mu_mid, state, wu, wv):
@@ -177,10 +196,15 @@ _LAWS = {
 }
 
 
-def _rect6(**kwargs):
+# the two partitions of the unit square: Gamma1 the right and top sides
+# (two clamped sides), or every side but the bottom (a free-free x axis)
+_CORNER, _FREE_FREE = (-0.1, -0.1), (0.5, -0.1)
+
+
+def _rect6(x0=_CORNER, **kwargs):
     """6x6 unit square, multiplier origin outside: Gamma1 has trace points."""
     return make_system(mesh=geometry.build_rect_mesh(1.0, 1.0, 6, 6),
-                       x0=np.array([-0.1, -0.1]), **kwargs)
+                       x0=np.array(x0), **kwargs)
 
 
 def _random_state(system, seed, amplitude):
@@ -218,7 +242,8 @@ class TestNewtonDirection:
 
     def test_steep_law_large_step_converges_where_chord_fails(self):
         # the saturating slope falls from 50 at 0 to 1 at large traces: the
-        # reference LU (slope 50) alone stalls, the corrected direction converges
+        # reference Jacobian (slope 50) alone stalls, the corrected direction
+        # converges
         law = saturating_law(1.0, 50.0)
         system = _rect6(law1=law, law2=law)
         state = _sine_state(system, velocity=100.0)
@@ -250,9 +275,7 @@ class TestNewtonDirection:
         law = saturating_law(1.0, 2.0)
         system = _rect6(law1=law, law2=law, schedule=decaying_schedule(1.0, 0.8, 1.0))
         solver = _MidpointSolver(system)
-        solver.start(_random_state(system, 1, 1.0), 0.2)  # the LU is stale below
         ops, c, w0 = solver.start(_random_state(system, 3, 1.0), 0.2)
-        assert ops.shift != 0.0
         r, s = solver.residual(ops, c, w0, w0 + 1.0)
         # two iterations per cycle: the direction needs several restarts
         monkeypatch.setattr(timestepper, "GMRES_RESTART", 2)
@@ -313,25 +336,26 @@ class TestSolverCounters:
     def test_constant_mu_identity_factors_once(self):
         steps = 20
         solver = self._run(make_system(nodes=21), steps, 0.01)
-        assert solver.factorizations == 1
+        assert solver.builds == 1
         assert solver.residuals == 2 * steps
-        assert solver.lu_solves == steps
+        assert solver.solves == steps
         assert solver.newton == steps
         assert solver.gmres == 0 and solver.halvings == 0
         assert 0.0 <= solver.worst_residual <= 1e-12
 
-    def test_decaying_mu_reuses_the_lagged_lu(self):
+    @pytest.mark.parametrize("decaying", [False, True])
+    @pytest.mark.parametrize("mesh", ["interval", "rect"])
+    def test_one_preconditioner_build_per_run(self, mesh, decaying):
         steps = 6
         law = saturating_law(1.0, 2.0)
-        system = make_system(nodes=21, law1=law, law2=law,
-                             schedule=decaying_schedule(1.0, 0.8, 1.0))
-        solver = self._run(system, steps, 0.01)
-        # every step is a new mu_mid; the steps that factor none reuse a stale LU
-        assert 1 <= solver.factorizations < steps
-        assert solver.lagged == steps - solver.factorizations
+        schedule = decaying_schedule(1.0, 0.8, 1.0) if decaying else constant_schedule(1.0)
+        build = (lambda **kw: make_system(nodes=21, **kw)) if mesh == "interval" else _rect6
+        solver = self._run(build(law1=law, law2=law, schedule=schedule), steps, 0.01)
+        # every step is a new mu_mid under decay; the build serves them all
+        assert solver.builds == 1
         assert solver.newton >= steps and solver.gmres > 0
-        # one LU solve per direction and one per GMRES iteration
-        assert solver.lu_solves == solver.newton + solver.gmres
+        # one solve per direction and one per GMRES iteration
+        assert solver.solves == solver.newton + solver.gmres
         assert solver.residuals >= steps + solver.newton
 
     @pytest.mark.parametrize("decaying", [False, True])
@@ -344,14 +368,13 @@ class TestSolverCounters:
             state = _random_state(system, seed, 2.0)
             ops, c, w0 = solver.start(state, 0.05)
             r, s = solver.residual(ops, c, w0, w0)
-            before = solver.lu_solves
+            before = solver.solves
             got, its = solver._newton_direction(ops, s, r)
             assert its > 0
-            assert solver.lu_solves - before == its + 1
-            # on a stale LU too, the direction is the Newton direction
+            assert solver.solves - before == its + 1
             want = _full_jacobian_direction(solver)(ops, w0, s, r)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-        assert solver.lagged == (3 if decaying else 0)
+        assert solver.builds == 1
 
     def test_rect64_saturating_workload_solve_count(self, monkeypatch, caplog):
         # the seed-0 benchmark config: 10 steps of the 64x64 saturating rect
@@ -364,12 +387,11 @@ class TestSolverCounters:
         with caplog.at_level(logging.INFO, logger="beamstab.timestepper"):
             integrate(system, state0, cfg.T, StepControl(dt=cfg.dt))
         line, = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.INFO]
-        counts = re.match(r"integrate: (\d+) steps, (\d+) LU factorizations, (\d+) LU solves",
+        counts = re.match(r"integrate: (\d+) steps, (\d+) preconditioner builds, (\d+) solves",
                           line)
-        steps, factorizations, solves = map(int, counts.groups())
-        assert steps == 10 and factorizations == 1
+        steps, builds, solves = map(int, counts.groups())
+        assert steps == 10 and builds == 1
         assert solves <= 58
-
 
     def test_run_logs_counters_once(self, caplog):
         system = make_system(nodes=9)
@@ -377,56 +399,114 @@ class TestSolverCounters:
             integrate(system, _sine_state(system, velocity=1.0), 0.05, StepControl(dt=0.01))
         lines = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.INFO]
         assert len(lines) == 1
-        assert "5 steps, 1 LU factorizations, 5 LU solves, 10 residuals" in lines[0]
-        assert lines[0].endswith(", 0 lagged keys")
+        assert "5 steps, 1 preconditioner builds, 5 solves, 10 residuals" in lines[0]
 
-    @pytest.mark.parametrize("refactor_gmres", [None, 0])
     @pytest.mark.parametrize("laws", ["identity", "saturating"])
-    def test_lagged_lu_steps_match_full_jacobian_newton(self, monkeypatch, laws,
-                                                        refactor_gmres):
-        if refactor_gmres is not None:  # 0: every stale direction refactors
-            monkeypatch.setattr(timestepper, "REFACTOR_GMRES", refactor_gmres)
+    def test_decaying_mu_steps_match_full_jacobian_newton(self, laws):
         law1, law2 = _LAWS[laws]() if laws in _LAWS else (identity_law(), identity_law())
         system = _rect6(law1=law1, law2=law2, schedule=decaying_schedule(1.0, 0.8, 1.0))
         control = StepControl(dt=0.05)
         solver = _MidpointSolver(system)
-        stale_over = []  # per step: a direction on a stale LU went past REFACTOR_GMRES
-        direction = solver._newton_direction
-
-        def spy(ops, s, r):
-            delta, its = direction(ops, s, r)
-            stale_over[-1] |= bool(ops.shift) and its > timestepper.REFACTOR_GMRES
-            return delta, its
-
-        monkeypatch.setattr(solver, "_newton_direction", spy)
-        steps = 8
         state = _sine_state(system, velocity=1.0)
-        for _ in range(steps):
+        for _ in range(8):
             ou, ov, converged = _full_jacobian_newton(_MidpointSolver(system), state, control)
             assert converged
-            stale_over.append(False)
             wu, wv = solver.solve(state, control)
             got, want = np.concatenate([wu, wv]), np.concatenate([ou, ov])
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
             state = timestepper._advance(system, SimpleNamespace(solve=lambda *_: (wu, wv)),
                                          state, control)
-        # refactored at the first step and after each step that asked for it
-        assert solver.factorizations == 1 + sum(stale_over[:-1])
-        assert solver.factorizations < steps
-        assert solver.lagged == steps - solver.factorizations
-        if refactor_gmres == 0:
-            assert solver.factorizations > 1
+        assert solver.builds == 1
 
 
-class TestReferenceOrdering:
-    def test_fill_below_default_ordering(self):
-        system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.0, 32, 32),
-                             x0=np.array([-0.1, -0.1]))
+class TestPreconditioner:
+    @pytest.mark.parametrize("laws", ["identity", "saturating"])
+    @pytest.mark.parametrize("x0", [_CORNER, _FREE_FREE], ids=["corner", "free_free"])
+    def test_rect_blocks_are_the_reference_jacobian_blocks(self, x0, laws):
+        law1, law2 = ((identity_law(2.0), identity_law(0.5)) if laws == "identity"
+                      else (saturating_law(1.0, 2.0), saturating_law(0.5, 4.0)))
+        system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.3, 7, 5), x0=np.array(x0),
+                             law1=law1, law2=law2)
         solver = _MidpointSolver(system)
-        ops = solver.operators(1e-3, 1.0)
-        J = (ops.J_lin + _fem.trace_form(solver.T2, ops.W * solver.slopes0)).tocsc()
-        default = splu(J)
-        assert ops.lu.L.nnz + ops.lu.U.nnz < default.L.nnz + default.U.nnz
+        dt, mu = 0.05, 0.7
+        ops = solver.operators(dt, mu)
+        J = _reference_jacobian(solver, ops)
+        nf = solver.nf
+        blocks = [J[:nf, :nf], J[nf:, nf:]]
+        fd = solver._base.precond
+        mass = [f["mass"] for f in system.factors]
+        for field, m in enumerate((mu, 1.0)):
+            A = [(1.0 / dt) * M + m * B for M, B in zip(mass, fd.B[field])]
+            kron_sum = sp.kron(A[0], mass[1]) + sp.kron(mass[0], A[1])
+            want = blocks[field]
+            assert abs(kron_sum - want).max() <= 1e-14 * abs(want).max()
+        # the rest is J_ref off the diagonal blocks: the coupling and sigma
+        rest = J - sp.block_diag(blocks)
+        assert abs(ops.rest - rest).max() <= 1e-14 * abs(J).max()
+        # and the solve inverts the block diagonal
+        b = np.random.default_rng(5).standard_normal(2 * nf)
+        x = ops.solve(b)
+        assert np.max(np.abs(sp.block_diag(blocks) @ x - b)) <= 1e-12 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("decaying", [False, True])
+    def test_interval_banded_solve_is_the_reference_solve(self, decaying):
+        schedule = decaying_schedule(1.0, 0.8, 1.0) if decaying else constant_schedule(1.0)
+        system = make_system(nodes=21, law1=saturating_law(1.0, 2.0),
+                             law2=saturating_law(0.5, 4.0), schedule=schedule)
+        solver = _MidpointSolver(system)
+        assert solver.operators(0.05, 1.0).rest is None  # P = J_ref
+        ops = solver.operators(0.05, 0.7)
+        J = _reference_jacobian(solver, ops).toarray()
+        b = np.random.default_rng(3).standard_normal(len(J))
+        want = np.linalg.solve(J, b)
+        assert np.max(np.abs(ops.solve(b) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _energy_balance_defects(system, states, dt):
+    """Defects of the discrete energy balance of the midpoint rule between
+    consecutive states, relative to E + F at the step's start:
+
+      (E+F)(t_{n+1}) - (E+F)(t_n) + dt D(w)
+        - 1/2 [(mu(t_{n+1}) - mu_mid)|u^{n+1}|_K^2 - (mu(t_n) - mu_mid)|u^n|_K^2]
+
+    with w = (x^{n+1} - x^n)/dt and
+    D(w) = mu_mid int_G1 m.nu p1(w_u) w_u + (a1/a2) int_G1 m.nu p2(w_v) w_v."""
+    K, T = system.stiffness, system.trace
+    out = []
+    for a, b in zip(states, states[1:]):
+        mu_mid = system.schedule.mu(a.t + dt / 2.0)
+        su, sv = T @ ((b.u - a.u) / dt), T @ ((b.v - a.v) / dt)
+        D = (mu_mid * system.boundary_integral(system.law1(su) * su)
+             + system.alpha_ratio * system.boundary_integral(system.law2(sv) * sv))
+        EF = [energy(system, x) + functional_F(system, x) for x in (a, b)]
+        mu_terms = 0.5 * ((system.schedule.mu(b.t) - mu_mid) * (b.u @ (K @ b.u))
+                          - (system.schedule.mu(a.t) - mu_mid) * (a.u @ (K @ a.u)))
+        out.append((EF[1] - EF[0] + dt * D - mu_terms) / EF[0])
+    return np.array(out)
+
+
+class TestEnergyBalance:
+    @pytest.mark.parametrize("decaying", [False, True])
+    @pytest.mark.parametrize("laws", ["identity", "saturating", "hardening"])
+    @pytest.mark.parametrize("mesh", ["interval", "rect"])
+    def test_midpoint_balance_is_exact(self, mesh, laws, decaying):
+        law1, law2 = _LAWS[laws]() if laws in _LAWS else (identity_law(), identity_law())
+        schedule = decaying_schedule(1.0, 0.8, 1.0) if decaying else constant_schedule(1.0)
+        system = make_system(
+            mesh=(geometry.build_interval_mesh(1.0, 21) if mesh == "interval"
+                  else geometry.build_rect_mesh(1.0, 1.0, 16, 16)),
+            x0=np.array([0.0] if mesh == "interval" else _CORNER),
+            law1=law1, law2=law2, schedule=schedule)
+        state = _random_state(system, 4, 1.0)
+        for name in ("u", "v", "du", "dv"):
+            getattr(state, name)[system.fixed] = 0.0
+        dt = 0.01
+        states = []
+        integrate(system, state, state.t + 10 * dt, StepControl(dt=dt),
+                  observers=(lambda _, x: states.append(x),))
+        defects = _energy_balance_defects(system, states, dt)
+        assert len(defects) == 10
+        assert np.max(np.abs(defects)) <= 1e-12
 
 
 class TestIntegrate:
