@@ -241,6 +241,27 @@ def trace_structure(mesh, faces):
     return T, weights, points
 
 
+def side_trace(mesh, faces, axis, end, slices):
+    """trace_structure of faces that make up the whole grid side at node
+    `end` of `axis`, restricted to the side's free nodes.
+
+    slices are the free slices of the axes (free_slices).  Returns
+    (S, weights): S is csr of shape (Q_s, n_s) with the free nodes of the
+    side as columns, in the order of the remaining axis (one node on the
+    interval).
+    """
+    T, weights, _ = trace_structure(mesh, faces)
+    counts = tuple(len(x) for x in mesh.axes)
+    grid = [np.arange(n)[sl] for n, sl in zip(counts, slices)]
+    grid[axis] = np.array([end])
+    ids = np.ravel_multi_index(np.meshgrid(*grid, indexing="ij"), counts).ravel()  # ascending
+    T = T.tocoo()
+    col = np.minimum(np.searchsorted(ids, T.col), len(ids) - 1)
+    keep = ids[col] == T.col  # drops a clamped corner node
+    S = sp.csr_matrix((T.data[keep], (T.row[keep], col[keep])), shape=(T.shape[0], len(ids)))
+    return S, weights
+
+
 def trace_form(T, d):
     """T' diag(d) T, csr, for a trace T from trace_structure (or its
     restriction to some columns) and per-point weights d that include the

@@ -116,19 +116,11 @@ class SemiDiscreteSystem:
 
 
 def _axis_gamma1(partition, slices):
-    """Per axis d, m.nu at each Gamma1 end of the free slice and 0 elsewhere:
-    the faces with outer normal -e_d lie at the first node, those with +e_d
-    at the last."""
-    faces = partition.mesh.faces
-    out = []
-    for d, (x, sl) in enumerate(zip(partition.mesh.axes, slices)):
-        g = np.zeros(len(x))
-        for end, sign in ((0, -1.0), (len(x) - 1, 1.0)):
-            side = partition.gamma1 & (faces.normal[:, d] == sign)
-            if side.any():
-                g[end] = partition.m_dot_nu[side].flat[0]
-        out.append(g[sl])
-    return tuple(out)
+    """Per axis d, m.nu at each Gamma1 end of the free slice and 0 elsewhere."""
+    g = [np.zeros(len(x)) for x in partition.mesh.axes]
+    for d, end, _, m_dot_nu in partition.gamma1_sides():
+        g[d][end] = m_dot_nu
+    return tuple(gd[sl] for gd, sl in zip(g, slices))
 
 
 @dataclass

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -21,9 +20,10 @@ from .errors import InadmissiblePartitionError, InvalidArgumentError, NumericalF
 # relative spread of the cell widths below which an axis counts as uniform
 UNIFORM_RTOL = 1e-12
 
-# Lanczos basis size of the eigen-solve for N.  N is an extreme,
-# well-separated eigenvalue, and a small basis needs fewer operator
-# applications than ARPACK's default of 20.
+# Lanczos basis size of the eigen-solve for N on the Q Gamma1 points.  N is
+# an extreme, well-separated eigenvalue, and a small basis needs fewer
+# operator applications than ARPACK's default of 20; H of Q <= EIGEN_NCV
+# points is formed and solved densely.
 EIGEN_NCV = 5
 
 
@@ -148,6 +148,23 @@ class BoundaryPartition:
     def gamma0_nodes(self):
         return np.unique(self.gamma0_faces.nodes)
 
+    def gamma1_sides(self):
+        """The Gamma1 sides of the grid as (axis, end, faces, m_dot_nu).
+
+        The boundary of a tensor grid is its sides: on each axis, the faces
+        with outer normal -e_axis at node end = 0 and those with +e_axis at
+        the last node.  A side has one constant m.nu, so it lies wholly in
+        Gamma0 or in Gamma1; faces is the bool mask of its faces.
+        """
+        normal = self.mesh.faces.normal
+        out = []
+        for d, x in enumerate(self.mesh.axes):
+            for end, sign in ((0, -1.0), (len(x) - 1, 1.0)):
+                side = self.gamma1 & (normal[:, d] == sign)
+                if side.any():
+                    out.append((d, end, side, self.m_dot_nu[side].flat[0]))
+        return out
+
     def sum_nu_bound(self):
         """max over Gamma1 quadrature points of |sum_i nu_i|."""
         return float(np.max(np.abs(self.gamma1_sum_nu)))
@@ -204,42 +221,67 @@ def geometric_constants(mesh, partition):
     return {"R": R, "tau0": tau0}
 
 
+def _gamma1_operator(mesh, partition, slices, pairs):
+    """H = W^1/2 T K^-1 T' W^1/2 on the Q Gamma1 quadrature points.
+
+    T is the trace onto the Gamma1 points over the free dofs, W their
+    quadrature weights and K^-1 = (V_1 x V_2) diag(1/lam) (V_1 x V_2)' from
+    the 1D eigenpairs.  On a Gamma1 side at node e of axis d,
+    T (V_1 x V_2) = V_d[e] x U with U = T_side V_other, so H z sums one
+    outer product per side into an n_1 x n_2 array, divides it by
+    lam_1i + lam_2j and contracts it back with V_d[e] and U: O(n_1 n_2) per
+    product.  The interval is the case of a one-node second axis.
+    """
+    lams = [lam for lam, _ in pairs]
+    Vs = [V for _, V in pairs]
+    if mesh.dimension == 1:
+        lams.append(np.zeros(1))
+        Vs.append(np.ones((1, 1)))
+    sides = []
+    for d, end, mask, _ in partition.gamma1_sides():
+        S, w = _fem.side_trace(mesh, mesh.faces.select(mask), d, end, slices)
+        sides.append((d, Vs[d][end - slices[d].start], np.sqrt(w)[:, None] * (S @ Vs[1 - d])))
+    bounds = np.cumsum([0] + [len(U) for _, _, U in sides])
+
+    def apply(z):
+        # one outer product x y' per side, summed as the product of the stacks
+        xy = [(r, U.T @ z[a:b]) if d == 0 else (U.T @ z[a:b], r)
+              for (d, r, U), a, b in zip(sides, bounds, bounds[1:])]
+        X = np.column_stack([x for x, _ in xy]) @ np.column_stack([y for _, y in xy]).T
+        X /= np.add.outer(*lams)
+        return np.concatenate([U @ (r @ X if d == 0 else X @ r) for d, r, U in sides])
+
+    return LinearOperator((bounds[-1], bounds[-1]), matvec=apply, dtype=float)
+
+
 def embedding_constants(mesh, partition):
     """Discrete Poincare constant M and Gamma1 trace constant N.
 
     M = 1/sqrt(lambda_min) of the stiffness form K against the domain mass
     form on the subspace vanishing on Gamma0; N = sqrt(mu_max) of the
-    Gamma1 boundary mass form B = T' diag(w) T (_fem.trace_form) against
-    K.  Both come from the closed-form eigenpairs (lam_d, V_d) of the free
-    1D factor pairs (_fem.axis_eigenpairs), which diagonalize K: with
-    L = (V_1 x V_2) diag(lam^-1/2), lam_ij = lam_1i + lam_2j, L' K L = I.
-    lambda_min is the sum over the axes of the smallest lam_d, 0 on an
-    unclamped axis.  mu_max is the largest eigenvalue of L' B L, the same
-    pencil in standard form, from ARPACK with L applied axis by axis, so
-    no 2D stiffness matrix is built.  The fixed start vector keeps N
-    identical from run to run.
+    Gamma1 boundary mass form B = T' W T against K.  Both come from the
+    closed-form eigenpairs (lam_d, V_d) of the free 1D factor pairs
+    (_fem.axis_eigenpairs), which diagonalize K.  lambda_min is the sum
+    over the axes of the smallest lam_d, 0 on an unclamped axis.  mu_max
+    is also the largest eigenvalue of H = W^1/2 T K^-1 T' W^1/2 on the Q
+    Gamma1 quadrature points (_gamma1_operator), which costs O(n_1 n_2) per
+    product: from ARPACK, with a fixed start vector so that N repeats bit
+    for bit, or from a dense eigvalsh of H when Q <= EIGEN_NCV (the
+    interval has Q = 1).
     """
-    fixed = partition.gamma0_nodes()
-    free = np.setdiff1d(np.arange(len(mesh.nodes)), fixed)
-    slices = _fem.free_slices(mesh.axes, fixed)
+    slices = _fem.free_slices(mesh.axes, partition.gamma0_nodes())
     factors = _fem.free_factors(mesh.axes, slices)
     pairs = [_fem.axis_eigenpairs(x, sl, f["mass"])
              for x, sl, f in zip(mesh.axes, slices, factors)]
-    lams = [lam for lam, _ in pairs]
-    lam_min = sum(float(lam[0]) for lam in lams)  # lam[0] = 0 on a free-free axis
-    counts = tuple(len(lam) for lam in lams)
-    scale = 1.0 / np.sqrt(reduce(np.add.outer, lams).ravel())
-    T, w, _ = _fem.trace_structure(mesh, partition.gamma1_faces)
-    B = _fem.trace_form(T[:, free], w)
-
-    def pencil(y):  # L' B L y
-        x = _fem.along_axes(scale * y.ravel(), counts, [lambda z, V=V: V @ z for _, V in pairs])
-        return scale * _fem.along_axes(B @ x, counts, [lambda z, V=V: V.T @ z for _, V in pairs])
-
-    op = LinearOperator((len(free), len(free)), matvec=pencil, dtype=float)
-    try:
-        mu = eigsh(op, which="LA", k=1, v0=np.ones(len(free)),
-                   ncv=min(len(free), EIGEN_NCV), return_eigenvectors=False)[0]
-    except ArpackNoConvergence as exc:
-        raise NumericalFailureError(f"eigen-solve did not converge: {exc}") from exc
+    lam_min = sum(float(lam[0]) for lam, _ in pairs)  # lam[0] = 0 on a free-free axis
+    H = _gamma1_operator(mesh, partition, slices, pairs)
+    Q = H.shape[0]
+    if Q <= EIGEN_NCV:
+        mu = np.linalg.eigvalsh(H @ np.eye(Q))[-1]
+    else:
+        try:
+            mu = eigsh(H, which="LA", k=1, v0=np.ones(Q), ncv=EIGEN_NCV,
+                       return_eigenvectors=False)[0]
+        except ArpackNoConvergence as exc:
+            raise NumericalFailureError(f"eigen-solve did not converge: {exc}") from exc
     return {"M": 1.0 / math.sqrt(lam_min), "N": math.sqrt(mu)}

@@ -24,7 +24,7 @@ from . import _fem, diagnostics, feedback, geometry, timestepper
 from .admissibility import (build_report, constant_schedule, decaying_schedule)
 from .discretization import assemble, project_initial_data
 from .errors import (ConfigError, FitUndefinedError, InadmissiblePartitionError,
-                     InvalidArgumentError, StepFailureError)
+                     InvalidArgumentError, NumericalFailureError, StepFailureError)
 from .fields import make_field
 from .timestepper import StepControl, integrate
 
@@ -34,6 +34,7 @@ EXIT_OK = 0
 EXIT_INADMISSIBLE = 2
 EXIT_STEP_FAILURE = 3
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70  # sysexits EX_SOFTWARE: an eigen-solve did not converge
 
 
 def _floats(text):
@@ -606,6 +607,9 @@ def main(argv=None):
     except StepFailureError as exc:
         print(f"step failure at t={exc.t:.17g}", file=sys.stderr)
         return EXIT_STEP_FAILURE
+    except NumericalFailureError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
     return EXIT_USAGE
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -254,6 +255,35 @@ def _generalized_mode_N(mesh, partition):
     return math.sqrt(mu)
 
 
+def _standard_mode_N(mesh, partition):
+    """N from ARPACK in standard mode on the n-dof pencil L' B L, with
+    L = (V_1 x V_2) diag(lam^-1/2) applied axis by axis and the Gamma1
+    boundary mass B = T' diag(w) T over the free dofs."""
+    fixed = partition.gamma0_nodes()
+    free = np.setdiff1d(np.arange(len(mesh.nodes)), fixed)
+    slices = _fem.free_slices(mesh.axes, fixed)
+    factors = _fem.free_factors(mesh.axes, slices)
+    pairs = [_fem.axis_eigenpairs(x, sl, f["mass"])
+             for x, sl, f in zip(mesh.axes, slices, factors)]
+    counts = tuple(len(lam) for lam, _ in pairs)
+    scale = 1.0 / np.sqrt(functools.reduce(np.add.outer, [lam for lam, _ in pairs]).ravel())
+    T, w, _ = _fem.trace_structure(mesh, partition.gamma1_faces)
+    B = _fem.trace_form(T[:, free], w)
+
+    def pencil(y):
+        x = _fem.along_axes(scale * y, counts, [lambda z, V=V: V @ z for _, V in pairs])
+        return scale * _fem.along_axes(B @ x, counts, [lambda z, V=V: V.T @ z for _, V in pairs])
+
+    op = spla.LinearOperator((len(free), len(free)), matvec=pencil, dtype=float)
+    mu = spla.eigsh(op, which="LA", k=1, v0=np.ones(len(free)),
+                    ncv=min(len(free), geometry.EIGEN_NCV), return_eigenvectors=False)[0]
+    return math.sqrt(mu)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
 class TestDomainForms:
     @pytest.mark.parametrize("mesh, x0", [
         (geometry.build_rect_mesh(1.3, 0.7, 5, 3), np.array([-0.2, 0.31])),
@@ -456,3 +486,69 @@ class TestEmbeddingConstants:
         emb2 = geometry.embedding_constants(moved, part2)
         assert emb1["M"] == pytest.approx(emb2["M"], abs=1e-10)
         assert emb1["N"] == pytest.approx(emb2["N"], abs=1e-10)
+
+
+# the partitions of the unit square, by their clamped Gamma0 sides
+UNIT_SQUARE_PARTITIONS = {
+    "corner": (-0.1, -0.1), "one-edge": (-0.1, 0.5), "far-edge": (1.4, 0.5),
+    "y-edge": (0.5, 1.4), "far-corner": (1.4, 1.3),
+}
+
+
+class TestGamma1Operator:
+    """N from the eigenproblem on the Gamma1 quadrature points."""
+
+    @pytest.mark.parametrize("name", UNIT_SQUARE_PARTITIONS)
+    def test_matches_standard_mode_pencil(self, name):
+        mesh = geometry.build_rect_mesh(1.0, 1.0, 32, 32)
+        part = geometry.classify_boundary(mesh, np.array(UNIT_SQUARE_PARTITIONS[name]))
+        N = geometry.embedding_constants(mesh, part)["N"]
+        assert N == pytest.approx(_standard_mode_N(mesh, part), rel=1e-12)
+
+    def test_operator_lives_on_the_gamma1_points(self, monkeypatch):
+        mesh = geometry.build_rect_mesh(1.0, 2.0, 6, 9)
+        part = geometry.classify_boundary(mesh, np.array([-0.1, 0.5]))
+        shapes = []
+        eigsh = geometry.eigsh
+        monkeypatch.setattr(geometry, "eigsh", lambda op, **kw: shapes.append(op.shape)
+                            or eigsh(op, **kw))
+        monkeypatch.setattr(_fem, "along_axes", _refuse)
+        monkeypatch.setattr(_fem, "trace_form", _refuse)
+        N = geometry.embedding_constants(mesh, part)["N"]
+        Q = part.gamma1_m_dot_nu.size
+        assert shapes == [(Q, Q)] and Q == 2 * (6 + 9 + 6)
+        assert N == pytest.approx(_dense_embedding_oracle(mesh, part)["N"], rel=1e-10)
+
+    def test_repeats_bit_for_bit(self):
+        mesh = geometry.build_rect_mesh(1.0, 1.0, 24, 24)
+        part = geometry.classify_boundary(mesh, np.array([1.4, 0.5]))
+        first = geometry.embedding_constants(mesh, part)
+        assert all(geometry.embedding_constants(mesh, part) == first for _ in range(3))
+
+    @pytest.mark.parametrize("mesh, x0, ncv", [
+        (geometry.build_interval_mesh(1.0, 9), (0.0,), None),  # Q = 1
+        (geometry.build_interval_mesh(2.0, 7), (2.5,), None),  # Q = 1, Gamma1 at 0
+        # a rect has a Gamma1 side on every axis, so Q >= 8: raise the threshold
+        (geometry.build_rect_mesh(1.0, 1.0, 2, 2), (-0.1, -0.1), 8),
+    ], ids=["interval", "interval-far", "rect-2x2"])
+    def test_small_Q_is_solved_densely(self, monkeypatch, mesh, x0, ncv):
+        if ncv is not None:
+            monkeypatch.setattr(geometry, "EIGEN_NCV", ncv)
+        part = geometry.classify_boundary(mesh, np.array(x0))
+        assert part.gamma1_m_dot_nu.size <= geometry.EIGEN_NCV
+        monkeypatch.setattr(geometry, "eigsh", _refuse)
+        N = geometry.embedding_constants(mesh, part)["N"]
+        assert N == pytest.approx(_dense_embedding_oracle(mesh, part)["N"], rel=1e-12)
+
+    def test_rect_refinement_is_monotone(self):
+        # conforming Ritz: N_h <= N, and N_h grows with the level
+        for name in ("corner", "one-edge", "far-edge"):
+            prev = 0.0
+            for n in (8, 16, 32, 64, 128, 256):
+                mesh = geometry.build_rect_mesh(1.0, 1.0, n, n)
+                part = geometry.classify_boundary(mesh, np.array(UNIT_SQUARE_PARTITIONS[name]))
+                N = geometry.embedding_constants(mesh, part)["N"]
+                assert N >= prev - 1e-12, (name, n)
+                if name == "corner":  # u = xy attains the ratio 1 at every level
+                    assert N == pytest.approx(1.0, abs=1e-12), n
+                prev = N

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from beamstab import _fem, diagnostics, discretization, geometry, harness
 from beamstab.admissibility import build_report
@@ -552,6 +553,19 @@ class TestCli:
             assert harness.main(argv) == harness.EXIT_USAGE
             err = capsys.readouterr().err.splitlines()
             assert err == ["error: window contains fewer than two samples"], argv
+
+    def test_eigen_solve_failure_exits_70(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0),
+                                      np.zeros((0, 0)))
+
+        monkeypatch.setattr(geometry, "eigsh", no_convergence)
+        path = tmp_path / "rect.ini"
+        path.write_text(SMALL_CONFIG.replace("kind = interval", "kind = rect\nnx = 8\nny = 8")
+                        .replace("x0 = 0.0", "x0 = -0.1 -0.2"))
+        assert harness.main(["check", "--config", str(path)]) == harness.EXIT_SOFTWARE == 70
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: eigen-solve did not converge"), err
 
     def test_fit_rejects_foreign_csv(self, tmp_path, capsys):
         junk = tmp_path / "junk.csv"
