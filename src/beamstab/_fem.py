@@ -42,8 +42,13 @@ def _tridiagonal(local):
     return sp.csr_matrix((local.reshape(-1), (rows, cols)), shape=(n, n))
 
 
-def axis_factors(x, x0=None):
-    """1D P1 forms on the nodes x, as csr matrices over all nodes:
+# the 1D factors of every axis; a multiplier factor needs its x0
+AXIS_FACTORS = ("mass", "stiffness", "derivative")
+
+
+def axis_factors(x, x0=None, names=AXIS_FACTORS):
+    """1D P1 forms on the nodes x, as csr matrices over all nodes, for each
+    of `names`:
 
       mass        (phi_k, phi_j)
       stiffness   (phi_k', phi_j')
@@ -51,12 +56,12 @@ def axis_factors(x, x0=None):
       multiplier  X[k, j] = (phi_k, (x - x0) phi_j'), only when x0 is given
     """
     h = np.diff(x)[:, None, None]
-    out = {
-        "mass": _tridiagonal(h * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0),
-        "stiffness": _tridiagonal(np.array([[1.0, -1.0], [-1.0, 1.0]]) / h),
-        "derivative": _tridiagonal(np.broadcast_to([[-0.5, 0.5], [-0.5, 0.5]],
-                                                   (len(h), 2, 2))),
+    local = {
+        "mass": h * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0,
+        "stiffness": np.array([[1.0, -1.0], [-1.0, 1.0]]) / h,
+        "derivative": np.broadcast_to([[-0.5, 0.5], [-0.5, 0.5]], (len(h), 2, 2)),
     }
+    out = {name: _tridiagonal(local[name]) for name in names}
     if x0 is not None:
         a, b = x[:-1] - x0, x[1:] - x0
         # (phi_k, x - x0) over the cell times the slope -1/h or 1/h of phi_j
@@ -123,9 +128,9 @@ def free_slices(axes, fixed):
     return tuple(slices)
 
 
-def free_factors(axes, slices):
-    """axis_factors of every axis restricted to its free slice."""
-    return [{name: f[sl, sl].tocsr() for name, f in axis_factors(x).items()}
+def free_factors(axes, slices, names=AXIS_FACTORS):
+    """axis_factors `names` of every axis restricted to its free slice."""
+    return [{name: f[sl, sl].tocsr() for name, f in axis_factors(x, names=names).items()}
             for x, sl in zip(axes, slices)]
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _fem
 from .admissibility import decay_envelope
-from .discretization import StateBlock, column_dot, rhs
+from .discretization import StateBlock, column_dot, loads
 from .errors import FitUndefinedError, InvalidArgumentError
 
 
@@ -72,13 +72,17 @@ def boundary_dissipation(system, state, t=None):
 
 
 def higher_energy(system, state, t=None):
-    """E* = 1/2|u''|^2 + 1/2|v''|^2 + (mu/2)||u'||^2 + 1/2||v'||^2."""
+    """E* = 1/2|u''|^2 + 1/2|v''|^2 + (mu/2)||u'||^2 + 1/2||v'||^2.
+
+    |u''|^2 = u'' . M u'' = u'' . load_u, as u'' solves M u'' = load_u on
+    the free dofs and vanishes on Gamma0."""
     t = state.t if t is None else t
     mu = system.schedule.mu(t)
-    d2u, d2v = rhs(system, state, t)
-    Mm, K = system.mass, system.stiffness
+    load_u, load_v = loads(system, state, t)
+    d2u, d2v = system.solve_mass(load_u), system.solve_mass(load_v)
+    K = system.stiffness
     return 0.5 * (
-        column_dot(d2u, Mm @ d2u) + column_dot(d2v, Mm @ d2v)
+        column_dot(d2u, load_u) + column_dot(d2v, load_v)
         + mu * column_dot(state.du, state.product(K, "du"))
         + column_dot(state.dv, state.product(K, "dv"))
     )

@@ -244,8 +244,9 @@ def project_initial_data(system, u0, v0, u1, v1):
     return state, {"residual_u": r_u, "residual_v": r_v, "norm": norm}
 
 
-def rhs(system, state, t=None):
-    """Accelerations (d2u, d2v) of the semi-discrete system at the given state."""
+def loads(system, state, t=None):
+    """Loads (load_u, load_v) over all nodes at the given state: the free
+    entries are M (u'', v'') of the semi-discrete system."""
     t = state.t if t is None else t
     mu = system.schedule.mu(t)
     a1, a2 = system.alpha1, system.alpha2
@@ -257,4 +258,9 @@ def rhs(system, state, t=None):
                - a2 * state.product(C, "u")
                + system.boundary_load(system.law2, state.product(T, "dv"))
                + state.product(system.sigma_op, "u"))
-    return system.solve_mass(load_u), system.solve_mass(load_v)
+    return load_u, load_v
+
+
+def rhs(system, state, t=None):
+    """Accelerations (d2u, d2v) of the semi-discrete system at the given state."""
+    return tuple(system.solve_mass(load) for load in loads(system, state, t))

@@ -270,7 +270,7 @@ def embedding_constants(mesh, partition):
     interval has Q = 1).
     """
     slices = _fem.free_slices(mesh.axes, partition.gamma0_nodes())
-    factors = _fem.free_factors(mesh.axes, slices)
+    factors = _fem.free_factors(mesh.axes, slices, names=("mass",))
     pairs = [_fem.axis_eigenpairs(x, sl, f["mass"])
              for x, sl, f in zip(mesh.axes, slices, factors)]
     lam_min = sum(float(lam[0]) for lam, _ in pairs)  # lam[0] = 0 on a free-free axis

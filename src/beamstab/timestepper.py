@@ -20,7 +20,8 @@ residual is
   r(w) = J_lin (w - w0) + c + T2' (W p(T2 w)).
 
 Taking J_lin on the increment w - w0 keeps the large (2/dt) M terms from
-cancelling in floating point.
+cancelling in floating point, and the first residual of a step, at w0
+itself, is c + T2' (W p(T2 w0)) with no J_lin product.
 
 The Newton direction solves J(w) delta = r by restarted GMRES (Saad &
 Schultz 1986), right-preconditioned by a structured solve P of the
@@ -28,7 +29,10 @@ reference Jacobian J_ref = J_lin + T2' diag(W p'(0)) T2.  GMRES applies
 J - P as sparse products, starts from delta0 = P^-1 r (so its start
 residual is -(J - P) delta0) and keeps the preconditioned basis
 Z = P^-1 V, so the direction delta0 + Z y needs no final solve: a
-direction with k iterations costs k + 1 solves.
+direction with k iterations costs k + 1 solves.  Givens rotations keep
+its small least-squares problem triangular, so each iteration reads the
+residual norm off the rotated right-hand side and a cycle ends with one
+back-substitution.
 
 - Rectangle: each field's diagonal block of J_ref is the Kronecker sum
   A_1 x M_2 + M_1 x A_2 with A_d = (1/dt) M_d + mu B_d,
@@ -36,7 +40,8 @@ direction with k iterations costs k + 1 solves.
   system) and mu = 1 on the v block.  P is that block diagonal, inverted
   by fast diagonalization (Lynch, Rice & Thomas 1964) from the dense 1D
   eigenpairs of (B_d, M_d): mu_mid only changes the divisor
-  2/dt + mu (lam_1i + lam_2j).  J - P is the u-v coupling, the sigma
+  2/dt + mu (lam_1i + lam_2j), and a solve is four matrix products,
+  batched over the two fields.  J - P is the u-v coupling, the sigma
   term and the Gamma1 slope differences T2' diag(W p'(T2 w) - W p'(0)) T2.
 - Interval: P = J_ref, a banded LU (LAPACK dgbtrf) of the unknowns
   interleaved as (u_i, v_i), bandwidth 3, refactored for each mu_mid as
@@ -48,13 +53,14 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dtrtrs
 
 from . import _fem
 from .discretization import SimState
@@ -92,34 +98,33 @@ class _FastDiagonalization:
     """P^-1 on the rectangle: the fields' diagonal blocks of J_ref, each the
     Kronecker sum A_1 x M_2 + M_1 x A_2 with A_d = (1/dt) M_d + mu B_d.
 
-    B[f][d] is B_d of field f (u, v); V[f][d] its eigenvectors against M_d
-    and lam[f] the sums lam_1i + lam_2j, raveled like the free dofs.
+    B[f][d] is B_d of field f (u, v).  V[d] stacks both fields' eigenvectors
+    of axis d against M_d, (2, n_d, n_d), and lam[f] holds the sums
+    lam_1i + lam_2j of field f as an (n_1, n_2) array.
     """
 
     def __init__(self, system, dt):
         self.dt = dt
-        self.counts = tuple(f["mass"].shape[0] for f in system.factors)
-        self.B, self.V, self.lam = [], [], []
+        self.B, vecs, self.lam = [], [], []
         for p0 in system.slopes0:
             B = [(dt / 2.0) * f["stiffness"] + p0 * sp.diags(g)
                  for f, g in zip(system.factors, system.axis_gamma1)]
             pairs = [_fem.pencil_eigenpairs(b, f["mass"]) for b, f in zip(B, system.factors)]
             self.B.append(B)
-            self.V.append([V for _, V in pairs])
-            self.lam.append(reduce(np.add.outer, [lam for lam, _ in pairs]).ravel())
+            vecs.append([V for _, V in pairs])
+            self.lam.append(np.add.outer(*[lam for lam, _ in pairs]))
+        self.V = [np.stack(Vd) for Vd in zip(*vecs)]
 
     def at(self, mu):
-        """The solve b -> P^-1 b for mu on the u block."""
-        divisors = [2.0 / self.dt + m * lam for m, lam in zip((mu, 1.0), self.lam)]
-        counts = self.counts
+        """The solve b -> P^-1 b for mu on the u block: per field
+        V_1 ((V_1' B V_2) / div) V_2', both fields in one batched matmul."""
+        div = np.stack([2.0 / self.dt + m * lam for m, lam in zip((mu, 1.0), self.lam)])
+        V1, V2 = self.V
+        V1t, V2t = (V.transpose(0, 2, 1) for V in self.V)
 
         def solve(b):
-            out = np.empty_like(b)
-            for f, (V, div) in enumerate(zip(self.V, divisors)):
-                part = slice(f * len(div), (f + 1) * len(div))
-                y = _fem.along_axes(b[part], counts, [lambda z, v=v: v.T @ z for v in V])
-                out[part] = _fem.along_axes(y / div, counts, [lambda z, v=v: v @ z for v in V])
-            return out
+            y = V1t @ b.reshape(div.shape) @ V2
+            return (V1 @ (y / div) @ V2t).ravel()
 
         return solve
 
@@ -254,12 +259,16 @@ class _MidpointSolver:
     def residual(self, ops, c, w0, w):
         """Midpoint residual at the stacked iterate w, stacked (u block,
         v block), and the Gamma1 trace values T2 w it used; (c, w0) come
-        from start()."""
+        from start().  At w = w0 itself the J_lin term vanishes and is not
+        formed."""
         self.residuals += 1
         sys_, q = self.system, self.q
         s = self.T2 @ w
         p = np.concatenate([sys_.law1(s[:q]), sys_.law2(s[q:])])
-        return ops.J_lin @ (w - w0) + c + self.T2t @ (ops.W * p), s
+        load = self.T2t @ (ops.W * p)
+        if w is w0:
+            return c + load, s
+        return ops.J_lin @ (w - w0) + c + load, s
 
     def _newton_direction(self, ops, s, r):
         """Solve J(w) delta = r at the iterate with Gamma1 traces s; returns
@@ -290,32 +299,54 @@ class _MidpointSolver:
         for _ in range(GMRES_CYCLES):
             if beta <= target:
                 break
-            V, Z = [res / beta], []  # Arnoldi basis and its preconditioned images
-            H = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
-            g = np.zeros(GMRES_RESTART + 1)
-            g[0] = beta
-            for j in range(GMRES_RESTART):
-                its += 1
-                Z.append(self._solve(ops, V[j]))
-                v = V[j] + apply_d(Z[j])  # J Z[j]
-                for i in range(j + 1):  # modified Gram-Schmidt
-                    H[i, j] = V[i] @ v
-                    v -= H[i, j] * V[i]
-                H[j + 1, j] = np.linalg.norm(v)
-                V.append(v / H[j + 1, j] if H[j + 1, j] > 0.0 else v)
-                Hj, gj = H[:j + 2, :j + 1], g[:j + 2]
-                y = np.linalg.lstsq(Hj, gj, rcond=None)[0]
-                coef = gj - Hj @ y  # r - J delta = V coef after the update
-                if np.linalg.norm(coef) <= target or H[j + 1, j] == 0.0:
-                    break
-            delta += y @ np.array(Z)
-            res = coef @ np.array(V)
+            step, res, k = self._gmres_cycle(ops, apply_d, res, beta, target)
+            delta += step
+            its += k
             beta = np.linalg.norm(res)
         if beta > target:
             log.warning("GMRES stopped short of rtol %g after %d iterations in %d cycles: "
                         "Newton-system residual ||r - J delta|| / ||r|| = %.3e",
                         GMRES_RTOL, its, GMRES_CYCLES, beta / np.linalg.norm(r))
         return delta, its
+
+    def _gmres_cycle(self, ops, apply_d, res, beta, target):
+        """One GMRES cycle from the residual res = r - J delta, beta = ||res||;
+        returns (step, new residual, iterations), the step Z y to add to delta.
+
+        The least-squares problem min ||beta e_1 - H y|| is kept triangular
+        by Givens rotations (Saad & Schultz 1986), so |g_{j+1}| is the
+        residual norm after iteration j; the new residual is V Q' (g_k e_k)."""
+        V, Z = [res / beta], []  # Arnoldi basis and its preconditioned images
+        H = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
+        cs, sn = np.zeros(GMRES_RESTART), np.zeros(GMRES_RESTART)
+        g = np.zeros(GMRES_RESTART + 1)
+        g[0] = beta
+        for j in range(GMRES_RESTART):
+            Z.append(self._solve(ops, V[j]))
+            v = V[j] + apply_d(Z[j])  # J Z[j]
+            for i in range(j + 1):  # modified Gram-Schmidt
+                H[i, j] = V[i] @ v
+                v -= H[i, j] * V[i]
+            h = np.linalg.norm(v)
+            V.append(v / h if h > 0.0 else v)
+            for i in range(j):  # the earlier rotations, on the new column
+                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+            rho = math.hypot(H[j, j], h)
+            cs[j], sn[j] = H[j, j] / rho, h / rho
+            H[j, j] = rho
+            g[j + 1] = -sn[j] * g[j]
+            g[j] *= cs[j]
+            if abs(g[j + 1]) <= target or h == 0.0:
+                break
+        k = j + 1
+        y = dtrtrs(H[:k, :k], g[:k])[0]  # back-substitution
+        coef = np.zeros(k + 1)
+        coef[k] = g[k]
+        for i in reversed(range(k)):  # Q' (g_k e_k): the rotations undone, last first
+            coef[i] = -sn[i] * coef[i + 1]  # coef[i] is still 0 here
+            coef[i + 1] *= cs[i]
+        return y @ np.array(Z), coef @ np.array(V), k
 
     def start(self, state, dt):
         """(ops, c, w0) of the step from state: the operators, the
@@ -412,7 +443,7 @@ def integrate(system, state0, T, control, observers=()):
 # checkpoint persistence
 
 def _fmt_vector(v):
-    return " ".join(f"{x:.17g}" for x in v)
+    return " ".join(["%.17g"] * len(v)) % tuple(v.tolist())
 
 
 def save_checkpoint(path, state, config_hash=""):

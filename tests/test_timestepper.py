@@ -118,24 +118,28 @@ def _damped_newton(solver, state, control, direction):
     return w[:nf], w[nf:], rnorm <= tol
 
 
-def _full_jacobian_direction(solver):
-    """Oracle direction: assemble the Jacobian with the actual trace slopes
-    of the iterate w and factor it."""
+def _full_jacobian(solver, ops, w):
+    """Oracle Jacobian of (ops.dt, ops.mu) at the iterate w, assembled with
+    the actual trace slopes, csc."""
     sys_ = solver.system
     T = sys_.trace[:, sys_.free]
     wmn = sys_.trace_weights * sys_.partition.gamma1_m_dot_nu
     a1, a2 = sys_.alpha1, sys_.alpha2
+    dt, mu_mid = ops.dt, ops.mu
+    wu, wv = w[:len(w) // 2], w[len(w) // 2:]
+    B1 = T.T @ sp.diags(wmn * sys_.law1.slope(T @ wu)) @ T
+    B2 = T.T @ sp.diags(wmn * sys_.law2.slope(T @ wv)) @ T
+    return sp.bmat([[(2.0 / dt) * solver.M + (dt / 2.0) * mu_mid * solver.K + mu_mid * B1,
+                     (dt / 2.0) * a1 * solver.C],
+                    [(dt / 2.0) * (solver.Sg - a2 * solver.C),
+                     (2.0 / dt) * solver.M + (dt / 2.0) * solver.K + B2]], format="csc")
 
+
+def _full_jacobian_direction(solver):
+    """Oracle direction: assemble the Jacobian with the actual trace slopes
+    of the iterate w and factor it."""
     def direction(ops, w, s, r):
-        dt, mu_mid = ops.dt, ops.mu
-        wu, wv = w[:len(w) // 2], w[len(w) // 2:]
-        B1 = T.T @ sp.diags(wmn * sys_.law1.slope(T @ wu)) @ T
-        B2 = T.T @ sp.diags(wmn * sys_.law2.slope(T @ wv)) @ T
-        J = sp.bmat([[(2.0 / dt) * solver.M + (dt / 2.0) * mu_mid * solver.K + mu_mid * B1,
-                      (dt / 2.0) * a1 * solver.C],
-                     [(dt / 2.0) * (solver.Sg - a2 * solver.C),
-                      (2.0 / dt) * solver.M + (dt / 2.0) * solver.K + B2]], format="csc")
-        return splu(J).solve(r)
+        return splu(_full_jacobian(solver, ops, w)).solve(r)
 
     return direction
 
@@ -287,6 +291,32 @@ class TestNewtonDirection:
         want = _full_jacobian_direction(solver)(ops, w0 + 1.0, s, r)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
+    def test_givens_residual_norm_is_the_true_residual(self, monkeypatch):
+        law = saturating_law(1.0, 2.0)
+        system = _rect6(law1=law, law2=law, schedule=decaying_schedule(1.0, 0.8, 1.0))
+        solver = _MidpointSolver(system)
+        ops, c, w0 = solver.start(_random_state(system, 3, 1.0), 0.2)
+        r, s = solver.residual(ops, c, w0, w0 + 1.0)
+        J = _full_jacobian(solver, ops, w0 + 1.0)
+        monkeypatch.setattr(timestepper, "GMRES_RESTART", 2)
+        monkeypatch.setattr(timestepper, "GMRES_CYCLES", 40)
+        cycles = []
+        cycle = solver._gmres_cycle
+        monkeypatch.setattr(solver, "_gmres_cycle",
+                            lambda *args: cycles.append(cycle(*args)) or cycles[-1])
+        got, its = solver._newton_direction(ops, s, r)
+        assert len(cycles) > 3 and its == sum(k for *_, k in cycles)
+        # the residual each cycle hands on is r - J delta of the direction so
+        # far: to 1e-10 relative, above the round-off of the explicit product
+        # (about 1e-16 ||r|| here, while the last cycles end near 1e-12 ||r||)
+        delta = ops.solve(r)
+        floor = 1e-14 * np.linalg.norm(r)
+        for step, res, _ in cycles:
+            delta = delta + step
+            true = np.linalg.norm(r - J @ delta)
+            assert abs(np.linalg.norm(res) - true) <= 1e-10 * true + floor
+        assert np.array_equal(delta, got)
+
     def test_debug_line_per_step(self, caplog):
         system = make_system(nodes=9, law1=saturating_law(1.0, 2.0),
                              law2=saturating_law(1.0, 2.0))
@@ -322,6 +352,28 @@ class TestStackedResidual:
                 want = _termwise_residual(solver, dt, mu_mid, state, wu, wv)
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
                 assert np.array_equal(s, np.concatenate([T @ wu, T @ wv]))
+
+
+    @pytest.mark.parametrize("mesh", ["interval", "rect"])
+    def test_first_residual_forms_no_J_lin_product(self, mesh):
+        law1, law2 = _LAWS["saturating"]()
+        build = (lambda **kw: make_system(nodes=9, **kw)) if mesh == "interval" else _rect6
+        system = build(law1=law1, law2=law2, schedule=decaying_schedule(1.0, 0.8, 1.0))
+        solver = _MidpointSolver(system)
+        ops, c, w0 = solver.start(_random_state(system, 4, 2.0), 0.05)
+
+        class Refuse:
+            def __matmul__(self, x):
+                raise AssertionError("J_lin product formed")
+
+        stub = ops._replace(J_lin=Refuse())
+        got, s = solver.residual(stub, c, w0, w0)
+        assert solver.residuals == 1
+        q = solver.q
+        p = np.concatenate([system.law1(s[:q]), system.law2(s[q:])])
+        assert np.array_equal(got, ops.J_lin @ (w0 - w0) + c + solver.T2t @ (ops.W * p))
+        with pytest.raises(AssertionError, match="J_lin"):
+            solver.residual(stub, c, w0, w0 + 1.0)
 
 
 class TestSolverCounters:
@@ -572,6 +624,18 @@ class TestCheckpoint:
         for name in ("u", "v", "du", "dv"):
             diff = np.max(np.abs(getattr(final, name) - getattr(straight, name)))
             assert diff <= 1e-12
+
+    def test_vector_format_is_per_value_repr(self, tmp_path):
+        v = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 1.0 / 3.0, -2.5e17])
+        assert timestepper._fmt_vector(v) == " ".join(f"{x:.17g}" for x in v)
+        path = tmp_path / "odd.ckpt"
+        save_checkpoint(path, SimState(0.25, v, -v, 2.0 * v, v[::-1].copy()))
+        back, _ = load_checkpoint(path)
+        for name, want in (("u", v), ("v", -v), ("du", 2.0 * v), ("dv", v[::-1])):
+            got = getattr(back, name)
+            assert np.array_equal(got, want, equal_nan=True)
+            num = ~np.isnan(want)  # a nan's sign is not written
+            assert np.array_equal(np.signbit(got[num]), np.signbit(want[num]))
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.ckpt"
