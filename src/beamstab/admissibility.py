@@ -25,7 +25,6 @@ class CoefficientSchedule:
     mu_prime: object  # t -> mu'(t)
     mu0: float        # lower bound over the run horizon
     mu_at_0: float
-    nonincreasing: bool
 
     def __post_init__(self):
         if self.mu0 <= 0:
@@ -37,7 +36,7 @@ def constant_schedule(c=1.0):
         raise InvalidArgumentError("constant coefficient must be positive")
     return CoefficientSchedule(
         f"constant({c:g})", lambda t: c + 0.0 * np.asarray(t, dtype=float),
-        lambda t: 0.0 * np.asarray(t, dtype=float), c, c, True)
+        lambda t: 0.0 * np.asarray(t, dtype=float), c, c)
 
 
 def decaying_schedule(c0=1.0, lam=0.0, horizon=1.0):
@@ -48,7 +47,7 @@ def decaying_schedule(c0=1.0, lam=0.0, horizon=1.0):
         f"decaying(c0={c0:g},lam={lam:g})",
         lambda t: c0 * np.exp(-lam * np.asarray(t, dtype=float)),
         lambda t: -lam * c0 * np.exp(-lam * np.asarray(t, dtype=float)),
-        c0 * math.exp(-lam * horizon), c0, True)
+        c0 * math.exp(-lam * horizon), c0)
 
 
 def _require_positive(**kwargs):

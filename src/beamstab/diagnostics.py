@@ -18,10 +18,9 @@ from .discretization import StateBlock, column_dot, loads
 from .errors import FitUndefinedError, InvalidArgumentError
 
 
-def energy(system, state, t=None):
+def energy(system, state):
     """E = 1/2 [ |u'|^2 + (a1/a2)|v'|^2 + mu ||u||^2 + (a1/a2)||v||^2 ]."""
-    t = state.t if t is None else t
-    mu = system.schedule.mu(t)
+    mu = system.schedule.mu(state.t)
     ratio = system.alpha_ratio
     Mm, K = system.mass, system.stiffness
     return 0.5 * (
@@ -50,19 +49,14 @@ def functional_G(system, state):
     return first + second
 
 
-def lyapunov(system, state, eps):
-    return energy(system, state) + functional_F(system, state) + eps * functional_G(system, state)
-
-
 def f_bound_coefficient(alpha1, alpha2, n, M, mu0):
     """Coefficient in |F| <= 2 sqrt(alpha1 alpha2 n / mu0) M E."""
     return 2.0 * math.sqrt(alpha1 * alpha2 * n / mu0) * M
 
 
-def boundary_dissipation(system, state, t=None):
+def boundary_dissipation(system, state):
     """D_u = mu int_G1 (m.nu) p1(u')u', D_v = (a1/a2) int_G1 (m.nu) p2(v')v'."""
-    t = state.t if t is None else t
-    mu = system.schedule.mu(t)
+    mu = system.schedule.mu(state.t)
     su = state.product(system.trace, "du")
     sv = state.product(system.trace, "dv")
     return {
@@ -71,14 +65,13 @@ def boundary_dissipation(system, state, t=None):
     }
 
 
-def higher_energy(system, state, t=None):
+def higher_energy(system, state):
     """E* = 1/2|u''|^2 + 1/2|v''|^2 + (mu/2)||u'||^2 + 1/2||v'||^2.
 
     |u''|^2 = u'' . M u'' = u'' . load_u, as u'' solves M u'' = load_u on
     the free dofs and vanishes on Gamma0."""
-    t = state.t if t is None else t
-    mu = system.schedule.mu(t)
-    load_u, load_v = loads(system, state, t)
+    mu = system.schedule.mu(state.t)
+    load_u, load_v = loads(system, state)
     d2u, d2v = system.solve_mass(load_u), system.solve_mass(load_v)
     K = system.stiffness
     return 0.5 * (
@@ -266,7 +259,6 @@ class TraceRecorder:
         if certificate is not None:
             md.setdefault("eta", certificate.eta)
             md.setdefault("eps1", certificate.eps1_max)
-            md.setdefault("eps2", certificate.eps2_max)
             md.setdefault("A", certificate.A)
             md.setdefault("M", certificate.M)
             md.setdefault("mu0", certificate.mu0)

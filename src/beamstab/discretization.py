@@ -244,11 +244,10 @@ def project_initial_data(system, u0, v0, u1, v1):
     return state, {"residual_u": r_u, "residual_v": r_v, "norm": norm}
 
 
-def loads(system, state, t=None):
+def loads(system, state):
     """Loads (load_u, load_v) over all nodes at the given state: the free
     entries are M (u'', v'') of the semi-discrete system."""
-    t = state.t if t is None else t
-    mu = system.schedule.mu(t)
+    mu = system.schedule.mu(state.t)
     a1, a2 = system.alpha1, system.alpha2
     K, C, T = system.stiffness, system.coupling, system.trace
     load_u = -(mu * state.product(K, "u")
@@ -261,6 +260,6 @@ def loads(system, state, t=None):
     return load_u, load_v
 
 
-def rhs(system, state, t=None):
+def rhs(system, state):
     """Accelerations (d2u, d2v) of the semi-discrete system at the given state."""
-    return tuple(system.solve_mass(load) for load in loads(system, state, t))
+    return tuple(system.solve_mass(load) for load in loads(system, state))

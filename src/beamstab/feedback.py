@@ -55,12 +55,8 @@ class LipschitzLaw:
         return np.diff(self.values) / np.diff(self.breakpoints)
 
     @property
-    def lipschitz(self):
-        return float(np.max(self.slopes))
-
-    @property
     def L(self):
-        return self.lipschitz
+        return float(np.max(self.slopes))
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)

@@ -22,8 +22,8 @@ class Field:
     laplacian: object = None
 
 
-def zero_field(mesh=None, amplitude=0.0):
-    dim = 1 if mesh is None else mesh.dimension
+def zero_field(mesh, amplitude=0.0):
+    dim = mesh.dimension
     return Field(
         "zero",
         lambda x: np.zeros(len(x)),

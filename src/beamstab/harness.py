@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _fem, diagnostics, feedback, geometry, timestepper
 from .admissibility import (build_report, constant_schedule, decaying_schedule)
@@ -77,6 +76,10 @@ _ALL_POSITIVE = (lambda xs: all(_POSITIVE[0](x) for x in xs),
                  "must list finite and positive values")
 
 
+def _at_least(k):
+    return (lambda n: n >= k), f"must be at least {k}"
+
+
 def _entry(section, key, parse=str, rule=None, **default):
     """A RunConfig field read from `key` in `[section]`.
 
@@ -100,12 +103,12 @@ class RunConfig:
 
     mesh_kind: str = _entry("mesh", "kind", rule=_one_of("interval", "rect"),
                             default="interval")
-    length: float = _entry("mesh", "length", float, _FINITE, default=1.0)
-    nodes: int = _entry("mesh", "nodes", int, default=201)
-    lx: float = _entry("mesh", "lx", float, _FINITE, default=1.0)
-    ly: float = _entry("mesh", "ly", float, _FINITE, default=1.0)
-    nx: int = _entry("mesh", "nx", int, default=16)
-    ny: int = _entry("mesh", "ny", int, default=16)
+    length: float = _entry("mesh", "length", float, _POSITIVE, default=1.0)
+    nodes: int = _entry("mesh", "nodes", int, _at_least(3), default=201)
+    lx: float = _entry("mesh", "lx", float, _POSITIVE, default=1.0)
+    ly: float = _entry("mesh", "ly", float, _POSITIVE, default=1.0)
+    nx: int = _entry("mesh", "nx", int, _at_least(2), default=16)
+    ny: int = _entry("mesh", "ny", int, _at_least(2), default=16)
     # parse_config defaults x0 to the origin of the mesh's dimension
     x0: np.ndarray = _entry("mesh", "x0", lambda text: np.array(_floats(text)),
                             default_factory=lambda: np.zeros(1))
@@ -113,8 +116,8 @@ class RunConfig:
     alpha2: float = _entry("problem", "alpha2", float, _POSITIVE, default=0.1)
     mu_kind: str = _entry("problem", "mu", rule=_one_of("constant", "decaying"),
                           default="constant")
-    mu_c: float = _entry("problem", "mu_c", float, _FINITE, default=1.0)
-    mu_c0: float = _entry("problem", "mu_c0", float, _FINITE, default=1.0)
+    mu_c: float = _entry("problem", "mu_c", float, _POSITIVE, default=1.0)
+    mu_c0: float = _entry("problem", "mu_c0", float, _POSITIVE, default=1.0)
     mu_lambda: float = _entry("problem", "mu_lambda", float, _NONNEGATIVE, default=0.0)
     law1_name: str = _entry("feedback", "law1", default="identity")
     law1_params: dict = _entry("feedback", "law1_params", _law_params, default_factory=dict)
@@ -135,7 +138,6 @@ class RunConfig:
     plot: bool = _entry("output", "plot", _boolean, default=False)
     sweep_alphas: tuple = _entry("sweep", "alpha", _floats, _ALL_POSITIVE, default=())
     sweep_laws: tuple = _entry("sweep", "laws", lambda text: tuple(text.split()), default=())
-    raw_text: str = ""
     hash: str = ""
 
 
@@ -172,7 +174,7 @@ def parse_config(path=None, text=None):
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
-    cfg = RunConfig(raw_text=text, hash=timestepper.config_hash(text))
+    cfg = RunConfig(hash=timestepper.config_hash(text))
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
@@ -302,7 +304,7 @@ def run_simulate(cfg, stream=None):
     recorder = diagnostics.TraceRecorder(
         system,
         certificate=certificate if certificate and certificate.admissible else None,
-        metadata={"config_hash": cfg.hash, "compat_norm": compat["norm"]})
+        metadata={"config_hash": cfg.hash})
     control = StepControl(dt=cfg.dt)
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -351,12 +353,9 @@ def run_simulate(cfg, stream=None):
 VERIFY_SUITES = ("assembly", "rellich", "strauss", "convergence")
 
 
-def _verify_assembly(cfg, corrupt):
+def _verify_assembly(cfg):
     mesh, partition, system = build_problem(cfg)
     K, M = system.stiffness, system.mass
-    if corrupt == "stiffness":
-        n = K.shape[0]
-        K = K + sp.csr_matrix(([1e-3], ([0], [n - 1])), shape=K.shape)
 
     def max_abs(A):
         return float(abs(A).max())
@@ -376,7 +375,7 @@ def _verify_assembly(cfg, corrupt):
             for name, err, tol in checks]
 
 
-def _verify_rellich(cfg, corrupt):
+def _verify_rellich(cfg):
     from .fields import quadratic_field
     results = []
     for kind in ("interval", "rect"):
@@ -389,8 +388,6 @@ def _verify_rellich(cfg, corrupt):
             fld = quadratic_field(mesh)
             out = diagnostics.rellich_check(mesh, fld, sub.x0)
             mismatches.append(abs(out["mismatch_standard"]))
-        if corrupt == "rellich":
-            mismatches[1] = mismatches[0]
         order = math.log(mismatches[0] / mismatches[1]) / math.log(2.0) \
             if mismatches[1] > 0 else float("inf")
         ok = mismatches[1] == 0 or abs(order - 2.0) <= 0.3
@@ -399,7 +396,7 @@ def _verify_rellich(cfg, corrupt):
     return results
 
 
-def _verify_strauss(cfg, corrupt):
+def _verify_strauss(cfg):
     law = feedback.saturating_law(1.0, 2.0)
     s = np.linspace(-3.0, 3.0, 2001)
     errors = []
@@ -408,15 +405,13 @@ def _verify_strauss(cfg, corrupt):
         approx = feedback.strauss_approximate(law, level)
         errors.append(float(np.max(np.abs(approx(s) - law(s)))))
         slope_ok &= bool(np.all(approx.slopes >= law.b - 1e-12))
-    if corrupt == "strauss":
-        errors[-1] = errors[0]
     decreasing = all(a > b for a, b in zip(errors, errors[1:]))
     return [("strauss/sup-error-decreasing", decreasing,
              "errors " + " ".join(f"{e:.3e}" for e in errors)),
             ("strauss/slopes-monotone", slope_ok, f"b = {law.b:g}")]
 
 
-def _verify_convergence(cfg, corrupt):
+def _verify_convergence(cfg):
     # compatible initial data keep the trajectory smooth from t = 0, which is
     # what makes the asymptotic second-order regime visible at these dt's
     base = RunConfig(mesh_kind="interval", nodes=21, T=0.5,
@@ -429,15 +424,13 @@ def _verify_convergence(cfg, corrupt):
     ref = finals[dts[-1] / 32]
     errs = [sum(float(np.linalg.norm(getattr(finals[dt], nm) - getattr(ref, nm)))
                 for nm in ("u", "v", "du", "dv")) for dt in dts]
-    if corrupt == "convergence":
-        errs[-1] = errs[0]
     orders = diagnostics.observed_orders(errs)
     ok = bool(np.all(np.abs(orders - 2.0) <= 0.25))
     return [("convergence/timestepper-order", ok,
              "orders " + " ".join(f"{o:.2f}" for o in orders))]
 
 
-def run_verify(cfg, suites=None, corrupt=None, stream=None):
+def run_verify(cfg, suites=None, stream=None):
     stream = sys.stdout if stream is None else stream
     suites = tuple(suites) if suites is not None else VERIFY_SUITES
     if not suites:
@@ -449,7 +442,7 @@ def run_verify(cfg, suites=None, corrupt=None, stream=None):
                "strauss": _verify_strauss, "convergence": _verify_convergence}
     all_ok = True
     for suite in suites:
-        for name, ok, detail in runners[suite](cfg, corrupt):
+        for name, ok, detail in runners[suite](cfg):
             stream.write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n")
             all_ok &= ok
     return EXIT_OK if all_ok else 1

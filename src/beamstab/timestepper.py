@@ -5,14 +5,14 @@ dofs; positions and end velocities are affine in them, so the conservative
 core is the classical midpoint rule and the monotone boundary terms enter
 through the velocity traces only.
 
-One solver path serves every law and every mu schedule.  Apart from the
-laws the residual is affine in w.  For a step (dt, mu_mid) the solver
-holds the free-dof state operator S = [[mu_mid K, a1 C], [Sg - a2 C, K]]
-and the Jacobian without the Gamma1 term
-J_lin = (2/dt) blockdiag(M, M) + (dt/2) S, each a part fixed for dt plus
-mu_mid times a fixed matrix on one sparsity pattern, so a new mu_mid costs
-one update of each data vector.  W = (mu_mid w m.nu, w m.nu) weighs the
-stacked Gamma1 trace
+One solver path serves every law and every mu schedule, and a run builds
+it once, for its one step size dt.  Apart from the laws the residual is
+affine in w.  For a step's mu_mid the solver holds the free-dof state
+operator S = [[mu_mid K, a1 C], [Sg - a2 C, K]] and the Jacobian without
+the Gamma1 term J_lin = (2/dt) blockdiag(M, M) + (dt/2) S, each a part
+fixed for the run plus mu_mid times a fixed matrix on one sparsity
+pattern, so a new mu_mid costs one update of each data vector.
+W = (mu_mid w m.nu, w m.nu) weighs the stacked Gamma1 trace
 T2 = blockdiag(T, T).  Each step computes c = S (x + (dt/2) w0) once, with
 x the start positions and w0 = (u', v') the first iterate, and each
 residual is
@@ -60,6 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh
 from scipy.linalg.lapack import dtrtrs
 
 from . import _fem
@@ -75,6 +76,11 @@ GMRES_RESTART = 30
 GMRES_CYCLES = 4
 GMRES_RTOL = 1e-12
 
+# damped Newton: max-norm residual tolerance, relative to max(1, first residual),
+# and iteration cap per step
+NEWTON_TOL = 1e-12
+NEWTON_MAX = 50
+
 # lower and upper bandwidth of the interleaved (u_i, v_i) interval Jacobian
 BANDS = 3
 
@@ -82,35 +88,28 @@ BANDS = 3
 @dataclass
 class StepControl:
     dt: float
-    newton_tol: float = 1e-12
-    newton_max: int = 50
 
     def __post_init__(self):
         if self.dt <= 0:
             raise InvalidArgumentError("dt must be positive")
-        if self.newton_tol <= 0:
-            raise InvalidArgumentError("newton_tol must be positive")
-        if self.newton_max < 1:
-            raise InvalidArgumentError("newton_max must be >= 1")
 
 
 class _FastDiagonalization:
     """P^-1 on the rectangle: the fields' diagonal blocks of J_ref, each the
     Kronecker sum A_1 x M_2 + M_1 x A_2 with A_d = (1/dt) M_d + mu B_d.
 
-    B[f][d] is B_d of field f (u, v).  V[d] stacks both fields' eigenvectors
-    of axis d against M_d, (2, n_d, n_d), and lam[f] holds the sums
+    V[d] stacks both fields' eigenvectors of axis d against M_d, the dense
+    eigh of (B_d, M_d), (2, n_d, n_d), and lam[f] holds the sums
     lam_1i + lam_2j of field f as an (n_1, n_2) array.
     """
 
     def __init__(self, system, dt):
         self.dt = dt
-        self.B, vecs, self.lam = [], [], []
+        vecs, self.lam = [], []
         for p0 in system.slopes0:
-            B = [(dt / 2.0) * f["stiffness"] + p0 * sp.diags(g)
-                 for f, g in zip(system.factors, system.axis_gamma1)]
-            pairs = [_fem.pencil_eigenpairs(b, f["mass"]) for b, f in zip(B, system.factors)]
-            self.B.append(B)
+            pairs = [eigh(((dt / 2.0) * f["stiffness"] + p0 * sp.diags(g)).toarray(),
+                          f["mass"].toarray())
+                     for f, g in zip(system.factors, system.axis_gamma1)]
             vecs.append([V for _, V in pairs])
             self.lam.append(np.add.outer(*[lam for lam, _ in pairs]))
         self.V = [np.stack(Vd) for Vd in zip(*vecs)]
@@ -162,41 +161,33 @@ def _affine(base, part):
                                     shape=base.shape)
 
 
-class _DtOperators(NamedTuple):
-    """The operators of a time step dt, as functions of mu_mid."""
-
-    dt: float
-    J_lin: object            # mu -> J_lin
-    rest: object             # J_ref - P, mu-free: the rect's off-diagonal blocks, or None
-    precond: object          # _FastDiagonalization or _BandedLU
-
-
 class _StepOperators(NamedTuple):
-    """The operators of a step (dt, mu_mid)."""
+    """The operators of a step's mu_mid."""
 
-    dt: float
     mu: float                # mu_mid of the step
     J_lin: sp.csr_matrix     # Jacobian without the Gamma1 term
     S: sp.csr_matrix         # [[mu_mid K, a1 C], [Sg - a2 C, K]] on the free dofs
     W: np.ndarray            # (mu_mid w m.nu, w m.nu) per stacked Gamma1 point
     d_ref: np.ndarray        # W p'(0): the Gamma1 weights of J_ref
-    rest: object             # J_ref - P as a sparse matrix, or None where P = J_ref
     solve: object            # b -> P^-1 b
 
 
 class _MidpointSolver:
-    """Per-run workspace: restricted operators, the preconditioner and the
-    solver counters.
+    """Per-run workspace for the step size dt: restricted operators, the
+    preconditioner and the solver counters.
 
-    The stacked trace T2 and its weights come from the system's boundary
-    operator on the free dofs.  The counters add up over every solve:
-    preconditioner builds (one per dt) and solves, residual evaluations,
-    Newton and GMRES iterations, line-search halvings, and the largest
-    final residual of a step.
+    J_lin and S map mu_mid to their matrices; rest is J_ref - P, mu-free:
+    the rect's off-diagonal blocks, or None on the interval, where
+    P = J_ref.  The stacked trace T2 and its weights come from the
+    system's boundary operator on the free dofs.  The counters add up over
+    every solve: preconditioner solves, residual evaluations, Newton and
+    GMRES iterations, line-search halvings, and the largest final residual
+    of a step.
     """
 
-    def __init__(self, system):
+    def __init__(self, system, dt):
         self.system = system
+        self.dt = dt
         f = system.free
         ix = np.ix_(f, f)
         self.M = system.mass[ix].tocsr()
@@ -210,46 +201,40 @@ class _MidpointSolver:
         self.nf = len(f)
         zero = sp.csr_matrix(self.K.shape)
         a1, a2 = system.alpha1, system.alpha2
-        self.S_off = sp.bmat([[zero, a1 * self.C], [self.Sg - a2 * self.C, zero]],
-                             format="csr")
-        self.S_base = (self.S_off + sp.block_diag((zero, self.K))).tocsr()
-        self.S_mu = sp.block_diag((self.K, zero), format="csr")
-        self.S = _affine(self.S_base, self.S_mu)
+        S_off = sp.bmat([[zero, a1 * self.C], [self.Sg - a2 * self.C, zero]], format="csr")
+        S_base = (S_off + sp.block_diag((zero, self.K))).tocsr()
+        S_mu = sp.block_diag((self.K, zero), format="csr")
+        self.S = _affine(S_base, S_mu)
         self.p0 = np.repeat(system.slopes0, self.q)
-        self._base = self._ops = None
-        self.builds = self.solves = self.residuals = 0
+
+        m = (2.0 / dt) * self.M
+        J_base = (sp.block_diag((m, m)) + (dt / 2.0) * S_base).tocsr()
+        J_mu = (dt / 2.0) * S_mu
+        self.J_lin = _affine(J_base, J_mu)
+        if system.mesh.dimension == 1:
+            self.rest = None
+            W0 = self._weights(0.0)
+            W_mu = self._weights(1.0) - W0
+            self.precond = _BandedLU(J_base + _fem.trace_form(self.T2, W0 * self.p0),
+                                     J_mu + _fem.trace_form(self.T2, W_mu * self.p0))
+        else:
+            self.rest = (dt / 2.0) * S_off
+            self.precond = _FastDiagonalization(system, dt)
+
+        self._ops = None
+        self.solves = self.residuals = 0
         self.newton = self.gmres = self.halvings = 0
         self.worst_residual = 0.0
 
     def _weights(self, mu):
         return np.concatenate([mu * self.system.trace_wmn, self.system.trace_wmn])
 
-    def _build(self, dt):
-        """The _DtOperators of dt."""
-        m = (2.0 / dt) * self.M
-        J_base = (sp.block_diag((m, m)) + (dt / 2.0) * self.S_base).tocsr()
-        J_mu = (dt / 2.0) * self.S_mu
-        if self.system.mesh.dimension == 1:
-            rest = None
-            W0 = self._weights(0.0)
-            W_mu = self._weights(1.0) - W0
-            precond = _BandedLU(J_base + _fem.trace_form(self.T2, W0 * self.p0),
-                                J_mu + _fem.trace_form(self.T2, W_mu * self.p0))
-        else:
-            rest = (dt / 2.0) * self.S_off
-            precond = _FastDiagonalization(self.system, dt)
-        self.builds += 1
-        return _DtOperators(dt, _affine(J_base, J_mu), rest, precond)
-
-    def operators(self, dt, mu_mid):
-        """The _StepOperators of (dt, mu_mid), cached for the last key."""
-        if self._base is None or self._base.dt != dt:
-            self._base, self._ops = self._build(dt), None
+    def operators(self, mu_mid):
+        """The _StepOperators of mu_mid, cached for the last mu_mid."""
         if self._ops is None or self._ops.mu != mu_mid:
-            base = self._base
             W = self._weights(mu_mid)
-            self._ops = _StepOperators(dt, mu_mid, base.J_lin(mu_mid), self.S(mu_mid), W,
-                                       W * self.p0, base.rest, base.precond.at(mu_mid))
+            self._ops = _StepOperators(mu_mid, self.J_lin(mu_mid), self.S(mu_mid), W,
+                                       W * self.p0, self.precond.at(mu_mid))
         return self._ops
 
     def _solve(self, ops, b):
@@ -284,11 +269,11 @@ class _MidpointSolver:
         d = ops.W * slopes - ops.d_ref
         delta = self._solve(ops, r)
         boundary = d.any()
-        if ops.rest is None and not boundary:
+        if self.rest is None and not boundary:
             return delta, 0
 
         def apply_d(x):  # (J - P) x
-            y = ops.rest @ x if ops.rest is not None else np.zeros_like(x)
+            y = self.rest @ x if self.rest is not None else np.zeros_like(x)
             if boundary:
                 y += self.T2t @ (d * (self.T2 @ x))
             return y
@@ -348,26 +333,26 @@ class _MidpointSolver:
             coef[i + 1] *= cs[i]
         return y @ np.array(Z), coef @ np.array(V), k
 
-    def start(self, state, dt):
+    def start(self, state):
         """(ops, c, w0) of the step from state: the operators, the
         residual's constant part c = S (x + (dt/2) w0) and the first
         iterate w0 = (u', v')."""
-        sys_ = self.system
-        ops = self.operators(dt, float(sys_.schedule.mu(state.t + dt / 2.0)))
+        sys_, dt = self.system, self.dt
+        ops = self.operators(float(sys_.schedule.mu(state.t + dt / 2.0)))
         f = sys_.free
         w0 = np.concatenate([state.du[f], state.dv[f]])
         y = np.concatenate([state.u[f], state.v[f]]) + (dt / 2.0) * w0
         return ops, ops.S @ y, w0
 
-    def solve(self, state, control):
-        ops, c, w0 = self.start(state, control.dt)
+    def solve(self, state):
+        ops, c, w0 = self.start(state)
         w = w0
         newton = krylov = halvings = 0
 
         r, s = self.residual(ops, c, w0, w)
         rnorm = float(np.max(np.abs(r)))
-        tol = control.newton_tol * max(1.0, rnorm)
-        for _ in range(control.newton_max):
+        tol = NEWTON_TOL * max(1.0, rnorm)
+        for _ in range(NEWTON_MAX):
             if rnorm <= tol:
                 break
             newton += 1
@@ -397,9 +382,9 @@ class _MidpointSolver:
         return w[:nf], w[nf:]
 
 
-def _advance(system, solver, state, control):
-    wu, wv = solver.solve(state, control)
-    dt = control.dt
+def _advance(system, solver, state):
+    wu, wv = solver.solve(state)
+    dt = solver.dt
     f = system.free
     new = state.copy()
     new.t = state.t + dt
@@ -424,17 +409,17 @@ def integrate(system, state0, T, control, observers=()):
     if abs(n_steps * control.dt - span) > 1e-9 * max(1.0, abs(span)):
         raise InvalidArgumentError("T - t0 must be a multiple of dt")
 
-    solver = _MidpointSolver(system)
+    solver = _MidpointSolver(system, control.dt)
     state = state0.copy()
     for obs in observers:
         obs(system, state)
     for _ in range(n_steps):
-        state = _advance(system, solver, state, control)
+        state = _advance(system, solver, state)
         for obs in observers:
             obs(system, state)
-    log.info("integrate: %d steps, %d preconditioner builds, %d solves, %d residuals, "
+    log.info("integrate: %d steps, %d solves, %d residuals, "
              "newton %d, gmres %d, halvings %d, worst residual %.3e",
-             n_steps, solver.builds, solver.solves, solver.residuals,
+             n_steps, solver.solves, solver.residuals,
              solver.newton, solver.gmres, solver.halvings, solver.worst_residual)
     return state
 

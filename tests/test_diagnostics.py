@@ -109,15 +109,6 @@ class TestSandwich:
                                  n=1, M=0.64, mu0=1.0)
         assert all(v == 0.0 for v in out.values())
 
-    def test_eps_zero_reduces_to_F_bound(self):
-        system = make_system(nodes=9)
-        state = _zero_state(system)
-        state.u = np.linspace(0, 1, 9)
-        state.v = np.linspace(0, 1, 9) ** 2
-        E = diag.energy(system, state)
-        F = diag.functional_F(system, state)
-        assert diag.lyapunov(system, state, 0.0) == pytest.approx(E + F, rel=1e-14)
-
     def test_slack_signs_on_admissible_sample(self):
         out = _one_sample_slacks(E=1.0, F=0.05, G=2.0, eps1=1 / 32, A=8.0,
                                  alpha1=0.1, alpha2=0.1, n=1, M=0.6366, mu0=1.0)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from beamstab import _fem, diagnostics, discretization, geometry, harness
@@ -179,7 +180,7 @@ class TestParseConfig:
             "u1": "zero", "u1_amplitude": 0.0, "v1": "zero", "v1_amplitude": 0.0,
             "dt": 1e-3, "T": 60.0, "out_dir": "out", "prefix": "reference", "plot": False,
             "sweep_alphas": (), "sweep_laws": (),
-            "raw_text": path.read_text(), "hash": "0cc7bf81fb9e9605"}
+            "hash": "0cc7bf81fb9e9605"}
 
     def test_all_keys_config_fields(self):
         parser = configparser.ConfigParser()
@@ -197,7 +198,7 @@ class TestParseConfig:
             "u1": "linear", "u1_amplitude": 0.25, "v1": "sine", "v1_amplitude": 2.0,
             "dt": 0.002, "T": 0.5, "out_dir": "results", "prefix": "full", "plot": True,
             "sweep_alphas": (0.01, 0.02), "sweep_laws": ("identity", "saturating"),
-            "raw_text": ALL_KEYS_CONFIG, "hash": "2ae6e1e6e40785e7"}
+            "hash": "2ae6e1e6e40785e7"}
 
     def test_defaults(self):
         assert _all_fields(harness.parse_config(text="")) == {
@@ -211,7 +212,7 @@ class TestParseConfig:
             "u1": "zero", "u1_amplitude": 0.0, "v1": "zero", "v1_amplitude": 0.0,
             "dt": 1e-3, "T": 1.0, "out_dir": "out", "prefix": "run", "plot": False,
             "sweep_alphas": (), "sweep_laws": (),
-            "raw_text": "", "hash": "e3b0c44298fc1c14"}
+            "hash": "e3b0c44298fc1c14"}
 
     def test_x0_follows_mesh_dimension(self):
         assert harness.parse_config(text="[mesh]\nkind = rect\n").x0.tolist() == [0.0, 0.0]
@@ -319,6 +320,21 @@ class TestRunSimulate:
         assert "t=0.25" in stream.getvalue()
 
 
+def _corrupt_stiffness(monkeypatch):
+    """Make harness.build_problem return a stiffness with an asymmetric
+    (0, n-1) entry."""
+    build = harness.build_problem
+
+    def corrupted(cfg):
+        mesh, partition, system = build(cfg)
+        K = system.stiffness
+        n = K.shape[0]
+        system.stiffness = K + sp.csr_matrix(([1e-3], ([0], [n - 1])), shape=K.shape)
+        return mesh, partition, system
+
+    monkeypatch.setattr(harness, "build_problem", corrupted)
+
+
 class TestRunVerify:
     def test_default_suites_pass(self, small_cfg):
         stream = io.StringIO()
@@ -328,14 +344,14 @@ class TestRunVerify:
         for suite in harness.VERIFY_SUITES:
             assert f"{suite}/" in out
 
-    def test_fault_injection_detected(self, small_cfg):
+    def test_fault_injection_detected(self, small_cfg, monkeypatch):
+        _corrupt_stiffness(monkeypatch)
         stream = io.StringIO()
-        code = harness.run_verify(small_cfg, suites=("assembly",),
-                                  corrupt="stiffness", stream=stream)
+        code = harness.run_verify(small_cfg, suites=("assembly",), stream=stream)
         assert code == 1
         assert "FAIL assembly/stiffness-symmetry" in stream.getvalue()
 
-    def test_assembly_suite_stays_sparse(self, small_cfg):
+    def test_assembly_suite_stays_sparse(self, small_cfg, monkeypatch):
         # 96x96 rect, 9 409 nodes: one dense copy of K alone would be 708 MB
         small_cfg.mesh_kind, small_cfg.nx, small_cfg.ny = "rect", 96, 96
         small_cfg.x0 = np.array([-0.1, -0.1])
@@ -348,9 +364,9 @@ class TestRunVerify:
             tracemalloc.stop()
         assert code == harness.EXIT_OK, stream.getvalue()
         assert peak < 50e6
+        _corrupt_stiffness(monkeypatch)
         stream = io.StringIO()
-        assert harness.run_verify(small_cfg, suites=("assembly",), corrupt="stiffness",
-                                  stream=stream) == 1
+        assert harness.run_verify(small_cfg, suites=("assembly",), stream=stream) == 1
         assert "FAIL assembly/stiffness-symmetry" in stream.getvalue()
 
     def test_empty_suite_selection(self, small_cfg):
@@ -484,6 +500,14 @@ class TestCli:
         pytest.param(("dt = 0.01", "dt = nan"), [], id="dt-nan"),
         pytest.param(("T = 0.5", "T = inf"), [], id="T-inf"),
         pytest.param(("length = 1.0", "length = nan"), [], id="length-nan"),
+        pytest.param(("length = 1.0", "length = 0"), [], id="length-zero"),
+        pytest.param(("nodes = 21", "nodes = 2"), [], id="nodes-2"),
+        pytest.param(("mu_c = 1.0", "mu_c = -1"), [], id="mu_c-negative"),
+        pytest.param(("mu_c = 1.0", "mu_c = 1.0\nmu_c0 = 0"), [], id="mu_c0-zero"),
+        pytest.param(("x0 = 0.0", "x0 = 0.0\nlx = -1"), [], id="lx-negative"),
+        pytest.param(("x0 = 0.0", "x0 = 0.0\nly = 0"), [], id="ly-zero"),
+        pytest.param(("x0 = 0.0", "x0 = 0.0\nnx = 1"), [], id="nx-1"),
+        pytest.param(("x0 = 0.0", "x0 = 0.0\nny = 1"), [], id="ny-1"),
         pytest.param(("prefix = small", "prefix = small\nplot = maybe"), [], id="plot-maybe"),
         pytest.param(("law2 = identity", "law2 = identity\nlaw2_params = k=nan"), [],
                      id="law-parameter-nan"),
@@ -501,6 +525,8 @@ class TestCli:
         assert harness.main(["check", "--config", str(path), *flags]) == harness.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and len(err.splitlines()) == 1, err
+        if edit is not None:  # the message names the key it rejects
+            assert edit[1].splitlines()[-1].partition(" =")[0] in err, err
 
     @pytest.mark.parametrize("law, params", [("identity", "b=1"), ("saturating", "foo=1"),
                                              ("zero", "k=2")])

@@ -40,10 +40,6 @@ class TestStepControl:
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             StepControl(dt=0.0)
-        with pytest.raises(InvalidArgumentError):
-            StepControl(dt=0.1, newton_tol=0.0)
-        with pytest.raises(InvalidArgumentError):
-            StepControl(dt=0.1, newton_max=0)
 
 
 class TestStep:
@@ -79,27 +75,28 @@ class TestStep:
         for r in ratios:
             assert 3.2 < r < 4.8  # ~4x error reduction per dt halving
 
-    def test_newton_failure_raises(self):
+    def test_newton_failure_raises(self, monkeypatch):
         system = make_system(nodes=7, law1=saturating_law(1.0, 2.0),
                              law2=saturating_law(1.0, 2.0))
         state = _sine_state(system, velocity=1.0)
-        control = StepControl(dt=50.0, newton_max=1)
+        monkeypatch.setattr(timestepper, "NEWTON_MAX", 1)
+        control = StepControl(dt=50.0)
         with pytest.raises(StepFailureError) as err:
             _one_step(system, state, control)
         assert err.value.t == 0.0
         assert err.value.residual > 0
 
 
-def _damped_newton(solver, state, control, direction):
+def _damped_newton(solver, state, direction):
     """The solver's damped Newton loop (same tolerance scale and line search)
     with the direction supplied by direction(ops, w, s, r).
     Returns (wu, wv, converged)."""
-    ops, c, w0 = solver.start(state, control.dt)
+    ops, c, w0 = solver.start(state)
     w = w0
     r, s = solver.residual(ops, c, w0, w)
     rnorm = float(np.max(np.abs(r)))
-    tol = control.newton_tol * max(1.0, rnorm)
-    for _ in range(control.newton_max):
+    tol = timestepper.NEWTON_TOL * max(1.0, rnorm)
+    for _ in range(timestepper.NEWTON_MAX):
         if rnorm <= tol:
             break
         delta = direction(ops, w, s, r)
@@ -119,13 +116,13 @@ def _damped_newton(solver, state, control, direction):
 
 
 def _full_jacobian(solver, ops, w):
-    """Oracle Jacobian of (ops.dt, ops.mu) at the iterate w, assembled with
-    the actual trace slopes, csc."""
+    """Oracle Jacobian of (solver.dt, ops.mu) at the iterate w, assembled
+    with the actual trace slopes, csc."""
     sys_ = solver.system
     T = sys_.trace[:, sys_.free]
     wmn = sys_.trace_weights * sys_.partition.gamma1_m_dot_nu
     a1, a2 = sys_.alpha1, sys_.alpha2
-    dt, mu_mid = ops.dt, ops.mu
+    dt, mu_mid = solver.dt, ops.mu
     wu, wv = w[:len(w) // 2], w[len(w) // 2:]
     B1 = T.T @ sp.diags(wmn * sys_.law1.slope(T @ wu)) @ T
     B2 = T.T @ sp.diags(wmn * sys_.law2.slope(T @ wv)) @ T
@@ -144,18 +141,18 @@ def _full_jacobian_direction(solver):
     return direction
 
 
-def _full_jacobian_newton(solver, state, control):
+def _full_jacobian_newton(solver, state):
     """Oracle step: Newton that factors the actual Jacobian every iteration."""
-    return _damped_newton(solver, state, control, _full_jacobian_direction(solver))
+    return _damped_newton(solver, state, _full_jacobian_direction(solver))
 
 
 def _reference_jacobian(solver, ops):
-    """Oracle J_ref: the assembled Jacobian of (ops.dt, ops.mu) with the
+    """Oracle J_ref: the assembled Jacobian of (solver.dt, ops.mu) with the
     laws' slopes at 0, csr."""
     sys_ = solver.system
     T = sys_.trace[:, sys_.free]
     wmn = sys_.trace_weights * sys_.partition.gamma1_m_dot_nu
-    dt, mu = ops.dt, ops.mu
+    dt, mu = solver.dt, ops.mu
     p1, p2 = (float(law.slope(0.0)) for law in (sys_.law1, sys_.law2))
     B = T.T @ sp.diags(wmn) @ T
     return sp.bmat([[(2.0 / dt) * solver.M + (dt / 2.0) * mu * solver.K + mu * p1 * B,
@@ -164,13 +161,13 @@ def _reference_jacobian(solver, ops):
                      (2.0 / dt) * solver.M + (dt / 2.0) * solver.K + p2 * B]], format="csr")
 
 
-def _chord_newton(solver, state, control):
+def _chord_newton(solver, state):
     """The damped loop with the reference-Jacobian direction alone (no
     correction)."""
     def direction(ops, w, s, r):
         return splu(_reference_jacobian(solver, ops).tocsc()).solve(r)
 
-    return _damped_newton(solver, state, control, direction)
+    return _damped_newton(solver, state, direction)
 
 
 def _termwise_residual(solver, dt, mu_mid, state, wu, wv):
@@ -229,16 +226,15 @@ class TestNewtonDirection:
         build = (lambda **kw: make_system(nodes=9, **kw)) if mesh == "interval" else _rect6
         system = build(law1=law1, law2=law2, schedule=schedule)
         state = _random_state(system, seed, amplitude)
-        control = StepControl(dt=dt)
-        solver = _MidpointSolver(system)
-        wu, wv = solver.solve(state, control)
-        ou, ov, converged = _full_jacobian_newton(_MidpointSolver(system), state, control)
+        solver = _MidpointSolver(system, dt)
+        wu, wv = solver.solve(state)
+        ou, ov, converged = _full_jacobian_newton(_MidpointSolver(system, dt), state)
         assert converged
         got, want = np.concatenate([wu, wv]), np.concatenate([ou, ov])
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
         # the first direction itself is the Newton direction, not a chord
-        ops, c, w0 = solver.start(state, dt)
+        ops, c, w0 = solver.start(state)
         r, s = solver.residual(ops, c, w0, w0)
         got, _ = solver._newton_direction(ops, s, r)
         want = _full_jacobian_direction(solver)(ops, w0, s, r)
@@ -251,26 +247,24 @@ class TestNewtonDirection:
         law = saturating_law(1.0, 50.0)
         system = _rect6(law1=law, law2=law)
         state = _sine_state(system, velocity=100.0)
-        control = StepControl(dt=0.5)
-        wu, wv = _MidpointSolver(system).solve(state, control)
-        ou, ov, converged = _full_jacobian_newton(_MidpointSolver(system), state, control)
+        wu, wv = _MidpointSolver(system, 0.5).solve(state)
+        ou, ov, converged = _full_jacobian_newton(_MidpointSolver(system, 0.5), state)
         assert converged
         assert np.max(np.abs(np.concatenate([wu - ou, wv - ov]))) <= 1e-11 * np.max(
             np.abs(np.concatenate([ou, ov])))
-        *_, chord_converged = _chord_newton(_MidpointSolver(system), state, control)
+        *_, chord_converged = _chord_newton(_MidpointSolver(system, 0.5), state)
         assert not chord_converged
 
     def test_short_gmres_warns_and_still_converges(self, monkeypatch, caplog):
         law = saturating_law(1.0, 4.0)
         system = make_system(nodes=9, law1=law, law2=law)
         state = _random_state(system, 7, 2.0)
-        control = StepControl(dt=0.2)
-        want = np.concatenate(_MidpointSolver(system).solve(state, control))
+        want = np.concatenate(_MidpointSolver(system, 0.2).solve(state))
         # one GMRES iteration per direction: every solve stops short of rtol
         monkeypatch.setattr(timestepper, "GMRES_RESTART", 1)
         monkeypatch.setattr(timestepper, "GMRES_CYCLES", 1)
         with caplog.at_level(logging.WARNING, logger="beamstab.timestepper"):
-            got = np.concatenate(_MidpointSolver(system).solve(state, control))
+            got = np.concatenate(_MidpointSolver(system, 0.2).solve(state))
         assert any(rec.levelno == logging.WARNING and "GMRES" in rec.getMessage()
                    for rec in caplog.records)
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
@@ -278,8 +272,8 @@ class TestNewtonDirection:
     def test_restarted_gmres_reaches_the_newton_direction(self, monkeypatch, caplog):
         law = saturating_law(1.0, 2.0)
         system = _rect6(law1=law, law2=law, schedule=decaying_schedule(1.0, 0.8, 1.0))
-        solver = _MidpointSolver(system)
-        ops, c, w0 = solver.start(_random_state(system, 3, 1.0), 0.2)
+        solver = _MidpointSolver(system, 0.2)
+        ops, c, w0 = solver.start(_random_state(system, 3, 1.0))
         r, s = solver.residual(ops, c, w0, w0 + 1.0)
         # two iterations per cycle: the direction needs several restarts
         monkeypatch.setattr(timestepper, "GMRES_RESTART", 2)
@@ -294,8 +288,8 @@ class TestNewtonDirection:
     def test_givens_residual_norm_is_the_true_residual(self, monkeypatch):
         law = saturating_law(1.0, 2.0)
         system = _rect6(law1=law, law2=law, schedule=decaying_schedule(1.0, 0.8, 1.0))
-        solver = _MidpointSolver(system)
-        ops, c, w0 = solver.start(_random_state(system, 3, 1.0), 0.2)
+        solver = _MidpointSolver(system, 0.2)
+        ops, c, w0 = solver.start(_random_state(system, 3, 1.0))
         r, s = solver.residual(ops, c, w0, w0 + 1.0)
         J = _full_jacobian(solver, ops, w0 + 1.0)
         monkeypatch.setattr(timestepper, "GMRES_RESTART", 2)
@@ -337,15 +331,15 @@ class TestStackedResidual:
         schedule = decaying_schedule(1.0, 0.8, 1.0) if decaying else constant_schedule(1.0)
         build = (lambda **kw: make_system(nodes=9, **kw)) if mesh == "interval" else _rect6
         system = build(law1=law1, law2=law2, schedule=schedule)
-        solver = _MidpointSolver(system)
         f = system.free
         T = system.trace[:, f]
         rng = np.random.default_rng(11)
         for seed, dt in ((0, 0.01), (1, 0.05), (2, 0.2)):
+            solver = _MidpointSolver(system, dt)
             state = _random_state(system, seed, 2.0)
             mu_mid = float(system.schedule.mu(state.t + dt / 2.0))
-            ops, c, w0 = solver.start(state, dt)
-            assert (ops.dt, ops.mu) == (dt, mu_mid)
+            ops, c, w0 = solver.start(state)
+            assert (solver.dt, ops.mu) == (dt, mu_mid)
             for w in (w0, w0 + rng.standard_normal(len(w0))):
                 got, s = solver.residual(ops, c, w0, w)
                 wu, wv = w[:len(f)], w[len(f):]
@@ -359,8 +353,8 @@ class TestStackedResidual:
         law1, law2 = _LAWS["saturating"]()
         build = (lambda **kw: make_system(nodes=9, **kw)) if mesh == "interval" else _rect6
         system = build(law1=law1, law2=law2, schedule=decaying_schedule(1.0, 0.8, 1.0))
-        solver = _MidpointSolver(system)
-        ops, c, w0 = solver.start(_random_state(system, 4, 2.0), 0.05)
+        solver = _MidpointSolver(system, 0.05)
+        ops, c, w0 = solver.start(_random_state(system, 4, 2.0))
 
         class Refuse:
             def __matmul__(self, x):
@@ -378,17 +372,15 @@ class TestStackedResidual:
 
 class TestSolverCounters:
     def _run(self, system, steps, dt):
-        solver = _MidpointSolver(system)
+        solver = _MidpointSolver(system, dt)
         state = _sine_state(system, velocity=1.0)
-        control = StepControl(dt=dt)
         for _ in range(steps):
-            state = timestepper._advance(system, solver, state, control)
+            state = timestepper._advance(system, solver, state)
         return solver
 
     def test_constant_mu_identity_factors_once(self):
         steps = 20
         solver = self._run(make_system(nodes=21), steps, 0.01)
-        assert solver.builds == 1
         assert solver.residuals == 2 * steps
         assert solver.solves == steps
         assert solver.newton == steps
@@ -397,14 +389,19 @@ class TestSolverCounters:
 
     @pytest.mark.parametrize("decaying", [False, True])
     @pytest.mark.parametrize("mesh", ["interval", "rect"])
-    def test_one_preconditioner_build_per_run(self, mesh, decaying):
+    def test_one_preconditioner_build_per_run(self, mesh, decaying, monkeypatch):
+        builds = []
+        for name in ("_FastDiagonalization", "_BandedLU"):
+            cls = getattr(timestepper, name)
+            monkeypatch.setattr(timestepper, name,
+                                lambda *args, name=name, cls=cls: builds.append(name) or cls(*args))
         steps = 6
         law = saturating_law(1.0, 2.0)
         schedule = decaying_schedule(1.0, 0.8, 1.0) if decaying else constant_schedule(1.0)
         build = (lambda **kw: make_system(nodes=21, **kw)) if mesh == "interval" else _rect6
         solver = self._run(build(law1=law, law2=law, schedule=schedule), steps, 0.01)
         # every step is a new mu_mid under decay; the build serves them all
-        assert solver.builds == 1
+        assert builds == ["_BandedLU" if mesh == "interval" else "_FastDiagonalization"]
         assert solver.newton >= steps and solver.gmres > 0
         # one solve per direction and one per GMRES iteration
         assert solver.solves == solver.newton + solver.gmres
@@ -415,10 +412,10 @@ class TestSolverCounters:
         schedule = decaying_schedule(1.0, 0.8, 1.0) if decaying else constant_schedule(1.0)
         system = _rect6(law1=saturating_law(1.0, 2.0), law2=saturating_law(0.5, 4.0),
                         schedule=schedule)
-        solver = _MidpointSolver(system)
+        solver = _MidpointSolver(system, 0.05)
         for seed in range(4):
             state = _random_state(system, seed, 2.0)
-            ops, c, w0 = solver.start(state, 0.05)
+            ops, c, w0 = solver.start(state)
             r, s = solver.residual(ops, c, w0, w0)
             before = solver.solves
             got, its = solver._newton_direction(ops, s, r)
@@ -426,7 +423,6 @@ class TestSolverCounters:
             assert solver.solves - before == its + 1
             want = _full_jacobian_direction(solver)(ops, w0, s, r)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-        assert solver.builds == 1
 
     def test_rect64_saturating_workload_solve_count(self, monkeypatch, caplog):
         # the seed-0 benchmark config: 10 steps of the 64x64 saturating rect
@@ -439,10 +435,8 @@ class TestSolverCounters:
         with caplog.at_level(logging.INFO, logger="beamstab.timestepper"):
             integrate(system, state0, cfg.T, StepControl(dt=cfg.dt))
         line, = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.INFO]
-        counts = re.match(r"integrate: (\d+) steps, (\d+) preconditioner builds, (\d+) solves",
-                          line)
-        steps, builds, solves = map(int, counts.groups())
-        assert steps == 10 and builds == 1
+        steps, solves = map(int, re.match(r"integrate: (\d+) steps, (\d+) solves", line).groups())
+        assert steps == 10
         assert solves <= 58
 
     def test_run_logs_counters_once(self, caplog):
@@ -451,24 +445,23 @@ class TestSolverCounters:
             integrate(system, _sine_state(system, velocity=1.0), 0.05, StepControl(dt=0.01))
         lines = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.INFO]
         assert len(lines) == 1
-        assert "5 steps, 1 preconditioner builds, 5 solves, 10 residuals" in lines[0]
+        assert "5 steps, 5 solves, 10 residuals" in lines[0]
 
     @pytest.mark.parametrize("laws", ["identity", "saturating"])
     def test_decaying_mu_steps_match_full_jacobian_newton(self, laws):
         law1, law2 = _LAWS[laws]() if laws in _LAWS else (identity_law(), identity_law())
         system = _rect6(law1=law1, law2=law2, schedule=decaying_schedule(1.0, 0.8, 1.0))
-        control = StepControl(dt=0.05)
-        solver = _MidpointSolver(system)
+        dt = 0.05
+        solver = _MidpointSolver(system, dt)
         state = _sine_state(system, velocity=1.0)
         for _ in range(8):
-            ou, ov, converged = _full_jacobian_newton(_MidpointSolver(system), state, control)
+            ou, ov, converged = _full_jacobian_newton(_MidpointSolver(system, dt), state)
             assert converged
-            wu, wv = solver.solve(state, control)
+            wu, wv = solver.solve(state)
             got, want = np.concatenate([wu, wv]), np.concatenate([ou, ov])
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
-            state = timestepper._advance(system, SimpleNamespace(solve=lambda *_: (wu, wv)),
-                                         state, control)
-        assert solver.builds == 1
+            state = timestepper._advance(
+                system, SimpleNamespace(dt=dt, solve=lambda *_: (wu, wv)), state)
 
 
 class TestPreconditioner:
@@ -479,22 +472,24 @@ class TestPreconditioner:
                       else (saturating_law(1.0, 2.0), saturating_law(0.5, 4.0)))
         system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.3, 7, 5), x0=np.array(x0),
                              law1=law1, law2=law2)
-        solver = _MidpointSolver(system)
         dt, mu = 0.05, 0.7
-        ops = solver.operators(dt, mu)
+        solver = _MidpointSolver(system, dt)
+        ops = solver.operators(mu)
         J = _reference_jacobian(solver, ops)
         nf = solver.nf
         blocks = [J[:nf, :nf], J[nf:, nf:]]
-        fd = solver._base.precond
         mass = [f["mass"] for f in system.factors]
-        for field, m in enumerate((mu, 1.0)):
-            A = [(1.0 / dt) * M + m * B for M, B in zip(mass, fd.B[field])]
+        for field, (m, p0) in enumerate(zip((mu, 1.0), system.slopes0)):
+            # B_d = (dt/2) K_d + p'(0) diag(g_d) from the system's 1D factors
+            B = [(dt / 2.0) * f["stiffness"] + p0 * sp.diags(g)
+                 for f, g in zip(system.factors, system.axis_gamma1)]
+            A = [(1.0 / dt) * M + m * B_d for M, B_d in zip(mass, B)]
             kron_sum = sp.kron(A[0], mass[1]) + sp.kron(mass[0], A[1])
             want = blocks[field]
             assert abs(kron_sum - want).max() <= 1e-14 * abs(want).max()
         # the rest is J_ref off the diagonal blocks: the coupling and sigma
         rest = J - sp.block_diag(blocks)
-        assert abs(ops.rest - rest).max() <= 1e-14 * abs(J).max()
+        assert abs(solver.rest - rest).max() <= 1e-14 * abs(J).max()
         # and the solve inverts the block diagonal
         b = np.random.default_rng(5).standard_normal(2 * nf)
         x = ops.solve(b)
@@ -505,9 +500,9 @@ class TestPreconditioner:
         schedule = decaying_schedule(1.0, 0.8, 1.0) if decaying else constant_schedule(1.0)
         system = make_system(nodes=21, law1=saturating_law(1.0, 2.0),
                              law2=saturating_law(0.5, 4.0), schedule=schedule)
-        solver = _MidpointSolver(system)
-        assert solver.operators(0.05, 1.0).rest is None  # P = J_ref
-        ops = solver.operators(0.05, 0.7)
+        solver = _MidpointSolver(system, 0.05)
+        assert solver.rest is None  # P = J_ref
+        ops = solver.operators(0.7)
         J = _reference_jacobian(solver, ops).toarray()
         b = np.random.default_rng(3).standard_normal(len(J))
         want = np.linalg.solve(J, b)
