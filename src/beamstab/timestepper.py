@@ -9,9 +9,13 @@ One solver path serves every law and every mu schedule, and a run builds
 it once, for its one step size dt.  Apart from the laws the residual is
 affine in w.  For a step's mu_mid the solver holds the free-dof state
 operator S = [[mu_mid K, a1 C], [Sg - a2 C, K]] and the Jacobian without
-the Gamma1 term J_lin = (2/dt) blockdiag(M, M) + (dt/2) S, each a part
-fixed for the run plus mu_mid times a fixed matrix on one sparsity
-pattern, so a new mu_mid costs one update of each data vector.
+the Gamma1 term J_lin = (2/dt) blockdiag(M, M) + (dt/2) S.  Both live on
+one csr layout of the 2x2 blocks of the free stencil, built once from the
+1D factors of the grid and holding the entries that are nonzero for some
+mu: S = S_base + mu_mid S_mu and J_lin = J_base + mu_mid J_mu with
+J_base = (2/dt) blockdiag(M, M) + (dt/2) S_base and J_mu = (dt/2) S_mu,
+four data vectors on that layout, so a new mu_mid costs one update of
+each of the two.
 W = (mu_mid w m.nu, w m.nu) weighs the stacked Gamma1 trace
 T2 = blockdiag(T, T).  Each step computes c = S (x + (dt/2) w0) once, with
 x the start positions and w0 = (u', v') the first iterate, and each
@@ -39,13 +43,16 @@ back-substitution.
   B_d = (dt/2) K_d + p'(0) diag(g_d) (the axis Gamma1 weights of the
   system) and mu = 1 on the v block.  P is that block diagonal, inverted
   by fast diagonalization (Lynch, Rice & Thomas 1964) from the dense 1D
-  eigenpairs of (B_d, M_d): mu_mid only changes the divisor
+  eigenpairs of (B_d, M_d), one set per distinct slope p'(0): mu_mid only
+  changes the divisor
   2/dt + mu (lam_1i + lam_2j), and a solve is four matrix products,
   batched over the two fields.  J - P is the u-v coupling, the sigma
-  term and the Gamma1 slope differences T2' diag(W p'(T2 w) - W p'(0)) T2.
+  term and the Gamma1 slope differences T2' diag(W p'(T2 w) - W p'(0)) T2;
+  its mu-free part, the off-diagonal blocks, is cut from the layout.
 - Interval: P = J_ref, a banded LU (LAPACK dgbtrf) of the unknowns
   interleaved as (u_i, v_i), bandwidth 3, refactored for each mu_mid as
-  ab_0 + mu_mid ab_1.  For linear laws J = P and each Newton iteration is
+  ab_0 + mu_mid ab_1, the band storage of J_base and J_mu with their
+  Gamma1 terms.  For linear laws J = P and each Newton iteration is
   one solve.
 """
 
@@ -56,6 +63,7 @@ import logging
 import math
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -90,8 +98,8 @@ class StepControl:
     dt: float
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise InvalidArgumentError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise InvalidArgumentError(f"dt must be finite and positive, got {self.dt!r}")
 
 
 class _FastDiagonalization:
@@ -100,19 +108,21 @@ class _FastDiagonalization:
 
     V[d] stacks both fields' eigenvectors of axis d against M_d, the dense
     eigh of (B_d, M_d), (2, n_d, n_d), and lam[f] holds the sums
-    lam_1i + lam_2j of field f as an (n_1, n_2) array.
+    lam_1i + lam_2j of field f as an (n_1, n_2) array.  A field enters B_d
+    only through its slope p'(0), so fields of one slope share their pairs.
     """
 
     def __init__(self, system, dt):
         self.dt = dt
-        vecs, self.lam = [], []
+        pairs = {}
         for p0 in system.slopes0:
-            pairs = [eigh(((dt / 2.0) * f["stiffness"] + p0 * sp.diags(g)).toarray(),
-                          f["mass"].toarray())
-                     for f, g in zip(system.factors, system.axis_gamma1)]
-            vecs.append([V for _, V in pairs])
-            self.lam.append(np.add.outer(*[lam for lam, _ in pairs]))
-        self.V = [np.stack(Vd) for Vd in zip(*vecs)]
+            if p0 not in pairs:
+                pairs[p0] = [eigh(((dt / 2.0) * f["stiffness"] + p0 * sp.diags(g)).toarray(),
+                                  f["mass"].toarray())
+                             for f, g in zip(system.factors, system.axis_gamma1)]
+        self.lam = [np.add.outer(*[lam for lam, _ in pairs[p0]]) for p0 in system.slopes0]
+        self.V = [np.stack([pairs[p0][d][1] for p0 in system.slopes0])
+                  for d in range(len(system.factors))]
 
     def at(self, mu):
         """The solve b -> P^-1 b for mu on the u block: per field
@@ -148,17 +158,48 @@ class _BandedLU:
         return solve
 
 
-def _affine(base, part):
-    """mu -> base + mu part, csr, for sparse matrices base and part of one
-    shape.  Both are stored on the union of their patterns, built from the
-    same coordinates (explicit zeros kept), so each mu costs one axpy on
-    the data."""
-    a, b = base.tocoo(), part.tocoo()
-    ij = (np.concatenate([a.row, b.row]), np.concatenate([a.col, b.col]))
-    A = sp.csr_matrix((np.concatenate([a.data, np.zeros(b.nnz)]), ij), shape=base.shape)
-    B = sp.csr_matrix((np.concatenate([np.zeros(a.nnz), b.data]), ij), shape=base.shape)
-    return lambda mu: sp.csr_matrix((A.data + mu * B.data, A.indices, A.indptr),
-                                    shape=base.shape)
+def _free_stencil(system):
+    """The free-dof forms M, K, C and Sg on the free stencil, and the free
+    column of each of its slots, each (3^d, nf).
+
+    Slot s of free node k is its neighbour k + offset_s, the offsets in
+    column order, and holds 0 where that neighbour is not a free node.
+    M, K and C are the Kronecker sums of the free 1D factors, formed from
+    their tridiagonal bands with the products and sums of _fem.kron_sum, so
+    they equal the restricted domain forms entry for entry.  Sg, a boundary
+    form on part of the stencil, goes to the slots of its free entries.
+    """
+    def band(F):  # F[i, i - 1], F[i, i] and F[i, i + 1] of each row i, 0 off the matrix
+        B = np.zeros((3, F.shape[0]))
+        B[0, 1:], B[1], B[2, :-1] = F.diagonal(-1), F.diagonal(), F.diagonal(1)
+        return B
+
+    def outer(X, Y):  # the slots of X by those of Y
+        return (X[:, None, :, None] * Y[None, :, None, :]).reshape(len(X) * len(Y), -1)
+
+    bands = [{name: band(F) for name, F in f.items()} for f in system.factors]
+
+    def kron_sum(name):  # the terms of _fem.kron_sum, added in axis order
+        terms = [reduce(outer, [b[name] if k == d else b["mass"] for k, b in enumerate(bands)])
+                 for d in range(len(bands))]
+        for term in terms[1:]:
+            terms[0] += term
+        return terms[0]
+
+    M = reduce(outer, [b["mass"] for b in bands])
+    K, C = kron_sum("stiffness"), kron_sum("derivative")
+
+    free = system.free
+    offsets = np.arange(-1, 2)
+    for b in bands[1:]:
+        offsets = (offsets[:, None] * b["mass"].shape[1] + np.arange(-1, 2)).ravel()
+    Sg = np.zeros_like(M)
+    G = system.sigma_op.tocoo()
+    on = np.isin(G.row, free) & np.isin(G.col, free)
+    row, col = np.searchsorted(free, G.row[on]), np.searchsorted(free, G.col[on])
+    Sg[np.searchsorted(offsets, col - row), row] = G.data[on]
+    cols = offsets.astype(np.int32)[:, None] + np.arange(len(free), dtype=np.int32)
+    return (M, K, C, Sg), cols
 
 
 class _StepOperators(NamedTuple):
@@ -173,58 +214,84 @@ class _StepOperators(NamedTuple):
 
 
 class _MidpointSolver:
-    """Per-run workspace for the step size dt: restricted operators, the
-    preconditioner and the solver counters.
+    """Per-run workspace for the step size dt: the block layout and its
+    operator data, the preconditioner and the solver counters.
 
-    J_lin and S map mu_mid to their matrices; rest is J_ref - P, mu-free:
-    the rect's off-diagonal blocks, or None on the interval, where
-    P = J_ref.  The stacked trace T2 and its weights come from the
-    system's boundary operator on the free dofs.  The counters add up over
-    every solve: preconditioner solves, residual evaluations, Newton and
-    GMRES iterations, line-search halvings, and the largest final residual
-    of a step.
+    The layout is one csr pattern (indices, indptr) of the 2x2 blocks of
+    the free stencil, holding the entries that are nonzero in S or J_lin
+    for some mu.  S_data and J_data are the (base, mu part) data vectors
+    on it, so S(mu) = S_base + mu S_mu and J_lin(mu) = J_base + mu J_mu
+    share one pattern.  rest is J_ref - P, mu-free: the rect's off-diagonal
+    blocks of J_lin, or None on the interval, where P = J_ref.  The stacked
+    trace T2 and its weights come from the system's boundary operator on the
+    free dofs.  The counters add up over every solve: preconditioner
+    solves, residual evaluations, Newton and GMRES iterations, line-search
+    halvings, and the largest final residual of a step.
     """
 
     def __init__(self, system, dt):
         self.system = system
         self.dt = dt
-        f = system.free
-        ix = np.ix_(f, f)
-        self.M = system.mass[ix].tocsr()
-        self.K = system.stiffness[ix].tocsr()
-        self.C = system.coupling[ix].tocsr()
-        self.Sg = system.sigma_op[ix].tocsr()
         T = system.trace_free
         self.T2 = sp.block_diag((T, T), format="csr")
         self.T2t = self.T2.T
         self.q = T.shape[0]  # Gamma1 points per field
-        self.nf = len(f)
-        zero = sp.csr_matrix(self.K.shape)
-        a1, a2 = system.alpha1, system.alpha2
-        S_off = sp.bmat([[zero, a1 * self.C], [self.Sg - a2 * self.C, zero]], format="csr")
-        S_base = (S_off + sp.block_diag((zero, self.K))).tocsr()
-        S_mu = sp.block_diag((self.K, zero), format="csr")
-        self.S = _affine(S_base, S_mu)
+        self.nf = nf = len(system.free)
         self.p0 = np.repeat(system.slopes0, self.q)
 
-        m = (2.0 / dt) * self.M
-        J_base = (sp.block_diag((m, m)) + (dt / 2.0) * S_base).tocsr()
-        J_mu = (dt / 2.0) * S_mu
-        self.J_lin = _affine(J_base, J_mu)
+        (M, K, C, Sg), cols = _free_stencil(system)
+        a1, a2, half = system.alpha1, system.alpha2, dt / 2.0
+        S_uv, S_vu = a1 * C, Sg - a2 * C
+        m, hK = (2.0 / dt) * M, half * K
+        # S_base, S_mu, J_base and J_mu by block uu, uv, vu, vv; None is a zero
+        # block, and J_base = (2/dt) blockdiag(M, M) + (dt/2) S_base leaves out
+        # its terms on zero blocks, which change no nonzero entry
+        S_base, S_mu = (None, S_uv, S_vu, K), (K, None, None, None)
+        J_base, J_mu = (m, half * S_uv, half * S_vu, m + hK), (hK, None, None, None)
+
+        # the layout's slots in csr order: stacked row, block column, stencil slot
+        grid = np.empty((2, nf, 2, len(cols)))
+
+        def on_grid(blocks, out=grid):
+            for (r, c), X in zip(np.ndindex(2, 2), blocks):
+                out[r, :, c] = 0.0 if X is None else X.T
+            return out
+
+        keep = on_grid([np.logical_or.reduce([X != 0 for X in parts if X is not None])
+                        for parts in zip(S_base, S_mu, J_base, J_mu)],
+                       np.empty(grid.shape, dtype=bool))
+        columns = np.empty(grid.shape, dtype=cols.dtype)
+        columns[...] = cols.T[:, None]
+        columns[:, :, 1] += nf
+        rows = np.arange(2 * nf + 1) * (2 * len(cols))  # the first slot of each row
+
+        def pattern(at):  # csr indices and indptr of the slots at
+            return columns.take(at), np.searchsorted(at, rows).astype(columns.dtype)
+
+        at = np.flatnonzero(keep)
+        self.indices, self.indptr = pattern(at)
+        self.S_data = tuple(on_grid(X).take(at) for X in (S_base, S_mu))
+        J_part = on_grid(J_mu).take(at)
+        self.J_data = (on_grid(J_base).take(at), J_part)  # J_base stays on the grid for rest
         if system.mesh.dimension == 1:
             self.rest = None
             W0 = self._weights(0.0)
             W_mu = self._weights(1.0) - W0
-            self.precond = _BandedLU(J_base + _fem.trace_form(self.T2, W0 * self.p0),
-                                     J_mu + _fem.trace_form(self.T2, W_mu * self.p0))
+            self.precond = _BandedLU(*(self._on_layout(data) + _fem.trace_form(self.T2, W * self.p0)
+                                       for data, W in zip(self.J_data, (W0, W_mu))))
         else:
-            self.rest = (dt / 2.0) * S_off
+            keep[0, :, 0] = keep[1, :, 1] = False  # the off-diagonal blocks of J_base
+            at = np.flatnonzero(keep)
+            self.rest = sp.csr_matrix((grid.take(at), *pattern(at)), shape=(2 * nf, 2 * nf))
             self.precond = _FastDiagonalization(system, dt)
 
         self._ops = None
         self.solves = self.residuals = 0
         self.newton = self.gmres = self.halvings = 0
         self.worst_residual = 0.0
+
+    def _on_layout(self, data):
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(2 * self.nf,) * 2)
 
     def _weights(self, mu):
         return np.concatenate([mu * self.system.trace_wmn, self.system.trace_wmn])
@@ -233,7 +300,9 @@ class _MidpointSolver:
         """The _StepOperators of mu_mid, cached for the last mu_mid."""
         if self._ops is None or self._ops.mu != mu_mid:
             W = self._weights(mu_mid)
-            self._ops = _StepOperators(mu_mid, self.J_lin(mu_mid), self.S(mu_mid), W,
+            (J_base, J_mu), (S_base, S_mu) = self.J_data, self.S_data
+            self._ops = _StepOperators(mu_mid, self._on_layout(J_base + mu_mid * J_mu),
+                                       self._on_layout(S_base + mu_mid * S_mu), W,
                                        W * self.p0, self.precond.at(mu_mid))
         return self._ops
 
@@ -402,6 +471,8 @@ def integrate(system, state0, T, control, observers=()):
     step.  The number of steps is round((T - t0)/dt); T - t0 must be an
     (approximate) multiple of dt.
     """
+    if not math.isfinite(T):
+        raise InvalidArgumentError(f"final time must be finite, got {T!r}")
     if T < state0.t:
         raise InvalidArgumentError("final time precedes initial time")
     span = T - state0.t

@@ -41,6 +41,11 @@ class TestStepControl:
         with pytest.raises(InvalidArgumentError):
             StepControl(dt=0.0)
 
+    @pytest.mark.parametrize("dt", [np.inf, -np.inf, np.nan])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            StepControl(dt=dt)
+
 
 class TestStep:
     def test_equilibrium_is_fixed(self):
@@ -115,10 +120,19 @@ def _damped_newton(solver, state, direction):
     return w[:nf], w[nf:], rnorm <= tol
 
 
+def _free_forms(system):
+    """Oracle free-dof forms (M, K, C, Sg): the system's mass, stiffness,
+    coupling and sigma forms restricted to the free dofs, csr."""
+    ix = np.ix_(system.free, system.free)
+    return tuple(A[ix].tocsr() for A in (system.mass, system.stiffness, system.coupling,
+                                          system.sigma_op))
+
+
 def _full_jacobian(solver, ops, w):
     """Oracle Jacobian of (solver.dt, ops.mu) at the iterate w, assembled
     with the actual trace slopes, csc."""
     sys_ = solver.system
+    M, K, C, Sg = _free_forms(sys_)
     T = sys_.trace[:, sys_.free]
     wmn = sys_.trace_weights * sys_.partition.gamma1_m_dot_nu
     a1, a2 = sys_.alpha1, sys_.alpha2
@@ -126,10 +140,10 @@ def _full_jacobian(solver, ops, w):
     wu, wv = w[:len(w) // 2], w[len(w) // 2:]
     B1 = T.T @ sp.diags(wmn * sys_.law1.slope(T @ wu)) @ T
     B2 = T.T @ sp.diags(wmn * sys_.law2.slope(T @ wv)) @ T
-    return sp.bmat([[(2.0 / dt) * solver.M + (dt / 2.0) * mu_mid * solver.K + mu_mid * B1,
-                     (dt / 2.0) * a1 * solver.C],
-                    [(dt / 2.0) * (solver.Sg - a2 * solver.C),
-                     (2.0 / dt) * solver.M + (dt / 2.0) * solver.K + B2]], format="csc")
+    return sp.bmat([[(2.0 / dt) * M + (dt / 2.0) * mu_mid * K + mu_mid * B1,
+                     (dt / 2.0) * a1 * C],
+                    [(dt / 2.0) * (Sg - a2 * C),
+                     (2.0 / dt) * M + (dt / 2.0) * K + B2]], format="csc")
 
 
 def _full_jacobian_direction(solver):
@@ -150,15 +164,16 @@ def _reference_jacobian(solver, ops):
     """Oracle J_ref: the assembled Jacobian of (solver.dt, ops.mu) with the
     laws' slopes at 0, csr."""
     sys_ = solver.system
+    M, K, C, Sg = _free_forms(sys_)
     T = sys_.trace[:, sys_.free]
     wmn = sys_.trace_weights * sys_.partition.gamma1_m_dot_nu
     dt, mu = solver.dt, ops.mu
     p1, p2 = (float(law.slope(0.0)) for law in (sys_.law1, sys_.law2))
     B = T.T @ sp.diags(wmn) @ T
-    return sp.bmat([[(2.0 / dt) * solver.M + (dt / 2.0) * mu * solver.K + mu * p1 * B,
-                     (dt / 2.0) * sys_.alpha1 * solver.C],
-                    [(dt / 2.0) * (solver.Sg - sys_.alpha2 * solver.C),
-                     (2.0 / dt) * solver.M + (dt / 2.0) * solver.K + p2 * B]], format="csr")
+    return sp.bmat([[(2.0 / dt) * M + (dt / 2.0) * mu * K + mu * p1 * B,
+                     (dt / 2.0) * sys_.alpha1 * C],
+                    [(dt / 2.0) * (Sg - sys_.alpha2 * C),
+                     (2.0 / dt) * M + (dt / 2.0) * K + p2 * B]], format="csr")
 
 
 def _chord_newton(solver, state):
@@ -174,17 +189,18 @@ def _termwise_residual(solver, dt, mu_mid, state, wu, wv):
     """Oracle residual: the midpoint residual on the free dofs term by term,
     stacked (u block, v block)."""
     sys_ = solver.system
+    M, K, C, Sg = _free_forms(sys_)
     a1, a2 = sys_.alpha1, sys_.alpha2
     f = sys_.free
     T = sys_.trace[:, f]
     wmn = sys_.trace_weights * sys_.partition.gamma1_m_dot_nu
     u_mid = state.u[f] + (dt / 2.0) * wu
     v_mid = state.v[f] + (dt / 2.0) * wv
-    ru = ((2.0 / dt) * (solver.M @ (wu - state.du[f]))
-          + mu_mid * (solver.K @ u_mid) + a1 * (solver.C @ v_mid)
+    ru = ((2.0 / dt) * (M @ (wu - state.du[f]))
+          + mu_mid * (K @ u_mid) + a1 * (C @ v_mid)
           + mu_mid * (T.T @ (wmn * sys_.law1(T @ wu))))
-    rv = ((2.0 / dt) * (solver.M @ (wv - state.dv[f]))
-          + solver.K @ v_mid - a2 * (solver.C @ u_mid) + solver.Sg @ u_mid
+    rv = ((2.0 / dt) * (M @ (wv - state.dv[f]))
+          + K @ v_mid - a2 * (C @ u_mid) + Sg @ u_mid
           + T.T @ (wmn * sys_.law2(T @ wv)))
     return np.concatenate([ru, rv])
 
@@ -495,6 +511,16 @@ class TestPreconditioner:
         x = ops.solve(b)
         assert np.max(np.abs(sp.block_diag(blocks) @ x - b)) <= 1e-12 * np.max(np.abs(b))
 
+    @pytest.mark.parametrize("laws, calls", [("equal", 2), ("distinct", 4)])
+    def test_eigenpairs_once_per_distinct_slope(self, monkeypatch, laws, calls):
+        law = saturating_law(1.0, 2.0)
+        law1, law2 = (law, law) if laws == "equal" else (identity_law(2.0), identity_law(0.5))
+        eigh = timestepper.eigh
+        pairs = []
+        monkeypatch.setattr(timestepper, "eigh", lambda *args: pairs.append(1) or eigh(*args))
+        _MidpointSolver(_rect6(law1=law1, law2=law2), 0.05)
+        assert len(pairs) == calls
+
     @pytest.mark.parametrize("decaying", [False, True])
     def test_interval_banded_solve_is_the_reference_solve(self, decaying):
         schedule = decaying_schedule(1.0, 0.8, 1.0) if decaying else constant_schedule(1.0)
@@ -507,6 +533,59 @@ class TestPreconditioner:
         b = np.random.default_rng(3).standard_normal(len(J))
         want = np.linalg.solve(J, b)
         assert np.max(np.abs(ops.solve(b) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestBlockLayout:
+    @staticmethod
+    def _oracles(system, dt, mu):
+        """Dense oracle S(mu) and J_lin(mu) from the restricted system forms,
+        with the solver's float operations."""
+        M, K, C, Sg = _free_forms(system)
+        a1, a2, half = system.alpha1, system.alpha2, dt / 2.0
+        S = sp.bmat([[mu * K, a1 * C], [Sg - a2 * C, K]])
+        J = sp.bmat([[(2.0 / dt) * M + mu * (half * K), half * (a1 * C)],
+                     [half * (Sg - a2 * C), (2.0 / dt) * M + half * K]])
+        return S.toarray(), J.toarray()
+
+    @pytest.mark.parametrize("mesh", ["corner", "free_free", "interval"])
+    def test_operators_are_the_oracle_blocks_on_one_pattern(self, mesh):
+        couplings = {"alpha1": 0.1, "alpha2": 0.07}
+        if mesh == "interval":
+            system = make_system(nodes=21, **couplings)
+        else:
+            system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.0, 16, 16),
+                                 x0=np.array(_CORNER if mesh == "corner" else _FREE_FREE),
+                                 **couplings)
+        dt = 0.05
+        solver = _MidpointSolver(system, dt)
+        nf = solver.nf
+        support = np.zeros((2 * nf, 2 * nf), dtype=bool)
+        for mu in (0.0, 0.7, 1.3):
+            ops = solver.operators(mu)
+            S, J = self._oracles(system, dt, mu)
+            assert np.array_equal(ops.S.toarray(), S)
+            assert np.array_equal(ops.J_lin.toarray(), J)
+            assert np.shares_memory(ops.S.indices, ops.J_lin.indices)
+            assert np.shares_memory(ops.S.indptr, ops.J_lin.indptr)
+            assert ops.S.has_sorted_indices  # each row sums in column order, as the csr forms do
+            support |= (S != 0) | (J != 0)
+        # the layout stores exactly the entries that are nonzero for some mu
+        assert ops.S.nnz == ops.J_lin.nnz == np.count_nonzero(support)
+        if mesh == "interval":
+            assert solver.rest is None
+        else:
+            J[:nf, :nf] = J[nf:, nf:] = 0.0
+            assert np.array_equal(solver.rest.toarray(), J)
+
+    @pytest.mark.parametrize("workload, nnz", [("rect64_saturating", 120586), ("ref1d", 1994)])
+    def test_workload_layout_size(self, monkeypatch, workload, nnz):
+        # the 64x64 rect and the 201-node interval: no stored entry is 0 for every mu
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        workloads = importlib.import_module("perfbench.workloads")
+        cfg = harness.parse_config(text=workloads.config_text(workloads.WORKLOADS[workload], 0))
+        _, _, system = harness.build_problem(cfg)
+        ops = _MidpointSolver(system, cfg.dt).operators(1.0)
+        assert ops.S.nnz == ops.J_lin.nnz == nnz
 
 
 def _energy_balance_defects(system, states, dt):
@@ -571,6 +650,12 @@ class TestIntegrate:
         state.t = 1.0
         with pytest.raises(InvalidArgumentError):
             integrate(system, state, 0.5, StepControl(dt=0.1))
+
+    @pytest.mark.parametrize("T", [np.inf, np.nan])
+    def test_non_finite_final_time_rejected(self, T):
+        system = make_system(nodes=7)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            integrate(system, _sine_state(system), T, StepControl(dt=0.1))
 
     def test_deterministic_repetition(self):
         system = make_system(nodes=11)
