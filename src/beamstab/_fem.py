@@ -5,11 +5,12 @@ an interval, or a rectangle whose nodes are numbered i*(ny+1)+j.  The
 basis is continuous piecewise-linear (P1) on each axis and its tensor
 product (bilinear) on the rectangle, so each domain form is a Kronecker
 sum of 1D P1 factors with the x factor first: the fast-diagonalization
-setting of Lynch, Rice & Thomas, Numer. Math. 6 (1964).  The interval is
-the one-factor case of the same code.  Every boundary form is
-T' diag(d) T for the trace map T of trace_structure (trace_form).
-Small systems that are not Kronecker sums are solved in LAPACK band
-storage (band_storage, band_lu, band_solve).
+setting of Lynch, Rice & Thomas, Numer. Math. 6 (1964).  The 1D factors
+are tridiagonal bands, and stencil builds every domain form from them on
+the 3^d-point stencil of the grid.  The interval is the one-factor case
+of the same code.  Every boundary form is T' diag(d) T for the trace map
+T of trace_structure (trace_form).  Small systems that are not Kronecker
+sums are solved in LAPACK band storage (band_storage, band_lu, band_solve).
 """
 
 from __future__ import annotations
@@ -33,22 +34,18 @@ def gauss_rule(npts):
 # ---------------------------------------------------------------------------
 # tensor grids and their 1D factors
 
-def _tridiagonal(local):
-    """Assemble per-cell 2x2 matrices (E, 2, 2) of a 1D chain into csr."""
-    e = np.arange(len(local))
-    rows = np.stack([e, e, e + 1, e + 1], axis=1).ravel()
-    cols = np.stack([e, e + 1, e, e + 1], axis=1).ravel()
-    n = len(local) + 1
-    return sp.csr_matrix((local.reshape(-1), (rows, cols)), shape=(n, n))
+def _band(local):
+    """The tridiagonal band (3, n) of per-cell 2x2 matrices (E, 2, 2) of a
+    1D chain, summed over the cells."""
+    b = np.zeros((3, len(local) + 1))
+    b[0, 1:], b[2, :-1], b[1, :-1] = local[:, 1, 0], local[:, 0, 1], local[:, 0, 0]
+    b[1, 1:] += local[:, 1, 1]
+    return b
 
 
-# the 1D factors of every axis; a multiplier factor needs its x0
-AXIS_FACTORS = ("mass", "stiffness", "derivative")
-
-
-def axis_factors(x, x0=None, names=AXIS_FACTORS):
-    """1D P1 forms on the nodes x, as csr matrices over all nodes, for each
-    of `names`:
+def axis_factors(x, x0=None):
+    """1D P1 forms F on the nodes x as tridiagonal bands (3, n), row i
+    holding F[i, i-1], F[i, i] and F[i, i+1] and 0 off the matrix:
 
       mass        (phi_k, phi_j)
       stiffness   (phi_k', phi_j')
@@ -61,48 +58,60 @@ def axis_factors(x, x0=None, names=AXIS_FACTORS):
         "stiffness": np.array([[1.0, -1.0], [-1.0, 1.0]]) / h,
         "derivative": np.broadcast_to([[-0.5, 0.5], [-0.5, 0.5]], (len(h), 2, 2)),
     }
-    out = {name: _tridiagonal(local[name]) for name in names}
+    out = {name: _band(m) for name, m in local.items()}
     if x0 is not None:
         a, b = x[:-1] - x0, x[1:] - x0
         # (phi_k, x - x0) over the cell times the slope -1/h or 1/h of phi_j
         moment = np.stack([a / 3.0 + b / 6.0, a / 6.0 + b / 3.0], axis=1)
-        out["multiplier"] = _tridiagonal(moment[:, :, None] * np.array([-1.0, 1.0]))
+        out["multiplier"] = _band(moment[:, :, None] * np.array([-1.0, 1.0]))
     return out
 
 
-def kron_sum(factors, name):
-    """sum_d M_1 x ... x F_d x ... x M_n: the factor `name` on one axis, the
-    mass factor on every other one.  "mass" gives the plain Kronecker product.
+def stencil(bands):
+    """Each factor F of the axes' 1D bands (axis_factors, x first) as the
+    Kronecker sum sum_d M_1 x .. x F_d x .. x M_n on the 3^d-point stencil,
+    its terms added in axis order ("mass" is the plain product).
 
-    Every 1D factor stores the full tridiagonal pattern, so all the terms
-    share one stencil, and their COO data add entry by entry; the csr keeps
-    every stencil entry, also where the terms cancel to 0."""
-    if name == "mass":
-        return reduce(sp.kron, [f["mass"] for f in factors]).tocsr()
-    terms = [reduce(sp.kron, [f[name] if k == d else f["mass"]
-                              for k, f in enumerate(factors)]).tocoo()
-             for d in range(len(factors))]
-    first = terms[0]
-    return sp.csr_matrix((sum(t.data for t in terms), (first.row, first.col)),
-                         shape=first.shape)
+    Returns ({name: (3^d, n) slots}, offsets): slot s of node k holds the
+    entry of node k + offsets[s], a product of one band entry per axis as
+    in sp.kron, and 0 off the grid; the offsets ascend."""
+    def slots(factors):  # the products of one band row per axis, slot by slot
+        return reduce(lambda X, b: (X[:, None, :, None] * b[None, :, None, :])
+                      .reshape(3 * len(X), -1), factors[1:], factors[0])
+
+    def kron_sum(name):  # term d: the factor on axis d, mass on every other one
+        terms = (slots([b[name] if k == d else b["mass"] for k, b in enumerate(bands)])
+                 for d in range(len(bands) if name != "mass" else 1))
+        out = next(terms)
+        for term in terms:
+            out += term
+        return out
+
+    step = np.arange(-1, 2)
+    offsets = reduce(lambda o, b: (o[:, None] * b["mass"].shape[1] + step).ravel(),
+                     bands[1:], step)
+    return {name: kron_sum(name) for name in bands[0]}, offsets
 
 
 def domain_matrices(mesh, x0=None):
     """Assemble the domain bilinear forms from the 1D factors of mesh.axes.
 
-    Returns a dict with csr matrices over all nodes:
+    Returns a dict with csr matrices over all nodes on one stencil pattern:
       mass       (phi_i, phi_j)
       stiffness  ((phi_i, phi_j)) = sum_k (d phi_i/dx_k, d phi_j/dx_k)
       coupling   C[k, j] = (sum_i d phi_j/dx_i, phi_k)
       multiplier X[k, j] = (phi_k, m . grad phi_j), only when x0 is given
     """
     x0s = [None] * mesh.dimension if x0 is None else np.asarray(x0, dtype=float)
-    factors = [axis_factors(x, c) for x, c in zip(mesh.axes, x0s)]
-    out = {name: kron_sum(factors, name) for name in ("mass", "stiffness")}
-    out["coupling"] = kron_sum(factors, "derivative")
-    if x0 is not None:
-        out["multiplier"] = kron_sum(factors, "multiplier")
-    return out
+    forms, offsets = stencil([axis_factors(x, c) for x, c in zip(mesh.axes, x0s)])
+    n = forms["mass"].shape[1]
+    node, slot = np.nonzero(forms["mass"].T)  # each node's grid neighbours: mass is positive
+    at = slot * n + node
+    indices = (node + offsets[slot]).astype(np.int32)
+    indptr = np.searchsorted(node, np.arange(n + 1)).astype(np.int32)
+    return {"coupling" if name == "derivative" else name:
+            sp.csr_matrix((X.take(at), indices, indptr), shape=(n, n))
+            for name, X in forms.items()}
 
 
 def free_slices(axes, fixed):
@@ -128,18 +137,21 @@ def free_slices(axes, fixed):
     return tuple(slices)
 
 
-def free_factors(axes, slices, names=AXIS_FACTORS):
-    """axis_factors `names` of every axis restricted to its free slice."""
-    return [{name: f[sl, sl].tocsr() for name, f in axis_factors(x, names=names).items()}
-            for x, sl in zip(axes, slices)]
+def free_factors(axes, slices):
+    """axis_factors of every axis on its free slice: the band columns of the
+    free nodes, with their couplings to clamped nodes zeroed."""
+    out = [{name: b[:, sl] for name, b in axis_factors(x).items()} for x, sl in zip(axes, slices)]
+    for b in (b for f in out for b in f.values()):
+        b[0, 0] = b[2, -1] = 0.0
+    return out
 
 
 def axis_eigenpairs(x, sl, mass):
     """Closed-form eigenpairs of the free 1D P1 pair on the uniform axis x.
 
     sl: the free slice (one clamped end or none); mass: the free mass
-    factor.  Returns (lam, V) with K V = M V diag(lam) and V' M V = I:
-    sin((2k-1) pi i / (2n)) with i counted from the clamped end, or
+    band (free_factors).  Returns (lam, V) with K V = M V diag(lam) and
+    V' M V = I: sin((2k-1) pi i / (2n)) with i counted from the clamped end, or
     cos(k pi i / n) on a free-free axis, and
     lam = (6/h^2)(1 - cos theta)/(2 + cos theta), evaluated through
     1 - cos theta = 2 sin^2(theta/2) against cancellation.
@@ -154,7 +166,10 @@ def axis_eigenpairs(x, sl, mass):
         theta = (2.0 * np.arange(1, n + 1) - 1.0) * np.pi / (2 * n)
         V = np.sin(np.outer(i if sl.start == 1 else n - i, theta))
     lam = (12.0 / h ** 2) * np.sin(0.5 * theta) ** 2 / (2.0 + np.cos(theta))
-    V /= np.sqrt(np.einsum("ik,ik->k", V, mass @ V))
+    MV = mass[1, :, None] * V  # M V, each row summed in column order as by csr
+    MV[1:] += mass[0, 1:, None] * V[:-1]
+    MV[:-1] += mass[2, :-1, None] * V[1:]
+    V /= np.sqrt(np.einsum("ik,ik->k", V, MV))
     return lam, V
 
 
@@ -172,10 +187,10 @@ def along_axes(x, counts, ops):
     return y.reshape(x.shape)
 
 
-def tridiagonal_ldl(m):
+def tridiagonal_ldl(band):
     """L D L' factors (d, e) of a symmetric positive definite tridiagonal
-    csr matrix, by LAPACK's dpttrf."""
-    d, e, info = dpttrf(m.diagonal(), m.diagonal(1))
+    factor band (axis_factors), by LAPACK's dpttrf."""
+    d, e, info = dpttrf(band[1], band[2, :-1])
     if info != 0:
         raise LinAlgError(f"tridiagonal matrix is not positive definite (dpttrf info {info})")
     return d, e

@@ -38,12 +38,13 @@ class SemiDiscreteSystem:
     The time stepper stacks the free-dof trace into its own residual.
     The geometric Gamma1 data (m.nu, sum nu, normals) live on the partition.
 
-    The free 1D factors of each axis and the axis Gamma1 weights g_d (m.nu
-    at each Gamma1 end of the free axis, 0 elsewhere) give every free-dof
-    form as a Kronecker sum: each side of a tensor grid is one face of
-    constant m.nu, wholly in Gamma0 or in Gamma1, and the 2-point rule is
-    exact on P1 x P1, so T' diag(w m.nu c) T = sum_d M_1 x .. x c diag(g_d)
-    x .. x M_n for a constant c.
+    The free 1D factor bands of each axis (_fem.free_factors) and the axis
+    Gamma1 weights g_d (m.nu at each Gamma1 end of the free axis, 0
+    elsewhere) give every free-dof form as a Kronecker sum: each side of a
+    tensor grid is one face of constant m.nu, wholly in Gamma0 or in
+    Gamma1, and the 2-point rule is exact on P1 x P1, so
+    T' diag(w m.nu c) T = sum_d M_1 x .. x c diag(g_d) x .. x M_n for a
+    constant c.
 
     Treat as immutable after assembly; all fields are plain data safe to
     share between runs.
@@ -64,19 +65,21 @@ class SemiDiscreteSystem:
     schedule: object
     law1: object
     law2: object
-    free: np.ndarray             # unconstrained node indices
     fixed: np.ndarray
+    free: np.ndarray = field(init=False)  # unconstrained node indices, ascending
     trace_t: sp.csc_matrix = field(init=False, repr=False)       # trace.T
     trace_free: sp.csr_matrix = field(init=False, repr=False)    # trace[:, free]
     trace_wmn: np.ndarray = field(init=False, repr=False)        # w_q (m.nu)_q
     slopes0: tuple = field(init=False, repr=False)   # (p1'(0), p2'(0))
     sigma_op: sp.csr_matrix = field(init=False, repr=False)      # T' diag(w sigma) T
-    factors: tuple = field(init=False, repr=False)   # free 1D factors per axis
+    factors: tuple = field(init=False, repr=False)   # free 1D factor bands per axis
     axis_gamma1: tuple = field(init=False, repr=False)  # g_d per axis
     mass_ldl: tuple = field(init=False, repr=False)  # free 1D mass factors, tridiagonal L D L'
 
     def __post_init__(self):
         slices = _fem.free_slices(self.mesh.axes, self.fixed)
+        counts = tuple(len(x) for x in self.mesh.axes)
+        self.free = np.arange(self.n_nodes).reshape(counts)[slices].ravel()
         self.factors = tuple(_fem.free_factors(self.mesh.axes, slices))
         self.axis_gamma1 = _axis_gamma1(self.partition, slices)
         self.mass_ldl = tuple(_fem.tridiagonal_ldl(f["mass"]) for f in self.factors)
@@ -180,9 +183,6 @@ def assemble(mesh, partition, alpha1, alpha2, schedule, law1, law2):
         raise InvalidArgumentError("partition has no feedback boundary")
     T, w, pts = _fem.trace_structure(mesh, g1)
 
-    fixed = partition.gamma0_nodes()
-    free = np.setdiff1d(np.arange(len(mesh.nodes)), fixed)
-
     return SemiDiscreteSystem(
         mesh=mesh, partition=partition,
         mass=mats["mass"], stiffness=mats["stiffness"], coupling=mats["coupling"],
@@ -190,7 +190,7 @@ def assemble(mesh, partition, alpha1, alpha2, schedule, law1, law2):
         trace=T, trace_weights=w, trace_points=pts, sigma_values=partition.sigma(alpha2),
         alpha1=float(alpha1), alpha2=float(alpha2),
         schedule=schedule, law1=law1, law2=law2,
-        free=free, fixed=fixed,
+        fixed=partition.gamma0_nodes(),
     )
 
 

@@ -14,8 +14,8 @@ one csr layout of the 2x2 blocks of the free stencil, built once from the
 1D factors of the grid and holding the entries that are nonzero for some
 mu: S = S_base + mu_mid S_mu and J_lin = J_base + mu_mid J_mu with
 J_base = (2/dt) blockdiag(M, M) + (dt/2) S_base and J_mu = (dt/2) S_mu,
-four data vectors on that layout, so a new mu_mid costs one update of
-each of the two.
+four data vectors on that layout, so a new mu_mid costs one in-place
+update of each of the two.
 W = (mu_mid w m.nu, w m.nu) weighs the stacked Gamma1 trace
 T2 = blockdiag(T, T).  Each step computes c = S (x + (dt/2) w0) once, with
 x the start positions and w0 = (u', v') the first iterate, and each
@@ -63,7 +63,6 @@ import logging
 import math
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -117,8 +116,7 @@ class _FastDiagonalization:
         pairs = {}
         for p0 in system.slopes0:
             if p0 not in pairs:
-                pairs[p0] = [eigh(((dt / 2.0) * f["stiffness"] + p0 * sp.diags(g)).toarray(),
-                                  f["mass"].toarray())
+                pairs[p0] = [eigh(_dense((dt / 2.0) * f["stiffness"], p0 * g), _dense(f["mass"]))
                              for f, g in zip(system.factors, system.axis_gamma1)]
         self.lam = [np.add.outer(*[lam for lam, _ in pairs[p0]]) for p0 in system.slopes0]
         self.V = [np.stack([pairs[p0][d][1] for p0 in system.slopes0])
@@ -136,6 +134,11 @@ class _FastDiagonalization:
             return (V1 @ (y / div) @ V2t).ravel()
 
         return solve
+
+
+def _dense(band, diagonal=0.0):
+    """The tridiagonal matrix of a factor band, plus diag(diagonal)."""
+    return np.diag(band[1] + diagonal) + np.diag(band[0, 1:], -1) + np.diag(band[2, :-1], 1)
 
 
 class _BandedLU:
@@ -164,46 +167,23 @@ def _free_stencil(system):
 
     Slot s of free node k is its neighbour k + offset_s, the offsets in
     column order, and holds 0 where that neighbour is not a free node.
-    M, K and C are the Kronecker sums of the free 1D factors, formed from
-    their tridiagonal bands with the products and sums of _fem.kron_sum, so
+    M, K and C are _fem.stencil of the system's free 1D factor bands, so
     they equal the restricted domain forms entry for entry.  Sg, a boundary
     form on part of the stencil, goes to the slots of its free entries.
     """
-    def band(F):  # F[i, i - 1], F[i, i] and F[i, i + 1] of each row i, 0 off the matrix
-        B = np.zeros((3, F.shape[0]))
-        B[0, 1:], B[1], B[2, :-1] = F.diagonal(-1), F.diagonal(), F.diagonal(1)
-        return B
-
-    def outer(X, Y):  # the slots of X by those of Y
-        return (X[:, None, :, None] * Y[None, :, None, :]).reshape(len(X) * len(Y), -1)
-
-    bands = [{name: band(F) for name, F in f.items()} for f in system.factors]
-
-    def kron_sum(name):  # the terms of _fem.kron_sum, added in axis order
-        terms = [reduce(outer, [b[name] if k == d else b["mass"] for k, b in enumerate(bands)])
-                 for d in range(len(bands))]
-        for term in terms[1:]:
-            terms[0] += term
-        return terms[0]
-
-    M = reduce(outer, [b["mass"] for b in bands])
-    K, C = kron_sum("stiffness"), kron_sum("derivative")
-
+    forms, offsets = _fem.stencil(system.factors)
     free = system.free
-    offsets = np.arange(-1, 2)
-    for b in bands[1:]:
-        offsets = (offsets[:, None] * b["mass"].shape[1] + np.arange(-1, 2)).ravel()
-    Sg = np.zeros_like(M)
+    Sg = np.zeros_like(forms["mass"])
     G = system.sigma_op.tocoo()
     on = np.isin(G.row, free) & np.isin(G.col, free)
     row, col = np.searchsorted(free, G.row[on]), np.searchsorted(free, G.col[on])
     Sg[np.searchsorted(offsets, col - row), row] = G.data[on]
     cols = offsets.astype(np.int32)[:, None] + np.arange(len(free), dtype=np.int32)
-    return (M, K, C, Sg), cols
+    return (forms["mass"], forms["stiffness"], forms["derivative"], Sg), cols
 
 
 class _StepOperators(NamedTuple):
-    """The operators of a step's mu_mid."""
+    """The operators of a step's mu_mid, valid until the solver's next one."""
 
     mu: float                # mu_mid of the step
     J_lin: sp.csr_matrix     # Jacobian without the Gamma1 term
@@ -285,6 +265,7 @@ class _MidpointSolver:
             self.rest = sp.csr_matrix((grid.take(at), *pattern(at)), shape=(2 * nf, 2 * nf))
             self.precond = _FastDiagonalization(system, dt)
 
+        self._J, self._S = (self._on_layout(np.empty_like(d[0])) for d in (self.J_data, self.S_data))
         self._ops = None
         self.solves = self.residuals = 0
         self.newton = self.gmres = self.halvings = 0
@@ -297,13 +278,14 @@ class _MidpointSolver:
         return np.concatenate([mu * self.system.trace_wmn, self.system.trace_wmn])
 
     def operators(self, mu_mid):
-        """The _StepOperators of mu_mid, cached for the last mu_mid."""
+        """The _StepOperators of mu_mid, cached; a new mu_mid updates J_lin and S in place."""
         if self._ops is None or self._ops.mu != mu_mid:
+            for A, (base, part) in ((self._J, self.J_data), (self._S, self.S_data)):
+                np.multiply(part, mu_mid, out=A.data)
+                A.data += base
             W = self._weights(mu_mid)
-            (J_base, J_mu), (S_base, S_mu) = self.J_data, self.S_data
-            self._ops = _StepOperators(mu_mid, self._on_layout(J_base + mu_mid * J_mu),
-                                       self._on_layout(S_base + mu_mid * S_mu), W,
-                                       W * self.p0, self.precond.at(mu_mid))
+            self._ops = _StepOperators(mu_mid, self._J, self._S, W, W * self.p0,
+                                       self.precond.at(mu_mid))
         return self._ops
 
     def _solve(self, ops, b):
@@ -471,8 +453,9 @@ def integrate(system, state0, T, control, observers=()):
     step.  The number of steps is round((T - t0)/dt); T - t0 must be an
     (approximate) multiple of dt.
     """
-    if not math.isfinite(T):
-        raise InvalidArgumentError(f"final time must be finite, got {T!r}")
+    for name, value in (("final time", T), ("initial time t", state0.t)):
+        if not math.isfinite(value):
+            raise InvalidArgumentError(f"{name} must be finite, got {value!r}")
     if T < state0.t:
         raise InvalidArgumentError("final time precedes initial time")
     span = T - state0.t
@@ -529,6 +512,8 @@ def load_checkpoint(path):
                 for name in ("u", "v", "du", "dv")}
     except KeyError as exc:
         raise InvalidArgumentError(f"checkpoint missing field {exc}") from exc
+    if not math.isfinite(t):
+        raise InvalidArgumentError(f"checkpoint t must be finite, got {t!r}")
     for name, v in vecs.items():
         if len(v) != n:
             raise InvalidArgumentError(f"checkpoint field {name} has wrong length")

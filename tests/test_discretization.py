@@ -71,6 +71,30 @@ class TestAssembly:
                      identity_law(), identity_law())
 
 
+    @pytest.mark.parametrize("mesh, x0", [
+        (geometry.build_interval_mesh(1.0, 9), [0.0]),
+        (geometry.build_interval_mesh(1.0, 9), [1.3]),
+        (geometry.build_rect_mesh(1.0, 1.3, 7, 5), [-0.1, -0.1]),
+        (geometry.build_rect_mesh(1.0, 1.3, 7, 5), [0.5, -0.1]),
+        (geometry.build_rect_mesh(1.0, 1.3, 7, 5), [1.2, 0.6]),
+    ])
+    def test_free_is_the_complement_of_gamma0(self, mesh, x0):
+        system = make_system(mesh=mesh, x0=np.array(x0))
+        want = np.setdiff1d(np.arange(system.n_nodes), system.partition.gamma0_nodes())
+        assert system.free.dtype == want.dtype
+        assert np.array_equal(system.free, want)
+
+    def test_gamma0_not_whole_faces_rejected(self):
+        mesh = geometry.build_rect_mesh(1.0, 1.0, 4, 4)
+        part = geometry.classify_boundary(mesh, np.array([-0.1, -0.1]))
+        gamma1 = np.ones_like(part.gamma1)
+        gamma1[np.flatnonzero(~part.gamma1)[0]] = False  # Gamma0 is one face of a side
+        broken = type(part)(mesh, part.x0, gamma1, part.m_dot_nu)
+        with pytest.raises(InvalidArgumentError, match="whole faces"):
+            assemble(mesh, broken, 0.03, 0.03, constant_schedule(1.0),
+                     identity_law(), identity_law())
+
+
 class TestMassSolve:
     @pytest.mark.parametrize("mesh, x0", [
         (None, 0.0),

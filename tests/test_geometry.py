@@ -297,6 +297,63 @@ class TestDomainForms:
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(mats[name].toarray() - ref)) <= 1e-14 * scale, name
 
+    @pytest.mark.parametrize("mesh, x0", [
+        (geometry.build_interval_mesh(1.7, 7), np.array([-0.35])),
+        (geometry.build_rect_mesh(1.3, 0.7, 5, 3), np.array([-0.2, 0.31])),
+        (geometry.build_rect_mesh(1.0, 1.0, 64, 64), np.array([-0.1, -0.1])),
+        (geometry.build_rect_mesh(1.0, 1.0, 64, 64), np.array([0.5, -0.1])),
+    ], ids=["interval", "rect5x3", "rect64_corner", "rect64_free_free"])
+    @pytest.mark.parametrize("with_x0", [False, True])
+    def test_bit_identical_to_kron_sums(self, mesh, x0, with_x0):
+        x0 = x0 if with_x0 else None
+        mats = _fem.domain_matrices(mesh, x0=x0)
+        oracle = _kron_sum_forms(mesh, x0)
+        assert mats.keys() == oracle.keys()
+        for name, want in oracle.items():
+            got = mats[name]
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, part), getattr(want, part)), (name, part)
+            assert np.shares_memory(got.indices, mats["mass"].indices)
+            assert np.shares_memory(got.indptr, mats["mass"].indptr)
+        if mesh.dimension == 2 and len(mesh.nodes) == 65 ** 2:
+            assert mats["stiffness"].nnz == 37249
+
+
+def _kron_sum_forms(mesh, x0):
+    """Oracle for _fem.domain_matrices: the 1D factors assembled cell by
+    cell into csr, and each form the sum over the axes d of the sp.kron
+    products with the factor on axis d and the mass factor on every other
+    one, their COO data added in axis order; the mass form is the plain
+    product.  sp.kron is asked for COO, because for a small dense factor it
+    picks BSR by default, whose blocks store the zeros off the stencil."""
+    factors = []
+    for d, x in enumerate(mesh.axes):
+        h = np.diff(x)[:, None, None]
+        e = np.arange(len(h))
+        rows = np.stack([e, e, e + 1, e + 1], axis=1).ravel()
+        cols = np.stack([e, e + 1, e, e + 1], axis=1).ravel()
+        local = {"mass": h * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0,
+                 "stiffness": np.array([[1.0, -1.0], [-1.0, 1.0]]) / h,
+                 "coupling": np.broadcast_to([[-0.5, 0.5], [-0.5, 0.5]], (len(h), 2, 2))}
+        if x0 is not None:
+            a, b = x[:-1] - x0[d], x[1:] - x0[d]
+            moment = np.stack([a / 3.0 + b / 6.0, a / 6.0 + b / 3.0], axis=1)
+            local["multiplier"] = moment[:, :, None] * np.array([-1.0, 1.0])
+        factors.append({name: sp.csr_matrix((m.ravel(), (rows, cols)), shape=(len(x), len(x)))
+                        for name, m in local.items()})
+
+    def kron(A, B):
+        return sp.kron(A, B, format="coo")
+
+    out = {"mass": functools.reduce(kron, [f["mass"] for f in factors]).tocsr()}
+    for name in factors[0].keys() - {"mass"}:
+        terms = [functools.reduce(kron, [f[name] if k == d else f["mass"]
+                                         for k, f in enumerate(factors)]).tocoo()
+                 for d in range(len(factors))]
+        out[name] = sp.csr_matrix((sum(t.data for t in terms), (terms[0].row, terms[0].col)),
+                                  shape=terms[0].shape)
+    return out
+
 
 def _trace_loop_oracle(mesh, faces):
     """trace_structure as a loop over faces and quadrature points."""

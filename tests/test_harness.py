@@ -264,7 +264,7 @@ class TestRunCheck:
         assembled = build_report(mesh.dimension, emb["M"], emb["N"], gc["R"], gc["tau0"],
                                  system.schedule, system.law1, system.law2,
                                  cfg.alpha1, cfg.alpha2, partition)
-        for module, name in ((_fem, "domain_matrices"), (_fem, "kron_sum"),
+        for module, name in ((_fem, "domain_matrices"), (_fem, "stencil"),
                              (discretization, "assemble"), (harness, "assemble")):
             monkeypatch.setattr(module, name, _refuse)
         code = harness.run_check(cfg, out=str(tmp_path), stream=io.StringIO())

@@ -1,4 +1,5 @@
 import importlib
+import io
 import logging
 import re
 from pathlib import Path
@@ -23,6 +24,36 @@ from beamstab.timestepper import (StepControl, _MidpointSolver, integrate, load_
                                   save_checkpoint)
 
 from conftest import make_conservative_system, make_system
+
+
+# a decaying mu(t) and saturating laws; the [mesh] keys follow
+_DECAYING_CONFIG = """\
+[problem]
+alpha1 = 0.03
+alpha2 = 0.03
+mu = decaying
+mu_c0 = 1.0
+mu_lambda = 0.8
+
+[feedback]
+law1 = saturating
+law2 = saturating
+
+[initial]
+u0 = sine
+u0_amplitude = 1.0
+v0 = sine
+v0_amplitude = 0.5
+
+[time]
+dt = 0.01
+T = 0.1
+
+[output]
+prefix = decay
+
+[mesh]
+"""
 
 
 def _sine_state(system, velocity=0.0):
@@ -480,6 +511,11 @@ class TestSolverCounters:
                 system, SimpleNamespace(dt=dt, solve=lambda *_: (wu, wv)), state)
 
 
+def _tridiagonal(band):
+    """The csr matrix of a tridiagonal factor band (3, n)."""
+    return sp.diags([band[0, 1:], band[1], band[2, :-1]], [-1, 0, 1], format="csr")
+
+
 class TestPreconditioner:
     @pytest.mark.parametrize("laws", ["identity", "saturating"])
     @pytest.mark.parametrize("x0", [_CORNER, _FREE_FREE], ids=["corner", "free_free"])
@@ -494,10 +530,10 @@ class TestPreconditioner:
         J = _reference_jacobian(solver, ops)
         nf = solver.nf
         blocks = [J[:nf, :nf], J[nf:, nf:]]
-        mass = [f["mass"] for f in system.factors]
+        mass = [_tridiagonal(f["mass"]) for f in system.factors]
         for field, (m, p0) in enumerate(zip((mu, 1.0), system.slopes0)):
-            # B_d = (dt/2) K_d + p'(0) diag(g_d) from the system's 1D factors
-            B = [(dt / 2.0) * f["stiffness"] + p0 * sp.diags(g)
+            # B_d = (dt/2) K_d + p'(0) diag(g_d) from the system's 1D factor bands
+            B = [(dt / 2.0) * _tridiagonal(f["stiffness"]) + p0 * sp.diags(g)
                  for f, g in zip(system.factors, system.axis_gamma1)]
             A = [(1.0 / dt) * M + m * B_d for M, B_d in zip(mass, B)]
             kron_sum = sp.kron(A[0], mass[1]) + sp.kron(mass[0], A[1])
@@ -533,6 +569,18 @@ class TestPreconditioner:
         b = np.random.default_rng(3).standard_normal(len(J))
         want = np.linalg.solve(J, b)
         assert np.max(np.abs(ops.solve(b) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _out_of_place_operators(self, mu_mid):
+    """_MidpointSolver.operators with new data vectors and csr matrices for
+    each new mu_mid: the reference for its in-place update."""
+    if self._ops is None or self._ops.mu != mu_mid:
+        W = self._weights(mu_mid)
+        (J_base, J_mu), (S_base, S_mu) = self.J_data, self.S_data
+        self._ops = timestepper._StepOperators(
+            mu_mid, self._on_layout(J_base + mu_mid * J_mu),
+            self._on_layout(S_base + mu_mid * S_mu), W, W * self.p0, self.precond.at(mu_mid))
+    return self._ops
 
 
 class TestBlockLayout:
@@ -576,6 +624,44 @@ class TestBlockLayout:
         else:
             J[:nf, :nf] = J[nf:, nf:] = 0.0
             assert np.array_equal(solver.rest.toarray(), J)
+
+    @pytest.mark.parametrize("mesh", ["corner", "free_free", "rect7x5", "interval"])
+    def test_free_stencil_is_the_restricted_forms(self, mesh):
+        if mesh == "interval":
+            system = make_system(nodes=21)
+        else:
+            shape = (7, 5) if mesh == "rect7x5" else (16, 16)
+            system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.3, *shape),
+                                 x0=np.array(_FREE_FREE if mesh == "free_free" else _CORNER))
+        forms, cols = timestepper._free_stencil(system)
+        nf = len(system.free)
+        inside = (cols >= 0) & (cols < nf)
+        rows = np.nonzero(inside)[1]
+        for X, want in zip(forms, _free_forms(system)):
+            assert not X[~inside].any()  # a slot off the free grid holds 0
+            got = np.zeros((nf, nf))
+            np.add.at(got, (rows, cols[inside]), X[inside])
+            assert np.array_equal(got, want.toarray())
+
+    @pytest.mark.parametrize("mesh", ["corner", "interval"])
+    def test_operators_update_in_place_as_a_fresh_build(self, mesh):
+        schedule = decaying_schedule(1.0, 0.8, 1.0)
+        if mesh == "interval":
+            system = make_system(nodes=21, schedule=schedule)
+        else:
+            system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.0, 16, 16),
+                                 x0=np.array(_CORNER), schedule=schedule)
+        dt = 0.05
+        solver, oracle = _MidpointSolver(system, dt), _MidpointSolver(system, dt)
+        first = solver.operators(1.0)
+        for n in range(6):
+            mu = float(schedule.mu((n + 0.5) * dt))
+            ops, want = solver.operators(mu), _out_of_place_operators(oracle, mu)
+            assert ops.S is first.S and ops.J_lin is first.J_lin
+            for name in ("S", "J_lin"):
+                got, ref = getattr(ops, name), getattr(want, name)
+                for part in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(got, part), getattr(ref, part)), (name, part)
 
     @pytest.mark.parametrize("workload, nnz", [("rect64_saturating", 120586), ("ref1d", 1994)])
     def test_workload_layout_size(self, monkeypatch, workload, nnz):
@@ -657,6 +743,31 @@ class TestIntegrate:
         with pytest.raises(InvalidArgumentError, match="finite"):
             integrate(system, _sine_state(system), T, StepControl(dt=0.1))
 
+    @pytest.mark.parametrize("t", [np.inf, np.nan])
+    def test_non_finite_initial_time_rejected(self, t):
+        system = make_system(nodes=7)
+        state = _sine_state(system)
+        state.t = t
+        with pytest.raises(InvalidArgumentError, match="initial time t must be finite"):
+            integrate(system, state, 1.0, StepControl(dt=0.1))
+
+    @pytest.mark.parametrize("mesh", ["interval", "rect"])
+    def test_decaying_mu_run_matches_out_of_place_operators(self, mesh, tmp_path, monkeypatch):
+        text = _DECAYING_CONFIG + ("kind = interval\nnodes = 21\nx0 = 0.0\n" if mesh == "interval"
+                                   else "kind = rect\nnx = 8\nny = 8\nx0 = -0.1 -0.1\n")
+        outputs = []
+        for patch in (False, True):
+            if patch:
+                monkeypatch.setattr(_MidpointSolver, "operators", _out_of_place_operators)
+            cfg = harness.parse_config(text=text)
+            cfg.out_dir = str(tmp_path / str(patch))
+            stream = io.StringIO()
+            assert harness.run_simulate(cfg, stream=stream) == harness.EXIT_OK
+            files = [Path(cfg.out_dir, f"decay{suffix}").read_bytes()
+                     for suffix in ("_trace.csv", "_final.ckpt")]
+            outputs.append((*files, stream.getvalue()))
+        assert outputs[0] == outputs[1]
+
     def test_deterministic_repetition(self):
         system = make_system(nodes=11)
         traces = []
@@ -721,6 +832,14 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_text("something else\n")
         with pytest.raises(InvalidArgumentError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_time(self, tmp_path, t):
+        path = tmp_path / "odd_t.ckpt"
+        save_checkpoint(path, SimState(0.0, *(np.zeros(3) for _ in range(4))))
+        path.write_text(path.read_text().replace("t 0\n", f"t {t}\n"))
+        with pytest.raises(InvalidArgumentError, match="t must be finite"):
             load_checkpoint(path)
 
     def test_rejects_truncated_file(self, tmp_path):
