@@ -7,10 +7,11 @@ product (bilinear) on the rectangle, so each domain form is a Kronecker
 sum of 1D P1 factors with the x factor first: the fast-diagonalization
 setting of Lynch, Rice & Thomas, Numer. Math. 6 (1964).  The 1D factors
 are tridiagonal bands, and stencil builds every domain form from them on
-the 3^d-point stencil of the grid.  The interval is the one-factor case
-of the same code.  Every boundary form is T' diag(d) T for the trace map
-T of trace_structure (trace_form).  Small systems that are not Kronecker
-sums are solved in LAPACK band storage (band_storage, band_lu, band_solve).
+the 3^d-point stencil of the grid, over all nodes or (free_factors) the
+free ones.  The interval is the one-factor case of the same code.  A
+boundary form is T' diag(d) T for the trace map T of trace_structure
+(trace_form).  Small systems that are not Kronecker sums are solved in
+LAPACK band storage (band_storage, band_lu, band_solve).
 """
 
 from __future__ import annotations
@@ -93,6 +94,17 @@ def stencil(bands):
     return {name: kron_sum(name) for name in bands[0]}, offsets
 
 
+def stencil_csr(forms, offsets, keep):
+    """The (3^d, n) stencil slots of each form (stencil) as an (n, n) csr
+    matrix storing the slots where keep, of the same shape, holds."""
+    n = keep.shape[1]
+    node, slot = np.nonzero(keep.T)
+    at = slot * n + node
+    indices = (node + offsets[slot]).astype(np.int32)
+    indptr = np.searchsorted(node, np.arange(n + 1)).astype(np.int32)
+    return [sp.csr_matrix((X.take(at), indices, indptr), shape=(n, n)) for X in forms]
+
+
 def domain_matrices(mesh, x0=None):
     """Assemble the domain bilinear forms from the 1D factors of mesh.axes.
 
@@ -104,14 +116,8 @@ def domain_matrices(mesh, x0=None):
     """
     x0s = [None] * mesh.dimension if x0 is None else np.asarray(x0, dtype=float)
     forms, offsets = stencil([axis_factors(x, c) for x, c in zip(mesh.axes, x0s)])
-    n = forms["mass"].shape[1]
-    node, slot = np.nonzero(forms["mass"].T)  # each node's grid neighbours: mass is positive
-    at = slot * n + node
-    indices = (node + offsets[slot]).astype(np.int32)
-    indptr = np.searchsorted(node, np.arange(n + 1)).astype(np.int32)
-    return {"coupling" if name == "derivative" else name:
-            sp.csr_matrix((X.take(at), indices, indptr), shape=(n, n))
-            for name, X in forms.items()}
+    mats = stencil_csr(forms.values(), offsets, forms["mass"] != 0)  # mass > 0 on the grid
+    return {"coupling" if name == "derivative" else name: A for name, A in zip(forms, mats)}
 
 
 def free_slices(axes, fixed):
@@ -137,10 +143,12 @@ def free_slices(axes, fixed):
     return tuple(slices)
 
 
-def free_factors(axes, slices):
+def free_factors(axes, slices, x0=None):
     """axis_factors of every axis on its free slice: the band columns of the
     free nodes, with their couplings to clamped nodes zeroed."""
-    out = [{name: b[:, sl] for name, b in axis_factors(x).items()} for x, sl in zip(axes, slices)]
+    x0s = [None] * len(axes) if x0 is None else x0
+    out = [{name: b[:, sl] for name, b in axis_factors(x, c).items()}
+           for x, c, sl in zip(axes, x0s, slices)]
     for b in (b for f in out for b in f.values()):
         b[0, 0] = b[2, -1] = 0.0
     return out

@@ -68,8 +68,7 @@ def boundary_dissipation(system, state):
 def higher_energy(system, state):
     """E* = 1/2|u''|^2 + 1/2|v''|^2 + (mu/2)||u'||^2 + 1/2||v'||^2.
 
-    |u''|^2 = u'' . M u'' = u'' . load_u, as u'' solves M u'' = load_u on
-    the free dofs and vanishes on Gamma0."""
+    |u''|^2 = u'' . M u'' = u'' . load_u, as u'' solves M u'' = load_u."""
     mu = system.schedule.mu(state.t)
     load_u, load_v = loads(system, state)
     d2u, d2v = system.solve_mass(load_u), system.solve_mass(load_v)
@@ -233,8 +232,9 @@ class EnergyTrace:
             fh.write("\n".join(parts) + "\n")
 
 
-# cap on the bytes of buffered states (4 float64 fields per node per sample)
-CHUNK_BYTES = 256 * 1024
+# cap on the bytes of buffered states, 4 float64 fields per free dof per sample:
+# one 64x64 state fills it, as csr products cost more per column on 2 columns than 1
+CHUNK_BYTES = 128 * 1024
 
 _FIELDS = ("u", "v", "du", "dv")
 
@@ -249,7 +249,7 @@ class TraceRecorder:
 
     def __init__(self, system, certificate=None, metadata=None):
         self.system = system
-        n = system.n_nodes
+        n = len(system.free)
         self.chunk = max(1, CHUNK_BYTES // (8 * len(_FIELDS) * n))
         self._times = np.empty(self.chunk)
         self._states = np.empty((len(_FIELDS), n, self.chunk))

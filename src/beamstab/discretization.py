@@ -9,7 +9,9 @@ Weak form on the subspace vanishing on Gamma0:
 
 The boundary nonlinearity is collocated at the Gamma1 quadrature points of
 the velocity trace, which preserves the sign structure
-(m.nu) p(s) s >= b (m.nu) s^2 exactly at quadrature level.
+(m.nu) p(s) s >= b (m.nu) s^2 exactly at quadrature level.  The unknowns
+are the nodal values at the free nodes, those off Gamma0: every form, the
+state and the trace samples live on them alone.
 """
 
 from __future__ import annotations
@@ -28,23 +30,24 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class SemiDiscreteSystem:
-    """Assembled operators over all nodes plus the free-dof bookkeeping.
+    """The semi-discrete system on the free dofs, the nodes off Gamma0 in
+    ascending order (free): the only coordinates of a SimState.
+
+    Every form is one _fem.stencil of the free 1D factor bands of the axes
+    (_fem.free_factors, the multiplier about x0) and their sigma bands,
+    alpha2 nu_d at each Gamma1 end of the free axis and 0 elsewhere: a side
+    of a tensor grid has one m.nu and one normal and lies wholly in Gamma0
+    or in Gamma1, and the 2-point rule is exact on P1 x P1, so
+    T' diag(w c) T = sum_d M_1 x .. x diag(c_d) x .. x M_n for c constant
+    on each side and c_d its values at the Gamma1 ends of axis d (g_d for
+    c = m.nu).  slots holds each form's (3^d, nf) stencil slots at offsets;
+    mass, stiffness, coupling and multiplier are csr on the pattern of the
+    free grid neighbours, sigma_op on its nonzero slots.
 
     It also owns the Gamma1 boundary operator: the quadrature-point trace T
-    over all nodes and restricted to the free dofs, the transpose, the
-    weights w (m.nu), the laws' slopes at 0, and the forcing load, the
-    sigma form T' diag(w sigma) T (_fem.trace_form) and the boundary
-    integral built on them.
-    The time stepper stacks the free-dof trace into its own residual.
-    The geometric Gamma1 data (m.nu, sum nu, normals) live on the partition.
-
-    The free 1D factor bands of each axis (_fem.free_factors) and the axis
-    Gamma1 weights g_d (m.nu at each Gamma1 end of the free axis, 0
-    elsewhere) give every free-dof form as a Kronecker sum: each side of a
-    tensor grid is one face of constant m.nu, wholly in Gamma0 or in
-    Gamma1, and the 2-point rule is exact on P1 x P1, so
-    T' diag(w m.nu c) T = sum_d M_1 x .. x c diag(g_d) x .. x M_n for a
-    constant c.
+    and its transpose, the weights w (m.nu), the laws' slopes at 0 and the
+    forcing load and boundary integral built on them.  The geometric Gamma1
+    data (m.nu, sum nu, normals) live on the partition.
 
     Treat as immutable after assembly; all fields are plain data safe to
     share between runs.
@@ -52,65 +55,68 @@ class SemiDiscreteSystem:
 
     mesh: object
     partition: object
-    mass: sp.csr_matrix
-    stiffness: sp.csr_matrix
-    coupling: sp.csr_matrix      # C[k, j] = (sum_i d phi_j / dx_i, phi_k)
-    multiplier: sp.csr_matrix    # X[k, j] = (phi_k, m . grad phi_j)
-    trace: sp.csr_matrix         # Gamma1 quadrature-point traces
-    trace_weights: np.ndarray
-    trace_points: np.ndarray
-    sigma_values: np.ndarray     # per Gamma1 quadrature point
     alpha1: float
     alpha2: float
     schedule: object
     law1: object
     law2: object
-    fixed: np.ndarray
-    free: np.ndarray = field(init=False)  # unconstrained node indices, ascending
-    trace_t: sp.csc_matrix = field(init=False, repr=False)       # trace.T
-    trace_free: sp.csr_matrix = field(init=False, repr=False)    # trace[:, free]
-    trace_wmn: np.ndarray = field(init=False, repr=False)        # w_q (m.nu)_q
-    slopes0: tuple = field(init=False, repr=False)   # (p1'(0), p2'(0))
-    sigma_op: sp.csr_matrix = field(init=False, repr=False)      # T' diag(w sigma) T
+    free: np.ndarray = field(init=False)  # Gamma0-free node indices, ascending
     factors: tuple = field(init=False, repr=False)   # free 1D factor bands per axis
     axis_gamma1: tuple = field(init=False, repr=False)  # g_d per axis
+    slots: dict = field(init=False, repr=False)      # (3^d, nf) stencil slots per form
+    offsets: np.ndarray = field(init=False, repr=False)  # node offset of each slot
+    mass: sp.csr_matrix = field(init=False, repr=False)
+    stiffness: sp.csr_matrix = field(init=False, repr=False)
+    coupling: sp.csr_matrix = field(init=False, repr=False)    # C[k, j] = (sum_i dphi_j/dx_i, phi_k)
+    multiplier: sp.csr_matrix = field(init=False, repr=False)  # X[k, j] = (phi_k, m . grad phi_j)
+    sigma_op: sp.csr_matrix = field(init=False, repr=False)    # T' diag(w sigma) T
+    trace: sp.csr_matrix = field(init=False, repr=False)       # Gamma1 quadrature-point traces
+    trace_t: sp.csc_matrix = field(init=False, repr=False)     # trace.T
+    trace_weights: np.ndarray = field(init=False, repr=False)
+    trace_points: np.ndarray = field(init=False, repr=False)
+    sigma_values: np.ndarray = field(init=False, repr=False)   # per Gamma1 quadrature point
+    trace_wmn: np.ndarray = field(init=False, repr=False)      # w_q (m.nu)_q
+    slopes0: tuple = field(init=False, repr=False)   # (p1'(0), p2'(0))
     mass_ldl: tuple = field(init=False, repr=False)  # free 1D mass factors, tridiagonal L D L'
 
     def __post_init__(self):
-        slices = _fem.free_slices(self.mesh.axes, self.fixed)
-        counts = tuple(len(x) for x in self.mesh.axes)
-        self.free = np.arange(self.n_nodes).reshape(counts)[slices].ravel()
-        self.factors = tuple(_fem.free_factors(self.mesh.axes, slices))
-        self.axis_gamma1 = _axis_gamma1(self.partition, slices)
-        self.mass_ldl = tuple(_fem.tridiagonal_ldl(f["mass"]) for f in self.factors)
+        mesh, part = self.mesh, self.partition
+        slices = _fem.free_slices(mesh.axes, part.gamma0_nodes())
+        counts = tuple(len(x) for x in mesh.axes)
+        self.free = np.arange(len(mesh.nodes)).reshape(counts)[slices].ravel()
+        self.axis_gamma1, sigma = _axis_gamma1(part, slices, self.alpha2)
+        self.factors = tuple(dict(f, sigma=b) for f, b in
+                             zip(_fem.free_factors(mesh.axes, slices, part.x0), sigma))
+        self.slots, self.offsets = _fem.stencil(self.factors)
+        s = self.slots
+        self.mass, self.stiffness, self.coupling, self.multiplier = _fem.stencil_csr(
+            [s["mass"], s["stiffness"], s["derivative"], s["multiplier"]], self.offsets,
+            s["mass"] != 0)  # the free grid neighbours: mass is positive
+        self.sigma_op, = _fem.stencil_csr([s["sigma"]], self.offsets, s["sigma"] != 0)
+        T, self.trace_weights, self.trace_points = _fem.trace_structure(mesh, part.gamma1_faces)
+        self.trace = T[:, self.free].tocsr()
         self.trace_t = self.trace.T
-        self.trace_free = self.trace[:, self.free].tocsr()
-        self.trace_wmn = self.trace_weights * self.partition.gamma1_m_dot_nu
+        self.sigma_values = part.sigma(self.alpha2)
+        self.trace_wmn = self.trace_weights * part.gamma1_m_dot_nu
         self.slopes0 = tuple(float(law.slope(0.0)) for law in (self.law1, self.law2))
-        self.sigma_op = _fem.trace_form(self.trace, self.trace_weights * self.sigma_values)
-
-    @property
-    def n_nodes(self):
-        return len(self.mesh.nodes)
+        self.mass_ldl = tuple(_fem.tridiagonal_ldl(f["mass"]) for f in self.factors)
 
     @property
     def alpha_ratio(self):
         """alpha1/alpha2 energy weight; 0 for the fully decoupled case."""
         return self.alpha1 / self.alpha2 if self.alpha2 != 0.0 else 0.0
 
-    def solve_mass(self, load_full):
-        """Solve mass * a = load on the free dofs, scatter to full length.
+    def solve_mass(self, load):
+        """Solve mass * a = load.
 
-        The free mass matrix is the Kronecker product of the free 1D mass
-        factors, so a load of shape (n,) or (n, B) takes one tridiagonal
+        The mass matrix is the Kronecker product of the free 1D mass
+        factors, so a load of shape (nf,) or (nf, B) takes one tridiagonal
         L D L' solve per axis.
         """
-        a = np.zeros(load_full.shape)
-        a[self.free] = _fem.kron_solve(self.mass_ldl, load_full[self.free])
-        return a
+        return _fem.kron_solve(self.mass_ldl, load)
 
     def boundary_load(self, law, s):
-        """T' diag(w m.nu) p(s): a load over all nodes for Gamma1 trace values s."""
+        """T' diag(w m.nu) p(s): a load on the free dofs for Gamma1 trace values s."""
         return self.trace_t @ (self.trace_wmn * np.asarray(law(s)).T).T
 
     def boundary_integral(self, values):
@@ -118,17 +124,20 @@ class SemiDiscreteSystem:
         return values.T @ self.trace_wmn
 
 
-def _axis_gamma1(partition, slices):
-    """Per axis d, m.nu at each Gamma1 end of the free slice and 0 elsewhere."""
+def _axis_gamma1(partition, slices, alpha2):
+    """Per axis d, on the free slice: g_d, m.nu at each Gamma1 end and 0
+    elsewhere, and the sigma band, alpha2 nu_d on the diagonal there."""
     g = [np.zeros(len(x)) for x in partition.mesh.axes]
+    bands = [np.zeros((3, len(x))) for x in partition.mesh.axes]
     for d, end, _, m_dot_nu in partition.gamma1_sides():
         g[d][end] = m_dot_nu
-    return tuple(gd[sl] for gd, sl in zip(g, slices))
+        bands[d][1, end] = alpha2 * (1.0 if end else -1.0)
+    return tuple(a[sl] for a, sl in zip(g, slices)), [b[:, sl] for b, sl in zip(bands, slices)]
 
 
 @dataclass
 class SimState:
-    """Nodal state (full-length vectors; Gamma0 entries are pinned to 0).
+    """State on the free dofs (SemiDiscreteSystem.free); Gamma0 holds 0.
 
     rhs and the diagnostics functionals also take a StateBlock and then
     return one value per column.
@@ -149,7 +158,7 @@ class SimState:
 
 
 class StateBlock(SimState):
-    """B states stacked as (n, B) field columns with (B,) times.
+    """B states stacked as (nf, B) field columns with (B,) times.
 
     Treat as immutable: each operator product with a field is computed once
     and shared by every function evaluated on the block.
@@ -177,29 +186,15 @@ def assemble(mesh, partition, alpha1, alpha2, schedule, law1, law2):
     sigma is the canonical alpha2 * (sum of normal components) at every
     Gamma1 quadrature point.
     """
-    mats = _fem.domain_matrices(mesh, x0=partition.x0)
-    g1 = partition.gamma1_faces
-    if not g1:
+    if not partition.gamma1_faces:
         raise InvalidArgumentError("partition has no feedback boundary")
-    T, w, pts = _fem.trace_structure(mesh, g1)
-
-    return SemiDiscreteSystem(
-        mesh=mesh, partition=partition,
-        mass=mats["mass"], stiffness=mats["stiffness"], coupling=mats["coupling"],
-        multiplier=mats["multiplier"],
-        trace=T, trace_weights=w, trace_points=pts, sigma_values=partition.sigma(alpha2),
-        alpha1=float(alpha1), alpha2=float(alpha2),
-        schedule=schedule, law1=law1, law2=law2,
-        fixed=partition.gamma0_nodes(),
-    )
+    return SemiDiscreteSystem(mesh, partition, float(alpha1), float(alpha2),
+                              schedule, law1, law2)
 
 
 def interpolate(system, fld):
-    """Nodal interpolation of an analytic field, zeroed on Gamma0."""
-    vals = np.asarray(fld.value(system.mesh.nodes), dtype=float)
-    out = vals.copy()
-    out[system.fixed] = 0.0
-    return out
+    """Nodal interpolation of an analytic field on the free dofs."""
+    return np.asarray(fld.value(system.mesh.nodes[system.free]), dtype=float)
 
 
 def compatibility_residuals(system, u0, v0, u1, v1):
@@ -245,8 +240,8 @@ def project_initial_data(system, u0, v0, u1, v1):
 
 
 def loads(system, state):
-    """Loads (load_u, load_v) over all nodes at the given state: the free
-    entries are M (u'', v'') of the semi-discrete system."""
+    """Loads (load_u, load_v) = M (u'', v'') of the semi-discrete system at
+    the given state."""
     mu = system.schedule.mu(state.t)
     a1, a2 = system.alpha1, system.alpha2
     K, C, T = system.stiffness, system.coupling, system.trace

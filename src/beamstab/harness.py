@@ -354,8 +354,9 @@ VERIFY_SUITES = ("assembly", "rellich", "strauss", "convergence")
 
 
 def _verify_assembly(cfg):
-    mesh, partition, system = build_problem(cfg)
-    K, M = system.stiffness, system.mass
+    mesh = build_mesh(cfg)
+    mats = _fem.domain_matrices(mesh)
+    K, M = mats["stiffness"], mats["mass"]
 
     def max_abs(A):
         return float(abs(A).max())
@@ -369,7 +370,7 @@ def _verify_assembly(cfg):
     # int_Gamma (sum_i nu_i) phi_j phi_k over every face
     T, w, _ = _fem.trace_structure(mesh, mesh.faces)
     sum_nu = np.repeat(mesh.faces.normal.sum(axis=1), mesh.faces.quad_weights.shape[1])
-    gauss = system.coupling + system.coupling.T - _fem.trace_form(T, w * sum_nu)
+    gauss = mats["coupling"] + mats["coupling"].T - _fem.trace_form(T, w * sum_nu)
     checks.append(("coupling-gauss-identity", max_abs(gauss), 1e-12))
     return [(f"assembly/{name}", err <= tol, f"defect {err:.3e} (tol {tol:.1e})")
             for name, err, tol in checks]

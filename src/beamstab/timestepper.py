@@ -76,7 +76,7 @@ from .errors import InvalidArgumentError, StepFailureError
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_HEADER = "# beamstab checkpoint v1"
+CHECKPOINT_HEADER = "# beamstab checkpoint v2"
 
 # GMRES for the Newton direction: basis size, restart cycles, relative tolerance
 GMRES_RESTART = 30
@@ -162,24 +162,15 @@ class _BandedLU:
 
 
 def _free_stencil(system):
-    """The free-dof forms M, K, C and Sg on the free stencil, and the free
-    column of each of its slots, each (3^d, nf).
+    """The system's forms M, K, C and Sg as its (3^d, nf) free stencil
+    slots, and the free column of each slot, (3^d, nf).
 
     Slot s of free node k is its neighbour k + offset_s, the offsets in
     column order, and holds 0 where that neighbour is not a free node.
-    M, K and C are _fem.stencil of the system's free 1D factor bands, so
-    they equal the restricted domain forms entry for entry.  Sg, a boundary
-    form on part of the stencil, goes to the slots of its free entries.
     """
-    forms, offsets = _fem.stencil(system.factors)
-    free = system.free
-    Sg = np.zeros_like(forms["mass"])
-    G = system.sigma_op.tocoo()
-    on = np.isin(G.row, free) & np.isin(G.col, free)
-    row, col = np.searchsorted(free, G.row[on]), np.searchsorted(free, G.col[on])
-    Sg[np.searchsorted(offsets, col - row), row] = G.data[on]
-    cols = offsets.astype(np.int32)[:, None] + np.arange(len(free), dtype=np.int32)
-    return (forms["mass"], forms["stiffness"], forms["derivative"], Sg), cols
+    s = system.slots
+    cols = system.offsets.astype(np.int32)[:, None] + np.arange(len(system.free), dtype=np.int32)
+    return (s["mass"], s["stiffness"], s["derivative"], s["sigma"]), cols
 
 
 class _StepOperators(NamedTuple):
@@ -203,16 +194,16 @@ class _MidpointSolver:
     on it, so S(mu) = S_base + mu S_mu and J_lin(mu) = J_base + mu J_mu
     share one pattern.  rest is J_ref - P, mu-free: the rect's off-diagonal
     blocks of J_lin, or None on the interval, where P = J_ref.  The stacked
-    trace T2 and its weights come from the system's boundary operator on the
-    free dofs.  The counters add up over every solve: preconditioner
-    solves, residual evaluations, Newton and GMRES iterations, line-search
-    halvings, and the largest final residual of a step.
+    trace T2 and its weights come from the system's boundary operator.  The
+    counters add up over every solve: preconditioner solves, residual
+    evaluations, Newton and GMRES iterations, line-search halvings, and the
+    largest final residual of a step.
     """
 
     def __init__(self, system, dt):
         self.system = system
         self.dt = dt
-        T = system.trace_free
+        T = system.trace
         self.T2 = sp.block_diag((T, T), format="csr")
         self.T2t = self.T2.T
         self.q = T.shape[0]  # Gamma1 points per field
@@ -390,9 +381,8 @@ class _MidpointSolver:
         iterate w0 = (u', v')."""
         sys_, dt = self.system, self.dt
         ops = self.operators(float(sys_.schedule.mu(state.t + dt / 2.0)))
-        f = sys_.free
-        w0 = np.concatenate([state.du[f], state.dv[f]])
-        y = np.concatenate([state.u[f], state.v[f]]) + (dt / 2.0) * w0
+        w0 = np.concatenate([state.du, state.dv])
+        y = np.concatenate([state.u, state.v]) + (dt / 2.0) * w0
         return ops, ops.S @ y, w0
 
     def solve(self, state):
@@ -433,17 +423,11 @@ class _MidpointSolver:
         return w[:nf], w[nf:]
 
 
-def _advance(system, solver, state):
+def _advance(solver, state):
     wu, wv = solver.solve(state)
     dt = solver.dt
-    f = system.free
-    new = state.copy()
-    new.t = state.t + dt
-    new.u[f] += dt * wu
-    new.v[f] += dt * wv
-    new.du[f] = 2.0 * wu - state.du[f]
-    new.dv[f] = 2.0 * wv - state.dv[f]
-    return new
+    return SimState(state.t + dt, state.u + dt * wu, state.v + dt * wv,
+                    2.0 * wu - state.du, 2.0 * wv - state.dv)
 
 
 def integrate(system, state0, T, control, observers=()):
@@ -451,7 +435,7 @@ def integrate(system, state0, T, control, observers=()):
 
     Observers are called on the initial state and after every accepted
     step.  The number of steps is round((T - t0)/dt); T - t0 must be an
-    (approximate) multiple of dt.
+    (approximate) multiple of dt; state0 holds one entry per free dof.
     """
     for name, value in (("final time", T), ("initial time t", state0.t)):
         if not math.isfinite(value):
@@ -462,13 +446,18 @@ def integrate(system, state0, T, control, observers=()):
     n_steps = int(round(span / control.dt))
     if abs(n_steps * control.dt - span) > 1e-9 * max(1.0, abs(span)):
         raise InvalidArgumentError("T - t0 must be a multiple of dt")
+    for name in ("u", "v", "du", "dv"):
+        shape = np.shape(getattr(state0, name))
+        if shape != system.free.shape:
+            raise InvalidArgumentError(f"state field {name} has shape {shape}; the system "
+                                       f"has {len(system.free)} free dofs")
 
     solver = _MidpointSolver(system, control.dt)
     state = state0.copy()
     for obs in observers:
         obs(system, state)
     for _ in range(n_steps):
-        state = _advance(system, solver, state)
+        state = _advance(solver, state)
         for obs in observers:
             obs(system, state)
     log.info("integrate: %d steps, %d solves, %d residuals, "
@@ -496,7 +485,8 @@ def save_checkpoint(path, state, config_hash=""):
 
 
 def load_checkpoint(path):
-    """Returns (SimState, config_hash)."""
+    """Returns (SimState, config_hash); raises InvalidArgumentError for a
+    file that is not a complete, well-formed checkpoint."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_HEADER:
@@ -505,19 +495,24 @@ def load_checkpoint(path):
     for line in lines[1:]:
         name, _, rest = line.partition(" ")
         kv[name] = rest
-    try:
-        t = float(kv["t"])
-        n = int(kv["nodes"])
-        vecs = {name: np.array(kv[name].split(), dtype=float)
-                for name in ("u", "v", "du", "dv")}
-    except KeyError as exc:
-        raise InvalidArgumentError(f"checkpoint missing field {exc}") from exc
+
+    def parsed(name, parse):
+        if name not in kv:
+            raise InvalidArgumentError(f"checkpoint missing field '{name}'")
+        try:
+            return parse(kv[name])
+        except ValueError as exc:
+            raise InvalidArgumentError(f"checkpoint field {name} is malformed: {exc}") from exc
+
+    t, n = parsed("t", float), parsed("nodes", int)
+    vecs = [parsed(name, lambda text: np.array(text.split(), dtype=float))
+            for name in ("u", "v", "du", "dv")]
     if not math.isfinite(t):
         raise InvalidArgumentError(f"checkpoint t must be finite, got {t!r}")
-    for name, v in vecs.items():
+    for name, v in zip(("u", "v", "du", "dv"), vecs):
         if len(v) != n:
             raise InvalidArgumentError(f"checkpoint field {name} has wrong length")
-    return SimState(t, vecs["u"], vecs["v"], vecs["du"], vecs["dv"]), kv.get("config", "")
+    return SimState(t, *vecs), kv.get("config", "")
 
 
 def config_hash(text):

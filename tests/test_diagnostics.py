@@ -20,7 +20,7 @@ from conftest import grid_cells, make_conservative_system, make_system
 
 
 def _zero_state(system, t=0.0):
-    n = system.n_nodes
+    n = len(system.free)
     return SimState(t, *(np.zeros(n) for _ in range(4)))
 
 
@@ -30,17 +30,18 @@ class TestEnergy:
         assert diag.energy(system, _zero_state(system)) == 0.0
 
     def test_unit_velocity_mass_identity(self):
-        # u = v = dv = 0, du = 1 everywhere: E = 1/2 * total mass = |domain|/2
+        # u = v = dv = 0, du = 1 off Gamma0 (x = 0): E = 1/2 |chi|^2 for chi
+        # the interpolant of 1 vanishing at 0, = (|domain| - 2h/3)/2, h = 1/12
         system = make_system(nodes=13)
         state = _zero_state(system)
-        state.du = np.ones(system.n_nodes)
-        assert diag.energy(system, state) == pytest.approx(0.5, abs=1e-14)
+        state.du = np.ones(len(system.free))
+        assert diag.energy(system, state) == pytest.approx(0.5 * (1.0 - 1.0 / 18.0), abs=1e-14)
 
     def test_hand_quadratic_form(self):
         system = make_system(nodes=3, alpha1=0.2, alpha2=0.1)
         state = _zero_state(system)
-        state.u = np.array([0.0, 1.0, 2.0])
-        state.dv = np.array([0.0, 0.0, 1.0])
+        state.u = np.array([1.0, 2.0])  # the free nodes x = 1/2 and x = 1
+        state.dv = np.array([0.0, 1.0])
         K = system.stiffness.toarray()
         M = system.mass.toarray()
         expected = 0.5 * (state.u @ K @ state.u + 2.0 * state.dv @ M @ state.dv)
@@ -49,22 +50,25 @@ class TestEnergy:
 
 class TestFunctionalF:
     def test_constant_v_has_zero_coupling(self):
+        # v = 1 off Gamma0 (x = 0) is constant on every cell but the first,
+        # where u vanishes
         system = make_system(nodes=9)
         state = _zero_state(system)
-        state.u = np.linspace(0, 1, 9)
-        state.v = np.ones(9)
+        state.u = np.linspace(0, 1, 9)[1:]
+        state.u[0] = 0.0
+        state.v = np.ones(8)
         assert diag.functional_F(system, state) == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_u(self):
         system = make_system(nodes=9)
         state = _zero_state(system)
-        state.v = np.linspace(0, 1, 9) ** 2
+        state.v = np.linspace(0, 1, 9)[1:] ** 2
         assert diag.functional_F(system, state) == 0.0
 
     def test_hand_value(self):
         # u = x, v = x on [0,1]: F = alpha1 * int v' u = alpha1 * 1/2
         system = make_system(nodes=5, alpha1=0.3)
-        x = system.mesh.nodes[:, 0]
+        x = system.mesh.nodes[system.free, 0]
         state = _zero_state(system)
         state.u = x.copy()
         state.v = x.copy()
@@ -75,24 +79,27 @@ class TestFunctionalG:
     def test_zero_velocities(self):
         system = make_system(nodes=9)
         state = _zero_state(system)
-        state.u = np.linspace(0, 1, 9)
+        state.u = np.linspace(0, 1, 9)[1:]
         assert diag.functional_G(system, state) == 0.0
 
     def test_closed_form_1d(self):
-        # n = 1 kills the (n-1) terms; G = 2 (u', m.grad u) = 2 int_0^1 x dx = 1
+        # n = 1 kills the (n-1) terms; u = x and u' = chi, 1 off Gamma0 (x = 0)
+        # and x/h on the first cell: G = 2 (u', m.grad u) = 2 int_0^1 chi x dx
+        # = 1 - h^2/3, h = 1/16
         system = make_system(nodes=17)
         state = _zero_state(system)
-        state.u = system.mesh.nodes[:, 0].copy()
-        state.du = np.ones(system.n_nodes)
-        assert diag.functional_G(system, state) == pytest.approx(1.0, rel=1e-13)
+        state.u = system.mesh.nodes[system.free, 0].copy()
+        state.du = np.ones(len(system.free))
+        assert diag.functional_G(system, state) == pytest.approx(1.0 - 1.0 / 768.0, rel=1e-13)
 
     def test_alternate_reference_point(self):
-        # same field, x0 = -1: m = x + 1, G = 2 int (x+1) dx = 3
+        # same fields, x0 = -1: m = x + 1, G = 2 int chi (x+1) dx = 3 - h - h^2/3
         system = make_system(nodes=17, x0=-1.0)
         state = _zero_state(system)
-        state.u = system.mesh.nodes[:, 0].copy()
-        state.du = np.ones(system.n_nodes)
-        assert diag.functional_G(system, state) == pytest.approx(3.0, rel=1e-13)
+        state.u = system.mesh.nodes[system.free, 0].copy()
+        state.du = np.ones(len(system.free))
+        assert diag.functional_G(system, state) == pytest.approx(
+            3.0 - 1.0 / 16.0 - 1.0 / 768.0, rel=1e-13)
 
 
 def _one_sample_slacks(E, F, G, **metadata):
@@ -379,13 +386,10 @@ def _oracle_columns(system, states, eps1=None):
     wmn = system.trace_weights * system.partition.gamma1_m_dot_nu
     a1, a2, ratio = system.alpha1, system.alpha2, system.alpha_ratio
     n = system.mesh.dimension
-    f = system.free
-    Mff = M[f][:, f].toarray()
+    Md = M.toarray()
 
     def accel(load):
-        a = np.zeros(system.n_nodes)
-        a[f] = np.linalg.solve(Mff, load[f])
-        return a
+        return np.linalg.solve(Md, load)
 
     rows = []
     for st_ in states:
@@ -420,7 +424,7 @@ def _assert_trace_matches(trace, want, rtol=1e-13):
 def _random_states(system, count, seed, amplitude=1.0):
     rng = np.random.default_rng(seed)
     times = np.cumsum(rng.uniform(0.01, 0.1, count))
-    return [SimState(float(t), *(amplitude * rng.standard_normal(system.n_nodes)
+    return [SimState(float(t), *(amplitude * rng.standard_normal(len(system.free))
                                  for _ in range(4))) for t in times]
 
 
@@ -446,7 +450,8 @@ class TestChunkedRecorder:
         schedule = decaying_schedule(1.0, 0.8, 10.0) if decaying else constant_schedule(1.0)
         if mesh == "interval":
             system = make_system(nodes=9, schedule=schedule, **laws)
-        else:  # 6x6 rect: one chunk holds 167 states, so larger counts cross a boundary
+        else:  # 6x6 rect, 36 free dofs: one chunk holds 113 states, so larger counts
+            # cross a boundary
             system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.0, 6, 6),
                                  x0=np.array([-0.1, -0.1]), schedule=schedule, **laws)
         states = _random_states(system, count, seed, amplitude)
@@ -457,7 +462,7 @@ class TestChunkedRecorder:
     @pytest.mark.parametrize("count", [1, 39, 40, 41, 127])
     def test_chunk_boundaries(self, count):
         system = make_system(nodes=201)
-        assert diag.TraceRecorder(system).chunk == 40  # 256 KiB of states, 201 nodes
+        assert diag.TraceRecorder(system).chunk == 20  # 128 KiB of states, 200 free dofs
         states = _random_states(system, count, seed=count)
         _assert_trace_matches(_recorded(system, states).trace(),
                               _oracle_columns(system, states))
@@ -497,7 +502,7 @@ class TestChunkedRecorder:
             system = make_system(mesh=mesh, x0=np.full(mesh.dimension, -0.1))
             rec = diag.TraceRecorder(system)
             assert rec._states.nbytes <= diag.CHUNK_BYTES
-        assert rec.chunk == 1  # 4 225 nodes: one state per chunk
+        assert rec.chunk == 1  # 4 096 free dofs: one state per chunk
 
 
 class TestTraceOutput:

@@ -15,25 +15,29 @@ from beamstab.feedback import identity_law
 from conftest import make_conservative_system, make_system
 
 
-def _sum_nu_form(mesh):
-    """int_Gamma (sum_i nu_i) phi_j phi_k over every boundary face."""
+def _sum_nu_form(system):
+    """int_Gamma (sum_i nu_i) phi_j phi_k over every boundary face, on the
+    free dofs."""
+    mesh = system.mesh
     T, w, _ = _fem.trace_structure(mesh, mesh.faces)
     sum_nu = np.repeat(mesh.faces.normal.sum(axis=1), mesh.faces.quad_weights.shape[1])
-    return _fem.trace_form(T, w * sum_nu)
+    return _fem.trace_form(T[:, system.free], w * sum_nu)
 
 
 class TestAssembly:
     def test_hand_stiffness_three_nodes(self):
         system = make_system(nodes=3)
-        K = system.stiffness.toarray()[np.ix_(system.free, system.free)]
+        K = system.stiffness.toarray()
         assert np.allclose(K, [[4.0, -2.0], [-2.0, 2.0]], atol=1e-14)
 
     def test_mass_total_is_domain_measure(self):
+        # the free mass total is |chi|^2 for chi the interpolant of 1 that
+        # vanishes on Gamma0: the measure less 2h/3 per clamped side of width h
         system = make_system(nodes=17)
-        assert system.mass.sum() == pytest.approx(1.0, abs=1e-14)
+        assert system.mass.sum() == pytest.approx(1.0 - 2.0 / 48.0, abs=1e-14)
         rect = make_system(mesh=geometry.build_rect_mesh(2.0, 3.0, 3, 4),
                            x0=np.array([-0.1, -0.1]))
-        assert rect.mass.sum() == pytest.approx(6.0, abs=1e-12)
+        assert rect.mass.sum() == pytest.approx((2.0 - 4.0 / 9.0) * (3.0 - 0.5), abs=1e-12)
 
     def test_symmetry(self):
         system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.0, 3, 3),
@@ -46,17 +50,17 @@ class TestAssembly:
         # C + C^T equals the boundary matrix weighted by sum of normal components
         system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.0, 2, 2),
                              x0=np.array([-0.1, -0.1]))
-        defect = system.coupling + system.coupling.T - _sum_nu_form(system.mesh)
+        defect = system.coupling + system.coupling.T - _sum_nu_form(system)
         assert np.max(np.abs(defect.toarray())) <= 1e-12
 
     def test_gauss_identity_1d(self):
         system = make_system(nodes=7)
-        defect = system.coupling + system.coupling.T - _sum_nu_form(system.mesh)
+        defect = system.coupling + system.coupling.T - _sum_nu_form(system)
         assert np.max(np.abs(defect.toarray())) <= 1e-14
 
     def test_stiffness_positive_definite_on_free_dofs(self):
         system = make_system(nodes=9)
-        K = system.stiffness.toarray()[np.ix_(system.free, system.free)]
+        K = system.stiffness.toarray()
         assert np.all(np.linalg.eigvalsh(K) > 0)
 
     def test_sigma_default_matches_partition_normals(self):
@@ -80,7 +84,7 @@ class TestAssembly:
     ])
     def test_free_is_the_complement_of_gamma0(self, mesh, x0):
         system = make_system(mesh=mesh, x0=np.array(x0))
-        want = np.setdiff1d(np.arange(system.n_nodes), system.partition.gamma0_nodes())
+        want = np.setdiff1d(np.arange(len(mesh.nodes)), system.partition.gamma0_nodes())
         assert system.free.dtype == want.dtype
         assert np.array_equal(system.free, want)
 
@@ -104,20 +108,18 @@ class TestMassSolve:
     def test_block_equals_columns_and_dense_solve(self, mesh, x0):
         system = make_system(mesh=mesh, x0=x0)
         rng = np.random.default_rng(3)
-        load = rng.standard_normal((system.n_nodes, 4))
+        load = rng.standard_normal((len(system.free), 4))
         block = system.solve_mass(load)
         for j in range(load.shape[1]):
             assert np.allclose(block[:, j], system.solve_mass(load[:, j]), rtol=1e-14, atol=0)
-        f = system.free
-        dense = np.linalg.solve(system.mass.toarray()[np.ix_(f, f)], load[f])
-        assert np.allclose(block[f], dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
-        assert np.all(block[system.fixed] == 0.0)
+        dense = np.linalg.solve(system.mass.toarray(), load)
+        assert np.allclose(block, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
 
 
 class TestRhs:
     def test_zero_state_is_equilibrium(self):
         system = make_system(nodes=9)
-        n = system.n_nodes
+        n = len(system.free)
         state = SimState(0.0, *(np.zeros(n) for _ in range(4)))
         d2u, d2v = rhs(system, state)
         assert np.all(d2u == 0.0) and np.all(d2v == 0.0)
@@ -133,25 +135,36 @@ class TestRhs:
 
     def test_hand_acceleration_three_nodes(self):
         system = make_conservative_system(nodes=3)
-        u = np.array([0.0, 1.0, 0.0])
-        state = SimState(0.0, u, np.zeros(3), np.zeros(3), np.zeros(3))
+        u = np.array([1.0, 0.0])  # the free nodes x = 1/2 and x = 1
+        state = SimState(0.0, u, np.zeros(2), np.zeros(2), np.zeros(2))
         d2u, _ = rhs(system, state)
-        K = system.stiffness.toarray()[np.ix_(system.free, system.free)]
-        M = system.mass.toarray()[np.ix_(system.free, system.free)]
-        expected = np.linalg.solve(M, -K @ u[system.free])
-        assert np.allclose(d2u[system.free], expected, atol=1e-12)
+        K = np.array([[4.0, -2.0], [-2.0, 2.0]])
+        M = np.array([[2.0, 0.5], [0.5, 1.0]]) / 6.0
+        expected = np.linalg.solve(M, -K @ u)
+        assert np.allclose(d2u, expected, atol=1e-12)
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_clamped_nodes_stay_clamped(self, seed):
+        # the free-dof accelerations are those of the all-node forms on the
+        # state extended by 0 on Gamma0, solved with the Gamma0 rows and
+        # columns removed: the clamped nodes stay clamped
         system = make_system(nodes=7)
+        f = system.free
         rng = np.random.default_rng(seed)
-        vecs = [rng.standard_normal(system.n_nodes) for _ in range(4)]
-        for v in vecs:
-            v[system.fixed] = 0.0
-        d2u, d2v = rhs(system, SimState(0.0, *vecs))
-        assert np.all(d2u[system.fixed] == 0.0)
-        assert np.all(d2v[system.fixed] == 0.0)
+        u, v, du, dv = (rng.standard_normal(len(f)) for _ in range(4))
+        d2u, d2v = rhs(system, SimState(0.0, u, v, du, dv))
+        mats = _fem.domain_matrices(system.mesh)
+        K, C, M = (mats[name].toarray()[np.ix_(f, f)]
+                   for name in ("stiffness", "coupling", "mass"))
+        T, w, _ = _fem.trace_structure(system.mesh, system.partition.gamma1_faces)
+        B = _fem.trace_form(T, w * system.partition.gamma1_m_dot_nu).toarray()[np.ix_(f, f)]
+        S = _fem.trace_form(T, w * system.sigma_values).toarray()[np.ix_(f, f)]
+        a1, a2 = system.alpha1, system.alpha2  # mu = 1, identity laws
+        want_u = np.linalg.solve(M, -(K @ u + a1 * C @ v + B @ du))
+        want_v = np.linalg.solve(M, -(K @ v - a2 * C @ u + B @ dv + S @ u))
+        assert np.allclose(d2u, want_u, rtol=0, atol=1e-12 * np.abs(want_u).max())
+        assert np.allclose(d2v, want_v, rtol=0, atol=1e-12 * np.abs(want_v).max())
 
 
 class TestInitialData:
@@ -185,8 +198,8 @@ class TestInitialData:
         assert any("compatibility" in rec.message for rec in caplog.records)
         assert state.t == 0.0
 
-    def test_interpolation_pins_clamped_nodes(self):
+    def test_interpolation_leaves_out_clamped_nodes(self):
         system = make_system(nodes=9)
         vals = interpolate(system, Field("shift", lambda x: np.sum(x, axis=1) + 1.0))
-        assert np.all(vals[system.fixed] == 0.0)
-        assert vals[system.free[-1]] == pytest.approx(2.0)
+        assert np.array_equal(vals, np.arange(1, 9) / 8.0 + 1.0)  # x = 0 is clamped
+        assert vals[-1] == pytest.approx(2.0)

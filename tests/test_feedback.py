@@ -25,7 +25,7 @@ class TestEvaluateH:
     def test_identity(self):
         system = _interval_system(1.0, identity_law())
         load = system.boundary_load(system.law1, np.array([2.0]))
-        assert np.array_equal(load, [0.0, 0.0, 2.0])
+        assert np.array_equal(load, [0.0, 2.0])  # the free nodes x = mn/2 and x = mn
 
     def test_vanishes_at_origin(self):
         for law in (identity_law(), saturating_law(), hardening_law()):
@@ -38,14 +38,16 @@ class TestEvaluateH:
         assert load[-1] == pytest.approx(1.5 * (1.0 + math.tanh(1.0)))
 
     def test_no_forcing_off_gamma1(self):
-        # left and bottom edges are Gamma0: only nodes of right/top edges are loaded
+        # left and bottom edges are Gamma0: only the free nodes of the
+        # right/top edges are loaded; the clamped corners are no dofs
         mesh = geometry.build_rect_mesh(1.0, 1.0, 3, 3)
         system = make_system(mesh=mesh, x0=np.array([-0.1, -0.1]))
         load = system.boundary_load(identity_law(), np.ones(len(system.trace_weights)))
-        gamma1_nodes = set(system.partition.gamma1_faces.nodes.ravel().tolist())
-        loaded = set(np.flatnonzero(load).tolist())
-        assert loaded == gamma1_nodes
-        assert np.all(load[list(gamma1_nodes)] > 0)
+        gamma1_nodes = np.unique(system.partition.gamma1_faces.nodes)
+        gamma1_dofs = np.flatnonzero(np.isin(system.free, gamma1_nodes))
+        assert len(gamma1_dofs) == len(gamma1_nodes) - 2
+        assert np.array_equal(np.flatnonzero(load), gamma1_dofs)
+        assert np.all(load[gamma1_dofs] > 0)
 
 
 class TestLawCatalog:

@@ -311,6 +311,20 @@ class TestRunSimulate:
                 (tmp_path / f"run{run}" / "small_trace.csv").read_bytes())
         assert bodies[0] == bodies[1]
 
+    @pytest.mark.parametrize("mesh", ["interval", "rect"])
+    def test_builds_one_stencil(self, small_cfg, monkeypatch, mesh):
+        # every form of the run comes from one stencil of the free 1D factors
+        if mesh == "rect":
+            small_cfg.mesh_kind, small_cfg.nx, small_cfg.ny = "rect", 8, 6
+            small_cfg.x0 = np.array([-0.1, -0.1])
+            small_cfg.alpha1 = small_cfg.alpha2 = 0.03
+        calls = []
+        stencil = _fem.stencil
+        monkeypatch.setattr(_fem, "stencil", lambda *args: calls.append(args) or stencil(*args))
+        monkeypatch.setattr(_fem, "domain_matrices", _refuse)
+        assert harness.run_simulate(small_cfg, stream=io.StringIO()) == harness.EXIT_OK
+        assert len(calls) == 1
+
     def test_step_failure_exit_code(self, small_cfg, monkeypatch):
         def explode(*args, **kwargs):
             raise StepFailureError(0.25, 1.0)
@@ -321,18 +335,18 @@ class TestRunSimulate:
 
 
 def _corrupt_stiffness(monkeypatch):
-    """Make harness.build_problem return a stiffness with an asymmetric
+    """Make _fem.domain_matrices return a stiffness with an asymmetric
     (0, n-1) entry."""
-    build = harness.build_problem
+    build = _fem.domain_matrices
 
-    def corrupted(cfg):
-        mesh, partition, system = build(cfg)
-        K = system.stiffness
+    def corrupted(*args, **kwargs):
+        mats = build(*args, **kwargs)
+        K = mats["stiffness"]
         n = K.shape[0]
-        system.stiffness = K + sp.csr_matrix(([1e-3], ([0], [n - 1])), shape=K.shape)
-        return mesh, partition, system
+        mats["stiffness"] = K + sp.csr_matrix(([1e-3], ([0], [n - 1])), shape=K.shape)
+        return mats
 
-    monkeypatch.setattr(harness, "build_problem", corrupted)
+    monkeypatch.setattr(_fem, "domain_matrices", corrupted)
 
 
 class TestRunVerify:

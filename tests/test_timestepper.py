@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from beamstab import geometry, harness, timestepper
+from beamstab import _fem, geometry, harness, timestepper
 from beamstab.admissibility import constant_schedule, decaying_schedule
 from beamstab.diagnostics import TraceRecorder, energy, functional_F
 from beamstab.discretization import SimState, interpolate, project_initial_data
@@ -81,7 +81,7 @@ class TestStepControl:
 class TestStep:
     def test_equilibrium_is_fixed(self):
         system = make_system(nodes=7)
-        n = system.n_nodes
+        n = len(system.free)
         state = SimState(3.0, *(np.zeros(n) for _ in range(4)))
         out = _one_step(system, state, StepControl(dt=0.1))
         assert out.t == pytest.approx(3.1)
@@ -152,11 +152,29 @@ def _damped_newton(solver, state, direction):
 
 
 def _free_forms(system):
-    """Oracle free-dof forms (M, K, C, Sg): the system's mass, stiffness,
-    coupling and sigma forms restricted to the free dofs, csr."""
+    """The free-dof forms (M, K, C, Sg) of the oracles: the system's mass,
+    stiffness, coupling and sigma forms, csr (TestBlockLayout checks them
+    against the restricted all-node forms)."""
+    return system.mass, system.stiffness, system.coupling, system.sigma_op
+
+
+# sigma from the Kronecker sum of the mass bands against T' diag(w sigma) T,
+# whose Gauss-point hat values round: 1.3e-15 of the largest entry on 16x16
+# (2.1e-15 on 64x64), bit-equal on the interval
+SIGMA_RTOL = 4e-15
+
+
+def _restricted_forms(system):
+    """Oracle free-dof forms (M, K, C, X, Sg): the all-node domain forms
+    (_fem.domain_matrices) and sigma trace form (_fem.trace_form)
+    restricted to the free dofs, csr."""
+    mesh, part = system.mesh, system.partition
+    mats = _fem.domain_matrices(mesh, x0=part.x0)
+    T, w, _ = _fem.trace_structure(mesh, part.gamma1_faces)
     ix = np.ix_(system.free, system.free)
-    return tuple(A[ix].tocsr() for A in (system.mass, system.stiffness, system.coupling,
-                                          system.sigma_op))
+    return tuple(A[ix].tocsr() for A in (mats["mass"], mats["stiffness"], mats["coupling"],
+                                          mats["multiplier"],
+                                          _fem.trace_form(T, w * system.sigma_values)))
 
 
 def _full_jacobian(solver, ops, w):
@@ -164,7 +182,7 @@ def _full_jacobian(solver, ops, w):
     with the actual trace slopes, csc."""
     sys_ = solver.system
     M, K, C, Sg = _free_forms(sys_)
-    T = sys_.trace[:, sys_.free]
+    T = sys_.trace
     wmn = sys_.trace_weights * sys_.partition.gamma1_m_dot_nu
     a1, a2 = sys_.alpha1, sys_.alpha2
     dt, mu_mid = solver.dt, ops.mu
@@ -196,7 +214,7 @@ def _reference_jacobian(solver, ops):
     laws' slopes at 0, csr."""
     sys_ = solver.system
     M, K, C, Sg = _free_forms(sys_)
-    T = sys_.trace[:, sys_.free]
+    T = sys_.trace
     wmn = sys_.trace_weights * sys_.partition.gamma1_m_dot_nu
     dt, mu = solver.dt, ops.mu
     p1, p2 = (float(law.slope(0.0)) for law in (sys_.law1, sys_.law2))
@@ -222,15 +240,14 @@ def _termwise_residual(solver, dt, mu_mid, state, wu, wv):
     sys_ = solver.system
     M, K, C, Sg = _free_forms(sys_)
     a1, a2 = sys_.alpha1, sys_.alpha2
-    f = sys_.free
-    T = sys_.trace[:, f]
+    T = sys_.trace
     wmn = sys_.trace_weights * sys_.partition.gamma1_m_dot_nu
-    u_mid = state.u[f] + (dt / 2.0) * wu
-    v_mid = state.v[f] + (dt / 2.0) * wv
-    ru = ((2.0 / dt) * (M @ (wu - state.du[f]))
+    u_mid = state.u + (dt / 2.0) * wu
+    v_mid = state.v + (dt / 2.0) * wv
+    ru = ((2.0 / dt) * (M @ (wu - state.du))
           + mu_mid * (K @ u_mid) + a1 * (C @ v_mid)
           + mu_mid * (T.T @ (wmn * sys_.law1(T @ wu))))
-    rv = ((2.0 / dt) * (M @ (wv - state.dv[f]))
+    rv = ((2.0 / dt) * (M @ (wv - state.dv))
           + K @ v_mid - a2 * (C @ u_mid) + Sg @ u_mid
           + T.T @ (wmn * sys_.law2(T @ wv)))
     return np.concatenate([ru, rv])
@@ -258,7 +275,7 @@ def _rect6(x0=_CORNER, **kwargs):
 def _random_state(system, seed, amplitude):
     rng = np.random.default_rng(seed)
     t = float(rng.uniform(0.0, 1.0))
-    return SimState(t, *(amplitude * rng.standard_normal(system.n_nodes) for _ in range(4)))
+    return SimState(t, *(amplitude * rng.standard_normal(len(system.free)) for _ in range(4)))
 
 
 class TestNewtonDirection:
@@ -378,8 +395,8 @@ class TestStackedResidual:
         schedule = decaying_schedule(1.0, 0.8, 1.0) if decaying else constant_schedule(1.0)
         build = (lambda **kw: make_system(nodes=9, **kw)) if mesh == "interval" else _rect6
         system = build(law1=law1, law2=law2, schedule=schedule)
-        f = system.free
-        T = system.trace[:, f]
+        nf = len(system.free)
+        T = system.trace
         rng = np.random.default_rng(11)
         for seed, dt in ((0, 0.01), (1, 0.05), (2, 0.2)):
             solver = _MidpointSolver(system, dt)
@@ -389,7 +406,7 @@ class TestStackedResidual:
             assert (solver.dt, ops.mu) == (dt, mu_mid)
             for w in (w0, w0 + rng.standard_normal(len(w0))):
                 got, s = solver.residual(ops, c, w0, w)
-                wu, wv = w[:len(f)], w[len(f):]
+                wu, wv = w[:nf], w[nf:]
                 want = _termwise_residual(solver, dt, mu_mid, state, wu, wv)
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
                 assert np.array_equal(s, np.concatenate([T @ wu, T @ wv]))
@@ -422,7 +439,7 @@ class TestSolverCounters:
         solver = _MidpointSolver(system, dt)
         state = _sine_state(system, velocity=1.0)
         for _ in range(steps):
-            state = timestepper._advance(system, solver, state)
+            state = timestepper._advance(solver, state)
         return solver
 
     def test_constant_mu_identity_factors_once(self):
@@ -507,8 +524,7 @@ class TestSolverCounters:
             wu, wv = solver.solve(state)
             got, want = np.concatenate([wu, wv]), np.concatenate([ou, ov])
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
-            state = timestepper._advance(
-                system, SimpleNamespace(dt=dt, solve=lambda *_: (wu, wv)), state)
+            state = timestepper._advance(SimpleNamespace(dt=dt, solve=lambda *_: (wu, wv)), state)
 
 
 def _tridiagonal(band):
@@ -637,11 +653,34 @@ class TestBlockLayout:
         nf = len(system.free)
         inside = (cols >= 0) & (cols < nf)
         rows = np.nonzero(inside)[1]
-        for X, want in zip(forms, _free_forms(system)):
+        M, K, C, _, Sg = _restricted_forms(system)
+        for X, want in zip(forms, (M, K, C, Sg)):
             assert not X[~inside].any()  # a slot off the free grid holds 0
             got = np.zeros((nf, nf))
             np.add.at(got, (rows, cols[inside]), X[inside])
-            assert np.array_equal(got, want.toarray())
+            if want is Sg:  # the Kronecker sum against T' diag(w sigma) T
+                assert np.max(np.abs(got - want.toarray())) <= SIGMA_RTOL * abs(want).max()
+            else:
+                assert np.array_equal(got, want.toarray())
+
+    @pytest.mark.parametrize("mesh", ["corner", "free_free", "rect7x5", "interval"])
+    def test_system_forms_are_the_restricted_forms(self, mesh):
+        if mesh == "interval":
+            system = make_system(nodes=21)
+        else:
+            shape = (7, 5) if mesh == "rect7x5" else (16, 16)
+            system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.3, *shape),
+                                 x0=np.array(_FREE_FREE if mesh == "free_free" else _CORNER))
+        *domain, Sg = _restricted_forms(system)
+        forms = (system.mass, system.stiffness, system.coupling, system.multiplier)
+        for got, want in zip(forms, domain):
+            # the same csr arrays bit for bit: pattern, stored zeros and signs of 0
+            assert got.has_sorted_indices
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, part), getattr(want, part)), part
+            assert np.array_equal(np.signbit(got.data), np.signbit(want.data))
+        assert abs(system.sigma_op - Sg).max() <= SIGMA_RTOL * abs(Sg).max()
+        assert np.array_equal(system.sigma_op.toarray() != 0, Sg.toarray() != 0)
 
     @pytest.mark.parametrize("mesh", ["corner", "interval"])
     def test_operators_update_in_place_as_a_fresh_build(self, mesh):
@@ -710,8 +749,6 @@ class TestEnergyBalance:
             x0=np.array([0.0] if mesh == "interval" else _CORNER),
             law1=law1, law2=law2, schedule=schedule)
         state = _random_state(system, 4, 1.0)
-        for name in ("u", "v", "du", "dv"):
-            getattr(state, name)[system.fixed] = 0.0
         dt = 0.01
         states = []
         integrate(system, state, state.t + 10 * dt, StepControl(dt=dt),
@@ -750,6 +787,16 @@ class TestIntegrate:
         state.t = t
         with pytest.raises(InvalidArgumentError, match="initial time t must be finite"):
             integrate(system, state, 1.0, StepControl(dt=0.1))
+
+    @pytest.mark.parametrize("length", [9, 11, 12])
+    @pytest.mark.parametrize("name", ["u", "v", "du", "dv"])
+    def test_state_of_the_wrong_length_rejected(self, name, length):
+        # 11 nodes, 10 free dofs: 11 is the all-node length of the old state
+        system = make_system(nodes=11)
+        state = _sine_state(system)
+        setattr(state, name, np.zeros(length))
+        with pytest.raises(InvalidArgumentError, match=f"{name} has shape \\({length},\\).* 10 free"):
+            integrate(system, state, 0.1, StepControl(dt=0.1))
 
     @pytest.mark.parametrize("mesh", ["interval", "rect"])
     def test_decaying_mu_run_matches_out_of_place_operators(self, mesh, tmp_path, monkeypatch):
@@ -846,4 +893,27 @@ class TestCheckpoint:
         path = tmp_path / "short.ckpt"
         path.write_text(timestepper.CHECKPOINT_HEADER + "\nconfig x\nt 0\n")
         with pytest.raises(InvalidArgumentError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, old, new", [
+        ("nodes", "nodes 3", "nodes three"),
+        ("nodes", "nodes 3", "nodes 3.0"),
+        ("u", "u 0 0 0", "u 0 x 0"),
+        ("dv", "dv 0 0 0", "dv 0 0 1,5"),
+    ])
+    def test_rejects_malformed_value(self, tmp_path, field, old, new):
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, SimState(0.0, *(np.zeros(3) for _ in range(4))))
+        path.write_text(path.read_text().replace(f"\n{old}\n", f"\n{new}\n"))
+        with pytest.raises(InvalidArgumentError, match=f"field {field} is malformed"):
+            load_checkpoint(path)
+
+    def test_rejects_a_v1_file(self, tmp_path):
+        # v1 held every node; a v2 file holds the free dofs
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, SimState(0.0, *(np.zeros(3) for _ in range(4))))
+        body = path.read_text()
+        assert body.startswith("# beamstab checkpoint v2\n")
+        path.write_text(body.replace("v2", "v1", 1))
+        with pytest.raises(InvalidArgumentError, match="not a checkpoint file"):
             load_checkpoint(path)
