@@ -6,12 +6,13 @@ basis is continuous piecewise-linear (P1) on each axis and its tensor
 product (bilinear) on the rectangle, so each domain form is a Kronecker
 sum of 1D P1 factors with the x factor first: the fast-diagonalization
 setting of Lynch, Rice & Thomas, Numer. Math. 6 (1964).  The 1D factors
-are tridiagonal bands, and stencil builds every domain form from them on
-the 3^d-point stencil of the grid, over all nodes or (free_factors) the
-free ones.  The interval is the one-factor case of the same code.  A
-boundary form is T' diag(d) T for the trace map T of trace_structure
-(trace_form).  Small systems that are not Kronecker sums are solved in
-LAPACK band storage (band_storage, band_lu, band_solve).
+are tridiagonal bands; stencil builds every form from them as the slots
+of the grid's 3^d-point stencil, over all nodes or (free_factors) the free
+ones, and stencil_csr is the one compression of slots to csr (domain
+forms, system forms, the time stepper's block layout).  The interval is
+the one-factor case of the same code.  trace_form is T' diag(d) T for a
+trace map T of trace_structure.  Small systems that are not Kronecker
+sums are solved in LAPACK band storage (band_storage, band_lu, band_solve).
 """
 
 from __future__ import annotations
@@ -73,9 +74,10 @@ def stencil(bands):
     Kronecker sum sum_d M_1 x .. x F_d x .. x M_n on the 3^d-point stencil,
     its terms added in axis order ("mass" is the plain product).
 
-    Returns ({name: (3^d, n) slots}, offsets): slot s of node k holds the
-    entry of node k + offsets[s], a product of one band entry per axis as
-    in sp.kron, and 0 off the grid; the offsets ascend."""
+    Returns ({name: (n, 3^d) slots}, cols): slot s of node k holds the
+    entry in column cols[k, s] = k + offset_s, a product of one band entry
+    per axis as in sp.kron, and 0 off the grid; the offsets ascend, so
+    each row's columns do."""
     def slots(factors):  # the products of one band row per axis, slot by slot
         return reduce(lambda X, b: (X[:, None, :, None] * b[None, :, None, :])
                       .reshape(3 * len(X), -1), factors[1:], factors[0])
@@ -86,23 +88,25 @@ def stencil(bands):
         out = next(terms)
         for term in terms:
             out += term
-        return out
+        return np.ascontiguousarray(out.T)  # one copy beats node-major products
 
-    step = np.arange(-1, 2)
+    step = np.arange(-1, 2, dtype=np.int32)
     offsets = reduce(lambda o, b: (o[:, None] * b["mass"].shape[1] + step).ravel(),
                      bands[1:], step)
-    return {name: kron_sum(name) for name in bands[0]}, offsets
+    forms = {name: kron_sum(name) for name in bands[0]}
+    return forms, np.arange(len(forms["mass"]), dtype=np.int32)[:, None] + offsets
 
 
-def stencil_csr(forms, offsets, keep):
-    """The (3^d, n) stencil slots of each form (stencil) as an (n, n) csr
-    matrix storing the slots where keep, of the same shape, holds."""
-    n = keep.shape[1]
-    node, slot = np.nonzero(keep.T)
-    at = slot * n + node
-    indices = (node + offsets[slot]).astype(np.int32)
-    indptr = np.searchsorted(node, np.arange(n + 1)).astype(np.int32)
-    return [sp.csr_matrix((X.take(at), indices, indptr), shape=(n, n)) for X in forms]
+def stencil_csr(forms, cols, keep):
+    """Each (rows, width) slot array of forms (stencil, or stencil blocks
+    side by side), slot s of row k in column cols[k, s], as a square csr
+    matrix of the slots where keep holds, all on one indices and indptr.
+    forms is read one array at a time: an iterator may refill one buffer."""
+    rows, width = keep.shape
+    at = np.flatnonzero(keep)
+    indices = cols.take(at)
+    indptr = np.searchsorted(at, np.arange(rows + 1) * width).astype(indices.dtype)
+    return [sp.csr_matrix((X.take(at), indices, indptr), shape=(rows, rows)) for X in forms]
 
 
 def domain_matrices(mesh, x0=None):
@@ -115,8 +119,8 @@ def domain_matrices(mesh, x0=None):
       multiplier X[k, j] = (phi_k, m . grad phi_j), only when x0 is given
     """
     x0s = [None] * mesh.dimension if x0 is None else np.asarray(x0, dtype=float)
-    forms, offsets = stencil([axis_factors(x, c) for x, c in zip(mesh.axes, x0s)])
-    mats = stencil_csr(forms.values(), offsets, forms["mass"] != 0)  # mass > 0 on the grid
+    forms, cols = stencil([axis_factors(x, c) for x, c in zip(mesh.axes, x0s)])
+    mats = stencil_csr(forms.values(), cols, forms["mass"] != 0)  # mass > 0 on the grid
     return {"coupling" if name == "derivative" else name: A for name, A in zip(forms, mats)}
 
 

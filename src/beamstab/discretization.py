@@ -34,15 +34,16 @@ class SemiDiscreteSystem:
     ascending order (free): the only coordinates of a SimState.
 
     Every form is one _fem.stencil of the free 1D factor bands of the axes
-    (_fem.free_factors, the multiplier about x0) and their sigma bands,
-    alpha2 nu_d at each Gamma1 end of the free axis and 0 elsewhere: a side
-    of a tensor grid has one m.nu and one normal and lies wholly in Gamma0
-    or in Gamma1, and the 2-point rule is exact on P1 x P1, so
+    (_fem.free_factors, the multiplier about x0) and two Gamma1 bands, 0
+    but on the diagonal at each Gamma1 end of the free axis: sigma,
+    alpha2 nu_d there, and gamma1, m.nu.  A side of a tensor grid has one
+    m.nu and one normal and lies wholly in Gamma0 or in Gamma1, and the
+    2-point rule is exact on P1 x P1, so
     T' diag(w c) T = sum_d M_1 x .. x diag(c_d) x .. x M_n for c constant
-    on each side and c_d its values at the Gamma1 ends of axis d (g_d for
-    c = m.nu).  slots holds each form's (3^d, nf) stencil slots at offsets;
-    mass, stiffness, coupling and multiplier are csr on the pattern of the
-    free grid neighbours, sigma_op on its nonzero slots.
+    on each side and c_d its values at the Gamma1 ends of axis d (the sigma
+    and gamma1 bands).  slots holds each form's (nf, 3^d) slots in columns
+    cols; mass, stiffness, coupling and multiplier are csr on the pattern
+    of the free grid neighbours, sigma_op on its nonzero slots.
 
     It also owns the Gamma1 boundary operator: the quadrature-point trace T
     and its transpose, the weights w (m.nu), the laws' slopes at 0 and the
@@ -62,9 +63,8 @@ class SemiDiscreteSystem:
     law2: object
     free: np.ndarray = field(init=False)  # Gamma0-free node indices, ascending
     factors: tuple = field(init=False, repr=False)   # free 1D factor bands per axis
-    axis_gamma1: tuple = field(init=False, repr=False)  # g_d per axis
-    slots: dict = field(init=False, repr=False)      # (3^d, nf) stencil slots per form
-    offsets: np.ndarray = field(init=False, repr=False)  # node offset of each slot
+    slots: dict = field(init=False, repr=False)      # (nf, 3^d) stencil slots per form
+    cols: np.ndarray = field(init=False, repr=False)  # (nf, 3^d) column of each slot
     mass: sp.csr_matrix = field(init=False, repr=False)
     stiffness: sp.csr_matrix = field(init=False, repr=False)
     coupling: sp.csr_matrix = field(init=False, repr=False)    # C[k, j] = (sum_i dphi_j/dx_i, phi_k)
@@ -84,15 +84,14 @@ class SemiDiscreteSystem:
         slices = _fem.free_slices(mesh.axes, part.gamma0_nodes())
         counts = tuple(len(x) for x in mesh.axes)
         self.free = np.arange(len(mesh.nodes)).reshape(counts)[slices].ravel()
-        self.axis_gamma1, sigma = _axis_gamma1(part, slices, self.alpha2)
-        self.factors = tuple(dict(f, sigma=b) for f, b in
-                             zip(_fem.free_factors(mesh.axes, slices, part.x0), sigma))
-        self.slots, self.offsets = _fem.stencil(self.factors)
+        self.factors = tuple({**f, **g} for f, g in zip(_fem.free_factors(
+            mesh.axes, slices, part.x0), _gamma1_bands(part, slices, self.alpha2)))
+        self.slots, self.cols = _fem.stencil(self.factors)
         s = self.slots
         self.mass, self.stiffness, self.coupling, self.multiplier = _fem.stencil_csr(
-            [s["mass"], s["stiffness"], s["derivative"], s["multiplier"]], self.offsets,
+            [s["mass"], s["stiffness"], s["derivative"], s["multiplier"]], self.cols,
             s["mass"] != 0)  # the free grid neighbours: mass is positive
-        self.sigma_op, = _fem.stencil_csr([s["sigma"]], self.offsets, s["sigma"] != 0)
+        self.sigma_op, = _fem.stencil_csr([s["sigma"]], self.cols, s["sigma"] != 0)
         T, self.trace_weights, self.trace_points = _fem.trace_structure(mesh, part.gamma1_faces)
         self.trace = T[:, self.free].tocsr()
         self.trace_t = self.trace.T
@@ -124,15 +123,15 @@ class SemiDiscreteSystem:
         return values.T @ self.trace_wmn
 
 
-def _axis_gamma1(partition, slices, alpha2):
-    """Per axis d, on the free slice: g_d, m.nu at each Gamma1 end and 0
-    elsewhere, and the sigma band, alpha2 nu_d on the diagonal there."""
-    g = [np.zeros(len(x)) for x in partition.mesh.axes]
-    bands = [np.zeros((3, len(x))) for x in partition.mesh.axes]
+def _gamma1_bands(partition, slices, alpha2):
+    """Per axis, on the free slice, the diagonal bands that are 0 but at
+    each Gamma1 end of the axis: sigma, alpha2 nu_d there, and gamma1, m.nu."""
+    bands = [{name: np.zeros((3, len(x))) for name in ("sigma", "gamma1")}
+             for x in partition.mesh.axes]
     for d, end, _, m_dot_nu in partition.gamma1_sides():
-        g[d][end] = m_dot_nu
-        bands[d][1, end] = alpha2 * (1.0 if end else -1.0)
-    return tuple(a[sl] for a, sl in zip(g, slices)), [b[:, sl] for b, sl in zip(bands, slices)]
+        bands[d]["sigma"][1, end] = alpha2 * (1.0 if end else -1.0)
+        bands[d]["gamma1"][1, end] = m_dot_nu
+    return [{name: b[:, sl] for name, b in f.items()} for f, sl in zip(bands, slices)]
 
 
 @dataclass

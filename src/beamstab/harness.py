@@ -24,7 +24,7 @@ from .admissibility import (build_report, constant_schedule, decaying_schedule)
 from .discretization import assemble, project_initial_data
 from .errors import (ConfigError, FitUndefinedError, InadmissiblePartitionError,
                      InvalidArgumentError, NumericalFailureError, StepFailureError)
-from .fields import make_field
+from .fields import PRESETS, make_field
 from .timestepper import StepControl, integrate
 
 log = logging.getLogger(__name__)
@@ -34,6 +34,7 @@ EXIT_INADMISSIBLE = 2
 EXIT_STEP_FAILURE = 3
 EXIT_USAGE = 64
 EXIT_SOFTWARE = 70  # sysexits EX_SOFTWARE: an eigen-solve did not converge
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def _floats(text):
@@ -52,6 +53,8 @@ def _law_params(text):
         value = float(v)
         if not math.isfinite(value):
             raise ValueError(f"law parameter '{chunk}' is not finite")
+        if k.strip() in params:
+            raise ValueError(f"law parameter '{k.strip()}' is given twice")
         params[k.strip()] = value
     return params
 
@@ -74,6 +77,9 @@ _NONNEGATIVE = (lambda x: math.isfinite(x) and x >= 0,
                 "must be finite and >= 0 (nonincreasing coefficient)")
 _ALL_POSITIVE = (lambda xs: all(_POSITIVE[0](x) for x in xs),
                  "must list finite and positive values")
+_LAW, _PRESET = _one_of(*feedback.CATALOG), _one_of(*PRESETS)
+_ALL_LAWS = (lambda names: all(map(_LAW[0], names)),
+             f"must list only {', '.join(feedback.CATALOG)}")
 
 
 def _at_least(k):
@@ -119,17 +125,17 @@ class RunConfig:
     mu_c: float = _entry("problem", "mu_c", float, _POSITIVE, default=1.0)
     mu_c0: float = _entry("problem", "mu_c0", float, _POSITIVE, default=1.0)
     mu_lambda: float = _entry("problem", "mu_lambda", float, _NONNEGATIVE, default=0.0)
-    law1_name: str = _entry("feedback", "law1", default="identity")
+    law1_name: str = _entry("feedback", "law1", rule=_LAW, default="identity")
     law1_params: dict = _entry("feedback", "law1_params", _law_params, default_factory=dict)
-    law2_name: str = _entry("feedback", "law2", default="identity")
+    law2_name: str = _entry("feedback", "law2", rule=_LAW, default="identity")
     law2_params: dict = _entry("feedback", "law2_params", _law_params, default_factory=dict)
-    u0: str = _entry("initial", "u0", default="sine")
+    u0: str = _entry("initial", "u0", rule=_PRESET, default="sine")
     u0_amplitude: float = _entry("initial", "u0_amplitude", float, _FINITE, default=1.0)
-    v0: str = _entry("initial", "v0", default="zero")
+    v0: str = _entry("initial", "v0", rule=_PRESET, default="zero")
     v0_amplitude: float = _entry("initial", "v0_amplitude", float, _FINITE, default=0.0)
-    u1: str = _entry("initial", "u1", default="zero")
+    u1: str = _entry("initial", "u1", rule=_PRESET, default="zero")
     u1_amplitude: float = _entry("initial", "u1_amplitude", float, _FINITE, default=0.0)
-    v1: str = _entry("initial", "v1", default="zero")
+    v1: str = _entry("initial", "v1", rule=_PRESET, default="zero")
     v1_amplitude: float = _entry("initial", "v1_amplitude", float, _FINITE, default=0.0)
     dt: float = _entry("time", "dt", float, _POSITIVE, default=1e-3)
     T: float = _entry("time", "T", float, _POSITIVE, default=1.0)
@@ -137,7 +143,8 @@ class RunConfig:
     prefix: str = _entry("output", "prefix", default="run")
     plot: bool = _entry("output", "plot", _boolean, default=False)
     sweep_alphas: tuple = _entry("sweep", "alpha", _floats, _ALL_POSITIVE, default=())
-    sweep_laws: tuple = _entry("sweep", "laws", lambda text: tuple(text.split()), default=())
+    sweep_laws: tuple = _entry("sweep", "laws", lambda text: tuple(text.split()),
+                               _ALL_LAWS, default=())
     hash: str = ""
 
 
@@ -570,8 +577,12 @@ def _build_parser():
 
 
 def main(argv=None):
-    logging.basicConfig(level=os.environ.get("BEAMSTAB_LOG", "WARNING").upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("BEAMSTAB_LOG", "WARNING")
+    if level.upper() not in _LOG_LEVELS:  # basicConfig is a no-op once the root has handlers
+        print(f"error: BEAMSTAB_LOG must be one of {', '.join(_LOG_LEVELS)}, got {level!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

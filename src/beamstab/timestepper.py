@@ -10,9 +10,9 @@ it once, for its one step size dt.  Apart from the laws the residual is
 affine in w.  For a step's mu_mid the solver holds the free-dof state
 operator S = [[mu_mid K, a1 C], [Sg - a2 C, K]] and the Jacobian without
 the Gamma1 term J_lin = (2/dt) blockdiag(M, M) + (dt/2) S.  Both live on
-one csr layout of the 2x2 blocks of the free stencil, built once from the
-1D factors of the grid and holding the entries that are nonzero for some
-mu: S = S_base + mu_mid S_mu and J_lin = J_base + mu_mid J_mu with
+one csr layout of the 2x2 blocks of the system's free stencil slots,
+compressed once by _fem.stencil_csr and holding the entries that are
+nonzero for some mu: S = S_base + mu_mid S_mu and J_lin = J_base + mu_mid J_mu with
 J_base = (2/dt) blockdiag(M, M) + (dt/2) S_base and J_mu = (dt/2) S_mu,
 four data vectors on that layout, so a new mu_mid costs one in-place
 update of each of the two.
@@ -40,8 +40,8 @@ back-substitution.
 
 - Rectangle: each field's diagonal block of J_ref is the Kronecker sum
   A_1 x M_2 + M_1 x A_2 with A_d = (1/dt) M_d + mu B_d,
-  B_d = (dt/2) K_d + p'(0) diag(g_d) (the axis Gamma1 weights of the
-  system) and mu = 1 on the v block.  P is that block diagonal, inverted
+  B_d = (dt/2) K_d + p'(0) G_d (G_d the system's gamma1 band of axis d,
+  m.nu at each Gamma1 end) and mu = 1 on the v block.  P is that block diagonal, inverted
   by fast diagonalization (Lynch, Rice & Thomas 1964) from the dense 1D
   eigenpairs of (B_d, M_d), one set per distinct slope p'(0): mu_mid only
   changes the divisor
@@ -51,8 +51,10 @@ back-substitution.
   its mu-free part, the off-diagonal blocks, is cut from the layout.
 - Interval: P = J_ref, a banded LU (LAPACK dgbtrf) of the unknowns
   interleaved as (u_i, v_i), bandwidth 3, refactored for each mu_mid as
-  ab_0 + mu_mid ab_1, the band storage of J_base and J_mu with their
-  Gamma1 terms.  For linear laws J = P and each Newton iteration is
+  ab_0 + mu_mid ab_1.  These are the band storage of J_ref's base part
+  J_base + blockdiag(0, p2'(0) G) and mu part J_mu + blockdiag(p1'(0) G, 0),
+  with G = T' diag(w m.nu) T the system's gamma1 stencil form, compressed
+  with the layout.  For linear laws J = P and each Newton iteration is
   one solve.
 """
 
@@ -116,8 +118,8 @@ class _FastDiagonalization:
         pairs = {}
         for p0 in system.slopes0:
             if p0 not in pairs:
-                pairs[p0] = [eigh(_dense((dt / 2.0) * f["stiffness"], p0 * g), _dense(f["mass"]))
-                             for f, g in zip(system.factors, system.axis_gamma1)]
+                pairs[p0] = [eigh(_dense((dt / 2.0) * f["stiffness"] + p0 * f["gamma1"]),
+                                  _dense(f["mass"])) for f in system.factors]
         self.lam = [np.add.outer(*[lam for lam, _ in pairs[p0]]) for p0 in system.slopes0]
         self.V = [np.stack([pairs[p0][d][1] for p0 in system.slopes0])
                   for d in range(len(system.factors))]
@@ -136,9 +138,9 @@ class _FastDiagonalization:
         return solve
 
 
-def _dense(band, diagonal=0.0):
-    """The tridiagonal matrix of a factor band, plus diag(diagonal)."""
-    return np.diag(band[1] + diagonal) + np.diag(band[0, 1:], -1) + np.diag(band[2, :-1], 1)
+def _dense(band):
+    """The tridiagonal matrix of a factor band."""
+    return np.diag(band[1]) + np.diag(band[0, 1:], -1) + np.diag(band[2, :-1], 1)
 
 
 class _BandedLU:
@@ -161,18 +163,6 @@ class _BandedLU:
         return solve
 
 
-def _free_stencil(system):
-    """The system's forms M, K, C and Sg as its (3^d, nf) free stencil
-    slots, and the free column of each slot, (3^d, nf).
-
-    Slot s of free node k is its neighbour k + offset_s, the offsets in
-    column order, and holds 0 where that neighbour is not a free node.
-    """
-    s = system.slots
-    cols = system.offsets.astype(np.int32)[:, None] + np.arange(len(system.free), dtype=np.int32)
-    return (s["mass"], s["stiffness"], s["derivative"], s["sigma"]), cols
-
-
 class _StepOperators(NamedTuple):
     """The operators of a step's mu_mid, valid until the solver's next one."""
 
@@ -189,7 +179,8 @@ class _MidpointSolver:
     operator data, the preconditioner and the solver counters.
 
     The layout is one csr pattern (indices, indptr) of the 2x2 blocks of
-    the free stencil, holding the entries that are nonzero in S or J_lin
+    the free stencil, laid out as (2 nf, 2 3^d) slot rows and compressed by
+    _fem.stencil_csr, holding the entries that are nonzero in S or J_lin
     for some mu.  S_data and J_data are the (base, mu part) data vectors
     on it, so S(mu) = S_base + mu S_mu and J_lin(mu) = J_base + mu J_mu
     share one pattern.  rest is J_ref - P, mu-free: the rect's off-diagonal
@@ -210,7 +201,8 @@ class _MidpointSolver:
         self.nf = nf = len(system.free)
         self.p0 = np.repeat(system.slopes0, self.q)
 
-        (M, K, C, Sg), cols = _free_stencil(system)
+        s = system.slots
+        M, K, C, Sg = (s[name] for name in ("mass", "stiffness", "derivative", "sigma"))
         a1, a2, half = system.alpha1, system.alpha2, dt / 2.0
         S_uv, S_vu = a1 * C, Sg - a2 * C
         m, hK = (2.0 / dt) * M, half * K
@@ -219,41 +211,34 @@ class _MidpointSolver:
         # its terms on zero blocks, which change no nonzero entry
         S_base, S_mu = (None, S_uv, S_vu, K), (K, None, None, None)
         J_base, J_mu = (m, half * S_uv, half * S_vu, m + hK), (hK, None, None, None)
+        forms = [S_base, S_mu, J_mu, J_base]  # J_base last: it stays on the grid for rest
+        interval = system.mesh.dimension == 1
+        if interval:  # J_ref = J_lin + p'(0) G on the diagonal blocks, G the gamma1 form
+            G, (p1, p2) = s["gamma1"], system.slopes0
+            forms += [(*J_base[:3], J_base[3] + p2 * G), (hK + p1 * G, None, None, None)]
 
-        # the layout's slots in csr order: stacked row, block column, stencil slot
-        grid = np.empty((2, nf, 2, len(cols)))
+        # the layout's (2 nf, 2 3^d) slots: stacked row, then block column and
+        # stencil slot, holding the entries that are nonzero in some form
+        width = s["mass"].shape[1]
+        grid = np.empty((2 * nf, 2 * width))
 
-        def on_grid(blocks, out=grid):
-            for (r, c), X in zip(np.ndindex(2, 2), blocks):
-                out[r, :, c] = 0.0 if X is None else X.T
+        def on_grid(parts, out=grid):  # out as block row, node, block column, slot
+            for (r, c), X in zip(np.ndindex(2, 2), parts):
+                out.reshape(2, nf, 2, -1)[r, :, c] = 0.0 if X is None else X
             return out
 
         keep = on_grid([np.logical_or.reduce([X != 0 for X in parts if X is not None])
-                        for parts in zip(S_base, S_mu, J_base, J_mu)],
-                       np.empty(grid.shape, dtype=bool))
-        columns = np.empty(grid.shape, dtype=cols.dtype)
-        columns[...] = cols.T[:, None]
-        columns[:, :, 1] += nf
-        rows = np.arange(2 * nf + 1) * (2 * len(cols))  # the first slot of each row
-
-        def pattern(at):  # csr indices and indptr of the slots at
-            return columns.take(at), np.searchsorted(at, rows).astype(columns.dtype)
-
-        at = np.flatnonzero(keep)
-        self.indices, self.indptr = pattern(at)
-        self.S_data = tuple(on_grid(X).take(at) for X in (S_base, S_mu))
-        J_part = on_grid(J_mu).take(at)
-        self.J_data = (on_grid(J_base).take(at), J_part)  # J_base stays on the grid for rest
-        if system.mesh.dimension == 1:
+                        for parts in zip(*forms)], np.empty(grid.shape, dtype=bool))
+        columns = on_grid((system.cols, system.cols + nf) * 2, np.empty(grid.shape, np.int32))
+        S0, S1, J1, J0, *ref = _fem.stencil_csr((on_grid(X) for X in forms), columns, keep)
+        self.indices, self.indptr = S0.indices, S0.indptr
+        self.S_data, self.J_data = (S0.data, S1.data), (J0.data, J1.data)
+        if interval:
             self.rest = None
-            W0 = self._weights(0.0)
-            W_mu = self._weights(1.0) - W0
-            self.precond = _BandedLU(*(self._on_layout(data) + _fem.trace_form(self.T2, W * self.p0)
-                                       for data, W in zip(self.J_data, (W0, W_mu))))
+            self.precond = _BandedLU(*ref)
         else:
-            keep[0, :, 0] = keep[1, :, 1] = False  # the off-diagonal blocks of J_base
-            at = np.flatnonzero(keep)
-            self.rest = sp.csr_matrix((grid.take(at), *pattern(at)), shape=(2 * nf, 2 * nf))
+            keep[:nf, :width] = keep[nf:, width:] = False  # J_base off the diagonal blocks
+            self.rest, = _fem.stencil_csr([grid], columns, keep)
             self.precond = _FastDiagonalization(system, dt)
 
         self._J, self._S = (self._on_layout(np.empty_like(d[0])) for d in (self.J_data, self.S_data))

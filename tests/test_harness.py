@@ -167,6 +167,10 @@ class TestParseConfig:
             text="[feedback]\nlaw1 = saturating\nlaw1_params = b=1.0, L=2.0\n")
         assert cfg.law1_params == {"b": 1.0, "L": 2.0}
 
+    def test_repeated_law_parameter_rejected(self):
+        with pytest.raises(ConfigError, match=r"law1_params: law parameter 'k' is given twice"):
+            harness.parse_config(text="[feedback]\nlaw1_params = k=1, b=2, k = 2\n")
+
     def test_reference_config_fields(self):
         path = ROOT / "configs" / "reference_1d.ini"
         assert _all_fields(harness.parse_config(path)) == {
@@ -527,6 +531,19 @@ class TestCli:
                      id="law-parameter-nan"),
         pytest.param(("prefix = small", "prefix = small\n[sweep]\nalpha = 0.1 nan"), [],
                      id="sweep-alpha-nan"),
+        pytest.param(("u0 = sine", "u0 = sinus"), [], id="u0-unknown-preset"),
+        pytest.param(("u0_amplitude = 1.0", "u0_amplitude = 1.0\nv0 = wave"), [],
+                     id="v0-unknown-preset"),
+        pytest.param(("u0_amplitude = 1.0", "u0_amplitude = 1.0\nu1 = Sine"), [],
+                     id="u1-unknown-preset"),
+        pytest.param(("u0_amplitude = 1.0", "u0_amplitude = 1.0\nv1 = one"), [],
+                     id="v1-unknown-preset"),
+        pytest.param(("law1 = identity", "law1 = linear"), [], id="law1-unknown"),
+        pytest.param(("law2 = identity", "law2 = damped"), [], id="law2-unknown"),
+        pytest.param(("prefix = small", "prefix = small\n[sweep]\nlaws = identity sinus"), [],
+                     id="sweep-law-unknown"),
+        pytest.param(("law2 = identity", "law2 = identity\nlaw2_params = k=1, k=2"), [],
+                     id="law-parameter-repeated"),
         pytest.param(None, ["--dt", "nan"], id="flag-dt-nan"),
         pytest.param(None, ["--T", "inf"], id="flag-T-inf"),
         pytest.param(None, ["--refine", "-1"], id="flag-refine-negative"),
@@ -552,6 +569,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
         assert f"law '{law}' takes no parameter '{params.split('=')[0]}'" in err
+
+    @pytest.mark.parametrize("level", ["verbose", "", "warn"])
+    def test_unknown_log_level_is_usage_error(self, tmp_path, capsys, monkeypatch, level):
+        path = tmp_path / "run.ini"
+        path.write_text(SMALL_CONFIG)
+        monkeypatch.setenv("BEAMSTAB_LOG", level)
+        assert harness.main(["check", "--config", str(path)]) == harness.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: BEAMSTAB_LOG must be one of DEBUG, INFO, WARNING, "
+                                f"ERROR, CRITICAL, got {level!r}\n")
+
+    def test_log_level_is_case_blind(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "run.ini"
+        path.write_text(SMALL_CONFIG)
+        monkeypatch.setenv("BEAMSTAB_LOG", "info")
+        assert harness.main(["check", "--config", str(path)]) == 0
+        capsys.readouterr()
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert harness.main([]) == harness.EXIT_USAGE

@@ -2,8 +2,9 @@
 
 Parses every module of beamstab with ast and checks that each public
 module-level function and class is read somewhere in the package, exported
-by __init__ or an entry point, and that each annotated class field is read.
-A class whose methods call dataclasses.fields(self) reads all its fields.
+by __init__ or an entry point, that each private one is read inside the
+package, and that each annotated class field is read.  A class whose
+methods call dataclasses.fields(self) reads all its fields.
 """
 
 import ast
@@ -38,10 +39,12 @@ def _reads(trees):
     return names
 
 
-def _public_definitions(trees):
+def _definitions(trees, private=False):
+    """(module, name) of the module-level functions and classes, public or
+    private (a leading underscore)."""
     return [(module, node.name) for module, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+            and node.name.startswith("_") == private]
 
 
 def _reads_own_fields(cls):
@@ -65,9 +68,19 @@ def _annotated_fields(trees):
 def test_every_public_definition_is_read():
     trees = _trees()
     reads = _reads(trees) | ENTRY_POINTS
-    unread = [f"{module}.{name}" for module, name in _public_definitions(trees)
+    unread = [f"{module}.{name}" for module, name in _definitions(trees)
               if name not in reads]
     assert not unread, f"public definitions nothing reads: {unread}"
+
+
+def test_every_private_definition_is_read():
+    # nothing outside the package may rely on a private helper, so one the
+    # package does not read is left over
+    trees = _trees()
+    reads = _reads(trees)
+    unread = [f"{module}.{name}" for module, name in _definitions(trees, private=True)
+              if name not in reads]
+    assert not unread, f"private definitions nothing reads: {unread}"
 
 
 def test_every_annotated_field_is_read():
@@ -83,11 +96,14 @@ def test_every_annotated_field_is_read():
     ("class A:\n    x: int\n    y: int\n\ndef f(a):\n    return a.x\n",
      ["m.A", "m.f", "m.A.y"]),
     ("class A:\n    y: int\n\n    def items(self):\n        return fields(self)\n\nA\n", []),
+    ("def _used():\n    pass\n\nclass _Unused:\n    pass\n\ndef f():\n    _used()\n\nf()\n",
+     ["m._Unused"]),
 ])
 def test_the_checks_find_an_unread_name(source, unread):
     trees = {"m": ast.parse(source)}
     reads = _reads(trees)
-    found = [f"m.{name}" for _, name in _public_definitions(trees) if name not in reads]
+    found = [f"m.{name}" for private in (False, True)
+             for _, name in _definitions(trees, private) if name not in reads]
     found += [f"m.{cls}.{name}" for _, cls, name in _annotated_fields(trees)
               if name not in reads]
     assert found == unread

@@ -548,9 +548,9 @@ class TestPreconditioner:
         blocks = [J[:nf, :nf], J[nf:, nf:]]
         mass = [_tridiagonal(f["mass"]) for f in system.factors]
         for field, (m, p0) in enumerate(zip((mu, 1.0), system.slopes0)):
-            # B_d = (dt/2) K_d + p'(0) diag(g_d) from the system's 1D factor bands
-            B = [(dt / 2.0) * _tridiagonal(f["stiffness"]) + p0 * sp.diags(g)
-                 for f, g in zip(system.factors, system.axis_gamma1)]
+            # B_d = (dt/2) K_d + p'(0) G_d from the system's 1D factor bands
+            B = [(dt / 2.0) * _tridiagonal(f["stiffness"]) + p0 * _tridiagonal(f["gamma1"])
+                 for f in system.factors]
             A = [(1.0 / dt) * M + m * B_d for M, B_d in zip(mass, B)]
             kron_sum = sp.kron(A[0], mass[1]) + sp.kron(mass[0], A[1])
             want = blocks[field]
@@ -585,6 +585,24 @@ class TestPreconditioner:
         b = np.random.default_rng(3).standard_normal(len(J))
         want = np.linalg.solve(J, b)
         assert np.max(np.abs(ops.solve(b) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("x0", [0.0, 1.3])
+    @pytest.mark.parametrize("laws", ["identity", "saturating"])
+    def test_interval_bands_are_the_trace_form_construction(self, laws, x0):
+        # J_ref's base and mu parts from the gamma1 stencil form, against
+        # J_base and J_mu plus T2' diag(W p'(0)) T2 by the trace form
+        law1, law2 = ((identity_law(2.0), identity_law(0.5)) if laws == "identity"
+                      else (saturating_law(1.0, 2.0), saturating_law(0.5, 4.0)))
+        system = make_system(nodes=21, x0=x0, law1=law1, law2=law2)
+        solver = _MidpointSolver(system, 0.05)
+        W0 = solver._weights(0.0)
+        W_mu = solver._weights(1.0) - W0
+        old = timestepper._BandedLU(*(
+            solver._on_layout(data) + _fem.trace_form(solver.T2, W * solver.p0)
+            for data, W in zip(solver.J_data, (W0, W_mu))))
+        for got, want in zip(solver.precond.ab, old.ab):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def _out_of_place_operators(self, mu_mid):
@@ -649,10 +667,11 @@ class TestBlockLayout:
             shape = (7, 5) if mesh == "rect7x5" else (16, 16)
             system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.3, *shape),
                                  x0=np.array(_FREE_FREE if mesh == "free_free" else _CORNER))
-        forms, cols = timestepper._free_stencil(system)
+        forms = [system.slots[name] for name in ("mass", "stiffness", "derivative", "sigma")]
+        cols = system.cols
         nf = len(system.free)
         inside = (cols >= 0) & (cols < nf)
-        rows = np.nonzero(inside)[1]
+        rows = np.nonzero(inside)[0]
         M, K, C, _, Sg = _restricted_forms(system)
         for X, want in zip(forms, (M, K, C, Sg)):
             assert not X[~inside].any()  # a slot off the free grid holds 0
@@ -662,6 +681,24 @@ class TestBlockLayout:
                 assert np.max(np.abs(got - want.toarray())) <= SIGMA_RTOL * abs(want).max()
             else:
                 assert np.array_equal(got, want.toarray())
+
+    @pytest.mark.parametrize("mesh", ["interval", "interval_x0", "corner", "free_free",
+                                      "rect7x5", "rect64"])
+    def test_gamma1_form_is_the_trace_form(self, mesh):
+        if mesh.startswith("interval"):
+            system = make_system(nodes=21, x0=1.3 if mesh == "interval_x0" else 0.0)
+        else:
+            shape = {"rect7x5": (7, 5), "rect64": (64, 64)}.get(mesh, (16, 16))
+            system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.3, *shape),
+                                 x0=np.array(_FREE_FREE if mesh == "free_free" else _CORNER))
+        G = system.slots["gamma1"]
+        got, = _fem.stencil_csr([G], system.cols, G != 0)
+        want = _fem.trace_form(system.trace, system.trace_wmn)
+        assert np.array_equal(got.toarray() != 0, want.toarray() != 0)
+        if system.mesh.dimension == 1:  # one trace point of hat value 1 per Gamma1 end
+            assert np.array_equal(got.toarray(), want.toarray())
+        else:
+            assert abs(got - want).max() <= SIGMA_RTOL * abs(want).max()
 
     @pytest.mark.parametrize("mesh", ["corner", "free_free", "rect7x5", "interval"])
     def test_system_forms_are_the_restricted_forms(self, mesh):
