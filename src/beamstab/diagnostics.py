@@ -244,7 +244,10 @@ class TraceRecorder:
 
     A call only copies the state into a chunk buffer; the diagnostics are
     evaluated on a whole chunk of columns at once, when it fills and in
-    trace().
+    trace().  The operator products of a chunk go to arrays the recorder
+    owns, one per operator, field and chunk width (the StateBlock work
+    dict), so a chunk allocates and frees no product array once the first
+    chunk of its width is done.
     """
 
     def __init__(self, system, certificate=None, metadata=None):
@@ -255,6 +258,7 @@ class TraceRecorder:
         self._states = np.empty((len(_FIELDS), n, self.chunk))
         self._fill = 0
         self._done = []             # (9, chunk) arrays of evaluated chunks
+        self._products = {}         # the StateBlock work arrays of every chunk
         md = dict(metadata or {})
         if certificate is not None:
             md.setdefault("eta", certificate.eta)
@@ -281,7 +285,8 @@ class TraceRecorder:
         """The 9 trace columns of the first `count` buffered samples, (9, count)."""
         system = self.system
         t = self._times[:count]
-        block = StateBlock(t, *(np.ascontiguousarray(f[:, :count]) for f in self._states))
+        block = StateBlock(t, *(np.ascontiguousarray(f[:, :count]) for f in self._states),
+                           work=self._products)
         E = energy(system, block)
         F = functional_F(system, block)
         G = functional_G(system, block)

@@ -160,18 +160,29 @@ class StateBlock(SimState):
     """B states stacked as (nf, B) field columns with (B,) times.
 
     Treat as immutable: each operator product with a field is computed once
-    and shared by every function evaluated on the block.
+    and shared by every function evaluated on the block.  The products are
+    written into the arrays of the caller's dict `work`, one per operator,
+    field and block width, allocated at their first use, so blocks that
+    share the dict allocate no product array after the first block of a
+    width.  A product stays valid until the next block of its width is
+    evaluated with that dict.
     """
 
-    def __init__(self, t, u, v, du, dv):
+    def __init__(self, t, u, v, du, dv, work):
         super().__init__(t, u, v, du, dv)
-        self._products = {}
+        self._work = work
+        self._computed = set()
 
     def product(self, A, name):
-        key = (id(A), name)
-        if key not in self._products:
-            self._products[key] = (A, A @ getattr(self, name))  # A kept alive: ids stay unique
-        return self._products[key][1]
+        x = getattr(self, name)
+        key = (id(A), name, x.shape[1:])
+        if key not in self._work:  # A kept alive: ids stay unique
+            self._work[key] = (A, np.empty((A.shape[0], *x.shape[1:])))
+        out = self._work[key][1]
+        if key not in self._computed:
+            np.copyto(out, A @ x)
+            self._computed.add(key)
+        return out
 
 
 def column_dot(a, b):

@@ -36,7 +36,12 @@ Z = P^-1 V, so the direction delta0 + Z y needs no final solve: a
 direction with k iterations costs k + 1 solves.  Givens rotations keep
 its small least-squares problem triangular, so each iteration reads the
 residual norm off the rotated right-hand side and a cycle ends with one
-back-substitution.
+back-substitution.  V and Z are rows of two arrays the solver allocates
+once per run, (GMRES_RESTART + 1, 2 nf) and (GMRES_RESTART, 2 nf); P^-1
+writes each Z[j] in place, and every cycle reuses the rows.  The step's
+other 2 nf-sized vectors (w0, c, the residual, the direction, the
+iterates) are solver arrays too, so a step allocates no vector of that
+size but the new state.
 
 - Rectangle: each field's diagonal block of J_ref is the Kronecker sum
   A_1 x M_2 + M_1 x A_2 with A_d = (1/dt) M_d + mu B_d,
@@ -111,6 +116,8 @@ class _FastDiagonalization:
     eigh of (B_d, M_d), (2, n_d, n_d), and lam[f] holds the sums
     lam_1i + lam_2j of field f as an (n_1, n_2) array.  A field enters B_d
     only through its slope p'(0), so fields of one slope share their pairs.
+    The two (2, n_1, n_2) scratch arrays of a solve are allocated here,
+    once per run, since a decaying mu calls at() on every step.
     """
 
     def __init__(self, system, dt):
@@ -123,17 +130,23 @@ class _FastDiagonalization:
         self.lam = [np.add.outer(*[lam for lam, _ in pairs[p0]]) for p0 in system.slopes0]
         self.V = [np.stack([pairs[p0][d][1] for p0 in system.slopes0])
                   for d in range(len(system.factors))]
+        self._scratch = np.empty((2, 2, *self.lam[0].shape))
 
     def at(self, mu):
-        """The solve b -> P^-1 b for mu on the u block: per field
-        V_1 ((V_1' B V_2) / div) V_2', both fields in one batched matmul."""
+        """The solve (b, out) -> P^-1 b for mu on the u block: per field
+        V_1 ((V_1' B V_2) / div) V_2', both fields in one batched matmul,
+        written into out (a new array when out is None)."""
         div = np.stack([2.0 / self.dt + m * lam for m, lam in zip((mu, 1.0), self.lam)])
         V1, V2 = self.V
         V1t, V2t = (V.transpose(0, 2, 1) for V in self.V)
+        a, y = self._scratch
 
-        def solve(b):
-            y = V1t @ b.reshape(div.shape) @ V2
-            return (V1 @ (y / div) @ V2t).ravel()
+        def solve(b, out=None):
+            out = np.empty_like(b) if out is None else out
+            np.matmul(np.matmul(V1t, b.reshape(div.shape), out=a), V2, out=y)
+            np.divide(y, div, out=y)
+            np.matmul(np.matmul(V1, y, out=a), V2t, out=out.reshape(div.shape))
+            return out
 
         return solve
 
@@ -153,12 +166,15 @@ class _BandedLU:
         self.ab = [_fem.band_storage(J[perm][:, perm], BANDS, BANDS) for J in (J0, J1)]
 
     def at(self, mu):
-        """The solve b -> J_ref(mu)^-1 b."""
+        """The solve (b, out) -> J_ref(mu)^-1 b, written into out (a new
+        array when out is None)."""
         factors = _fem.band_lu(self.ab[0] + mu * self.ab[1], BANDS, BANDS)
 
-        def solve(b):
+        def solve(b, out=None):
+            out = np.empty_like(b) if out is None else out
             x = _fem.band_solve(factors, BANDS, BANDS, b.reshape(2, -1).T.ravel())
-            return x.reshape(-1, 2).T.ravel()
+            out.reshape(2, -1).T[...] = x.reshape(-1, 2)
+            return out
 
         return solve
 
@@ -171,7 +187,7 @@ class _StepOperators(NamedTuple):
     S: sp.csr_matrix         # [[mu_mid K, a1 C], [Sg - a2 C, K]] on the free dofs
     W: np.ndarray            # (mu_mid w m.nu, w m.nu) per stacked Gamma1 point
     d_ref: np.ndarray        # W p'(0): the Gamma1 weights of J_ref
-    solve: object            # b -> P^-1 b
+    solve: object            # (b, out=None) -> P^-1 b, written into out
 
 
 class _MidpointSolver:
@@ -189,6 +205,15 @@ class _MidpointSolver:
     counters add up over every solve: preconditioner solves, residual
     evaluations, Newton and GMRES iterations, line-search halvings, and the
     largest final residual of a step.
+
+    The 2 nf-sized vectors of a step live in work arrays allocated here,
+    once per run: the GMRES basis V, (GMRES_RESTART + 1, 2 nf), and its
+    preconditioned images Z, (GMRES_RESTART, 2 nf), which every cycle
+    reuses, and the step's w0, c, residual, Newton direction, two iterates
+    and a scratch vector.  So start(), residual() and _newton_direction()
+    return arrays that stay valid until their next call, and solve() views
+    of one that stays valid until the next solve.  np.empty rows take
+    memory only when a step first writes them.
     """
 
     def __init__(self, system, dt):
@@ -242,6 +267,10 @@ class _MidpointSolver:
             self.precond = _FastDiagonalization(system, dt)
 
         self._J, self._S = (self._on_layout(np.empty_like(d[0])) for d in (self.J_data, self.S_data))
+        self._V = np.empty((GMRES_RESTART + 1, 2 * nf))
+        self._Z = np.empty((GMRES_RESTART, 2 * nf))
+        self._w0, self._c, self._r, self._delta, self._scratch, *self._iterates = np.empty(
+            (7, 2 * nf))
         self._ops = None
         self.solves = self.residuals = 0
         self.newton = self.gmres = self.halvings = 0
@@ -264,23 +293,26 @@ class _MidpointSolver:
                                        self.precond.at(mu_mid))
         return self._ops
 
-    def _solve(self, ops, b):
+    def _solve(self, ops, b, out):
         self.solves += 1
-        return ops.solve(b)
+        return ops.solve(b, out)
 
     def residual(self, ops, c, w0, w):
         """Midpoint residual at the stacked iterate w, stacked (u block,
-        v block), and the Gamma1 trace values T2 w it used; (c, w0) come
-        from start().  At w = w0 itself the J_lin term vanishes and is not
-        formed."""
+        v block), in the solver's residual array, and the Gamma1 trace
+        values T2 w it used; (c, w0) come from start().  At w = w0 itself
+        the J_lin term vanishes and is not formed."""
         self.residuals += 1
-        sys_, q = self.system, self.q
+        sys_, q, r = self.system, self.q, self._r
         s = self.T2 @ w
         p = np.concatenate([sys_.law1(s[:q]), sys_.law2(s[q:])])
         load = self.T2t @ (ops.W * p)
         if w is w0:
-            return c + load, s
-        return ops.J_lin @ (w - w0) + c + load, s
+            np.add(c, load, out=r)
+        else:
+            np.add(ops.J_lin @ np.subtract(w, w0, out=self._scratch), c, out=r)
+            r += load
+        return r, s
 
     def _newton_direction(self, ops, s, r):
         """Solve J(w) delta = r at the iterate with Gamma1 traces s; returns
@@ -294,7 +326,7 @@ class _MidpointSolver:
         slopes = np.concatenate([np.asarray(sys_.law1.slope(s[:q]), dtype=float),
                                  np.asarray(sys_.law2.slope(s[q:]), dtype=float)])
         d = ops.W * slopes - ops.d_ref
-        delta = self._solve(ops, r)
+        delta = self._solve(ops, r, self._delta)
         boundary = d.any()
         if self.rest is None and not boundary:
             return delta, 0
@@ -305,7 +337,8 @@ class _MidpointSolver:
                 y += self.T2t @ (d * (self.T2 @ x))
             return y
 
-        res = -apply_d(delta)  # r - J delta, as P delta = r
+        # r - J delta, as P delta = r, in V[0], which the cycle scales in place
+        res = np.negative(apply_d(delta), out=self._V[0])
         beta, target = np.linalg.norm(res), GMRES_RTOL * np.linalg.norm(r)
         its = 0
         for _ in range(GMRES_CYCLES):
@@ -327,20 +360,25 @@ class _MidpointSolver:
 
         The least-squares problem min ||beta e_1 - H y|| is kept triangular
         by Givens rotations (Saad & Schultz 1986), so |g_{j+1}| is the
-        residual norm after iteration j; the new residual is V Q' (g_k e_k)."""
-        V, Z = [res / beta], []  # Arnoldi basis and its preconditioned images
+        residual norm after iteration j; the new residual is V Q' (g_k e_k).
+        V and Z, the Arnoldi basis and its preconditioned images, are the
+        solver's rows, which each cycle overwrites: res may be V[0] itself,
+        and P^-1 writes straight into Z[j]."""
+        V, Z, tmp = self._V, self._Z, self._scratch
+        np.divide(res, beta, out=V[0])
         H = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
         cs, sn = np.zeros(GMRES_RESTART), np.zeros(GMRES_RESTART)
         g = np.zeros(GMRES_RESTART + 1)
         g[0] = beta
         for j in range(GMRES_RESTART):
-            Z.append(self._solve(ops, V[j]))
-            v = V[j] + apply_d(Z[j])  # J Z[j]
+            self._solve(ops, V[j], Z[j])
+            v = np.add(V[j], apply_d(Z[j]), out=V[j + 1])  # J Z[j]
             for i in range(j + 1):  # modified Gram-Schmidt
                 H[i, j] = V[i] @ v
-                v -= H[i, j] * V[i]
+                v -= np.multiply(V[i], H[i, j], out=tmp)
             h = np.linalg.norm(v)
-            V.append(v / h if h > 0.0 else v)
+            if h > 0.0:
+                v /= h
             for i in range(j):  # the earlier rotations, on the new column
                 H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
                                         cs[i] * H[i + 1, j] - sn[i] * H[i, j])
@@ -358,19 +396,25 @@ class _MidpointSolver:
         for i in reversed(range(k)):  # Q' (g_k e_k): the rotations undone, last first
             coef[i] = -sn[i] * coef[i + 1]  # coef[i] is still 0 here
             coef[i + 1] *= cs[i]
-        return y @ np.array(Z), coef @ np.array(V), k
+        return y @ Z[:k], coef @ V[:k + 1], k
 
     def start(self, state):
         """(ops, c, w0) of the step from state: the operators, the
         residual's constant part c = S (x + (dt/2) w0) and the first
-        iterate w0 = (u', v')."""
+        iterate w0 = (u', v'), both in solver arrays."""
         sys_, dt = self.system, self.dt
         ops = self.operators(float(sys_.schedule.mu(state.t + dt / 2.0)))
-        w0 = np.concatenate([state.du, state.dv])
-        y = np.concatenate([state.u, state.v]) + (dt / 2.0) * w0
-        return ops, ops.S @ y, w0
+        nf, w0, c = self.nf, self._w0, self._c
+        np.concatenate([state.du, state.dv], out=w0)
+        y = np.multiply(w0, dt / 2.0, out=self._scratch)  # y = x + (dt/2) w0
+        y[:nf] += state.u
+        y[nf:] += state.v
+        np.copyto(c, ops.S @ y)
+        return ops, c, w0
 
     def solve(self, state):
+        """The midpoint velocities (w_u, w_v) of the step from state, by
+        damped Newton: views of a solver array, valid until the next solve."""
         ops, c, w0 = self.start(state)
         w = w0
         newton = krylov = halvings = 0
@@ -386,7 +430,10 @@ class _MidpointSolver:
             krylov += its
             lam = 1.0
             for _ in range(30):
-                cw = w - lam * delta
+                # the trial goes to the iterate array that w is not; its
+                # residual overwrites r, of which only rnorm is still needed
+                cw = np.subtract(w, np.multiply(delta, lam, out=self._scratch),
+                                 out=self._iterates[w is self._iterates[0]])
                 rc, sc = self.residual(ops, c, w0, cw)
                 cnorm = float(np.max(np.abs(rc)))
                 if cnorm < rnorm or cnorm <= tol:
