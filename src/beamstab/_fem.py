@@ -10,8 +10,10 @@ are tridiagonal bands; stencil builds every form from them as the slots
 of the grid's 3^d-point stencil, over all nodes or (free_factors) the free
 ones, and stencil_csr is the one compression of slots to csr (domain
 forms, system forms, the time stepper's block layout).  The interval is
-the one-factor case of the same code.  trace_form is T' diag(d) T for a
-trace map T of trace_structure.  Small systems that are not Kronecker
+the one-factor case of the same code.  Gamma0 is a union of whole grid
+sides, so the free nodes are the product of one slice per axis
+(geometry.BoundaryPartition.free_slices).  trace_form is T' diag(d) T
+for a trace map T of trace_structure.  Small systems that are not Kronecker
 sums are solved in LAPACK band storage (band_storage, band_lu, band_solve).
 """
 
@@ -122,29 +124,6 @@ def domain_matrices(mesh, x0=None):
     forms, cols = stencil([axis_factors(x, c) for x, c in zip(mesh.axes, x0s)])
     mats = stencil_csr(forms.values(), cols, forms["mass"] != 0)  # mass > 0 on the grid
     return {"coupling" if name == "derivative" else name: A for name, A in zip(forms, mats)}
-
-
-def free_slices(axes, fixed):
-    """Per-axis slices whose tensor product is the free node set.
-
-    The fixed nodes must be the whole grid faces at one end of some axes
-    (at most one end per axis), as every Gamma0 of a tensor grid is;
-    raises InvalidArgumentError otherwise.
-    """
-    counts = tuple(len(x) for x in axes)
-    clamped = np.zeros(counts, dtype=bool)
-    clamped.flat[np.asarray(fixed, dtype=int)] = True
-    slices = []
-    for d, n in enumerate(counts):
-        lo, hi = (bool(np.take(clamped, end, axis=d).all()) for end in (0, n - 1))
-        if lo and hi:
-            raise InvalidArgumentError(f"Gamma0 clamps both ends of axis {d}")
-        slices.append(slice(int(lo), n - int(hi)))
-    free = np.zeros(counts, dtype=bool)
-    free[tuple(slices)] = True
-    if np.any(free == clamped):
-        raise InvalidArgumentError("Gamma0 is not a union of whole faces of the grid")
-    return tuple(slices)
 
 
 def free_factors(axes, slices, x0=None):
@@ -271,10 +250,10 @@ def side_trace(mesh, faces, axis, end, slices):
     """trace_structure of faces that make up the whole grid side at node
     `end` of `axis`, restricted to the side's free nodes.
 
-    slices are the free slices of the axes (free_slices).  Returns
-    (S, weights): S is csr of shape (Q_s, n_s) with the free nodes of the
-    side as columns, in the order of the remaining axis (one node on the
-    interval).
+    slices are the free slices of the axes (BoundaryPartition.free_slices).
+    Returns (S, weights): S is csr of shape (Q_s, n_s) with the free nodes
+    of the side as columns, in the order of the remaining axis (one node
+    on the interval).
     """
     T, weights, _ = trace_structure(mesh, faces)
     counts = tuple(len(x) for x in mesh.axes)

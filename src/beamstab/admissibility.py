@@ -57,13 +57,21 @@ def _require_positive(**kwargs):
 
 
 def compute_A(n, M, R, mu0, alpha_ratio):
-    """Bound constant for the multiplier functional: |G| <= A E."""
+    """Bound constant for the multiplier functional: |G| <= A E.
+
+    With r = alpha_ratio = alpha1/alpha2, E (diagnostics.energy) bounds
+    |u'|, sqrt(mu0) ||u||, sqrt(r) |v'| and sqrt(r) ||v|| by sqrt(2E), and
+    |(n-1)(w', w) + 2(w', m.grad w)| <= ((n-1) M + 2R) |w'| ||w|| by
+    Cauchy-Schwarz, Poincare (M) and |m| <= R.  So the u terms are at most
+    2E/sqrt(mu0) and the v terms 2E/r = 2E alpha2/alpha1 times that factor.
+    """
     _require_positive(n=n, M=M, R=R, mu0=mu0, alpha_ratio=alpha_ratio)
     if n not in (1, 2):
         raise InvalidArgumentError("spatial dimension must be 1 or 2")
     root = math.sqrt(mu0)
-    return (2 * (n - 1) * M / root + 2 * (n - 1) * M * alpha_ratio
-            + 4 * R / root + 4 * R * alpha_ratio)
+    inverse = 1.0 / alpha_ratio  # alpha2/alpha1
+    return (2 * (n - 1) * M / root + 2 * (n - 1) * M * inverse
+            + 4 * R / root + 4 * R * inverse)
 
 
 def compute_P1(n, M, R, mu0):

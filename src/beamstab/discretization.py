@@ -31,14 +31,15 @@ log = logging.getLogger(__name__)
 @dataclass
 class SemiDiscreteSystem:
     """The semi-discrete system on the free dofs, the nodes off Gamma0 in
-    ascending order (free): the only coordinates of a SimState.
+    ascending order (free, the grid of the partition's free_slices): the
+    only coordinates of a SimState.
 
     Every form is one _fem.stencil of the free 1D factor bands of the axes
     (_fem.free_factors, the multiplier about x0) and two Gamma1 bands, 0
-    but on the diagonal at each Gamma1 end of the free axis: sigma,
-    alpha2 nu_d there, and gamma1, m.nu.  A side of a tensor grid has one
-    m.nu and one normal and lies wholly in Gamma0 or in Gamma1, and the
-    2-point rule is exact on P1 x P1, so
+    but on the diagonal at the end of the free axis of each of the
+    partition's gamma1_sides: sigma, alpha2 nu_d there, and gamma1, m.nu.
+    The partition decides Gamma0 and Gamma1 per grid side, each with one
+    m.nu and one normal, and the 2-point rule is exact on P1 x P1, so
     T' diag(w c) T = sum_d M_1 x .. x diag(c_d) x .. x M_n for c constant
     on each side and c_d its values at the Gamma1 ends of axis d (the sigma
     and gamma1 bands).  slots holds each form's (nf, 3^d) slots in columns
@@ -81,11 +82,10 @@ class SemiDiscreteSystem:
 
     def __post_init__(self):
         mesh, part = self.mesh, self.partition
-        slices = _fem.free_slices(mesh.axes, part.gamma0_nodes())
         counts = tuple(len(x) for x in mesh.axes)
-        self.free = np.arange(len(mesh.nodes)).reshape(counts)[slices].ravel()
+        self.free = np.arange(len(mesh.nodes)).reshape(counts)[part.free_slices].ravel()
         self.factors = tuple({**f, **g} for f, g in zip(_fem.free_factors(
-            mesh.axes, slices, part.x0), _gamma1_bands(part, slices, self.alpha2)))
+            mesh.axes, part.free_slices, part.x0), _gamma1_bands(part, self.alpha2)))
         self.slots, self.cols = _fem.stencil(self.factors)
         s = self.slots
         self.mass, self.stiffness, self.coupling, self.multiplier = _fem.stencil_csr(
@@ -123,15 +123,16 @@ class SemiDiscreteSystem:
         return values.T @ self.trace_wmn
 
 
-def _gamma1_bands(partition, slices, alpha2):
+def _gamma1_bands(partition, alpha2):
     """Per axis, on the free slice, the diagonal bands that are 0 but at
     each Gamma1 end of the axis: sigma, alpha2 nu_d there, and gamma1, m.nu."""
     bands = [{name: np.zeros((3, len(x))) for name in ("sigma", "gamma1")}
              for x in partition.mesh.axes]
-    for d, end, _, m_dot_nu in partition.gamma1_sides():
-        bands[d]["sigma"][1, end] = alpha2 * (1.0 if end else -1.0)
+    for d, end, sign, _, m_dot_nu in partition.gamma1_sides:
+        bands[d]["sigma"][1, end] = alpha2 * sign
         bands[d]["gamma1"][1, end] = m_dot_nu
-    return [{name: b[:, sl] for name, b in f.items()} for f, sl in zip(bands, slices)]
+    return [{name: b[:, sl] for name, b in f.items()}
+            for f, sl in zip(bands, partition.free_slices)]
 
 
 @dataclass
@@ -196,8 +197,6 @@ def assemble(mesh, partition, alpha1, alpha2, schedule, law1, law2):
     sigma is the canonical alpha2 * (sum of normal components) at every
     Gamma1 quadrature point.
     """
-    if not partition.gamma1_faces:
-        raise InvalidArgumentError("partition has no feedback boundary")
     return SemiDiscreteSystem(mesh, partition, float(alpha1), float(alpha2),
                               schedule, law1, law2)
 

@@ -1,9 +1,10 @@
 """Meshes, boundary classification and the geometric/embedding constants.
 
 The boundary is split into a clamped part Gamma0 and a feedback part Gamma1
-by the sign of m(x).nu(x) with m(x) = x - x0.  The constants computed here
-(R, tau0, Poincare constant M, trace constant N) feed the admissibility
-check of the certified decay rate.
+by the sign of m(x).nu(x) with m(x) = x - x0, which is constant on each
+side of a tensor grid.  The constants computed here (R, tau0, Poincare
+constant M, trace constant N) feed the admissibility check of the
+certified decay rate.
 """
 
 from __future__ import annotations
@@ -114,28 +115,60 @@ class Mesh:
 
 @dataclass(frozen=True, eq=False)
 class BoundaryPartition:
-    """Gamma1 mask and m.nu per face, and the Gamma1 data per point.
+    """Gamma0 and Gamma1, decided once per grid side from (mesh, x0).
 
-    gamma1 (F,) marks the feedback faces, m_dot_nu (F, q) holds m.nu at
-    every face quadrature point.  The gamma1_* arrays hold one entry (row)
-    per Gamma1 quadrature point, in face order; they are built once, with
-    the partition, and every Gamma1 term reads them.
+    Side (d, end), at node end of axis d, has the outer normal sign e_d
+    (sign -1 at end 0, +1 at the last node) and the one value
+    m.nu = sign (x_end - x0_d); it is in Gamma1 when that is > 0.
+    gamma1_sides lists the Gamma1 sides in (axis, end) order as
+    (axis, end, sign, face mask, m.nu), and the rest derives from it: the
+    face mask gamma1, the gamma1_* arrays with one entry (row) per Gamma1
+    quadrature point in face order, and free_slices, whose tensor product
+    is the node set off Gamma0.  The two ends of an axis have m.nu summing
+    to its length, so Gamma1 is never empty and no axis is clamped at both
+    ends; an empty Gamma0 raises InadmissiblePartitionError.
     """
 
     mesh: Mesh
     x0: np.ndarray
-    gamma1: np.ndarray          # (F,) bool
-    m_dot_nu: np.ndarray        # (F, q)
+    gamma1_sides: tuple = field(init=False, repr=False)
+    gamma1: np.ndarray = field(init=False, repr=False)           # (F,) bool
+    free_slices: tuple = field(init=False, repr=False)
     gamma1_m_dot_nu: np.ndarray = field(init=False, repr=False)  # (Q,)
     gamma1_normals: np.ndarray = field(init=False, repr=False)   # (Q, dim)
     gamma1_sum_nu: np.ndarray = field(init=False, repr=False)    # (Q,) sum_i nu_i
 
     def __post_init__(self):
-        mn = self.m_dot_nu[self.gamma1]
-        normals = np.repeat(self.mesh.faces.normal[self.gamma1], mn.shape[1], axis=0)
-        object.__setattr__(self, "gamma1_m_dot_nu", mn.ravel())
-        object.__setattr__(self, "gamma1_normals", normals)
-        object.__setattr__(self, "gamma1_sum_nu", normals.sum(axis=1))
+        mesh = self.mesh
+        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
+        if x0.shape != (mesh.dimension,) or not np.all(np.isfinite(x0)):
+            raise InvalidArgumentError("x0 must be a finite point of the ambient space")
+        faces = mesh.faces
+        gamma1_sides, free_slices = [], []
+        for d, x in enumerate(mesh.axes):
+            clamped = []
+            for end, sign in ((0, -1.0), (len(x) - 1, 1.0)):
+                m_dot_nu = sign * (x[end] - x0[d])
+                clamped.append(m_dot_nu <= 0)
+                if m_dot_nu > 0:
+                    gamma1_sides.append((d, end, sign, faces.normal[:, d] == sign, m_dot_nu))
+            free_slices.append(slice(int(clamped[0]), len(x) - int(clamped[1])))
+        if len(gamma1_sides) == 2 * mesh.dimension:
+            raise InadmissiblePartitionError(
+                "boundary partition needs both a clamped and a feedback part; "
+                f"got only Gamma1 for x0={x0.tolist()}")
+        face_m_dot_nu = np.zeros(len(faces))
+        for _, _, _, mask, m_dot_nu in gamma1_sides:
+            face_m_dot_nu[mask] = m_dot_nu
+        gamma1 = face_m_dot_nu > 0
+        q = faces.quad_weights.shape[1]
+        normals = np.repeat(faces.normal[gamma1], q, axis=0)
+        for name, value in (("x0", x0), ("gamma1_sides", tuple(gamma1_sides)),
+                            ("gamma1", gamma1), ("free_slices", tuple(free_slices)),
+                            ("gamma1_m_dot_nu", np.repeat(face_m_dot_nu[gamma1], q)),
+                            ("gamma1_normals", normals),
+                            ("gamma1_sum_nu", normals.sum(axis=1))):
+            object.__setattr__(self, name, value)
 
     @property
     def gamma0_faces(self):
@@ -147,23 +180,6 @@ class BoundaryPartition:
 
     def gamma0_nodes(self):
         return np.unique(self.gamma0_faces.nodes)
-
-    def gamma1_sides(self):
-        """The Gamma1 sides of the grid as (axis, end, faces, m_dot_nu).
-
-        The boundary of a tensor grid is its sides: on each axis, the faces
-        with outer normal -e_axis at node end = 0 and those with +e_axis at
-        the last node.  A side has one constant m.nu, so it lies wholly in
-        Gamma0 or in Gamma1; faces is the bool mask of its faces.
-        """
-        normal = self.mesh.faces.normal
-        out = []
-        for d, x in enumerate(self.mesh.axes):
-            for end, sign in ((0, -1.0), (len(x) - 1, 1.0)):
-                side = self.gamma1 & (normal[:, d] == sign)
-                if side.any():
-                    out.append((d, end, side, self.m_dot_nu[side].flat[0]))
-        return out
 
     def sum_nu_bound(self):
         """max over Gamma1 quadrature points of |sum_i nu_i|."""
@@ -193,25 +209,8 @@ def build_rect_mesh(lx, ly, nx, ny):
 
 
 def classify_boundary(mesh, x0):
-    """Split the faces into Gamma0/Gamma1 by the sign of m.nu at their centroid.
-
-    m.nu <= 0 goes to Gamma0.  Every face of a tensor grid is axis-aligned
-    and carries a constant m.nu, so no face straddles the sign change and
-    the mean over its (symmetric) quadrature points is the centroid value.
-    Raises if either part ends up empty.
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (mesh.dimension,) or not np.all(np.isfinite(x0)):
-        raise InvalidArgumentError("x0 must be a finite point of the ambient space")
-    faces = mesh.faces
-    m_dot_nu = np.einsum("fqd,fd->fq", faces.quad_points - x0, faces.normal)
-    gamma1 = m_dot_nu.mean(axis=1) > 0
-    if gamma1.all() or not gamma1.any():
-        raise InadmissiblePartitionError(
-            "boundary partition needs both a clamped and a feedback part; "
-            f"got only {'Gamma1' if gamma1[0] else 'Gamma0'} for x0={x0.tolist()}"
-        )
-    return BoundaryPartition(mesh, x0, gamma1, m_dot_nu)
+    """The BoundaryPartition of the mesh's boundary by the sign of m.nu."""
+    return BoundaryPartition(mesh, x0)
 
 
 def geometric_constants(mesh, partition):
@@ -221,7 +220,7 @@ def geometric_constants(mesh, partition):
     return {"R": R, "tau0": tau0}
 
 
-def _gamma1_operator(mesh, partition, slices, pairs):
+def _gamma1_operator(mesh, partition, pairs):
     """H = W^1/2 T K^-1 T' W^1/2 on the Q Gamma1 quadrature points.
 
     T is the trace onto the Gamma1 points over the free dofs, W their
@@ -237,8 +236,8 @@ def _gamma1_operator(mesh, partition, slices, pairs):
     if mesh.dimension == 1:
         lams.append(np.zeros(1))
         Vs.append(np.ones((1, 1)))
-    sides = []
-    for d, end, mask, _ in partition.gamma1_sides():
+    sides, slices = [], partition.free_slices
+    for d, end, _, mask, _ in partition.gamma1_sides:
         S, w = _fem.side_trace(mesh, mesh.faces.select(mask), d, end, slices)
         sides.append((d, Vs[d][end - slices[d].start], np.sqrt(w)[:, None] * (S @ Vs[1 - d])))
     bounds = np.cumsum([0] + [len(U) for _, _, U in sides])
@@ -269,12 +268,12 @@ def embedding_constants(mesh, partition):
     for bit, or from a dense eigvalsh of H when Q <= EIGEN_NCV (the
     interval has Q = 1).
     """
-    slices = _fem.free_slices(mesh.axes, partition.gamma0_nodes())
+    slices = partition.free_slices
     factors = _fem.free_factors(mesh.axes, slices)
     pairs = [_fem.axis_eigenpairs(x, sl, f["mass"])
              for x, sl, f in zip(mesh.axes, slices, factors)]
     lam_min = sum(float(lam[0]) for lam, _ in pairs)  # lam[0] = 0 on a free-free axis
-    H = _gamma1_operator(mesh, partition, slices, pairs)
+    H = _gamma1_operator(mesh, partition, pairs)
     Q = H.shape[0]
     if Q <= EIGEN_NCV:
         mu = np.linalg.eigvalsh(H @ np.eye(Q))[-1]

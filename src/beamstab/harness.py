@@ -476,24 +476,28 @@ def run_sweep(cfg, stream=None):
             point.law1_name = point.law2_name = law_name
             cert = build_certificate(point, partition, constants)
             eta = rate = ""
+            status = "inadmissible"
             if cert.admissible:
                 eta = f"{cert.eta:.17g}"
                 system = build_system(point, mesh, partition)
                 state0, _ = project_initial_data(system, *_initial_fields(point, mesh))
                 recorder = diagnostics.TraceRecorder(system, certificate=cert)
-                integrate(system, state0, point.T, StepControl(dt=point.dt),
-                          observers=(recorder,))
                 try:
+                    integrate(system, state0, point.T, StepControl(dt=point.dt),
+                              observers=(recorder,))
+                    status = "ok"
                     rate = f"{diagnostics.fit_decay_rate(recorder.trace()).rate:.17g}"
+                except StepFailureError as exc:  # the point keeps its row, with no rate
+                    status = f"step_failure t={exc.t:.17g}"
                 except FitUndefinedError:
                     pass
-            rows.append((f"{alpha:.17g}", f"{alpha:.17g}", law_name, law_name,
-                         str(cert.admissible).lower(), eta, rate))
-    rows.sort()
+            rows.append((alpha, law_name, str(cert.admissible).lower(), eta, rate, status))
+    rows.sort(key=lambda row: row[:2])  # by the value of alpha, not its text
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    body = "alpha1,alpha2,law1,law2,admissible,eta,fitted_rate\n"
-    body += "".join(",".join(r) + "\n" for r in rows)
+    body = "alpha1,alpha2,law1,law2,admissible,eta,fitted_rate,status\n"
+    body += "".join(f"{alpha:.17g},{alpha:.17g},{law},{law},{','.join(rest)}\n"
+                    for alpha, law, *rest in rows)
     (outdir / f"{cfg.prefix}_sweep.csv").write_text(body)
     stream.write(body)
     return EXIT_OK

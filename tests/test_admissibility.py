@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamstab import admissibility as adm
-from beamstab import geometry
-from beamstab.discretization import assemble
+from beamstab import diagnostics, geometry
+from beamstab.discretization import SimState, assemble
 from beamstab.errors import InvalidArgumentError
 from beamstab.feedback import identity_law, zero_law
+
+from conftest import make_system
 
 
 class TestSchedules:
@@ -81,6 +84,40 @@ class TestConstantFormulas:
                   adm.compute_P2(2, scale, 1.0, 1.0, scale, 1.0),
                   adm.compute_S(2, scale, scale, scale, scale, 1.0)["S1"])
         assert all(b >= a for a, b in zip(base, bigger))
+
+
+class TestMultiplierBound:
+    """|G| <= A E over every discrete state, for alpha1 below and above alpha2."""
+
+    @pytest.mark.parametrize("mesh, x0", [
+        (geometry.build_interval_mesh(1.0, 51), [0.0]),
+        (geometry.build_rect_mesh(1.0, 1.0, 8, 8), [-0.1, -0.1]),
+    ], ids=["interval51", "rect8"])
+    @pytest.mark.parametrize("ratio", [0.1, 0.25, 1.0, 4.0])
+    def test_largest_G_over_E_within_A(self, mesh, x0, ratio):
+        alpha2 = 0.2
+        system = make_system(mesh=mesh, x0=np.array(x0), alpha1=ratio * alpha2, alpha2=alpha2)
+        part = system.partition
+        gc = geometry.geometric_constants(mesh, part)
+        M = geometry.embedding_constants(mesh, part)["M"]
+        A = adm.compute_A(mesh.dimension, M, gc["R"], 1.0, system.alpha_ratio)
+        # G and E as quadratic forms in z = (u, v, u', v'), mu = 1
+        Mm, K, X = (op.toarray() for op in (system.mass, system.stiffness, system.multiplier))
+        Y = (mesh.dimension - 1) * Mm + 2.0 * X  # G = u'.Y u + v'.Y v
+        nf = len(Mm)
+        G = np.zeros((4 * nf, 4 * nf))
+        for field in (0, 1):
+            pos, vel = slice(field * nf, (field + 1) * nf), slice((field + 2) * nf, (field + 3) * nf)
+            G[vel, pos] = 0.5 * Y
+            G[pos, vel] = 0.5 * Y.T
+        r = system.alpha_ratio
+        E = 0.5 * scipy.linalg.block_diag(K, r * K, Mm, r * Mm)
+        z = np.random.default_rng(5).standard_normal(4 * nf)
+        state = SimState(0.0, *np.split(z, 4))
+        assert z @ G @ z == pytest.approx(diagnostics.functional_G(system, state), rel=1e-12)
+        assert z @ E @ z == pytest.approx(diagnostics.energy(system, state), rel=1e-12)
+        worst = np.max(np.abs(scipy.linalg.eigh(G, E, eigvals_only=True)))
+        assert worst <= A, (worst, A)
 
 
 class TestAdmissibility:

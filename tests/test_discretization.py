@@ -5,12 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from beamstab import _fem, geometry
-from beamstab.admissibility import constant_schedule
-from beamstab.discretization import (SimState, assemble, compatibility_residuals,
+from beamstab.discretization import (SimState, compatibility_residuals,
                                      interpolate, project_initial_data, rhs)
-from beamstab.errors import InvalidArgumentError
 from beamstab.fields import Field, linear_field, make_field, sine_field
-from beamstab.feedback import identity_law
 
 from conftest import make_conservative_system, make_system
 
@@ -67,14 +64,6 @@ class TestAssembly:
         system = make_system(nodes=5, alpha2=2.0)
         assert np.allclose(system.sigma_values, 2.0)
 
-    def test_requires_feedback_boundary(self, interval3):
-        part = geometry.classify_boundary(interval3, np.array([0.0]))
-        broken = type(part)(part.mesh, part.x0, np.zeros(2, dtype=bool), part.m_dot_nu)
-        with pytest.raises(InvalidArgumentError):
-            assemble(interval3, broken, 0.1, 0.1, constant_schedule(1.0),
-                     identity_law(), identity_law())
-
-
     @pytest.mark.parametrize("mesh, x0", [
         (geometry.build_interval_mesh(1.0, 9), [0.0]),
         (geometry.build_interval_mesh(1.0, 9), [1.3]),
@@ -87,16 +76,6 @@ class TestAssembly:
         want = np.setdiff1d(np.arange(len(mesh.nodes)), system.partition.gamma0_nodes())
         assert system.free.dtype == want.dtype
         assert np.array_equal(system.free, want)
-
-    def test_gamma0_not_whole_faces_rejected(self):
-        mesh = geometry.build_rect_mesh(1.0, 1.0, 4, 4)
-        part = geometry.classify_boundary(mesh, np.array([-0.1, -0.1]))
-        gamma1 = np.ones_like(part.gamma1)
-        gamma1[np.flatnonzero(~part.gamma1)[0]] = False  # Gamma0 is one face of a side
-        broken = type(part)(mesh, part.x0, gamma1, part.m_dot_nu)
-        with pytest.raises(InvalidArgumentError, match="whole faces"):
-            assemble(mesh, broken, 0.03, 0.03, constant_schedule(1.0),
-                     identity_law(), identity_law())
 
 
 class TestMassSolve:

@@ -109,13 +109,17 @@ class TestClassifyBoundary:
     def test_unit_interval_origin(self, interval3):
         part = geometry.classify_boundary(interval3, np.array([0.0]))
         assert part.gamma1.tolist() == [False, True]
-        assert part.m_dot_nu[1] == pytest.approx([1.0])
+        assert [(d, end, sign, faces.tolist(), m) for d, end, sign, faces, m
+                in part.gamma1_sides] == [(0, 2, 1.0, [False, True], 1.0)]
+        assert part.free_slices == (slice(1, 3),)
 
     def test_x0_left_of_domain(self, interval3):
+        # the left side has m.nu = -0.5 <= 0 and stays in Gamma0
         part = geometry.classify_boundary(interval3, np.array([-0.5]))
         assert part.gamma1.tolist() == [False, True]
-        assert part.m_dot_nu[0] == pytest.approx([-0.5])
-        assert part.m_dot_nu[1] == pytest.approx([1.5])
+        assert [(d, end, m) for d, end, _, _, m in part.gamma1_sides] == [(0, 2, 1.5)]
+        assert part.gamma1_m_dot_nu.tolist() == [1.5]
+        assert part.free_slices == (slice(1, 3),)
 
     def test_rect_partition(self):
         mesh = geometry.build_rect_mesh(1.0, 1.0, 2, 2)
@@ -147,14 +151,90 @@ class TestClassifyBoundary:
                     geometry.classify_boundary(mesh, point)
                 continue
             part = geometry.classify_boundary(mesh, point)
-            mn = part.m_dot_nu
-            assert mn.shape == mesh.faces.quad_weights.shape
-            for ids, nu, m in zip(mesh.faces.nodes, mesh.faces.normal, mn):
-                # m.nu is constant on each face and equals its value at a node
-                assert np.all(m == np.dot(mesh.nodes[ids[0]] - point, nu))
-            assert np.array_equal(part.gamma1, mn[:, 0] > 0)
+            faces = mesh.faces
+            in_side = np.zeros(len(faces), dtype=int)
+            for d, end, sign, mask, m in part.gamma1_sides:
+                in_side += mask
+                assert m > 0
+                for ids, nu in zip(faces.nodes[mask], faces.normal[mask]):
+                    # each face of the side lies on it, and m.nu there is the side's
+                    assert np.all(mesh.nodes[ids, d] == mesh.axes[d][end])
+                    assert nu[d] == sign and np.dot(mesh.nodes[ids[0]] - point, nu) == m
+            assert np.array_equal(part.gamma1, in_side == 1) and in_side.max() == 1
             assert np.all(part.gamma1_m_dot_nu > 0)
-            assert np.all(mn[~part.gamma1] <= 0)
+            for ids, nu in zip(part.gamma0_faces.nodes, part.gamma0_faces.normal):
+                assert np.dot(mesh.nodes[ids[0]] - point, nu) <= 0
+
+
+def _face_partition_oracle(mesh, x0):
+    """The partition decided face by face: m.nu at every face quadrature
+    point by one einsum, a face in Gamma1 when its mean m.nu is > 0, the
+    Gamma1 sides from the face normals, and the free slices from the node
+    ids of the Gamma0 faces."""
+    faces = mesh.faces
+    m_dot_nu = np.einsum("fqd,fd->fq", faces.quad_points - x0, faces.normal)
+    gamma1 = m_dot_nu.mean(axis=1) > 0
+    sides = [(d, end, sign, side, m_dot_nu[side].flat[0])
+             for d, x in enumerate(mesh.axes) for end, sign in ((0, -1.0), (len(x) - 1, 1.0))
+             for side in [gamma1 & (faces.normal[:, d] == sign)] if side.any()]
+    counts = tuple(len(x) for x in mesh.axes)
+    clamped = np.zeros(counts, dtype=bool)
+    clamped.flat[faces.nodes[~gamma1].ravel()] = True
+    slices = tuple(slice(int(np.take(clamped, 0, axis=d).all()),
+                         n - int(np.take(clamped, n - 1, axis=d).all()))
+                   for d, n in enumerate(counts))
+    normals = np.repeat(faces.normal[gamma1], m_dot_nu.shape[1], axis=0)
+    return {"gamma1": gamma1, "gamma1_m_dot_nu": m_dot_nu[gamma1].ravel(),
+            "gamma1_normals": normals, "gamma1_sum_nu": normals.sum(axis=1),
+            "free_slices": slices, "gamma1_sides": sides}
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.view(np.int64) if a.dtype == float else a
+
+
+class TestPartitionBySides:
+    """The partition decided per grid side equals the one decided per face."""
+
+    @pytest.mark.parametrize("mesh", [
+        geometry.build_interval_mesh(1.0, 9), geometry.build_interval_mesh(2.3, 201),
+        geometry.build_rect_mesh(1.3, 0.7, 7, 5), geometry.build_rect_mesh(2.0, 1.1, 12, 6),
+        geometry.build_rect_mesh(1.0, 1.0, 64, 64), geometry.build_rect_mesh(1.0, 1.0, 192, 192),
+    ], ids=["interval9", "interval201", "rect7x5", "rect12x6", "rect64", "rect192"])
+    def test_matches_face_oracle(self, mesh):
+        # per axis: outside, on and inside the domain
+        candidates = [(x[0] - 1.3, x[0] - 0.01, x[0], x[0] + 0.37 * (x[-1] - x[0]), x[-1],
+                       x[-1] + 1e-3, x[-1] + 2.1) for x in mesh.axes]
+        checked = 0
+        for point in itertools.product(*candidates):
+            x0 = np.array(point)
+            want = _face_partition_oracle(mesh, x0)
+            if want["gamma1"].all():
+                with pytest.raises(InadmissiblePartitionError):
+                    geometry.BoundaryPartition(mesh, x0)
+                continue
+            part = geometry.BoundaryPartition(mesh, x0)
+            for name in ("gamma1", "gamma1_m_dot_nu", "gamma1_normals", "gamma1_sum_nu"):
+                got = getattr(part, name)
+                assert got.dtype == want[name].dtype and got.shape == want[name].shape
+                assert np.array_equal(_bits(got), _bits(want[name])), (name, point)
+            assert part.free_slices == want["free_slices"], point
+            assert len(part.gamma1_sides) == len(want["gamma1_sides"])
+            for got, side in zip(part.gamma1_sides, want["gamma1_sides"]):
+                assert got[:3] == side[:3] and np.array_equal(got[3], side[3])
+                assert _bits(got[4]) == _bits(side[4]), point
+            counts = tuple(len(x) for x in mesh.axes)
+            free = np.arange(len(mesh.nodes)).reshape(counts)[part.free_slices].ravel()
+            assert np.array_equal(
+                free, np.setdiff1d(np.arange(len(mesh.nodes)), part.gamma0_nodes()))
+            checked += 1
+        assert checked == len(candidates[0]) ** mesh.dimension - 1  # one interior x0
+
+    @pytest.mark.parametrize("x0", [[0.0, 0.0], [np.nan], [np.inf]])
+    def test_direct_build_validates_x0(self, interval3, x0):
+        with pytest.raises(InvalidArgumentError, match="finite point"):
+            geometry.BoundaryPartition(interval3, np.array(x0))
 
 
 class TestGeometricConstants:
@@ -261,7 +341,7 @@ def _standard_mode_N(mesh, partition):
     boundary mass B = T' diag(w) T over the free dofs."""
     fixed = partition.gamma0_nodes()
     free = np.setdiff1d(np.arange(len(mesh.nodes)), fixed)
-    slices = _fem.free_slices(mesh.axes, fixed)
+    slices = partition.free_slices
     factors = _fem.free_factors(mesh.axes, slices)
     pairs = [_fem.axis_eigenpairs(x, sl, f["mass"])
              for x, sl, f in zip(mesh.axes, slices, factors)]

@@ -450,9 +450,48 @@ class TestRunSweep:
                             lambda *args: calls.append(args) or embedding_constants(*args))
         assert harness.run_sweep(cfg, stream=io.StringIO()) == harness.EXIT_OK
         lines = (tmp_path / "small_sweep.csv").read_text().splitlines()
-        assert lines[0] == "alpha1,alpha2,law1,law2,admissible,eta,fitted_rate"
+        assert lines[0] == "alpha1,alpha2,law1,law2,admissible,eta,fitted_rate,status"
         assert len(lines) == 5
+        assert [ln.split(",")[7] for ln in lines[1:]] == ["ok"] * 4
         assert len(calls) == 1  # M and N depend on the mesh and the partition only
+
+    def test_rows_ordered_by_alpha_value(self, tmp_path):
+        text = SMALL_CONFIG + "\n[sweep]\nalpha = 10 0.5 2 0.001\nlaws = saturating identity\n"
+        cfg = harness.parse_config(text=text)
+        cfg.out_dir = str(tmp_path)
+        cfg.T = 0.2
+        assert harness.run_sweep(cfg, stream=io.StringIO()) == harness.EXIT_OK
+        rows = [ln.split(",") for ln in (tmp_path / "small_sweep.csv").read_text().splitlines()[1:]]
+        assert [(float(r[0]), r[2]) for r in rows] == [
+            (a, law) for a in (0.001, 0.5, 2.0, 10.0) for law in ("identity", "saturating")]
+        assert [r[7] for r in rows] == ["ok"] * 2 + ["inadmissible"] * 6
+
+    def test_step_failure_keeps_the_row(self, tmp_path, monkeypatch):
+        text = SMALL_CONFIG + "\n[sweep]\nalpha = 0.05 0.1\nlaws = identity saturating\n"
+        cfg = harness.parse_config(text=text)
+        cfg.out_dir = str(tmp_path)
+        cfg.T = 0.2
+        calls = []
+        integrate = harness.integrate
+
+        def fail_third_point(*args, **kwargs):
+            calls.append(args[0].alpha1)
+            if len(calls) == 3:  # points run alpha by alpha: (0.1, identity)
+                raise StepFailureError(0.07, 1.0)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "integrate", fail_third_point)
+        assert harness.run_sweep(cfg, stream=io.StringIO()) == harness.EXIT_OK
+        assert len(calls) == 4  # the sweep went on after the failure
+        rows = [ln.split(",") for ln in (tmp_path / "small_sweep.csv").read_text().splitlines()[1:]]
+        assert [(r[0], r[2], r[7]) for r in rows] == [
+            ("0.050000000000000003", "identity", "ok"),
+            ("0.050000000000000003", "saturating", "ok"),
+            ("0.10000000000000001", "identity", "step_failure t=0.070000000000000007"),
+            ("0.10000000000000001", "saturating", "ok")]
+        failed = rows[2]
+        assert failed[4] == "true" and float(failed[5]) > 0 and failed[6] == ""
+        assert all(float(r[6]) > 0 for r in rows if r[7] == "ok")
 
     def test_inadmissible_point_not_simulated(self, tmp_path, monkeypatch):
         text = SMALL_CONFIG + "\n[sweep]\nalpha = 1.0\nlaws = identity\n"
@@ -463,7 +502,7 @@ class TestRunSweep:
         row = (tmp_path / "small_sweep.csv").read_text().splitlines()[1]
         fields = row.split(",")
         assert fields[4] == "false"
-        assert fields[5] == "" and fields[6] == ""
+        assert fields[5] == "" and fields[6] == "" and fields[7] == "inadmissible"
 
     def test_requires_grid(self, small_cfg):
         with pytest.raises(ConfigError):
@@ -493,11 +532,12 @@ class TestRunSweep:
             runpy.run_path(str(script), run_name="__main__")
         assert exit_info.value.code == 0
         lines = (tmp_path / "reference_sweep.csv").read_text().splitlines()
-        assert lines[0] == "alpha1,alpha2,law1,law2,admissible,eta,fitted_rate"
+        assert lines[0] == "alpha1,alpha2,law1,law2,admissible,eta,fitted_rate,status"
         assert [ln.split(",")[2] for ln in lines[1:]] == ["identity", "saturating"]
         for line in lines[1:]:
             fields = line.split(",")
             assert fields[4] == "true" and float(fields[5]) > 0 and float(fields[6]) > 0
+            assert fields[7] == "ok"
         assert capsys.readouterr().out.splitlines() == lines
 
 
