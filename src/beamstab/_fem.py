@@ -15,6 +15,10 @@ sides, so the free nodes are the product of one slice per axis
 (geometry.BoundaryPartition.free_slices).  trace_form is T' diag(d) T
 for a trace map T of trace_structure.  Small systems that are not Kronecker
 sums are solved in LAPACK band storage (band_storage, band_lu, band_solve).
+csr_product writes A @ x into an array the caller owns, through the compiled
+kernel behind SciPy's own A @ x: the time step applies every operator of its
+loop through it, and the trace recorder every product with a state field.
+This is the one module that imports SciPy's private kernels.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
+from scipy.sparse import _sparsetools  # the csr kernels behind A @ x
 
 from .errors import InvalidArgumentError
 
@@ -216,10 +221,11 @@ def band_lu(ab, kl, ku):
     return lu, piv
 
 
-def band_solve(factors, kl, ku, b):
-    """Solve with the band_lu factors for b of shape (n,), by dgbtrs."""
+def band_solve(factors, kl, ku, b, overwrite_b=False):
+    """Solve with the band_lu factors for b of shape (n,), by dgbtrs.  With
+    overwrite_b a float64 b is solved in place and returned."""
     lu, piv = factors
-    return dgbtrs(lu, kl, ku, b, piv)[0]
+    return dgbtrs(lu, kl, ku, b, piv, overwrite_b=overwrite_b)[0]
 
 
 def trace_structure(mesh, faces):
@@ -268,3 +274,37 @@ def trace_form(T, d):
     restriction to some columns) and per-point weights d that include the
     quadrature weights."""
     return (T.T @ sp.diags(d) @ T).tocsr()
+
+
+# ---------------------------------------------------------------------------
+# sparse products into the caller's arrays
+
+_FLOAT = np.dtype(np.float64)
+
+
+def csr_product(A, x, out):
+    """A @ x for a csr matrix A, written into out and returned.
+
+    x is a vector (n,) or a block (n, B); out has A's row count and the
+    rest of x's shape, and must not overlap x.  The product is the one
+    A @ x gives, bit for bit: SciPy zeroes a new result and calls the same
+    compiled csr_matvec (x of shape (n,) or (n, 1)) or csr_matvecs kernel,
+    so only its Python-level dispatch and the allocation are saved.  The
+    kernel checks no sizes, so this does: A must be csr, x and out
+    C-contiguous float64 of matching shapes, else InvalidArgumentError.
+    """
+    M, N = A.shape
+    if (A.format != "csr" or x.dtype is not _FLOAT or out.dtype is not _FLOAT
+            or not (x.flags.c_contiguous and out.flags.c_contiguous)
+            or x.ndim > 2 or x.shape[0] != N or out.shape[0] != M
+            or out.shape[1:] != x.shape[1:]):
+        raise InvalidArgumentError(
+            f"csr_product needs a csr matrix and C-contiguous float64 x and out of "
+            f"matching shapes: got {A.format} {A.shape}, x {x.dtype} {x.shape}, "
+            f"out {out.dtype} {out.shape}")
+    out.fill(0.0)
+    if x.ndim == 1 or x.shape[1] == 1:
+        _sparsetools.csr_matvec(M, N, A.indptr, A.indices, A.data, x, out)
+    else:
+        _sparsetools.csr_matvecs(M, N, x.shape[1], A.indptr, A.indices, A.data, x, out)
+    return out

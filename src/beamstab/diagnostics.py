@@ -233,7 +233,9 @@ class EnergyTrace:
 
 
 # cap on the bytes of buffered states, 4 float64 fields per free dof per sample:
-# one 64x64 state fills it, as csr products cost more per column on 2 columns than 1
+# one 64x64 state fills it.  Where 2 states fit, a chunk holds 1: on 38x38 to
+# 45x45 rects (1 444 to 2 025 free dofs) a sample cost 3-15 % more at 2 states
+# per chunk than at 1, and less at 3
 CHUNK_BYTES = 128 * 1024
 
 _FIELDS = ("u", "v", "du", "dv")
@@ -244,16 +246,20 @@ class TraceRecorder:
 
     A call only copies the state into a chunk buffer; the diagnostics are
     evaluated on a whole chunk of columns at once, when it fills and in
-    trace().  The operator products of a chunk go to arrays the recorder
-    owns, one per operator, field and chunk width (the StateBlock work
-    dict), so a chunk allocates and frees no product array once the first
-    chunk of its width is done.
+    trace().  The operator products of a chunk are written by
+    _fem.csr_product into arrays the recorder owns, one per operator,
+    field and chunk width (the StateBlock work dict), so a chunk allocates
+    no product array with a field once the first chunk of its width is
+    done.  What it still allocates are the two loads of E*, with their
+    boundary loads (T' products), the two mass solves and the (chunk,)
+    columns.
     """
 
     def __init__(self, system, certificate=None, metadata=None):
         self.system = system
         n = len(system.free)
-        self.chunk = max(1, CHUNK_BYTES // (8 * len(_FIELDS) * n))
+        fit = CHUNK_BYTES // (8 * len(_FIELDS) * n)
+        self.chunk = fit if fit > 2 else 1
         self._times = np.empty(self.chunk)
         self._states = np.empty((len(_FIELDS), n, self.chunk))
         self._fill = 0

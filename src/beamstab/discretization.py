@@ -72,7 +72,7 @@ class SemiDiscreteSystem:
     multiplier: sp.csr_matrix = field(init=False, repr=False)  # X[k, j] = (phi_k, m . grad phi_j)
     sigma_op: sp.csr_matrix = field(init=False, repr=False)    # T' diag(w sigma) T
     trace: sp.csr_matrix = field(init=False, repr=False)       # Gamma1 quadrature-point traces
-    trace_t: sp.csc_matrix = field(init=False, repr=False)     # trace.T
+    trace_t: sp.csr_matrix = field(init=False, repr=False)     # trace.T
     trace_weights: np.ndarray = field(init=False, repr=False)
     trace_points: np.ndarray = field(init=False, repr=False)
     sigma_values: np.ndarray = field(init=False, repr=False)   # per Gamma1 quadrature point
@@ -94,7 +94,7 @@ class SemiDiscreteSystem:
         self.sigma_op, = _fem.stencil_csr([s["sigma"]], self.cols, s["sigma"] != 0)
         T, self.trace_weights, self.trace_points = _fem.trace_structure(mesh, part.gamma1_faces)
         self.trace = T[:, self.free].tocsr()
-        self.trace_t = self.trace.T
+        self.trace_t = self.trace.T.tocsr()
         self.sigma_values = part.sigma(self.alpha2)
         self.trace_wmn = self.trace_weights * part.gamma1_m_dot_nu
         self.slopes0 = tuple(float(law.slope(0.0)) for law in (self.law1, self.law2))
@@ -162,11 +162,12 @@ class StateBlock(SimState):
 
     Treat as immutable: each operator product with a field is computed once
     and shared by every function evaluated on the block.  The products are
-    written into the arrays of the caller's dict `work`, one per operator,
-    field and block width, allocated at their first use, so blocks that
-    share the dict allocate no product array after the first block of a
-    width.  A product stays valid until the next block of its width is
-    evaluated with that dict.
+    written by _fem.csr_product into the arrays of the caller's dict
+    `work`, one per operator, field and block width, allocated at their
+    first use, so blocks that share the dict allocate no product array
+    after the first block of a width.  A product stays valid until the
+    next block of its width is evaluated with that dict.  The operators
+    are csr and the fields C-contiguous.
     """
 
     def __init__(self, t, u, v, du, dv, work):
@@ -181,7 +182,7 @@ class StateBlock(SimState):
             self._work[key] = (A, np.empty((A.shape[0], *x.shape[1:])))
         out = self._work[key][1]
         if key not in self._computed:
-            np.copyto(out, A @ x)
+            _fem.csr_product(A, x, out)
             self._computed.add(key)
         return out
 

@@ -40,8 +40,13 @@ back-substitution.  V and Z are rows of two arrays the solver allocates
 once per run, (GMRES_RESTART + 1, 2 nf) and (GMRES_RESTART, 2 nf); P^-1
 writes each Z[j] in place, and every cycle reuses the rows.  The step's
 other 2 nf-sized vectors (w0, c, the residual, the direction, the
-iterates) are solver arrays too, so a step allocates no vector of that
-size but the new state.
+iterates, a scratch vector) are solver arrays too.  Every sparse product
+of a step is written into one of them by _fem.csr_product, SciPy's own
+csr kernel without its dispatch, and so are |r|, a cycle's step and
+restart residual and the interval's interleaved band solve.  So solve()
+allocates no vector of size 2 nf, only vectors of the Gamma1 trace size
+and the small GMRES least-squares arrays, and a step allocates the new
+state besides.
 
 - Rectangle: each field's diagonal block of J_ref is the Kronecker sum
   A_1 x M_2 + M_1 x A_2 with A_d = (1/dt) M_d + mu B_d,
@@ -158,22 +163,27 @@ def _dense(band):
 
 class _BandedLU:
     """P^-1 = J_ref^-1 on the interval: J_ref(mu) = J_0 + mu J_1 with the
-    unknowns interleaved as (u_i, v_i), in band storage ab_0 and ab_1."""
+    unknowns interleaved as (u_i, v_i), in band storage ab_0 and ab_1.
+    A solve interleaves b into one buffer allocated here, once per run,
+    and dgbtrs solves in it in place."""
 
     def __init__(self, J0, J1):
         n = J0.shape[0] // 2
         perm = np.arange(2 * n).reshape(2, n).T.ravel()  # (u_0, v_0, u_1, v_1, ...)
         self.ab = [_fem.band_storage(J[perm][:, perm], BANDS, BANDS) for J in (J0, J1)]
+        self._interleaved = np.empty(2 * n)
 
     def at(self, mu):
         """The solve (b, out) -> J_ref(mu)^-1 b, written into out (a new
         array when out is None)."""
         factors = _fem.band_lu(self.ab[0] + mu * self.ab[1], BANDS, BANDS)
+        x = self._interleaved
 
         def solve(b, out=None):
             out = np.empty_like(b) if out is None else out
-            x = _fem.band_solve(factors, BANDS, BANDS, b.reshape(2, -1).T.ravel())
-            out.reshape(2, -1).T[...] = x.reshape(-1, 2)
+            x.reshape(-1, 2)[...] = b.reshape(2, -1).T
+            out.reshape(2, -1).T[...] = _fem.band_solve(
+                factors, BANDS, BANDS, x, overwrite_b=True).reshape(-1, 2)
             return out
 
         return solve
@@ -210,7 +220,10 @@ class _MidpointSolver:
     once per run: the GMRES basis V, (GMRES_RESTART + 1, 2 nf), and its
     preconditioned images Z, (GMRES_RESTART, 2 nf), which every cycle
     reuses, and the step's w0, c, residual, Newton direction, two iterates
-    and a scratch vector.  So start(), residual() and _newton_direction()
+    and a scratch vector; two 2 q-sized ones hold the Gamma1 traces of an
+    iterate and of a vector J - P is applied to.  The products with S,
+    J_lin, rest, T2 and T2' (T2t, csr) are written into them by
+    _fem.csr_product.  So start(), residual() and _newton_direction()
     return arrays that stay valid until their next call, and solve() views
     of one that stays valid until the next solve.  np.empty rows take
     memory only when a step first writes them.
@@ -221,7 +234,7 @@ class _MidpointSolver:
         self.dt = dt
         T = system.trace
         self.T2 = sp.block_diag((T, T), format="csr")
-        self.T2t = self.T2.T
+        self.T2t = self.T2.T.tocsr()
         self.q = T.shape[0]  # Gamma1 points per field
         self.nf = nf = len(system.free)
         self.p0 = np.repeat(system.slopes0, self.q)
@@ -271,6 +284,7 @@ class _MidpointSolver:
         self._Z = np.empty((GMRES_RESTART, 2 * nf))
         self._w0, self._c, self._r, self._delta, self._scratch, *self._iterates = np.empty(
             (7, 2 * nf))
+        self._s, self._ds = np.empty((2, 2 * self.q))  # trace values of an iterate, of J - P
         self._ops = None
         self.solves = self.residuals = 0
         self.newton = self.gmres = self.halvings = 0
@@ -299,19 +313,22 @@ class _MidpointSolver:
 
     def residual(self, ops, c, w0, w):
         """Midpoint residual at the stacked iterate w, stacked (u block,
-        v block), in the solver's residual array, and the Gamma1 trace
-        values T2 w it used; (c, w0) come from start().  At w = w0 itself
-        the J_lin term vanishes and is not formed."""
+        v block), and the Gamma1 trace values T2 w it used, both in solver
+        arrays; (c, w0) come from start().  At w = w0 itself the J_lin term
+        vanishes and is not formed.  The residual is summed as
+        (J_lin (w - w0) + c) + T2' (W p), the scratch vector holding
+        w - w0 and then the load."""
         self.residuals += 1
-        sys_, q, r = self.system, self.q, self._r
-        s = self.T2 @ w
+        sys_, q, r, s, tmp = self.system, self.q, self._r, self._s, self._scratch
+        _fem.csr_product(self.T2, w, s)
         p = np.concatenate([sys_.law1(s[:q]), sys_.law2(s[q:])])
-        load = self.T2t @ (ops.W * p)
         if w is w0:
-            np.add(c, load, out=r)
+            _fem.csr_product(self.T2t, np.multiply(ops.W, p, out=p), r)
+            r += c
         else:
-            np.add(ops.J_lin @ np.subtract(w, w0, out=self._scratch), c, out=r)
-            r += load
+            _fem.csr_product(ops.J_lin, np.subtract(w, w0, out=tmp), r)
+            r += c
+            r += _fem.csr_product(self.T2t, np.multiply(ops.W, p, out=p), tmp)
         return r, s
 
     def _newton_direction(self, ops, s, r):
@@ -331,14 +348,19 @@ class _MidpointSolver:
         if self.rest is None and not boundary:
             return delta, 0
 
-        def apply_d(x):  # (J - P) x
-            y = self.rest @ x if self.rest is not None else np.zeros_like(x)
+        def apply_d(x, out):  # (J - P) x, written into out
+            ds = self._ds
+            if boundary:  # T2' (d T2 x) goes to out on the interval, else to the scratch
+                np.multiply(d, _fem.csr_product(self.T2, x, ds), out=ds)
+            if self.rest is None:  # and so boundary holds
+                return _fem.csr_product(self.T2t, ds, out)
+            _fem.csr_product(self.rest, x, out)
             if boundary:
-                y += self.T2t @ (d * (self.T2 @ x))
-            return y
+                out += _fem.csr_product(self.T2t, ds, self._scratch)
+            return out
 
         # r - J delta, as P delta = r, in V[0], which the cycle scales in place
-        res = np.negative(apply_d(delta), out=self._V[0])
+        res = np.negative(apply_d(delta, self._V[0]), out=self._V[0])
         beta, target = np.linalg.norm(res), GMRES_RTOL * np.linalg.norm(r)
         its = 0
         for _ in range(GMRES_CYCLES):
@@ -356,7 +378,9 @@ class _MidpointSolver:
 
     def _gmres_cycle(self, ops, apply_d, res, beta, target):
         """One GMRES cycle from the residual res = r - J delta, beta = ||res||;
-        returns (step, new residual, iterations), the step Z y to add to delta.
+        returns (step, new residual, iterations), the step Z y to add to
+        delta in the scratch vector and the new residual in Z[0], both
+        valid until the next cycle.
 
         The least-squares problem min ||beta e_1 - H y|| is kept triangular
         by Givens rotations (Saad & Schultz 1986), so |g_{j+1}| is the
@@ -372,7 +396,7 @@ class _MidpointSolver:
         g[0] = beta
         for j in range(GMRES_RESTART):
             self._solve(ops, V[j], Z[j])
-            v = np.add(V[j], apply_d(Z[j]), out=V[j + 1])  # J Z[j]
+            v = np.add(V[j], apply_d(Z[j], V[j + 1]), out=V[j + 1])  # J Z[j]
             for i in range(j + 1):  # modified Gram-Schmidt
                 H[i, j] = V[i] @ v
                 v -= np.multiply(V[i], H[i, j], out=tmp)
@@ -396,7 +420,8 @@ class _MidpointSolver:
         for i in reversed(range(k)):  # Q' (g_k e_k): the rotations undone, last first
             coef[i] = -sn[i] * coef[i + 1]  # coef[i] is still 0 here
             coef[i + 1] *= cs[i]
-        return y @ Z[:k], coef @ V[:k + 1], k
+        # Z[0] is read into the step before it takes the residual
+        return np.matmul(y, Z[:k], out=tmp), np.matmul(coef, V[:k + 1], out=Z[0]), k
 
     def start(self, state):
         """(ops, c, w0) of the step from state: the operators, the
@@ -409,21 +434,27 @@ class _MidpointSolver:
         y = np.multiply(w0, dt / 2.0, out=self._scratch)  # y = x + (dt/2) w0
         y[:nf] += state.u
         y[nf:] += state.v
-        np.copyto(c, ops.S @ y)
+        _fem.csr_product(ops.S, y, c)
         return ops, c, w0
+
+    def _max_abs(self, r):
+        """max |r_i|, the residual norm of Newton, with |r| in the scratch vector."""
+        return float(np.max(np.abs(r, out=self._scratch)))
 
     def solve(self, state):
         """The midpoint velocities (w_u, w_v) of the step from state, by
-        damped Newton: views of a solver array, valid until the next solve."""
+        damped Newton: views of a solver array, valid until the next solve.
+        Raises StepFailureError unless the last residual is finite and
+        within the tolerance."""
         ops, c, w0 = self.start(state)
         w = w0
         newton = krylov = halvings = 0
 
         r, s = self.residual(ops, c, w0, w)
-        rnorm = float(np.max(np.abs(r)))
+        rnorm = self._max_abs(r)
         tol = NEWTON_TOL * max(1.0, rnorm)
         for _ in range(NEWTON_MAX):
-            if rnorm <= tol:
+            if rnorm <= tol or not math.isfinite(rnorm):
                 break
             newton += 1
             delta, its = self._newton_direction(ops, s, r)
@@ -431,11 +462,12 @@ class _MidpointSolver:
             lam = 1.0
             for _ in range(30):
                 # the trial goes to the iterate array that w is not; its
-                # residual overwrites r, of which only rnorm is still needed
+                # residual and traces overwrite r and s, of which only
+                # rnorm is still needed
                 cw = np.subtract(w, np.multiply(delta, lam, out=self._scratch),
                                  out=self._iterates[w is self._iterates[0]])
                 rc, sc = self.residual(ops, c, w0, cw)
-                cnorm = float(np.max(np.abs(rc)))
+                cnorm = self._max_abs(rc)
                 if cnorm < rnorm or cnorm <= tol:
                     w, r, s, rnorm = cw, rc, sc, cnorm
                     break
@@ -449,7 +481,7 @@ class _MidpointSolver:
         self.gmres += krylov
         self.halvings += halvings
         self.worst_residual = max(self.worst_residual, rnorm)
-        if rnorm > tol:
+        if not (rnorm <= tol and math.isfinite(rnorm)):  # NaN compares False; inf makes tol inf
             raise StepFailureError(state.t, rnorm)
         nf = len(w) // 2
         return w[:nf], w[nf:]
@@ -479,10 +511,14 @@ def integrate(system, state0, T, control, observers=()):
     if abs(n_steps * control.dt - span) > 1e-9 * max(1.0, abs(span)):
         raise InvalidArgumentError("T - t0 must be a multiple of dt")
     for name in ("u", "v", "du", "dv"):
-        shape = np.shape(getattr(state0, name))
-        if shape != system.free.shape:
-            raise InvalidArgumentError(f"state field {name} has shape {shape}; the system "
-                                       f"has {len(system.free)} free dofs")
+        values = getattr(state0, name)
+        if np.shape(values) != system.free.shape:
+            raise InvalidArgumentError(f"state field {name} has shape {np.shape(values)}; the "
+                                       f"system has {len(system.free)} free dofs")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise InvalidArgumentError(f"state field {name} must be finite, got "
+                                       f"{values[bad[0]]!r} at entry {bad[0]}")
 
     solver = _MidpointSolver(system, control.dt)
     state = state0.copy()

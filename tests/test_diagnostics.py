@@ -482,6 +482,13 @@ class TestChunkedRecorder:
         _assert_trace_matches(_recorded(system, states).trace(),
                               _oracle_columns(system, states))
 
+    @pytest.mark.parametrize("fit, chunk", [(1, 1), (2, 1), (3, 3), (20, 20)])
+    def test_chunk_of_two_states_holds_one(self, fit, chunk, monkeypatch):
+        # two columns cost more per sample than one on 38x38 to 45x45 rects
+        system = make_system(nodes=11)  # 10 free dofs
+        monkeypatch.setattr(diag, "CHUNK_BYTES", fit * 8 * 4 * 10 + 7)
+        assert diag.TraceRecorder(system).chunk == chunk
+
     def test_state_copied_at_call(self):
         system = make_system(nodes=11)
         states = _random_states(system, 2, seed=5)

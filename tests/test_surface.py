@@ -4,7 +4,9 @@ Parses every module of beamstab with ast and checks that each public
 module-level function and class is read somewhere in the package, exported
 by __init__ or an entry point, that each private one is read inside the
 package, and that each annotated class field is read.  A class whose
-methods call dataclasses.fields(self) reads all its fields.
+methods call dataclasses.fields(self) reads all its fields.  A private
+module of another package, such as SciPy's compiled kernels, is imported
+by _fem alone.
 """
 
 import ast
@@ -13,6 +15,9 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "beamstab"
+
+# the one module that may import a private module of another package
+PRIVATE_IMPORTERS = {"_fem"}
 
 # called from outside the package: the console script, and the trace
 # post-processing that acceptance criteria 2 and 4 run on a recorded trace
@@ -45,6 +50,26 @@ def _definitions(trees, private=False):
     return [(module, node.name) for module, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name.startswith("_") == private]
+
+
+def _private_imports(trees):
+    """(module, dotted name) of every absolute import whose dotted name has
+    a private component (a leading underscore, dunders aside)."""
+    def private(dotted):
+        return any(part.startswith("_") and not part.endswith("__")
+                   for part in dotted.split("."))
+
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [(module, name) for name in names if private(name)]
+    return found
 
 
 def _reads_own_fields(cls):
@@ -91,6 +116,15 @@ def test_every_annotated_field_is_read():
     assert not unread, f"class fields nothing reads: {unread}"
 
 
+def test_private_modules_of_other_packages_are_imported_by_fem_only():
+    # SciPy's kernels check no sizes; _fem.csr_product is the checked way in
+    imports = _private_imports(_trees())
+    assert ("_fem", "scipy.sparse._sparsetools") in imports
+    elsewhere = [f"{module}: {name}" for module, name in imports
+                 if module not in PRIVATE_IMPORTERS]
+    assert not elsewhere, f"private imports outside _fem: {elsewhere}"
+
+
 @pytest.mark.parametrize("source, unread", [
     ("def used():\n    pass\n\ndef unused():\n    used()\n", ["m.unused"]),
     ("class A:\n    x: int\n    y: int\n\ndef f(a):\n    return a.x\n",
@@ -98,6 +132,11 @@ def test_every_annotated_field_is_read():
     ("class A:\n    y: int\n\n    def items(self):\n        return fields(self)\n\nA\n", []),
     ("def _used():\n    pass\n\nclass _Unused:\n    pass\n\ndef f():\n    _used()\n\nf()\n",
      ["m._Unused"]),
+    ("from __future__ import annotations\nfrom . import _own\nimport numpy.linalg\n"
+     "from scipy.sparse import _sparsetools\nimport scipy._lib._util as u\n"
+     "from scipy.sparse._base import issparse\n\n_own, _sparsetools, u, issparse\n",
+     ["m imports scipy.sparse._sparsetools", "m imports scipy._lib._util",
+      "m imports scipy.sparse._base.issparse"]),
 ])
 def test_the_checks_find_an_unread_name(source, unread):
     trees = {"m": ast.parse(source)}
@@ -106,4 +145,5 @@ def test_the_checks_find_an_unread_name(source, unread):
              for _, name in _definitions(trees, private) if name not in reads]
     found += [f"m.{cls}.{name}" for _, cls, name in _annotated_fields(trees)
               if name not in reads]
+    found += [f"m imports {name}" for _, name in _private_imports(trees)]
     assert found == unread

@@ -361,8 +361,13 @@ class TestNewtonDirection:
         monkeypatch.setattr(timestepper, "GMRES_CYCLES", 40)
         cycles = []
         cycle = solver._gmres_cycle
-        monkeypatch.setattr(solver, "_gmres_cycle",
-                            lambda *args: cycles.append(cycle(*args)) or cycles[-1])
+
+        def record(*args):  # copies: the next cycle reuses the step's and residual's arrays
+            step, res, k = cycle(*args)
+            cycles.append((step.copy(), res.copy(), k))
+            return step, res, k
+
+        monkeypatch.setattr(solver, "_gmres_cycle", record)
         got, its = solver._newton_direction(ops, s, r)
         assert len(cycles) > 3 and its == sum(k for *_, k in cycles)
         # the residual each cycle hands on is r - J delta of the direction so
@@ -414,7 +419,23 @@ class TestStackedResidual:
 
 
     @pytest.mark.parametrize("mesh", ["interval", "rect"])
-    def test_first_residual_forms_no_J_lin_product(self, mesh):
+    def test_residual_keeps_the_bits_of_its_formula(self, mesh):
+        # (J_lin (w - w0) + c) + T2' (W p), in that order, as SciPy's A @ x gives it
+        law1, law2 = _LAWS["saturating"]()
+        build = (lambda **kw: make_system(nodes=21, **kw)) if mesh == "interval" else _rect6
+        solver = _MidpointSolver(build(law1=law1, law2=law2), 0.05)
+        ops, c, w0 = solver.start(_random_state(solver.system, 9, 2.0))
+        for w in (w0, w0 + np.random.default_rng(9).standard_normal(len(w0))):
+            s = solver.T2 @ w
+            q = solver.q
+            load = solver.T2t @ (ops.W * np.concatenate([solver.system.law1(s[:q]),
+                                                         solver.system.law2(s[q:])]))
+            want = (ops.J_lin @ (w - w0) + c) + load if w is not w0 else c + load
+            got, _ = solver.residual(ops, c, w0, w)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mesh", ["interval", "rect"])
+    def test_first_residual_forms_no_J_lin_product(self, mesh, monkeypatch):
         law1, law2 = _LAWS["saturating"]()
         build = (lambda **kw: make_system(nodes=9, **kw)) if mesh == "interval" else _rect6
         system = build(law1=law1, law2=law2, schedule=decaying_schedule(1.0, 0.8, 1.0))
@@ -425,6 +446,14 @@ class TestStackedResidual:
             def __matmul__(self, x):
                 raise AssertionError("J_lin product formed")
 
+        product = _fem.csr_product
+
+        def refusing_product(A, x, out):  # the residual's products go through _fem
+            if isinstance(A, Refuse):
+                raise AssertionError("J_lin product formed")
+            return product(A, x, out)
+
+        monkeypatch.setattr(_fem, "csr_product", refusing_product)
         stub = ops._replace(J_lin=Refuse())
         got, s = solver.residual(stub, c, w0, w0)
         assert solver.residuals == 1
@@ -832,6 +861,129 @@ class TestWorkArrays:
             tracemalloc.stop()
         assert solver.gmres > solver.newton > 0
         assert peak <= 4 * (2 * solver.nf * 8)
+
+    @pytest.mark.parametrize("workload", ["ref1d", "rect64_identity", "rect64_saturating"])
+    def test_solve_allocates_less_than_one_stacked_vector(self, workload, monkeypatch):
+        # the seed-0 benchmark meshes and laws: every product and temporary
+        # of 2 nf entries goes to a work array, so what solve() allocates is
+        # of the Gamma1 size (about 1.3 KB on ref1d and 19 KB on the rect64
+        # workloads, against 7.3 KB and 154-158 KB when the products
+        # allocated their results)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        workloads = importlib.import_module("perfbench.workloads")
+        cfg = harness.parse_config(text=workloads.config_text(workloads.WORKLOADS[workload], 0))
+        mesh, _, system = harness.build_problem(cfg)
+        state, _ = project_initial_data(system, *harness._initial_fields(cfg, mesh))
+        solver = _MidpointSolver(system, cfg.dt)
+        for _ in range(2):
+            state = timestepper._advance(solver, state)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            solver.solve(state)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert (solver.gmres > 0) == (workload != "ref1d")  # the rect runs GMRES
+        assert peak < 2 * solver.nf * 8
+
+
+class TestCsrProduct:
+    """_fem.csr_product against A @ x on every operator the step and the
+    recorder apply, and its refusals."""
+
+    @staticmethod
+    def _operators(mesh):
+        law1, law2 = _LAWS["saturating"]()
+        system = (make_system(nodes=21, law1=law1, law2=law2) if mesh == "interval" else
+                  make_system(mesh=geometry.build_rect_mesh(1.0, 1.0, 8, 8),
+                              x0=np.array(_CORNER), law1=law1, law2=law2))
+        solver = _MidpointSolver(system, 0.05)
+        ops = solver.operators(0.7)
+        named = {name: getattr(system, name) for name in (
+            "mass", "stiffness", "coupling", "multiplier", "sigma_op", "trace", "trace_t")}
+        named.update(S=ops.S, J_lin=ops.J_lin, T2=solver.T2, T2t=solver.T2t)
+        if mesh == "rect":
+            named["rest"] = solver.rest
+        return named
+
+    @pytest.mark.parametrize("mesh", ["interval", "rect"])
+    def test_bit_equal_to_matmul(self, mesh):
+        rng = np.random.default_rng(6)
+        for name, A in self._operators(mesh).items():
+            for tail in ((), (1,), (2,), (5,)):
+                x = rng.standard_normal((A.shape[1], *tail))
+                out = np.full((A.shape[0], *tail), np.nan)
+                assert _fem.csr_product(A, x, out) is out
+                want = A @ x
+                assert out.shape == want.shape and out.tobytes() == want.tobytes(), (name, tail)
+
+    @pytest.mark.parametrize("case", [
+        "short out", "long out", "short x", "long x", "vector out for a block",
+        "block out of another width", "3-d x", "strided out", "strided x",
+        "fortran-ordered block", "float32 out", "float32 x", "csc matrix"])
+    def test_refusal_raises_before_the_kernel(self, case, monkeypatch):
+        def reached(*args):
+            raise AssertionError("kernel reached")
+
+        A = self._operators("rect")["trace"]  # not square: rows and columns differ
+        m, n = A.shape
+        x, out = np.ones(n), np.empty(m)
+        args = {
+            "short out": (A, x, np.empty(m - 1)),
+            "long out": (A, x, np.empty(m + 1)),
+            "short x": (A, np.ones(n - 1), out),
+            "long x": (A, np.ones(n + 1), out),
+            "vector out for a block": (A, np.ones((n, 1)), out),
+            "block out of another width": (A, np.ones((n, 2)), np.empty((m, 3))),
+            "3-d x": (A, np.ones((n, 2, 2)), np.empty((m, 2, 2))),
+            "strided out": (A, x, np.empty(2 * m)[::2]),
+            "strided x": (A, np.ones(2 * n)[::2], out),
+            "fortran-ordered block": (A, np.ones((n, 2), order="F"), np.empty((m, 2))),
+            "float32 out": (A, x, np.empty(m, dtype=np.float32)),
+            "float32 x": (A, x.astype(np.float32), out),
+            "csc matrix": (A.tocsc(), x, out),
+        }[case]
+        monkeypatch.setattr(_fem, "_sparsetools",
+                            SimpleNamespace(csr_matvec=reached, csr_matvecs=reached))
+        with pytest.raises(InvalidArgumentError, match="csr_product"):
+            _fem.csr_product(*args)
+        with pytest.raises(AssertionError, match="kernel reached"):  # the valid call does
+            _fem.csr_product(A, x, out)
+
+
+class TestNonFiniteState:
+    @staticmethod
+    def _system(mesh, laws):
+        law1, law2 = _LAWS[laws]() if laws in _LAWS else (identity_law(), identity_law())
+        return make_system(nodes=21, law1=law1, law2=law2) if mesh == "interval" else _rect6(
+            law1=law1, law2=law2)
+
+    @pytest.mark.parametrize("entry", [("u", 3, np.nan), ("du", 0, np.inf), ("dv", 1, -np.inf)])
+    @pytest.mark.parametrize("laws", ["identity", "saturating"])
+    @pytest.mark.parametrize("mesh", ["interval", "rect"])
+    def test_step_from_a_non_finite_state_fails(self, mesh, laws, entry):
+        # a NaN residual compares False with the tolerance, and an infinite
+        # one makes the tolerance infinite: neither may pass as converged
+        name, index, value = entry
+        system = self._system(mesh, laws)
+        state = _sine_state(system, velocity=1.0)
+        getattr(state, name)[index] = value
+        solver = _MidpointSolver(system, 0.01)
+        with pytest.raises(StepFailureError) as err:
+            solver.solve(state)
+        assert not np.isfinite(err.value.residual)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["u", "v", "du", "dv"])
+    @pytest.mark.parametrize("mesh", ["interval", "rect"])
+    def test_integrate_refuses_a_non_finite_entry(self, mesh, name, value):
+        system = self._system(mesh, "identity")
+        state = _sine_state(system)
+        getattr(state, name)[4] = value
+        with pytest.raises(InvalidArgumentError,
+                           match=f"state field {name} must be finite, got .* at entry 4"):
+            integrate(system, state, 0.05, StepControl(dt=0.01))
 
 
 class TestEnergyBalance:
