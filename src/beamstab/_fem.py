@@ -12,8 +12,10 @@ ones, and stencil_csr is the one compression of slots to csr (domain
 forms, system forms, the time stepper's block layout).  The interval is
 the one-factor case of the same code.  Gamma0 is a union of whole grid
 sides, so the free nodes are the product of one slice per axis
-(geometry.BoundaryPartition.free_slices).  trace_form is T' diag(d) T
-for a trace map T of trace_structure.  Small systems that are not Kronecker
+(geometry.BoundaryPartition.free_slices), and side_rule builds the trace
+onto a grid side over such slices: the product of the side's end node
+with the two-point Gauss rule of the other axis (edge_rule).  trace_form
+is T' diag(d) T for such a trace.  Small systems that are not Kronecker
 sums are solved in LAPACK band storage (band_storage, band_lu, band_solve).
 csr_product writes A @ x into an array the caller owns, through the compiled
 kernel behind SciPy's own A @ x: the time step applies every operator of its
@@ -23,6 +25,7 @@ This is the one module that imports SciPy's private kernels.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -32,12 +35,6 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
 from scipy.sparse import _sparsetools  # the csr kernels behind A @ x
 
 from .errors import InvalidArgumentError
-
-
-def gauss_rule(npts):
-    """Gauss-Legendre points/weights mapped to [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(npts)
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 # ---------------------------------------------------------------------------
@@ -228,51 +225,51 @@ def band_solve(factors, kl, ku, b, overwrite_b=False):
     return dgbtrs(lu, kl, ku, b, piv, overwrite_b=overwrite_b)[0]
 
 
-def trace_structure(mesh, faces):
-    """Trace map onto the quadrature points of the given faces.
+def edge_rule(x):
+    """The 2-point Gauss rule on every cell of the axis x, cell by cell.
 
-    Returns (T, weights, points) where T is csr of shape (Q, n_nodes) with
-    T[q, j] = phi_j(x_q), the points in face order, and the weights carry
-    the surface measure.  On an edge (a, b) the point x_q has the hat
-    values 1 - s and s at a and b, s = |x_q - a| / |b - a|.
+    Returns (T, weights, points): the points x_i + g (x_{i+1} - x_i) of cell
+    i, g = (1 -+ 1/sqrt 3)/2, the weights half the cell width, and T csr of
+    shape (2E, n) with the hat values 1 - s and s of nodes i and i + 1 at
+    each point, s = |t - x_i| / |x_{i+1} - x_i|.
     """
-    n = len(mesh.nodes)
-    points = faces.quad_points.reshape(-1, mesh.dimension)
-    weights = faces.quad_weights.ravel()
-    ids = np.repeat(faces.nodes, faces.quad_weights.shape[1], axis=0)  # (Q, nloc)
-    q = np.arange(len(weights))
-    if mesh.dimension == 1:
-        vals = np.ones((len(q), 1))
+    g = 0.5 * (math.sqrt(1.0 / 3.0) * np.array([-1.0, 1.0]) + 1.0)
+    h = np.diff(x)
+    points = (x[:-1, None] + g * h[:, None]).ravel()
+    cells = np.repeat(np.arange(len(h)), 2)
+    s = np.abs(points - x[cells]) / np.abs(h[cells])
+    T = sp.csr_matrix((np.stack([1.0 - s, s], axis=1).ravel(),
+                       np.stack([cells, cells + 1], axis=1).ravel(),
+                       np.arange(0, 2 * len(s) + 1, 2)), shape=(len(s), len(x)))
+    return T, 0.5 * h[cells], points
+
+
+def side_rule(axes, axis, end, slices):
+    """The trace onto the Gauss points of the grid side at node `end` of
+    `axis`: the Kronecker product of the end node with the edge_rule of the
+    other axis, or the end point alone, of weight 1, on the interval.
+
+    slices holds one slice per axis; T's columns are the nodes of their
+    grid in node order, every node for full slices and the free dofs for
+    free_slices.  Returns (T, weights, points (Q, dim)), T csr.
+    """
+    if len(axes) == 1:
+        T1, weights, t = sp.csr_matrix(np.ones((1, 1))), np.ones(1), np.empty(0)
     else:
-        a, b = mesh.nodes[ids[:, 0]], mesh.nodes[ids[:, 1]]
-        s = np.linalg.norm(points - a, axis=1) / np.linalg.norm(b - a, axis=1)
-        vals = np.stack([1.0 - s, s], axis=1)
-    rows = np.repeat(q, ids.shape[1])
-    T = sp.csr_matrix((vals.ravel(), (rows, ids.ravel())), shape=(len(q), n))
-    return T, weights, points
-
-
-def side_trace(mesh, faces, axis, end, slices):
-    """trace_structure of faces that make up the whole grid side at node
-    `end` of `axis`, restricted to the side's free nodes.
-
-    slices are the free slices of the axes (BoundaryPartition.free_slices).
-    Returns (S, weights): S is csr of shape (Q_s, n_s) with the free nodes
-    of the side as columns, in the order of the remaining axis (one node
-    on the interval).
-    """
-    T, weights, _ = trace_structure(mesh, faces)
-    counts = tuple(len(x) for x in mesh.axes)
-    grid = [np.arange(n)[sl] for n, sl in zip(counts, slices)]
-    grid[axis] = np.array([end])
-    ids = np.ravel_multi_index(np.meshgrid(*grid, indexing="ij"), counts).ravel()
-    return T[:, ids], weights  # the columns leave out a clamped corner node
+        T1, weights, t = edge_rule(axes[1 - axis])
+        T1 = T1[:, slices[1 - axis]]
+    # the product with the end node: columns are flat indices in the slices' grid
+    grid = [range(len(x))[sl] for x, sl in zip(axes, slices)]
+    index = [T1.indices] * len(axes)
+    index[axis] = np.full_like(T1.indices, end - grid[axis].start)
+    T = sp.csr_matrix((T1.data, np.ravel_multi_index(index, [len(r) for r in grid]),
+                       T1.indptr), shape=(len(weights), math.prod(len(r) for r in grid)))
+    return T, weights, np.insert(t.reshape(len(weights), -1), axis, axes[axis][end], axis=1)
 
 
 def trace_form(T, d):
-    """T' diag(d) T, csr, for a trace T from trace_structure (or its
-    restriction to some columns) and per-point weights d that include the
-    quadrature weights."""
+    """T' diag(d) T, csr, for a trace T of side_rule sides and per-point
+    weights d that include the quadrature weights."""
     return (T.T @ sp.diags(d) @ T).tocsr()
 
 

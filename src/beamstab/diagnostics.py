@@ -100,14 +100,13 @@ def rellich_check(mesh, fld, x0):
     pair = float(lap @ (mats["multiplier"] @ u))
     grad_sq = float(u @ (mats["stiffness"] @ u))
 
-    faces = mesh.faces
-    g = np.asarray(fld.grad(faces.quad_points.reshape(-1, n)), dtype=float).reshape(
-        faces.quad_points.shape)  # (F, q, dim)
-    mface = faces.quad_points - x0
-    mn = np.einsum("fqd,fd->fq", mface, faces.normal)
-    dnu = np.einsum("fqd,fd->fq", g, faces.normal)
-    bdry_mn_gradsq = float(np.sum(faces.quad_weights * mn * np.einsum("fqd,fqd->fq", g, g)))
-    bdry_flux = float(np.sum(faces.quad_weights * dnu * np.einsum("fqd,fqd->fq", mface, g)))
+    bdry_mn_gradsq = bdry_flux = 0.0
+    for d, end, sign in mesh.sides:  # nu = sign e_d
+        _, w, points = _fem.side_rule(mesh.axes, d, end, (slice(None),) * n)
+        g = np.asarray(fld.grad(points), dtype=float)
+        m = points - x0
+        bdry_mn_gradsq += float(np.sum(w * sign * m[:, d] * np.einsum("qd,qd->q", g, g)))
+        bdry_flux += float(np.sum(w * sign * g[:, d] * np.einsum("qd,qd->q", m, g)))
 
     right = (n - 2) * grad_sq - bdry_mn_gradsq + 2.0 * bdry_flux
     return {
@@ -148,8 +147,9 @@ class EnergyTrace:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.t) and np.any(np.diff(self.t) <= 0):
-            raise InvalidArgumentError("trace times must be strictly increasing")
+        # a NaN time passes a test for diff(t) <= 0, and a fit window drops it unseen
+        if len(self.t) and not (np.all(np.isfinite(self.t)) and np.all(np.diff(self.t) > 0)):
+            raise InvalidArgumentError("trace times must be finite and strictly increasing")
         if len(self.E) and np.any(self.E < -ENERGY_RTOL * abs(self.E[0])):
             raise InvalidArgumentError("trace contains negative energy")
 
@@ -373,6 +373,8 @@ def fit_decay_rate(trace, window=None):
     if mask.sum() < 2:
         raise FitUndefinedError("window contains fewer than two samples")
     E = trace.E[mask]
+    if not np.all(np.isfinite(E)):
+        raise FitUndefinedError("window contains a non-finite energy sample")
     if np.any(E <= 0):
         raise FitUndefinedError("window contains non-positive energy samples")
     t = trace.t[mask]

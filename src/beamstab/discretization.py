@@ -9,9 +9,11 @@ Weak form on the subspace vanishing on Gamma0:
 
 The boundary nonlinearity is collocated at the Gamma1 quadrature points of
 the velocity trace, which preserves the sign structure
-(m.nu) p(s) s >= b (m.nu) s^2 exactly at quadrature level.  The unknowns
-are the nodal values at the free nodes, those off Gamma0: every form, the
-state and the trace samples live on them alone.
+(m.nu) p(s) s >= b (m.nu) s^2 exactly at quadrature level.  Those points
+are the 2-point Gauss points of the Gamma1 grid sides, side after side
+(_fem.side_rule).  The unknowns are the nodal values at the free nodes,
+those off Gamma0: every form, the state and the trace samples live on
+them alone.
 """
 
 from __future__ import annotations
@@ -46,8 +48,10 @@ class SemiDiscreteSystem:
     cols; mass, stiffness, coupling and multiplier are csr on the pattern
     of the free grid neighbours, sigma_op on its nonzero slots.
 
-    It also owns the Gamma1 boundary operator: the quadrature-point trace T
-    and its transpose, the weights w (m.nu), the laws' slopes at 0 and the
+    It also owns the Gamma1 boundary operator: the quadrature-point trace T,
+    the _fem.side_rule of each of the partition's gamma1_sides over the free
+    slices stacked in side order, so its columns are the free dofs, and T's
+    transpose, the weights w (m.nu), the laws' slopes at 0 and the
     forcing load and boundary integral built on them.  The geometric Gamma1
     data (m.nu, sum nu, normals) live on the partition.
 
@@ -92,8 +96,10 @@ class SemiDiscreteSystem:
             [s["mass"], s["stiffness"], s["derivative"], s["multiplier"]], self.cols,
             s["mass"] != 0)  # the free grid neighbours: mass is positive
         self.sigma_op, = _fem.stencil_csr([s["sigma"]], self.cols, s["sigma"] != 0)
-        T, self.trace_weights, self.trace_points = _fem.trace_structure(mesh, part.gamma1_faces)
-        self.trace = T[:, self.free].tocsr()
+        T, w, points = zip(*(_fem.side_rule(mesh.axes, d, end, part.free_slices)
+                             for d, end, *_ in part.gamma1_sides))
+        self.trace = sp.vstack(T, format="csr")  # its columns are the free dofs
+        self.trace_weights, self.trace_points = np.concatenate(w), np.concatenate(points)
         self.trace_t = self.trace.T.tocsr()
         self.sigma_values = part.sigma(self.alpha2)
         self.trace_wmn = self.trace_weights * part.gamma1_m_dot_nu
@@ -128,7 +134,7 @@ def _gamma1_bands(partition, alpha2):
     each Gamma1 end of the axis: sigma, alpha2 nu_d there, and gamma1, m.nu."""
     bands = [{name: np.zeros((3, len(x))) for name in ("sigma", "gamma1")}
              for x in partition.mesh.axes]
-    for d, end, sign, _, m_dot_nu in partition.gamma1_sides:
+    for d, end, sign, m_dot_nu in partition.gamma1_sides:
         bands[d]["sigma"][1, end] = alpha2 * sign
         bands[d]["gamma1"][1, end] = m_dot_nu
     return [{name: b[:, sl] for name, b in f.items()}

@@ -1,10 +1,11 @@
 """Meshes, boundary classification and the geometric/embedding constants.
 
-The boundary is split into a clamped part Gamma0 and a feedback part Gamma1
-by the sign of m(x).nu(x) with m(x) = x - x0, which is constant on each
-side of a tensor grid.  The constants computed here (R, tau0, Poincare
-constant M, trace constant N) feed the admissibility check of the
-certified decay rate.
+The boundary of a tensor grid is its grid sides (Mesh.sides), each with
+one normal; _fem.side_rule gives the trace onto a side.  The boundary is
+split into a clamped part Gamma0 and a feedback part Gamma1 by the sign of
+m(x).nu(x) with m(x) = x - x0, which is constant on each side.  The
+constants computed here (R, tau0, Poincare constant M, trace constant N)
+feed the admissibility check of the certified decay rate.
 """
 
 from __future__ import annotations
@@ -29,69 +30,19 @@ EIGEN_NCV = 5
 
 
 @dataclass(frozen=True, eq=False)
-class Faces:
-    """Boundary faces as arrays, one row per face; equality is identity.
-
-    nodes (F, k), normal (F, dim), quad_points (F, q, dim) and
-    quad_weights (F, q); the weights carry the face measure, so a face's
-    measure is quad_weights.sum(1).
-    """
-
-    nodes: np.ndarray
-    normal: np.ndarray
-    quad_points: np.ndarray
-    quad_weights: np.ndarray
-
-    def __len__(self):
-        return len(self.nodes)
-
-    def select(self, mask):
-        """The faces where the bool mask is true, in face order."""
-        return Faces(self.nodes[mask], self.normal[mask],
-                     self.quad_points[mask], self.quad_weights[mask])
-
-
-def _grid_faces(nodes, counts):
-    """Boundary faces of the tensor grid with counts[d] nodes on axis d.
-
-    Interval: the two end points, left then right.  Rectangle: the edges
-    (a, b) from lower to upper node, bottom, right, top, left, each with
-    the 2-point Gauss rule.
-    """
-    if len(counts) == 1:
-        ids = np.array([[0], [counts[0] - 1]])
-        return Faces(ids, np.array([[-1.0], [1.0]]), nodes[ids], np.ones((2, 1)))
-    nx, ny = counts[0] - 1, counts[1] - 1
-    # node id i (ny + 1) + j
-    i, j = np.arange(nx), np.arange(ny)
-    a = np.concatenate([i * (ny + 1), nx * (ny + 1) + j, i * (ny + 1) + ny, j])
-    b = a + np.concatenate([np.full(nx, ny + 1), np.ones(ny, int),
-                            np.full(nx, ny + 1), np.ones(ny, int)])
-    normals = np.repeat([(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)],
-                        (nx, ny, nx, ny), axis=0)
-    pa = nodes[a]
-    d = nodes[b] - pa
-    h = np.hypot(d[:, 0], d[:, 1])  # exact: every edge is axis-aligned
-    g, gw = _fem.gauss_rule(2)
-    return Faces(np.stack([a, b], axis=1), normals,
-                 pa[:, None, :] + g[None, :, None] * d[:, None, :], gw[None, :] * h[:, None])
-
-
-@dataclass(frozen=True, eq=False)
 class Mesh:
     """Discretized domain: a uniform tensor grid built from its axes.
 
     axes holds the node coordinates of each axis, increasing and uniformly
     spaced: one axis for an interval, two for a rectangle of bilinear
     cells.  nodes (N, dim) derives from them, numbered i*(ny+1)+j on the
-    rectangle, and so do dimension and the boundary faces: the two end
-    points of the interval, or the edges of the rectangle.  Equality is
-    identity, as for every record of arrays here.
+    rectangle, and so do the dimension and the 2 dim grid sides that make
+    up the boundary (sides).  Equality is identity, as for every record of
+    arrays here.
     """
 
     axes: tuple
     nodes: np.ndarray = field(init=False, repr=False)  # (N, dim)
-    faces: Faces = field(init=False, repr=False)
 
     def __post_init__(self):
         axes = tuple(np.asarray(x, dtype=float) for x in self.axes)
@@ -106,33 +57,40 @@ class Mesh:
         nodes = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "faces", _grid_faces(nodes, tuple(len(x) for x in axes)))
 
     @property
     def dimension(self):
         return len(self.axes)
+
+    @property
+    def sides(self):
+        """The grid sides as (axis, end, sign), in (axis, end) order: the
+        nodes at index end of the axis, with outer normal sign e_axis
+        (-1 at node 0, +1 at the last node).  _fem.side_rule builds the
+        trace onto a side."""
+        return tuple((d, end, sign) for d, x in enumerate(self.axes)
+                     for end, sign in ((0, -1.0), (len(x) - 1, 1.0)))
 
 
 @dataclass(frozen=True, eq=False)
 class BoundaryPartition:
     """Gamma0 and Gamma1, decided once per grid side from (mesh, x0).
 
-    Side (d, end), at node end of axis d, has the outer normal sign e_d
-    (sign -1 at end 0, +1 at the last node) and the one value
-    m.nu = sign (x_end - x0_d); it is in Gamma1 when that is > 0.
-    gamma1_sides lists the Gamma1 sides in (axis, end) order as
-    (axis, end, sign, face mask, m.nu), and the rest derives from it: the
-    face mask gamma1, the gamma1_* arrays with one entry (row) per Gamma1
-    quadrature point in face order, and free_slices, whose tensor product
-    is the node set off Gamma0.  The two ends of an axis have m.nu summing
-    to its length, so Gamma1 is never empty and no axis is clamped at both
-    ends; an empty Gamma0 raises InadmissiblePartitionError.
+    Side (d, end, sign) of mesh.sides has the one value
+    m.nu = sign (x_end - x0_d) and is in Gamma1 when that is > 0.
+    gamma1_sides lists the Gamma1 sides in side order as
+    (axis, end, sign, m.nu), and the rest derives from it: free_slices,
+    whose tensor product is the node set off Gamma0, and the gamma1_*
+    arrays with one entry (row) per Gamma1 quadrature point of
+    _fem.side_rule, side after side, each side's constant repeated over
+    its points.  The two ends of an axis have m.nu summing to its length,
+    so Gamma1 is never empty and no axis is clamped at both ends; an empty
+    Gamma0 raises InadmissiblePartitionError.
     """
 
     mesh: Mesh
     x0: np.ndarray
     gamma1_sides: tuple = field(init=False, repr=False)
-    gamma1: np.ndarray = field(init=False, repr=False)           # (F,) bool
     free_slices: tuple = field(init=False, repr=False)
     gamma1_m_dot_nu: np.ndarray = field(init=False, repr=False)  # (Q,)
     gamma1_normals: np.ndarray = field(init=False, repr=False)   # (Q, dim)
@@ -143,47 +101,36 @@ class BoundaryPartition:
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         if x0.shape != (mesh.dimension,) or not np.all(np.isfinite(x0)):
             raise InvalidArgumentError("x0 must be a finite point of the ambient space")
-        faces = mesh.faces
-        gamma1_sides, free_slices = [], []
-        for d, x in enumerate(mesh.axes):
-            clamped = []
-            for end, sign in ((0, -1.0), (len(x) - 1, 1.0)):
-                m_dot_nu = sign * (x[end] - x0[d])
-                clamped.append(m_dot_nu <= 0)
-                if m_dot_nu > 0:
-                    gamma1_sides.append((d, end, sign, faces.normal[:, d] == sign, m_dot_nu))
-            free_slices.append(slice(int(clamped[0]), len(x) - int(clamped[1])))
-        if len(gamma1_sides) == 2 * mesh.dimension:
+        sides = [(d, end, sign, sign * (mesh.axes[d][end] - x0[d]))
+                 for d, end, sign in mesh.sides]
+        gamma1_sides = tuple(side for side in sides if side[3] > 0)
+        if len(gamma1_sides) == len(sides):
             raise InadmissiblePartitionError(
                 "boundary partition needs both a clamped and a feedback part; "
                 f"got only Gamma1 for x0={x0.tolist()}")
-        face_m_dot_nu = np.zeros(len(faces))
-        for _, _, _, mask, m_dot_nu in gamma1_sides:
-            face_m_dot_nu[mask] = m_dot_nu
-        gamma1 = face_m_dot_nu > 0
-        q = faces.quad_weights.shape[1]
-        normals = np.repeat(faces.normal[gamma1], q, axis=0)
-        for name, value in (("x0", x0), ("gamma1_sides", tuple(gamma1_sides)),
-                            ("gamma1", gamma1), ("free_slices", tuple(free_slices)),
-                            ("gamma1_m_dot_nu", np.repeat(face_m_dot_nu[gamma1], q)),
+        # a side's points: two per cell of the other axis, one on the interval
+        q = [math.prod(2 * (len(x) - 1) for k, x in enumerate(mesh.axes) if k != d)
+             for d, *_ in gamma1_sides]
+        normals = np.repeat([np.where(np.arange(mesh.dimension) == d, sign, 0.0)
+                             for d, _, sign, _ in gamma1_sides], q, axis=0)
+        free_slices = tuple(slice(int(lo[3] <= 0), len(x) - int(hi[3] <= 0))
+                            for x, lo, hi in zip(mesh.axes, sides[::2], sides[1::2]))
+        for name, value in (("x0", x0), ("gamma1_sides", gamma1_sides),
+                            ("free_slices", free_slices),
+                            ("gamma1_m_dot_nu", np.repeat([m for *_, m in gamma1_sides], q)),
                             ("gamma1_normals", normals),
                             ("gamma1_sum_nu", normals.sum(axis=1))):
             object.__setattr__(self, name, value)
 
-    @property
-    def gamma0_faces(self):
-        return self.mesh.faces.select(~self.gamma1)
-
-    @property
-    def gamma1_faces(self):
-        return self.mesh.faces.select(self.gamma1)
-
     def gamma0_nodes(self):
-        return np.unique(self.gamma0_faces.nodes)
+        """The nodes off the grid of free_slices, ascending."""
+        clamped = np.ones([len(x) for x in self.mesh.axes], dtype=bool)
+        clamped[self.free_slices] = False
+        return np.flatnonzero(clamped)
 
     def sum_nu_bound(self):
-        """max over Gamma1 quadrature points of |sum_i nu_i|."""
-        return float(np.max(np.abs(self.gamma1_sum_nu)))
+        """max over Gamma1 of |sum_i nu_i|: |sign| on each side, nu = sign e_d."""
+        return max(abs(sign) for _, _, sign, _ in self.gamma1_sides)
 
     def sigma(self, alpha2):
         """sigma = alpha2 * (sum of normal components) per Gamma1 quadrature point."""
@@ -214,9 +161,9 @@ def classify_boundary(mesh, x0):
 
 
 def geometric_constants(mesh, partition):
-    """R = max_nodes |x - x0|, tau0 = min over Gamma1 quad points of m.nu."""
+    """R = max_nodes |x - x0|, tau0 = min over the Gamma1 sides of m.nu."""
     R = float(np.max(np.linalg.norm(mesh.nodes - partition.x0[None, :], axis=1)))
-    tau0 = float(np.min(partition.gamma1_m_dot_nu))
+    tau0 = float(min(m for *_, m in partition.gamma1_sides))
     return {"R": R, "tau0": tau0}
 
 
@@ -237,8 +184,9 @@ def _gamma1_operator(mesh, partition, pairs):
         lams.append(np.zeros(1))
         Vs.append(np.ones((1, 1)))
     sides, slices = [], partition.free_slices
-    for d, end, _, mask, _ in partition.gamma1_sides:
-        S, w = _fem.side_trace(mesh, mesh.faces.select(mask), d, end, slices)
+    for d, end, _, _ in partition.gamma1_sides:  # the rule on the side's own free nodes
+        S, w, _ = _fem.side_rule(mesh.axes, d, end,
+                                 slices[:d] + (slice(end, end + 1),) + slices[d + 1:])
         sides.append((d, Vs[d][end - slices[d].start], np.sqrt(w)[:, None] * (S @ Vs[1 - d])))
     bounds = np.cumsum([0] + [len(U) for _, _, U in sides])
 

@@ -78,8 +78,11 @@ _NONNEGATIVE = (lambda x: math.isfinite(x) and x >= 0,
 _ALL_POSITIVE = (lambda xs: all(_POSITIVE[0](x) for x in xs),
                  "must list finite and positive values")
 _LAW, _PRESET = _one_of(*feedback.CATALOG), _one_of(*PRESETS)
-_ALL_LAWS = (lambda names: all(map(_LAW[0], names)),
-             f"must list only {', '.join(feedback.CATALOG)}")
+# every sweep point is certified, and the certificate needs b > 0
+_SWEEP_LAWS = (lambda names: all(name in feedback.CATALOG and feedback.CATALOG[name]().b > 0
+                                 for name in names),
+               "must list only laws whose default b > 0: "
+               + ", ".join(name for name, law in feedback.CATALOG.items() if law().b > 0))
 
 
 def _at_least(k):
@@ -144,7 +147,7 @@ class RunConfig:
     plot: bool = _entry("output", "plot", _boolean, default=False)
     sweep_alphas: tuple = _entry("sweep", "alpha", _floats, _ALL_POSITIVE, default=())
     sweep_laws: tuple = _entry("sweep", "laws", lambda text: tuple(text.split()),
-                               _ALL_LAWS, default=())
+                               _SWEEP_LAWS, default=())
     hash: str = ""
 
 
@@ -374,10 +377,11 @@ def _verify_assembly(cfg):
     volume = float(np.prod(mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)))
     checks.append(("mass-total", abs(float(M.sum()) - volume), 1e-12 * max(1.0, volume)))
     checks.append(("stiffness-nullspace", max_abs(K.sum(axis=1)), 1e-10))
-    # int_Gamma (sum_i nu_i) phi_j phi_k over every face
-    T, w, _ = _fem.trace_structure(mesh, mesh.faces)
-    sum_nu = np.repeat(mesh.faces.normal.sum(axis=1), mesh.faces.quad_weights.shape[1])
-    gauss = mats["coupling"] + mats["coupling"].T - _fem.trace_form(T, w * sum_nu)
+    # int_Gamma (sum_i nu_i) phi_j phi_k over every side, nu = sign e_d
+    gauss = mats["coupling"] + mats["coupling"].T
+    for d, end, sign in mesh.sides:
+        T, w, _ = _fem.side_rule(mesh.axes, d, end, (slice(None),) * mesh.dimension)
+        gauss -= _fem.trace_form(T, sign * w)
     checks.append(("coupling-gauss-identity", max_abs(gauss), 1e-12))
     return [(f"assembly/{name}", err <= tol, f"defect {err:.3e} (tol {tol:.1e})")
             for name, err, tol in checks]

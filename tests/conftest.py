@@ -1,5 +1,8 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from beamstab import geometry
 from beamstab.admissibility import constant_schedule
@@ -47,3 +50,83 @@ def make_conservative_system(nodes=11):
     (sigma = alpha2 * sum_i nu_i vanishes with alpha2)."""
     return make_system(nodes=nodes, alpha1=0.0, alpha2=0.0,
                        law1=zero_law(), law2=zero_law())
+
+
+# boundary faces as arrays, one row per face: node ids (F, k), outer normal
+# (F, dim), quadrature points (F, q, dim) and weights (F, q) that carry the
+# face measure
+Faces = namedtuple("Faces", "nodes normal quad_points quad_weights")
+
+
+def rect_faces_loop(nodes, nx, ny):
+    """Oracle: the rect boundary faces built one edge at a time, from lower
+    to upper node, bottom, right, top, left, each with the 2-point Gauss
+    rule; and the edge lengths."""
+    g, gw = np.polynomial.legendre.leggauss(2)
+    g, gw = 0.5 * (g + 1.0), 0.5 * gw
+    faces = []
+
+    def add_edge(a, b, normal):
+        pa, pb = nodes[a], nodes[b]
+        h = float(np.linalg.norm(pb - pa))
+        faces.append(((a, b), normal, pa[None, :] + g[:, None] * (pb - pa)[None, :],
+                      gw * h, h))
+
+    def nid(i, j):
+        return i * (ny + 1) + j
+
+    for i in range(nx):
+        add_edge(nid(i, 0), nid(i + 1, 0), (0.0, -1.0))
+    for j in range(ny):
+        add_edge(nid(nx, j), nid(nx, j + 1), (1.0, 0.0))
+    for i in range(nx):
+        add_edge(nid(i, ny), nid(i + 1, ny), (0.0, 1.0))
+    for j in range(ny):
+        add_edge(nid(0, j), nid(0, j + 1), (-1.0, 0.0))
+    ids, normals, points, weights, measures = zip(*faces)
+    return (Faces(np.array(ids), np.array(normals), np.array(points), np.array(weights)),
+            np.array(measures))
+
+
+def boundary_faces(mesh):
+    """Oracle boundary faces of a tensor-grid mesh: the two end points of
+    the interval, left then right, with weight 1, or rect_faces_loop."""
+    if mesh.dimension == 2:
+        return rect_faces_loop(mesh.nodes, len(mesh.axes[0]) - 1, len(mesh.axes[1]) - 1)[0]
+    ids = np.array([[0], [len(mesh.nodes) - 1]])
+    return Faces(ids, np.array([[-1.0], [1.0]]), mesh.nodes[ids], np.ones((2, 1)))
+
+
+def gamma1_faces(mesh, partition):
+    """The boundary_faces on the partition's Gamma1 sides, side after side:
+    side (d, end, sign) holds the faces with outer normal sign e_d."""
+    faces = boundary_faces(mesh)
+    order = np.concatenate([np.flatnonzero(faces.normal[:, d] == sign)
+                            for d, _, sign, _ in partition.gamma1_sides])
+    return Faces(*(a[order] for a in faces))
+
+
+def trace_loop_oracle(mesh, faces):
+    """The trace onto the quadrature points of the faces, as a loop over
+    faces and points: (T, weights, points), T[q, j] = phi_j(x_q) over every
+    node, with the hat values 1 - s and s at the ends a and b of an edge,
+    s = |x_q - a| / |b - a|."""
+    rows, cols, vals, weights, points = [], [], [], [], []
+    for ids, face_points, face_weights in zip(faces.nodes, faces.quad_points,
+                                              faces.quad_weights):
+        for p, wq in zip(face_points, face_weights):
+            q = len(weights)
+            if mesh.dimension == 1:
+                rows.append(q)
+                cols.append(ids[0])
+                vals.append(1.0)
+            else:
+                a, b = mesh.nodes[ids[0]], mesh.nodes[ids[1]]
+                s = np.linalg.norm(p - a) / np.linalg.norm(b - a)
+                rows.extend([q, q])
+                cols.extend([ids[0], ids[1]])
+                vals.extend([1.0 - s, s])
+            weights.append(wq)
+            points.append(p)
+    T = sp.csr_matrix((vals, (rows, cols)), shape=(len(weights), len(mesh.nodes)))
+    return T, np.asarray(weights), np.asarray(points)

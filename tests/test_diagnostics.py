@@ -17,7 +17,7 @@ from beamstab.fields import (bump_field, linear_field, quadratic_field,
                              sine_field, zero_field)
 from beamstab.timestepper import StepControl, integrate
 
-from conftest import grid_cells, make_conservative_system, make_system
+from conftest import boundary_faces, grid_cells, make_conservative_system, make_system
 
 
 def _zero_state(system, t=0.0):
@@ -213,7 +213,7 @@ def _rellich_boundary_loop(mesh, fld, x0):
     2 int (du/dnu)(m.grad u), one face and quadrature point at a time; and
     the sum of the absolute terms, for the rounding allowance."""
     total, scale = 0.0, 0.0
-    faces = mesh.faces
+    faces = boundary_faces(mesh)
     for nu, points, weights in zip(faces.normal, faces.quad_points, faces.quad_weights):
         for p, wq in zip(points, weights):
             g = np.asarray(fld.grad(p[None, :]), dtype=float)[0]
@@ -351,6 +351,15 @@ class TestFitDecayRate:
         with pytest.raises(FitUndefinedError):
             diag.fit_decay_rate(self._synthetic(), window=(100.0, 101.0))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_energy_in_window_rejected(self, value):
+        trace = self._synthetic()
+        kept, trace.E[-5] = trace.E[-5], value
+        with pytest.raises(FitUndefinedError, match="non-finite energy"):
+            diag.fit_decay_rate(trace)
+        trace.E[-5], trace.E[3] = kept, value  # E[3] is outside the window [0.2 T, T]
+        assert diag.fit_decay_rate(trace).rate == pytest.approx(0.4, abs=1e-10)
+
 
 class TestTraceValidation:
     def test_times_must_increase(self):
@@ -358,6 +367,14 @@ class TestTraceValidation:
         z = np.zeros(2)
         with pytest.raises(InvalidArgumentError):
             diag.EnergyTrace(t, z, z, z, z, z, z, z, z)
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [np.nan, 1.0, 2.0],
+                                       [0.0, 1.0, np.nan], [0.0, 1.0, np.inf],
+                                       [-np.inf, 1.0, 2.0]])
+    def test_times_must_be_finite(self, times):
+        z = np.zeros(3)
+        with pytest.raises(InvalidArgumentError, match="finite and strictly increasing"):
+            diag.EnergyTrace(np.array(times), z, z, z, z, z, z, z, z)
 
     def test_energy_must_be_nonnegative(self):
         t = np.array([0.0, 1.0])

@@ -9,15 +9,16 @@ from beamstab.discretization import (SimState, compatibility_residuals,
                                      interpolate, project_initial_data, rhs)
 from beamstab.fields import Field, linear_field, make_field, sine_field
 
-from conftest import make_conservative_system, make_system
+from conftest import (boundary_faces, gamma1_faces, make_conservative_system, make_system,
+                      trace_loop_oracle)
 
 
 def _sum_nu_form(system):
     """int_Gamma (sum_i nu_i) phi_j phi_k over every boundary face, on the
     free dofs."""
-    mesh = system.mesh
-    T, w, _ = _fem.trace_structure(mesh, mesh.faces)
-    sum_nu = np.repeat(mesh.faces.normal.sum(axis=1), mesh.faces.quad_weights.shape[1])
+    faces = boundary_faces(system.mesh)
+    T, w, _ = trace_loop_oracle(system.mesh, faces)
+    sum_nu = np.repeat(faces.normal.sum(axis=1), faces.quad_weights.shape[1])
     return _fem.trace_form(T[:, system.free], w * sum_nu)
 
 
@@ -136,7 +137,7 @@ class TestRhs:
         mats = _fem.domain_matrices(system.mesh)
         K, C, M = (mats[name].toarray()[np.ix_(f, f)]
                    for name in ("stiffness", "coupling", "mass"))
-        T, w, _ = _fem.trace_structure(system.mesh, system.partition.gamma1_faces)
+        T, w, _ = trace_loop_oracle(system.mesh, gamma1_faces(system.mesh, system.partition))
         B = _fem.trace_form(T, w * system.partition.gamma1_m_dot_nu).toarray()[np.ix_(f, f)]
         S = _fem.trace_form(T, w * system.sigma_values).toarray()[np.ix_(f, f)]
         a1, a2 = system.alpha1, system.alpha2  # mu = 1, identity laws

@@ -10,7 +10,7 @@ from beamstab.errors import InvalidArgumentError
 from beamstab.feedback import (FeedbackLaw, hardening_law, identity_law, law_from_spec,
                                saturating_law, strauss_approximate, zero_law)
 
-from conftest import make_system
+from conftest import gamma1_faces, make_system
 
 
 def _interval_system(mn, law):
@@ -43,7 +43,7 @@ class TestEvaluateH:
         mesh = geometry.build_rect_mesh(1.0, 1.0, 3, 3)
         system = make_system(mesh=mesh, x0=np.array([-0.1, -0.1]))
         load = system.boundary_load(identity_law(), np.ones(len(system.trace_weights)))
-        gamma1_nodes = np.unique(system.partition.gamma1_faces.nodes)
+        gamma1_nodes = np.unique(gamma1_faces(mesh, system.partition).nodes)
         gamma1_dofs = np.flatnonzero(np.isin(system.free, gamma1_nodes))
         assert len(gamma1_dofs) == len(gamma1_nodes) - 2
         assert np.array_equal(np.flatnonzero(load), gamma1_dofs)

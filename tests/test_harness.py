@@ -513,6 +513,21 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match=r"sweep\.alpha must list finite and positive"):
             harness.parse_config(text=SMALL_CONFIG + f"\n[sweep]\nalpha = {alphas}\n")
 
+    @pytest.mark.parametrize("laws", ["identity zero", "zero", "saturating zero hardening"])
+    def test_law_without_damping_is_refused_when_read(self, tmp_path, capsys, laws):
+        # build_report refuses b = 0, so the sweep would stop after its earlier points
+        text = SMALL_CONFIG + f"\n[sweep]\nalpha = 0.05\nlaws = {laws}\n"
+        with pytest.raises(ConfigError, match=r"sweep\.laws must list only laws whose "
+                                              r"default b > 0: identity, saturating, hardening"):
+            harness.parse_config(text=text)
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert harness.main(["sweep", "--config", str(path), "--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep.laws ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_refuses_law_params(self, tmp_path):
         text = SMALL_CONFIG.replace(
             "law2 = identity\n", "law2 = identity\nlaw1_params = k=2\nlaw2_params = k=3\n")
@@ -668,6 +683,28 @@ class TestCli:
             assert harness.main(argv) == harness.EXIT_USAGE
             err = capsys.readouterr().err.splitlines()
             assert err == ["error: window contains fewer than two samples"], argv
+
+    @pytest.mark.parametrize("column, cell, message", [
+        (1, "nan", "window contains a non-finite energy sample"),
+        (1, "inf", "window contains a non-finite energy sample"),
+        (0, "nan", "trace times must be finite and strictly increasing"),
+        (0, "inf", "trace times must be finite and strictly increasing"),
+    ])
+    def test_fit_refuses_a_non_finite_cell(self, tmp_path, capsys, column, cell, message):
+        path = tmp_path / "run.ini"
+        path.write_text(SMALL_CONFIG)
+        out = tmp_path / "out"
+        harness.main(["simulate", "--config", str(path), "--out", str(out)])
+        capsys.readouterr()
+        lines = (out / "small_trace.csv").read_text().splitlines()
+        cells = lines[-2].split(",")  # a sample inside the default window
+        cells[column] = cell
+        lines[-2] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert harness.main(["fit", str(bad)]) == harness.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [f"error: {message}"]
 
     def test_eigen_solve_failure_exits_70(self, tmp_path, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):

@@ -6,15 +6,19 @@ by __init__ or an entry point, that each private one is read inside the
 package, and that each annotated class field is read.  A class whose
 methods call dataclasses.fields(self) reads all its fields.  A private
 module of another package, such as SciPy's compiled kernels, is imported
-by _fem alone.
+by _fem alone.  Every backticked module.name of a beamstab module in the
+root README names an attribute the module has.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "beamstab"
+README = PACKAGE.parents[1] / "README.md"
 
 # the one module that may import a private module of another package
 PRIVATE_IMPORTERS = {"_fem"}
@@ -88,6 +92,32 @@ def _annotated_fields(trees):
             if isinstance(cls, ast.ClassDef) and not _reads_own_fields(cls)
             for node in cls.body
             if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+
+
+def _readme_references(text):
+    """The backticked `module.name` spans of text whose module is one of
+    the package's modules, in order of appearance."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    return [(module, name) for module, name in re.findall(r"`(\w+)\.(\w+)`", text)
+            if module in modules]
+
+
+def _stale_references(text):
+    return [f"{module}.{name}" for module, name in _readme_references(text)
+            if not hasattr(importlib.import_module(f"beamstab.{module}"), name)]
+
+
+def test_readme_names_only_existing_attributes():
+    text = README.read_text()
+    assert ("harness", "RunConfig") in _readme_references(text)
+    stale = _stale_references(text)
+    assert not stale, f"README names what its module does not define: {stale}"
+
+
+def test_the_readme_check_finds_a_stale_name():
+    text = ("`_fem.trace_structure` and `geometry.Faces` are gone; `harness.RunConfig`, "
+            "`_fem.side_rule`, `system.free` and `x.T` are not stale")
+    assert _stale_references(text) == ["_fem.trace_structure", "geometry.Faces"]
 
 
 def test_every_public_definition_is_read():

@@ -24,7 +24,7 @@ from beamstab.feedback import (hardening_law, identity_law, saturating_law,
 from beamstab.timestepper import (StepControl, _MidpointSolver, integrate, load_checkpoint,
                                   save_checkpoint)
 
-from conftest import make_conservative_system, make_system
+from conftest import gamma1_faces, make_conservative_system, make_system, trace_loop_oracle
 
 
 # a decaying mu(t) and saturating laws; the [mesh] keys follow
@@ -171,7 +171,7 @@ def _restricted_forms(system):
     restricted to the free dofs, csr."""
     mesh, part = system.mesh, system.partition
     mats = _fem.domain_matrices(mesh, x0=part.x0)
-    T, w, _ = _fem.trace_structure(mesh, part.gamma1_faces)
+    T, w, _ = trace_loop_oracle(mesh, gamma1_faces(mesh, part))
     ix = np.ix_(system.free, system.free)
     return tuple(A[ix].tocsr() for A in (mats["mass"], mats["stiffness"], mats["coupling"],
                                           mats["multiplier"],
