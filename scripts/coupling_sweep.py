@@ -9,11 +9,13 @@ Usage: python3 scripts/coupling_sweep.py [--alphas A1 A2 ...] [--laws L1 ...]
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 from beamstab import harness  # noqa: E402
+from beamstab.errors import ConfigError  # noqa: E402
 
 
 def main():
@@ -25,12 +27,17 @@ def main():
     ap.add_argument("--out", default=str(ROOT / "out" / "sweep"))
     args = ap.parse_args()
 
-    cfg = harness.parse_config(ROOT / "configs" / "reference_1d.ini")
-    cfg.sweep_alphas = tuple(args.alphas)
-    cfg.sweep_laws = tuple(args.laws)
-    cfg.T = args.T
-    cfg.out_dir = args.out
-    return harness.run_sweep(cfg)
+    # the grid goes through the [sweep] rules of a config file, and --T and
+    # --out through the same checks as the command line's overrides
+    text = (ROOT / "configs" / "reference_1d.ini").read_text()
+    text += (f"\n[sweep]\nalpha = {' '.join(map(repr, args.alphas))}\n"
+             f"laws = {' '.join(args.laws)}\n")
+    try:
+        cfg = harness.apply_overrides(harness.parse_config(text=text), T=args.T, out=args.out)
+        return harness.run_sweep(cfg)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return harness.EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ from .errors import InvalidArgumentError
 class CoefficientSchedule:
     """Time-dependent wave-speed coefficient with a certified lower bound."""
 
-    label: str
     mu: object        # t -> mu(t)
     mu_prime: object  # t -> mu'(t)
     mu0: float        # lower bound over the run horizon
@@ -35,7 +34,7 @@ def constant_schedule(c=1.0):
     if c <= 0:
         raise InvalidArgumentError("constant coefficient must be positive")
     return CoefficientSchedule(
-        f"constant({c:g})", lambda t: c + 0.0 * np.asarray(t, dtype=float),
+        lambda t: c + 0.0 * np.asarray(t, dtype=float),
         lambda t: 0.0 * np.asarray(t, dtype=float), c, c)
 
 
@@ -44,7 +43,6 @@ def decaying_schedule(c0=1.0, lam=0.0, horizon=1.0):
     if c0 <= 0 or lam < 0 or horizon <= 0:
         raise InvalidArgumentError("need c0 > 0, lam >= 0, horizon > 0")
     return CoefficientSchedule(
-        f"decaying(c0={c0:g},lam={lam:g})",
         lambda t: c0 * np.exp(-lam * np.asarray(t, dtype=float)),
         lambda t: -lam * c0 * np.exp(-lam * np.asarray(t, dtype=float)),
         c0 * math.exp(-lam * horizon), c0)
@@ -187,7 +185,7 @@ def build_report(n, M, N, R, tau0, schedule, law1, law2, alpha1, alpha2, partiti
     if law1.b <= 0 or law2.b <= 0:
         raise InvalidArgumentError(
             "decay certification needs strongly monotone laws (b > 0)")
-    sigma = partition.sigma(alpha2)
+    sigma = [alpha2 * sign for _, _, sign, _ in partition.gamma1_sides]  # per Gamma1 side
     sum_nu_bound = partition.sum_nu_bound()
     A = compute_A(n, M, R, schedule.mu0, alpha1 / alpha2)
     P1 = compute_P1(n, M, R, schedule.mu0)
@@ -203,7 +201,7 @@ def build_report(n, M, N, R, tau0, schedule, law1, law2, alpha1, alpha2, partiti
         b1=law1.b, b2=law2.b, L1=law1.L, L2=law2.L,
         alpha1=alpha1, alpha2=alpha2,
         sum_nu_bound=sum_nu_bound,
-        sigma_sup=float(np.max(np.abs(sigma))), sigma_positive=bool(np.all(sigma > 0)),
+        sigma_sup=float(max(map(abs, sigma))), sigma_positive=all(s > 0 for s in sigma),
         A=A, P1=P1, P2=P2, S1=S["S1"], S2=S["S2"],
         product_slack=adm["product_slack"], quadratic_slack=adm["quadratic_slack"],
         admissible=adm["admissible"], **extra,

@@ -51,9 +51,10 @@ class SemiDiscreteSystem:
     It also owns the Gamma1 boundary operator: the quadrature-point trace T,
     the _fem.side_rule of each of the partition's gamma1_sides over the free
     slices stacked in side order, so its columns are the free dofs, and T's
-    transpose, the weights w (m.nu), the laws' slopes at 0 and the
-    forcing load and boundary integral built on them.  The geometric Gamma1
-    data (m.nu, sum nu, normals) live on the partition.
+    transpose, the weights w and w (m.nu), each side's weights times its
+    m.nu, the laws' slopes at 0 and the forcing load and boundary integral
+    built on them.  These weights are the only per-point Gamma1 data; the
+    side constants (m.nu, normal sign) live on the partition's gamma1_sides.
 
     Treat as immutable after assembly; all fields are plain data safe to
     share between runs.
@@ -78,8 +79,6 @@ class SemiDiscreteSystem:
     trace: sp.csr_matrix = field(init=False, repr=False)       # Gamma1 quadrature-point traces
     trace_t: sp.csr_matrix = field(init=False, repr=False)     # trace.T
     trace_weights: np.ndarray = field(init=False, repr=False)
-    trace_points: np.ndarray = field(init=False, repr=False)
-    sigma_values: np.ndarray = field(init=False, repr=False)   # per Gamma1 quadrature point
     trace_wmn: np.ndarray = field(init=False, repr=False)      # w_q (m.nu)_q
     slopes0: tuple = field(init=False, repr=False)   # (p1'(0), p2'(0))
     mass_ldl: tuple = field(init=False, repr=False)  # free 1D mass factors, tridiagonal L D L'
@@ -96,13 +95,12 @@ class SemiDiscreteSystem:
             [s["mass"], s["stiffness"], s["derivative"], s["multiplier"]], self.cols,
             s["mass"] != 0)  # the free grid neighbours: mass is positive
         self.sigma_op, = _fem.stencil_csr([s["sigma"]], self.cols, s["sigma"] != 0)
-        T, w, points = zip(*(_fem.side_rule(mesh.axes, d, end, part.free_slices)
-                             for d, end, *_ in part.gamma1_sides))
+        T, w = zip(*(_fem.side_rule(mesh.axes, d, end, part.free_slices)[:2]
+                     for d, end, *_ in part.gamma1_sides))
         self.trace = sp.vstack(T, format="csr")  # its columns are the free dofs
-        self.trace_weights, self.trace_points = np.concatenate(w), np.concatenate(points)
         self.trace_t = self.trace.T.tocsr()
-        self.sigma_values = part.sigma(self.alpha2)
-        self.trace_wmn = self.trace_weights * part.gamma1_m_dot_nu
+        self.trace_weights = np.concatenate(w)
+        self.trace_wmn = np.concatenate([ws * m for ws, (*_, m) in zip(w, part.gamma1_sides)])
         self.slopes0 = tuple(float(law.slope(0.0)) for law in (self.law1, self.law2))
         self.mass_ldl = tuple(_fem.tridiagonal_ldl(f["mass"]) for f in self.factors)
 
@@ -201,8 +199,8 @@ def column_dot(a, b):
 def assemble(mesh, partition, alpha1, alpha2, schedule, law1, law2):
     """Build every operator of the semi-discrete system.
 
-    sigma is the canonical alpha2 * (sum of normal components) at every
-    Gamma1 quadrature point.
+    sigma is the canonical alpha2 * (sum of normal components), alpha2 sign
+    on each Gamma1 side.
     """
     return SemiDiscreteSystem(mesh, partition, float(alpha1), float(alpha2),
                               schedule, law1, law2)
@@ -217,21 +215,23 @@ def compatibility_residuals(system, u0, v0, u1, v1):
     """Residuals of the initial normal-derivative relations on Gamma1.
 
     r_u(q) = du0/dnu + (m.nu) p1(u1),  r_v(q) = dv0/dnu + (m.nu) p2(v1) + sigma u0
-    evaluated at every Gamma1 quadrature point from the analytic fields.
+    evaluated from the analytic fields at every Gamma1 quadrature point, in
+    the trace's order: side after side of the partition's gamma1_sides,
+    each at its _fem.side_rule points with nu = sign e_d, its m.nu and
+    sigma = alpha2 sign.
     """
-    pts = system.trace_points
-    normals = system.partition.gamma1_normals
-    mn = system.partition.gamma1_m_dot_nu
-
-    def normal_derivative(fld):
+    for fld in (u0, v0):
         if fld.grad is None:
             raise InvalidArgumentError(f"field '{fld.name}' has no gradient callable")
-        return np.einsum("qd,qd->q", np.asarray(fld.grad(pts), dtype=float), normals)
-
-    r_u = normal_derivative(u0) + mn * np.asarray(system.law1(np.asarray(u1.value(pts))))
-    r_v = (normal_derivative(v0) + mn * np.asarray(system.law2(np.asarray(v1.value(pts))))
-           + system.sigma_values * np.asarray(u0.value(pts)))
-    return r_u, r_v
+    mesh, part = system.mesh, system.partition
+    r_u, r_v = [], []
+    for d, end, sign, mn in part.gamma1_sides:
+        pts = _fem.side_rule(mesh.axes, d, end, part.free_slices)[2]
+        du0, dv0 = (sign * np.asarray(f.grad(pts), dtype=float)[:, d] for f in (u0, v0))
+        r_u.append(du0 + mn * np.asarray(system.law1(np.asarray(u1.value(pts)))))
+        r_v.append(dv0 + mn * np.asarray(system.law2(np.asarray(v1.value(pts))))
+                   + system.alpha2 * sign * np.asarray(u0.value(pts)))
+    return np.concatenate(r_u), np.concatenate(r_v)
 
 
 def project_initial_data(system, u0, v0, u1, v1):

@@ -19,7 +19,6 @@ from .errors import InvalidArgumentError
 
 @dataclass(frozen=True)
 class FeedbackLaw:
-    label: str
     p: object            # vectorized scalar map
     slope: object        # derivative (used by the Newton solver)
     b: float             # strong-monotonicity constant
@@ -44,10 +43,8 @@ class LipschitzLaw:
     intact (a constant extension would lose it).
     """
 
-    label: str
     breakpoints: np.ndarray
     values: np.ndarray
-    level: int
     b: float
 
     @property
@@ -78,7 +75,7 @@ class LipschitzLaw:
 def identity_law(k=1.0):
     if k <= 0:
         raise InvalidArgumentError("gain must be positive")
-    return FeedbackLaw(f"identity(k={k:g})", lambda s: k * np.asarray(s, dtype=float),
+    return FeedbackLaw(lambda s: k * np.asarray(s, dtype=float),
                        lambda s: k * np.ones_like(np.asarray(s, dtype=float)), k, k)
 
 
@@ -88,7 +85,6 @@ def saturating_law(b=1.0, L=2.0):
         raise InvalidArgumentError("need 0 < b <= L")
     c = L - b
     return FeedbackLaw(
-        f"saturating(b={b:g},L={L:g})",
         lambda s: b * np.asarray(s, dtype=float) + c * np.tanh(s),
         lambda s: b + c / np.cosh(np.asarray(s, dtype=float)) ** 2,
         b, L,
@@ -109,13 +105,13 @@ def hardening_law(b=1.0, L=2.0, knee=1.0):
         s = np.asarray(s, dtype=float)
         return np.where(np.abs(s) < knee, b, L)
 
-    return FeedbackLaw(f"hardening(b={b:g},L={L:g},knee={knee:g})", p, slope, b, L)
+    return FeedbackLaw(p, slope, b, L)
 
 
 def zero_law():
     """Undamped boundary (b = 0); for conservative diagnostics only."""
     z = lambda s: np.zeros_like(np.asarray(s, dtype=float))
-    return FeedbackLaw("zero", z, z, 0.0, 0.0)
+    return FeedbackLaw(z, z, 0.0, 0.0)
 
 
 CATALOG = {
@@ -140,7 +136,7 @@ def strauss_approximate(law, level):
     k = np.arange(-level * level, level * level + 1)
     x = k / level
     y = np.asarray(law(x), dtype=float)
-    return LipschitzLaw(f"{law.label}|l={level}", x, y, level, law.b)
+    return LipschitzLaw(x, y, law.b)
 
 
 def law_from_spec(name, params):

@@ -3,9 +3,11 @@
 The boundary of a tensor grid is its grid sides (Mesh.sides), each with
 one normal; _fem.side_rule gives the trace onto a side.  The boundary is
 split into a clamped part Gamma0 and a feedback part Gamma1 by the sign of
-m(x).nu(x) with m(x) = x - x0, which is constant on each side.  The
-constants computed here (R, tau0, Poincare constant M, trace constant N)
-feed the admissibility check of the certified decay rate.
+m(x).nu(x) with m(x) = x - x0, which is constant on each side, so the
+partition is a list of Gamma1 sides with their constants; only
+_fem.side_rule knows a side's quadrature points.  The constants computed
+here (R, tau0, Poincare constant M, trace constant N) feed the
+admissibility check of the certified decay rate.
 """
 
 from __future__ import annotations
@@ -80,21 +82,18 @@ class BoundaryPartition:
     m.nu = sign (x_end - x0_d) and is in Gamma1 when that is > 0.
     gamma1_sides lists the Gamma1 sides in side order as
     (axis, end, sign, m.nu), and the rest derives from it: free_slices,
-    whose tensor product is the node set off Gamma0, and the gamma1_*
-    arrays with one entry (row) per Gamma1 quadrature point of
-    _fem.side_rule, side after side, each side's constant repeated over
-    its points.  The two ends of an axis have m.nu summing to its length,
-    so Gamma1 is never empty and no axis is clamped at both ends; an empty
-    Gamma0 raises InadmissiblePartitionError.
+    whose tensor product is the node set off Gamma0, and every constant of
+    a Gamma1 side (nu = sign e_d, sum_i nu_i = sign, sigma = alpha2 sign).
+    Its quadrature points are _fem.side_rule's.  The two ends of an axis
+    have m.nu summing to its length, so Gamma1 is never empty and no axis
+    is clamped at both ends; an empty Gamma0 raises
+    InadmissiblePartitionError.
     """
 
     mesh: Mesh
     x0: np.ndarray
     gamma1_sides: tuple = field(init=False, repr=False)
     free_slices: tuple = field(init=False, repr=False)
-    gamma1_m_dot_nu: np.ndarray = field(init=False, repr=False)  # (Q,)
-    gamma1_normals: np.ndarray = field(init=False, repr=False)   # (Q, dim)
-    gamma1_sum_nu: np.ndarray = field(init=False, repr=False)    # (Q,) sum_i nu_i
 
     def __post_init__(self):
         mesh = self.mesh
@@ -108,18 +107,10 @@ class BoundaryPartition:
             raise InadmissiblePartitionError(
                 "boundary partition needs both a clamped and a feedback part; "
                 f"got only Gamma1 for x0={x0.tolist()}")
-        # a side's points: two per cell of the other axis, one on the interval
-        q = [math.prod(2 * (len(x) - 1) for k, x in enumerate(mesh.axes) if k != d)
-             for d, *_ in gamma1_sides]
-        normals = np.repeat([np.where(np.arange(mesh.dimension) == d, sign, 0.0)
-                             for d, _, sign, _ in gamma1_sides], q, axis=0)
         free_slices = tuple(slice(int(lo[3] <= 0), len(x) - int(hi[3] <= 0))
                             for x, lo, hi in zip(mesh.axes, sides[::2], sides[1::2]))
         for name, value in (("x0", x0), ("gamma1_sides", gamma1_sides),
-                            ("free_slices", free_slices),
-                            ("gamma1_m_dot_nu", np.repeat([m for *_, m in gamma1_sides], q)),
-                            ("gamma1_normals", normals),
-                            ("gamma1_sum_nu", normals.sum(axis=1))):
+                            ("free_slices", free_slices)):
             object.__setattr__(self, name, value)
 
     def gamma0_nodes(self):
@@ -131,10 +122,6 @@ class BoundaryPartition:
     def sum_nu_bound(self):
         """max over Gamma1 of |sum_i nu_i|: |sign| on each side, nu = sign e_d."""
         return max(abs(sign) for _, _, sign, _ in self.gamma1_sides)
-
-    def sigma(self, alpha2):
-        """sigma = alpha2 * (sum of normal components) per Gamma1 quadrature point."""
-        return alpha2 * self.gamma1_sum_nu
 
 
 def build_interval_mesh(length, node_count):

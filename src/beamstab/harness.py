@@ -489,12 +489,12 @@ def run_sweep(cfg, stream=None):
                 try:
                     integrate(system, state0, point.T, StepControl(dt=point.dt),
                               observers=(recorder,))
-                    status = "ok"
                     rate = f"{diagnostics.fit_decay_rate(recorder.trace()).rate:.17g}"
+                    status = "ok"
                 except StepFailureError as exc:  # the point keeps its row, with no rate
                     status = f"step_failure t={exc.t:.17g}"
                 except FitUndefinedError:
-                    pass
+                    status = "fit_undefined"
             rows.append((alpha, law_name, str(cert.admissible).lower(), eta, rate, status))
     rows.sort(key=lambda row: row[:2])  # by the value of alpha, not its text
     outdir = Path(cfg.out_dir)
@@ -561,8 +561,8 @@ def _build_parser():
                     "coupled wave system.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        p.add_argument("--config", required=needs_config, help="INI config file")
+    def common(p):
+        p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", help="output directory override")
         p.add_argument("--dt", type=float, help="time step override")
         p.add_argument("--T", type=float, dest="T", help="final time override")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from beamstab import geometry
+from beamstab import _fem, geometry
 from beamstab.admissibility import constant_schedule
 from beamstab.discretization import assemble
 from beamstab.feedback import identity_law, zero_law
@@ -95,6 +95,20 @@ def boundary_faces(mesh):
         return rect_faces_loop(mesh.nodes, len(mesh.axes[0]) - 1, len(mesh.axes[1]) - 1)[0]
     ids = np.array([[0], [len(mesh.nodes) - 1]])
     return Faces(ids, np.array([[-1.0], [1.0]]), mesh.nodes[ids], np.ones((2, 1)))
+
+
+def gamma1_point_data(partition):
+    """Oracle per-point Gamma1 data: each Gamma1 side's constants repeated
+    over its _fem.side_rule points, side after side as the system's trace
+    stacks them: m.nu (Q,), the normals (Q, dim), nu = sign e_d, and
+    sum_i nu_i (Q,)."""
+    mesh, sides = partition.mesh, partition.gamma1_sides
+    q = [len(_fem.side_rule(mesh.axes, d, end, partition.free_slices)[1])
+         for d, end, *_ in sides]
+    normals = np.repeat([np.where(np.arange(mesh.dimension) == d, sign, 0.0)
+                         for d, _, sign, _ in sides], q, axis=0)
+    return {"m_dot_nu": np.repeat([m for *_, m in sides], q), "normals": normals,
+            "sum_nu": normals.sum(axis=1)}
 
 
 def gamma1_faces(mesh, partition):

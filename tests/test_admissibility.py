@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamstab import admissibility as adm
-from beamstab import diagnostics, geometry
+from beamstab import _fem, diagnostics, geometry
 from beamstab.discretization import SimState, assemble
 from beamstab.errors import InvalidArgumentError
 from beamstab.feedback import identity_law, zero_law
 
-from conftest import make_system
+from conftest import gamma1_point_data, make_system
 
 
 class TestSchedules:
@@ -206,18 +206,21 @@ class TestSigmaFromMesh:
         report = adm.build_report(mesh.dimension, emb["M"], emb["N"], gc["R"], gc["tau0"],
                                   adm.constant_schedule(1.0), identity_law(), identity_law(),
                                   0.01, alpha2, part)
-        assert report.sigma_sup == np.max(np.abs(system.sigma_values))
-        return system, report
+        sigma = alpha2 * gamma1_point_data(part)["sum_nu"]  # per Gamma1 quadrature point
+        assert report.sigma_sup == np.max(np.abs(sigma))
+        defect = _fem.trace_form(system.trace, system.trace_weights * sigma) - system.sigma_op
+        assert np.max(np.abs(defect.toarray())) <= 1e-14 * alpha2
+        return sigma, report
 
     def test_interval(self, interval3):
-        system, report = self._system_and_report(interval3, [0.0], 2.0)
-        assert np.allclose(system.sigma_values, [2.0])
+        sigma, report = self._system_and_report(interval3, [0.0], 2.0)
+        assert np.allclose(sigma, [2.0])
         assert report.sigma_sup == 2.0 and report.sigma_positive
 
     def test_rect_edges(self):
         mesh = geometry.build_rect_mesh(1.0, 1.0, 2, 2)
-        system, report = self._system_and_report(mesh, [-0.1, -0.1], 3.0)
-        assert np.allclose(system.sigma_values, 3.0)  # right and top edges, sum nu = 1
+        sigma, report = self._system_and_report(mesh, [-0.1, -0.1], 3.0)
+        assert np.allclose(sigma, 3.0)  # right and top edges, sum nu = 1
         assert report.sigma_sup == 3.0 and report.sigma_positive
         assert report.sum_nu_bound == 1.0
 

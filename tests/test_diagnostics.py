@@ -407,7 +407,7 @@ def _oracle_columns(system, states, eps1=None):
     3e-16 apart)."""
     M, K, C, X, T = (system.mass, system.stiffness, system.coupling, system.multiplier,
                      system.trace)
-    wmn = system.trace_weights * system.partition.gamma1_m_dot_nu
+    wmn = system.trace_wmn
     a1, a2, ratio = system.alpha1, system.alpha2, system.alpha_ratio
     n = system.mesh.dimension
     Md = M.toarray()

@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from beamstab import _fem, geometry
-from beamstab.discretization import (SimState, compatibility_residuals,
+from beamstab.admissibility import build_report, constant_schedule
+from beamstab.discretization import (SimState, assemble, compatibility_residuals,
                                      interpolate, project_initial_data, rhs)
+from beamstab.feedback import CATALOG
 from beamstab.fields import Field, linear_field, make_field, sine_field
 
-from conftest import (boundary_faces, gamma1_faces, make_conservative_system, make_system,
-                      trace_loop_oracle)
+from conftest import (boundary_faces, gamma1_faces, gamma1_point_data, make_conservative_system,
+                      make_system, trace_loop_oracle)
 
 
 def _sum_nu_form(system):
@@ -63,7 +65,8 @@ class TestAssembly:
 
     def test_sigma_default_matches_partition_normals(self):
         system = make_system(nodes=5, alpha2=2.0)
-        assert np.allclose(system.sigma_values, 2.0)
+        sigma = system.alpha2 * gamma1_point_data(system.partition)["sum_nu"]
+        assert np.allclose(sigma, 2.0)
 
     @pytest.mark.parametrize("mesh, x0", [
         (geometry.build_interval_mesh(1.0, 9), [0.0]),
@@ -138,8 +141,9 @@ class TestRhs:
         K, C, M = (mats[name].toarray()[np.ix_(f, f)]
                    for name in ("stiffness", "coupling", "mass"))
         T, w, _ = trace_loop_oracle(system.mesh, gamma1_faces(system.mesh, system.partition))
-        B = _fem.trace_form(T, w * system.partition.gamma1_m_dot_nu).toarray()[np.ix_(f, f)]
-        S = _fem.trace_form(T, w * system.sigma_values).toarray()[np.ix_(f, f)]
+        per_point = gamma1_point_data(system.partition)
+        B = _fem.trace_form(T, w * per_point["m_dot_nu"]).toarray()[np.ix_(f, f)]
+        S = _fem.trace_form(T, w * (system.alpha2 * per_point["sum_nu"])).toarray()[np.ix_(f, f)]
         a1, a2 = system.alpha1, system.alpha2  # mu = 1, identity laws
         want_u = np.linalg.solve(M, -(K @ u + a1 * C @ v + B @ du))
         want_v = np.linalg.solve(M, -(K @ v - a2 * C @ u + B @ dv + S @ u))
@@ -183,3 +187,53 @@ class TestInitialData:
         vals = interpolate(system, Field("shift", lambda x: np.sum(x, axis=1) + 1.0))
         assert np.array_equal(vals, np.arange(1, 9) / 8.0 + 1.0)  # x = 0 is clamped
         assert vals[-1] == pytest.approx(2.0)
+
+
+def _per_point_oracle(system, u0, v0, u1, v1):
+    """The Gamma1 quantities from per-point arrays (gamma1_point_data): the
+    compatibility residuals with du/dnu by one einsum with the normals,
+    sigma = alpha2 sum_i nu_i, w (m.nu), and the report's sigma fields."""
+    part = system.partition
+    data = gamma1_point_data(part)
+    pts = np.concatenate([_fem.side_rule(system.mesh.axes, d, end, part.free_slices)[2]
+                          for d, end, *_ in part.gamma1_sides])
+    mn, sigma = data["m_dot_nu"], system.alpha2 * data["sum_nu"]
+
+    def dnu(fld):
+        return np.einsum("qd,qd->q", np.asarray(fld.grad(pts), dtype=float), data["normals"])
+
+    r_u = dnu(u0) + mn * np.asarray(system.law1(np.asarray(u1.value(pts))))
+    r_v = (dnu(v0) + mn * np.asarray(system.law2(np.asarray(v1.value(pts))))
+           + sigma * np.asarray(u0.value(pts)))
+    return {"r_u": r_u, "r_v": r_v, "wmn": system.trace_weights * mn,
+            "sigma_sup": float(np.max(np.abs(sigma))), "sigma_positive": bool(np.all(sigma > 0))}
+
+
+class TestGamma1SideConstants:
+    """The Gamma1 data built side by side from the partition's gamma1_sides
+    equal the per-point formulas bit for bit."""
+
+    @pytest.mark.parametrize("mesh, x0", [
+        (geometry.build_rect_mesh(1.0, 1.0, 16, 16), (-0.1, -0.1)),
+        (geometry.build_rect_mesh(1.0, 1.0, 16, 16), (0.5, -0.1)),
+        (geometry.build_rect_mesh(1.3, 0.7, 7, 5), (1.4, 0.5)),
+        (geometry.build_rect_mesh(1.0, 1.0, 12, 12), (1.4, 1.3)),
+        (geometry.build_interval_mesh(1.0, 21), (0.0,)),
+        (geometry.build_interval_mesh(1.0, 21), (1.3,)),
+    ], ids=["rect16-corner", "rect16-free-free", "rect7x5", "rect12-far", "interval-0",
+            "interval-1.3"])
+    @pytest.mark.parametrize("laws", [("identity", "identity"), ("saturating", "hardening")])
+    def test_matches_per_point_formulas(self, mesh, x0, laws):
+        part = geometry.classify_boundary(mesh, np.array(x0))
+        law1, law2 = (CATALOG[name]() for name in laws)
+        system = assemble(mesh, part, 0.1, 0.2, constant_schedule(1.0), law1, law2)
+        report = build_report(mesh.dimension, 1.0, 1.0, 1.0, 1.0, constant_schedule(1.0),
+                              law1, law2, 0.1, 0.2, part)
+        for name in ("bump", "quadratic", "linear", "sine"):
+            fields = [make_field(name, mesh, a) for a in (1.0, -0.5, 0.3, 2.0)]
+            want = _per_point_oracle(system, *fields)
+            r_u, r_v = compatibility_residuals(system, *fields)
+            for got, key in ((r_u, "r_u"), (r_v, "r_v"), (system.trace_wmn, "wmn")):
+                assert got.dtype == want[key].dtype and got.tobytes() == want[key].tobytes()
+        assert np.float64(report.sigma_sup).tobytes() == np.float64(want["sigma_sup"]).tobytes()
+        assert report.sigma_positive is want["sigma_positive"]

@@ -53,7 +53,7 @@ class TestEvaluateH:
 class TestLawCatalog:
     def test_law_must_vanish_at_zero(self):
         with pytest.raises(InvalidArgumentError):
-            FeedbackLaw("bad", lambda s: np.asarray(s) + 1.0, lambda s: 1.0, 1.0, 1.0)
+            FeedbackLaw(lambda s: np.asarray(s) + 1.0, lambda s: 1.0, 1.0, 1.0)
 
     def test_constants_ordering(self):
         with pytest.raises(InvalidArgumentError):

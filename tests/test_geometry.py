@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from beamstab import _fem, geometry
 from beamstab.errors import InadmissiblePartitionError, InvalidArgumentError
 
-from conftest import (Faces, boundary_faces, gamma1_faces, grid_cells, rect_faces_loop,
-                      trace_loop_oracle)
+from conftest import (Faces, boundary_faces, gamma1_faces, gamma1_point_data, grid_cells,
+                      rect_faces_loop, trace_loop_oracle)
 
 
 def _shifted(mesh, shift):
@@ -110,7 +110,7 @@ class TestClassifyBoundary:
         # the left side has m.nu = -0.5 <= 0 and stays in Gamma0
         part = geometry.classify_boundary(interval3, np.array([-0.5]))
         assert [(d, end, m) for d, end, _, m in part.gamma1_sides] == [(0, 2, 1.5)]
-        assert part.gamma1_m_dot_nu.tolist() == [1.5]
+        assert gamma1_point_data(part)["m_dot_nu"].tolist() == [1.5]
         assert part.free_slices == (slice(1, 3),)
 
     def test_rect_partition(self):
@@ -155,7 +155,7 @@ class TestClassifyBoundary:
                     assert np.all(mesh.nodes[ids, d] == mesh.axes[d][end])
                     assert nu[d] == sign and np.dot(mesh.nodes[ids[0]] - point, nu) == m
             assert in_side.max() == 1
-            assert np.all(part.gamma1_m_dot_nu > 0)
+            assert np.all(gamma1_point_data(part)["m_dot_nu"] > 0)
             gamma0 = in_side == 0
             for ids, nu in zip(faces.nodes[gamma0], faces.normal[gamma0]):
                 assert np.dot(mesh.nodes[ids[0]] - point, nu) <= 0
@@ -181,8 +181,8 @@ def _face_partition_oracle(mesh, x0):
                    for d, n in enumerate(counts))
     order = np.concatenate([np.flatnonzero(side) for *_, side in sides])
     normals = np.repeat(faces.normal[order], m_dot_nu.shape[1], axis=0)
-    return {"gamma1": gamma1, "gamma1_m_dot_nu": m_dot_nu[order].ravel(),
-            "gamma1_normals": normals, "gamma1_sum_nu": normals.sum(axis=1),
+    return {"gamma1": gamma1, "m_dot_nu": m_dot_nu[order].ravel(),
+            "normals": normals, "sum_nu": normals.sum(axis=1),
             "free_slices": slices, "gamma0_nodes": np.unique(faces.nodes[~gamma1]),
             "gamma1_sides": [(d, end, sign, m_dot_nu[side].flat[0])
                              for d, end, sign, side in sides]}
@@ -214,8 +214,9 @@ class TestPartitionBySides:
                     geometry.BoundaryPartition(mesh, x0)
                 continue
             part = geometry.BoundaryPartition(mesh, x0)
-            for name in ("gamma1_m_dot_nu", "gamma1_normals", "gamma1_sum_nu"):
-                got = getattr(part, name)
+            per_point = gamma1_point_data(part)
+            for name in ("m_dot_nu", "normals", "sum_nu"):
+                got = per_point[name]
                 assert got.dtype == want[name].dtype and got.shape == want[name].shape
                 assert np.array_equal(_bits(got), _bits(want[name])), (name, point)
             assert part.free_slices == want["free_slices"], point
@@ -260,7 +261,7 @@ class TestGeometricConstants:
         # Gamma1: the right edge (m.nu = 1.3) and the bottom edge (m.nu = 2.5)
         mesh = geometry.build_rect_mesh(1.0, 2.0, 3, 5)
         part = geometry.classify_boundary(mesh, np.array([-0.3, 2.5]))
-        assert np.allclose(np.unique(part.gamma1_m_dot_nu), [1.3, 2.5])
+        assert np.allclose(np.unique(gamma1_point_data(part)["m_dot_nu"]), [1.3, 2.5])
         assert geometry.geometric_constants(mesh, part)["tau0"] == pytest.approx(1.3)
 
 
@@ -651,7 +652,7 @@ class TestGamma1Operator:
         monkeypatch.setattr(_fem, "along_axes", _refuse)
         monkeypatch.setattr(_fem, "trace_form", _refuse)
         N = geometry.embedding_constants(mesh, part)["N"]
-        Q = part.gamma1_m_dot_nu.size
+        Q = gamma1_point_data(part)["m_dot_nu"].size
         assert shapes == [(Q, Q)] and Q == 2 * (6 + 9 + 6)
         assert N == pytest.approx(_dense_embedding_oracle(mesh, part)["N"], rel=1e-10)
 
@@ -671,7 +672,7 @@ class TestGamma1Operator:
         if ncv is not None:
             monkeypatch.setattr(geometry, "EIGEN_NCV", ncv)
         part = geometry.classify_boundary(mesh, np.array(x0))
-        assert part.gamma1_m_dot_nu.size <= geometry.EIGEN_NCV
+        assert gamma1_point_data(part)["m_dot_nu"].size <= geometry.EIGEN_NCV
         monkeypatch.setattr(geometry, "eigsh", _refuse)
         N = geometry.embedding_constants(mesh, part)["N"]
         assert N == pytest.approx(_dense_embedding_oracle(mesh, part)["N"], rel=1e-12)

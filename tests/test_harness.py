@@ -493,6 +493,16 @@ class TestRunSweep:
         assert failed[4] == "true" and float(failed[5]) > 0 and failed[6] == ""
         assert all(float(r[6]) > 0 for r in rows if r[7] == "ok")
 
+    def test_undefined_fit_is_its_own_status(self, tmp_path):
+        # zero initial data: the energy stays 0 and no rate can be fitted
+        text = SMALL_CONFIG.replace("u0_amplitude = 1.0", "u0_amplitude = 0")
+        cfg = harness.parse_config(text=text + "\n[sweep]\nalpha = 0.03125\nlaws = identity\n")
+        cfg.out_dir = str(tmp_path)
+        assert harness.run_sweep(cfg, stream=io.StringIO()) == harness.EXIT_OK
+        fields = (tmp_path / "small_sweep.csv").read_text().splitlines()[1].split(",")
+        assert fields[4] == "true" and float(fields[5]) > 0
+        assert fields[6] == "" and fields[7] == "fit_undefined"
+
     def test_inadmissible_point_not_simulated(self, tmp_path, monkeypatch):
         text = SMALL_CONFIG + "\n[sweep]\nalpha = 1.0\nlaws = identity\n"
         cfg = harness.parse_config(text=text)
@@ -554,6 +564,26 @@ class TestRunSweep:
             assert fields[4] == "true" and float(fields[5]) > 0 and float(fields[6]) > 0
             assert fields[7] == "ok"
         assert capsys.readouterr().out.splitlines() == lines
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--laws", "zero"], "sweep.laws"),
+        (["--laws", "bogus"], "sweep.laws"),
+        (["--T", "0.05", "--alphas", "0.05", "--laws", "identity", "zero"], "sweep.laws"),
+        (["--alphas", "-1"], "sweep.alpha"),
+        (["--T", "-1"], "time.T"),
+    ], ids=["zero", "bogus", "identity-zero", "alpha-negative", "T-negative"])
+    def test_coupling_sweep_script_refuses_bad_grid(self, tmp_path, monkeypatch, capsys,
+                                                    flags, key):
+        script = SCRIPTS / "coupling_sweep.py"
+        out = tmp_path / "out"
+        monkeypatch.setattr(sys, "argv", [str(script), *flags, "--out", str(out)])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_path(str(script), run_name="__main__")
+        assert exit_info.value.code == harness.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {key} ")
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 class TestCli:

@@ -24,7 +24,8 @@ from beamstab.feedback import (hardening_law, identity_law, saturating_law,
 from beamstab.timestepper import (StepControl, _MidpointSolver, integrate, load_checkpoint,
                                   save_checkpoint)
 
-from conftest import gamma1_faces, make_conservative_system, make_system, trace_loop_oracle
+from conftest import (gamma1_faces, gamma1_point_data, make_conservative_system, make_system,
+                      trace_loop_oracle)
 
 
 # a decaying mu(t) and saturating laws; the [mesh] keys follow
@@ -172,10 +173,10 @@ def _restricted_forms(system):
     mesh, part = system.mesh, system.partition
     mats = _fem.domain_matrices(mesh, x0=part.x0)
     T, w, _ = trace_loop_oracle(mesh, gamma1_faces(mesh, part))
+    sigma = system.alpha2 * gamma1_point_data(part)["sum_nu"]
     ix = np.ix_(system.free, system.free)
     return tuple(A[ix].tocsr() for A in (mats["mass"], mats["stiffness"], mats["coupling"],
-                                          mats["multiplier"],
-                                          _fem.trace_form(T, w * system.sigma_values)))
+                                          mats["multiplier"], _fem.trace_form(T, w * sigma)))
 
 
 def _full_jacobian(solver, ops, w):
@@ -184,7 +185,7 @@ def _full_jacobian(solver, ops, w):
     sys_ = solver.system
     M, K, C, Sg = _free_forms(sys_)
     T = sys_.trace
-    wmn = sys_.trace_weights * sys_.partition.gamma1_m_dot_nu
+    wmn = sys_.trace_wmn
     a1, a2 = sys_.alpha1, sys_.alpha2
     dt, mu_mid = solver.dt, ops.mu
     wu, wv = w[:len(w) // 2], w[len(w) // 2:]
@@ -216,7 +217,7 @@ def _reference_jacobian(solver, ops):
     sys_ = solver.system
     M, K, C, Sg = _free_forms(sys_)
     T = sys_.trace
-    wmn = sys_.trace_weights * sys_.partition.gamma1_m_dot_nu
+    wmn = sys_.trace_wmn
     dt, mu = solver.dt, ops.mu
     p1, p2 = (float(law.slope(0.0)) for law in (sys_.law1, sys_.law2))
     B = T.T @ sp.diags(wmn) @ T
@@ -242,7 +243,7 @@ def _termwise_residual(solver, dt, mu_mid, state, wu, wv):
     M, K, C, Sg = _free_forms(sys_)
     a1, a2 = sys_.alpha1, sys_.alpha2
     T = sys_.trace
-    wmn = sys_.trace_weights * sys_.partition.gamma1_m_dot_nu
+    wmn = sys_.trace_wmn
     u_mid = state.u + (dt / 2.0) * wu
     v_mid = state.v + (dt / 2.0) * wv
     ru = ((2.0 / dt) * (M @ (wu - state.du))
