@@ -15,7 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 from beamstab import harness  # noqa: E402
-from beamstab.diagnostics import fit_decay_rate  # noqa: E402
+from beamstab.diagnostics import fit_decay_rate, read_trace_csv  # noqa: E402
 
 
 def main():
@@ -39,7 +39,7 @@ def main():
     if code != harness.EXIT_OK:
         return code
 
-    trace = harness.read_trace_csv(Path(args.out) / f"{cfg.prefix}_trace.csv")
+    trace = read_trace_csv(Path(args.out) / f"{cfg.prefix}_trace.csv")
     fit = fit_decay_rate(trace)
     mesh, partition = harness.build_domain(cfg)
     cert = harness.build_certificate(cfg, partition, harness.build_constants(mesh, partition))
@@ -48,7 +48,7 @@ def main():
     print(f"fitted rate     {fit.rate:.6f}  (r^2 = {fit.r_squared:.6f})")
     print(f"certified rate  {certified:.6f}  ((2/3) eta)")
     print(f"margin          {fit.rate / certified:.2f}x")
-    print(f"\nartifacts in {args.out}/ (trace CSV, energy SVG, checkpoint, summary)")
+    print(f"\nartifacts in {args.out}/ (trace CSV, energy SVG, summary)")
     return 0
 
 

@@ -8,14 +8,14 @@ it evaluates every functional at every sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import _fem
 from .admissibility import decay_envelope
 from .discretization import StateBlock, column_dot, loads
-from .errors import FitUndefinedError, InvalidArgumentError
+from .errors import ConfigError, FitUndefinedError, InvalidArgumentError
 
 
 def energy(system, state):
@@ -47,11 +47,6 @@ def functional_G(system, state):
     second = 2.0 * (column_dot(state.du, state.product(X, "u"))
                     + column_dot(state.dv, state.product(X, "v")))
     return first + second
-
-
-def f_bound_coefficient(alpha1, alpha2, n, M, mu0):
-    """Coefficient in |F| <= 2 sqrt(alpha1 alpha2 n / mu0) M E."""
-    return 2.0 * math.sqrt(alpha1 * alpha2 * n / mu0) * M
 
 
 def boundary_dissipation(system, state):
@@ -127,6 +122,8 @@ ENERGY_RTOL = 1e-14
 # trace rows converted to Python floats at a time by write_csv
 CSV_BLOCK_ROWS = 256
 
+# the trace CSV's columns, in file order: the recorded fields the CSV stores
+# (every EnergyTrace array but mu_prime_term), then the envelope and the slacks
 TRACE_COLUMNS = (
     "t", "E", "F", "G", "lyapunov", "D_u", "D_v", "E_star", "envelope",
     "slack_sandwich_lo", "slack_sandwich_hi", "slack_G", "slack_F",
@@ -135,6 +132,10 @@ TRACE_COLUMNS = (
 
 @dataclass
 class EnergyTrace:
+    """The recorded diagnostics of a run, one entry per sample.  Without
+    the certificate's constants in metadata, the envelope and the slacks
+    are NaN and bound_violations is 0."""
+
     t: np.ndarray
     E: np.ndarray
     F: np.ndarray
@@ -174,7 +175,8 @@ class EnergyTrace:
             return {k: nanv for k in
                     ("slack_sandwich_lo", "slack_sandwich_hi", "slack_G", "slack_F")}
         L = self.E + self.F + md["eps1"] * self.G
-        coef = f_bound_coefficient(md["alpha1"], md["alpha2"], md["n"], md["M"], md["mu0"])
+        # |F| <= 2 sqrt(alpha1 alpha2 n / mu0) M E
+        coef = 2.0 * math.sqrt(md["alpha1"] * md["alpha2"] * md["n"] / md["mu0"]) * md["M"]
         return {
             "slack_sandwich_lo": L - 0.5 * self.E,
             "slack_sandwich_hi": 1.5 * self.E - L,
@@ -182,12 +184,25 @@ class EnergyTrace:
             "slack_F": coef * self.E - np.abs(self.F),
         }
 
-    def write_csv(self, path):
+    def bound_violations(self):
+        """Samples that break the certificate: E above the envelope by more
+        than 1e-9 of it, plus, per slack, the samples below -1e-12 E0 (the
+        slack rule scales with the data, as ENERGY_RTOL does).  A column
+        that is not finite throughout, as without certificate metadata,
+        counts none."""
+        if not len(self):
+            return 0
         env = self.envelope()
-        sl = self.slacks()
-        cols = [self.t, self.E, self.F, self.G, self.lyapunov, self.D_u, self.D_v,
-                self.E_star, env, sl["slack_sandwich_lo"], sl["slack_sandwich_hi"],
-                sl["slack_G"], sl["slack_F"]]
+        count = int(np.sum(self.E > env * (1.0 + 1e-9))) if np.all(np.isfinite(env)) else 0
+        for sl in self.slacks().values():
+            if np.all(np.isfinite(sl)):
+                count += int(np.sum(sl < -1e-12 * self.E0))
+        return count
+
+    def write_csv(self, path):
+        named = {f.name: getattr(self, f.name) for f in fields(self)}
+        named.update(envelope=self.envelope(), **self.slacks())
+        cols = [named[name] for name in TRACE_COLUMNS]
         with open(path, "w") as fh:
             h = self.metadata.get("config_hash")
             if h:
@@ -232,6 +247,45 @@ class EnergyTrace:
             fh.write("\n".join(parts) + "\n")
 
 
+# the TRACE_COLUMNS that are EnergyTrace arrays: a prefix of the CSV row
+_RECORDED = tuple(name for name in TRACE_COLUMNS
+                  if name in {f.name for f in fields(EnergyTrace)})
+
+
+def read_trace_csv(path):
+    """Rebuild an EnergyTrace, without metadata, from a trace CSV.
+
+    The header must start with the recorded columns of TRACE_COLUMNS, which
+    are read back by name.  The CSV does not store mu_prime_term: it is
+    loaded as NaN, and the post-processing that needs it refuses the trace.
+    A ConfigError names the file, and the line of a damaged row.
+    """
+    try:
+        with open(path) as fh:
+            lines = [(k, ln) for k, ln in enumerate(fh.read().splitlines(), 1)
+                     if ln and not ln.startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read trace: {exc}") from exc
+    header = lines[0][1].split(",") if lines else []
+    if tuple(header[:len(_RECORDED)]) != _RECORDED:
+        raise ConfigError(f"not a trace CSV: {path}")
+    rows = []
+    for k, ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ConfigError(f"bad trace row in {path}, line {k}: "
+                              f"{len(cells)} cells where the header has {len(header)}")
+        try:
+            rows.append([float(v) for v in cells])
+        except ValueError as exc:
+            raise ConfigError(f"bad trace row in {path}, line {k}: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"trace has no samples: {path}")
+    data = np.array(rows)
+    return EnergyTrace(**{name: data[:, k] for k, name in enumerate(_RECORDED)},
+                       mu_prime_term=np.full(len(data), np.nan))
+
+
 # cap on the bytes of buffered states, 4 float64 fields per free dof per sample:
 # one 64x64 state fills it.  Where 2 states fit, a chunk holds 1: on 38x38 to
 # 45x45 rects (1 444 to 2 025 free dofs) a sample cost 3-15 % more at 2 states
@@ -267,14 +321,9 @@ class TraceRecorder:
         self._products = {}         # the StateBlock work arrays of every chunk
         md = dict(metadata or {})
         if certificate is not None:
-            md.setdefault("eta", certificate.eta)
             md.setdefault("eps1", certificate.eps1_max)
-            md.setdefault("A", certificate.A)
-            md.setdefault("M", certificate.M)
-            md.setdefault("mu0", certificate.mu0)
-            md.setdefault("alpha1", certificate.alpha1)
-            md.setdefault("alpha2", certificate.alpha2)
-            md.setdefault("n", certificate.n)
+            for key in ("eta", "A", "M", "mu0", "alpha1", "alpha2", "n"):
+                md.setdefault(key, getattr(certificate, key))
         self.metadata = md
 
     def __call__(self, system, state):
@@ -315,22 +364,16 @@ class TraceRecorder:
 # ---------------------------------------------------------------------------
 # trace post-processing
 
-def _require_columns(trace, *names):
-    """Refuse a trace whose columns hold no data (NaN, as read back from CSV)."""
-    for name in names:
-        col = getattr(trace, name)
-        if len(col) and np.all(np.isnan(col)):
-            raise InvalidArgumentError(
-                f"trace has no '{name}' column (the trace CSV does not store it)")
-
-
 def energy_balance_residuals(trace):
     """Per-interval defect of d(E+F)/dt = mu'/2||u||^2 - D_u - D_v.
 
     The right side is averaged between the two endpoint samples, so for the
-    midpoint integrator the defect shrinks at first order or better.
+    midpoint integrator the defect shrinks at first order or better.  A
+    trace read back from CSV, with mu_prime_term all NaN, is refused.
     """
-    _require_columns(trace, "mu_prime_term")
+    if len(trace) and np.all(np.isnan(trace.mu_prime_term)):
+        raise InvalidArgumentError(
+            "trace has no 'mu_prime_term' column (the trace CSV does not store it)")
     if len(trace) < 2:
         return np.array([])
     dt = np.diff(trace.t)

@@ -2,8 +2,8 @@
 
 Config files are INI-style with a strict schema, defined once by the field
 table of RunConfig: unknown sections or keys are rejected so that typos
-cannot silently change a run.  All run products (trace CSV, checkpoint,
-reports) carry the config hash.
+cannot silently change a run.  The trace CSV and the simulate summary carry
+the config hash.
 """
 
 from __future__ import annotations
@@ -309,17 +309,15 @@ def run_simulate(cfg, stream=None):
         if not certificate.admissible:
             log.warning("coupling parameters fail the smallness conditions; "
                         "the run proceeds without a certified envelope")
+            certificate = None
     state0, compat = project_initial_data(system, *_initial_fields(cfg, mesh))
 
-    recorder = diagnostics.TraceRecorder(
-        system,
-        certificate=certificate if certificate and certificate.admissible else None,
-        metadata={"config_hash": cfg.hash})
-    control = StepControl(dt=cfg.dt)
+    recorder = diagnostics.TraceRecorder(system, certificate=certificate,
+                                         metadata={"config_hash": cfg.hash})
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        final = integrate(system, state0, cfg.T, control, observers=(recorder,))
+        integrate(system, state0, cfg.T, StepControl(dt=cfg.dt), observers=(recorder,))
     except StepFailureError as exc:
         stream.write(f"step failure at t={exc.t:.17g} (residual {exc.residual:.3e}); "
                      f"retry with a smaller dt\n")
@@ -327,26 +325,16 @@ def run_simulate(cfg, stream=None):
 
     trace = recorder.trace()
     trace.write_csv(outdir / f"{cfg.prefix}_trace.csv")
-    timestepper.save_checkpoint(outdir / f"{cfg.prefix}_final.ckpt", final,
-                                config_hash=cfg.hash)
     if cfg.plot:
         trace.write_svg(outdir / f"{cfg.prefix}_energy.svg")
-
-    violations = 0
-    env = trace.envelope()
-    if np.all(np.isfinite(env)):
-        violations += int(np.sum(trace.E > env * (1.0 + 1e-9)))
-    for name, sl in trace.slacks().items():
-        if np.all(np.isfinite(sl)):
-            violations += int(np.sum(sl < -1e-12))
 
     lines = [f"config {cfg.hash}",
              f"samples {len(trace)}",
              f"E0 {trace.E0:.17g}",
              f"E_final {trace.E[-1]:.17g}",
              f"compat_residual {compat['norm']:.17g}",
-             f"bound_violations {violations}"]
-    if certificate is not None and certificate.admissible:
+             f"bound_violations {trace.bound_violations()}"]
+    if certificate is not None:
         lines.append(f"eta {certificate.eta:.17g}")
     try:
         fit = diagnostics.fit_decay_rate(trace)
@@ -358,9 +346,6 @@ def run_simulate(cfg, stream=None):
     stream.write(summary)
     (outdir / f"{cfg.prefix}_summary.txt").write_text(summary)
     return EXIT_OK
-
-
-VERIFY_SUITES = ("assembly", "rellich", "strauss", "convergence")
 
 
 def _verify_assembly(cfg):
@@ -442,6 +427,11 @@ def _verify_convergence(cfg):
              "orders " + " ".join(f"{o:.2f}" for o in orders))]
 
 
+_VERIFY = {"assembly": _verify_assembly, "rellich": _verify_rellich,
+           "strauss": _verify_strauss, "convergence": _verify_convergence}
+VERIFY_SUITES = tuple(_VERIFY)
+
+
 def run_verify(cfg, suites=None, stream=None):
     stream = sys.stdout if stream is None else stream
     suites = tuple(suites) if suites is not None else VERIFY_SUITES
@@ -450,11 +440,9 @@ def run_verify(cfg, suites=None, stream=None):
     unknown = set(suites) - set(VERIFY_SUITES)
     if unknown:
         raise ConfigError(f"unknown verification suites: {sorted(unknown)}")
-    runners = {"assembly": _verify_assembly, "rellich": _verify_rellich,
-               "strauss": _verify_strauss, "convergence": _verify_convergence}
     all_ok = True
     for suite in suites:
-        for name, ok, detail in runners[suite](cfg):
+        for name, ok, detail in _VERIFY[suite](cfg):
             stream.write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n")
             all_ok &= ok
     return EXIT_OK if all_ok else 1
@@ -509,46 +497,12 @@ def run_sweep(cfg, stream=None):
 
 def run_fit(trace_path, window=None, stream=None):
     stream = sys.stdout if stream is None else stream
-    trace = read_trace_csv(trace_path)
+    trace = diagnostics.read_trace_csv(trace_path)
     fit = diagnostics.fit_decay_rate(trace, window=window)
     stream.write(f"rate {fit.rate:.17g}\n"
                  f"intercept {fit.intercept:.17g}\n"
                  f"r_squared {fit.r_squared:.17g}\n")
     return EXIT_OK
-
-
-def read_trace_csv(path):
-    """Rebuild an EnergyTrace from a trace CSV.
-
-    The CSV does not store mu_prime_term; it is loaded as NaN, and the
-    post-processing that needs it refuses the trace.
-    """
-    try:
-        with open(path) as fh:
-            lines = [(k, ln) for k, ln in enumerate(fh.read().splitlines(), 1)
-                     if ln and not ln.startswith("#")]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read trace: {exc}") from exc
-    header = lines[0][1].split(",") if lines else []
-    if header[:8] != list(diagnostics.TRACE_COLUMNS[:8]):
-        raise ConfigError(f"not a trace CSV: {path}")
-    rows = []
-    for k, ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise ConfigError(f"bad trace row in {path}, line {k}: "
-                              f"{len(cells)} cells where the header has {len(header)}")
-        try:
-            rows.append([float(v) for v in cells])
-        except ValueError as exc:
-            raise ConfigError(f"bad trace row in {path}, line {k}: {exc}") from exc
-    if not rows:
-        raise ConfigError(f"trace has no samples: {path}")
-    data = np.array(rows)
-    return diagnostics.EnergyTrace(
-        t=data[:, 0], E=data[:, 1], F=data[:, 2], G=data[:, 3],
-        lyapunov=data[:, 4], D_u=data[:, 5], D_v=data[:, 6], E_star=data[:, 7],
-        mu_prime_term=np.full(len(data), np.nan))
 
 
 # ---------------------------------------------------------------------------

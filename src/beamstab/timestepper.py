@@ -96,7 +96,8 @@ GMRES_CYCLES = 4
 GMRES_RTOL = 1e-12
 
 # damped Newton: max-norm residual tolerance, relative to max(1, first residual),
-# and iteration cap per step
+# and iteration cap per step.  Small data can start below this tolerance, so a
+# step takes one iteration at least, unless its first residual is exactly 0
 NEWTON_TOL = 1e-12
 NEWTON_MAX = 50
 
@@ -443,9 +444,10 @@ class _MidpointSolver:
 
     def solve(self, state):
         """The midpoint velocities (w_u, w_v) of the step from state, by
-        damped Newton: views of a solver array, valid until the next solve.
-        Raises StepFailureError unless the last residual is finite and
-        within the tolerance."""
+        damped Newton, one iteration at least unless the first residual is
+        0: views of a solver array, valid until the next solve.  Raises
+        StepFailureError unless the last residual is finite and within the
+        tolerance."""
         ops, c, w0 = self.start(state)
         w = w0
         newton = krylov = halvings = 0
@@ -454,7 +456,7 @@ class _MidpointSolver:
         rnorm = self._max_abs(r)
         tol = NEWTON_TOL * max(1.0, rnorm)
         for _ in range(NEWTON_MAX):
-            if rnorm <= tol or not math.isfinite(rnorm):
+            if not math.isfinite(rnorm) or rnorm <= tol and (newton or rnorm == 0.0):
                 break
             newton += 1
             delta, its = self._newton_direction(ops, s, r)

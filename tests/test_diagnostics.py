@@ -11,7 +11,7 @@ from beamstab import diagnostics as diag
 from beamstab import geometry
 from beamstab.admissibility import constant_schedule, decaying_schedule
 from beamstab.discretization import SimState, column_dot, interpolate
-from beamstab.errors import FitUndefinedError, InvalidArgumentError
+from beamstab.errors import ConfigError, FitUndefinedError, InvalidArgumentError
 from beamstab.feedback import saturating_law
 from beamstab.fields import (bump_field, linear_field, quadratic_field,
                              sine_field, zero_field)
@@ -619,3 +619,82 @@ class TestTraceOutput:
         trace.write_svg(path)
         body = path.read_text()
         assert body.startswith("<svg") and "polyline" in body
+
+
+# coef of the F bound: 2 sqrt(0.1 * 0.1 * 1 / 1) * 1 = 0.2
+_CERTIFIED = {"eta": 0.01, "eps1": 0.05, "A": 9.0, "alpha1": 0.1, "alpha2": 0.1,
+              "n": 1, "M": 1.0, "mu0": 1.0}
+
+
+def _violating_trace(scale=1.0, metadata=_CERTIFIED):
+    """Six samples: one within every bound, then one E above the envelope and
+    one breaking each slack (sandwich lo, sandwich hi, G, F), all others kept."""
+    E = np.array([1.0, 4.0, 1.0, 1.0, 1.0, 1.0])
+    F = np.array([0.0, 0.0, -0.15, 0.15, -0.15, 0.3])
+    G = np.array([0.0, 0.0, -8.0, 8.0, 9.5, 0.0])
+    z = np.zeros(len(E))
+    return diag.EnergyTrace(np.arange(len(E), dtype=float), scale * E, scale * F, scale * G,
+                            z, z, z, z, z, metadata=dict(metadata))
+
+
+class TestTraceRecord:
+    def test_csv_round_trip_is_bit_exact(self, tmp_path):
+        specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -2.5e17, 1.0 / 3.0])
+        t = np.arange(len(specials), dtype=float) / 3.0
+        E = np.array([1.0, -0.0, np.inf, np.nan, 0.0, 1e-300, 2.5e17, 1.0 / 7.0])
+        # "nan" carries no sign, so every NaN here is the positive one
+        negated = np.where(np.isnan(specials), np.nan, -specials)
+        columns = dict(t=t, E=E, F=specials, G=specials[::-1], lyapunov=negated,
+                       D_u=np.roll(specials, 3), D_v=np.roll(specials, 5), E_star=E / 3.0)
+        trace = diag.EnergyTrace(**columns, mu_prime_term=specials)
+        path = tmp_path / "trace.csv"
+        trace.write_csv(path)
+        back = diag.read_trace_csv(path)
+        for name, want in columns.items():
+            assert getattr(back, name).tobytes() == want.tobytes(), name
+        assert np.all(np.isnan(back.mu_prime_term))
+        assert len(back.mu_prime_term) == len(t)
+
+    def test_certified_trace_reads_back_its_recorded_columns(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        trace = _violating_trace()
+        trace.write_csv(path)
+        header = path.read_text().splitlines()[0].split(",")
+        assert header == list(diag.TRACE_COLUMNS)
+        back = diag.read_trace_csv(path)
+        for name in ("t", "E", "F", "G"):
+            assert getattr(back, name).tobytes() == getattr(trace, name).tobytes(), name
+        assert back.metadata == {}
+
+    def test_foreign_header_is_refused(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        _violating_trace().write_csv(path)
+        lines = path.read_text().splitlines()
+        lines[0] = lines[0].replace("F,G", "G,F")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="not a trace CSV"):
+            diag.read_trace_csv(path)
+
+    def test_bound_violations_counts_each_bound(self):
+        trace = _violating_trace()
+        assert trace.bound_violations() == 5
+        env = trace.envelope()
+        assert np.flatnonzero(trace.E > env).tolist() == [1]
+        negative = {name: np.flatnonzero(sl < 0).tolist() for name, sl in trace.slacks().items()}
+        assert negative == {"slack_sandwich_lo": [2], "slack_sandwich_hi": [3],
+                            "slack_G": [4], "slack_F": [5]}
+
+    def test_uncertified_trace_counts_none(self):
+        assert _violating_trace(metadata={}).bound_violations() == 0
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12])
+    def test_slack_rule_is_relative_to_E0(self, scale):
+        assert _violating_trace(scale).bound_violations() == 5
+        # a rounding-sized dip of a slack, 1e-13 E0, is no violation at any scale
+        E = np.array([1.0, 1.0]) * scale
+        G = np.array([0.0, 9.0 + 1e-13]) * scale
+        z = np.zeros(2)
+        dip = diag.EnergyTrace(np.array([0.0, 1.0]), E, z, G, z, z, z, z, z,
+                               metadata=dict(_CERTIFIED, eps1=0.0))
+        assert dip.slacks()["slack_G"][1] < 0
+        assert dip.bound_violations() == 0

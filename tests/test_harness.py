@@ -285,10 +285,18 @@ class TestRunSimulate:
         small_cfg.u0 = small_cfg.v0 = "zero"
         code = harness.run_simulate(small_cfg, stream=io.StringIO())
         assert code == harness.EXIT_OK
-        trace = harness.read_trace_csv(f"{small_cfg.out_dir}/small_trace.csv")
+        trace = diagnostics.read_trace_csv(f"{small_cfg.out_dir}/small_trace.csv")
         assert np.all(trace.E == 0.0)
 
-    def test_products_and_summary(self, small_cfg):
+    def test_products_and_summary(self, small_cfg, monkeypatch):
+        written = []
+        write_csv = diagnostics.EnergyTrace.write_csv
+
+        def keep(trace, path):
+            written.append(trace)
+            write_csv(trace, path)
+
+        monkeypatch.setattr(diagnostics.EnergyTrace, "write_csv", keep)
         stream = io.StringIO()
         assert harness.run_simulate(small_cfg, stream=stream) == harness.EXIT_OK
         out = stream.getvalue()
@@ -297,8 +305,12 @@ class TestRunSimulate:
         from pathlib import Path
         outdir = Path(small_cfg.out_dir)
         assert (outdir / "small_trace.csv").exists()
-        assert (outdir / "small_final.ckpt").exists()
+        assert not (outdir / "small_final.ckpt").exists()
         assert (outdir / "small_summary.txt").exists()
+        # the summary's count is the written trace's, on a certified trace
+        (trace,) = written
+        assert np.all(np.isfinite(trace.envelope()))
+        assert f"bound_violations {trace.bound_violations()}\n" in out
 
     def test_plot_emission(self, small_cfg):
         small_cfg.plot = True
@@ -399,7 +411,7 @@ class TestRunVerify:
 class TestReadTrace:
     def test_unstored_columns_are_refused(self, small_cfg):
         harness.run_simulate(small_cfg, stream=io.StringIO())
-        trace = harness.read_trace_csv(f"{small_cfg.out_dir}/small_trace.csv")
+        trace = diagnostics.read_trace_csv(f"{small_cfg.out_dir}/small_trace.csv")
         assert np.all(np.isnan(trace.mu_prime_term))
         with pytest.raises(InvalidArgumentError, match="mu_prime_term"):
             diagnostics.energy_balance_residuals(trace)
@@ -413,7 +425,7 @@ class TestReadTrace:
         assert not text[:2000].endswith(b"\n")  # the cut ends inside a row
         last = len(text[:2000].splitlines())
         with pytest.raises(ConfigError, match=rf"cut\.csv, line {last}: "):
-            harness.read_trace_csv(cut)
+            diagnostics.read_trace_csv(cut)
         assert harness.main(["fit", str(cut)]) == harness.EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and f"line {last}" in err[0]
@@ -421,13 +433,13 @@ class TestReadTrace:
         header_end = text.index(b"\n", text.index(b"t,E,")) + 1
         cut.write_bytes(text[:header_end])  # cut right after the header
         with pytest.raises(ConfigError, match="no samples"):
-            harness.read_trace_csv(cut)
+            diagnostics.read_trace_csv(cut)
 
         lines = text.decode().splitlines()
         lines[4] = "x" + lines[4]
         cut.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match="cut\\.csv, line 5: could not convert"):
-            harness.read_trace_csv(cut)
+            diagnostics.read_trace_csv(cut)
 
     def test_reproduce_decay_script(self, tmp_path, monkeypatch, capsys):
         script = SCRIPTS / "reproduce_decay.py"

@@ -28,6 +28,8 @@ from conftest import (gamma1_faces, gamma1_point_data, make_conservative_system,
                       trace_loop_oracle)
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
 # a decaying mu(t) and saturating laws; the [mesh] keys follow
 _DECAYING_CONFIG = """\
 [problem]
@@ -1009,6 +1011,33 @@ class TestEnergyBalance:
         assert np.max(np.abs(defects)) <= 1e-12
 
 
+def _energy_ratio(mesh, law, amplitude):
+    """E(T)/E0 of the reference config at T = 0.2, or of a 16x16 rect, with
+    sine data of u0 and v0 amplitudes amplitude and amplitude / 2."""
+    cfg = harness.parse_config(ROOT / "configs" / "reference_1d.ini")
+    harness.apply_overrides(cfg, T=0.2)
+    if mesh == "rect":
+        cfg.mesh_kind, cfg.nx, cfg.ny, cfg.x0 = "rect", 16, 16, np.array([-0.1, -0.1])
+        cfg.alpha1 = cfg.alpha2 = 0.03
+    cfg.law1_name = cfg.law2_name = law
+    cfg.u0_amplitude, cfg.v0_amplitude = amplitude, amplitude / 2.0
+    mesh_, _, system = harness.build_problem(cfg)
+    state0, _ = project_initial_data(system, *harness._initial_fields(cfg, mesh_))
+    final = integrate(system, state0, cfg.T, StepControl(dt=cfg.dt))
+    return energy(system, final) / energy(system, state0)
+
+
+class TestSmallData:
+    @pytest.mark.parametrize("law", ["identity", "saturating"])
+    @pytest.mark.parametrize("mesh", ["interval", "rect"])
+    def test_energy_decay_does_not_depend_on_the_data_scale(self, mesh, law):
+        # at 1e-14 every first residual is below the absolute Newton
+        # tolerance; a step that took no iteration would keep E(T) = E0
+        small, large = (_energy_ratio(mesh, law, a) for a in (1e-14, 1e-8))
+        assert large < 0.999
+        assert small == pytest.approx(large, rel=1e-9)
+
+
 class TestIntegrate:
     def test_zero_span_single_sample(self):
         system = make_system(nodes=7)
@@ -1062,7 +1091,7 @@ class TestIntegrate:
             stream = io.StringIO()
             assert harness.run_simulate(cfg, stream=stream) == harness.EXIT_OK
             files = [Path(cfg.out_dir, f"decay{suffix}").read_bytes()
-                     for suffix in ("_trace.csv", "_final.ckpt")]
+                     for suffix in ("_trace.csv", "_summary.txt")]
             outputs.append((*files, stream.getvalue()))
         assert outputs[0] == outputs[1]
 
