@@ -49,6 +49,11 @@ def functional_G(system, state):
     return first + second
 
 
+def f_bound_coefficient(alpha1, alpha2, n, M, mu0):
+    """Coefficient in |F| <= 2 sqrt(alpha1 alpha2 n / mu0) M E."""
+    return 2.0 * math.sqrt(alpha1 * alpha2 * n / mu0) * M
+
+
 def boundary_dissipation(system, state):
     """D_u = mu int_G1 (m.nu) p1(u')u', D_v = (a1/a2) int_G1 (m.nu) p2(v')v'."""
     mu = system.schedule.mu(state.t)
@@ -175,8 +180,7 @@ class EnergyTrace:
             return {k: nanv for k in
                     ("slack_sandwich_lo", "slack_sandwich_hi", "slack_G", "slack_F")}
         L = self.E + self.F + md["eps1"] * self.G
-        # |F| <= 2 sqrt(alpha1 alpha2 n / mu0) M E
-        coef = 2.0 * math.sqrt(md["alpha1"] * md["alpha2"] * md["n"] / md["mu0"]) * md["M"]
+        coef = f_bound_coefficient(md["alpha1"], md["alpha2"], md["n"], md["M"], md["mu0"])
         return {
             "slack_sandwich_lo": L - 0.5 * self.E,
             "slack_sandwich_hi": 1.5 * self.E - L,
@@ -190,8 +194,6 @@ class EnergyTrace:
         slack rule scales with the data, as ENERGY_RTOL does).  A column
         that is not finite throughout, as without certificate metadata,
         counts none."""
-        if not len(self):
-            return 0
         env = self.envelope()
         count = int(np.sum(self.E > env * (1.0 + 1e-9))) if np.all(np.isfinite(env)) else 0
         for sl in self.slacks().values():
@@ -321,9 +323,14 @@ class TraceRecorder:
         self._products = {}         # the StateBlock work arrays of every chunk
         md = dict(metadata or {})
         if certificate is not None:
+            md.setdefault("eta", certificate.eta)
             md.setdefault("eps1", certificate.eps1_max)
-            for key in ("eta", "A", "M", "mu0", "alpha1", "alpha2", "n"):
-                md.setdefault(key, getattr(certificate, key))
+            md.setdefault("A", certificate.A)
+            md.setdefault("M", certificate.M)
+            md.setdefault("mu0", certificate.mu0)
+            md.setdefault("alpha1", certificate.alpha1)
+            md.setdefault("alpha2", certificate.alpha2)
+            md.setdefault("n", certificate.n)
         self.metadata = md
 
     def __call__(self, system, state):
@@ -364,16 +371,22 @@ class TraceRecorder:
 # ---------------------------------------------------------------------------
 # trace post-processing
 
+def _require_columns(trace, *names):
+    """Refuse a trace whose columns hold no data (NaN, as read back from CSV)."""
+    for name in names:
+        col = getattr(trace, name)
+        if len(col) and np.all(np.isnan(col)):
+            raise InvalidArgumentError(
+                f"trace has no '{name}' column (the trace CSV does not store it)")
+
+
 def energy_balance_residuals(trace):
     """Per-interval defect of d(E+F)/dt = mu'/2||u||^2 - D_u - D_v.
 
     The right side is averaged between the two endpoint samples, so for the
-    midpoint integrator the defect shrinks at first order or better.  A
-    trace read back from CSV, with mu_prime_term all NaN, is refused.
+    midpoint integrator the defect shrinks at first order or better.
     """
-    if len(trace) and np.all(np.isnan(trace.mu_prime_term)):
-        raise InvalidArgumentError(
-            "trace has no 'mu_prime_term' column (the trace CSV does not store it)")
+    _require_columns(trace, "mu_prime_term")
     if len(trace) < 2:
         return np.array([])
     dt = np.diff(trace.t)

@@ -128,16 +128,16 @@ class TestStep:
 
 
 def _damped_newton(solver, state, direction):
-    """The solver's damped Newton loop (same tolerance scale and line search)
-    with the direction supplied by direction(ops, w, s, r).
+    """The solver's damped Newton loop (same tolerance scale, stop rule and
+    line search) with the direction supplied by direction(ops, w, s, r).
     Returns (wu, wv, converged)."""
     ops, c, w0 = solver.start(state)
     w = w0
     r, s = solver.residual(ops, c, w0, w)
     rnorm = float(np.max(np.abs(r)))
     tol = timestepper.NEWTON_TOL * max(1.0, rnorm)
-    for _ in range(timestepper.NEWTON_MAX):
-        if rnorm <= tol:
+    for k in range(timestepper.NEWTON_MAX):
+        if rnorm <= tol and (k or rnorm == 0.0):
             break
         delta = direction(ops, w, s, r)
         lam = 1.0
@@ -1082,6 +1082,13 @@ class TestIntegrate:
     def test_decaying_mu_run_matches_out_of_place_operators(self, mesh, tmp_path, monkeypatch):
         text = _DECAYING_CONFIG + ("kind = interval\nnodes = 21\nx0 = 0.0\n" if mesh == "interval"
                                    else "kind = rect\nnx = 8\nny = 8\nx0 = -0.1 -0.1\n")
+        finals = []
+
+        def recording_integrate(*args, **kwargs):
+            finals.append(integrate(*args, **kwargs))
+            return finals[-1]
+
+        monkeypatch.setattr(harness, "integrate", recording_integrate)
         outputs = []
         for patch in (False, True):
             if patch:
@@ -1090,9 +1097,10 @@ class TestIntegrate:
             cfg.out_dir = str(tmp_path / str(patch))
             stream = io.StringIO()
             assert harness.run_simulate(cfg, stream=stream) == harness.EXIT_OK
-            files = [Path(cfg.out_dir, f"decay{suffix}").read_bytes()
-                     for suffix in ("_trace.csv", "_summary.txt")]
-            outputs.append((*files, stream.getvalue()))
+            trace = Path(cfg.out_dir, "decay_trace.csv").read_bytes()
+            state = [getattr(finals[-1], name).tobytes() for name in ("u", "v", "du", "dv")]
+            outputs.append((trace, *state, stream.getvalue()))
+        assert len(finals) == 2
         assert outputs[0] == outputs[1]
 
     def test_deterministic_repetition(self):
