@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _fem
 from .admissibility import decay_envelope
-from .discretization import StateBlock, column_dot, loads
+from .discretization import StateBlock, column_dot
 from .errors import ConfigError, FitUndefinedError, InvalidArgumentError
 
 
@@ -65,21 +65,6 @@ def boundary_dissipation(system, state):
     }
 
 
-def higher_energy(system, state):
-    """E* = 1/2|u''|^2 + 1/2|v''|^2 + (mu/2)||u'||^2 + 1/2||v'||^2.
-
-    |u''|^2 = u'' . M u'' = u'' . load_u, as u'' solves M u'' = load_u."""
-    mu = system.schedule.mu(state.t)
-    load_u, load_v = loads(system, state)
-    d2u, d2v = system.solve_mass(load_u), system.solve_mass(load_v)
-    K = system.stiffness
-    return 0.5 * (
-        column_dot(d2u, load_u) + column_dot(d2v, load_v)
-        + mu * column_dot(state.du, state.product(K, "du"))
-        + column_dot(state.dv, state.product(K, "dv"))
-    )
-
-
 def rellich_check(mesh, fld, x0):
     """Multiplier identity on a manufactured field.
 
@@ -128,9 +113,10 @@ ENERGY_RTOL = 1e-14
 CSV_BLOCK_ROWS = 256
 
 # the trace CSV's columns, in file order: the recorded fields the CSV stores
-# (every EnergyTrace array but mu_prime_term), then the envelope and the slacks
+# (every EnergyTrace array but mu_prime_term) and the derived lyapunov,
+# envelope and slacks
 TRACE_COLUMNS = (
-    "t", "E", "F", "G", "lyapunov", "D_u", "D_v", "E_star", "envelope",
+    "t", "E", "F", "G", "lyapunov", "D_u", "D_v", "envelope",
     "slack_sandwich_lo", "slack_sandwich_hi", "slack_G", "slack_F",
 )
 
@@ -138,17 +124,15 @@ TRACE_COLUMNS = (
 @dataclass
 class EnergyTrace:
     """The recorded diagnostics of a run, one entry per sample.  Without
-    the certificate's constants in metadata, the envelope and the slacks
-    are NaN and bound_violations is 0."""
+    the certificate's constants in metadata, the lyapunov, the envelope and
+    the slacks are NaN and bound_violations is 0."""
 
     t: np.ndarray
     E: np.ndarray
     F: np.ndarray
     G: np.ndarray
-    lyapunov: np.ndarray
     D_u: np.ndarray
     D_v: np.ndarray
-    E_star: np.ndarray
     mu_prime_term: np.ndarray   # mu'(t)/2 <u, K u>
     metadata: dict = field(default_factory=dict)
 
@@ -172,6 +156,13 @@ class EnergyTrace:
             return np.full_like(self.t, np.nan)
         return decay_envelope(self.E0, eta, self.t)
 
+    def lyapunov(self, eps=None):
+        """L = E + F + eps G, by default at the certificate's eps1; NaN without it."""
+        eps = self.metadata.get("eps1") if eps is None else eps
+        if eps is None:
+            return np.full_like(self.t, np.nan)
+        return self.E + self.F + eps * self.G
+
     def slacks(self):
         md = self.metadata
         needed = ("eps1", "A", "alpha1", "alpha2", "n", "M", "mu0")
@@ -179,7 +170,7 @@ class EnergyTrace:
             nanv = np.full_like(self.t, np.nan)
             return {k: nanv for k in
                     ("slack_sandwich_lo", "slack_sandwich_hi", "slack_G", "slack_F")}
-        L = self.E + self.F + md["eps1"] * self.G
+        L = self.lyapunov()
         coef = f_bound_coefficient(md["alpha1"], md["alpha2"], md["n"], md["M"], md["mu0"])
         return {
             "slack_sandwich_lo": L - 0.5 * self.E,
@@ -203,7 +194,7 @@ class EnergyTrace:
 
     def write_csv(self, path):
         named = {f.name: getattr(self, f.name) for f in fields(self)}
-        named.update(envelope=self.envelope(), **self.slacks())
+        named.update(lyapunov=self.lyapunov(), envelope=self.envelope(), **self.slacks())
         cols = [named[name] for name in TRACE_COLUMNS]
         with open(path, "w") as fh:
             h = self.metadata.get("config_hash")
@@ -249,7 +240,7 @@ class EnergyTrace:
             fh.write("\n".join(parts) + "\n")
 
 
-# the TRACE_COLUMNS that are EnergyTrace arrays: a prefix of the CSV row
+# the TRACE_COLUMNS that are EnergyTrace arrays
 _RECORDED = tuple(name for name in TRACE_COLUMNS
                   if name in {f.name for f in fields(EnergyTrace)})
 
@@ -257,10 +248,10 @@ _RECORDED = tuple(name for name in TRACE_COLUMNS
 def read_trace_csv(path):
     """Rebuild an EnergyTrace, without metadata, from a trace CSV.
 
-    The header must start with the recorded columns of TRACE_COLUMNS, which
-    are read back by name.  The CSV does not store mu_prime_term: it is
-    loaded as NaN, and the post-processing that needs it refuses the trace.
-    A ConfigError names the file, and the line of a damaged row.
+    The recorded columns of TRACE_COLUMNS are read back by header name; the
+    others are not read.  The CSV does not store mu_prime_term: it is loaded
+    as NaN, and the post-processing that needs it refuses the trace.  A
+    ConfigError names the file, a missing column, or the line of a bad row.
     """
     try:
         with open(path) as fh:
@@ -269,8 +260,9 @@ def read_trace_csv(path):
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read trace: {exc}") from exc
     header = lines[0][1].split(",") if lines else []
-    if tuple(header[:len(_RECORDED)]) != _RECORDED:
-        raise ConfigError(f"not a trace CSV: {path}")
+    missing = [name for name in _RECORDED if name not in header]
+    if missing:
+        raise ConfigError(f"not a trace CSV: {path} has no column '{missing[0]}'")
     rows = []
     for k, ln in lines[1:]:
         cells = ln.split(",")
@@ -284,7 +276,7 @@ def read_trace_csv(path):
     if not rows:
         raise ConfigError(f"trace has no samples: {path}")
     data = np.array(rows)
-    return EnergyTrace(**{name: data[:, k] for k, name in enumerate(_RECORDED)},
+    return EnergyTrace(**{name: data[:, header.index(name)] for name in _RECORDED},
                        mu_prime_term=np.full(len(data), np.nan))
 
 
@@ -306,9 +298,8 @@ class TraceRecorder:
     _fem.csr_product into arrays the recorder owns, one per operator,
     field and chunk width (the StateBlock work dict), so a chunk allocates
     no product array with a field once the first chunk of its width is
-    done.  What it still allocates are the two loads of E*, with their
-    boundary loads (T' products), the two mass solves and the (chunk,)
-    columns.
+    done.  What it still allocates are the boundary law values and the
+    (chunk,) columns.
     """
 
     def __init__(self, system, certificate=None, metadata=None):
@@ -319,7 +310,7 @@ class TraceRecorder:
         self._times = np.empty(self.chunk)
         self._states = np.empty((len(_FIELDS), n, self.chunk))
         self._fill = 0
-        self._done = []             # (9, chunk) arrays of evaluated chunks
+        self._done = []             # (7, chunk) arrays of evaluated chunks
         self._products = {}         # the StateBlock work arrays of every chunk
         md = dict(metadata or {})
         if certificate is not None:
@@ -344,7 +335,7 @@ class TraceRecorder:
             self._fill = 0
 
     def _evaluate(self, count):
-        """The 9 trace columns of the first `count` buffered samples, (9, count)."""
+        """The 7 trace columns of the first `count` buffered samples, (7, count)."""
         system = self.system
         t = self._times[:count]
         block = StateBlock(t, *(np.ascontiguousarray(f[:, :count]) for f in self._states),
@@ -352,19 +343,15 @@ class TraceRecorder:
         E = energy(system, block)
         F = functional_F(system, block)
         G = functional_G(system, block)
-        eps1 = self.metadata.get("eps1")
-        lyap = E + F + eps1 * G if eps1 is not None else np.full(count, np.nan)
         diss = boundary_dissipation(system, block)
         stiff_u = column_dot(block.u, block.product(system.stiffness, "u"))
         mupr = system.schedule.mu_prime(t) / 2.0 * stiff_u
-        return np.vstack([
-            t, E, F, G, lyap, diss["D_u"], diss["D_v"], higher_energy(system, block), mupr,
-        ])
+        return np.vstack([t, E, F, G, diss["D_u"], diss["D_v"], mupr])
 
     def trace(self):
         """Every sample so far, in order; the recorder keeps recording."""
         chunks = self._done + ([self._evaluate(self._fill)] if self._fill else [])
-        arr = np.concatenate(chunks, axis=1) if chunks else np.empty((9, 0))
+        arr = np.concatenate(chunks, axis=1) if chunks else np.empty((7, 0))
         return EnergyTrace(*arr, metadata=dict(self.metadata))
 
 
@@ -404,7 +391,7 @@ def observed_orders(values, ratio=2.0):
 
 def lyapunov_decay_defects(trace, eps2):
     """max over intervals of [L2(t+dt) - L2(t)]/dt + eps2 E(t), L2 = E+F+eps2 G."""
-    L = trace.E + trace.F + eps2 * trace.G
+    L = trace.lyapunov(eps2)
     dt = np.diff(trace.t)
     return np.diff(L) / dt + eps2 * trace.E[:-1]
 

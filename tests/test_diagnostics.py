@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beamstab import diagnostics as diag
-from beamstab import geometry
+from beamstab import geometry, harness
 from beamstab.admissibility import constant_schedule, decaying_schedule
 from beamstab.discretization import SimState, column_dot, interpolate
 from beamstab.errors import ConfigError, FitUndefinedError, InvalidArgumentError
@@ -106,7 +106,7 @@ class TestFunctionalG:
 def _one_sample_slacks(E, F, G, **metadata):
     """EnergyTrace.slacks of a single sample with the given E, F, G."""
     z = np.zeros(1)
-    trace = diag.EnergyTrace(z, np.array([E]), np.array([F]), np.array([G]), *[z] * 5,
+    trace = diag.EnergyTrace(z, np.array([E]), np.array([F]), np.array([G]), *[z] * 3,
                              metadata=metadata)
     return {k: float(v[0]) for k, v in trace.slacks().items()}
 
@@ -189,23 +189,6 @@ class TestEnergyBalance:
         source = tr.mu_prime_term - tr.D_u - tr.D_v
         want = np.diff(tr.E + tr.F) / np.diff(tr.t) - 0.5 * (source[1:] + source[:-1])
         assert np.array_equal(diag.energy_balance_residuals(tr), want)
-
-
-class TestHigherEnergy:
-    def test_zero_state(self):
-        system = make_system(nodes=7)
-        assert diag.higher_energy(system, _zero_state(system)) == 0.0
-
-    def test_conserved_on_decoupled_run(self):
-        system = make_conservative_system(nodes=11)
-        u = interpolate(system, sine_field(system.mesh))
-        state = SimState(0.0, u, np.zeros_like(u), np.zeros_like(u), np.zeros_like(u))
-        values = [diag.higher_energy(system, state)]
-        control = StepControl(dt=0.002)
-        for _ in range(3):
-            state = integrate(system, state, state.t + 0.1, control)
-            values.append(diag.higher_energy(system, state))
-        assert np.max(np.abs(np.diff(values))) <= 1e-10 * values[0]
 
 
 def _rellich_boundary_loop(mesh, fld, x0):
@@ -325,7 +308,7 @@ class TestFitDecayRate:
         t = np.arange(0.0, T + dt / 2, dt)
         E = E0 * np.exp(-rate * t)
         z = np.zeros_like(t)
-        return diag.EnergyTrace(t, E, z, z, z, z, z, z, z)
+        return diag.EnergyTrace(t, E, z, z, z, z, z)
 
     def test_exact_exponential(self):
         fit = diag.fit_decay_rate(self._synthetic())
@@ -366,7 +349,7 @@ class TestTraceValidation:
         t = np.array([0.0, 0.0])
         z = np.zeros(2)
         with pytest.raises(InvalidArgumentError):
-            diag.EnergyTrace(t, z, z, z, z, z, z, z, z)
+            diag.EnergyTrace(t, z, z, z, z, z, z)
 
     @pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [np.nan, 1.0, 2.0],
                                        [0.0, 1.0, np.nan], [0.0, 1.0, np.inf],
@@ -374,31 +357,31 @@ class TestTraceValidation:
     def test_times_must_be_finite(self, times):
         z = np.zeros(3)
         with pytest.raises(InvalidArgumentError, match="finite and strictly increasing"):
-            diag.EnergyTrace(np.array(times), z, z, z, z, z, z, z, z)
+            diag.EnergyTrace(np.array(times), z, z, z, z, z, z)
 
     def test_energy_must_be_nonnegative(self):
         t = np.array([0.0, 1.0])
         z = np.zeros(2)
         with pytest.raises(InvalidArgumentError):
-            diag.EnergyTrace(t, z - 1.0, z, z, z, z, z, z, z)
+            diag.EnergyTrace(t, z - 1.0, z, z, z, z, z)
 
     def test_negative_energy_tolerance_is_relative_to_E0(self):
         t = np.array([0.0, 1.0, 2.0])
         z = np.zeros(3)
         # rounding-sized dips pass at any scale of E0
         for E0 in (1e-20, 1.0, 1e8):
-            diag.EnergyTrace(t, np.array([E0, 0.5 * E0, -1e-16 * E0]), z, z, z, z, z, z, z)
+            diag.EnergyTrace(t, np.array([E0, 0.5 * E0, -1e-16 * E0]), z, z, z, z, z)
         # a clearly negative energy is refused also where it is tiny in absolute terms
         for E0 in (1e-20, 1.0):
             with pytest.raises(InvalidArgumentError, match="negative energy"):
-                diag.EnergyTrace(t, np.array([E0, 0.5 * E0, -1e-6 * E0]), z, z, z, z, z, z, z)
+                diag.EnergyTrace(t, np.array([E0, 0.5 * E0, -1e-6 * E0]), z, z, z, z, z)
 
 
-TRACE_FIELDS = ("t", "E", "F", "G", "lyapunov", "D_u", "D_v", "E_star", "mu_prime_term")
+TRACE_FIELDS = ("t", "E", "F", "G", "lyapunov", "D_u", "D_v", "mu_prime_term")
 
 
 def _oracle_columns(system, states, eps1=None):
-    """The 9 trace columns, one state at a time, from the operators directly.
+    """The TRACE_FIELDS columns, one state at a time, from the operators directly.
 
     Each form a' A b is taken as column_dot(a, A b), the recorder's
     association and summation order: F and G can nearly cancel, and
@@ -408,14 +391,9 @@ def _oracle_columns(system, states, eps1=None):
     M, K, C, X, T = (system.mass, system.stiffness, system.coupling, system.multiplier,
                      system.trace)
     wmn = system.trace_wmn
-    a1, a2, ratio = system.alpha1, system.alpha2, system.alpha_ratio
+    a1, ratio = system.alpha1, system.alpha_ratio
     n = system.mesh.dimension
-    Md = M.toarray()
     dot = column_dot
-
-    def accel(load):
-        return np.linalg.solve(Md, load)
-
     rows = []
     for st_ in states:
         u, v, du, dv = st_.u, st_.v, st_.du, st_.dv
@@ -426,19 +404,16 @@ def _oracle_columns(system, states, eps1=None):
         G = (n - 1) * (dot(u, M @ du) + dot(v, M @ dv)) + 2.0 * (dot(du, X @ u) + dot(dv, X @ v))
         su, sv = T @ du, T @ dv
         pu, pv = system.law1(su), system.law2(sv)
-        d2u = accel(-(mu * K @ u + a1 * C @ v + mu * T.T @ (wmn * pu)))
-        d2v = accel(-(K @ v - a2 * C @ u + T.T @ (wmn * pv) + system.sigma_op @ u))
         rows.append((
             st_.t, E, F, G, E + F + eps1 * G if eps1 is not None else np.nan,
             mu * np.sum(wmn * pu * su), ratio * np.sum(wmn * pv * sv),
-            0.5 * (d2u @ M @ d2u + d2v @ M @ d2v + mu * dot(du, K @ du) + dot(dv, K @ dv)),
             float(system.schedule.mu_prime(st_.t)) / 2.0 * dot(u, K @ u)))
     return np.array(rows).T
 
 
 def _assert_trace_matches(trace, want, rtol=1e-13):
     for name, w in zip(TRACE_FIELDS, want):
-        got = getattr(trace, name)
+        got = trace.lyapunov() if name == "lyapunov" else getattr(trace, name)
         assert got.shape == w.shape, name
         if np.all(np.isnan(w)):
             assert np.all(np.isnan(got)), name
@@ -545,9 +520,9 @@ class TestChunkedRecorder:
 
     def test_sample_allocates_no_product_arrays(self, monkeypatch):
         # one state per chunk, as from 64x64 up: after the first chunk a
-        # sample's traced peak measured 5.5 vectors of nf float64 (the loads
-        # and the mass solves; 16.2 when each chunk made its own products);
-        # the bound leaves 1.5 of margin
+        # sample's traced peak measured 0.71-0.78 vectors of nf float64 (the
+        # boundary law values and the (1,) columns); the bound leaves 1.2 of
+        # margin
         monkeypatch.setattr(diag, "CHUNK_BYTES", 1)
         mesh = geometry.build_rect_mesh(1.0, 1.0, 32, 32)
         system = make_system(mesh=mesh, x0=np.array([-0.1, -0.1]),
@@ -564,7 +539,7 @@ class TestChunkedRecorder:
                 peak = tracemalloc.get_traced_memory()[1] - start
             finally:
                 tracemalloc.stop()
-            assert peak <= 7 * (len(system.free) * 8)
+            assert peak <= 2 * (len(system.free) * 8)
 
 
 class TestTraceOutput:
@@ -593,13 +568,13 @@ class TestTraceOutput:
         specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -2.5e17, 1.0 / 3.0])
         t = np.arange(len(specials), dtype=float)
         E = np.abs(np.where(np.isfinite(specials), specials, 1.0)) + 1.0
-        trace = diag.EnergyTrace(t, E, specials, specials[::-1], -specials, specials,
-                                 specials[::-1], E / 7.0, specials)
+        trace = diag.EnergyTrace(t, E, specials, specials[::-1], specials, specials[::-1],
+                                 specials, metadata={"eps1": -1.0 / 3.0})
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
         sl = trace.slacks()
-        cols = [trace.t, trace.E, trace.F, trace.G, trace.lyapunov, trace.D_u, trace.D_v,
-                trace.E_star, trace.envelope(), sl["slack_sandwich_lo"],
+        cols = [trace.t, trace.E, trace.F, trace.G, trace.lyapunov(), trace.D_u, trace.D_v,
+                trace.envelope(), sl["slack_sandwich_lo"],
                 sl["slack_sandwich_hi"], sl["slack_G"], sl["slack_F"]]
         want = ",".join(diag.TRACE_COLUMNS) + "\n" + "".join(
             ",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*cols))
@@ -634,7 +609,7 @@ def _violating_trace(scale=1.0, metadata=_CERTIFIED):
     G = np.array([0.0, 0.0, -8.0, 8.0, 9.5, 0.0])
     z = np.zeros(len(E))
     return diag.EnergyTrace(np.arange(len(E), dtype=float), scale * E, scale * F, scale * G,
-                            z, z, z, z, z, metadata=dict(metadata))
+                            z, z, z, metadata=dict(metadata))
 
 
 class TestTraceRecord:
@@ -642,10 +617,8 @@ class TestTraceRecord:
         specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -2.5e17, 1.0 / 3.0])
         t = np.arange(len(specials), dtype=float) / 3.0
         E = np.array([1.0, -0.0, np.inf, np.nan, 0.0, 1e-300, 2.5e17, 1.0 / 7.0])
-        # "nan" carries no sign, so every NaN here is the positive one
-        negated = np.where(np.isnan(specials), np.nan, -specials)
-        columns = dict(t=t, E=E, F=specials, G=specials[::-1], lyapunov=negated,
-                       D_u=np.roll(specials, 3), D_v=np.roll(specials, 5), E_star=E / 3.0)
+        columns = dict(t=t, E=E, F=specials, G=specials[::-1],
+                       D_u=np.roll(specials, 3), D_v=np.roll(specials, 5))
         trace = diag.EnergyTrace(**columns, mu_prime_term=specials)
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
@@ -670,10 +643,49 @@ class TestTraceRecord:
         path = tmp_path / "trace.csv"
         _violating_trace().write_csv(path)
         lines = path.read_text().splitlines()
-        lines[0] = lines[0].replace("F,G", "G,F")
+        lines[0] = ",".join(f"c{k}" for k in range(len(diag.TRACE_COLUMNS)))
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match="not a trace CSV"):
             diag.read_trace_csv(path)
+
+    def test_recorded_columns_are_read_by_name(self, tmp_path, capsys):
+        system = make_system(nodes=11)
+        u = interpolate(system, sine_field(system.mesh))
+        rec = diag.TraceRecorder(system, metadata={"eps1": 1 / 32})
+        integrate(system, SimState(0.0, u, 0.5 * u, 0 * u, 0 * u), 0.2,
+                  StepControl(dt=0.01), observers=(rec,))
+        trace = rec.trace()
+        path = tmp_path / "trace.csv"
+        trace.write_csv(path)
+        rows = [ln.split(",") for ln in path.read_text().splitlines()]
+        # the recorded lyapunov is E + F + eps1 G of the columns read back
+        back = diag.read_trace_csv(path)
+        assert np.array([float(r[4]) for r in rows[1:]]).tobytes() == \
+            back.lyapunov(1 / 32).tobytes()
+
+        def write(name, cells):
+            out = tmp_path / name
+            out.write_text("".join(",".join(r) + "\n" for r in cells))
+            return out
+
+        # the 13-column format that also stored E_star, as column 8
+        old = write("old.csv", [r[:7] + ["E_star" if k == 0 else f"{0.5 * k:.17g}"] + r[7:]
+                                for k, r in enumerate(rows)])
+        assert old.read_text().splitlines()[0].split(",")[7] == "E_star"
+        back_old = diag.read_trace_csv(old)
+        for name in ("t", "E", "F", "G", "D_u", "D_v"):
+            want = getattr(trace, name).tobytes()
+            assert getattr(back, name).tobytes() == want, name
+            assert getattr(back_old, name).tobytes() == want, name
+        fits = []
+        for csv in (path, old):
+            assert harness.main(["fit", str(csv)]) == 0
+            fits.append(capsys.readouterr().out)
+        assert fits[0] == fits[1] and fits[0].startswith("rate ")
+
+        no_dv = write("no_dv.csv", [r[:6] + r[7:] for r in rows])
+        with pytest.raises(ConfigError, match="no column 'D_v'"):
+            diag.read_trace_csv(no_dv)
 
     def test_bound_violations_counts_each_bound(self):
         trace = _violating_trace()
@@ -694,7 +706,7 @@ class TestTraceRecord:
         E = np.array([1.0, 1.0]) * scale
         G = np.array([0.0, 9.0 + 1e-13]) * scale
         z = np.zeros(2)
-        dip = diag.EnergyTrace(np.array([0.0, 1.0]), E, z, G, z, z, z, z, z,
+        dip = diag.EnergyTrace(np.array([0.0, 1.0]), E, z, G, z, z, z,
                                metadata=dict(_CERTIFIED, eps1=0.0))
         assert dip.slacks()["slack_G"][1] < 0
         assert dip.bound_violations() == 0

@@ -1,10 +1,13 @@
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from beamstab import _fem, geometry
+from beamstab import _fem, geometry, harness
 from beamstab.admissibility import build_report, constant_schedule
 from beamstab.discretization import (SimState, assemble, compatibility_residuals,
                                      interpolate, project_initial_data, rhs)
@@ -13,6 +16,29 @@ from beamstab.fields import Field, linear_field, make_field, sine_field
 
 from conftest import (boundary_faces, gamma1_faces, gamma1_point_data, make_conservative_system,
                       make_system, trace_loop_oracle)
+
+REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference_1d.ini"
+
+
+def _reference_cfg(data, amplitude, mesh="interval"):
+    """The reference config with u0 and v0 of one preset at amplitudes
+    amplitude and amplitude / 2, or the same on a 16x16 rect."""
+    cfg = harness.parse_config(REFERENCE)
+    if mesh == "rect":
+        cfg.mesh_kind, cfg.nx, cfg.ny, cfg.x0 = "rect", 16, 16, np.array([-0.1, -0.1])
+        cfg.alpha1 = cfg.alpha2 = 0.03
+    cfg.u0 = cfg.v0 = data
+    cfg.u0_amplitude, cfg.v0_amplitude = amplitude, amplitude / 2.0
+    return cfg
+
+
+def _project(cfg, caplog):
+    """project_initial_data on the config's problem, and whether it warned."""
+    caplog.clear()
+    mesh, _, system = harness.build_problem(cfg)
+    with caplog.at_level("WARNING"):
+        _, info = project_initial_data(system, *harness._initial_fields(cfg, mesh))
+    return info, any("compatibility" in rec.message for rec in caplog.records)
 
 
 def _sum_nu_form(system):
@@ -181,6 +207,35 @@ class TestInitialData:
         assert info["norm"] > 1e-10
         assert any("compatibility" in rec.message for rec in caplog.records)
         assert state.t == 0.0
+
+    def test_reference_data_warn_at_any_amplitude(self, caplog):
+        # u0(1) = 1: sigma u0 = alpha2 breaks the v relation on Gamma1, by the
+        # same share of the data at any amplitude
+        relative = []
+        for amplitude in (1.0, 1e-8, 1e-14):
+            info, warned = _project(_reference_cfg("sine", amplitude), caplog)
+            assert warned, amplitude
+            assert info["norm"] == pytest.approx(0.1 * amplitude, rel=1e-12)
+            relative.append(info["relative"])
+        assert relative == pytest.approx([relative[0]] * 3, rel=1e-12)
+        assert relative[0] == pytest.approx(0.1 / np.sqrt(1.25), rel=1e-12)
+
+    @pytest.mark.parametrize("mesh", ["interval", "rect"])
+    @pytest.mark.parametrize("data", ["bump", "zero"])
+    @pytest.mark.parametrize("amplitude", [1e-14, 16.0, 1e8])
+    def test_compatible_data_stay_silent(self, mesh, data, amplitude, caplog):
+        info, warned = _project(_reference_cfg(data, amplitude, mesh), caplog)
+        assert not warned
+        assert info["relative"] == 0.0
+
+    def test_summary_reports_the_absolute_residual(self, tmp_path, caplog):
+        cfg = _reference_cfg("sine", 1e-14)
+        harness.apply_overrides(cfg, T=0.002, out=str(tmp_path))
+        info, _ = _project(cfg, caplog)
+        out = io.StringIO()
+        assert harness.run_simulate(cfg, stream=out) == 0
+        assert f"compat_residual {info['norm']:.17g}\n" in out.getvalue()
+        assert info["norm"] < 1e-14  # the absolute figure, not the relative 0.089
 
     def test_interpolation_leaves_out_clamped_nodes(self):
         system = make_system(nodes=9)
