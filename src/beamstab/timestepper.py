@@ -27,26 +27,26 @@ Taking J_lin on the increment w - w0 keeps the large (2/dt) M terms from
 cancelling in floating point, and the first residual of a step, at w0
 itself, is c + T2' (W p(T2 w0)) with no J_lin product.
 
-The Newton direction solves J(w) delta = r by restarted GMRES (Saad &
-Schultz 1986), right-preconditioned by a structured solve P of the
-reference Jacobian J_ref = J_lin + T2' diag(W p'(0)) T2.  GMRES applies
-J - P as sparse products, starts from delta0 = P^-1 r (so its start
-residual is -(J - P) delta0) and keeps the preconditioned basis
-Z = P^-1 V, so the direction delta0 + Z y needs no final solve: a
-direction with k iterations costs k + 1 solves.  Givens rotations keep
-its small least-squares problem triangular, so each iteration reads the
-residual norm off the rotated right-hand side and a cycle ends with one
+The Newton direction solves J(w) delta = r by one GMRES cycle of at most
+GMRES_MAXITER iterations (Saad & Schultz 1986), right-preconditioned by a
+structured solve P of the reference Jacobian
+J_ref = J_lin + T2' diag(W p'(0)) T2.  GMRES applies J - P as sparse
+products, starts from delta0 = P^-1 r (so its start residual is
+-(J - P) delta0) and keeps the preconditioned basis Z = P^-1 V, so the
+direction delta0 + Z y needs no final solve: a direction with k
+iterations costs k + 1 solves.  Givens rotations keep its small
+least-squares problem triangular, so each iteration reads the residual
+norm off the rotated right-hand side and the cycle ends with one
 back-substitution.  V and Z are rows of two arrays the solver allocates
-once per run, (GMRES_RESTART + 1, 2 nf) and (GMRES_RESTART, 2 nf); P^-1
-writes each Z[j] in place, and every cycle reuses the rows.  The step's
-other 2 nf-sized vectors (w0, c, the residual, the direction, the
-iterates, a scratch vector) are solver arrays too.  Every sparse product
-of a step is written into one of them by _fem.csr_product, SciPy's own
-csr kernel without its dispatch, and so are |r|, a cycle's step and
-restart residual and the interval's interleaved band solve.  So solve()
-allocates no vector of size 2 nf, only vectors of the Gamma1 trace size
-and the small GMRES least-squares arrays, and a step allocates the new
-state besides.
+once per run, (GMRES_MAXITER + 1, 2 nf) and (GMRES_MAXITER, 2 nf), and
+P^-1 writes each Z[j] in place; a direction writes only the rows its
+iterations reach.  The least-squares arrays and the step's other
+2 nf-sized vectors (w0, c, the residual, the direction, the iterates, a
+scratch vector) are solver arrays too.  Every sparse product of a step
+is written into one of them by _fem.csr_product, SciPy's own csr kernel
+without its dispatch, and so are |r|, the GMRES step and the interval's
+interleaved band solve.  So solve() allocates only vectors of the Gamma1
+trace size, and a step allocates the new state besides.
 
 - Rectangle: each field's diagonal block of J_ref is the Kronecker sum
   A_1 x M_2 + M_1 x A_2 with A_d = (1/dt) M_d + mu B_d,
@@ -73,6 +73,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import mmap
 
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -90,9 +91,8 @@ log = logging.getLogger(__name__)
 
 CHECKPOINT_HEADER = "# beamstab checkpoint v2"
 
-# GMRES for the Newton direction: basis size, restart cycles, relative tolerance
-GMRES_RESTART = 30
-GMRES_CYCLES = 4
+# GMRES for the Newton direction: iteration cap of its one cycle, relative tolerance
+GMRES_MAXITER = 120
 GMRES_RTOL = 1e-12
 
 # damped Newton: max-norm residual tolerance, relative to max(1, first residual),
@@ -218,16 +218,17 @@ class _MidpointSolver:
     largest final residual of a step.
 
     The 2 nf-sized vectors of a step live in work arrays allocated here,
-    once per run: the GMRES basis V, (GMRES_RESTART + 1, 2 nf), and its
-    preconditioned images Z, (GMRES_RESTART, 2 nf), which every cycle
-    reuses, and the step's w0, c, residual, Newton direction, two iterates
-    and a scratch vector; two 2 q-sized ones hold the Gamma1 traces of an
-    iterate and of a vector J - P is applied to.  The products with S,
-    J_lin, rest, T2 and T2' (T2t, csr) are written into them by
-    _fem.csr_product.  So start(), residual() and _newton_direction()
-    return arrays that stay valid until their next call, and solve() views
-    of one that stays valid until the next solve.  np.empty rows take
-    memory only when a step first writes them.
+    once per run: the GMRES basis V, (GMRES_MAXITER + 1, 2 nf), and its
+    preconditioned images Z, (GMRES_MAXITER, 2 nf), and the step's w0, c,
+    residual, Newton direction, two iterates and a scratch vector; two
+    2 q-sized ones hold the Gamma1 traces of an iterate and of a vector
+    J - P is applied to, and H, cs, sn and g the GMRES least-squares
+    problem.  The products with S, J_lin, rest, T2 and T2' (T2t, csr) are
+    written into them by _fem.csr_product.  So start(), residual() and
+    _newton_direction() return arrays that stay valid until their next
+    call, and solve() views of one that stays valid until the next solve.
+    Their rows, V's and Z's in mappings of their own, take memory only
+    when a step first writes them.
     """
 
     def __init__(self, system, dt):
@@ -281,8 +282,13 @@ class _MidpointSolver:
             self.precond = _FastDiagonalization(system, dt)
 
         self._J, self._S = (self._on_layout(np.empty_like(d[0])) for d in (self.J_data, self.S_data))
-        self._V = np.empty((GMRES_RESTART + 1, 2 * nf))
-        self._Z = np.empty((GMRES_RESTART, 2 * nf))
+        m = GMRES_MAXITER
+        # V and Z in anonymous mappings of their own: NumPy advises huge pages
+        # for arrays of 4 MiB or more, where one written row makes 2 MiB resident
+        self._V, self._Z = (np.frombuffer(mmap.mmap(-1, rows * 2 * nf * 8)).reshape(rows, -1)
+                            for rows in (m + 1, m))
+        self._H, self._g = np.empty((m + 1, m)), np.empty(m + 1)
+        self._cs, self._sn = np.empty((2, m))
         self._w0, self._c, self._r, self._delta, self._scratch, *self._iterates = np.empty(
             (7, 2 * nf))
         self._s, self._ds = np.empty((2, 2 * self.q))  # trace values of an iterate, of J - P
@@ -338,7 +344,7 @@ class _MidpointSolver:
 
         J(w) = P + D with D = rest + T2' diag(d) T2 and
         d = W p'(s) - W p'(0).  Where D vanishes the solve is exact;
-        elsewhere restarted GMRES, right-preconditioned by P, corrects it
+        elsewhere one GMRES cycle, right-preconditioned by P, corrects it
         until ||r - J delta|| <= GMRES_RTOL ||r||."""
         sys_, q = self.system, self.q
         slopes = np.concatenate([np.asarray(sys_.law1.slope(s[:q]), dtype=float),
@@ -363,39 +369,33 @@ class _MidpointSolver:
         # r - J delta, as P delta = r, in V[0], which the cycle scales in place
         res = np.negative(apply_d(delta, self._V[0]), out=self._V[0])
         beta, target = np.linalg.norm(res), GMRES_RTOL * np.linalg.norm(r)
-        its = 0
-        for _ in range(GMRES_CYCLES):
-            if beta <= target:
-                break
-            step, res, k = self._gmres_cycle(ops, apply_d, res, beta, target)
-            delta += step
-            its += k
-            beta = np.linalg.norm(res)
-        if beta > target:
-            log.warning("GMRES stopped short of rtol %g after %d iterations in %d cycles: "
+        if beta <= target:
+            return delta, 0
+        step, residual, its = self._gmres_cycle(ops, apply_d, beta, target)
+        delta += step
+        if residual > target:
+            log.warning("GMRES stopped short of rtol %g after %d iterations: "
                         "Newton-system residual ||r - J delta|| / ||r|| = %.3e",
-                        GMRES_RTOL, its, GMRES_CYCLES, beta / np.linalg.norm(r))
+                        GMRES_RTOL, its, residual / np.linalg.norm(r))
         return delta, its
 
-    def _gmres_cycle(self, ops, apply_d, res, beta, target):
-        """One GMRES cycle from the residual res = r - J delta, beta = ||res||;
-        returns (step, new residual, iterations), the step Z y to add to
-        delta in the scratch vector and the new residual in Z[0], both
-        valid until the next cycle.
+    def _gmres_cycle(self, ops, apply_d, beta, target):
+        """The GMRES cycle from the residual r - J delta in V[0],
+        beta = ||r - J delta||; returns (step, residual norm, iterations),
+        the step Z y to add to delta in the scratch vector.
 
         The least-squares problem min ||beta e_1 - H y|| is kept triangular
         by Givens rotations (Saad & Schultz 1986), so |g_{j+1}| is the
-        residual norm after iteration j; the new residual is V Q' (g_k e_k).
-        V and Z, the Arnoldi basis and its preconditioned images, are the
-        solver's rows, which each cycle overwrites: res may be V[0] itself,
-        and P^-1 writes straight into Z[j]."""
-        V, Z, tmp = self._V, self._Z, self._scratch
-        np.divide(res, beta, out=V[0])
-        H = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
-        cs, sn = np.zeros(GMRES_RESTART), np.zeros(GMRES_RESTART)
-        g = np.zeros(GMRES_RESTART + 1)
+        residual norm after iteration j.  V and Z, the Arnoldi basis and
+        its preconditioned images, and H, cs, sn and g are the solver's
+        arrays; iteration j writes H[:j+1, j] before any read, the
+        back-substitution reads H's upper triangle only, and P^-1 writes
+        straight into Z[j]."""
+        V, Z, H, cs, sn, g, tmp = (self._V, self._Z, self._H, self._cs, self._sn, self._g,
+                                   self._scratch)
+        V[0] /= beta
         g[0] = beta
-        for j in range(GMRES_RESTART):
+        for j in range(len(Z)):
             self._solve(ops, V[j], Z[j])
             v = np.add(V[j], apply_d(Z[j], V[j + 1]), out=V[j + 1])  # J Z[j]
             for i in range(j + 1):  # modified Gram-Schmidt
@@ -416,13 +416,7 @@ class _MidpointSolver:
                 break
         k = j + 1
         y = dtrtrs(H[:k, :k], g[:k])[0]  # back-substitution
-        coef = np.zeros(k + 1)
-        coef[k] = g[k]
-        for i in reversed(range(k)):  # Q' (g_k e_k): the rotations undone, last first
-            coef[i] = -sn[i] * coef[i + 1]  # coef[i] is still 0 here
-            coef[i + 1] *= cs[i]
-        # Z[0] is read into the step before it takes the residual
-        return np.matmul(y, Z[:k], out=tmp), np.matmul(coef, V[:k + 1], out=Z[0]), k
+        return np.matmul(y, Z[:k], out=tmp), abs(g[k]), k
 
     def start(self, state):
         """(ops, c, w0) of the step from state: the operators, the

@@ -3,11 +3,12 @@
 Parses every module of beamstab with ast and checks that each public
 module-level function and class is read somewhere in the package, exported
 by __init__ or an entry point, that each private one is read inside the
-package, and that each annotated class field is read.  A class whose
-methods call dataclasses.fields(self) reads all its fields.  A private
-module of another package, such as SciPy's compiled kernels, is imported
-by _fem alone.  Every backticked module.name of a beamstab module in the
-root README names an attribute the module has.
+package, that each module-level assigned name (dunders aside) is read
+inside the package, and that each annotated class field is read.  A class
+whose methods call dataclasses.fields(self) reads all its fields.  A
+private module of another package, such as SciPy's compiled kernels, is
+imported by _fem alone.  Every backticked module.name of a beamstab module
+in the root README names an attribute the module has.
 """
 
 import ast
@@ -54,6 +55,21 @@ def _definitions(trees, private=False):
     return [(module, node.name) for module, tree in trees.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name.startswith("_") == private]
+
+
+def _constants(trees):
+    """(module, name) of every name a module-level assignment binds,
+    dunders aside; a comprehension's variables in the assigned value are
+    not bound at module level."""
+    def targets(node):
+        if isinstance(node, ast.Assign):
+            return node.targets
+        return [node.target] if isinstance(node, ast.AnnAssign) else []
+
+    return [(module, name.id) for module, tree in trees.items() for node in tree.body
+            for target in targets(node) for name in ast.walk(target)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+            and not (name.id.startswith("__") and name.id.endswith("__"))]
 
 
 def _private_imports(trees):
@@ -138,6 +154,14 @@ def test_every_private_definition_is_read():
     assert not unread, f"private definitions nothing reads: {unread}"
 
 
+def test_every_module_constant_is_read():
+    # a constant whose reader is gone, such as a removed loop's bound, is left over
+    trees = _trees()
+    reads = _reads(trees)
+    unread = [f"{module}.{name}" for module, name in _constants(trees) if name not in reads]
+    assert not unread, f"module-level names nothing reads: {unread}"
+
+
 def test_every_annotated_field_is_read():
     trees = _trees()
     reads = _reads(trees)
@@ -167,6 +191,9 @@ def test_private_modules_of_other_packages_are_imported_by_fem_only():
      "from scipy.sparse._base import issparse\n\n_own, _sparsetools, u, issparse\n",
      ["m imports scipy.sparse._sparsetools", "m imports scipy._lib._util",
       "m imports scipy.sparse._base.issparse"]),
+    ("__all__ = []\nLIMIT = 3\nUNUSED, (_SKIP, *REST) = 1, (2, 3)\nTYPED: int = 4\n"
+     "KEYS = {k for k, _ in LIMIT}\n\ndef f():\n    return KEYS\n\nf()\n",
+     ["m.UNUSED", "m._SKIP", "m.REST", "m.TYPED"]),
 ])
 def test_the_checks_find_an_unread_name(source, unread):
     trees = {"m": ast.parse(source)}
@@ -175,5 +202,6 @@ def test_the_checks_find_an_unread_name(source, unread):
              for _, name in _definitions(trees, private) if name not in reads]
     found += [f"m.{cls}.{name}" for _, cls, name in _annotated_fields(trees)
               if name not in reads]
+    found += [f"m.{name}" for _, name in _constants(trees) if name not in reads]
     found += [f"m imports {name}" for _, name in _private_imports(trees)]
     assert found == unread
