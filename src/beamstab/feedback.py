@@ -16,6 +16,10 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
+# round-off allowed below b in the segment slopes of a LipschitzLaw: its
+# slopes are difference quotients of a b-strongly-monotone law
+SLOPE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class FeedbackLaw:
@@ -25,10 +29,15 @@ class FeedbackLaw:
     L: float             # linear growth constant
 
     def __post_init__(self):
-        if self.b < 0 or self.L < self.b:
+        if not 0.0 <= self.b <= self.L:  # NaN fails too
             raise InvalidArgumentError("need 0 <= b <= L")
         if abs(float(self.p(0.0))) > 0.0:
             raise InvalidArgumentError("law must vanish at 0")
+
+    @property
+    def constant_slope(self):
+        """b = L forces p(s) = b s, so the slope is b everywhere."""
+        return self.b == self.L
 
     def __call__(self, s):
         return self.p(s)
@@ -41,11 +50,31 @@ class LipschitzLaw:
     Beyond the breakpoint range the terminal segment slopes continue, which
     keeps the global Lipschitz constant finite and the monotonicity constant
     intact (a constant extension would lose it).
+
+    The constants are checked on construction: at least two strictly
+    increasing breakpoints, one value each, p(0) = 0 and
+    0 <= b <= every segment slope, within SLOPE_TOL of round-off; L is the
+    largest segment slope.
     """
 
     breakpoints: np.ndarray
     values: np.ndarray
     b: float
+
+    def __post_init__(self):
+        for name in ("breakpoints", "values"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        x, y = self.breakpoints, self.values
+        if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
+            raise InvalidArgumentError("need at least two breakpoints and one value each")
+        if not np.all(np.diff(x) > 0):
+            raise InvalidArgumentError("breakpoints must increase strictly")
+        if not (0.0 <= self.b <= float(np.min(self.slopes)) + SLOPE_TOL):
+            raise InvalidArgumentError(
+                f"need 0 <= b <= every segment slope, got b = {self.b!r} and "
+                f"slopes down to {float(np.min(self.slopes))!r}")
+        if self(0.0) != 0.0:
+            raise InvalidArgumentError("law must vanish at 0")
 
     @property
     def slopes(self):
@@ -54,6 +83,11 @@ class LipschitzLaw:
     @property
     def L(self):
         return float(np.max(self.slopes))
+
+    @property
+    def constant_slope(self):
+        """One segment slope, which every s takes."""
+        return bool(np.all(self.slopes == self.slopes[0]))
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)

@@ -401,7 +401,7 @@ def _verify_strauss(cfg):
     for level in (1, 2, 4, 8):
         approx = feedback.strauss_approximate(law, level)
         errors.append(float(np.max(np.abs(approx(s) - law(s)))))
-        slope_ok &= bool(np.all(approx.slopes >= law.b - 1e-12))
+        slope_ok &= bool(np.all(approx.slopes >= law.b - feedback.SLOPE_TOL))
     decreasing = all(a > b for a, b in zip(errors, errors[1:]))
     return [("strauss/sup-error-decreasing", decreasing,
              "errors " + " ".join(f"{e:.3e}" for e in errors)),

@@ -64,8 +64,14 @@ trace size, and a step allocates the new state besides.
   ab_0 + mu_mid ab_1.  These are the band storage of J_ref's base part
   J_base + blockdiag(0, p2'(0) G) and mu part J_mu + blockdiag(p1'(0) G, 0),
   with G = T' diag(w m.nu) T the system's gamma1 stencil form, compressed
-  with the layout.  For linear laws J = P and each Newton iteration is
-  one solve.
+  with the layout.  When dgbtrf makes no row interchange, as on the
+  reference run's J_ref, a solve is two triangular band solves (BLAS
+  dtbsv, L then U) on bands cut from the factors once per factorisation.
+  For laws of constant slope J = P and each Newton iteration is one solve.
+
+A law has a constant slope when it is a FeedbackLaw with b = L or a
+LipschitzLaw with one segment slope.  When both laws do, d = 0 in every
+direction, so no slope is evaluated and no correction is applied.
 """
 
 from __future__ import annotations
@@ -100,6 +106,8 @@ GMRES_RTOL = 1e-12
 # step takes one iteration at least, unless its first residual is exactly 0
 NEWTON_TOL = 1e-12
 NEWTON_MAX = 50
+# line search: trial damping factors 1, 1/2, 1/4, ... per Newton iteration
+LINE_SEARCH_MAX = 30
 
 # lower and upper bandwidth of the interleaved (u_i, v_i) interval Jacobian
 BANDS = 3
@@ -166,7 +174,8 @@ class _BandedLU:
     """P^-1 = J_ref^-1 on the interval: J_ref(mu) = J_0 + mu J_1 with the
     unknowns interleaved as (u_i, v_i), in band storage ab_0 and ab_1.
     A solve interleaves b into one buffer allocated here, once per run,
-    and dgbtrs solves in it in place."""
+    and _fem.band_solve solves in it in place: by two triangular band
+    solves when dgbtrf made no row interchange, else by dgbtrs."""
 
     def __init__(self, J0, J1):
         n = J0.shape[0] // 2
@@ -240,6 +249,7 @@ class _MidpointSolver:
         self.q = T.shape[0]  # Gamma1 points per field
         self.nf = nf = len(system.free)
         self.p0 = np.repeat(system.slopes0, self.q)
+        self.constant_slopes = system.law1.constant_slope and system.law2.constant_slope
 
         s = system.slots
         M, K, C, Sg = (s[name] for name in ("mass", "stiffness", "derivative", "sigma"))
@@ -343,15 +353,19 @@ class _MidpointSolver:
         (delta, GMRES iterations).
 
         J(w) = P + D with D = rest + T2' diag(d) T2 and
-        d = W p'(s) - W p'(0).  Where D vanishes the solve is exact;
+        d = W p'(s) - W p'(0).  When both laws have a constant slope d is 0
+        and no slope is evaluated.  Where D vanishes the solve is exact;
         elsewhere one GMRES cycle, right-preconditioned by P, corrects it
         until ||r - J delta|| <= GMRES_RTOL ||r||."""
-        sys_, q = self.system, self.q
-        slopes = np.concatenate([np.asarray(sys_.law1.slope(s[:q]), dtype=float),
-                                 np.asarray(sys_.law2.slope(s[q:]), dtype=float)])
-        d = ops.W * slopes - ops.d_ref
+        if self.constant_slopes:  # p'(s) = p'(0), so d is 0 with no slope to take
+            boundary = False
+        else:
+            sys_, q = self.system, self.q
+            slopes = np.concatenate([np.asarray(sys_.law1.slope(s[:q]), dtype=float),
+                                     np.asarray(sys_.law2.slope(s[q:]), dtype=float)])
+            d = ops.W * slopes - ops.d_ref
+            boundary = d.any()
         delta = self._solve(ops, r, self._delta)
-        boundary = d.any()
         if self.rest is None and not boundary:
             return delta, 0
 
@@ -434,14 +448,16 @@ class _MidpointSolver:
 
     def _max_abs(self, r):
         """max |r_i|, the residual norm of Newton, with |r| in the scratch vector."""
-        return float(np.max(np.abs(r, out=self._scratch)))
+        return float(np.abs(r, out=self._scratch).max())
 
     def solve(self, state):
         """The midpoint velocities (w_u, w_v) of the step from state, by
         damped Newton, one iteration at least unless the first residual is
-        0: views of a solver array, valid until the next solve.  Raises
-        StepFailureError unless the last residual is finite and within the
-        tolerance."""
+        0: views of a solver array, valid until the next solve.  Each
+        iteration's line search tries w - lam delta at lam = 1, 1/2, ...,
+        LINE_SEARCH_MAX values at most, and takes the first that lowers the
+        residual; when none does, Newton stops.  Raises StepFailureError
+        unless the last residual is finite and within the tolerance."""
         ops, c, w0 = self.start(state)
         w = w0
         newton = krylov = halvings = 0
@@ -456,12 +472,12 @@ class _MidpointSolver:
             delta, its = self._newton_direction(ops, s, r)
             krylov += its
             lam = 1.0
-            for _ in range(30):
+            for _ in range(LINE_SEARCH_MAX):
                 # the trial goes to the iterate array that w is not; its
                 # residual and traces overwrite r and s, of which only
                 # rnorm is still needed
-                cw = np.subtract(w, np.multiply(delta, lam, out=self._scratch),
-                                 out=self._iterates[w is self._iterates[0]])
+                step = delta if lam == 1.0 else np.multiply(delta, lam, out=self._scratch)
+                cw = np.subtract(w, step, out=self._iterates[w is self._iterates[0]])
                 rc, sc = self.residual(ops, c, w0, cw)
                 cnorm = self._max_abs(rc)
                 if cnorm < rnorm or cnorm <= tol:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from beamstab import feedback, geometry
 from beamstab.errors import InvalidArgumentError
-from beamstab.feedback import (FeedbackLaw, hardening_law, identity_law, law_from_spec,
-                               saturating_law, strauss_approximate, zero_law)
+from beamstab.feedback import (FeedbackLaw, LipschitzLaw, hardening_law, identity_law,
+                               law_from_spec, saturating_law, strauss_approximate, zero_law)
 
 from conftest import gamma1_faces, make_system
 
@@ -59,6 +59,11 @@ class TestLawCatalog:
         with pytest.raises(InvalidArgumentError):
             saturating_law(b=2.0, L=1.0)
 
+    @pytest.mark.parametrize("b, L", [(-1.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (0.5, math.nan)])
+    def test_inconsistent_constants_are_refused(self, b, L):
+        with pytest.raises(InvalidArgumentError, match="0 <= b <= L"):
+            FeedbackLaw(lambda s: s, lambda s: 1.0, b, L)
+
     def test_hardening_kink(self):
         law = hardening_law(b=1.0, L=3.0, knee=1.0)
         assert law(0.5) == pytest.approx(0.5)
@@ -70,6 +75,50 @@ class TestLawCatalog:
         assert law.b == 1.0 and law.L == 2.0
         with pytest.raises(InvalidArgumentError):
             law_from_spec("nope", {})
+
+
+class TestLipschitzConstants:
+    """A LipschitzLaw checks its constants as FeedbackLaw does, since the
+    certificate reads its b and L."""
+
+    @pytest.mark.parametrize("x, y, b", [
+        ([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], 5.0),   # b above L = 1
+        ([-1.0, 0.0, 1.0], [-3.0, 0.0, 1.0], 2.0),   # b above the smallest slope, below L
+        ([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], -0.5),  # b negative
+        ([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], math.nan),
+        ([1.0, 0.0, -1.0], [1.0, 0.0, -1.0], 0.5),   # decreasing breakpoints
+        ([-1.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 1.0], 0.5),  # a repeated breakpoint
+        ([-1.0, 1.0], [0.0, 2.0], 1.0),              # p(0) = 1
+        ([0.0], [0.0], 0.0),                         # no segment
+        ([-1.0, 0.0, 1.0], [-1.0, 0.0], 0.5),        # a value missing
+    ])
+    def test_inconsistent_constants_are_refused(self, x, y, b):
+        with pytest.raises(InvalidArgumentError):
+            LipschitzLaw(x, y, b)
+
+    def test_b_may_exceed_a_slope_by_round_off_only(self):
+        x, y = [-1.0, 0.0, 1.0], [-3.0, 0.0, 1.0]
+        law = LipschitzLaw(x, y, 1.0 + 0.5 * feedback.SLOPE_TOL)
+        assert (law.L, law.slopes.tolist()) == (3.0, [3.0, 1.0])
+        with pytest.raises(InvalidArgumentError):
+            LipschitzLaw(x, y, 1.0 + 2.0 * feedback.SLOPE_TOL)
+
+    @pytest.mark.parametrize("level", range(1, 9))
+    @pytest.mark.parametrize("name", sorted(feedback.CATALOG))
+    def test_catalog_approximants_construct(self, name, level):
+        law = feedback.CATALOG[name]()
+        approx = strauss_approximate(law, level)
+        assert approx.b == law.b <= approx.L <= law.L + feedback.SLOPE_TOL
+
+    def test_constant_slope(self):
+        assert identity_law(0.3).constant_slope and zero_law().constant_slope
+        assert saturating_law(2.0, 2.0).constant_slope
+        assert not saturating_law(1.0, 2.0).constant_slope
+        assert not hardening_law(1.0, 3.0).constant_slope
+        # one segment slope with b < L, and the identity's approximant
+        assert LipschitzLaw([-1.0, 0.0, 2.0], [-2.0, 0.0, 4.0], 1.0).constant_slope
+        assert strauss_approximate(identity_law(), 3).constant_slope
+        assert not strauss_approximate(saturating_law(2.0, 2.5), 3).constant_slope
 
 
 class TestStraussApproximate:

@@ -497,15 +497,31 @@ class TestTraceForm:
 
 
 class TestBandStorage:
-    def test_band_lu_solves_like_a_dense_solve(self):
+    @pytest.mark.parametrize("pivoted", [False, True], ids=["unpivoted", "pivoted"])
+    def test_band_lu_solves_like_a_dense_solve(self, pivoted, monkeypatch):
+        # 4 on the diagonal, or on the lowest subdiagonal, which makes dgbtrf
+        # interchange rows; pivoted factors are solved by dgbtrs only
         rng = np.random.default_rng(2)
         n, kl, ku = 11, 3, 2
         offsets = range(-kl, ku + 1)
-        a = sp.diags([rng.standard_normal(n - abs(k)) for k in offsets], offsets) + 4 * sp.eye(n)
+        a = (sp.diags([rng.standard_normal(n - abs(k)) for k in offsets], offsets)
+             + 4 * sp.eye(n, k=-kl if pivoted else 0))
         b = rng.standard_normal(n)
-        got = _fem.band_solve(_fem.band_lu(_fem.band_storage(a, kl, ku), kl, ku), kl, ku, b)
+        factors = _fem.band_lu(_fem.band_storage(a, kl, ku), kl, ku)
+        assert (factors[2] is None) == pivoted
+        calls = []
+        for name in ("dgbtrs", "dtbsv"):
+            kernel = getattr(_fem, name)
+            monkeypatch.setattr(_fem, name, lambda *args, name=name, kernel=kernel, **kw:
+                                calls.append(name) or kernel(*args, **kw))
+        kept = b.copy()
+        got = _fem.band_solve(factors, kl, ku, b)
+        assert calls == (["dgbtrs"] if pivoted else ["dtbsv", "dtbsv"])
+        assert np.array_equal(b, kept)  # solved in place only with overwrite_b
         want = np.linalg.solve(a.toarray(), b)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert _fem.band_solve(factors, kl, ku, b, overwrite_b=True) is b
+        assert np.array_equal(b, got)
 
     def test_entry_outside_the_band_is_refused(self):
         a = sp.eye(5, format="lil")

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import io
 import logging
@@ -11,6 +12,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgbtrs
 from scipy.sparse.linalg import splu
 
 from beamstab import _fem, geometry, harness, timestepper
@@ -19,8 +21,8 @@ from beamstab.diagnostics import TraceRecorder, energy, functional_F
 from beamstab.discretization import SimState, interpolate, project_initial_data
 from beamstab.errors import InvalidArgumentError, StepFailureError
 from beamstab.fields import sine_field
-from beamstab.feedback import (hardening_law, identity_law, saturating_law,
-                               strauss_approximate)
+from beamstab.feedback import (FeedbackLaw, LipschitzLaw, hardening_law, identity_law,
+                               saturating_law, strauss_approximate, zero_law)
 from beamstab.timestepper import (StepControl, _MidpointSolver, integrate, load_checkpoint,
                                   save_checkpoint)
 
@@ -126,6 +128,15 @@ class TestStep:
         assert err.value.t == 0.0
         assert err.value.residual > 0
 
+    def test_line_search_cap_is_read(self, monkeypatch):
+        # without a trial step the first Newton iteration cannot lower the residual
+        system = make_system(nodes=7)
+        state = _sine_state(system, velocity=1.0)
+        _one_step(system, state, StepControl(dt=0.1))
+        monkeypatch.setattr(timestepper, "LINE_SEARCH_MAX", 0)
+        with pytest.raises(StepFailureError):
+            _one_step(system, state, StepControl(dt=0.1))
+
 
 def _damped_newton(solver, state, direction):
     """The solver's damped Newton loop (same tolerance scale, stop rule and
@@ -141,7 +152,7 @@ def _damped_newton(solver, state, direction):
             break
         delta = direction(ops, w, s, r)
         lam = 1.0
-        for _ in range(30):
+        for _ in range(timestepper.LINE_SEARCH_MAX):
             cw = w - lam * delta
             rc, sc = solver.residual(ops, c, w0, cw)
             cnorm = float(np.max(np.abs(rc)))
@@ -394,6 +405,73 @@ class TestNewtonDirection:
                    and "residual" in line for line in lines)
 
 
+def _counting(law, calls):
+    """law with each of its slope evaluations appended to calls."""
+    if isinstance(law, FeedbackLaw):
+        return dataclasses.replace(law, slope=lambda s: calls.append(1) or law.slope(s))
+
+    class Counted(LipschitzLaw):
+        def slope(self, s):
+            calls.append(1)
+            return super().slope(s)
+
+    return Counted(law.breakpoints, law.values, law.b)
+
+
+_SLOPE_LAWS = {
+    "identity": lambda: (identity_law(), identity_law(0.5)),
+    "zero": lambda: (zero_law(), zero_law()),
+    "one_slope_lipschitz": lambda: (LipschitzLaw([-1.0, 0.0, 2.0], [-2.0, 0.0, 4.0], 1.0),
+                                    strauss_approximate(identity_law(), 3)),
+    "saturating": _LAWS["saturating"],
+    "hardening": _LAWS["hardening"],
+}
+
+
+class TestConstantSlope:
+    """Laws of constant slope take no slope pass: the boundary correction
+    d = W p'(T2 w) - W p'(0) is then exactly 0."""
+
+    @pytest.mark.parametrize("laws", sorted(_SLOPE_LAWS))
+    @pytest.mark.parametrize("mesh", ["interval", "rect"])
+    def test_slope_calls_inside_integrate(self, mesh, laws, caplog):
+        calls = []
+        law1, law2 = (_counting(law, calls) for law in _SLOPE_LAWS[laws]())
+        if mesh == "interval":
+            system = make_system(nodes=21, law1=law1, law2=law2)
+        else:
+            system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.0, 8, 8),
+                                 x0=np.array(_CORNER), law1=law1, law2=law2)
+        state = _random_state(system, 5, 2.0)
+        calls.clear()  # the system takes p'(0) once, when it is assembled
+        with caplog.at_level(logging.INFO, logger="beamstab.timestepper"):
+            integrate(system, state, state.t + 0.05, StepControl(dt=0.01))
+        line, = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.INFO]
+        newton = int(re.search(r"newton (\d+)", line).group(1))
+        assert newton >= 5
+        if laws in ("saturating", "hardening"):
+            assert len(calls) >= 2 * newton  # each law once per direction
+        else:
+            assert calls == []
+
+    @pytest.mark.parametrize("mesh", ["interval", "rect"])
+    def test_skipped_pass_changes_no_bit(self, mesh):
+        # the same identity laws declared with b < L take the slope pass
+        laws = (identity_law(), identity_law(0.5))
+        declared = [FeedbackLaw(law.p, law.slope, 0.5 * law.L, law.L) for law in laws]
+        build = (lambda **kw: make_system(nodes=21, **kw)) if mesh == "interval" else (
+            lambda **kw: make_system(mesh=geometry.build_rect_mesh(1.0, 1.0, 8, 8),
+                                     x0=np.array(_CORNER), **kw))
+        fast, full = (_MidpointSolver(build(law1=a, law2=b), 0.01)
+                      for a, b in (laws, declared))
+        assert fast.constant_slopes and not full.constant_slopes
+        for seed in range(3):
+            state = _random_state(fast.system, seed, 2.0)
+            got, want = (np.concatenate(solver.solve(state)) for solver in (fast, full))
+            assert got.tobytes() == want.tobytes()
+        assert (fast.newton, fast.gmres) == (full.newton, full.gmres)
+
+
 class TestStackedResidual:
     @pytest.mark.parametrize("decaying", [False, True])
     @pytest.mark.parametrize("laws", sorted(_LAWS) + ["identity"])
@@ -617,6 +695,24 @@ class TestPreconditioner:
         b = np.random.default_rng(3).standard_normal(len(J))
         want = np.linalg.solve(J, b)
         assert np.max(np.abs(ops.solve(b) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.05])
+    @pytest.mark.parametrize("laws", ["identity", "saturating"])
+    def test_reference_factors_need_no_interchange(self, laws, dt):
+        # the 201-node interval of the reference run: its J_ref factors
+        # unpivoted, and the triangular band solves are dgbtrs bit for bit
+        law1, law2 = ((identity_law(), identity_law()) if laws == "identity"
+                      else _LAWS["saturating"]())
+        solver = _MidpointSolver(make_system(nodes=201, law1=law1, law2=law2), dt)
+        ab0, ab1 = solver.precond.ab
+        b = np.random.default_rng(6).standard_normal(ab0.shape[1])
+        for mu in (0.05, 0.7, 1.0, 4.0):
+            factors = _fem.band_lu(ab0 + mu * ab1, timestepper.BANDS, timestepper.BANDS)
+            lu, piv, triangles = factors
+            assert triangles is not None
+            want = dgbtrs(lu, timestepper.BANDS, timestepper.BANDS, b, piv)[0]
+            got = _fem.band_solve(factors, timestepper.BANDS, timestepper.BANDS, b)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("x0", [0.0, 1.3])
     @pytest.mark.parametrize("laws", ["identity", "saturating"])
