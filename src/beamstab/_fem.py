@@ -15,12 +15,10 @@ sides, so the free nodes are the product of one slice per axis
 (geometry.BoundaryPartition.free_slices), and side_rule builds the trace
 onto a grid side over such slices: the product of the side's end node
 with the two-point Gauss rule of the other axis (edge_rule).  trace_form
-is T' diag(d) T for such a trace.  Small systems that are not Kronecker
-sums are solved in LAPACK band storage (band_storage, band_lu, band_solve):
-without row interchanges by two triangular band solves, else by dgbtrs.
-csr_product writes A @ x into an array the caller owns, through the compiled
-kernel behind SciPy's own A @ x: the time step applies every operator of its
-loop through it, and the trace recorder every product with a state field.
+is T' diag(d) T for such a trace.  csr_product writes A @ x into an array
+the caller owns, through the compiled kernel behind SciPy's own A @ x: the
+time step applies every operator of its loop through it, and the trace
+recorder every product with a state field.
 This is the one module that imports SciPy's private kernels.
 """
 
@@ -32,8 +30,7 @@ from functools import reduce
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError
-from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse import _sparsetools  # the csr kernels behind A @ x
 
 from .errors import InvalidArgumentError
@@ -196,47 +193,6 @@ def kron_solve(ldls, b):
     A_d: one dpttrs solve per axis for all columns of b at once."""
     return along_axes(b, [len(d) for d, _ in ldls], [
         lambda z, f=f: dpttrs(*f, z)[0] for f in ldls])
-
-
-def band_storage(a, kl, ku):
-    """The sparse square matrix a in LAPACK's band storage for dgbtrf: an
-    (2 kl + ku + 1, n) array with a[i, j] in row kl + ku + i - j and kl
-    rows of room above for the fill of the row pivoting.  Raises
-    InvalidArgumentError for an entry outside the band."""
-    a = a.tocoo()
-    offset = a.row - a.col
-    if np.any(offset > kl) or np.any(-offset > ku):
-        raise InvalidArgumentError(f"matrix has entries outside the band ({kl}, {ku})")
-    ab = np.zeros((2 * kl + ku + 1, a.shape[1]))
-    np.add.at(ab, (kl + ku + offset, a.col), a.data)
-    return ab
-
-
-def band_lu(ab, kl, ku):
-    """LU factors (lu, piv, triangles) of a band_storage array, by LAPACK's
-    dgbtrf.  When it made no row interchange, triangles holds the bands of
-    L, unit-lower of bandwidth kl, and U, upper of bandwidth kl + ku, each
-    cut from lu here, once, in the storage of BLAS's dtbsv; else None."""
-    lu, piv, info = dgbtrf(ab, kl, ku)
-    if info != 0:
-        raise LinAlgError(f"band matrix is singular (dgbtrf info {info})")
-    if np.any(piv != np.arange(len(piv))):
-        return lu, piv, None
-    return lu, piv, (np.asfortranarray(lu[kl + ku:]), np.asfortranarray(lu[:kl + ku + 1]))
-
-
-def band_solve(factors, kl, ku, b, overwrite_b=False):
-    """Solve with the band_lu factors for b of shape (n,).  Unpivoted
-    factors take two triangular band solves (dtbsv), L then U; dgbtrs does
-    the same arithmetic but applies L one BLAS dger call per column, and it
-    stays the solve of pivoted factors.  With overwrite_b a float64 b is
-    solved in place and returned."""
-    lu, piv, triangles = factors
-    if triangles is None:
-        return dgbtrs(lu, kl, ku, b, piv, overwrite_b=overwrite_b)[0]
-    L, U = triangles
-    x = dtbsv(kl, L, b, lower=1, diag=1, overwrite_x=overwrite_b)
-    return dtbsv(kl + ku, U, x, overwrite_x=1)
 
 
 def edge_rule(x):

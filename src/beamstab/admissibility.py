@@ -26,8 +26,9 @@ class CoefficientSchedule:
     mu_at_0: float
 
     def __post_init__(self):
-        if self.mu0 <= 0:
-            raise InvalidArgumentError("mu lower bound must be positive")
+        if not (0 < self.mu0 < math.inf and 0 < self.mu_at_0 < math.inf):  # NaN fails too
+            raise InvalidArgumentError(f"mu0 and mu_at_0 must be finite and positive, got "
+                                       f"{self.mu0!r} and {self.mu_at_0!r}")
 
 
 def constant_schedule(c=1.0):
@@ -114,10 +115,10 @@ def epsilon_eta(A, S1, S2, b1, b2, alpha_ratio, mu0):
 
 def decay_envelope(E0, eta, t):
     """Certified envelope 3 E0 exp(-(2/3) eta t)."""
-    if E0 < 0:
-        raise InvalidArgumentError("initial energy must be nonnegative")
-    if eta <= 0:
-        raise InvalidArgumentError("rate must be positive")
+    if not 0 <= E0 < math.inf:  # NaN fails too
+        raise InvalidArgumentError(f"initial energy must be finite and nonnegative, got {E0!r}")
+    if not 0 < eta < math.inf:
+        raise InvalidArgumentError(f"rate must be finite and positive, got {eta!r}")
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise InvalidArgumentError("time must be nonnegative")

@@ -29,9 +29,10 @@ class FeedbackLaw:
     L: float             # linear growth constant
 
     def __post_init__(self):
-        if not 0.0 <= self.b <= self.L:  # NaN fails too
-            raise InvalidArgumentError("need 0 <= b <= L")
-        if abs(float(self.p(0.0))) > 0.0:
+        if not 0.0 <= self.b <= self.L < math.inf:  # NaN fails too
+            raise InvalidArgumentError(f"need finite 0 <= b <= L, got b = {self.b!r}, "
+                                       f"L = {self.L!r}")
+        if not float(self.p(0.0)) == 0.0:  # so does a NaN p(0)
             raise InvalidArgumentError("law must vanish at 0")
 
     @property
@@ -127,7 +128,7 @@ def saturating_law(b=1.0, L=2.0):
 
 def hardening_law(b=1.0, L=2.0, knee=1.0):
     """Piecewise-linear: slope b inside [-knee, knee], slope L outside."""
-    if b <= 0 or L < b or knee <= 0:
+    if b <= 0 or L < b or not knee > 0:  # NaN fails too
         raise InvalidArgumentError("need 0 < b <= L and knee > 0")
 
     def p(s):

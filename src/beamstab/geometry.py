@@ -35,8 +35,8 @@ EIGEN_NCV = 5
 class Mesh:
     """Discretized domain: a uniform tensor grid built from its axes.
 
-    axes holds the node coordinates of each axis, increasing and uniformly
-    spaced: one axis for an interval, two for a rectangle of bilinear
+    axes holds the node coordinates of each axis, finite, increasing and
+    uniformly spaced: one axis for an interval, two for a rectangle of bilinear
     cells.  nodes (N, dim) derives from them, numbered i*(ny+1)+j on the
     rectangle, and so do the dimension and the 2 dim grid sides that make
     up the boundary (sides).  Equality is identity, as for every record of
@@ -52,9 +52,9 @@ class Mesh:
             raise InvalidArgumentError("a mesh has one or two axes")
         for x in axes:
             h = np.diff(x)
-            if (x.ndim != 1 or len(h) < 1 or np.any(h <= 0)
+            if (x.ndim != 1 or len(h) < 1 or not np.all(np.isfinite(x)) or np.any(h <= 0)
                     or np.ptp(h) > UNIFORM_RTOL * h.mean()):
-                raise InvalidArgumentError("mesh nodes are not uniformly spaced, "
+                raise InvalidArgumentError("mesh nodes are not finite, uniformly spaced, "
                                            "increasing coordinates on every axis")
         nodes = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
         object.__setattr__(self, "axes", axes)
@@ -126,8 +126,8 @@ class BoundaryPartition:
 
 def build_interval_mesh(length, node_count):
     """Uniform 1D mesh on [0, length] with nu = -1 at 0 and +1 at length."""
-    if length <= 0:
-        raise InvalidArgumentError("length must be positive")
+    if not 0 < length < math.inf:  # NaN fails too
+        raise InvalidArgumentError(f"length must be finite and positive, got {length!r}")
     if node_count < 3:
         raise InvalidArgumentError("node_count must be at least 3")
     return Mesh((np.linspace(0.0, float(length), node_count),))
@@ -135,8 +135,8 @@ def build_interval_mesh(length, node_count):
 
 def build_rect_mesh(lx, ly, nx, ny):
     """Structured bilinear grid on [0, lx] x [0, ly] with nx x ny cells."""
-    if lx <= 0 or ly <= 0:
-        raise InvalidArgumentError("side lengths must be positive")
+    if not (0 < lx < math.inf and 0 < ly < math.inf):  # NaN fails too
+        raise InvalidArgumentError(f"side lengths must be finite and positive, got {lx!r}, {ly!r}")
     if nx < 2 or ny < 2:
         raise InvalidArgumentError("cell counts must be at least 2")
     return Mesh((np.linspace(0.0, float(lx), nx + 1), np.linspace(0.0, float(ly), ny + 1)))

@@ -514,24 +514,29 @@ def _build_parser():
         description="Simulator and verification harness for a boundary-damped "
                     "coupled wave system.")
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {
+        "out": dict(help="output directory override"),
+        "dt": dict(type=float, help="time step override"),
+        "T": dict(type=float, help="final time override"),
+        "refine": dict(type=int, default=0, metavar="K", help="halve h and dt K times"),
+        "plot": dict(action="store_true", help="emit an SVG energy plot"),
+    }
 
-    def common(p):
+    def subcommand(name, summary, *names):  # only the options the subcommand reads
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="INI config file")
-        p.add_argument("--out", help="output directory override")
-        p.add_argument("--dt", type=float, help="time step override")
-        p.add_argument("--T", type=float, dest="T", help="final time override")
-        p.add_argument("--refine", type=int, default=0, metavar="K",
-                       help="halve h and dt K times")
-        p.add_argument("--plot", action="store_true", help="emit an SVG energy plot")
+        for option in names:
+            p.add_argument(f"--{option}", **options[option])
+        p.set_defaults(**dict.fromkeys(options.keys() - names))
+        return p
 
-    common(sub.add_parser("check", help="evaluate the decay-rate certificate"))
-    common(sub.add_parser("simulate", help="run and record a full trace"))
-    verify = sub.add_parser("verify", help="run invariant verification suites")
-    common(verify)
+    subcommand("check", "evaluate the decay-rate certificate", "out", "T", "refine")
+    subcommand("simulate", "run and record a full trace", *options)
+    verify = subcommand("verify", "run invariant verification suites", "refine")
     verify.add_argument("--suite", action="append", dest="suites",
                         metavar="NAME", help=f"one of {', '.join(VERIFY_SUITES)}; "
                         "repeatable (default: all)")
-    common(sub.add_parser("sweep", help="grid over coupling strengths and laws"))
+    subcommand("sweep", "grid over coupling strengths and laws", "out", "dt", "T", "refine")
     fit = sub.add_parser("fit", help="fit a decay rate to an existing trace CSV")
     fit.add_argument("trace", help="trace CSV produced by simulate")
     fit.add_argument("--window", type=float, nargs=2, metavar=("TA", "TB"))

@@ -11,8 +11,9 @@ affine in w.  For a step's mu_mid the solver holds the free-dof state
 operator S = [[mu_mid K, a1 C], [Sg - a2 C, K]] and the Jacobian without
 the Gamma1 term J_lin = (2/dt) blockdiag(M, M) + (dt/2) S.  Both live on
 one csr layout of the 2x2 blocks of the system's free stencil slots,
-compressed once by _fem.stencil_csr and holding the entries that are
-nonzero for some mu: S = S_base + mu_mid S_mu and J_lin = J_base + mu_mid J_mu with
+compressed once by _fem.stencil_csr, the same on both meshes, and holding
+the entries that are nonzero for some mu: S = S_base + mu_mid S_mu and
+J_lin = J_base + mu_mid J_mu with
 J_base = (2/dt) blockdiag(M, M) + (dt/2) S_base and J_mu = (dt/2) S_mu,
 four data vectors on that layout, so a new mu_mid costs one in-place
 update of each of the two.
@@ -63,10 +64,11 @@ trace size, and a step allocates the new state besides.
   interleaved as (u_i, v_i), bandwidth 3, refactored for each mu_mid as
   ab_0 + mu_mid ab_1.  These are the band storage of J_ref's base part
   J_base + blockdiag(0, p2'(0) G) and mu part J_mu + blockdiag(p1'(0) G, 0),
-  with G = T' diag(w m.nu) T the system's gamma1 stencil form, compressed
-  with the layout.  When dgbtrf makes no row interchange, as on the
-  reference run's J_ref, a solve is two triangular band solves (BLAS
-  dtbsv, L then U) on bands cut from the factors once per factorisation.
+  with G = T' diag(w m.nu) T the gamma1 band, written straight from the
+  system's factor bands, as the rect's B_d are.  When dgbtrf makes no row
+  interchange, as on the reference run's J_ref, a solve is two triangular
+  band solves (BLAS dtbsv, L then U) on bands cut from the factors once
+  per factorisation, else dgbtrs.
   For laws of constant slope J = P and each Newton iteration is one solve.
 
 A law has a constant slope when it is a FeedbackLaw with b = L or a
@@ -86,8 +88,9 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg import LinAlgError, eigh
+from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dtrtrs
 
 from . import _fem
 from .discretization import SimState
@@ -149,14 +152,13 @@ class _FastDiagonalization:
     def at(self, mu):
         """The solve (b, out) -> P^-1 b for mu on the u block: per field
         V_1 ((V_1' B V_2) / div) V_2', both fields in one batched matmul,
-        written into out (a new array when out is None)."""
+        written into out."""
         div = np.stack([2.0 / self.dt + m * lam for m, lam in zip((mu, 1.0), self.lam)])
         V1, V2 = self.V
         V1t, V2t = (V.transpose(0, 2, 1) for V in self.V)
         a, y = self._scratch
 
-        def solve(b, out=None):
-            out = np.empty_like(b) if out is None else out
+        def solve(b, out):
             np.matmul(np.matmul(V1t, b.reshape(div.shape), out=a), V2, out=y)
             np.divide(y, div, out=y)
             np.matmul(np.matmul(V1, y, out=a), V2t, out=out.reshape(div.shape))
@@ -172,28 +174,55 @@ def _dense(band):
 
 class _BandedLU:
     """P^-1 = J_ref^-1 on the interval: J_ref(mu) = J_0 + mu J_1 with the
-    unknowns interleaved as (u_i, v_i), in band storage ab_0 and ab_1.
-    A solve interleaves b into one buffer allocated here, once per run,
-    and _fem.band_solve solves in it in place: by two triangular band
-    solves when dgbtrf made no row interchange, else by dgbtrs."""
+    unknowns interleaved as (u_i, v_i), in LAPACK band storage ab_0 and ab_1
+    written from the interval's factor bands, each entry added into zeros.
+    A solve interleaves b into one buffer allocated here, once per run, and
+    solves in it in place: by two triangular band solves (BLAS dtbsv, L then
+    U) when dgbtrf made no row interchange, else by dgbtrs."""
 
-    def __init__(self, J0, J1):
-        n = J0.shape[0] // 2
-        perm = np.arange(2 * n).reshape(2, n).T.ravel()  # (u_0, v_0, u_1, v_1, ...)
-        self.ab = [_fem.band_storage(J[perm][:, perm], BANDS, BANDS) for J in (J0, J1)]
+    def __init__(self, system, dt):
+        (f,), (p1, p2), half = system.factors, system.slopes0, dt / 2.0
+        m, hK, C, G = (2.0 / dt) * f["mass"], half * f["stiffness"], f["derivative"], f["gamma1"]
+        # J_0 and J_1 by block uu, uv, vu, vv, None a zero block
+        blocks = [(m, half * (system.alpha1 * C), half * (f["sigma"] - system.alpha2 * C),
+                   (m + hK) + p2 * G), (hK + p1 * G, None, None, None)]
+        n = len(system.free)
+        self.ab = [np.zeros((3 * BANDS + 1, 2 * n)) for _ in blocks]
+        for ab, parts in zip(self.ab, blocks):
+            # ab[2 BANDS + i - j, j] = J[i, j] with i = 2 k + r, j = 2 l + c for
+            # the fields r, c of the nodes k, l; band row s of block (r, c)
+            # holds its entries l = k + s - 1
+            ab = ab.reshape(-1, n, 2)
+            for (r, c), X in zip(np.ndindex(2, 2), parts):
+                if X is not None:
+                    ab[2 * BANDS + 2 + r - c, :-1, c] += X[0, 1:]
+                    ab[2 * BANDS + r - c, :, c] += X[1]
+                    ab[2 * BANDS - 2 + r - c, 1:, c] += X[2, :-1]
         self._interleaved = np.empty(2 * n)
 
     def at(self, mu):
-        """The solve (b, out) -> J_ref(mu)^-1 b, written into out (a new
-        array when out is None)."""
-        factors = _fem.band_lu(self.ab[0] + mu * self.ab[1], BANDS, BANDS)
-        x = self._interleaved
+        """The solve (b, out) -> J_ref(mu)^-1 b, written into out; raises
+        LinAlgError when J_ref(mu) is singular."""
+        lu, piv, info = dgbtrf(self.ab[0] + mu * self.ab[1], BANDS, BANDS)
+        if info != 0:
+            raise LinAlgError(f"J_ref is singular (dgbtrf info {info})")
+        # the kernels and band widths as closure locals: a solve looks up no global
+        x, kl, kU = self._interleaved, BANDS, 2 * BANDS  # U's bandwidth kU is kl + ku
+        if np.any(piv != np.arange(len(piv))):
+            trs = dgbtrs
 
-        def solve(b, out=None):
-            out = np.empty_like(b) if out is None else out
+            def band_solve():
+                return trs(lu, kl, kl, x, piv, overwrite_b=1)[0]
+        else:  # L's unit-lower band and U's upper band, cut once per factorisation
+            tbsv, L, U = dtbsv, np.asfortranarray(lu[kU:]), np.asfortranarray(lu[:kU + 1])
+
+            def band_solve():
+                return tbsv(kU, U, tbsv(kl, L, x, lower=1, diag=1, overwrite_x=1),
+                            overwrite_x=1)
+
+        def solve(b, out):
             x.reshape(-1, 2)[...] = b.reshape(2, -1).T
-            out.reshape(2, -1).T[...] = _fem.band_solve(
-                factors, BANDS, BANDS, x, overwrite_b=True).reshape(-1, 2)
+            out.reshape(2, -1).T[...] = band_solve().reshape(-1, 2)
             return out
 
         return solve
@@ -207,7 +236,43 @@ class _StepOperators(NamedTuple):
     S: sp.csr_matrix         # [[mu_mid K, a1 C], [Sg - a2 C, K]] on the free dofs
     W: np.ndarray            # (mu_mid w m.nu, w m.nu) per stacked Gamma1 point
     d_ref: np.ndarray        # W p'(0): the Gamma1 weights of J_ref
-    solve: object            # (b, out=None) -> P^-1 b, written into out
+    solve: object            # (b, out) -> P^-1 b, written into out
+
+
+def _block_layout(system, dt, rest):
+    """S_base, S_mu, J_mu and J_base as csr on the solver's one layout, and
+    with rest J_base off its diagonal blocks.  The forms and the layout's
+    slot arrays are locals here, so they are freed on return."""
+    s, cols, nf = system.slots, system.cols, len(system.free)
+    M, K, C, Sg = (s[name] for name in ("mass", "stiffness", "derivative", "sigma"))
+    a1, a2, half = system.alpha1, system.alpha2, dt / 2.0
+    S_uv, S_vu = a1 * C, Sg - a2 * C
+    m, hK = (2.0 / dt) * M, half * K
+    # S_base, S_mu, J_base and J_mu by block uu, uv, vu, vv; None is a zero
+    # block, and J_base = (2/dt) blockdiag(M, M) + (dt/2) S_base leaves out
+    # its terms on zero blocks, which change no nonzero entry
+    S_base, S_mu = (None, S_uv, S_vu, K), (K, None, None, None)
+    J_base, J_mu = (m, half * S_uv, half * S_vu, m + hK), (hK, None, None, None)
+    forms = [S_base, S_mu, J_mu, J_base]  # J_base last: it stays on the grid for rest
+
+    # the layout's (2 nf, 2 3^d) slots: stacked row, then block column and
+    # stencil slot, holding the entries that are nonzero in some form
+    width = M.shape[1]
+    grid = np.empty((2 * nf, 2 * width))
+
+    def on_grid(parts, out):  # out as block row, node, block column, slot
+        for (r, c), X in zip(np.ndindex(2, 2), parts):
+            out.reshape(2, nf, 2, -1)[r, :, c] = 0.0 if X is None else X
+        return out
+
+    keep = on_grid([np.logical_or.reduce([X != 0 for X in parts if X is not None])
+                    for parts in zip(*forms)], np.empty(grid.shape, dtype=bool))
+    columns = on_grid((cols, cols + nf) * 2, np.empty(grid.shape, np.int32))
+    mats = _fem.stencil_csr((on_grid(X, grid) for X in forms), columns, keep)
+    if rest:
+        keep[:nf, :width] = keep[nf:, width:] = False  # J_base off the diagonal blocks
+        mats += _fem.stencil_csr([grid], columns, keep)
+    return mats
 
 
 class _MidpointSolver:
@@ -251,45 +316,12 @@ class _MidpointSolver:
         self.p0 = np.repeat(system.slopes0, self.q)
         self.constant_slopes = system.law1.constant_slope and system.law2.constant_slope
 
-        s = system.slots
-        M, K, C, Sg = (s[name] for name in ("mass", "stiffness", "derivative", "sigma"))
-        a1, a2, half = system.alpha1, system.alpha2, dt / 2.0
-        S_uv, S_vu = a1 * C, Sg - a2 * C
-        m, hK = (2.0 / dt) * M, half * K
-        # S_base, S_mu, J_base and J_mu by block uu, uv, vu, vv; None is a zero
-        # block, and J_base = (2/dt) blockdiag(M, M) + (dt/2) S_base leaves out
-        # its terms on zero blocks, which change no nonzero entry
-        S_base, S_mu = (None, S_uv, S_vu, K), (K, None, None, None)
-        J_base, J_mu = (m, half * S_uv, half * S_vu, m + hK), (hK, None, None, None)
-        forms = [S_base, S_mu, J_mu, J_base]  # J_base last: it stays on the grid for rest
         interval = system.mesh.dimension == 1
-        if interval:  # J_ref = J_lin + p'(0) G on the diagonal blocks, G the gamma1 form
-            G, (p1, p2) = s["gamma1"], system.slopes0
-            forms += [(*J_base[:3], J_base[3] + p2 * G), (hK + p1 * G, None, None, None)]
-
-        # the layout's (2 nf, 2 3^d) slots: stacked row, then block column and
-        # stencil slot, holding the entries that are nonzero in some form
-        width = s["mass"].shape[1]
-        grid = np.empty((2 * nf, 2 * width))
-
-        def on_grid(parts, out=grid):  # out as block row, node, block column, slot
-            for (r, c), X in zip(np.ndindex(2, 2), parts):
-                out.reshape(2, nf, 2, -1)[r, :, c] = 0.0 if X is None else X
-            return out
-
-        keep = on_grid([np.logical_or.reduce([X != 0 for X in parts if X is not None])
-                        for parts in zip(*forms)], np.empty(grid.shape, dtype=bool))
-        columns = on_grid((system.cols, system.cols + nf) * 2, np.empty(grid.shape, np.int32))
-        S0, S1, J1, J0, *ref = _fem.stencil_csr((on_grid(X) for X in forms), columns, keep)
+        S0, S1, J1, J0, *rest = _block_layout(system, dt, rest=not interval)
         self.indices, self.indptr = S0.indices, S0.indptr
         self.S_data, self.J_data = (S0.data, S1.data), (J0.data, J1.data)
-        if interval:
-            self.rest = None
-            self.precond = _BandedLU(*ref)
-        else:
-            keep[:nf, :width] = keep[nf:, width:] = False  # J_base off the diagonal blocks
-            self.rest, = _fem.stencil_csr([grid], columns, keep)
-            self.precond = _FastDiagonalization(system, dt)
+        self.rest = rest[0] if rest else None
+        self.precond = (_BandedLU if interval else _FastDiagonalization)(system, dt)
 
         self._J, self._S = (self._on_layout(np.empty_like(d[0])) for d in (self.J_data, self.S_data))
         m = GMRES_MAXITER

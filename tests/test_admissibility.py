@@ -35,6 +35,14 @@ class TestSchedules:
         with pytest.raises(InvalidArgumentError):
             adm.decaying_schedule(1.0, -0.1, 1.0)
 
+    @pytest.mark.parametrize("build, args", [
+        pytest.param(adm.constant_schedule, (math.nan,), id="constant-nan"),
+        pytest.param(adm.decaying_schedule, (1.0, math.nan, 1.0), id="decaying-rate-nan"),
+    ])
+    def test_non_finite_coefficient_is_refused(self, build, args):
+        with pytest.raises(InvalidArgumentError, match="finite and positive"):
+            build(*args)
+
 
 class TestConstantFormulas:
     """Closed-form hand evaluations; these must be reproduced exactly."""
@@ -191,6 +199,12 @@ class TestDecayEnvelope:
     def test_negative_time_rejected(self):
         with pytest.raises(InvalidArgumentError):
             adm.decay_envelope(1.0, 1.0, -0.1)
+
+    @pytest.mark.parametrize("E0, eta", [(math.nan, 1.0), (1.0, math.nan)],
+                             ids=["E0-nan", "eta-nan"])
+    def test_non_finite_constant_rejected(self, E0, eta):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            adm.decay_envelope(E0, eta, np.array([0.0, 1.0]))
 
 
 class TestSigmaFromMesh:

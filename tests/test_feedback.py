@@ -64,6 +64,15 @@ class TestLawCatalog:
         with pytest.raises(InvalidArgumentError, match="0 <= b <= L"):
             FeedbackLaw(lambda s: s, lambda s: 1.0, b, L)
 
+    @pytest.mark.parametrize("build, kwargs", [
+        pytest.param(hardening_law, dict(knee=math.nan), id="hardening-knee-nan"),
+        pytest.param(saturating_law, dict(b=1.0, L=math.inf), id="saturating-L-inf"),
+        pytest.param(identity_law, dict(k=math.inf), id="identity-inf"),
+    ])
+    def test_non_finite_constants_are_refused(self, build, kwargs):
+        with pytest.raises(InvalidArgumentError):
+            build(**kwargs)
+
     def test_hardening_kink(self):
         law = hardening_law(b=1.0, L=3.0, knee=1.0)
         assert law(0.5) == pytest.approx(0.5)

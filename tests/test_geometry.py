@@ -496,44 +496,6 @@ class TestTraceForm:
             assert np.max(np.abs(got - want)) <= 1e-15
 
 
-class TestBandStorage:
-    @pytest.mark.parametrize("pivoted", [False, True], ids=["unpivoted", "pivoted"])
-    def test_band_lu_solves_like_a_dense_solve(self, pivoted, monkeypatch):
-        # 4 on the diagonal, or on the lowest subdiagonal, which makes dgbtrf
-        # interchange rows; pivoted factors are solved by dgbtrs only
-        rng = np.random.default_rng(2)
-        n, kl, ku = 11, 3, 2
-        offsets = range(-kl, ku + 1)
-        a = (sp.diags([rng.standard_normal(n - abs(k)) for k in offsets], offsets)
-             + 4 * sp.eye(n, k=-kl if pivoted else 0))
-        b = rng.standard_normal(n)
-        factors = _fem.band_lu(_fem.band_storage(a, kl, ku), kl, ku)
-        assert (factors[2] is None) == pivoted
-        calls = []
-        for name in ("dgbtrs", "dtbsv"):
-            kernel = getattr(_fem, name)
-            monkeypatch.setattr(_fem, name, lambda *args, name=name, kernel=kernel, **kw:
-                                calls.append(name) or kernel(*args, **kw))
-        kept = b.copy()
-        got = _fem.band_solve(factors, kl, ku, b)
-        assert calls == (["dgbtrs"] if pivoted else ["dtbsv", "dtbsv"])
-        assert np.array_equal(b, kept)  # solved in place only with overwrite_b
-        want = np.linalg.solve(a.toarray(), b)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        assert _fem.band_solve(factors, kl, ku, b, overwrite_b=True) is b
-        assert np.array_equal(b, got)
-
-    def test_entry_outside_the_band_is_refused(self):
-        a = sp.eye(5, format="lil")
-        a[4, 0] = 1.0
-        with pytest.raises(InvalidArgumentError, match="outside the band"):
-            _fem.band_storage(a, 3, 3)
-
-    def test_singular_matrix_raises(self):
-        with pytest.raises(scipy.linalg.LinAlgError):
-            _fem.band_lu(_fem.band_storage(sp.diags([1.0, 0.0, 1.0]), 1, 1), 1, 1)
-
-
 class TestTensorGrid:
     def test_axes(self):
         mesh = geometry.build_rect_mesh(1.3, 0.7, 5, 3)
@@ -558,6 +520,16 @@ class TestTensorGrid:
     def test_nonuniform_spacing_is_refused(self):
         with pytest.raises(InvalidArgumentError, match="uniformly spaced"):
             geometry.Mesh((np.array([0.0, 0.4, 1.0]),))
+
+    @pytest.mark.parametrize("build, args", [
+        pytest.param(geometry.build_interval_mesh, (math.nan, 5), id="interval-nan"),
+        pytest.param(geometry.build_interval_mesh, (math.inf, 5), id="interval-inf"),
+        pytest.param(geometry.build_rect_mesh, (math.nan, 1.0, 3, 3), id="rect-nan"),
+        pytest.param(geometry.Mesh, ((np.array([0.0, math.nan, 2.0]),),), id="axis-nan"),
+    ])
+    def test_non_finite_coordinates_are_refused(self, build, args):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            build(*args)
 
 
 class TestEmbeddingConstants:

@@ -650,11 +650,27 @@ class TestCli:
         assert text != SMALL_CONFIG or flags
         path = tmp_path / "run.ini"
         path.write_text(text)
-        assert harness.main(["check", "--config", str(path), *flags]) == harness.EXIT_USAGE
+        command = "simulate" if "--dt" in flags else "check"  # check takes no --dt
+        assert harness.main([command, "--config", str(path), *flags]) == harness.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and len(err.splitlines()) == 1, err
         if edit is not None:  # the message names the key it rejects
             assert edit[1].splitlines()[-1].partition(" =")[0] in err, err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("check", ["--plot"]), ("check", ["--dt", "0.1"]), ("verify", ["--T", "1"]),
+        ("verify", ["--out", "elsewhere"]), ("sweep", ["--plot"]),
+    ])
+    def test_option_the_subcommand_does_not_read_is_usage_error(self, tmp_path, capsys,
+                                                                command, flags):
+        path = tmp_path / "run.ini"
+        path.write_text(SMALL_CONFIG)
+        assert harness.main([command, "--config", str(path), *flags]) == harness.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: beamstab ")
+        assert f"error: unrecognized arguments: {' '.join(flags)}" in captured.err
+        assert not (tmp_path / "elsewhere").exists()
 
     @pytest.mark.parametrize("law, params", [("identity", "b=1"), ("saturating", "foo=1"),
                                              ("zero", "k=2")])

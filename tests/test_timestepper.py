@@ -12,7 +12,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dgbtrs
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
 from beamstab import _fem, geometry, harness, timestepper
@@ -670,7 +671,7 @@ class TestPreconditioner:
         assert abs(solver.rest - rest).max() <= 1e-14 * abs(J).max()
         # and the solve inverts the block diagonal
         b = np.random.default_rng(5).standard_normal(2 * nf)
-        x = ops.solve(b)
+        x = ops.solve(b, np.empty_like(b))
         assert np.max(np.abs(sp.block_diag(blocks) @ x - b)) <= 1e-12 * np.max(np.abs(b))
 
     @pytest.mark.parametrize("laws, calls", [("equal", 2), ("distinct", 4)])
@@ -694,41 +695,85 @@ class TestPreconditioner:
         J = _reference_jacobian(solver, ops).toarray()
         b = np.random.default_rng(3).standard_normal(len(J))
         want = np.linalg.solve(J, b)
-        assert np.max(np.abs(ops.solve(b) - want)) <= 1e-13 * np.max(np.abs(want))
+        got = ops.solve(b, np.empty_like(b))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @staticmethod
+    def _count_kernels(monkeypatch):
+        """The names of the band kernels the solves call, in call order."""
+        calls = []
+        for name in ("dgbtrs", "dtbsv"):
+            kernel = getattr(timestepper, name)
+            monkeypatch.setattr(timestepper, name, lambda *args, name=name, kernel=kernel, **kw:
+                                calls.append(name) or kernel(*args, **kw))
+        return calls
+
+    @pytest.mark.parametrize("nodes, dt, alpha, pivoted", [
+        pytest.param(201, 1e-3, 0.1, False, id="reference-dt1e-3"),
+        pytest.param(201, 0.05, 0.1, False, id="reference-dt0.05"),
+        # strong coupling and a long step make dgbtrf interchange rows
+        pytest.param(11, 1.0, 100.0, True, id="pivoted"),
+    ])
+    def test_band_solve_is_a_dense_solve(self, nodes, dt, alpha, pivoted, monkeypatch):
+        system = make_system(nodes=nodes, alpha1=alpha, alpha2=alpha)
+        calls = self._count_kernels(monkeypatch)
+        solver = _MidpointSolver(system, dt)
+        ops = solver.operators(1.0)
+        J = _reference_jacobian(solver, ops).toarray()
+        b = np.random.default_rng(4).standard_normal(len(J))
+        kept = b.copy()
+        got = ops.solve(b, np.empty_like(b))
+        assert calls == (["dgbtrs"] if pivoted else ["dtbsv", "dtbsv"])
+        assert np.array_equal(b, kept)
+        want = np.linalg.solve(J, b)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("dt", [1e-3, 0.05])
     @pytest.mark.parametrize("laws", ["identity", "saturating"])
-    def test_reference_factors_need_no_interchange(self, laws, dt):
+    def test_reference_factors_need_no_interchange(self, laws, dt, monkeypatch):
         # the 201-node interval of the reference run: its J_ref factors
         # unpivoted, and the triangular band solves are dgbtrs bit for bit
         law1, law2 = ((identity_law(), identity_law()) if laws == "identity"
                       else _LAWS["saturating"]())
-        solver = _MidpointSolver(make_system(nodes=201, law1=law1, law2=law2), dt)
-        ab0, ab1 = solver.precond.ab
+        precond = _MidpointSolver(make_system(nodes=201, law1=law1, law2=law2), dt).precond
+        ab0, ab1 = precond.ab
+        calls = self._count_kernels(monkeypatch)
         b = np.random.default_rng(6).standard_normal(ab0.shape[1])
         for mu in (0.05, 0.7, 1.0, 4.0):
-            factors = _fem.band_lu(ab0 + mu * ab1, timestepper.BANDS, timestepper.BANDS)
-            lu, piv, triangles = factors
-            assert triangles is not None
+            lu, piv, info = dgbtrf(ab0 + mu * ab1, timestepper.BANDS, timestepper.BANDS)
+            assert info == 0 and np.array_equal(piv, np.arange(len(piv)))
             want = dgbtrs(lu, timestepper.BANDS, timestepper.BANDS, b, piv)[0]
-            got = _fem.band_solve(factors, timestepper.BANDS, timestepper.BANDS, b)
-            assert got.tobytes() == want.tobytes()
+            got = precond.at(mu)(b.reshape(-1, 2).T.ravel(), np.empty_like(b))
+            assert got.reshape(2, -1).T.tobytes() == want.tobytes()
+        assert calls == ["dtbsv"] * 8
+
+    def test_singular_reference_raises(self):
+        precond = _MidpointSolver(make_system(nodes=11), 0.05).precond
+        for ab in precond.ab:
+            ab[...] = 0.0
+        with pytest.raises(LinAlgError, match="singular"):
+            precond.at(1.0)
 
     @pytest.mark.parametrize("x0", [0.0, 1.3])
     @pytest.mark.parametrize("laws", ["identity", "saturating"])
     def test_interval_bands_are_the_trace_form_construction(self, laws, x0):
-        # J_ref's base and mu parts from the gamma1 stencil form, against
-        # J_base and J_mu plus T2' diag(W p'(0)) T2 by the trace form
+        # J_ref's base and mu parts from the factor bands, against J_base
+        # and J_mu plus T2' diag(W p'(0)) T2 by the trace form, interleaved
+        # as (u_i, v_i) and put in band storage entry by entry
         law1, law2 = ((identity_law(2.0), identity_law(0.5)) if laws == "identity"
                       else (saturating_law(1.0, 2.0), saturating_law(0.5, 4.0)))
         system = make_system(nodes=21, x0=x0, law1=law1, law2=law2)
         solver = _MidpointSolver(system, 0.05)
         W0 = solver._weights(0.0)
         W_mu = solver._weights(1.0) - W0
-        old = timestepper._BandedLU(*(
-            solver._on_layout(data) + _fem.trace_form(solver.T2, W * solver.p0)
-            for data, W in zip(solver.J_data, (W0, W_mu))))
-        for got, want in zip(solver.precond.ab, old.ab):
+        n, bands = solver.nf, timestepper.BANDS
+        perm = np.arange(2 * n).reshape(2, n).T.ravel()  # (u_0, v_0, u_1, v_1, ...)
+        for got, data, W in zip(solver.precond.ab, solver.J_data, (W0, W_mu)):
+            J = solver._on_layout(data) + _fem.trace_form(solver.T2, W * solver.p0)
+            J = J[perm][:, perm].tocoo()
+            assert np.all(np.abs(J.row - J.col) <= bands)
+            want = np.zeros((3 * bands + 1, 2 * n))
+            np.add.at(want, (2 * bands + J.row - J.col, J.col), J.data)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -910,8 +955,9 @@ class TestWorkArrays:
         system = make_system(nodes=21, **laws) if mesh == "interval" else _rect6(**laws)
         ops = _MidpointSolver(system, 0.05).operators(0.7)
         b1, b2 = np.random.default_rng(8).standard_normal((2, 2 * len(system.free)))
-        x1, x2 = ops.solve(b1), ops.solve(b2)
-        assert not np.shares_memory(x1, x2)
+        out1, out2 = np.empty_like(b1), np.empty_like(b2)
+        x1, x2 = ops.solve(b1, out1), ops.solve(b2, out2)
+        assert x1 is out1 and x2 is out2
         # checked after the second solve: it left the first result as it was
         for x, b in ((x1, b1), (x2, b2)):
             fresh = np.empty_like(b)
