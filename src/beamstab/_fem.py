@@ -9,7 +9,7 @@ setting of Lynch, Rice & Thomas, Numer. Math. 6 (1964).  The 1D factors
 are tridiagonal bands; stencil builds every form from them as the slots
 of the grid's 3^d-point stencil, over all nodes or (free_factors) the free
 ones, and stencil_csr is the one compression of slots to csr (domain
-forms, system forms, the time stepper's block layout).  The interval is
+forms, system forms, the system's state operator).  The interval is
 the one-factor case of the same code.  Gamma0 is a union of whole grid
 sides, so the free nodes are the product of one slice per axis
 (geometry.BoundaryPartition.free_slices), and side_rule builds the trace

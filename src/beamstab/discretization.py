@@ -36,25 +36,27 @@ class SemiDiscreteSystem:
     ascending order (free, the grid of the partition's free_slices): the
     only coordinates of a SimState.
 
-    Every form is one _fem.stencil of the free 1D factor bands of the axes
-    (_fem.free_factors, the multiplier about x0) and two Gamma1 bands, 0
-    but on the diagonal at the end of the free axis of each of the
-    partition's gamma1_sides: sigma, alpha2 nu_d there, and gamma1, m.nu.
+    The factors are the free 1D factor bands of the axes (_fem.free_factors,
+    the multiplier about x0) and two Gamma1 bands, 0 but on the diagonal
+    at the end of the free axis of each of the partition's gamma1_sides:
+    sigma, alpha2 nu_d there, and gamma1, m.nu, which the preconditioners
+    read as bands alone.  Every form is one _fem.stencil of the other bands.
     The partition decides Gamma0 and Gamma1 per grid side, each with one
     m.nu and one normal, and the 2-point rule is exact on P1 x P1, so
     T' diag(w c) T = sum_d M_1 x .. x diag(c_d) x .. x M_n for c constant
     on each side and c_d its values at the Gamma1 ends of axis d (the sigma
     and gamma1 bands).  slots holds each form's (nf, 3^d) slots in columns
     cols; mass, stiffness, coupling and multiplier are csr on the pattern
-    of the free grid neighbours, sigma_op on its nonzero slots.
+    of the free grid neighbours, and state_operator() compresses S from
+    the slots on demand.
 
     It also owns the Gamma1 boundary operator: the quadrature-point trace T,
     the _fem.side_rule of each of the partition's gamma1_sides over the free
-    slices stacked in side order, so its columns are the free dofs, and T's
-    transpose, the weights w and w (m.nu), each side's weights times its
-    m.nu, the laws' slopes at 0 and the forcing load and boundary integral
-    built on them.  These weights are the only per-point Gamma1 data; the
-    side constants (m.nu, normal sign) live on the partition's gamma1_sides.
+    slices stacked in side order, so its columns are the free dofs, the
+    weights w and w (m.nu), each side's weights times its m.nu, the laws'
+    slopes at 0 and the boundary integral built on them.  These weights
+    are the only per-point Gamma1 data; the side constants (m.nu, normal
+    sign) live on the partition's gamma1_sides.
 
     Treat as immutable after assembly; all fields are plain data safe to
     share between runs.
@@ -75,13 +77,10 @@ class SemiDiscreteSystem:
     stiffness: sp.csr_matrix = field(init=False, repr=False)
     coupling: sp.csr_matrix = field(init=False, repr=False)    # C[k, j] = (sum_i dphi_j/dx_i, phi_k)
     multiplier: sp.csr_matrix = field(init=False, repr=False)  # X[k, j] = (phi_k, m . grad phi_j)
-    sigma_op: sp.csr_matrix = field(init=False, repr=False)    # T' diag(w sigma) T
     trace: sp.csr_matrix = field(init=False, repr=False)       # Gamma1 quadrature-point traces
-    trace_t: sp.csr_matrix = field(init=False, repr=False)     # trace.T
     trace_weights: np.ndarray = field(init=False, repr=False)
     trace_wmn: np.ndarray = field(init=False, repr=False)      # w_q (m.nu)_q
     slopes0: tuple = field(init=False, repr=False)   # (p1'(0), p2'(0))
-    mass_ldl: tuple = field(init=False, repr=False)  # free 1D mass factors, tridiagonal L D L'
 
     def __post_init__(self):
         mesh, part = self.mesh, self.partition
@@ -89,20 +88,18 @@ class SemiDiscreteSystem:
         self.free = np.arange(len(mesh.nodes)).reshape(counts)[part.free_slices].ravel()
         self.factors = tuple({**f, **g} for f, g in zip(_fem.free_factors(
             mesh.axes, part.free_slices, part.x0), _gamma1_bands(part, self.alpha2)))
-        self.slots, self.cols = _fem.stencil(self.factors)
+        self.slots, self.cols = _fem.stencil(  # gamma1 is read as bands alone
+            [{name: b for name, b in f.items() if name != "gamma1"} for f in self.factors])
         s = self.slots
         self.mass, self.stiffness, self.coupling, self.multiplier = _fem.stencil_csr(
             [s["mass"], s["stiffness"], s["derivative"], s["multiplier"]], self.cols,
             s["mass"] != 0)  # the free grid neighbours: mass is positive
-        self.sigma_op, = _fem.stencil_csr([s["sigma"]], self.cols, s["sigma"] != 0)
         T, w = zip(*(_fem.side_rule(mesh.axes, d, end, part.free_slices)[:2]
                      for d, end, *_ in part.gamma1_sides))
         self.trace = sp.vstack(T, format="csr")  # its columns are the free dofs
-        self.trace_t = self.trace.T.tocsr()
         self.trace_weights = np.concatenate(w)
         self.trace_wmn = np.concatenate([ws * m for ws, (*_, m) in zip(w, part.gamma1_sides)])
         self.slopes0 = tuple(float(law.slope(0.0)) for law in (self.law1, self.law2))
-        self.mass_ldl = tuple(_fem.tridiagonal_ldl(f["mass"]) for f in self.factors)
 
     @property
     def alpha_ratio(self):
@@ -116,11 +113,32 @@ class SemiDiscreteSystem:
         factors, so a load of shape (nf,) or (nf, B) takes one tridiagonal
         L D L' solve per axis.
         """
-        return _fem.kron_solve(self.mass_ldl, load)
+        return _fem.kron_solve([_fem.tridiagonal_ldl(f["mass"]) for f in self.factors], load)
 
-    def boundary_load(self, law, s):
-        """T' diag(w m.nu) p(s): a load on the free dofs for Gamma1 trace values s."""
-        return self.trace_t @ (self.trace_wmn * np.asarray(law(s)).T).T
+    def state_operator(self):
+        """(S_base, S_mu, M2) csr on one layout, stacked (u block, v block):
+        the force S = S_base + mu S_mu = [[mu K, a1 C], [Sg - a2 C, K]] and
+        M2 = blockdiag(M, M).  The layout is the (2 nf, 2 3^d) slot rows of
+        the free stencil's 2x2 blocks (stacked row, then block column and
+        slot) where any of the three is nonzero, compressed once by
+        _fem.stencil_csr; its forms and slot arrays are freed on return."""
+        s, cols, nf = self.slots, self.cols, len(self.free)
+        M, K, C, Sg = (s[name] for name in ("mass", "stiffness", "derivative", "sigma"))
+        # S_base, S_mu and M2 by block uu, uv, vu, vv; None is a zero block
+        forms = [(None, self.alpha1 * C, Sg - self.alpha2 * C, K), (K, None, None, None),
+                 (M, None, None, M)]
+        shape = (2 * nf, 2 * M.shape[1])
+
+        def on_grid(parts, out):  # out as block row, node, block column, slot
+            for (r, c), X in zip(np.ndindex(2, 2), parts):
+                out.reshape(2, nf, 2, -1)[r, :, c] = 0.0 if X is None else X
+            return out
+
+        keep = on_grid([np.logical_or.reduce([X != 0 for X in parts if X is not None])
+                        for parts in zip(*forms)], np.empty(shape, dtype=bool))
+        columns = on_grid((cols, cols + nf) * 2, np.empty(shape, np.int32))
+        grid = np.empty(shape)
+        return _fem.stencil_csr((on_grid(X, grid) for X in forms), columns, keep)
 
     def boundary_integral(self, values):
         """sum_q w_q (m.nu)_q values_q over the Gamma1 quadrature points."""
@@ -211,22 +229,29 @@ def interpolate(system, fld):
     return np.asarray(fld.value(system.mesh.nodes[system.free]), dtype=float)
 
 
-def compatibility_residuals(system, u0, v0, u1, v1):
+def _gamma1_points(system):
+    """The Gamma1 quadrature points in the trace's order, one (Q, dim) array
+    per side of the partition's gamma1_sides: its _fem.side_rule points."""
+    mesh, part = system.mesh, system.partition
+    return [_fem.side_rule(mesh.axes, d, end, part.free_slices)[2]
+            for d, end, *_ in part.gamma1_sides]
+
+
+def compatibility_residuals(system, u0, v0, u1, v1, points=None):
     """Residuals of the initial normal-derivative relations on Gamma1.
 
     r_u(q) = du0/dnu + (m.nu) p1(u1),  r_v(q) = dv0/dnu + (m.nu) p2(v1) + sigma u0
     evaluated from the analytic fields at every Gamma1 quadrature point, in
     the trace's order: side after side of the partition's gamma1_sides,
-    each at its _fem.side_rule points with nu = sign e_d, its m.nu and
-    sigma = alpha2 sign.
+    each at its points (_gamma1_points, built here when not given) with
+    nu = sign e_d, its m.nu and sigma = alpha2 sign.
     """
     for fld in (u0, v0):
         if fld.grad is None:
             raise InvalidArgumentError(f"field '{fld.name}' has no gradient callable")
-    mesh, part = system.mesh, system.partition
     r_u, r_v = [], []
-    for d, end, sign, mn in part.gamma1_sides:
-        pts = _fem.side_rule(mesh.axes, d, end, part.free_slices)[2]
+    for (d, _, sign, mn), pts in zip(system.partition.gamma1_sides,
+                                     _gamma1_points(system) if points is None else points):
         du0, dv0 = (sign * np.asarray(f.grad(pts), dtype=float)[:, d] for f in (u0, v0))
         r_u.append(du0 + mn * np.asarray(system.law1(np.asarray(u1.value(pts)))))
         r_v.append(dv0 + mn * np.asarray(system.law2(np.asarray(v1.value(pts))))
@@ -254,11 +279,11 @@ def project_initial_data(system, u0, v0, u1, v1):
         interpolate(system, u0), interpolate(system, v0),
         interpolate(system, u1), interpolate(system, v1),
     )
-    r_u, r_v = compatibility_residuals(system, u0, v0, u1, v1)
-    w, mesh, part = system.trace_weights, system.mesh, system.partition
+    points = _gamma1_points(system)
+    r_u, r_v = compatibility_residuals(system, u0, v0, u1, v1, points)
+    w = system.trace_weights
     norm = float(np.sqrt(np.sum(w * (r_u ** 2 + r_v ** 2))))
-    pts = np.concatenate([_fem.side_rule(mesh.axes, d, end, part.free_slices)[2]
-                          for d, end, *_ in part.gamma1_sides])
+    pts = np.concatenate(points)
     trace_sq = (sum(np.asarray(f.value(pts), dtype=float) ** 2 for f in (u0, v0, u1, v1))
                 + sum(np.sum(np.asarray(f.grad(pts), dtype=float) ** 2, axis=1)
                       for f in (u0, v0)))
@@ -272,15 +297,14 @@ def project_initial_data(system, u0, v0, u1, v1):
 
 def rhs(system, state):
     """Accelerations (d2u, d2v) of the semi-discrete system at the given
-    state, the solutions of M (d2u, d2v) = (load_u, load_v)."""
+    state: M2 (d2u, d2v) = -(S x + T2' (W p(T2 x'))) with x = (u, v) and
+    S = S_base + mu S_mu (state_operator), the Gamma1 load weighted by
+    W = (mu w m.nu, w m.nu).  On a StateBlock mu holds one value per column."""
     mu = system.schedule.mu(state.t)
-    a1, a2 = system.alpha1, system.alpha2
-    K, C, T = system.stiffness, system.coupling, system.trace
-    load_u = -(mu * state.product(K, "u")
-               + a1 * state.product(C, "v")
-               + mu * system.boundary_load(system.law1, state.product(T, "du")))
-    load_v = -(state.product(K, "v")
-               - a2 * state.product(C, "u")
-               + system.boundary_load(system.law2, state.product(T, "dv"))
-               + state.product(system.sigma_op, "u"))
-    return system.solve_mass(load_u), system.solve_mass(load_v)
+    S_base, S_mu, _ = system.state_operator()
+    x = np.concatenate([state.u, state.v])
+    load = -(S_base @ x + mu * (S_mu @ x))
+    T, wmn, nf = system.trace, system.trace_wmn, len(system.free)
+    load[:nf] -= mu * (T.T @ (wmn * np.asarray(system.law1(state.product(T, "du"))).T).T)
+    load[nf:] -= T.T @ (wmn * np.asarray(system.law2(state.product(T, "dv"))).T).T
+    return system.solve_mass(load[:nf]), system.solve_mass(load[nf:])

@@ -16,15 +16,16 @@ class NumericalFailureError(RuntimeError):
 class StepFailureError(RuntimeError):
     """A time step could not be completed.
 
-    Carries the simulation time and the last nonlinear residual norm.
-    Nothing retries the step; a caller that wants to go on reruns with a
-    smaller dt.
+    Carries the simulation time and the last nonlinear residual norm; its
+    message is the line the CLI prints.  Nothing retries the step; a caller
+    that wants to go on reruns with a smaller dt.
     """
 
-    def __init__(self, t, residual, message=None):
+    def __init__(self, t, residual):
         self.t = t
         self.residual = residual
-        super().__init__(message or f"step failed at t={t:.6g}, residual={residual:.3e}")
+        super().__init__(f"step failure at t={t:.17g} (residual {residual:.3e}); "
+                         f"retry with a smaller dt")
 
 
 class FitUndefinedError(RuntimeError):

@@ -319,8 +319,7 @@ def run_simulate(cfg, stream=None):
     try:
         integrate(system, state0, cfg.T, StepControl(dt=cfg.dt), observers=(recorder,))
     except StepFailureError as exc:
-        stream.write(f"step failure at t={exc.t:.17g} (residual {exc.residual:.3e}); "
-                     f"retry with a smaller dt\n")
+        stream.write(f"{exc}\n")
         return EXIT_STEP_FAILURE
 
     trace = recorder.trace()
@@ -577,7 +576,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StepFailureError as exc:
-        print(f"step failure at t={exc.t:.17g}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_STEP_FAILURE
     except NumericalFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)

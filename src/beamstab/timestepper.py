@@ -9,14 +9,12 @@ One solver path serves every law and every mu schedule, and a run builds
 it once, for its one step size dt.  Apart from the laws the residual is
 affine in w.  For a step's mu_mid the solver holds the free-dof state
 operator S = [[mu_mid K, a1 C], [Sg - a2 C, K]] and the Jacobian without
-the Gamma1 term J_lin = (2/dt) blockdiag(M, M) + (dt/2) S.  Both live on
-one csr layout of the 2x2 blocks of the system's free stencil slots,
-compressed once by _fem.stencil_csr, the same on both meshes, and holding
-the entries that are nonzero for some mu: S = S_base + mu_mid S_mu and
-J_lin = J_base + mu_mid J_mu with
-J_base = (2/dt) blockdiag(M, M) + (dt/2) S_base and J_mu = (dt/2) S_mu,
-four data vectors on that layout, so a new mu_mid costs one in-place
-update of each of the two.
+the Gamma1 term J_lin = (2/dt) M2 + (dt/2) S, M2 = blockdiag(M, M).  Both
+live on the one csr layout of the system's state_operator(), which the
+solver reads once: S = S_base + mu_mid S_mu and
+J_lin = J_base + mu_mid J_mu with J_base = (2/dt) M2 + (dt/2) S_base and
+J_mu = (dt/2) S_mu, four data vectors on that layout, so a new mu_mid
+costs one in-place update of each of the two.
 W = (mu_mid w m.nu, w m.nu) weighs the stacked Gamma1 trace
 T2 = blockdiag(T, T).  Each step computes c = S (x + (dt/2) w0) once, with
 x the start positions and w0 = (u', v') the first iterate, and each
@@ -59,7 +57,8 @@ trace size, and a step allocates the new state besides.
   2/dt + mu (lam_1i + lam_2j), and a solve is four matrix products,
   batched over the two fields.  J - P is the u-v coupling, the sigma
   term and the Gamma1 slope differences T2' diag(W p'(T2 w) - W p'(0)) T2;
-  its mu-free part, the off-diagonal blocks, is cut from the layout.
+  its mu-free part, J_base off the diagonal blocks, is taken from the
+  layout by a mask.
 - Interval: P = J_ref, a banded LU (LAPACK dgbtrf) of the unknowns
   interleaved as (u_i, v_i), bandwidth 3, refactored for each mu_mid as
   ab_0 + mu_mid ab_1.  These are the band storage of J_ref's base part
@@ -239,53 +238,18 @@ class _StepOperators(NamedTuple):
     solve: object            # (b, out) -> P^-1 b, written into out
 
 
-def _block_layout(system, dt, rest):
-    """S_base, S_mu, J_mu and J_base as csr on the solver's one layout, and
-    with rest J_base off its diagonal blocks.  The forms and the layout's
-    slot arrays are locals here, so they are freed on return."""
-    s, cols, nf = system.slots, system.cols, len(system.free)
-    M, K, C, Sg = (s[name] for name in ("mass", "stiffness", "derivative", "sigma"))
-    a1, a2, half = system.alpha1, system.alpha2, dt / 2.0
-    S_uv, S_vu = a1 * C, Sg - a2 * C
-    m, hK = (2.0 / dt) * M, half * K
-    # S_base, S_mu, J_base and J_mu by block uu, uv, vu, vv; None is a zero
-    # block, and J_base = (2/dt) blockdiag(M, M) + (dt/2) S_base leaves out
-    # its terms on zero blocks, which change no nonzero entry
-    S_base, S_mu = (None, S_uv, S_vu, K), (K, None, None, None)
-    J_base, J_mu = (m, half * S_uv, half * S_vu, m + hK), (hK, None, None, None)
-    forms = [S_base, S_mu, J_mu, J_base]  # J_base last: it stays on the grid for rest
-
-    # the layout's (2 nf, 2 3^d) slots: stacked row, then block column and
-    # stencil slot, holding the entries that are nonzero in some form
-    width = M.shape[1]
-    grid = np.empty((2 * nf, 2 * width))
-
-    def on_grid(parts, out):  # out as block row, node, block column, slot
-        for (r, c), X in zip(np.ndindex(2, 2), parts):
-            out.reshape(2, nf, 2, -1)[r, :, c] = 0.0 if X is None else X
-        return out
-
-    keep = on_grid([np.logical_or.reduce([X != 0 for X in parts if X is not None])
-                    for parts in zip(*forms)], np.empty(grid.shape, dtype=bool))
-    columns = on_grid((cols, cols + nf) * 2, np.empty(grid.shape, np.int32))
-    mats = _fem.stencil_csr((on_grid(X, grid) for X in forms), columns, keep)
-    if rest:
-        keep[:nf, :width] = keep[nf:, width:] = False  # J_base off the diagonal blocks
-        mats += _fem.stencil_csr([grid], columns, keep)
-    return mats
-
-
 class _MidpointSolver:
-    """Per-run workspace for the step size dt: the block layout and its
-    operator data, the preconditioner and the solver counters.
+    """Per-run workspace for the step size dt: the operator data on the
+    layout of the system's state_operator(), the preconditioner and the
+    solver counters.
 
-    The layout is one csr pattern (indices, indptr) of the 2x2 blocks of
-    the free stencil, laid out as (2 nf, 2 3^d) slot rows and compressed by
-    _fem.stencil_csr, holding the entries that are nonzero in S or J_lin
-    for some mu.  S_data and J_data are the (base, mu part) data vectors
-    on it, so S(mu) = S_base + mu S_mu and J_lin(mu) = J_base + mu J_mu
-    share one pattern.  rest is J_ref - P, mu-free: the rect's off-diagonal
-    blocks of J_lin, or None on the interval, where P = J_ref.  The stacked
+    The layout is the csr pattern (indices, indptr) of S_base, S_mu and M2,
+    the entries that are nonzero in S or J_lin for some mu.  S_data and
+    J_data are the (base, mu part) data vectors on it, J_data derived from
+    S_data and M2's, so S(mu) = S_base + mu S_mu and
+    J_lin(mu) = J_base + mu J_mu share one pattern.  rest is J_ref - P,
+    mu-free: the rect's J_base entries off the diagonal blocks, masked
+    from the layout, or None on the interval, where P = J_ref.  The stacked
     trace T2 and its weights come from the system's boundary operator.  The
     counters add up over every solve: preconditioner solves, residual
     evaluations, Newton and GMRES iterations, line-search halvings, and the
@@ -316,12 +280,19 @@ class _MidpointSolver:
         self.p0 = np.repeat(system.slopes0, self.q)
         self.constant_slopes = system.law1.constant_slope and system.law2.constant_slope
 
-        interval = system.mesh.dimension == 1
-        S0, S1, J1, J0, *rest = _block_layout(system, dt, rest=not interval)
-        self.indices, self.indptr = S0.indices, S0.indptr
-        self.S_data, self.J_data = (S0.data, S1.data), (J0.data, J1.data)
-        self.rest = rest[0] if rest else None
-        self.precond = (_BandedLU if interval else _FastDiagonalization)(system, dt)
+        S_base, S_mu, M2 = system.state_operator()
+        self.indices, self.indptr = S_base.indices, S_base.indptr
+        J_base = np.multiply(M2.data, 2.0 / dt, out=M2.data)  # M2 is built for this solver
+        J_base += (dt / 2.0) * S_base.data
+        self.S_data, self.J_data = (S_base.data, S_mu.data), (J_base, (dt / 2.0) * S_mu.data)
+        if system.mesh.dimension == 1:
+            self.rest, self.precond = None, _BandedLU(system, dt)
+        else:  # J_base's entries off the diagonal blocks, masked by block row and column
+            off = np.repeat(np.arange(2 * nf) < nf, np.diff(self.indptr)) != (self.indices < nf)
+            indptr = np.concatenate([[0], np.cumsum(off, dtype=self.indptr.dtype)])
+            self.rest = sp.csr_matrix((J_base[off], self.indices[off], indptr[self.indptr]),
+                                      shape=(2 * nf,) * 2)
+            self.precond = _FastDiagonalization(system, dt)
 
         self._J, self._S = (self._on_layout(np.empty_like(d[0])) for d in (self.J_data, self.S_data))
         m = GMRES_MAXITER

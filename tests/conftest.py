@@ -31,6 +31,13 @@ def make_system(mesh=None, nodes=11, alpha1=0.1, alpha2=0.1, law1=None, law2=Non
                     law1 or identity_law(), law2 or identity_law())
 
 
+def sigma_form(system):
+    """The system's sigma form T' diag(w sigma) T on the free dofs, csr on
+    its nonzero stencil slots: the Sg of its state operator."""
+    slots = system.slots["sigma"]
+    return _fem.stencil_csr([slots], system.cols, slots != 0)[0]
+
+
 def grid_cells(mesh):
     """Node ids of the cells of a tensor-grid mesh, for the element-loop
     oracles. Interval: node pairs (i, i+1).  Rectangle: corners (i,j),

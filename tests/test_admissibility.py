@@ -12,7 +12,7 @@ from beamstab.discretization import SimState, assemble
 from beamstab.errors import InvalidArgumentError
 from beamstab.feedback import identity_law, zero_law
 
-from conftest import gamma1_point_data, make_system
+from conftest import gamma1_point_data, make_system, sigma_form
 
 
 class TestSchedules:
@@ -222,7 +222,7 @@ class TestSigmaFromMesh:
                                   0.01, alpha2, part)
         sigma = alpha2 * gamma1_point_data(part)["sum_nu"]  # per Gamma1 quadrature point
         assert report.sigma_sup == np.max(np.abs(sigma))
-        defect = _fem.trace_form(system.trace, system.trace_weights * sigma) - system.sigma_op
+        defect = _fem.trace_form(system.trace, system.trace_weights * sigma) - sigma_form(system)
         assert np.max(np.abs(defect.toarray())) <= 1e-14 * alpha2
         return sigma, report
 

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from beamstab import _fem, geometry, harness
-from beamstab.admissibility import build_report, constant_schedule
-from beamstab.discretization import (SimState, assemble, compatibility_residuals,
+from beamstab.admissibility import build_report, constant_schedule, decaying_schedule
+from beamstab.discretization import (SimState, StateBlock, assemble, compatibility_residuals,
                                      interpolate, project_initial_data, rhs)
-from beamstab.feedback import CATALOG
+from beamstab.feedback import CATALOG, saturating_law
 from beamstab.fields import Field, linear_field, make_field, sine_field
 
 from conftest import (boundary_faces, gamma1_faces, gamma1_point_data, make_conservative_system,
-                      make_system, trace_loop_oracle)
+                      make_system, sigma_form, trace_loop_oracle)
 
 REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference_1d.ini"
 
@@ -68,7 +68,7 @@ class TestAssembly:
     def test_symmetry(self):
         system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.0, 3, 3),
                              x0=np.array([-0.1, -0.1]))
-        for op in (system.mass, system.stiffness, system.sigma_op):
+        for op in (system.mass, system.stiffness, sigma_form(system)):
             d = op - op.T
             assert abs(d).max() <= 1e-14 * max(abs(op).max(), 1.0)
 
@@ -83,6 +83,13 @@ class TestAssembly:
         system = make_system(nodes=7)
         defect = system.coupling + system.coupling.T - _sum_nu_form(system)
         assert np.max(np.abs(defect.toarray())) <= 1e-14
+
+    def test_stencil_builds_the_forms_assembly_reads(self):
+        # the gamma1 band is read as 1D bands alone, by the preconditioners
+        system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.0, 3, 3),
+                             x0=np.array([-0.1, -0.1]))
+        assert "gamma1" in system.factors[0]
+        assert set(system.slots) == {"mass", "stiffness", "derivative", "multiplier", "sigma"}
 
     def test_stiffness_positive_definite_on_free_dofs(self):
         system = make_system(nodes=9)
@@ -175,6 +182,25 @@ class TestRhs:
         want_v = np.linalg.solve(M, -(K @ v - a2 * C @ u + B @ dv + S @ u))
         assert np.allclose(d2u, want_u, rtol=0, atol=1e-12 * np.abs(want_u).max())
         assert np.allclose(d2v, want_v, rtol=0, atol=1e-12 * np.abs(want_v).max())
+
+    @pytest.mark.parametrize("mesh", ["interval", "rect"])
+    def test_block_columns_are_the_column_states(self, mesh):
+        # a decaying mu takes one value per column, and the saturating laws
+        # act on each column's own traces
+        kw = dict(law1=saturating_law(1.0, 2.0), law2=saturating_law(0.5, 4.0),
+                  schedule=decaying_schedule(1.0, 0.8, 1.0))
+        system = (make_system(nodes=21, **kw) if mesh == "interval" else
+                  make_system(mesh=geometry.build_rect_mesh(1.0, 1.3, 8, 6),
+                              x0=np.array([-0.1, -0.1]), alpha1=0.03, alpha2=0.05, **kw))
+        rng = np.random.default_rng(12)
+        t = np.linspace(0.0, 2.0, 5)
+        fields = [rng.standard_normal((len(system.free), len(t))) for _ in range(4)]
+        got = rhs(system, StateBlock(t, *fields, {}))
+        assert [g.shape for g in got] == [fields[0].shape] * 2
+        for j in range(len(t)):
+            want = rhs(system, SimState(float(t[j]), *(f[:, j].copy() for f in fields)))
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g[:, j] - w)) <= 1e-14 * np.max(np.abs(w))
 
 
 class TestInitialData:

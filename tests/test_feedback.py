@@ -19,22 +19,28 @@ def _interval_system(mn, law):
     return make_system(mesh=geometry.build_interval_mesh(mn, 3), law1=law)
 
 
+def _gamma1_load(system, law, s):
+    """T' diag(w m.nu) p(s): the Gamma1 load on the free dofs for the
+    Gamma1 trace values s, as rhs applies it."""
+    return system.trace.T @ (system.trace_wmn * law(s))
+
+
 class TestEvaluateH:
     """h(x, s) = (m.nu) p(s) as the system's Gamma1 forcing load."""
 
     def test_identity(self):
         system = _interval_system(1.0, identity_law())
-        load = system.boundary_load(system.law1, np.array([2.0]))
+        load = _gamma1_load(system, system.law1, np.array([2.0]))
         assert np.array_equal(load, [0.0, 2.0])  # the free nodes x = mn/2 and x = mn
 
     def test_vanishes_at_origin(self):
         for law in (identity_law(), saturating_law(), hardening_law()):
             system = _interval_system(1.7, law)
-            assert np.all(system.boundary_load(law, np.zeros(1)) == 0.0)
+            assert np.all(_gamma1_load(system, law, np.zeros(1)) == 0.0)
 
     def test_saturating_value(self):
         law = saturating_law(b=1.0, L=2.0)
-        load = _interval_system(1.5, law).boundary_load(law, np.array([1.0]))
+        load = _gamma1_load(_interval_system(1.5, law), law, np.array([1.0]))
         assert load[-1] == pytest.approx(1.5 * (1.0 + math.tanh(1.0)))
 
     def test_no_forcing_off_gamma1(self):
@@ -42,7 +48,7 @@ class TestEvaluateH:
         # right/top edges are loaded; the clamped corners are no dofs
         mesh = geometry.build_rect_mesh(1.0, 1.0, 3, 3)
         system = make_system(mesh=mesh, x0=np.array([-0.1, -0.1]))
-        load = system.boundary_load(identity_law(), np.ones(len(system.trace_weights)))
+        load = _gamma1_load(system, identity_law(), np.ones(len(system.trace_weights)))
         gamma1_nodes = np.unique(gamma1_faces(mesh, system.partition).nodes)
         gamma1_dofs = np.flatnonzero(np.isin(system.free, gamma1_nodes))
         assert len(gamma1_dofs) == len(gamma1_nodes) - 2

@@ -18,6 +18,9 @@ from beamstab.errors import ConfigError, InvalidArgumentError, StepFailureError
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
+# what simulate and the CLI print for StepFailureError(0.25, 1.0)
+STEP_FAILURE_LINE = "step failure at t=0.25 (residual 1.000e+00); retry with a smaller dt\n"
+
 SMALL_CONFIG = """\
 [mesh]
 kind = interval
@@ -347,7 +350,7 @@ class TestRunSimulate:
         monkeypatch.setattr(harness, "integrate", explode)
         stream = io.StringIO()
         assert harness.run_simulate(small_cfg, stream=stream) == harness.EXIT_STEP_FAILURE
-        assert "t=0.25" in stream.getvalue()
+        assert stream.getvalue() == STEP_FAILURE_LINE
 
 
 def _corrupt_stiffness(monkeypatch):
@@ -700,6 +703,17 @@ class TestCli:
         monkeypatch.setenv("BEAMSTAB_LOG", "info")
         assert harness.main(["check", "--config", str(path)]) == 0
         capsys.readouterr()
+
+    def test_step_failure_under_verify_prints_the_simulate_line(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def explode(*args, **kwargs):
+            raise StepFailureError(0.25, 1.0)
+        monkeypatch.setattr(harness, "integrate", explode)
+        path = tmp_path / "run.ini"
+        path.write_text(SMALL_CONFIG)
+        assert harness.main(["verify", "--config", str(path), "--suite", "convergence"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == STEP_FAILURE_LINE and captured.out == ""
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert harness.main([]) == harness.EXIT_USAGE

@@ -4,8 +4,9 @@ Parses every module of beamstab with ast and checks that each public
 module-level function and class is read somewhere in the package, exported
 by __init__ or an entry point, that each private one is read inside the
 package, that each module-level assigned name (dunders aside) is read
-inside the package, and that each annotated class field is read.  A class
-whose methods call dataclasses.fields(self) reads all its fields.  A
+inside the package, and that each annotated class field and each public
+method or property of a class is read.  A class whose methods call
+dataclasses.fields(self) reads all its fields.  A
 private module of another package, such as SciPy's compiled kernels, is
 imported by _fem alone.  Every backticked module.name of a beamstab module
 in the root README names an attribute the module has.
@@ -24,9 +25,10 @@ README = PACKAGE.parents[1] / "README.md"
 # the one module that may import a private module of another package
 PRIVATE_IMPORTERS = {"_fem"}
 
-# called from outside the package: the console script, and the trace
-# post-processing that acceptance criteria 2 and 4 run on a recorded trace
-ENTRY_POINTS = {"cli", "energy_balance_residuals", "lyapunov_decay_defects"}
+# called from outside the package: the console script, the trace
+# post-processing that acceptance criteria 2 and 4 run on a recorded trace,
+# and the clamped nodes that criterion 7 removes from the all-node forms
+ENTRY_POINTS = {"cli", "energy_balance_residuals", "lyapunov_decay_defects", "gamma0_nodes"}
 
 
 def _trees():
@@ -110,6 +112,16 @@ def _annotated_fields(trees):
             if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
 
 
+def _methods(trees):
+    """(module, class, name) of every public method or property of a class,
+    dunders aside, as they start with an underscore."""
+    return [(module, cls.name, node.name) for module, tree in trees.items()
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")]
+
+
 def _readme_references(text):
     """The backticked `module.name` spans of text whose module is one of
     the package's modules, in order of appearance."""
@@ -170,6 +182,15 @@ def test_every_annotated_field_is_read():
     assert not unread, f"class fields nothing reads: {unread}"
 
 
+def test_every_public_method_is_read():
+    # a method whose callers are gone, such as a removed load helper, is left over
+    trees = _trees()
+    reads = _reads(trees) | ENTRY_POINTS
+    unread = [f"{module}.{cls}.{name}" for module, cls, name in _methods(trees)
+              if name not in reads]
+    assert not unread, f"public methods and properties nothing reads: {unread}"
+
+
 def test_private_modules_of_other_packages_are_imported_by_fem_only():
     # SciPy's kernels check no sizes; _fem.csr_product is the checked way in
     imports = _private_imports(_trees())
@@ -183,7 +204,8 @@ def test_private_modules_of_other_packages_are_imported_by_fem_only():
     ("def used():\n    pass\n\ndef unused():\n    used()\n", ["m.unused"]),
     ("class A:\n    x: int\n    y: int\n\ndef f(a):\n    return a.x\n",
      ["m.A", "m.f", "m.A.y"]),
-    ("class A:\n    y: int\n\n    def items(self):\n        return fields(self)\n\nA\n", []),
+    ("class A:\n    y: int\n\n    def items(self):\n        return fields(self)\n\nA\n",
+     ["m.A.items"]),
     ("def _used():\n    pass\n\nclass _Unused:\n    pass\n\ndef f():\n    _used()\n\nf()\n",
      ["m._Unused"]),
     ("from __future__ import annotations\nfrom . import _own\nimport numpy.linalg\n"
@@ -194,6 +216,9 @@ def test_private_modules_of_other_packages_are_imported_by_fem_only():
     ("__all__ = []\nLIMIT = 3\nUNUSED, (_SKIP, *REST) = 1, (2, 3)\nTYPED: int = 4\n"
      "KEYS = {k for k, _ in LIMIT}\n\ndef f():\n    return KEYS\n\nf()\n",
      ["m.UNUSED", "m._SKIP", "m.REST", "m.TYPED"]),
+    ("class A:\n    def read(self):\n        pass\n\n    def unread(self):\n        pass\n\n"
+     "    @property\n    def size(self):\n        pass\n\n    def __len__(self):\n        pass\n\n"
+     "A().read()\n", ["m.A.unread", "m.A.size"]),
 ])
 def test_the_checks_find_an_unread_name(source, unread):
     trees = {"m": ast.parse(source)}
@@ -202,6 +227,7 @@ def test_the_checks_find_an_unread_name(source, unread):
              for _, name in _definitions(trees, private) if name not in reads]
     found += [f"m.{cls}.{name}" for _, cls, name in _annotated_fields(trees)
               if name not in reads]
+    found += [f"m.{cls}.{name}" for _, cls, name in _methods(trees) if name not in reads]
     found += [f"m.{name}" for _, name in _constants(trees) if name not in reads]
     found += [f"m imports {name}" for _, name in _private_imports(trees)]
     assert found == unread

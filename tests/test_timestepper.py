@@ -28,7 +28,7 @@ from beamstab.timestepper import (StepControl, _MidpointSolver, integrate, load_
                                   save_checkpoint)
 
 from conftest import (gamma1_faces, gamma1_point_data, make_conservative_system, make_system,
-                      trace_loop_oracle)
+                      sigma_form, trace_loop_oracle)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -171,7 +171,7 @@ def _free_forms(system):
     """The free-dof forms (M, K, C, Sg) of the oracles: the system's mass,
     stiffness, coupling and sigma forms, csr (TestBlockLayout checks them
     against the restricted all-node forms)."""
-    return system.mass, system.stiffness, system.coupling, system.sigma_op
+    return system.mass, system.stiffness, system.coupling, sigma_form(system)
 
 
 # sigma from the Kronecker sum of the mass bands against T' diag(w sigma) T,
@@ -864,8 +864,9 @@ class TestBlockLayout:
             shape = {"rect7x5": (7, 5), "rect64": (64, 64)}.get(mesh, (16, 16))
             system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.3, *shape),
                                  x0=np.array(_FREE_FREE if mesh == "free_free" else _CORNER))
-        G = system.slots["gamma1"]
-        got, = _fem.stencil_csr([G], system.cols, G != 0)
+        slots, cols = _fem.stencil(system.factors)
+        G = slots["gamma1"]
+        got, = _fem.stencil_csr([G], cols, G != 0)
         want = _fem.trace_form(system.trace, system.trace_wmn)
         assert np.array_equal(got.toarray() != 0, want.toarray() != 0)
         if system.mesh.dimension == 1:  # one trace point of hat value 1 per Gamma1 end
@@ -889,8 +890,9 @@ class TestBlockLayout:
             for part in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, part), getattr(want, part)), part
             assert np.array_equal(np.signbit(got.data), np.signbit(want.data))
-        assert abs(system.sigma_op - Sg).max() <= SIGMA_RTOL * abs(Sg).max()
-        assert np.array_equal(system.sigma_op.toarray() != 0, Sg.toarray() != 0)
+        sigma = sigma_form(system)
+        assert abs(sigma - Sg).max() <= SIGMA_RTOL * abs(Sg).max()
+        assert np.array_equal(sigma.toarray() != 0, Sg.toarray() != 0)
 
     @pytest.mark.parametrize("mesh", ["corner", "interval"])
     def test_operators_update_in_place_as_a_fresh_build(self, mesh):
@@ -1050,7 +1052,7 @@ class TestCsrProduct:
         solver = _MidpointSolver(system, 0.05)
         ops = solver.operators(0.7)
         named = {name: getattr(system, name) for name in (
-            "mass", "stiffness", "coupling", "multiplier", "sigma_op", "trace", "trace_t")}
+            "mass", "stiffness", "coupling", "multiplier", "trace")}
         named.update(S=ops.S, J_lin=ops.J_lin, T2=solver.T2, T2t=solver.T2t)
         if mesh == "rect":
             named["rest"] = solver.rest
