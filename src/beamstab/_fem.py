@@ -29,8 +29,6 @@ from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse import _sparsetools  # the csr kernels behind A @ x
 
 from .errors import InvalidArgumentError
@@ -163,36 +161,6 @@ def axis_eigenpairs(x, sl, mass):
     MV[:-1] += mass[2, :-1, None] * V[1:]
     V /= np.sqrt(np.einsum("ik,ik->k", V, MV))
     return lam, V
-
-
-def along_axes(x, counts, ops):
-    """(op_1 x ... x op_d) x for x of shape (prod(counts),) or (prod(counts), B).
-
-    op_d maps an (counts[d], m) array to one of the same shape: the action
-    of the axis-d factor on every fibre along that axis.
-    """
-    y = x.reshape(*counts, -1)
-    for d, op in enumerate(ops):
-        y = y.swapaxes(0, d)
-        shape = y.shape
-        y = op(y.reshape(shape[0], -1)).reshape(shape).swapaxes(0, d)
-    return y.reshape(x.shape)
-
-
-def tridiagonal_ldl(band):
-    """L D L' factors (d, e) of a symmetric positive definite tridiagonal
-    factor band (axis_factors), by LAPACK's dpttrf."""
-    d, e, info = dpttrf(band[1], band[2, :-1])
-    if info != 0:
-        raise LinAlgError(f"tridiagonal matrix is not positive definite (dpttrf info {info})")
-    return d, e
-
-
-def kron_solve(ldls, b):
-    """Solve (A_1 x ... x A_d) a = b from the tridiagonal_ldl factors of the
-    A_d: one dpttrs solve per axis for all columns of b at once."""
-    return along_axes(b, [len(d) for d, _ in ldls], [
-        lambda z, f=f: dpttrs(*f, z)[0] for f in ldls])
 
 
 def edge_rule(x):

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from . import _fem
 from .errors import InvalidArgumentError
@@ -52,11 +53,11 @@ class SemiDiscreteSystem:
 
     It also owns the Gamma1 boundary operator: the quadrature-point trace T,
     the _fem.side_rule of each of the partition's gamma1_sides over the free
-    slices stacked in side order, so its columns are the free dofs, the
-    weights w and w (m.nu), each side's weights times its m.nu, the laws'
-    slopes at 0 and the boundary integral built on them.  These weights
-    are the only per-point Gamma1 data; the side constants (m.nu, normal
-    sign) live on the partition's gamma1_sides.
+    slices stacked in side order, so its columns are the free dofs, each
+    side's points, the weights w and w (m.nu), each side's weights times
+    its m.nu, the laws' slopes at 0 and the boundary integral built on
+    them.  These points and weights are the only per-point Gamma1 data; the
+    side constants (m.nu, normal sign) live on the partition's gamma1_sides.
 
     Treat as immutable after assembly; all fields are plain data safe to
     share between runs.
@@ -78,6 +79,7 @@ class SemiDiscreteSystem:
     coupling: sp.csr_matrix = field(init=False, repr=False)    # C[k, j] = (sum_i dphi_j/dx_i, phi_k)
     multiplier: sp.csr_matrix = field(init=False, repr=False)  # X[k, j] = (phi_k, m . grad phi_j)
     trace: sp.csr_matrix = field(init=False, repr=False)       # Gamma1 quadrature-point traces
+    trace_points: tuple = field(init=False, repr=False)        # (Q_side, dim) per Gamma1 side
     trace_weights: np.ndarray = field(init=False, repr=False)
     trace_wmn: np.ndarray = field(init=False, repr=False)      # w_q (m.nu)_q
     slopes0: tuple = field(init=False, repr=False)   # (p1'(0), p2'(0))
@@ -94,8 +96,8 @@ class SemiDiscreteSystem:
         self.mass, self.stiffness, self.coupling, self.multiplier = _fem.stencil_csr(
             [s["mass"], s["stiffness"], s["derivative"], s["multiplier"]], self.cols,
             s["mass"] != 0)  # the free grid neighbours: mass is positive
-        T, w = zip(*(_fem.side_rule(mesh.axes, d, end, part.free_slices)[:2]
-                     for d, end, *_ in part.gamma1_sides))
+        T, w, self.trace_points = zip(*(_fem.side_rule(mesh.axes, d, end, part.free_slices)
+                                        for d, end, *_ in part.gamma1_sides))
         self.trace = sp.vstack(T, format="csr")  # its columns are the free dofs
         self.trace_weights = np.concatenate(w)
         self.trace_wmn = np.concatenate([ws * m for ws, (*_, m) in zip(w, part.gamma1_sides)])
@@ -105,15 +107,6 @@ class SemiDiscreteSystem:
     def alpha_ratio(self):
         """alpha1/alpha2 energy weight; 0 for the fully decoupled case."""
         return self.alpha1 / self.alpha2 if self.alpha2 != 0.0 else 0.0
-
-    def solve_mass(self, load):
-        """Solve mass * a = load.
-
-        The mass matrix is the Kronecker product of the free 1D mass
-        factors, so a load of shape (nf,) or (nf, B) takes one tridiagonal
-        L D L' solve per axis.
-        """
-        return _fem.kron_solve([_fem.tridiagonal_ldl(f["mass"]) for f in self.factors], load)
 
     def state_operator(self):
         """(S_base, S_mu, M2) csr on one layout, stacked (u block, v block):
@@ -229,29 +222,20 @@ def interpolate(system, fld):
     return np.asarray(fld.value(system.mesh.nodes[system.free]), dtype=float)
 
 
-def _gamma1_points(system):
-    """The Gamma1 quadrature points in the trace's order, one (Q, dim) array
-    per side of the partition's gamma1_sides: its _fem.side_rule points."""
-    mesh, part = system.mesh, system.partition
-    return [_fem.side_rule(mesh.axes, d, end, part.free_slices)[2]
-            for d, end, *_ in part.gamma1_sides]
-
-
-def compatibility_residuals(system, u0, v0, u1, v1, points=None):
+def compatibility_residuals(system, u0, v0, u1, v1):
     """Residuals of the initial normal-derivative relations on Gamma1.
 
     r_u(q) = du0/dnu + (m.nu) p1(u1),  r_v(q) = dv0/dnu + (m.nu) p2(v1) + sigma u0
     evaluated from the analytic fields at every Gamma1 quadrature point, in
     the trace's order: side after side of the partition's gamma1_sides,
-    each at its points (_gamma1_points, built here when not given) with
-    nu = sign e_d, its m.nu and sigma = alpha2 sign.
+    each at its points (trace_points) with nu = sign e_d, its m.nu and
+    sigma = alpha2 sign.
     """
     for fld in (u0, v0):
         if fld.grad is None:
             raise InvalidArgumentError(f"field '{fld.name}' has no gradient callable")
     r_u, r_v = [], []
-    for (d, _, sign, mn), pts in zip(system.partition.gamma1_sides,
-                                     _gamma1_points(system) if points is None else points):
+    for (d, _, sign, mn), pts in zip(system.partition.gamma1_sides, system.trace_points):
         du0, dv0 = (sign * np.asarray(f.grad(pts), dtype=float)[:, d] for f in (u0, v0))
         r_u.append(du0 + mn * np.asarray(system.law1(np.asarray(u1.value(pts)))))
         r_v.append(dv0 + mn * np.asarray(system.law2(np.asarray(v1.value(pts))))
@@ -279,11 +263,10 @@ def project_initial_data(system, u0, v0, u1, v1):
         interpolate(system, u0), interpolate(system, v0),
         interpolate(system, u1), interpolate(system, v1),
     )
-    points = _gamma1_points(system)
-    r_u, r_v = compatibility_residuals(system, u0, v0, u1, v1, points)
+    r_u, r_v = compatibility_residuals(system, u0, v0, u1, v1)
     w = system.trace_weights
     norm = float(np.sqrt(np.sum(w * (r_u ** 2 + r_v ** 2))))
-    pts = np.concatenate(points)
+    pts = np.concatenate(system.trace_points)
     trace_sq = (sum(np.asarray(f.value(pts), dtype=float) ** 2 for f in (u0, v0, u1, v1))
                 + sum(np.sum(np.asarray(f.grad(pts), dtype=float) ** 2, axis=1)
                       for f in (u0, v0)))
@@ -297,14 +280,18 @@ def project_initial_data(system, u0, v0, u1, v1):
 
 def rhs(system, state):
     """Accelerations (d2u, d2v) of the semi-discrete system at the given
-    state: M2 (d2u, d2v) = -(S x + T2' (W p(T2 x'))) with x = (u, v) and
-    S = S_base + mu S_mu (state_operator), the Gamma1 load weighted by
-    W = (mu w m.nu, w m.nu).  On a StateBlock mu holds one value per column."""
+    state: M2 (d2u, d2v) = -(S x + T2' (W p(T2 x'))) with x = (u, v),
+    S = S_base + mu S_mu and M2 from state_operator, and the Gamma1 load
+    formed here from the laws at the velocity traces, weighted by
+    W = (mu w m.nu, w m.nu).  One sparse LU of M2 (splu) solves both
+    fields, and on a StateBlock every column; mu then holds one value per
+    column.  The plain statement of the Galerkin system: no run calls it."""
     mu = system.schedule.mu(state.t)
-    S_base, S_mu, _ = system.state_operator()
+    S_base, S_mu, M2 = system.state_operator()
     x = np.concatenate([state.u, state.v])
     load = -(S_base @ x + mu * (S_mu @ x))
     T, wmn, nf = system.trace, system.trace_wmn, len(system.free)
     load[:nf] -= mu * (T.T @ (wmn * np.asarray(system.law1(state.product(T, "du"))).T).T)
     load[nf:] -= T.T @ (wmn * np.asarray(system.law2(state.product(T, "dv"))).T).T
-    return system.solve_mass(load[:nf]), system.solve_mass(load[nf:])
+    accel = splu(M2.tocsc()).solve(load)
+    return accel[:nf], accel[nf:]

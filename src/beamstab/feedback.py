@@ -119,11 +119,12 @@ def saturating_law(b=1.0, L=2.0):
     if b <= 0 or L < b:
         raise InvalidArgumentError("need 0 < b <= L")
     c = L - b
-    return FeedbackLaw(
-        lambda s: b * np.asarray(s, dtype=float) + c * np.tanh(s),
-        lambda s: b + c / np.cosh(np.asarray(s, dtype=float)) ** 2,
-        b, L,
-    )
+
+    def slope(s):
+        with np.errstate(over="ignore"):  # cosh(s)^2 is inf for |s| > ~355: slope b
+            return b + c / np.cosh(np.asarray(s, dtype=float)) ** 2
+
+    return FeedbackLaw(lambda s: b * np.asarray(s, dtype=float) + c * np.tanh(s), slope, b, L)
 
 
 def hardening_law(b=1.0, L=2.0, knee=1.0):

@@ -562,7 +562,7 @@ def main(argv=None):
         apply_overrides(cfg, dt=args.dt, T=args.T, refine=args.refine,
                         out=args.out, plot=args.plot or None)
         if args.command == "check":
-            return run_check(cfg, out=args.out)
+            return run_check(cfg, out=cfg.out_dir)
         if args.command == "simulate":
             return run_simulate(cfg)
         if args.command == "verify":

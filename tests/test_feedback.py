@@ -85,6 +85,12 @@ class TestLawCatalog:
         assert law(2.0) == pytest.approx(1.0 + 3.0 * 1.0)
         assert law.slope(0.5) == 1.0 and law.slope(2.0) == 3.0
 
+    def test_saturating_slope_far_out_is_b_without_warning(self):
+        # cosh(s)^2 overflows for |s| > ~355; warnings are errors under pytest
+        law = saturating_law(b=1.0, L=2.0)
+        assert law.slope(400.0) == 1.0
+        assert np.array_equal(law.slope(np.array([400.0, -1e3, 1e4])), [1.0, 1.0, 1.0])
+
     def test_from_spec(self):
         law = law_from_spec("saturating", {"b": 1.0, "L": 2.0})
         assert law.b == 1.0 and law.L == 2.0

@@ -339,8 +339,9 @@ def _generalized_mode_N(mesh, partition):
 
 def _standard_mode_N(mesh, partition):
     """N from ARPACK in standard mode on the n-dof pencil L' B L, with
-    L = (V_1 x V_2) diag(lam^-1/2) applied axis by axis and the Gamma1
-    boundary mass B = T' diag(w) T over the free dofs."""
+    L = (V_1 x V_2) diag(lam^-1/2), (V_1 x V_2) y applied as V_1 Y V_2' on
+    y reshaped to the grid, and the Gamma1 boundary mass B = T' diag(w) T
+    over the free dofs."""
     fixed = partition.gamma0_nodes()
     free = np.setdiff1d(np.arange(len(mesh.nodes)), fixed)
     slices = partition.free_slices
@@ -348,13 +349,14 @@ def _standard_mode_N(mesh, partition):
     pairs = [_fem.axis_eigenpairs(x, sl, f["mass"])
              for x, sl, f in zip(mesh.axes, slices, factors)]
     counts = tuple(len(lam) for lam, _ in pairs)
+    V1, V2 = (V for _, V in pairs)
     scale = 1.0 / np.sqrt(functools.reduce(np.add.outer, [lam for lam, _ in pairs]).ravel())
     T, w, _ = trace_loop_oracle(mesh, gamma1_faces(mesh, partition))
     B = _fem.trace_form(T[:, free], w)
 
     def pencil(y):
-        x = _fem.along_axes(scale * y, counts, [lambda z, V=V: V @ z for _, V in pairs])
-        return scale * _fem.along_axes(B @ x, counts, [lambda z, V=V: V.T @ z for _, V in pairs])
+        x = (V1 @ (scale * y).reshape(counts) @ V2.T).ravel()
+        return scale * (V1.T @ (B @ x).reshape(counts) @ V2).ravel()
 
     op = spla.LinearOperator((len(free), len(free)), matvec=pencil, dtype=float)
     mu = spla.eigsh(op, which="LA", k=1, v0=np.ones(len(free)),
@@ -637,7 +639,6 @@ class TestGamma1Operator:
         eigsh = geometry.eigsh
         monkeypatch.setattr(geometry, "eigsh", lambda op, **kw: shapes.append(op.shape)
                             or eigsh(op, **kw))
-        monkeypatch.setattr(_fem, "along_axes", _refuse)
         monkeypatch.setattr(_fem, "trace_form", _refuse)
         N = geometry.embedding_constants(mesh, part)["N"]
         Q = gamma1_point_data(part)["m_dot_nu"].size

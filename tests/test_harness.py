@@ -602,10 +602,27 @@ class TestRunSweep:
 
 
 class TestCli:
-    def test_check_exit_codes(self, tmp_path, capsys):
+    def test_check_exit_codes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "run.ini"
         path.write_text(SMALL_CONFIG)
         assert harness.main(["check", "--config", str(path)]) == 0
+        capsys.readouterr()
+
+    def test_check_writes_its_csv_into_the_output_dir(self, tmp_path, capsys, monkeypatch):
+        # [output] dir, as simulate and sweep read it; --out wins over it
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "run.ini"
+        path.write_text(SMALL_CONFIG + "dir = outdir\n")
+        cfg = harness.parse_config(path)
+        mesh, partition = harness.build_domain(cfg)
+        constants = harness.build_constants(mesh, partition)
+        report = harness.build_certificate(cfg, partition, constants)
+        assert harness.main(["check", "--config", str(path), "--out", "elsewhere"]) == 0
+        assert (tmp_path / "elsewhere" / "small_check.csv").read_text() == report.as_csv()
+        assert not (tmp_path / "outdir").exists()
+        assert harness.main(["check", "--config", str(path)]) == 0
+        assert (tmp_path / "outdir" / "small_check.csv").read_text() == report.as_csv()
         capsys.readouterr()
 
     def test_malformed_config_is_usage_error(self, tmp_path, capsys):
@@ -698,6 +715,7 @@ class TestCli:
                                 f"ERROR, CRITICAL, got {level!r}\n")
 
     def test_log_level_is_case_blind(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "run.ini"
         path.write_text(SMALL_CONFIG)
         monkeypatch.setenv("BEAMSTAB_LOG", "info")
