@@ -49,11 +49,6 @@ def functional_G(system, state):
     return first + second
 
 
-def f_bound_coefficient(alpha1, alpha2, n, M, mu0):
-    """Coefficient in |F| <= 2 sqrt(alpha1 alpha2 n / mu0) M E."""
-    return 2.0 * math.sqrt(alpha1 * alpha2 * n / mu0) * M
-
-
 def boundary_dissipation(system, state):
     """D_u = mu int_G1 (m.nu) p1(u')u', D_v = (a1/a2) int_G1 (m.nu) p2(v')v'."""
     mu = system.schedule.mu(state.t)
@@ -123,9 +118,10 @@ TRACE_COLUMNS = (
 
 @dataclass
 class EnergyTrace:
-    """The recorded diagnostics of a run, one entry per sample.  Without
-    the certificate's constants in metadata, the lyapunov, the envelope and
-    the slacks are NaN and bound_violations is 0."""
+    """The recorded diagnostics of a run, one entry per sample.  The lyapunov,
+    the envelope and the slacks read certificate, the admissible
+    HypothesisReport the run was recorded under; without one they are NaN and
+    bound_violations is 0.  metadata holds what the caller puts in."""
 
     t: np.ndarray
     E: np.ndarray
@@ -135,6 +131,7 @@ class EnergyTrace:
     D_v: np.ndarray
     mu_prime_term: np.ndarray   # mu'(t)/2 <u, K u>
     metadata: dict = field(default_factory=dict)
+    certificate: object = None
 
     def __post_init__(self):
         # a NaN time passes a test for diff(t) <= 0, and a fit window drops it unseen
@@ -151,45 +148,42 @@ class EnergyTrace:
         return float(self.E[0])
 
     def envelope(self):
-        eta = self.metadata.get("eta")
-        if eta is None or not np.isfinite(eta):
+        if self.certificate is None:
             return np.full_like(self.t, np.nan)
-        return decay_envelope(self.E0, eta, self.t)
+        return decay_envelope(self.E0, self.certificate.eta, self.t)
 
     def lyapunov(self, eps=None):
         """L = E + F + eps G, by default at the certificate's eps1; NaN without it."""
-        eps = self.metadata.get("eps1") if eps is None else eps
-        if eps is None:
+        if eps is None and self.certificate is None:
             return np.full_like(self.t, np.nan)
+        eps = self.certificate.eps1_max if eps is None else eps
         return self.E + self.F + eps * self.G
 
     def slacks(self):
-        md = self.metadata
-        needed = ("eps1", "A", "alpha1", "alpha2", "n", "M", "mu0")
-        if any(md.get(k) is None for k in needed):
-            nanv = np.full_like(self.t, np.nan)
-            return {k: nanv for k in
-                    ("slack_sandwich_lo", "slack_sandwich_hi", "slack_G", "slack_F")}
+        c = self.certificate
+        if c is None:
+            return dict.fromkeys(("slack_sandwich_lo", "slack_sandwich_hi", "slack_G",
+                                  "slack_F"), np.full_like(self.t, np.nan))
         L = self.lyapunov()
-        coef = f_bound_coefficient(md["alpha1"], md["alpha2"], md["n"], md["M"], md["mu0"])
+        # |F| <= 2 sqrt(alpha1 alpha2 n / mu0) M E
+        coef = 2.0 * math.sqrt(c.alpha1 * c.alpha2 * c.n / c.mu0) * c.M
         return {
             "slack_sandwich_lo": L - 0.5 * self.E,
             "slack_sandwich_hi": 1.5 * self.E - L,
-            "slack_G": md["A"] * self.E - np.abs(self.G),
+            "slack_G": c.A * self.E - np.abs(self.G),
             "slack_F": coef * self.E - np.abs(self.F),
         }
 
     def bound_violations(self):
-        """Samples that break the certificate: E above the envelope by more
-        than 1e-9 of it, plus, per slack, the samples below -1e-12 E0 (the
-        slack rule scales with the data, as ENERGY_RTOL does).  A column
-        that is not finite throughout, as without certificate metadata,
-        counts none."""
-        env = self.envelope()
-        count = int(np.sum(self.E > env * (1.0 + 1e-9))) if np.all(np.isfinite(env)) else 0
+        """Samples that break the certificate, NaN included: E above the
+        envelope by more than 1e-9 of it, plus, per slack, the samples below
+        -1e-12 E0 (the slack rule scales with the data, as ENERGY_RTOL does).
+        A trace without a certificate counts none."""
+        if self.certificate is None:
+            return 0
+        count = int(np.sum(~(self.E <= self.envelope() * (1.0 + 1e-9))))
         for sl in self.slacks().values():
-            if np.all(np.isfinite(sl)):
-                count += int(np.sum(sl < -1e-12 * self.E0))
+            count += int(np.sum(~(sl >= -1e-12 * self.E0)))
         return count
 
     def write_csv(self, path):
@@ -246,7 +240,7 @@ _RECORDED = tuple(name for name in TRACE_COLUMNS
 
 
 def read_trace_csv(path):
-    """Rebuild an EnergyTrace, without metadata, from a trace CSV.
+    """Rebuild an EnergyTrace, without metadata or certificate, from a trace CSV.
 
     The recorded columns of TRACE_COLUMNS are read back by header name; the
     others are not read.  The CSV does not store mu_prime_term: it is loaded
@@ -299,10 +293,13 @@ class TraceRecorder:
     field and chunk width (the StateBlock work dict), so a chunk allocates
     no product array with a field once the first chunk of its width is
     done.  What it still allocates are the boundary law values and the
-    (chunk,) columns.
+    (chunk,) columns.  Each trace() carries the certificate, an admissible
+    HypothesisReport or None, and a copy of metadata.
     """
 
     def __init__(self, system, certificate=None, metadata=None):
+        if certificate is not None and not certificate.admissible:
+            raise InvalidArgumentError("an inadmissible certificate certifies no trace")
         self.system = system
         n = len(system.free)
         fit = CHUNK_BYTES // (8 * len(_FIELDS) * n)
@@ -312,17 +309,8 @@ class TraceRecorder:
         self._fill = 0
         self._done = []             # (7, chunk) arrays of evaluated chunks
         self._products = {}         # the StateBlock work arrays of every chunk
-        md = dict(metadata or {})
-        if certificate is not None:
-            md.setdefault("eta", certificate.eta)
-            md.setdefault("eps1", certificate.eps1_max)
-            md.setdefault("A", certificate.A)
-            md.setdefault("M", certificate.M)
-            md.setdefault("mu0", certificate.mu0)
-            md.setdefault("alpha1", certificate.alpha1)
-            md.setdefault("alpha2", certificate.alpha2)
-            md.setdefault("n", certificate.n)
-        self.metadata = md
+        self.certificate = certificate
+        self.metadata = dict(metadata or {})
 
     def __call__(self, system, state):
         j = self._fill
@@ -352,7 +340,7 @@ class TraceRecorder:
         """Every sample so far, in order; the recorder keeps recording."""
         chunks = self._done + ([self._evaluate(self._fill)] if self._fill else [])
         arr = np.concatenate(chunks, axis=1) if chunks else np.empty((7, 0))
-        return EnergyTrace(*arr, metadata=dict(self.metadata))
+        return EnergyTrace(*arr, metadata=dict(self.metadata), certificate=self.certificate)
 
 
 # ---------------------------------------------------------------------------

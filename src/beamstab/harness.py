@@ -89,35 +89,38 @@ def _at_least(k):
     return (lambda n: n >= k), f"must be at least {k}"
 
 
-def _entry(section, key, parse=str, rule=None, **default):
+def _entry(section, key, parse=str, rule=None, when="", **default):
     """A RunConfig field read from `key` in `[section]`.
 
     parse casts the text; rule, a (predicate, description) pair, is the
-    condition the value must meet; default is the dataclass default or
-    default_factory.
+    condition the value must meet; when, "selector=kind" with selector a
+    key of the same section, names the only kind that reads the key;
+    default is the dataclass default or default_factory.
     """
     return field(**default, metadata={"section": section, "key": key,
-                                      "parse": parse, "rule": rule})
+                                      "parse": parse, "rule": rule, "when": when})
 
 
 @dataclass
 class RunConfig:
     """The settings of one run.
 
-    Each config key is one field entry below: section, key, parser, default
-    and value rule.  parse_config derives the accepted keys, the casts, the
-    defaults and the per-value checks from these entries, and
-    apply_overrides checks --dt and --T by the same rules.
+    Each config key is one field entry below: section, key, parser, default,
+    value rule and, for a key of one mesh or mu kind, that kind.
+    parse_config derives the accepted keys, the casts, the defaults and the
+    checks from these entries, and apply_overrides checks --dt and --T by
+    the same rules.
     """
 
     mesh_kind: str = _entry("mesh", "kind", rule=_one_of("interval", "rect"),
                             default="interval")
-    length: float = _entry("mesh", "length", float, _POSITIVE, default=1.0)
-    nodes: int = _entry("mesh", "nodes", int, _at_least(3), default=201)
-    lx: float = _entry("mesh", "lx", float, _POSITIVE, default=1.0)
-    ly: float = _entry("mesh", "ly", float, _POSITIVE, default=1.0)
-    nx: int = _entry("mesh", "nx", int, _at_least(2), default=16)
-    ny: int = _entry("mesh", "ny", int, _at_least(2), default=16)
+    length: float = _entry("mesh", "length", float, _POSITIVE, when="kind=interval",
+                           default=1.0)
+    nodes: int = _entry("mesh", "nodes", int, _at_least(3), when="kind=interval", default=201)
+    lx: float = _entry("mesh", "lx", float, _POSITIVE, when="kind=rect", default=1.0)
+    ly: float = _entry("mesh", "ly", float, _POSITIVE, when="kind=rect", default=1.0)
+    nx: int = _entry("mesh", "nx", int, _at_least(2), when="kind=rect", default=16)
+    ny: int = _entry("mesh", "ny", int, _at_least(2), when="kind=rect", default=16)
     # parse_config defaults x0 to the origin of the mesh's dimension
     x0: np.ndarray = _entry("mesh", "x0", lambda text: np.array(_floats(text)),
                             default_factory=lambda: np.zeros(1))
@@ -125,9 +128,10 @@ class RunConfig:
     alpha2: float = _entry("problem", "alpha2", float, _POSITIVE, default=0.1)
     mu_kind: str = _entry("problem", "mu", rule=_one_of("constant", "decaying"),
                           default="constant")
-    mu_c: float = _entry("problem", "mu_c", float, _POSITIVE, default=1.0)
-    mu_c0: float = _entry("problem", "mu_c0", float, _POSITIVE, default=1.0)
-    mu_lambda: float = _entry("problem", "mu_lambda", float, _NONNEGATIVE, default=0.0)
+    mu_c: float = _entry("problem", "mu_c", float, _POSITIVE, when="mu=constant", default=1.0)
+    mu_c0: float = _entry("problem", "mu_c0", float, _POSITIVE, when="mu=decaying", default=1.0)
+    mu_lambda: float = _entry("problem", "mu_lambda", float, _NONNEGATIVE, when="mu=decaying",
+                              default=0.0)
     law1_name: str = _entry("feedback", "law1", rule=_LAW, default="identity")
     law1_params: dict = _entry("feedback", "law1_params", _law_params, default_factory=dict)
     law2_name: str = _entry("feedback", "law2", rule=_LAW, default="identity")
@@ -197,6 +201,14 @@ def parse_config(path=None, text=None):
             except (ValueError, configparser.Error) as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
             _assign(cfg, entry.name, value)
+    # a key of the other mesh or mu kind would be dropped unread
+    for (section, key), entry in _CONFIG_KEYS.items():
+        selector, _, kind = entry.metadata["when"].partition("=")
+        if selector and parser.has_option(section, key):
+            got = getattr(cfg, _CONFIG_KEYS[(section, selector)].name)
+            if got != kind:
+                raise ConfigError(f"{section}.{entry.metadata['key']} is read only when "
+                                  f"{selector} = {kind}, got {got}")
 
     dim = 1 if cfg.mesh_kind == "interval" else 2
     if not parser.has_option("mesh", "x0"):

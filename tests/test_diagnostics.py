@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from beamstab import diagnostics as diag
 from beamstab import geometry, harness
-from beamstab.admissibility import constant_schedule, decaying_schedule
+from beamstab.admissibility import constant_schedule, decay_envelope, decaying_schedule
 from beamstab.discretization import SimState, column_dot, interpolate
 from beamstab.errors import ConfigError, FitUndefinedError, InvalidArgumentError
 from beamstab.feedback import saturating_law
@@ -103,22 +104,32 @@ class TestFunctionalG:
             3.0 - 1.0 / 16.0 - 1.0 / 768.0, rel=1e-13)
 
 
-def _one_sample_slacks(E, F, G, **metadata):
+def _certificate(**numbers):
+    """A stand-in for an admissible HypothesisReport with the given numbers."""
+    return types.SimpleNamespace(**{"admissible": True, **numbers})
+
+
+# the certificate of the 11-node sine runs below
+_SINE_CERTIFICATE = _certificate(eta=1 / 32, eps1_max=1 / 32, A=8.0, M=0.6366, mu0=1.0,
+                                 alpha1=0.1, alpha2=0.1, n=1)
+
+
+def _one_sample_slacks(E, F, G, **numbers):
     """EnergyTrace.slacks of a single sample with the given E, F, G."""
     z = np.zeros(1)
     trace = diag.EnergyTrace(z, np.array([E]), np.array([F]), np.array([G]), *[z] * 3,
-                             metadata=metadata)
+                             certificate=_certificate(**numbers))
     return {k: float(v[0]) for k, v in trace.slacks().items()}
 
 
 class TestSandwich:
     def test_zero_state_slacks_vanish(self):
-        out = _one_sample_slacks(0.0, 0.0, 0.0, eps1=0.1, A=8.0, alpha1=0.1, alpha2=0.1,
+        out = _one_sample_slacks(0.0, 0.0, 0.0, eps1_max=0.1, A=8.0, alpha1=0.1, alpha2=0.1,
                                  n=1, M=0.64, mu0=1.0)
         assert all(v == 0.0 for v in out.values())
 
     def test_slack_signs_on_admissible_sample(self):
-        out = _one_sample_slacks(E=1.0, F=0.05, G=2.0, eps1=1 / 32, A=8.0,
+        out = _one_sample_slacks(E=1.0, F=0.05, G=2.0, eps1_max=1 / 32, A=8.0,
                                  alpha1=0.1, alpha2=0.1, n=1, M=0.6366, mu0=1.0)
         assert all(v >= -1e-12 for v in out.values())
 
@@ -462,8 +473,8 @@ class TestChunkedRecorder:
             system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.0, 6, 6),
                                  x0=np.array([-0.1, -0.1]), schedule=schedule, **laws)
         states = _random_states(system, count, seed, amplitude)
-        metadata = {} if eps1 is None else {"eps1": eps1}
-        trace = _recorded(system, states, metadata=metadata).trace()
+        certificate = None if eps1 is None else _certificate(eps1_max=eps1)
+        trace = _recorded(system, states, certificate=certificate).trace()
         _assert_trace_matches(trace, _oracle_columns(system, states, eps1))
 
     @pytest.mark.parametrize("count", [1, 39, 40, 41, 127])
@@ -547,9 +558,7 @@ class TestTraceOutput:
         system = make_system(nodes=11)
         u = interpolate(system, sine_field(system.mesh))
         state = SimState(0.0, u, 0.5 * u, np.zeros_like(u), np.zeros_like(u))
-        rec = diag.TraceRecorder(system, metadata={"eta": 1 / 32, "eps1": 1 / 32,
-                                                   "A": 8.0, "M": 0.6366, "mu0": 1.0,
-                                                   "alpha1": 0.1, "alpha2": 0.1, "n": 1})
+        rec = diag.TraceRecorder(system, certificate=_SINE_CERTIFICATE)
         integrate(system, state, T, StepControl(dt=0.01), observers=(rec,))
         return rec.trace()
 
@@ -569,7 +578,8 @@ class TestTraceOutput:
         t = np.arange(len(specials), dtype=float)
         E = np.abs(np.where(np.isfinite(specials), specials, 1.0)) + 1.0
         trace = diag.EnergyTrace(t, E, specials, specials[::-1], specials, specials[::-1],
-                                 specials, metadata={"eps1": -1.0 / 3.0})
+                                 specials, certificate=_certificate(
+                                     **dict(vars(_SINE_CERTIFICATE), eps1_max=-1.0 / 3.0)))
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
         sl = trace.slacks()
@@ -597,11 +607,11 @@ class TestTraceOutput:
 
 
 # coef of the F bound: 2 sqrt(0.1 * 0.1 * 1 / 1) * 1 = 0.2
-_CERTIFIED = {"eta": 0.01, "eps1": 0.05, "A": 9.0, "alpha1": 0.1, "alpha2": 0.1,
-              "n": 1, "M": 1.0, "mu0": 1.0}
+_CERTIFIED = _certificate(eta=0.01, eps1_max=0.05, A=9.0, alpha1=0.1, alpha2=0.1,
+                          n=1, M=1.0, mu0=1.0)
 
 
-def _violating_trace(scale=1.0, metadata=_CERTIFIED):
+def _violating_trace(scale=1.0, certificate=_CERTIFIED):
     """Six samples: one within every bound, then one E above the envelope and
     one breaking each slack (sandwich lo, sandwich hi, G, F), all others kept."""
     E = np.array([1.0, 4.0, 1.0, 1.0, 1.0, 1.0])
@@ -609,7 +619,7 @@ def _violating_trace(scale=1.0, metadata=_CERTIFIED):
     G = np.array([0.0, 0.0, -8.0, 8.0, 9.5, 0.0])
     z = np.zeros(len(E))
     return diag.EnergyTrace(np.arange(len(E), dtype=float), scale * E, scale * F, scale * G,
-                            z, z, z, metadata=dict(metadata))
+                            z, z, z, certificate=certificate)
 
 
 class TestTraceRecord:
@@ -637,7 +647,7 @@ class TestTraceRecord:
         back = diag.read_trace_csv(path)
         for name in ("t", "E", "F", "G"):
             assert getattr(back, name).tobytes() == getattr(trace, name).tobytes(), name
-        assert back.metadata == {}
+        assert back.metadata == {} and back.certificate is None
 
     def test_foreign_header_is_refused(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -651,7 +661,7 @@ class TestTraceRecord:
     def test_recorded_columns_are_read_by_name(self, tmp_path, capsys):
         system = make_system(nodes=11)
         u = interpolate(system, sine_field(system.mesh))
-        rec = diag.TraceRecorder(system, metadata={"eps1": 1 / 32})
+        rec = diag.TraceRecorder(system, certificate=_SINE_CERTIFICATE)
         integrate(system, SimState(0.0, u, 0.5 * u, 0 * u, 0 * u), 0.2,
                   StepControl(dt=0.01), observers=(rec,))
         trace = rec.trace()
@@ -697,7 +707,7 @@ class TestTraceRecord:
                             "slack_G": [4], "slack_F": [5]}
 
     def test_uncertified_trace_counts_none(self):
-        assert _violating_trace(metadata={}).bound_violations() == 0
+        assert _violating_trace(certificate=None).bound_violations() == 0
 
     @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12])
     def test_slack_rule_is_relative_to_E0(self, scale):
@@ -707,6 +717,52 @@ class TestTraceRecord:
         G = np.array([0.0, 9.0 + 1e-13]) * scale
         z = np.zeros(2)
         dip = diag.EnergyTrace(np.array([0.0, 1.0]), E, z, G, z, z, z,
-                               metadata=dict(_CERTIFIED, eps1=0.0))
+                               certificate=_certificate(**dict(vars(_CERTIFIED), eps1_max=0.0)))
         assert dip.slacks()["slack_G"][1] < 0
         assert dip.bound_violations() == 0
+
+    def test_non_finite_sample_counts_against_its_bounds(self):
+        # a NaN G leaves L, and so both sandwich slacks, NaN too; the F slack
+        # and the envelope of that sample hold
+        z = np.zeros(2)
+        trace = diag.EnergyTrace(np.array([0.0, 1.0]), np.ones(2), z, np.array([0.0, np.nan]),
+                                 z, z, z, certificate=_CERTIFIED)
+        assert trace.bound_violations() == 3
+
+
+class TestRecorderCertificate:
+    @staticmethod
+    def _report(alpha):
+        cfg = harness.parse_config(text=f"[mesh]\nnodes = 11\n[problem]\n"
+                                        f"alpha1 = {alpha}\nalpha2 = {alpha}\n")
+        mesh, partition, system = harness.build_problem(cfg)
+        return system, harness.build_certificate(cfg, partition,
+                                                 harness.build_constants(mesh, partition))
+
+    def test_trace_reads_the_certificate_it_was_recorded_under(self):
+        system, cert = self._report(0.1)
+        assert cert.admissible
+        trace = _recorded(system, _random_states(system, 5, seed=2), certificate=cert,
+                          metadata={"config_hash": "abc"}).trace()
+        assert trace.certificate is cert
+        assert trace.metadata == {"config_hash": "abc"}
+        assert trace.envelope().tobytes() == decay_envelope(trace.E0, cert.eta,
+                                                            trace.t).tobytes()
+        assert trace.lyapunov().tobytes() == \
+            (trace.E + trace.F + cert.eps1_max * trace.G).tobytes()
+
+    def test_inadmissible_certificate_is_refused(self):
+        system, cert = self._report(1.0)
+        assert not cert.admissible
+        with pytest.raises(InvalidArgumentError, match="inadmissible certificate"):
+            diag.TraceRecorder(system, certificate=cert)
+
+    def test_metadata_certifies_nothing(self):
+        system = make_system(nodes=11)
+        metadata = {"eta": 1 / 32, "eps1": 1 / 32, "A": 8.0, "M": 0.6366, "mu0": 1.0,
+                    "alpha1": 0.1, "alpha2": 0.1, "n": 1}
+        trace = _recorded(system, _random_states(system, 5, seed=3),
+                          metadata=metadata).trace()
+        assert trace.certificate is None and trace.metadata == metadata
+        assert np.all(np.isnan(trace.envelope())) and np.all(np.isnan(trace.lyapunov()))
+        assert trace.bound_violations() == 0

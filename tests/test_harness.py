@@ -51,12 +51,11 @@ prefix = small
 """
 
 
-# every config key, each set to a value other than its default
+# every config key but the interval and constant-mu ones of INTERVAL_KEYS_CONFIG,
+# each set to a value other than its default
 ALL_KEYS_CONFIG = """\
 [mesh]
 kind = rect
-length = 2.5
-nodes = 33
 lx = 1.5
 ly = 0.75
 nx = 12
@@ -67,7 +66,6 @@ x0 = -0.1 -0.2
 alpha1 = 0.02
 alpha2 = 0.03
 mu = decaying
-mu_c = 1.5
 mu_c0 = 2.0
 mu_lambda = 0.25
 
@@ -99,6 +97,18 @@ plot = on
 [sweep]
 alpha = 0.01 0.02
 laws = identity saturating
+"""
+
+# the keys read only on an interval or under a constant mu
+INTERVAL_KEYS_CONFIG = """\
+[mesh]
+kind = interval
+length = 2.5
+nodes = 33
+
+[problem]
+mu = constant
+mu_c = 1.5
 """
 
 # the accepted keys before they were derived from the RunConfig field table
@@ -161,6 +171,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             harness.parse_config(text="[problem]\nmu = decaying\nmu_lambda = -1\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("[problem]\nmu = decaying\nmu_c = 5\n",
+         "problem.mu_c is read only when mu = constant, got decaying"),
+        ("[problem]\nmu_lambda = 0.5\nmu_c0 = 2\n",
+         "problem.mu_c0 is read only when mu = decaying, got constant"),
+        ("[mesh]\nnx = 64\nkind = interval\n",
+         "mesh.nx is read only when kind = rect, got interval"),
+        ("[mesh]\nkind = rect\nnodes = 33\n",
+         "mesh.nodes is read only when kind = interval, got rect"),
+    ], ids=["mu_c-decaying", "mu_c0-constant", "nx-interval", "nodes-rect"])
+    def test_key_of_the_other_kind_rejected(self, text, message, tmp_path, capsys):
+        with pytest.raises(ConfigError) as info:
+            harness.parse_config(text=text)
+        assert str(info.value) == message
+        path = tmp_path / "other_kind.ini"
+        path.write_text(text)
+        assert harness.main(["check", "--config", str(path)]) == harness.EXIT_USAGE == 64
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_value_checks_come_before_the_kind_rule(self):
+        with pytest.raises(ConfigError, match="problem.mu_c must be finite and positive"):
+            harness.parse_config(text="[problem]\nmu = decaying\nmu_c = -1\n")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             harness.parse_config(tmp_path / "absent.ini")
@@ -190,14 +223,20 @@ class TestParseConfig:
             "hash": "0cc7bf81fb9e9605"}
 
     def test_all_keys_config_fields(self):
-        parser = configparser.ConfigParser()
-        parser.read_string(ALL_KEYS_CONFIG)
-        assert {(s, k) for s in parser.sections() for k in parser[s]} == set(
-            harness._CONFIG_KEYS)
+        keys = set()
+        for text in (ALL_KEYS_CONFIG, INTERVAL_KEYS_CONFIG):
+            parser = configparser.ConfigParser()
+            parser.read_string(text)
+            keys |= {(s, k) for s in parser.sections() for k in parser[s]}
+        assert keys == set(harness._CONFIG_KEYS)
+        interval = _all_fields(harness.parse_config(text=INTERVAL_KEYS_CONFIG))
+        assert {k: interval[k] for k in ("mesh_kind", "length", "nodes", "mu_kind", "mu_c")} \
+            == {"mesh_kind": "interval", "length": 2.5, "nodes": 33,
+                "mu_kind": "constant", "mu_c": 1.5}
         assert _all_fields(harness.parse_config(text=ALL_KEYS_CONFIG)) == {
-            "mesh_kind": "rect", "length": 2.5, "nodes": 33, "lx": 1.5, "ly": 0.75,
+            "mesh_kind": "rect", "length": 1.0, "nodes": 201, "lx": 1.5, "ly": 0.75,
             "nx": 12, "ny": 6, "x0": [-0.1, -0.2],
-            "alpha1": 0.02, "alpha2": 0.03, "mu_kind": "decaying", "mu_c": 1.5,
+            "alpha1": 0.02, "alpha2": 0.03, "mu_kind": "decaying", "mu_c": 1.0,
             "mu_c0": 2.0, "mu_lambda": 0.25,
             "law1_name": "saturating", "law1_params": {"b": 0.5, "L": 3.0},
             "law2_name": "hardening", "law2_params": {"b": 1.0, "L": 2.0, "knee": 0.5},
@@ -205,7 +244,7 @@ class TestParseConfig:
             "u1": "linear", "u1_amplitude": 0.25, "v1": "sine", "v1_amplitude": 2.0,
             "dt": 0.002, "T": 0.5, "out_dir": "results", "prefix": "full", "plot": True,
             "sweep_alphas": (0.01, 0.02), "sweep_laws": ("identity", "saturating"),
-            "hash": "2ae6e1e6e40785e7"}
+            "hash": "abc696cb1ec85f6a"}
 
     def test_defaults(self):
         assert _all_fields(harness.parse_config(text="")) == {
@@ -259,6 +298,7 @@ class TestRunCheck:
     @pytest.mark.parametrize("text", [
         pytest.param((ROOT / "configs" / "reference_1d.ini").read_text(), id="reference"),
         pytest.param(SMALL_CONFIG.replace("kind = interval", "kind = rect\nnx = 24\nny = 16")
+                     .replace("length = 1.0\nnodes = 21\n", "")
                      .replace("x0 = 0.0", "x0 = -0.1 -0.2")
                      .replace("alpha1 = 0.1\nalpha2 = 0.1", "alpha1 = 0.03\nalpha2 = 0.03"),
                      id="rect"),
@@ -450,7 +490,21 @@ class TestReadTrace:
         with pytest.raises(SystemExit) as exit_info:
             runpy.run_path(str(script), run_name="__main__")
         assert exit_info.value.code == 0
-        assert "fitted rate" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "fitted rate" in out
+        assert (tmp_path / "reference_check.csv").read_text().startswith("n,M,N,R,")
+        summary = dict(line.split(" ", 1) for line in
+                       (tmp_path / "reference_summary.txt").read_text().splitlines())
+        assert f"certified rate  {2.0 / 3.0 * float(summary['eta']):.6f}  ((2/3) eta)\n" in out
+
+    def test_reproduce_decay_script_without_a_fit(self, tmp_path, monkeypatch, capsys):
+        # one step: the default window [0.2 T, T] holds one sample
+        script = SCRIPTS / "reproduce_decay.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--T", "0.001", "--out", str(tmp_path)])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_path(str(script), run_name="__main__")
+        assert exit_info.value.code == 1
+        assert "the run fitted no decay rate" in capsys.readouterr().err
 
 
 class TestRunSweep:
@@ -804,6 +858,7 @@ class TestCli:
         monkeypatch.setattr(geometry, "eigsh", no_convergence)
         path = tmp_path / "rect.ini"
         path.write_text(SMALL_CONFIG.replace("kind = interval", "kind = rect\nnx = 8\nny = 8")
+                        .replace("length = 1.0\nnodes = 21\n", "")
                         .replace("x0 = 0.0", "x0 = -0.1 -0.2"))
         assert harness.main(["check", "--config", str(path)]) == harness.EXIT_SOFTWARE == 70
         err = capsys.readouterr().err.splitlines()
