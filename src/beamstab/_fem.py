@@ -102,12 +102,14 @@ def stencil_csr(forms, cols, keep):
     """Each (rows, width) slot array of forms (stencil, or stencil blocks
     side by side), slot s of row k in column cols[k, s], as a square csr
     matrix of the slots where keep holds, all on one indices and indptr.
-    forms is read one array at a time: an iterator may refill one buffer."""
-    rows, width = keep.shape
-    at = np.flatnonzero(keep)
-    indices = cols.take(at)
-    indptr = np.searchsorted(at, np.arange(rows + 1) * width).astype(indices.dtype)
-    return [sp.csr_matrix((X.take(at), indices, indptr), shape=(rows, rows)) for X in forms]
+    forms is read one array at a time: an iterator may refill one buffer.
+    Each array is compressed by the mask itself, which needs no index
+    array of the matrices' size."""
+    rows = len(keep)
+    indices = cols[keep]
+    indptr = np.zeros(rows + 1, dtype=indices.dtype)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return [sp.csr_matrix((X[keep], indices, indptr), shape=(rows, rows)) for X in forms]
 
 
 def domain_matrices(mesh, x0=None):

@@ -282,6 +282,11 @@ CHUNK_BYTES = 128 * 1024
 
 _FIELDS = ("u", "v", "du", "dv")
 
+# samples per block of recorded trace columns, rounded up to whole chunks: a
+# (7, 1) array per sample, as one chunk a sample makes on rects from 37x37 up,
+# held 192 B of it against 56 B of values
+BLOCK_SAMPLES = 1024
+
 
 class TraceRecorder:
     """Observer recording every diagnostic at each accepted step.
@@ -293,8 +298,11 @@ class TraceRecorder:
     field and chunk width (the StateBlock work dict), so a chunk allocates
     no product array with a field once the first chunk of its width is
     done.  What it still allocates are the boundary law values and the
-    (chunk,) columns.  Each trace() carries the certificate, an admissible
-    HypothesisReport or None, and a copy of metadata.
+    (chunk,) terms of the columns.  The 7 columns of evaluated chunks are
+    written into (7, block) arrays of whole chunks, BLOCK_SAMPLES samples
+    at least, allocated as they fill.  Each trace() carries the
+    certificate, an admissible HypothesisReport or None, and a copy of
+    metadata.
     """
 
     def __init__(self, system, certificate=None, metadata=None):
@@ -307,7 +315,9 @@ class TraceRecorder:
         self._times = np.empty(self.chunk)
         self._states = np.empty((len(_FIELDS), n, self.chunk))
         self._fill = 0
-        self._done = []             # (7, chunk) arrays of evaluated chunks
+        self._block = self.chunk * -(-BLOCK_SAMPLES // self.chunk)
+        self._blocks = []           # (7, block) arrays of evaluated chunks
+        self._done = 0              # samples evaluated into them
         self._products = {}         # the StateBlock work arrays of every chunk
         self.certificate = certificate
         self.metadata = dict(metadata or {})
@@ -319,11 +329,16 @@ class TraceRecorder:
             self._states[k, :, j] = getattr(state, name)
         self._fill += 1
         if self._fill == self.chunk:
-            self._done.append(self._evaluate(self.chunk))
+            at = self._done % self._block
+            if at == 0:
+                self._blocks.append(np.empty((7, self._block)))
+            self._evaluate(self.chunk, self._blocks[-1][:, at:at + self.chunk])
+            self._done += self.chunk
             self._fill = 0
 
-    def _evaluate(self, count):
-        """The 7 trace columns of the first `count` buffered samples, (7, count)."""
+    def _evaluate(self, count, out):
+        """The 7 trace columns of the first `count` buffered samples,
+        written into out, (7, count)."""
         system = self.system
         t = self._times[:count]
         block = StateBlock(t, *(np.ascontiguousarray(f[:, :count]) for f in self._states),
@@ -334,12 +349,17 @@ class TraceRecorder:
         diss = boundary_dissipation(system, block)
         stiff_u = column_dot(block.u, block.product(system.stiffness, "u"))
         mupr = system.schedule.mu_prime(t) / 2.0 * stiff_u
-        return np.vstack([t, E, F, G, diss["D_u"], diss["D_v"], mupr])
+        return np.stack([t, E, F, G, diss["D_u"], diss["D_v"], mupr], out=out)
 
     def trace(self):
         """Every sample so far, in order; the recorder keeps recording."""
-        chunks = self._done + ([self._evaluate(self._fill)] if self._fill else [])
-        arr = np.concatenate(chunks, axis=1) if chunks else np.empty((7, 0))
+        n, size = self._done, self._block
+        arr = np.empty((7, n + self._fill))
+        for k, block in enumerate(self._blocks):
+            part = arr[:, k * size:min(n, (k + 1) * size)]
+            part[...] = block[:, :part.shape[1]]
+        if self._fill:
+            self._evaluate(self._fill, arr[:, n:])
         return EnergyTrace(*arr, metadata=dict(self.metadata), certificate=self.certificate)
 
 

@@ -188,6 +188,8 @@ def parse_config(path=None, text=None):
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
+    if parser.defaults():  # configparser would copy them into every section
+        raise ConfigError(f"keys under [DEFAULT] are not read: {', '.join(parser.defaults())}")
     cfg = RunConfig(hash=timestepper.config_hash(text))
     for section in parser.sections():
         if section not in _SECTIONS:

@@ -11,10 +11,12 @@ affine in w.  For a step's mu_mid the solver holds the free-dof state
 operator S = [[mu_mid K, a1 C], [Sg - a2 C, K]] and the Jacobian without
 the Gamma1 term J_lin = (2/dt) M2 + (dt/2) S, M2 = blockdiag(M, M).  Both
 live on the one csr layout of the system's state_operator(), which the
-solver reads once: S = S_base + mu_mid S_mu and
-J_lin = J_base + mu_mid J_mu with J_base = (2/dt) M2 + (dt/2) S_base and
-J_mu = (dt/2) S_mu, four data vectors on that layout, so a new mu_mid
-costs one in-place update of each of the two.
+solver reads once, as one data vector each.  mu_mid enters only the u-u
+block, where the mu-free part S_base of S is 0: off it S and J_lin hold
+S_base and J_base = (2/dt) M2 + (dt/2) S_base for every mu_mid, and on it
+S = mu_mid K and J_lin = ((dt/2) K) mu_mid + (2/dt) M.  So the solver
+keeps the block's layout positions, K and (2/dt) M there, and a new
+mu_mid rewrites the block's entries of the two vectors in place.
 W = (mu_mid w m.nu, w m.nu) weighs the stacked Gamma1 trace
 T2 = blockdiag(T, T).  Each step computes c = S (x + (dt/2) w0) once, with
 x the start positions and w0 = (u', v') the first iterate, and each
@@ -58,11 +60,12 @@ trace size, and a step allocates the new state besides.
   batched over the two fields.  J - P is the u-v coupling, the sigma
   term and the Gamma1 slope differences T2' diag(W p'(T2 w) - W p'(0)) T2;
   its mu-free part, J_base off the diagonal blocks, is taken from the
-  layout by a mask.
+  layout once.
 - Interval: P = J_ref, a banded LU (LAPACK dgbtrf) of the unknowns
   interleaved as (u_i, v_i), bandwidth 3, refactored for each mu_mid as
   ab_0 + mu_mid ab_1.  These are the band storage of J_ref's base part
-  J_base + blockdiag(0, p2'(0) G) and mu part J_mu + blockdiag(p1'(0) G, 0),
+  J_base + blockdiag(0, p2'(0) G) and mu part
+  blockdiag((dt/2) K + p1'(0) G, 0),
   with G = T' diag(w m.nu) T the gamma1 band, written straight from the
   system's factor bands, as the rect's B_d are.  When dgbtrf makes no row
   interchange, as on the reference run's J_ref, a solve is two triangular
@@ -227,6 +230,37 @@ class _BandedLU:
         return solve
 
 
+def _live_operators(system, dt):
+    """(S, J, at, K, M, rest) for the step size dt, on the layout of the
+    system's state_operator().  mu enters only the u-u block, which opens
+    each u row and where S_base is 0.  S and J are csr in the buffers of
+    S_base and M2 and hold S_base and J_base = (2/dt) M2 + (dt/2) S_base,
+    which off the block they keep for every mu; at holds the block's int32
+    layout positions, and K and M the values there of K and of J_base,
+    which is (2/dt) M.  rest = J_ref - P is J_base off the diagonal blocks
+    on the rect, None on the interval."""
+    S, S_mu, J = system.state_operator()
+    nf = len(system.free)
+    # J_base = (2/dt) M2 + (dt/2) S_base in M2's buffer, 2 nf entries at a
+    # time: no temporary of the layout's size
+    np.multiply(J.data, 2.0 / dt, out=J.data)
+    for i in range(0, J.nnz, 2 * nf):
+        J.data[i:i + 2 * nf] += (dt / 2.0) * S.data[i:i + 2 * nf]
+    m = S.indptr[nf]  # the u rows' entries
+    lower = S.indices < nf  # the entries in u columns
+    at = np.flatnonzero(lower[:m])
+    rest = None
+    if system.mesh.dimension > 1:  # the u rows' v columns and the v rows' u columns
+        off = np.empty_like(lower)
+        np.logical_not(lower[:m], out=off[:m])
+        off[m:] = lower[m:]
+        at_off = np.flatnonzero(off)
+        rest = sp.csr_matrix((J.data.take(at_off), S.indices.take(at_off),
+                              np.searchsorted(at_off, S.indptr).astype(S.indptr.dtype)),
+                             shape=J.shape)
+    return S, J, at.astype(np.int32), S_mu.data[at], J.data[at], rest
+
+
 class _StepOperators(NamedTuple):
     """The operators of a step's mu_mid, valid until the solver's next one."""
 
@@ -239,17 +273,17 @@ class _StepOperators(NamedTuple):
 
 
 class _MidpointSolver:
-    """Per-run workspace for the step size dt: the operator data on the
-    layout of the system's state_operator(), the preconditioner and the
-    solver counters.
+    """Per-run workspace for the step size dt: the operators on the layout
+    of the system's state_operator(), the preconditioner and the solver
+    counters.
 
-    The layout is the csr pattern (indices, indptr) of S_base, S_mu and M2,
-    the entries that are nonzero in S or J_lin for some mu.  S_data and
-    J_data are the (base, mu part) data vectors on it, J_data derived from
-    S_data and M2's, so S(mu) = S_base + mu S_mu and
-    J_lin(mu) = J_base + mu J_mu share one pattern.  rest is J_ref - P,
-    mu-free: the rect's J_base entries off the diagonal blocks, masked
-    from the layout, or None on the interval, where P = J_ref.  The stacked
+    The layout is the csr pattern of S_base, S_mu and M2, the entries that
+    are nonzero in S or J_lin for some mu; S and J_lin share it and are
+    held as one data vector each, in the buffers of S_base and M2
+    (_live_operators).  For mu the solver keeps the u-u block's int32
+    layout positions, K and (2/dt) M there, and one scratch vector of
+    their size.  rest is J_ref - P, mu-free: the rect's J_base entries off
+    the diagonal blocks, or None on the interval, where P = J_ref.  The stacked
     trace T2 and its weights come from the system's boundary operator.  The
     counters add up over every solve: preconditioner solves, residual
     evaluations, Newton and GMRES iterations, line-search halvings, and the
@@ -280,21 +314,11 @@ class _MidpointSolver:
         self.p0 = np.repeat(system.slopes0, self.q)
         self.constant_slopes = system.law1.constant_slope and system.law2.constant_slope
 
-        S_base, S_mu, M2 = system.state_operator()
-        self.indices, self.indptr = S_base.indices, S_base.indptr
-        J_base = np.multiply(M2.data, 2.0 / dt, out=M2.data)  # M2 is built for this solver
-        J_base += (dt / 2.0) * S_base.data
-        self.S_data, self.J_data = (S_base.data, S_mu.data), (J_base, (dt / 2.0) * S_mu.data)
-        if system.mesh.dimension == 1:
-            self.rest, self.precond = None, _BandedLU(system, dt)
-        else:  # J_base's entries off the diagonal blocks, masked by block row and column
-            off = np.repeat(np.arange(2 * nf) < nf, np.diff(self.indptr)) != (self.indices < nf)
-            indptr = np.concatenate([[0], np.cumsum(off, dtype=self.indptr.dtype)])
-            self.rest = sp.csr_matrix((J_base[off], self.indices[off], indptr[self.indptr]),
-                                      shape=(2 * nf,) * 2)
-            self.precond = _FastDiagonalization(system, dt)
+        self._S, self._J, self._mu_at, self._K, self._M, self.rest = _live_operators(system, dt)
+        self._on_block = np.empty(len(self._mu_at))
+        self.precond = (_BandedLU if system.mesh.dimension == 1 else _FastDiagonalization)(
+            system, dt)
 
-        self._J, self._S = (self._on_layout(np.empty_like(d[0])) for d in (self.J_data, self.S_data))
         m = GMRES_MAXITER
         # V and Z in anonymous mappings of their own: NumPy advises huge pages
         # for arrays of 4 MiB or more, where one written row makes 2 MiB resident
@@ -310,18 +334,19 @@ class _MidpointSolver:
         self.newton = self.gmres = self.halvings = 0
         self.worst_residual = 0.0
 
-    def _on_layout(self, data):
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(2 * self.nf,) * 2)
-
     def _weights(self, mu):
         return np.concatenate([mu * self.system.trace_wmn, self.system.trace_wmn])
 
     def operators(self, mu_mid):
-        """The _StepOperators of mu_mid, cached; a new mu_mid updates J_lin and S in place."""
+        """The _StepOperators of mu_mid, cached; a new mu_mid rewrites S and
+        J_lin on the u-u block in place: S = mu_mid K and
+        J_lin = ((dt/2) K) mu_mid + (2/dt) M there."""
         if self._ops is None or self._ops.mu != mu_mid:
-            for A, (base, part) in ((self._J, self.J_data), (self._S, self.S_data)):
-                np.multiply(part, mu_mid, out=A.data)
-                A.data += base
+            at, K, v = self._mu_at, self._K, self._on_block
+            self._S.data[at] = np.multiply(K, mu_mid, out=v)
+            np.multiply(K, self.dt / 2.0, out=v)
+            v *= mu_mid
+            self._J.data[at] = np.add(v, self._M, out=v)
             W = self._weights(mu_mid)
             self._ops = _StepOperators(mu_mid, self._J, self._S, W, W * self.p0,
                                        self.precond.at(mu_mid))

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -29,6 +31,24 @@ def make_system(mesh=None, nodes=11, alpha1=0.1, alpha2=0.1, law1=None, law2=Non
     return assemble(mesh, partition, alpha1, alpha2,
                     schedule or constant_schedule(1.0),
                     law1 or identity_law(), law2 or identity_law())
+
+
+def traced_bytes(build):
+    """(result, retained, peak) of result = build() under tracemalloc, in
+    bytes over what was held before it: retained is what is still held
+    once build has returned, the result included, and peak the most held
+    at once on the way.  gc.collect() runs before and after, so neither
+    counts garbage."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = build()
+        gc.collect()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current - start, peak - start
 
 
 def sigma_form(system):

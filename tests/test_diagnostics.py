@@ -18,7 +18,8 @@ from beamstab.fields import (bump_field, linear_field, quadratic_field,
                              sine_field, zero_field)
 from beamstab.timestepper import StepControl, integrate
 
-from conftest import boundary_faces, grid_cells, make_conservative_system, make_system
+from conftest import (boundary_faces, grid_cells, make_conservative_system, make_system,
+                      traced_bytes)
 
 
 def _zero_state(system, t=0.0):
@@ -528,6 +529,54 @@ class TestChunkedRecorder:
             rec = diag.TraceRecorder(system)
             assert rec._states.nbytes <= diag.CHUNK_BYTES
         assert rec.chunk == 1  # 4 096 free dofs: one state per chunk
+
+    @pytest.mark.parametrize("mesh, block", [("interval", 20), ("interval", 50), ("rect", 1),
+                                             ("rect", 3)])
+    def test_blocks_hold_the_chunks_bit_for_bit(self, mesh, block, monkeypatch):
+        # chunks of 20 states on the 201-node interval and of 1 on the rect;
+        # blocks of one chunk, of several and of the default size, crossed
+        # by the run and by trace() calls mid-block
+        if mesh == "interval":
+            system = make_system(nodes=201)
+        else:
+            monkeypatch.setattr(diag, "CHUNK_BYTES", 1)
+            system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.0, 6, 6),
+                                 x0=np.array([-0.1, -0.1]))
+        states = _random_states(system, 127, seed=block)
+        want = _recorded(system, states).trace()
+        monkeypatch.setattr(diag, "BLOCK_SAMPLES", block)
+        rec = diag.TraceRecorder(system)
+        assert rec._block == (20 * -(-block // 20) if mesh == "interval" else block)
+        for k, st_ in enumerate(states):
+            rec(system, st_)
+            if k in (0, 40, 59, 60, 99):  # the evaluated chunks, bit for bit
+                mid, done = rec.trace(), (k + 1) // rec.chunk * rec.chunk
+                for name in diag._RECORDED:
+                    assert (getattr(mid, name)[:done].tobytes()
+                            == getattr(want, name)[:done].tobytes()), name
+        got = rec.trace()
+        for name in diag._RECORDED:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        _assert_trace_matches(got, _oracle_columns(system, states))
+
+    def test_long_run_holds_its_columns_in_blocks(self):
+        # a 40x40 rect records one state per chunk: 2 000 samples held 192 B
+        # each as (7, 1) arrays, and 56 B each of (7, BLOCK_SAMPLES) blocks
+        system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.0, 40, 40),
+                             x0=np.array([-0.1, -0.1]))
+        rec = diag.TraceRecorder(system)
+        assert rec.chunk == 1
+        state = _random_states(system, 1, seed=2)[0]
+        rec(system, state)  # the product arrays of the chunk width and the first block
+
+        def record():
+            for k in range(2000):
+                state.t += 1e-3
+                rec(system, state)
+
+        _, retained, _ = traced_bytes(record)
+        assert retained <= 64 * 2000
+        assert len(rec.trace()) == 2001
 
     def test_sample_allocates_no_product_arrays(self, monkeypatch):
         # one state per chunk, as from 64x64 up: after the first chunk a

@@ -190,6 +190,23 @@ class TestParseConfig:
         assert harness.main(["check", "--config", str(path)]) == harness.EXIT_USAGE == 64
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("[DEFAULT]\nmu_c = 2\n", "keys under [DEFAULT] are not read: mu_c"),
+        ("[DEFAULT]\nmu_c = 2\ndt = 0.5\n\n[mesh]\nnodes = 21\n",
+         "keys under [DEFAULT] are not read: mu_c, dt"),
+    ], ids=["alone", "beside-a-section"])
+    def test_default_section_rejected(self, text, message, tmp_path, capsys):
+        # configparser leaves [DEFAULT] out of sections() and copies its keys
+        # into every section: alone they were dropped, beside a section
+        # reported as unknown keys of that section
+        with pytest.raises(ConfigError) as info:
+            harness.parse_config(text=text)
+        assert str(info.value) == message
+        path = tmp_path / "default.ini"
+        path.write_text(text)
+        assert harness.main(["check", "--config", str(path)]) == harness.EXIT_USAGE == 64
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_value_checks_come_before_the_kind_rule(self):
         with pytest.raises(ConfigError, match="problem.mu_c must be finite and positive"):
             harness.parse_config(text="[problem]\nmu = decaying\nmu_c = -1\n")

@@ -28,7 +28,7 @@ from beamstab.timestepper import (StepControl, _MidpointSolver, integrate, load_
                                   save_checkpoint)
 
 from conftest import (gamma1_faces, gamma1_point_data, make_conservative_system, make_system,
-                      sigma_form, trace_loop_oracle)
+                      sigma_form, trace_loop_oracle, traced_bytes)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -768,8 +768,9 @@ class TestPreconditioner:
         W_mu = solver._weights(1.0) - W0
         n, bands = solver.nf, timestepper.BANDS
         perm = np.arange(2 * n).reshape(2, n).T.ravel()  # (u_0, v_0, u_1, v_1, ...)
-        for got, data, W in zip(solver.precond.ab, solver.J_data, (W0, W_mu)):
-            J = solver._on_layout(data) + _fem.trace_form(solver.T2, W * solver.p0)
+        on_layout, _, J_data = _layout_parts(system, 0.05)
+        for got, data, W in zip(solver.precond.ab, J_data, (W0, W_mu)):
+            J = on_layout(data) + _fem.trace_form(solver.T2, W * solver.p0)
             J = J[perm][:, perm].tocoo()
             assert np.all(np.abs(J.row - J.col) <= bands)
             want = np.zeros((3 * bands + 1, 2 * n))
@@ -778,15 +779,31 @@ class TestPreconditioner:
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _layout_parts(system, dt):
+    """(on_layout, S_data, J_data): the csr matrix of a data vector on the
+    layout of the system's state_operator(), and the (base, mu part) data
+    vectors of S and J_lin on it, by the solver's float operations:
+    S = S_base + mu S_mu and J_lin = J_base + mu J_mu with
+    J_base = (2/dt) M2 + (dt/2) S_base and J_mu = (dt/2) S_mu."""
+    S_base, S_mu, M2 = system.state_operator()
+    J_data = ((2.0 / dt) * M2.data + (dt / 2.0) * S_base.data, (dt / 2.0) * S_mu.data)
+
+    def on_layout(data):
+        return sp.csr_matrix((data, S_base.indices, S_base.indptr), shape=S_base.shape)
+
+    return on_layout, (S_base.data, S_mu.data), J_data
+
+
 def _out_of_place_operators(self, mu_mid):
     """_MidpointSolver.operators with new data vectors and csr matrices for
-    each new mu_mid: the reference for its in-place update."""
+    each new mu_mid, from the full-layout base and mu parts: the reference
+    for its in-place update of the u-u block."""
     if self._ops is None or self._ops.mu != mu_mid:
         W = self._weights(mu_mid)
-        (J_base, J_mu), (S_base, S_mu) = self.J_data, self.S_data
+        on_layout, (S_base, S_mu), (J_base, J_mu) = _layout_parts(self.system, self.dt)
         self._ops = timestepper._StepOperators(
-            mu_mid, self._on_layout(J_base + mu_mid * J_mu),
-            self._on_layout(S_base + mu_mid * S_mu), W, W * self.p0, self.precond.at(mu_mid))
+            mu_mid, on_layout(J_base + mu_mid * J_mu),
+            on_layout(S_base + mu_mid * S_mu), W, W * self.p0, self.precond.at(mu_mid))
     return self._ops
 
 
@@ -923,6 +940,30 @@ class TestBlockLayout:
         _, _, system = harness.build_problem(cfg)
         ops = _MidpointSolver(system, cfg.dt).operators(1.0)
         assert ops.S.nnz == ops.J_lin.nnz == nnz
+
+    def test_solver_memory_per_layout_entry(self, monkeypatch):
+        # the rect64 workload's layout of 120 586 entries: the solver holds one
+        # data vector each for S and J_lin, and for mu the u-u block's int32
+        # positions, K and (2/dt) M there and one scratch vector of their
+        # size.  Measured 42.6 B per entry retained and 49.7 B at the build's
+        # peak, against 66.3 and 74.7 when it held the full-layout base and
+        # mu parts of both and their live copies
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        workloads = importlib.import_module("perfbench.workloads")
+        text = workloads.config_text(workloads.WORKLOADS["rect64_saturating"], 0)
+        cfg = harness.parse_config(text=text)
+        _, _, system = harness.build_problem(cfg)
+
+        def build():
+            solver = _MidpointSolver(system, cfg.dt)
+            solver.operators(1.0)
+            return solver
+
+        solver, retained, peak = traced_bytes(build)
+        nnz = solver.operators(1.0).S.nnz
+        assert nnz == 120586
+        assert retained <= 48 * nnz
+        assert peak <= 60 * nnz
 
 
 def _energy_balance_defects(system, states, dt):
