@@ -146,21 +146,26 @@ def axis_eigenpairs(x, sl, mass):
     V' M V = I: sin((2k-1) pi i / (2n)) with i counted from the clamped end, or
     cos(k pi i / n) on a free-free axis, and
     lam = (6/h^2)(1 - cos theta)/(2 + cos theta), evaluated through
-    1 - cos theta = 2 sin^2(theta/2) against cancellation.
+    1 - cos theta = 2 sin^2(theta/2) against cancellation.  V is built in
+    place and M V in one work array besides, so the pair costs three
+    grid-sized allocations: V, M V and that array.
     """
     n = len(x) - 1
     h = (x[-1] - x[0]) / n
     i = np.arange(n + 1)[sl]
     if sl.start == 0 and sl.stop == n + 1:
         theta = np.arange(n + 1) * np.pi / n
-        V = np.cos(np.outer(i, theta))
+        V = np.outer(i, theta)
+        np.cos(V, out=V)
     else:
         theta = (2.0 * np.arange(1, n + 1) - 1.0) * np.pi / (2 * n)
-        V = np.sin(np.outer(i if sl.start == 1 else n - i, theta))
+        V = np.outer(i if sl.start == 1 else n - i, theta)
+        np.sin(V, out=V)
     lam = (12.0 / h ** 2) * np.sin(0.5 * theta) ** 2 / (2.0 + np.cos(theta))
     MV = mass[1, :, None] * V  # M V, each row summed in column order as by csr
-    MV[1:] += mass[0, 1:, None] * V[:-1]
-    MV[:-1] += mass[2, :-1, None] * V[1:]
+    work = np.empty_like(V)
+    MV[1:] += np.multiply(mass[0, 1:, None], V[:-1], out=work[1:])
+    MV[:-1] += np.multiply(mass[2, :-1, None], V[1:], out=work[:-1])
     V /= np.sqrt(np.einsum("ik,ik->k", V, MV))
     return lam, V
 

@@ -18,6 +18,7 @@ them alone.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -114,12 +115,11 @@ class SemiDiscreteSystem:
         M2 = blockdiag(M, M).  The layout is the (2 nf, 2 3^d) slot rows of
         the free stencil's 2x2 blocks (stacked row, then block column and
         slot) where any of the three is nonzero, compressed once by
-        _fem.stencil_csr; its forms and slot arrays are freed on return."""
+        _fem.stencil_csr; its forms and slot arrays are freed on return.
+        The grid holds S_base first, its products written into its blocks,
+        and is then refilled for S_mu and M2 in turn."""
         s, cols, nf = self.slots, self.cols, len(self.free)
         M, K, C, Sg = (s[name] for name in ("mass", "stiffness", "derivative", "sigma"))
-        # S_base, S_mu and M2 by block uu, uv, vu, vv; None is a zero block
-        forms = [(None, self.alpha1 * C, Sg - self.alpha2 * C, K), (K, None, None, None),
-                 (M, None, None, M)]
         shape = (2 * nf, 2 * M.shape[1])
 
         def on_grid(parts, out):  # out as block row, node, block column, slot
@@ -127,11 +127,17 @@ class SemiDiscreteSystem:
                 out.reshape(2, nf, 2, -1)[r, :, c] = 0.0 if X is None else X
             return out
 
-        keep = on_grid([np.logical_or.reduce([X != 0 for X in parts if X is not None])
-                        for parts in zip(*forms)], np.empty(shape, dtype=bool))
+        # by block uu, uv, vu, vv, None a zero block: S_base = [[0, a1 C], [Sg - a2 C, K]]
+        grid = on_grid((None, None, None, K), np.empty(shape))
+        _, uv, vu, _ = (grid.reshape(2, nf, 2, -1)[r, :, c] for r, c in np.ndindex(2, 2))
+        np.multiply(self.alpha1, C, out=uv)
+        np.subtract(Sg, np.multiply(self.alpha2, C, out=vu), out=vu)
+        K_or_M = (K != 0) | (M != 0)  # S_mu = [[K, 0], [0, 0]], M2 = blockdiag(M, M)
+        keep = on_grid((K_or_M, uv != 0, vu != 0, K_or_M), np.empty(shape, dtype=bool))
         columns = on_grid((cols, cols + nf) * 2, np.empty(shape, np.int32))
-        grid = np.empty(shape)
-        return _fem.stencil_csr((on_grid(X, grid) for X in forms), columns, keep)
+        rest = ((K, None, None, None), (M, None, None, M))
+        return _fem.stencil_csr(itertools.chain([grid], (on_grid(X, grid) for X in rest)),
+                                columns, keep)
 
     def boundary_integral(self, values):
         """sum_q w_q (m.nu)_q values_q over the Gamma1 quadrature points."""

@@ -56,9 +56,11 @@ class Mesh:
                     or np.ptp(h) > UNIFORM_RTOL * h.mean()):
                 raise InvalidArgumentError("mesh nodes are not finite, uniformly spaced, "
                                            "increasing coordinates on every axis")
-        nodes = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        nodes = np.empty([len(x) for x in axes] + [len(axes)])  # one grid, axis last
+        for d, x in enumerate(axes):
+            nodes[..., d] = x.reshape([-1 if k == d else 1 for k in range(len(axes))])
         object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "nodes", nodes.reshape(-1, len(axes)))
 
     @property
     def dimension(self):
@@ -148,8 +150,14 @@ def classify_boundary(mesh, x0):
 
 
 def geometric_constants(mesh, partition):
-    """R = max_nodes |x - x0|, tau0 = min over the Gamma1 sides of m.nu."""
-    R = float(np.max(np.linalg.norm(mesh.nodes - partition.x0[None, :], axis=1)))
+    """R = max_nodes |x - x0|, tau0 = min over the Gamma1 sides of m.nu.
+
+    On a tensor grid R is attained at the corner of the ends farthest from
+    x0 on each axis (x - x0 rounds monotonically in x), so only that corner
+    is measured, by the same norm of its difference as over every node."""
+    x0 = partition.x0
+    far = [x[0] if abs(x[0] - c) > abs(x[-1] - c) else x[-1] for x, c in zip(mesh.axes, x0)]
+    R = float(np.linalg.norm(np.array([far]) - x0[None, :], axis=1)[0])
     tau0 = float(min(m for *_, m in partition.gamma1_sides))
     return {"R": R, "tau0": tau0}
 
@@ -163,7 +171,11 @@ def _gamma1_operator(mesh, partition, pairs):
     T (V_1 x V_2) = V_d[e] x U with U = T_side V_other, so H z sums one
     outer product per side into an n_1 x n_2 array, divides it by
     lam_1i + lam_2j and contracts it back with V_d[e] and U: O(n_1 n_2) per
-    product.  The interval is the case of a one-node second axis.
+    product.  The interval is the case of a one-node second axis.  The
+    operator holds lam_1i + lam_2j and that n_1 x n_2 work array once, and
+    copies of the rows V_d[e], not the V_d, so a product allocates only
+    vectors: its result is a new Q-vector each time, as the dense
+    H @ eye(Q) needs.
     """
     lams = [lam for lam, _ in pairs]
     Vs = [V for _, V in pairs]
@@ -174,15 +186,20 @@ def _gamma1_operator(mesh, partition, pairs):
     for d, end, _, _ in partition.gamma1_sides:  # the rule on the side's own free nodes
         S, w, _ = _fem.side_rule(mesh.axes, d, end,
                                  slices[:d] + (slice(end, end + 1),) + slices[d + 1:])
-        sides.append((d, Vs[d][end - slices[d].start], np.sqrt(w)[:, None] * (S @ Vs[1 - d])))
+        U = S @ Vs[1 - d]
+        U *= np.sqrt(w)[:, None]
+        sides.append((d, Vs[d][end - slices[d].start].copy(), U))  # a row, not a view of V
     bounds = np.cumsum([0] + [len(U) for _, _, U in sides])
+    lam_sum = np.add.outer(*lams)
+    X = np.empty_like(lam_sum)  # the work grid, overwritten by every product
 
     def apply(z):
         # one outer product x y' per side, summed as the product of the stacks
         xy = [(r, U.T @ z[a:b]) if d == 0 else (U.T @ z[a:b], r)
               for (d, r, U), a, b in zip(sides, bounds, bounds[1:])]
-        X = np.column_stack([x for x, _ in xy]) @ np.column_stack([y for _, y in xy]).T
-        X /= np.add.outer(*lams)
+        np.matmul(np.column_stack([x for x, _ in xy]), np.column_stack([y for _, y in xy]).T,
+                  out=X)
+        np.divide(X, lam_sum, out=X)
         return np.concatenate([U @ (r @ X if d == 0 else X @ r) for d, r, U in sides])
 
     return LinearOperator((bounds[-1], bounds[-1]), matvec=apply, dtype=float)
@@ -199,9 +216,10 @@ def embedding_constants(mesh, partition):
     over the axes of the smallest lam_d, 0 on an unclamped axis.  mu_max
     is also the largest eigenvalue of H = W^1/2 T K^-1 T' W^1/2 on the Q
     Gamma1 quadrature points (_gamma1_operator), which costs O(n_1 n_2) per
-    product: from ARPACK, with a fixed start vector so that N repeats bit
-    for bit, or from a dense eigvalsh of H when Q <= EIGEN_NCV (the
-    interval has Q = 1).
+    product and holds its grid-sized work arrays once, so that a product
+    allocates only Q-vectors: from ARPACK, with a fixed start vector so
+    that N repeats bit for bit, or from a dense eigvalsh of H when
+    Q <= EIGEN_NCV (the interval has Q = 1).
     """
     slices = partition.free_slices
     factors = _fem.free_factors(mesh.axes, slices)
@@ -209,6 +227,7 @@ def embedding_constants(mesh, partition):
              for x, sl, f in zip(mesh.axes, slices, factors)]
     lam_min = sum(float(lam[0]) for lam, _ in pairs)  # lam[0] = 0 on a free-free axis
     H = _gamma1_operator(mesh, partition, pairs)
+    del pairs  # H holds the rows of V it reads, so the V are freed before the solve
     Q = H.shape[0]
     if Q <= EIGEN_NCV:
         mu = np.linalg.eigvalsh(H @ np.eye(Q))[-1]

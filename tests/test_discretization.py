@@ -137,6 +137,44 @@ class TestAssembly:
         assert np.array_equal(system.free, want)
 
 
+def _out_of_place_state_operator(system):
+    """SemiDiscreteSystem.state_operator with a1 C and Sg - a2 C as new
+    arrays and the kept slots or'ed form by form: the reference for its
+    products written into the slot grid's blocks."""
+    s, cols, nf = system.slots, system.cols, len(system.free)
+    M, K, C, Sg = (s[name] for name in ("mass", "stiffness", "derivative", "sigma"))
+    forms = [(None, system.alpha1 * C, Sg - system.alpha2 * C, K), (K, None, None, None),
+             (M, None, None, M)]
+    shape = (2 * nf, 2 * M.shape[1])
+
+    def on_grid(parts, out):
+        for (r, c), X in zip(np.ndindex(2, 2), parts):
+            out.reshape(2, nf, 2, -1)[r, :, c] = 0.0 if X is None else X
+        return out
+
+    keep = on_grid([np.logical_or.reduce([X != 0 for X in parts if X is not None])
+                    for parts in zip(*forms)], np.empty(shape, dtype=bool))
+    columns = on_grid((cols, cols + nf) * 2, np.empty(shape, np.int32))
+    return _fem.stencil_csr([on_grid(X, np.empty(shape)) for X in forms], columns, keep)
+
+
+class TestStateOperator:
+    @pytest.mark.parametrize("mesh, x0, alpha1", [
+        (geometry.build_rect_mesh(1.3, 0.7, 9, 6), [-0.1, -0.1], 0.3),
+        (geometry.build_rect_mesh(1.3, 0.7, 9, 6), [0.5, -0.1], 0.3),  # a free-free axis
+        (geometry.build_rect_mesh(1.3, 0.7, 9, 6), [-0.1, -0.1], 0.0),  # a1 C = 0: no u-v slots
+        (geometry.build_interval_mesh(1.3, 11), [0.0], 0.3),
+    ], ids=["corner", "free-free", "alpha1-zero", "interval"])
+    def test_bit_identical_to_out_of_place(self, mesh, x0, alpha1):
+        system = make_system(mesh=mesh, x0=np.array(x0), alpha1=alpha1, alpha2=0.7)
+        for got, want in zip(system.state_operator(), _out_of_place_state_operator(system),
+                             strict=True):
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, part), getattr(want, part)), part
+                assert getattr(got, part).dtype == getattr(want, part).dtype
+            assert np.array_equal(np.signbit(got.data), np.signbit(want.data))
+
+
 class TestRhs:
     def test_zero_state_is_equilibrium(self):
         system = make_system(nodes=9)

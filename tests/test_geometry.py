@@ -1,6 +1,9 @@
 import functools
+import gc
 import itertools
 import math
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from beamstab import _fem, geometry
 from beamstab.errors import InadmissiblePartitionError, InvalidArgumentError
 
 from conftest import (Faces, boundary_faces, gamma1_faces, gamma1_point_data, grid_cells,
-                      rect_faces_loop, trace_loop_oracle)
+                      rect_faces_loop, trace_loop_oracle, traced_bytes)
 
 
 def _shifted(mesh, shift):
@@ -256,6 +259,34 @@ class TestGeometricConstants:
         part = geometry.classify_boundary(mesh, np.array([-0.1, -0.1]))
         gc = geometry.geometric_constants(mesh, part)
         assert gc["R"] == pytest.approx(1.1 * math.sqrt(2))
+
+    @pytest.mark.parametrize("mesh, x0", [
+        (geometry.build_interval_mesh(1.3, 14), (-0.37,)),  # left of the domain
+        (geometry.build_interval_mesh(1.3, 14), (0.41,)),  # inside
+        (geometry.build_interval_mesh(1.3, 14), (0.65,)),  # at the midpoint: a tie
+        (geometry.build_interval_mesh(1.3, 14), (1.9,)),  # right of the domain
+        (geometry.build_rect_mesh(1.3, 0.7, 13, 7), (0.41, 0.23)),  # inside
+        (geometry.build_rect_mesh(1.3, 0.7, 13, 7), (-0.37, -0.11)),  # the outer quadrants
+        (geometry.build_rect_mesh(1.3, 0.7, 13, 7), (1.71, -0.11)),
+        (geometry.build_rect_mesh(1.3, 0.7, 13, 7), (-0.37, 0.93)),
+        (geometry.build_rect_mesh(1.3, 0.7, 13, 7), (1.71, 0.93)),
+        (geometry.build_rect_mesh(1.3, 0.7, 13, 7), (1.3, 0.0)),  # on a corner
+    ])
+    def test_R_from_the_far_corner_is_the_all_node_maximum(self, mesh, x0):
+        # geometric_constants reads x0 and the Gamma1 sides alone; an x0
+        # inside the domain leaves no Gamma0, so a stand-in partition holds it
+        x0 = np.array(x0)
+        part = SimpleNamespace(x0=x0, gamma1_sides=((0, 0, -1.0, 1.0),))
+        want = float(np.max(np.linalg.norm(mesh.nodes - x0, axis=1)))
+        assert geometry.geometric_constants(mesh, part)["R"].hex() == want.hex()
+
+    @given(x0=st.tuples(*[st.floats(min_value=-3.0, max_value=3.0)] * 2))
+    @settings(max_examples=50, deadline=None)
+    def test_R_from_the_far_corner_for_any_x0(self, x0):
+        mesh = geometry.build_rect_mesh(1.3, 0.7, 13, 7)
+        part = SimpleNamespace(x0=np.array(x0), gamma1_sides=((0, 0, -1.0, 1.0),))
+        want = float(np.max(np.linalg.norm(mesh.nodes - part.x0, axis=1)))
+        assert geometry.geometric_constants(mesh, part)["R"].hex() == want.hex()
 
     def test_tau0_is_smallest_gamma1_value(self):
         # Gamma1: the right edge (m.nu = 1.3) and the bottom edge (m.nu = 2.5)
@@ -511,6 +542,12 @@ class TestTensorGrid:
         assert mesh.nodes.shape == (24, 2)
         assert mesh.nodes[i * 4 + j].tolist() == [mesh.axes[0][i], mesh.axes[1][j]]
 
+    @pytest.mark.parametrize("mesh", [geometry.build_interval_mesh(1.3, 7),
+                                      geometry.build_rect_mesh(1.3, 0.7, 5, 3)])
+    def test_nodes_equal_the_meshgrid_stack(self, mesh):
+        want = np.stack([g.ravel() for g in np.meshgrid(*mesh.axes, indexing="ij")], axis=1)
+        assert mesh.nodes.flags.c_contiguous and np.array_equal(mesh.nodes, want)
+
     def test_equality_is_identity(self):
         # records of arrays compare by identity: == never reaches an array
         a, b = (geometry.build_rect_mesh(1.0, 1.0, 2, 2) for _ in range(2))
@@ -645,6 +682,48 @@ class TestGamma1Operator:
         assert shapes == [(Q, Q)] and Q == 2 * (6 + 9 + 6)
         assert N == pytest.approx(_dense_embedding_oracle(mesh, part)["N"], rel=1e-10)
 
+    @staticmethod
+    def _operator(mesh, part):
+        factors = _fem.free_factors(mesh.axes, part.free_slices)
+        pairs = [_fem.axis_eigenpairs(x, sl, f["mass"])
+                 for x, sl, f in zip(mesh.axes, part.free_slices, factors)]
+        return geometry._gamma1_operator(mesh, part, pairs), pairs
+
+    def test_product_allocates_less_than_a_grid(self):
+        # the operator holds lam_1i + lam_2j and its work grid: a product
+        # allocates vectors only, once BLAS has set up on a first product
+        mesh = geometry.build_rect_mesh(1.0, 1.0, 96, 96)
+        part = geometry.classify_boundary(mesh, np.array([-0.1, -0.1]))
+        H, pairs = self._operator(mesh, part)
+        grid = math.prod(len(lam) for lam, _ in pairs) * 8
+        z = np.linspace(-1.0, 1.0, H.shape[0])
+        first = H.matvec(z)
+        again, _, peak = traced_bytes(lambda: H.matvec(z))
+        assert grid == 96 * 96 * 8 and peak < grid
+        assert np.array_equal(again, first) and not np.shares_memory(again, first)
+
+    def test_operator_frees_the_eigenvectors(self):
+        # H copies the rows V_d[e] it reads, so embedding_constants can free
+        # the grid-sized V_d before the eigen-solve
+        mesh = geometry.build_rect_mesh(1.0, 2.0, 6, 9)
+        part = geometry.classify_boundary(mesh, np.array([-0.1, -0.1]))
+        H, pairs = self._operator(mesh, part)
+        z = np.linspace(-1.0, 1.0, H.shape[0])
+        want = H.matvec(z)
+        refs = [weakref.ref(V) for _, V in pairs]
+        del pairs
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        assert np.array_equal(H.matvec(z), want)
+
+    def test_dense_form_stacks_the_matvecs(self):
+        mesh = geometry.build_rect_mesh(1.0, 2.0, 6, 9)
+        part = geometry.classify_boundary(mesh, np.array([-0.1, 0.5]))
+        H, _ = self._operator(mesh, part)
+        eye = np.eye(H.shape[0])
+        columns = [H.matvec(e) for e in eye]
+        assert np.array_equal(H @ eye, np.column_stack(columns))
+
     def test_repeats_bit_for_bit(self):
         mesh = geometry.build_rect_mesh(1.0, 1.0, 24, 24)
         part = geometry.classify_boundary(mesh, np.array([1.4, 0.5]))
@@ -678,3 +757,36 @@ class TestGamma1Operator:
                 if name == "corner":  # u = xy attains the ratio 1 at every level
                     assert N == pytest.approx(1.0, abs=1e-12), n
                 prev = N
+
+
+def _out_of_place_eigenpairs(x, sl, mass):
+    """_fem.axis_eigenpairs as new arrays for every operation: the
+    reference for its in-place V and its one work array for M V."""
+    n = len(x) - 1
+    h = (x[-1] - x[0]) / n
+    i = np.arange(n + 1)[sl]
+    if sl.start == 0 and sl.stop == n + 1:
+        theta = np.arange(n + 1) * np.pi / n
+        V = np.cos(np.outer(i, theta))
+    else:
+        theta = (2.0 * np.arange(1, n + 1) - 1.0) * np.pi / (2 * n)
+        V = np.sin(np.outer(i if sl.start == 1 else n - i, theta))
+    lam = (12.0 / h ** 2) * np.sin(0.5 * theta) ** 2 / (2.0 + np.cos(theta))
+    MV = mass[1, :, None] * V
+    MV[1:] += mass[0, 1:, None] * V[:-1]
+    MV[:-1] += mass[2, :-1, None] * V[1:]
+    V /= np.sqrt(np.einsum("ik,ik->k", V, MV))
+    return lam, V
+
+
+class TestAxisEigenpairs:
+    @pytest.mark.parametrize("sl", [slice(1, 42), slice(0, 41), slice(0, 42)],
+                             ids=["clamped-at-0", "clamped-at-end", "free-free"])
+    def test_bit_identical_to_out_of_place(self, sl):
+        x = np.linspace(0.3, 1.7, 42)
+        mass = _fem.free_factors((x,), (sl,))[0]["mass"]
+        lam, V = _fem.axis_eigenpairs(x, sl, mass)
+        want_lam, want_V = _out_of_place_eigenpairs(x, sl, mass)
+        assert V.shape == (sl.stop - sl.start, len(want_lam))
+        assert np.array_equal(lam, want_lam) and np.array_equal(V, want_V)
+        assert np.array_equal(np.signbit(V), np.signbit(want_V))

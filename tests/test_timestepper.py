@@ -945,9 +945,10 @@ class TestBlockLayout:
         # the rect64 workload's layout of 120 586 entries: the solver holds one
         # data vector each for S and J_lin, and for mu the u-u block's int32
         # positions, K and (2/dt) M there and one scratch vector of their
-        # size.  Measured 42.6 B per entry retained and 49.7 B at the build's
-        # peak, against 66.3 and 74.7 when it held the full-layout base and
-        # mu parts of both and their live copies
+        # size.  Measured 42.6 B per entry retained and 47.6 B at the build's
+        # peak (49.7 while state_operator made a1 C and Sg - a2 C as new
+        # arrays), against 66.3 and 74.7 when it held the full-layout base
+        # and mu parts of both and their live copies
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
         workloads = importlib.import_module("perfbench.workloads")
         text = workloads.config_text(workloads.WORKLOADS["rect64_saturating"], 0)
