@@ -9,7 +9,8 @@ setting of Lynch, Rice & Thomas, Numer. Math. 6 (1964).  The 1D factors
 are tridiagonal bands; stencil builds every form from them as the slots
 of the grid's 3^d-point stencil, over all nodes or (free_factors) the free
 ones, and stencil_csr is the one compression of slots to csr (domain
-forms, system forms, the system's state operator).  The interval is
+forms, system forms, the system's state operator), after which the slots
+are freed.  The interval is
 the one-factor case of the same code.  Gamma0 is a union of whole grid
 sides, so the free nodes are the product of one slice per axis
 (geometry.BoundaryPartition.free_slices), and side_rule builds the trace
@@ -102,7 +103,6 @@ def stencil_csr(forms, cols, keep):
     """Each (rows, width) slot array of forms (stencil, or stencil blocks
     side by side), slot s of row k in column cols[k, s], as a square csr
     matrix of the slots where keep holds, all on one indices and indptr.
-    forms is read one array at a time: an iterator may refill one buffer.
     Each array is compressed by the mask itself, which needs no index
     array of the matrices' size."""
     rows = len(keep)

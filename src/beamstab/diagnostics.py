@@ -398,7 +398,8 @@ def observed_orders(values, ratio=2.0):
 
 
 def lyapunov_decay_defects(trace, eps2):
-    """max over intervals of [L2(t+dt) - L2(t)]/dt + eps2 E(t), L2 = E+F+eps2 G."""
+    """[L2(t+dt) - L2(t)]/dt + eps2 E(t), L2 = E+F+eps2 G, one value per
+    trace interval: criterion 2 masks the array and takes its max."""
     L = trace.lyapunov(eps2)
     dt = np.diff(trace.t)
     return np.diff(L) / dt + eps2 * trace.E[:-1]

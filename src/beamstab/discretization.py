@@ -18,7 +18,6 @@ them alone.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -42,15 +41,14 @@ class SemiDiscreteSystem:
     the multiplier about x0) and two Gamma1 bands, 0 but on the diagonal
     at the end of the free axis of each of the partition's gamma1_sides:
     sigma, alpha2 nu_d there, and gamma1, m.nu, which the preconditioners
-    read as bands alone.  Every form is one _fem.stencil of the other bands.
-    The partition decides Gamma0 and Gamma1 per grid side, each with one
-    m.nu and one normal, and the 2-point rule is exact on P1 x P1, so
-    T' diag(w c) T = sum_d M_1 x .. x diag(c_d) x .. x M_n for c constant
-    on each side and c_d its values at the Gamma1 ends of axis d (the sigma
-    and gamma1 bands).  slots holds each form's (nf, 3^d) slots in columns
-    cols; mass, stiffness, coupling and multiplier are csr on the pattern
-    of the free grid neighbours, and state_operator() compresses S from
-    the slots on demand.
+    read as bands alone.  The partition decides Gamma0 and Gamma1 per grid
+    side, each with one m.nu and one normal, and the 2-point rule is exact
+    on P1 x P1, so T' diag(w c) T = sum_d M_1 x .. x diag(c_d) x .. x M_n
+    for c constant on each side and c_d its values at the Gamma1 ends of
+    axis d (the sigma and gamma1 bands).  mass, stiffness, coupling and
+    multiplier are csr on the pattern of the free grid neighbours, from
+    one _fem.stencil of their bands whose slots are freed once compressed;
+    state_operator() makes its own stencil of the bands it reads.
 
     It also owns the Gamma1 boundary operator: the quadrature-point trace T,
     the _fem.side_rule of each of the partition's gamma1_sides over the free
@@ -73,8 +71,6 @@ class SemiDiscreteSystem:
     law2: object
     free: np.ndarray = field(init=False)  # Gamma0-free node indices, ascending
     factors: tuple = field(init=False, repr=False)   # free 1D factor bands per axis
-    slots: dict = field(init=False, repr=False)      # (nf, 3^d) stencil slots per form
-    cols: np.ndarray = field(init=False, repr=False)  # (nf, 3^d) column of each slot
     mass: sp.csr_matrix = field(init=False, repr=False)
     stiffness: sp.csr_matrix = field(init=False, repr=False)
     coupling: sp.csr_matrix = field(init=False, repr=False)    # C[k, j] = (sum_i dphi_j/dx_i, phi_k)
@@ -91,12 +87,9 @@ class SemiDiscreteSystem:
         self.free = np.arange(len(mesh.nodes)).reshape(counts)[part.free_slices].ravel()
         self.factors = tuple({**f, **g} for f, g in zip(_fem.free_factors(
             mesh.axes, part.free_slices, part.x0), _gamma1_bands(part, self.alpha2)))
-        self.slots, self.cols = _fem.stencil(  # gamma1 is read as bands alone
-            [{name: b for name, b in f.items() if name != "gamma1"} for f in self.factors])
-        s = self.slots
+        forms, cols = self._stencil("mass", "stiffness", "derivative", "multiplier")
         self.mass, self.stiffness, self.coupling, self.multiplier = _fem.stencil_csr(
-            [s["mass"], s["stiffness"], s["derivative"], s["multiplier"]], self.cols,
-            s["mass"] != 0)  # the free grid neighbours: mass is positive
+            forms, cols, forms[0] != 0)  # the free grid neighbours: mass is positive
         T, w, self.trace_points = zip(*(_fem.side_rule(mesh.axes, d, end, part.free_slices)
                                         for d, end, *_ in part.gamma1_sides))
         self.trace = sp.vstack(T, format="csr")  # its columns are the free dofs
@@ -109,35 +102,38 @@ class SemiDiscreteSystem:
         """alpha1/alpha2 energy weight; 0 for the fully decoupled case."""
         return self.alpha1 / self.alpha2 if self.alpha2 != 0.0 else 0.0
 
+    def _stencil(self, *names):
+        """The _fem.stencil of the named free factor bands, its forms listed."""
+        forms, cols = _fem.stencil([{name: f[name] for name in names} for f in self.factors])
+        return list(forms.values()), cols
+
     def state_operator(self):
-        """(S_base, S_mu, M2) csr on one layout, stacked (u block, v block):
-        the force S = S_base + mu S_mu = [[mu K, a1 C], [Sg - a2 C, K]] and
-        M2 = blockdiag(M, M).  The layout is the (2 nf, 2 3^d) slot rows of
-        the free stencil's 2x2 blocks (stacked row, then block column and
-        slot) where any of the three is nonzero, compressed once by
-        _fem.stencil_csr; its forms and slot arrays are freed on return.
-        The grid holds S_base first, its products written into its blocks,
-        and is then refilled for S_mu and M2 in turn."""
-        s, cols, nf = self.slots, self.cols, len(self.free)
-        M, K, C, Sg = (s[name] for name in ("mass", "stiffness", "derivative", "sigma"))
+        """S_base = [[0, a1 C], [Sg - a2 C, K]] csr, stacked (u block, v
+        block), the mu-free part of the force S = S_base + mu blockdiag(K, 0).
+        Its layout is the (2 nf, 2 3^d) slot rows of the free stencil's 2x2
+        blocks (stacked row, then block column and slot), kept where M is
+        nonzero on the diagonal blocks and where the block is nonzero off
+        them, compressed by _fem.stencil_csr.  So its u-u and v-v blocks hold,
+        in layout order, the entries of stiffness and mass, compressed on the
+        same mask.  Its stencil of mass, stiffness, derivative and sigma is
+        freed on return."""
+        (M, K, C, Sg), cols = self._stencil("mass", "stiffness", "derivative", "sigma")
+        nf = len(self.free)
         shape = (2 * nf, 2 * M.shape[1])
 
         def on_grid(parts, out):  # out as block row, node, block column, slot
             for (r, c), X in zip(np.ndindex(2, 2), parts):
-                out.reshape(2, nf, 2, -1)[r, :, c] = 0.0 if X is None else X
+                out.reshape(2, nf, 2, -1)[r, :, c] = X
             return out
 
-        # by block uu, uv, vu, vv, None a zero block: S_base = [[0, a1 C], [Sg - a2 C, K]]
-        grid = on_grid((None, None, None, K), np.empty(shape))
+        grid = on_grid((0.0, 0.0, 0.0, K), np.empty(shape))
         _, uv, vu, _ = (grid.reshape(2, nf, 2, -1)[r, :, c] for r, c in np.ndindex(2, 2))
         np.multiply(self.alpha1, C, out=uv)
         np.subtract(Sg, np.multiply(self.alpha2, C, out=vu), out=vu)
-        K_or_M = (K != 0) | (M != 0)  # S_mu = [[K, 0], [0, 0]], M2 = blockdiag(M, M)
-        keep = on_grid((K_or_M, uv != 0, vu != 0, K_or_M), np.empty(shape, dtype=bool))
+        on_M = M != 0
+        keep = on_grid((on_M, uv != 0, vu != 0, on_M), np.empty(shape, dtype=bool))
         columns = on_grid((cols, cols + nf) * 2, np.empty(shape, np.int32))
-        rest = ((K, None, None, None), (M, None, None, M))
-        return _fem.stencil_csr(itertools.chain([grid], (on_grid(X, grid) for X in rest)),
-                                columns, keep)
+        return _fem.stencil_csr([grid], columns, keep)[0]
 
     def boundary_integral(self, values):
         """sum_q w_q (m.nu)_q values_q over the Gamma1 quadrature points."""
@@ -287,17 +283,17 @@ def project_initial_data(system, u0, v0, u1, v1):
 def rhs(system, state):
     """Accelerations (d2u, d2v) of the semi-discrete system at the given
     state: M2 (d2u, d2v) = -(S x + T2' (W p(T2 x'))) with x = (u, v),
-    S = S_base + mu S_mu and M2 from state_operator, and the Gamma1 load
-    formed here from the laws at the velocity traces, weighted by
-    W = (mu w m.nu, w m.nu).  One sparse LU of M2 (splu) solves both
-    fields, and on a StateBlock every column; mu then holds one value per
-    column.  The plain statement of the Galerkin system: no run calls it."""
+    S = S_base + mu blockdiag(K, 0) from state_operator, M2 =
+    blockdiag(M, M), and the Gamma1 load formed here from the laws at the
+    velocity traces, weighted by W = (mu w m.nu, w m.nu).  One sparse LU of
+    M2 (splu) solves both fields, and on a StateBlock every column; mu
+    then holds one value per column.  The plain statement of the Galerkin
+    system: no run calls it."""
     mu = system.schedule.mu(state.t)
-    S_base, S_mu, M2 = system.state_operator()
-    x = np.concatenate([state.u, state.v])
-    load = -(S_base @ x + mu * (S_mu @ x))
     T, wmn, nf = system.trace, system.trace_wmn, len(system.free)
+    load = -(system.state_operator() @ np.concatenate([state.u, state.v]))
+    load[:nf] -= mu * state.product(system.stiffness, "u")
     load[:nf] -= mu * (T.T @ (wmn * np.asarray(system.law1(state.product(T, "du"))).T).T)
     load[nf:] -= T.T @ (wmn * np.asarray(system.law2(state.product(T, "dv"))).T).T
-    accel = splu(M2.tocsc()).solve(load)
+    accel = splu(sp.block_diag((system.mass, system.mass), format="csc")).solve(load)
     return accel[:nf], accel[nf:]

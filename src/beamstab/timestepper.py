@@ -10,13 +10,15 @@ it once, for its one step size dt.  Apart from the laws the residual is
 affine in w.  For a step's mu_mid the solver holds the free-dof state
 operator S = [[mu_mid K, a1 C], [Sg - a2 C, K]] and the Jacobian without
 the Gamma1 term J_lin = (2/dt) M2 + (dt/2) S, M2 = blockdiag(M, M).  Both
-live on the one csr layout of the system's state_operator(), which the
-solver reads once, as one data vector each.  mu_mid enters only the u-u
-block, where the mu-free part S_base of S is 0: off it S and J_lin hold
-S_base and J_base = (2/dt) M2 + (dt/2) S_base for every mu_mid, and on it
-S = mu_mid K and J_lin = ((dt/2) K) mu_mid + (2/dt) M.  So the solver
-keeps the block's layout positions, K and (2/dt) M there, and a new
-mu_mid rewrites the block's entries of the two vectors in place.
+live on the one csr layout of the mu-free part S_base of S that the
+system's state_operator() returns, which the solver reads once, as one
+data vector each; the layout's u-u and v-v blocks hold the entries of the
+system's K and M in order.  mu_mid enters only the u-u block, where S_base
+is 0: off it S and J_lin hold S_base and J_base = (2/dt) M2 + (dt/2) S_base
+for every mu_mid, and on it S = mu_mid K and J_lin = ((dt/2) K) mu_mid +
+(2/dt) M.  So the solver keeps the block's layout positions, K and
+(2/dt) M there, and a new mu_mid rewrites the block's entries of the two
+vectors in place.
 W = (mu_mid w m.nu, w m.nu) weighs the stacked Gamma1 trace
 T2 = blockdiag(T, T).  Each step computes c = S (x + (dt/2) w0) once, with
 x the start positions and w0 = (u', v') the first iterate, and each
@@ -231,24 +233,23 @@ class _BandedLU:
 
 
 def _live_operators(system, dt):
-    """(S, J, at, K, M, rest) for the step size dt, on the layout of the
+    """(S, J, at, M, rest) for the step size dt, on the layout of the
     system's state_operator().  mu enters only the u-u block, which opens
-    each u row and where S_base is 0.  S and J are csr in the buffers of
-    S_base and M2 and hold S_base and J_base = (2/dt) M2 + (dt/2) S_base,
-    which off the block they keep for every mu; at holds the block's int32
-    layout positions, and K and M the values there of K and of J_base,
-    which is (2/dt) M.  rest = J_ref - P is J_base off the diagonal blocks
-    on the rect, None on the interval."""
-    S, S_mu, J = system.state_operator()
-    nf = len(system.free)
-    # J_base = (2/dt) M2 + (dt/2) S_base in M2's buffer, 2 nf entries at a
-    # time: no temporary of the layout's size
-    np.multiply(J.data, 2.0 / dt, out=J.data)
-    for i in range(0, J.nnz, 2 * nf):
-        J.data[i:i + 2 * nf] += (dt / 2.0) * S.data[i:i + 2 * nf]
+    each u row and where S_base is 0; it and the v-v block, which closes
+    each v row, hold the entries of the system's stiffness and mass in
+    order.  S is S_base and J is J_base = (dt/2) S_base + (2/dt) M2 on S's
+    indices and indptr, which off the u-u block they keep for every mu; at
+    holds that block's int32 layout positions and M the values of J_base
+    there, (2/dt) M.  rest = J_ref - P is J_base off the diagonal blocks on
+    the rect, None on the interval."""
+    S = system.state_operator()
+    nf, M = len(system.free), (2.0 / dt) * system.mass.data
+    J = sp.csr_matrix(((dt / 2.0) * S.data, S.indices, S.indptr), shape=S.shape)
     m = S.indptr[nf]  # the u rows' entries
     lower = S.indices < nf  # the entries in u columns
     at = np.flatnonzero(lower[:m])
+    J.data[at] += M
+    J.data[m + np.flatnonzero(~lower[m:])] += M  # the v-v block
     rest = None
     if system.mesh.dimension > 1:  # the u rows' v columns and the v rows' u columns
         off = np.empty_like(lower)
@@ -258,7 +259,7 @@ def _live_operators(system, dt):
         rest = sp.csr_matrix((J.data.take(at_off), S.indices.take(at_off),
                               np.searchsorted(at_off, S.indptr).astype(S.indptr.dtype)),
                              shape=J.shape)
-    return S, J, at.astype(np.int32), S_mu.data[at], J.data[at], rest
+    return S, J, at.astype(np.int32), M, rest
 
 
 class _StepOperators(NamedTuple):
@@ -277,17 +278,17 @@ class _MidpointSolver:
     of the system's state_operator(), the preconditioner and the solver
     counters.
 
-    The layout is the csr pattern of S_base, S_mu and M2, the entries that
-    are nonzero in S or J_lin for some mu; S and J_lin share it and are
-    held as one data vector each, in the buffers of S_base and M2
-    (_live_operators).  For mu the solver keeps the u-u block's int32
-    layout positions, K and (2/dt) M there, and one scratch vector of
-    their size.  rest is J_ref - P, mu-free: the rect's J_base entries off
-    the diagonal blocks, or None on the interval, where P = J_ref.  The stacked
-    trace T2 and its weights come from the system's boundary operator.  The
-    counters add up over every solve: preconditioner solves, residual
-    evaluations, Newton and GMRES iterations, line-search halvings, and the
-    largest final residual of a step.
+    The layout is the csr pattern of S_base, the entries that are nonzero
+    in S or J_lin for some mu; S and J_lin share it and are held as one
+    data vector each (_live_operators).  For mu the solver keeps the u-u
+    block's int32 layout positions, K there (the system's stiffness data)
+    and (2/dt) M, and one scratch vector of their size.  rest is
+    J_ref - P, mu-free: the rect's J_base entries off the diagonal blocks,
+    or None on the interval, where P = J_ref.  The stacked trace T2 and its
+    weights come from the system's boundary operator.  The counters add up
+    over every solve: preconditioner solves, residual evaluations, Newton
+    and GMRES iterations, line-search halvings, and the largest final
+    residual of a step.
 
     The 2 nf-sized vectors of a step live in work arrays allocated here,
     once per run: the GMRES basis V, (GMRES_MAXITER + 1, 2 nf), and its
@@ -314,7 +315,8 @@ class _MidpointSolver:
         self.p0 = np.repeat(system.slopes0, self.q)
         self.constant_slopes = system.law1.constant_slope and system.law2.constant_slope
 
-        self._S, self._J, self._mu_at, self._K, self._M, self.rest = _live_operators(system, dt)
+        self._S, self._J, self._mu_at, self._M, self.rest = _live_operators(system, dt)
+        self._K = system.stiffness.data  # the u-u block's K, in layout order
         self._on_block = np.empty(len(self._mu_at))
         self.precond = (_BandedLU if system.mesh.dimension == 1 else _FastDiagonalization)(
             system, dt)

@@ -54,8 +54,20 @@ def traced_bytes(build):
 def sigma_form(system):
     """The system's sigma form T' diag(w sigma) T on the free dofs, csr on
     its nonzero stencil slots: the Sg of its state operator."""
-    slots = system.slots["sigma"]
-    return _fem.stencil_csr([slots], system.cols, slots != 0)[0]
+    forms, cols = _fem.stencil(system.factors)
+    slots = forms["sigma"]
+    return _fem.stencil_csr([slots], cols, slots != 0)[0]
+
+
+def layout_blocks(system, layout):
+    """(S_mu, M2) csr on the pattern of layout, a state_operator() layout:
+    blockdiag(K, 0) and blockdiag(M, M) of the system's stiffness and mass,
+    looked up at the layout's (row, column) pairs, 0 where they hold none."""
+    rows = np.repeat(np.arange(layout.shape[0]), np.diff(layout.indptr))
+    K, M = system.stiffness, system.mass
+    return [sp.csr_matrix((np.asarray(A.tocsr()[rows, layout.indices]).ravel(),
+                           layout.indices, layout.indptr), shape=layout.shape)
+            for A in (sp.block_diag((K, sp.csr_matrix(K.shape))), sp.block_diag((M, M)))]
 
 
 def grid_cells(mesh):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -14,8 +15,8 @@ from beamstab.discretization import (SimState, StateBlock, assemble, compatibili
 from beamstab.feedback import CATALOG, saturating_law
 from beamstab.fields import Field, linear_field, make_field, sine_field
 
-from conftest import (boundary_faces, gamma1_faces, gamma1_point_data, make_conservative_system,
-                      make_system, sigma_form, trace_loop_oracle)
+from conftest import (boundary_faces, gamma1_faces, gamma1_point_data, layout_blocks,
+                      make_conservative_system, make_system, sigma_form, trace_loop_oracle)
 
 REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference_1d.ini"
 
@@ -111,7 +112,13 @@ class TestAssembly:
         system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.0, 3, 3),
                              x0=np.array([-0.1, -0.1]))
         assert "gamma1" in system.factors[0]
-        assert set(system.slots) == {"mass", "stiffness", "derivative", "multiplier", "sigma"}
+        assert not {"slots", "cols"} & set(vars(system))  # no slot array outlives assembly
+        forms, cols = _fem.stencil(system.factors)
+        for got, name in zip((system.mass, system.stiffness, system.coupling, system.multiplier),
+                             ("mass", "stiffness", "derivative", "multiplier")):
+            want, = _fem.stencil_csr([forms[name]], cols, forms["mass"] != 0)
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, part), getattr(want, part)), (name, part)
 
     def test_stiffness_positive_definite_on_free_dofs(self):
         system = make_system(nodes=9)
@@ -138,13 +145,17 @@ class TestAssembly:
 
 
 def _out_of_place_state_operator(system):
-    """SemiDiscreteSystem.state_operator with a1 C and Sg - a2 C as new
-    arrays and the kept slots or'ed form by form: the reference for its
-    products written into the slot grid's blocks."""
-    s, cols, nf = system.slots, system.cols, len(system.free)
-    M, K, C, Sg = (s[name] for name in ("mass", "stiffness", "derivative", "sigma"))
-    forms = [(None, system.alpha1 * C, Sg - system.alpha2 * C, K), (K, None, None, None),
-             (M, None, None, M)]
+    """The (S_base, S_mu, M2) of S = S_base + mu S_mu and blockdiag(M, M)
+    on one layout: S_base from the slots of _fem.stencil(system.factors)
+    with a1 C and Sg - a2 C as new arrays and the kept slots or'ed form by
+    form over all three, and S_mu and M2 by layout_blocks.  The reference
+    for the products state_operator writes into its slot grid's blocks,
+    and for the order of its diagonal blocks' entries."""
+    slots, cols = _fem.stencil(system.factors)
+    nf = len(system.free)
+    M, K, C, Sg = (slots[name] for name in ("mass", "stiffness", "derivative", "sigma"))
+    base = (None, system.alpha1 * C, Sg - system.alpha2 * C, K)
+    forms = [base, (K, None, None, None), (M, None, None, M)]
     shape = (2 * nf, 2 * M.shape[1])
 
     def on_grid(parts, out):
@@ -155,7 +166,23 @@ def _out_of_place_state_operator(system):
     keep = on_grid([np.logical_or.reduce([X != 0 for X in parts if X is not None])
                     for parts in zip(*forms)], np.empty(shape, dtype=bool))
     columns = on_grid((cols, cols + nf) * 2, np.empty(shape, np.int32))
-    return _fem.stencil_csr([on_grid(X, np.empty(shape)) for X in forms], columns, keep)
+    S_base, = _fem.stencil_csr([on_grid(base, np.empty(shape))], columns, keep)
+    return S_base, *layout_blocks(system, S_base)
+
+
+def _state_parts(system):
+    """(S_base, S_mu, M2) as the solver reads them: state_operator(), and
+    the data of the system's stiffness and mass written in order into the
+    entries of its u-u block and (mass) its v-v block, 0 elsewhere."""
+    S_base = system.state_operator()
+    nf, m = len(system.free), S_base.indptr[len(system.free)]
+    lower = S_base.indices < nf
+    uu, vv = np.flatnonzero(lower[:m]), m + np.flatnonzero(~lower[m:])
+    S_mu, M2 = (sp.csr_matrix((np.zeros(S_base.nnz), S_base.indices, S_base.indptr),
+                              shape=S_base.shape) for _ in range(2))
+    S_mu.data[uu] = system.stiffness.data
+    M2.data[uu] = M2.data[vv] = system.mass.data
+    return S_base, S_mu, M2
 
 
 class TestStateOperator:
@@ -167,7 +194,7 @@ class TestStateOperator:
     ], ids=["corner", "free-free", "alpha1-zero", "interval"])
     def test_bit_identical_to_out_of_place(self, mesh, x0, alpha1):
         system = make_system(mesh=mesh, x0=np.array(x0), alpha1=alpha1, alpha2=0.7)
-        for got, want in zip(system.state_operator(), _out_of_place_state_operator(system),
+        for got, want in zip(_state_parts(system), _out_of_place_state_operator(system),
                              strict=True):
             for part in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(got, part), getattr(want, part)), part

@@ -388,18 +388,28 @@ class TestRunSimulate:
         assert bodies[0] == bodies[1]
 
     @pytest.mark.parametrize("mesh", ["interval", "rect"])
-    def test_builds_one_stencil(self, small_cfg, monkeypatch, mesh):
-        # every form of the run comes from one stencil of the free 1D factors
+    def test_builds_two_stencils(self, small_cfg, monkeypatch, mesh):
+        # every form of the run comes from a stencil of the system's free 1D
+        # factor bands: one at assembly for its csr forms, one in
+        # state_operator() for S; the gamma1 band is read as bands alone
         if mesh == "rect":
             small_cfg.mesh_kind, small_cfg.nx, small_cfg.ny = "rect", 8, 6
             small_cfg.x0 = np.array([-0.1, -0.1])
             small_cfg.alpha1 = small_cfg.alpha2 = 0.03
-        calls = []
-        stencil = _fem.stencil
-        monkeypatch.setattr(_fem, "stencil", lambda *args: calls.append(args) or stencil(*args))
+        calls, systems = [], []
+        stencil, assemble = _fem.stencil, harness.assemble
+        monkeypatch.setattr(_fem, "stencil", lambda bands: calls.append(bands) or stencil(bands))
+        monkeypatch.setattr(harness, "assemble",
+                            lambda *args: systems.append(assemble(*args)) or systems[-1])
         monkeypatch.setattr(_fem, "domain_matrices", _refuse)
         assert harness.run_simulate(small_cfg, stream=io.StringIO()) == harness.EXIT_OK
-        assert len(calls) == 1
+        system, = systems
+        assert [[list(b) for b in bands] for bands in calls] == [
+            [["mass", "stiffness", "derivative", "multiplier"]] * len(system.factors),
+            [["mass", "stiffness", "derivative", "sigma"]] * len(system.factors)]
+        for bands in calls:
+            for b, f in zip(bands, system.factors, strict=True):
+                assert all(b[name] is f[name] for name in b)
 
     def test_step_failure_exit_code(self, small_cfg, monkeypatch):
         def explode(*args, **kwargs):

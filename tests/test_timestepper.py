@@ -27,8 +27,8 @@ from beamstab.feedback import (FeedbackLaw, LipschitzLaw, hardening_law, identit
 from beamstab.timestepper import (StepControl, _MidpointSolver, integrate, load_checkpoint,
                                   save_checkpoint)
 
-from conftest import (gamma1_faces, gamma1_point_data, make_conservative_system, make_system,
-                      sigma_form, trace_loop_oracle, traced_bytes)
+from conftest import (gamma1_faces, gamma1_point_data, layout_blocks, make_conservative_system,
+                      make_system, sigma_form, trace_loop_oracle, traced_bytes)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -784,8 +784,10 @@ def _layout_parts(system, dt):
     layout of the system's state_operator(), and the (base, mu part) data
     vectors of S and J_lin on it, by the solver's float operations:
     S = S_base + mu S_mu and J_lin = J_base + mu J_mu with
-    J_base = (2/dt) M2 + (dt/2) S_base and J_mu = (dt/2) S_mu."""
-    S_base, S_mu, M2 = system.state_operator()
+    J_base = (2/dt) M2 + (dt/2) S_base and J_mu = (dt/2) S_mu, S_mu and M2
+    by layout_blocks."""
+    S_base = system.state_operator()
+    S_mu, M2 = layout_blocks(system, S_base)
     J_data = ((2.0 / dt) * M2.data + (dt / 2.0) * S_base.data, (dt / 2.0) * S_mu.data)
 
     def on_layout(data):
@@ -843,6 +845,14 @@ class TestBlockLayout:
             support |= (S != 0) | (J != 0)
         # the layout stores exactly the entries that are nonzero for some mu
         assert ops.S.nnz == ops.J_lin.nnz == np.count_nonzero(support)
+        # in layout order the u-u and v-v block entries are those of K, entry
+        # for entry: the solver reads K and M's data there
+        K, S = system.stiffness, ops.S
+        rows = np.repeat(np.arange(2 * nf), np.diff(S.indptr))
+        for r in (0, 1):
+            on = (rows // nf == r) & (S.indices // nf == r)
+            assert np.array_equal(S.indices[on] - r * nf, K.indices)
+            assert np.array_equal(np.bincount(rows[on] - r * nf, minlength=nf), np.diff(K.indptr))
         if mesh == "interval":
             assert solver.rest is None
         else:
@@ -857,8 +867,8 @@ class TestBlockLayout:
             shape = (7, 5) if mesh == "rect7x5" else (16, 16)
             system = make_system(mesh=geometry.build_rect_mesh(1.0, 1.3, *shape),
                                  x0=np.array(_FREE_FREE if mesh == "free_free" else _CORNER))
-        forms = [system.slots[name] for name in ("mass", "stiffness", "derivative", "sigma")]
-        cols = system.cols
+        slots, cols = _fem.stencil(system.factors)
+        forms = [slots[name] for name in ("mass", "stiffness", "derivative", "sigma")]
         nf = len(system.free)
         inside = (cols >= 0) & (cols < nf)
         rows = np.nonzero(inside)[0]
@@ -945,10 +955,10 @@ class TestBlockLayout:
         # the rect64 workload's layout of 120 586 entries: the solver holds one
         # data vector each for S and J_lin, and for mu the u-u block's int32
         # positions, K and (2/dt) M there and one scratch vector of their
-        # size.  Measured 42.6 B per entry retained and 47.6 B at the build's
-        # peak (49.7 while state_operator made a1 C and Sg - a2 C as new
-        # arrays), against 66.3 and 74.7 when it held the full-layout base
-        # and mu parts of both and their live copies
+        # size, K there being the system's stiffness data.  Measured 40.2 B
+        # per entry retained and 40.8 B at the build's peak, against 66.3 and
+        # 74.7 when it held the full-layout base and mu parts of both and
+        # their live copies
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
         workloads = importlib.import_module("perfbench.workloads")
         text = workloads.config_text(workloads.WORKLOADS["rect64_saturating"], 0)
@@ -965,6 +975,19 @@ class TestBlockLayout:
         assert nnz == 120586
         assert retained <= 48 * nnz
         assert peak <= 60 * nnz
+
+    def test_assembly_memory_per_free_dof(self, monkeypatch):
+        # the rect64 workload's 4 096 free dofs: the system keeps its csr forms,
+        # trace and bands, and no stencil slots.  Measured 344 B per free dof
+        # retained, against 741 when it kept every form's (nf, 9) slots
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        workloads = importlib.import_module("perfbench.workloads")
+        text = workloads.config_text(workloads.WORKLOADS["rect64_saturating"], 0)
+        cfg = harness.parse_config(text=text)
+        mesh, partition = harness.build_domain(cfg)
+        system, retained, _ = traced_bytes(lambda: harness.build_system(cfg, mesh, partition))
+        assert len(system.free) == 4096
+        assert retained <= 400 * len(system.free)
 
 
 def _energy_balance_defects(system, states, dt):
